@@ -237,10 +237,17 @@ let shards_arg =
   let doc =
     "Shard the simulation across $(docv) forked PDES workers with conservative \
      synchronization; results are byte-identical to a serial run. Runs that cannot be \
-     sharded (event tracing, LMS, lossy recovery/sessions, link-jitter faults) fall back \
-     to the serial engine."
+     sharded (event tracing, recovery domains, lossy recovery/sessions, LMS, a finite or \
+     records-off steady window, link-jitter faults) run on the serial engine, and $(b,run) \
+     and $(b,compare) print why."
   in
   Arg.(value & opt int 1 & info [ "shards" ] ~doc ~docv:"K")
+
+let report_serial_engine ~shards ?tracer ?fault_plan ~setup ?steady ?domains proto =
+  if shards > 1 then
+    Option.iter
+      (Printf.printf "shards: serial engine (%s)\n")
+      (Harness.Runner.shardable ~tracer ~fault_plan ~setup ~steady ~domains proto)
 
 (* Per-receiver rows are capped: a 10 000-receiver scale run would
    otherwise print 10 000 table lines (and pay an O(n) lookup each). *)
@@ -426,6 +433,7 @@ let run_cmd =
     | Ok fault_plan ->
         let tracer = Option.map (fun _ -> Obs.Trace.create ()) trace_out in
         let registry = Option.map (fun _ -> Obs.Registry.create ()) metrics_out in
+        report_serial_engine ~shards ?tracer ?fault_plan ~setup ?steady ?domains proto;
         let res =
           Harness.Runner.run_model ~setup ~shards ?tracer ?registry ?fault_plan ?steady ?domains
             ?cache_policy proto trace loss_model
@@ -492,6 +500,8 @@ let compare_cmd =
     with
     | Error msg -> `Error (false, msg)
     | Ok fault_plan ->
+        (* SRM and CESRM shard alike *)
+        report_serial_engine ~shards ?fault_plan ~setup ?domains Harness.Runner.Srm_protocol;
         let srm =
           Harness.Runner.run_model ~setup ~shards ?fault_plan ?domains
             Harness.Runner.Srm_protocol trace loss_model

@@ -1,9 +1,10 @@
 (* Sharded execution of one run: conservative PDES over forked workers.
 
    The model is replicated-network / partitioned-hosts (DESIGN.md §13).
-   Every worker rebuilds the complete network, deploys protocol hosts
+   Every worker builds the serial run's model in shard mode
+   ([Run_types.build ~shard]): the complete network, protocol hosts
    only for the members its shard owns ([Proto.deploy ~owned]), and
-   executes the global event schedule restricted to those members. The
+   the global event schedule restricted to those members. The
    source's paced data stream is statically replicated — every shard
    walks it locally at the same simulation times — while every other
    origin cast (requests, replies, sessions) is buffered as a
@@ -70,176 +71,25 @@ let emit_order (a : Net.Network.emit) (b : Net.Network.emit) =
       | c -> c)
   | c -> c
 
-(* One shard's event loop, running in a forked child. Mirrors
-   [Runner.run_model]'s serial setup line by line — same construction
-   order, same RNG splits — with three substitutions: the network is
-   switched into shard mode, the auditor and the fault oracle observe
-   an explicitly fed tap stream instead of a live tap (only the
-   primary shard, owner of the source, has the complete stream), and
-   [Sim.Engine.run] becomes the barrier-window loop. *)
-let worker_body ~chan ~me ~observe ~partition ~(setup : Run_types.setup) ~fault_plan ~protocol
-    ~trace ~loss_model ~streaming =
-  let tree = Mtrace.Trace.tree trace in
-  let n_packets = Mtrace.Trace.n_packets trace in
-  let period = Mtrace.Trace.period trace in
-  let engine = Sim.Engine.create ~seed:setup.seed () in
-  let network =
-    if setup.heterogeneous_delays then begin
-      let rng = Sim.Rng.split (Sim.Engine.rng engine) in
-      let delays =
-        Array.init (Net.Tree.n_nodes tree) (fun l ->
-            if l = 0 then 0.
-            else Sim.Rng.log_uniform rng (setup.link_delay /. 3.) (3. *. setup.link_delay))
-      in
-      Net.Network.create_heterogeneous ~engine ~tree ~delays
-        ~bandwidth_bps:setup.bandwidth_bps ()
-    end
-    else
-      Net.Network.create ~engine ~tree ~link_delay:setup.link_delay
-        ~bandwidth_bps:setup.bandwidth_bps ()
+(* One shard's event loop, running in a forked child: the serial
+   run's model built in shard mode ([Run_types.build ~shard]) — same
+   construction order, same RNG splits — with [Sim.Engine.run] replaced
+   by the barrier-window loop. Only the primary shard, owner of the
+   source, has the complete tap stream, so it alone feeds the detached
+   auditor and oracle. *)
+let worker_body ~chan ~me ~partition ~setup ~fault_plan ~steady ~protocol ~trace ~loss_model =
+  let m =
+    Run_types.build ~shard:{ Run_types.partition; me } ?fault_plan ?steady ~setup protocol trace
+      loss_model
   in
-  Net.Network.enable_shard network ~partition ~me ~observe;
-  let rates =
-    if setup.lossy_recovery || setup.lossy_sessions then Inference.Yajnik.estimate trace
-    else Array.make (Net.Tree.n_nodes tree) 0.
-  in
-  let drop_rng = Sim.Rng.split (Sim.Engine.rng engine) in
-  Net.Network.set_drop network
-    (Run_types.make_drop ~loss_model ~lossy_recovery:setup.lossy_recovery
-       ~lossy_sessions:setup.lossy_sessions ~rates ~rng:drop_rng);
-  let audit =
-    if observe then
-      Some
-        (Audit.create
-           ~expect_in_order:(setup.data_jitter <= 0.)
-           ~max_exp_per_loss:(match protocol with Run_types.Lms_protocol -> 64 | _ -> 1)
-           network)
-    else None
-  in
-  let oracle = Option.map (fun _ -> Fault.Oracle.create_detached ~network ()) fault_plan in
-  let attach_oracle srm_host = Option.iter (fun o -> Fault.Oracle.attach_host o srm_host) oracle in
-  (* Churn wiring, mirroring the serial runner: every shard compiles
-     the full plan, so every shard's oracle carries the identical
-     membership timeline (the primary's is the one that judges the
-     replayed tap stream), while the host-level join/leave effects act
-     only on owned hosts — and each shard's departures contribute to
-     the forgiven-loss total shipped home. *)
-  Option.iter
-    (fun o ->
-      Option.iter
-        (fun plan ->
-          List.iter
-            (fun node -> Fault.Oracle.note_membership o ~node ~at:0. ~member:false)
-            (Fault.Plan.initial_absentees plan))
-        fault_plan)
-    oracle;
-  let forgiven = ref 0 in
-  (* Analytic join baseline (see the serial runner): a pure function of
-     the join time and the send schedule, hence identical on the shard
-     owning the joiner and in a serial run. *)
-  let join_baselines () =
-    let at = Sim.Engine.now engine in
-    let sent = 1 + int_of_float (Float.floor ((at -. setup.warmup) /. period)) in
-    let sent = max 0 (min n_packets sent) in
-    if sent = 0 then [] else [ (0, sent) ]
-  in
-  let compile_faults ?(on_join = fun ~node:_ -> ()) ?(on_leave = fun ~node:_ -> ()) ~on_restart ()
-      =
-    Option.iter
-      (fun plan ->
-        Fault.Plan.compile ~network ~on_restart
-          ~on_join:(fun ~node ->
-            Option.iter
-              (fun o ->
-                Fault.Oracle.note_membership o ~node ~at:(Sim.Engine.now engine) ~member:true)
-              oracle;
-            on_join ~node)
-          ~on_leave:(fun ~node ->
-            Option.iter
-              (fun o ->
-                Fault.Oracle.note_membership o ~node ~at:(Sim.Engine.now engine) ~member:false;
-                Fault.Oracle.forget_node o ~node)
-              oracle;
-            on_leave ~node)
-          plan)
-      fault_plan
-  in
-  let owned node = Net.Network.owns network node in
-  let counters, recoveries, detected, expedited =
-    match protocol with
-    | Run_types.Srm_protocol ->
-        let proto = Srm.Proto.deploy ~owned ~network ~params:setup.params ~n_packets ~period () in
-        List.iter (fun (_, h) -> attach_oracle h) (Srm.Proto.members proto);
-        compile_faults
-          ~on_join:(fun ~node ->
-            Option.iter
-              (fun h -> Srm.Host.join h ~baselines:(join_baselines ()))
-              (List.assoc_opt node (Srm.Proto.members proto)))
-          ~on_leave:(fun ~node ->
-            List.iter
-              (fun (n, h) ->
-                if n = node then forgiven := !forgiven + Srm.Host.depart h
-                else Srm.Host.forget_peer h node)
-              (Srm.Proto.members proto))
-          ~on_restart:(fun ~node ->
-            Option.iter Srm.Host.restart_recovery (List.assoc_opt node (Srm.Proto.members proto)))
-          ();
-        Srm.Proto.start ~send_jitter:setup.data_jitter ~streaming proto ~warmup:setup.warmup
-          ~tail:setup.tail;
-        ( Srm.Proto.counters proto,
-          Srm.Proto.recoveries proto,
-          (fun () ->
-            List.fold_left
-              (fun acc (_, h) -> acc + Srm.Host.detected_losses h)
-              0 (Srm.Proto.members proto)),
-          fun () -> (0, 0) )
-    | Run_types.Cesrm_protocol config ->
-        let proto =
-          Cesrm.Proto.deploy ~config ~owned ~network ~params:setup.params ~n_packets ~period ()
-        in
-        List.iter (fun (_, h) -> attach_oracle (Cesrm.Host.srm h)) (Cesrm.Proto.members proto);
-        compile_faults
-          ~on_join:(fun ~node ->
-            Option.iter
-              (fun h -> Srm.Host.join (Cesrm.Host.srm h) ~baselines:(join_baselines ()))
-              (List.assoc_opt node (Cesrm.Proto.members proto)))
-          ~on_leave:(fun ~node ->
-            List.iter
-              (fun (n, h) ->
-                if n = node then begin
-                  Cesrm.Host.reset_caches h;
-                  forgiven := !forgiven + Srm.Host.depart (Cesrm.Host.srm h)
-                end
-                else begin
-                  Cesrm.Host.invalidate_replier h ~replier:node;
-                  Srm.Host.forget_peer (Cesrm.Host.srm h) node
-                end)
-              (Cesrm.Proto.members proto))
-          ~on_restart:(fun ~node ->
-            Option.iter
-              (fun h ->
-                Cesrm.Host.reset_caches h;
-                Srm.Host.restart_recovery (Cesrm.Host.srm h))
-              (List.assoc_opt node (Cesrm.Proto.members proto)))
-          ();
-        Cesrm.Proto.start ~send_jitter:setup.data_jitter ~streaming proto ~warmup:setup.warmup
-          ~tail:setup.tail;
-        ( Cesrm.Proto.counters proto,
-          Cesrm.Proto.recoveries proto,
-          (fun () ->
-            List.fold_left
-              (fun acc (_, h) -> acc + Srm.Host.detected_losses (Cesrm.Host.srm h))
-              0 (Cesrm.Proto.members proto)),
-          fun () -> (Cesrm.Proto.expedited_requests proto, Cesrm.Proto.expedited_replies proto) )
-    | Run_types.Lms_protocol -> invalid_arg "Parallel: LMS subcasts are not shardable"
-  in
+  let observe = me = partition.Net.Partition.owner.(0) in
+  let network = m.network and engine = m.engine in
   (* Tag every recovery with the delivery rank of the walk that
      produced it, at add time — the only moment the network still
      knows which cast is firing. *)
   let tagged_records = ref [] in
-  Stats.Recovery.set_observer recoveries (fun r ->
+  Stats.Recovery.set_observer m.recoveries (fun r ->
       tagged_records := (r, Net.Network.delivery_rank network) :: !tagged_records);
-  let horizon = Run_types.horizon ~setup ~n_packets ~period in
   (* The primary accumulates the global tap stream — remote emits plus
      its own origin and replicated casts — and feeds it, sorted, to the
      auditor and the oracle once complete. Both are pure stream folds
@@ -255,7 +105,7 @@ let worker_body ~chan ~me ~observe ~partition ~(setup : Run_types.setup) ~fault_
     | Window { w_barrier; w_emits } ->
         List.iter (Net.Network.apply_emit network) w_emits;
         note w_emits;
-        let next = Sim.Pdes.run_window engine ~barrier:w_barrier ~horizon in
+        let next = Sim.Pdes.run_window engine ~barrier:w_barrier ~horizon:m.horizon in
         let emits = Net.Network.take_emits network in
         if observe then note (Net.Network.take_observations network);
         Ipc.Chan.send chan
@@ -264,36 +114,30 @@ let worker_body ~chan ~me ~observe ~partition ~(setup : Run_types.setup) ~fault_
     | Finish { f_emits } ->
         List.iter (Net.Network.apply_emit network) f_emits;
         note f_emits;
-        if observe then note (Net.Network.take_observations network);
-        let wr_audit =
-          match audit with
-          | None -> 0
-          | Some a ->
-              List.iter
-                (fun (e : Net.Network.emit) ->
-                  Audit.observe a ~at:e.e_at ~from:e.e_from e.e_packet;
-                  Option.iter
-                    (fun o -> Fault.Oracle.observe o ~at:e.e_at ~from:e.e_from e.e_packet)
-                    oracle)
-                (List.stable_sort emit_order !obs);
-              List.length (Audit.violations a)
-        in
-        let exp_requests, exp_replies = expedited () in
+        if observe then begin
+          note (Net.Network.take_observations network);
+          List.iter
+            (fun (e : Net.Network.emit) ->
+              Audit.observe m.audit ~at:e.e_at ~from:e.e_from e.e_packet;
+              Option.iter
+                (fun o -> Fault.Oracle.observe o ~at:e.e_at ~from:e.e_from e.e_packet)
+                m.oracle)
+            (List.stable_sort emit_order !obs)
+        end;
+        let exp_requests, exp_replies = m.expedited () in
         Ipc.Chan.send chan
           (Done
              {
-               wr_counters = counters;
+               wr_counters = m.counters;
                wr_records = List.rev !tagged_records;
                wr_cost = Net.Network.cost network;
                wr_exp_requests = exp_requests;
                wr_exp_replies = exp_replies;
-               wr_detected = detected ();
-               wr_forgiven = !forgiven;
-               wr_audit;
-               wr_violations =
-                 (match oracle with None -> [] | Some o -> Fault.Oracle.violations o);
-               wr_pending =
-                 (match oracle with None -> [] | Some o -> Fault.Oracle.pending_losses o);
+               wr_detected = m.detected ();
+               wr_forgiven = m.forgiven ();
+               wr_audit = List.length (Audit.violations m.audit);
+               wr_violations = Option.fold ~none:[] ~some:Fault.Oracle.violations m.oracle;
+               wr_pending = Option.fold ~none:[] ~some:Fault.Oracle.pending_losses m.oracle;
                wr_clock = Sim.Engine.now engine;
                wr_delivered = Net.Network.packets_delivered network;
                wr_events = Sim.Engine.events_fired engine;
@@ -302,19 +146,21 @@ let worker_body ~chan ~me ~observe ~partition ~(setup : Run_types.setup) ~fault_
   loop ()
 
 let run ~(partition : Net.Partition.t) ~delay ?registry ?fault_plan ~(setup : Run_types.setup)
-    ?(streaming = false) protocol trace loss_model =
+    ?steady protocol trace loss_model =
+  (match protocol with
+  | Run_types.Lms_protocol -> invalid_arg "Parallel.run: LMS subcasts are not shardable"
+  | _ -> ());
   let k = partition.n_shards in
   let lookahead = partition.lookahead in
   let tree = Mtrace.Trace.tree trace in
   let n_packets = Mtrace.Trace.n_packets trace in
   let period = Mtrace.Trace.period trace in
   let horizon = Run_types.horizon ~setup ~n_packets ~period in
-  let primary = partition.owner.(0) in
   let workers =
     Array.init k (fun me ->
         Ipc.Chan.fork ~child:(fun chan ->
-            worker_body ~chan ~me ~observe:(me = primary) ~partition ~setup ~fault_plan
-              ~protocol ~trace ~loss_model ~streaming))
+            worker_body ~chan ~me ~partition ~setup ~fault_plan ~steady ~protocol ~trace
+              ~loss_model))
   in
   let stats = Pst.create () in
   let nexts = Array.make k infinity in
@@ -424,17 +270,8 @@ let run ~(partition : Net.Partition.t) ~delay ?registry ?fault_plan ~(setup : Ru
           (Fault.Oracle.assemble
              ~violations:(streamed @ Fault.Oracle.liveness_violations ~at:final_clock still_missing))
   in
-  Option.iter
-    (fun o ->
-      List.iter
-        (fun v -> Stats.Counters.bump counters ~node:v.Fault.Oracle.node Stats.Counters.Oracle)
-        (Fault.Oracle.violations o))
-    oracle;
+  Option.iter (Run_types.charge_oracle counters) oracle;
   let rtts = Run_types.source_rtts ~tree ~delay in
-  let is_receiver node = node <> 0 && Net.Tree.is_leaf tree node in
-  let rtt_to_source =
-    Array.to_list (Array.map (fun node -> (node, rtts.(node))) (Net.Tree.receivers tree))
-  in
   Option.iter
     (fun reg ->
       Obs.Registry.incr ~by:(sum (fun o -> o.wr_events)) reg "sim/events_fired";
@@ -451,13 +288,7 @@ let run ~(partition : Net.Partition.t) ~delay ?registry ?fault_plan ~(setup : Ru
         "net/data_crossings";
       Obs.Registry.incr ~by:(Net.Cost.total_crossings cost Net.Cost.Session) reg
         "net/session_crossings";
-      Obs.Registry.incr ~by:(Stats.Recovery.count recoveries) reg "recovery/recovered";
-      Option.iter
-        (fun o -> Obs.Registry.incr ~by:(Fault.Oracle.n_violations o) reg "fault/oracle_violations")
-        oracle;
-      Instrument.attach_recovery_hists reg
-        ~rtt_of:(fun node -> if is_receiver node then Some rtts.(node) else None)
-        recoveries;
+      Run_types.publish_recoveries reg ~tree ~rtts ~oracle recoveries;
       let max_shard_events =
         List.fold_left (fun m (o : worker_out) -> max m o.wr_events) 0 outl
       in
@@ -473,14 +304,14 @@ let run ~(partition : Net.Partition.t) ~delay ?registry ?fault_plan ~(setup : Ru
     counters;
     recoveries;
     cost;
-    rtt_to_source;
+    rtt_to_source = Run_types.rtt_to_source ~tree rtts;
     exp_requests = sum (fun o -> o.wr_exp_requests);
     exp_replies = sum (fun o -> o.wr_exp_replies);
     unrecovered = detected - recovered - forgiven;
     detected;
     forgiven;
     audit_violations = sum (fun o -> o.wr_audit);
-    oracle_violations = (match oracle with None -> 0 | Some o -> Fault.Oracle.n_violations o);
+    oracle_violations = Option.fold ~none:0 ~some:Fault.Oracle.n_violations oracle;
     oracle;
     retirement = None;
   }

@@ -13,11 +13,14 @@
     sharded run is byte-identical to the serial run of the same
     (trace, protocol, setup, fault plan).
 
-    This module is the mechanism; policy lives in {!Runner}, which
-    checks shardability (no tracer, no LMS subcasts, no lossy
-    recovery/session RNG draws, no link-jitter fault events) and falls
-    back to the serial path, so callers just pass [?shards] to
-    {!Runner.run}. *)
+    Each worker builds its model with the serial runner's own builder
+    in shard mode ({!Run_types.build}), so the two paths share every
+    line of wiring. This module is the mechanism; policy lives in
+    {!Runner}, whose {!Runner.shardable} names the conditions that keep
+    a run on the serial engine — event tracing, recovery domains,
+    lossy recovery/sessions, LMS, a finite or records-off steady
+    window, link-jitter fault events — so callers just pass [?shards]
+    to {!Runner.run}. *)
 
 val run :
   partition:Net.Partition.t ->
@@ -25,7 +28,7 @@ val run :
   ?registry:Obs.Registry.t ->
   ?fault_plan:Fault.Plan.t ->
   setup:Run_types.setup ->
-  ?streaming:bool ->
+  ?steady:Steady.Config.t ->
   Run_types.protocol ->
   Mtrace.Trace.t ->
   Run_types.loss_model ->
@@ -36,11 +39,11 @@ val run :
     merged result. [delay] must reproduce the per-link delays the
     workers draw ([Runner] replicates the heterogeneous-delay RNG
     sequence); [setup] and [protocol] must already carry the fault-plan
-    robustness adjustments [Runner.run_model] applies. [streaming]
-    (default false) arms the sources' data sends as lazy chains on
-    every worker — byte-identical either way, so it composes freely
-    with sharding (finite retirement windows do not; {!Runner} keeps
-    those serial).
+    robustness adjustments [Runner.run_model] applies. [steady] arms
+    the sources' data sends as lazy chains on every worker —
+    byte-identical either way, so it composes freely with sharding; it
+    must have an infinite window and keep its records
+    ({!Runner.shardable}).
 
     With [registry], the merged end-of-run metrics are published as in
     the serial runner — engine/network totals, ["recovery/"] histograms

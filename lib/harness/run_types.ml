@@ -1,10 +1,13 @@
-(* Definitions shared between the serial runner and the sharded
-   parallel runner: [Runner] delegates sharded runs to [Parallel], and
-   every [Parallel] worker rebuilds the very same per-run model, so
-   the protocol/setup/result types and the pure helpers both sides
-   must agree on live here, below both in the dependency order.
-   [Runner] re-exports the types with equations; everything outside
-   the harness keeps saying [Harness.Runner.setup]. *)
+(* What the serial runner and the sharded parallel runner share: the
+   protocol/setup/result types, the pure helpers, and [build], the one
+   function that wires a run's model — engine, network, drop
+   predicate, auditor, tracer and oracle taps, steady controller,
+   churn hooks and the protocol deployment. [Runner]'s serial arm is
+   build, run, finish; every [Parallel] worker is build in shard mode,
+   then the barrier loop. This module sits below both in the
+   dependency order; [Runner] re-exports the types with equations, so
+   everything outside the harness keeps saying
+   [Harness.Runner.setup]. *)
 
 type protocol = Srm_protocol | Cesrm_protocol of Cesrm.Host.config | Lms_protocol
 
@@ -138,3 +141,364 @@ let source_rtts ~tree ~delay =
   in
   fill 0 0.;
   rtts
+
+let receiver_rtt ~tree rtts node =
+  if node <> 0 && Net.Tree.is_leaf tree node then Some rtts.(node) else None
+
+let rtt_to_source ~tree rtts =
+  Array.to_list (Array.map (fun node -> (node, rtts.(node))) (Net.Tree.receivers tree))
+
+let charge_oracle counters oracle =
+  List.iter
+    (fun v -> Stats.Counters.bump counters ~node:v.Fault.Oracle.node Stats.Counters.Oracle)
+    (Fault.Oracle.violations oracle)
+
+let publish_recoveries reg ~tree ~rtts ~oracle recoveries =
+  Obs.Registry.incr ~by:(Stats.Recovery.count recoveries) reg "recovery/recovered";
+  Option.iter
+    (fun o -> Obs.Registry.incr ~by:(Fault.Oracle.n_violations o) reg "fault/oracle_violations")
+    oracle;
+  Instrument.attach_recovery_hists reg ~rtt_of:(receiver_rtt ~tree rtts) recoveries
+
+(* The paper's uniform delay on every link, or per-link delays
+   log-uniform in [link_delay/3, 3·link_delay]: the real MBone had
+   heterogeneous latencies; the paper used a uniform delay, so this is
+   a robustness probe. The draw takes the first split of the run's
+   root generator, so the coordinator of a sharded run, passing a
+   fresh generator of the run's seed, sees the workers' delays. *)
+let link_delays ~setup ~tree rng =
+  let n = Net.Tree.n_nodes tree in
+  if not setup.heterogeneous_delays then Array.make n setup.link_delay
+  else begin
+    let rng = Sim.Rng.split rng in
+    Array.init n (fun l ->
+        if l = 0 then 0.
+        else Sim.Rng.log_uniform rng (setup.link_delay /. 3.) (3. *. setup.link_delay))
+  end
+
+(* --- The per-run model ------------------------------------------------ *)
+
+type shard = { partition : Net.Partition.t; me : int }
+
+type model = {
+  engine : Sim.Engine.t;
+  network : Net.Network.t;
+  horizon : float;
+  audit : Audit.t;
+  oracle : Fault.Oracle.t option;
+  controller : Steady.Controller.t option;
+  counters : Stats.Counters.t;
+  recoveries : Stats.Recovery.t;
+  detected : unit -> int;
+  expedited : unit -> int * int;
+  forgiven : unit -> int;
+  publish : Obs.Registry.t -> unit;
+}
+
+(* One protocol deployment, seen through what [build] wires to it. *)
+type deployment = {
+  hosts : (int * Srm.Host.t) list;
+      (* each member's SRM layer, source first — what the tracer, the
+         oracle and joins hook into; empty under LMS *)
+  d_counters : Stats.Counters.t;
+  d_recoveries : Stats.Recovery.t;
+  retirees : unit -> Steady.Controller.member list;
+  leave : node:int -> int;
+      (* apply a departure to every member; the departing host's
+         pending losses, which it forgives *)
+  restart : node:int -> unit;
+  start : unit -> unit;
+  d_detected : unit -> int;
+  d_expedited : unit -> int * int;
+  d_publish : Obs.Registry.t -> unit;
+}
+
+let retiree node ~prefix ~retire =
+  { Steady.Controller.node; delivered_prefix = prefix; retire }
+
+let deploy ?owned ?domain ~network ~setup ~n_packets ~period ~streaming = function
+  | Srm_protocol ->
+      let p = Srm.Proto.deploy ?owned ?domain ~network ~params:setup.params ~n_packets ~period () in
+      let members = Srm.Proto.members p in
+      {
+        hosts = members;
+        d_counters = Srm.Proto.counters p;
+        d_recoveries = Srm.Proto.recoveries p;
+        retirees =
+          (fun () ->
+            List.map
+              (fun (node, h) ->
+                retiree node
+                  ~prefix:(fun () -> Srm.Host.delivered_prefix h)
+                  ~retire:(Srm.Host.retire_below h))
+              members);
+        (* The departing host drops all soft state (forgiving its
+           pending losses); every remaining member forgets the session
+           state naming it. *)
+        leave =
+          (fun ~node ->
+            List.fold_left
+              (fun forgiven (n, h) ->
+                if n = node then forgiven + Srm.Host.depart h
+                else begin
+                  Srm.Host.forget_peer h node;
+                  forgiven
+                end)
+              0 members);
+        restart =
+          (fun ~node -> Option.iter Srm.Host.restart_recovery (List.assoc_opt node members));
+        start =
+          (fun () ->
+            Srm.Proto.start ~send_jitter:setup.data_jitter ~streaming p ~warmup:setup.warmup
+              ~tail:setup.tail);
+        d_detected =
+          (fun () -> List.fold_left (fun acc (_, h) -> acc + Srm.Host.detected_losses h) 0 members);
+        d_expedited = (fun () -> (0, 0));
+        d_publish = (fun reg -> List.iter (fun (_, h) -> Srm.Host.publish_metrics h reg) members);
+      }
+  | Cesrm_protocol config ->
+      let p =
+        Cesrm.Proto.deploy ~config ?owned ?domain ~network ~params:setup.params ~n_packets ~period
+          ()
+      in
+      let members = Cesrm.Proto.members p in
+      {
+        (* After deploy: the CESRM hosts have installed their own hooks,
+           which the tracer and the oracle chain onto rather than
+           replace. *)
+        hosts = List.map (fun (node, h) -> (node, Cesrm.Host.srm h)) members;
+        d_counters = Cesrm.Proto.counters p;
+        d_recoveries = Cesrm.Proto.recoveries p;
+        retirees =
+          (fun () ->
+            List.map
+              (fun (node, h) ->
+                retiree node
+                  ~prefix:(fun () -> Srm.Host.delivered_prefix (Cesrm.Host.srm h))
+                  ~retire:(Cesrm.Host.retire_below h))
+              members);
+        (* Beyond the SRM departure, every remaining member invalidates
+           its cached expedited pairs naming the departed replier —
+           CESRM falls back to SRM recovery instead of unicasting a
+           ghost. *)
+        leave =
+          (fun ~node ->
+            List.fold_left
+              (fun forgiven (n, h) ->
+                if n = node then begin
+                  Cesrm.Host.reset_caches h;
+                  forgiven + Srm.Host.depart (Cesrm.Host.srm h)
+                end
+                else begin
+                  Cesrm.Host.invalidate_replier h ~replier:node;
+                  Srm.Host.forget_peer (Cesrm.Host.srm h) node;
+                  forgiven
+                end)
+              0 members);
+        restart =
+          (fun ~node ->
+            Option.iter
+              (fun h ->
+                Cesrm.Host.reset_caches h;
+                Srm.Host.restart_recovery (Cesrm.Host.srm h))
+              (List.assoc_opt node members));
+        start =
+          (fun () ->
+            Cesrm.Proto.start ~send_jitter:setup.data_jitter ~streaming p ~warmup:setup.warmup
+              ~tail:setup.tail);
+        d_detected =
+          (fun () ->
+            List.fold_left
+              (fun acc (_, h) -> acc + Srm.Host.detected_losses (Cesrm.Host.srm h))
+              0 members);
+        d_expedited =
+          (fun () -> (Cesrm.Proto.expedited_requests p, Cesrm.Proto.expedited_replies p));
+        d_publish = (fun reg -> List.iter (fun (_, h) -> Cesrm.Host.publish_metrics h reg) members);
+      }
+  | Lms_protocol ->
+      (* LMS hosts carry no SRM soft state: crashes and departures only
+         toggle the network layer, and the oracle checks network-level
+         invariants only. *)
+      let p = Lms.Proto.deploy ~network ~n_packets ~period () in
+      let members = Lms.Proto.members p in
+      {
+        hosts = [];
+        d_counters = Lms.Proto.counters p;
+        d_recoveries = Lms.Proto.recoveries p;
+        retirees =
+          (fun () ->
+            List.map
+              (fun (node, h) ->
+                retiree node
+                  ~prefix:(fun () -> Lms.Host.delivered_prefix h)
+                  ~retire:(Lms.Host.retire_below h))
+              members);
+        leave = (fun ~node:_ -> 0);
+        restart = (fun ~node:_ -> ());
+        start =
+          (fun () -> Lms.Proto.start ~streaming p ~warmup:setup.warmup ~tail:setup.tail);
+        d_detected = (fun () -> Lms.Proto.detected p);
+        d_expedited = (fun () -> (0, 0));
+        d_publish = (fun reg -> List.iter (fun (_, h) -> Lms.Host.publish_metrics h reg) members);
+      }
+
+(* The construction order below fixes the engine's random splits and
+   event sequence numbers, hence every golden. Shard mode changes only
+   what a worker must: the network's shard mode, live hosts for owned
+   members only, and a detached auditor and oracle, fed the merged tap
+   stream at finish. *)
+let build ?shard ?tracer ?registry ?fault_plan ?steady ?domain ~setup protocol trace loss_model =
+  let tree = Mtrace.Trace.tree trace in
+  let n_packets = Mtrace.Trace.n_packets trace in
+  let period = Mtrace.Trace.period trace in
+  let serial = Option.is_none shard in
+  let engine = Sim.Engine.create ~seed:setup.seed () in
+  let network =
+    Net.Network.create_heterogeneous ~engine ~tree
+      ~delays:(link_delays ~setup ~tree (Sim.Engine.rng engine))
+      ~bandwidth_bps:setup.bandwidth_bps ()
+  in
+  Option.iter
+    (fun { partition; me } ->
+      Net.Network.enable_shard network ~partition ~me
+        ~observe:(me = partition.Net.Partition.owner.(0)))
+    shard;
+  let rates =
+    if setup.lossy_recovery || setup.lossy_sessions then Inference.Yajnik.estimate trace
+    else Array.make (Net.Tree.n_nodes tree) 0.
+  in
+  let drop_rng = Sim.Rng.split (Sim.Engine.rng engine) in
+  Net.Network.set_drop network
+    (make_drop ~loss_model ~lossy_recovery:setup.lossy_recovery
+       ~lossy_sessions:setup.lossy_sessions ~rates ~rng:drop_rng);
+  (* Every run is audited against the global protocol invariants; LMS
+     retries legitimately repeat expedited requests, so its bound is
+     loose. *)
+  let audit =
+    (if serial then Audit.attach else Audit.create)
+      ~expect_in_order:(setup.data_jitter <= 0.)
+      ~max_exp_per_loss:(match protocol with Lms_protocol -> 64 | _ -> 1)
+      network
+  in
+  (* A finite window gets a retirement controller; the auditor's
+     per-packet tables retire with the hosts'. *)
+  let controller =
+    match steady with
+    | Some { Steady.Config.window = Some w; _ } ->
+        Some (Steady.Controller.create ~window:w ~n_packets)
+    | _ -> None
+  in
+  Option.iter
+    (fun c -> Steady.Controller.on_retire c (fun ~upto -> Audit.retire_below audit ~upto))
+    controller;
+  let stride = n_packets + 1 in
+  Option.iter (fun tr -> Instrument.attach_network ~trace:tr ~stride network) tracer;
+  (* The oracle's packet-stream checks consult a membership timeline,
+     seeded with the plan's initial absentees (late joiners are
+     outside the group from time 0) and appended to as each join/leave
+     timer fires. *)
+  let oracle =
+    Option.map
+      (fun plan ->
+        let create = if serial then Fault.Oracle.create else Fault.Oracle.create_detached in
+        let o = create ~network () in
+        List.iter
+          (fun node -> Fault.Oracle.note_membership o ~node ~at:0. ~member:false)
+          (Fault.Plan.initial_absentees plan);
+        o)
+      fault_plan
+  in
+  let owned = Option.map (fun _ -> Net.Network.owns network) shard in
+  let d =
+    deploy ?owned ?domain ~network ~setup ~n_packets ~period ~streaming:(Option.is_some steady)
+      protocol
+  in
+  List.iter
+    (fun (_, h) ->
+      Option.iter (fun tr -> Instrument.attach_srm_host ~trace:tr ~stride h) tracer;
+      Option.iter (fun o -> Fault.Oracle.attach_host o h) oracle)
+    d.hosts;
+  (* Records-off mode must feed the latency histograms online — once
+     the run ends the records are gone — and flush finalized per-loss
+     spans (the makespan figure) as the stability horizon advances.
+     The adds land in the same insertion order the end-of-run fold
+     would use, so the histograms are bit-identical. *)
+  (match steady with
+  | Some { Steady.Config.retain_records = false; _ } ->
+      Stats.Recovery.drop_records d.d_recoveries;
+      Option.iter
+        (fun c ->
+          Steady.Controller.on_retire c (fun ~upto ->
+              Stats.Recovery.retire_spans d.d_recoveries ~upto))
+        controller;
+      Option.iter
+        (fun reg ->
+          let rtts = source_rtts ~tree ~delay:(Net.Network.link_delay network) in
+          Instrument.attach_recovery_hists_online reg ~rtt_of:(receiver_rtt ~tree rtts)
+            d.d_recoveries)
+        registry
+  | _ -> ());
+  Option.iter (fun c -> List.iter (Steady.Controller.add_member c) (d.retirees ())) controller;
+  (* Churn. Every shard compiles the full plan, so every oracle carries
+     the identical membership timeline, while host-level effects act
+     on owned hosts only. A joiner's detection-window baseline is how
+     many packets the source has put on the wire by now, computed from
+     the send schedule rather than the source host's state: a pure
+     function of the join time, so a shard that does not own the
+     source baselines identically. With send jitter the count can be
+     off by the packet straddling the join instant, which only shifts
+     whether the joiner bothers recovering that one boundary packet —
+     never whether liveness charges it. Losses still pending when a
+     member leaves are forgiven: it was not present for their full
+     recovery windows. *)
+  let forgiven = ref 0 in
+  let join_baselines () =
+    let sent = 1 + int_of_float (Float.floor ((Sim.Engine.now engine -. setup.warmup) /. period)) in
+    let sent = max 0 (min n_packets sent) in
+    if sent = 0 then [] else [ (0, sent) ]
+  in
+  let note_membership ~node ~member =
+    Option.iter
+      (fun o -> Fault.Oracle.note_membership o ~node ~at:(Sim.Engine.now engine) ~member)
+      oracle
+  in
+  Option.iter
+    (fun plan ->
+      Fault.Plan.compile ~network ~on_restart:d.restart
+        ~on_join:(fun ~node ->
+          note_membership ~node ~member:true;
+          Option.iter
+            (fun h -> Srm.Host.join h ~baselines:(join_baselines ()))
+            (List.assoc_opt node d.hosts))
+        ~on_leave:(fun ~node ->
+          note_membership ~node ~member:false;
+          Option.iter (fun o -> Fault.Oracle.forget_node o ~node) oracle;
+          forgiven := !forgiven + d.leave ~node)
+        plan)
+    fault_plan;
+  d.start ();
+  (* The epoch tick drives retirement from inside the engine: no
+     packets, no RNG, one reserved event seq per tick (a uniform shift
+     of later seqs — same-time orderings are unchanged). *)
+  let horizon = horizon ~setup ~n_packets ~period in
+  (match (controller, steady) with
+  | Some c, Some cfg ->
+      Option.iter
+        (fun every ->
+          Sim.Engine.every_epoch engine ~every ~until:horizon (fun () -> Steady.Controller.tick c))
+        (Steady.Config.epoch_period cfg ~period)
+  | _ -> ());
+  {
+    engine;
+    network;
+    horizon;
+    audit;
+    oracle;
+    controller;
+    counters = d.d_counters;
+    recoveries = d.d_recoveries;
+    detected = d.d_detected;
+    expedited = d.d_expedited;
+    forgiven = (fun () -> !forgiven);
+    publish = d.d_publish;
+  }

@@ -1,13 +1,14 @@
 (** Definitions shared by the serial {!Runner} and the sharded
-    {!Parallel} runner.
+    {!Parallel} runner, and {!build}: the one function that wires a
+    run's model.
 
     {!Runner} re-exports the types with equations, so this module is an
     implementation seam, not an API: callers keep using
     [Harness.Runner.setup] and friends. It exists because [Runner]
-    delegates multi-shard runs to [Parallel] while every [Parallel]
-    worker rebuilds the same per-run model [Runner] builds serially —
-    the types and pure helpers both must agree on have to sit below
-    both in the dependency order. *)
+    delegates multi-shard runs to [Parallel], whose workers build the
+    same per-run model [Runner] builds serially — the types, the pure
+    helpers and the builder both run through have to sit below both in
+    the dependency order. *)
 
 type protocol = Srm_protocol | Cesrm_protocol of Cesrm.Host.config | Lms_protocol
 
@@ -75,3 +76,93 @@ val horizon : setup:setup -> n_packets:int -> period:float -> float
 val source_rtts : tree:Net.Tree.t -> delay:(int -> float) -> float array
 (** Per-node round-trip time to the source, bit-identical to summing
     [delay] down the tree path (the order [Net.Network.rtt] adds in). *)
+
+val rtt_to_source : tree:Net.Tree.t -> float array -> (int * float) list
+(** [result.rtt_to_source] from {!source_rtts}: every receiver, in
+    [Net.Tree.receivers] order. *)
+
+val charge_oracle : Stats.Counters.t -> Fault.Oracle.t -> unit
+(** Bump the [Oracle] counter of the member each oracle violation
+    names. *)
+
+val publish_recoveries :
+  Obs.Registry.t ->
+  tree:Net.Tree.t ->
+  rtts:float array ->
+  oracle:Fault.Oracle.t option ->
+  Stats.Recovery.t ->
+  unit
+(** The end-of-run recovery metrics both runners publish:
+    ["recovery/recovered"], ["fault/oracle_violations"] (with an
+    oracle) and the ["recovery/"] latency histograms, RTT-normalized
+    by each receiver's entry of [rtts]. *)
+
+val link_delays : setup:setup -> tree:Net.Tree.t -> Sim.Rng.t -> float array
+(** Per-link propagation delays, indexed by link (child node) id: the
+    uniform [setup.link_delay], or with [setup.heterogeneous_delays]
+    log-uniform in [link_delay/3, 3·link_delay], drawn from the first
+    split of the run's root generator [rng]. Written once for the
+    network {!build} creates and for the coordinator of a sharded run,
+    which partitions on the same draw from a fresh
+    [Sim.Rng.create setup.seed]. *)
+
+(** {1 The per-run model} *)
+
+type shard = { partition : Net.Partition.t; me : int }
+(** Shard mode: the model is worker [me] of [partition]. The worker
+    owning the source is the primary: its network records the tap
+    stream the run's auditor and oracle judge. *)
+
+type model = {
+  engine : Sim.Engine.t;
+  network : Net.Network.t;
+  horizon : float;  (** run the engine until here ({!horizon}) *)
+  audit : Audit.t;
+      (** attached to the network's tap; detached in shard mode, where
+          the primary worker feeds it the merged tap stream *)
+  oracle : Fault.Oracle.t option;  (** present iff a fault plan is run; detached in shard mode *)
+  controller : Steady.Controller.t option;  (** present iff a finite steady window is run *)
+  counters : Stats.Counters.t;
+  recoveries : Stats.Recovery.t;
+  detected : unit -> int;  (** losses detected across (owned) members so far *)
+  expedited : unit -> int * int;  (** CESRM's expedited requests and replies so far *)
+  forgiven : unit -> int;  (** pending losses forgiven by departures so far *)
+  publish : Obs.Registry.t -> unit;  (** per-host metrics of every (owned) member *)
+}
+
+val build :
+  ?shard:shard ->
+  ?tracer:Obs.Trace.t ->
+  ?registry:Obs.Registry.t ->
+  ?fault_plan:Fault.Plan.t ->
+  ?steady:Steady.Config.t ->
+  ?domain:Rdomain.t ->
+  setup:setup ->
+  protocol ->
+  Mtrace.Trace.t ->
+  loss_model ->
+  model
+(** Wire one run, ready for the engine to run to [horizon], in a fixed
+    order that fixes the engine's random splits and event sequence
+    numbers (hence every golden):
+    + the engine of [setup.seed] and the {!link_delays} draw;
+    + the network, the drop predicate ({!make_drop}) and the auditor;
+    + the [tracer] and oracle taps (composing after the auditor's, in
+      that order), the oracle seeded with the plan's initial
+      absentees;
+    + the protocol deployment ([domain] on every SRM/CESRM host), its
+      members' tracer and oracle hooks;
+    + with [steady], streaming sends; with a finite window, the
+      retirement controller over every member (and the auditor), and
+      with records off, the online ["recovery/"] histograms into
+      [registry];
+    + the fault plan's events and its churn join/leave/restart hooks;
+    + the protocol's start, then the steady epoch tick.
+
+    [setup] and [protocol] must already carry the adjustments
+    {!Runner.run_model} makes for fault plans and domains. With
+    [shard] — the builder's only branch — the network runs in shard
+    mode, only owned members get live hosts, and the auditor and
+    oracle are detached; the configuration must be shardable (no
+    tracer, domain, finite window or records-off mode, which
+    {!Runner.run_model} keeps serial). *)

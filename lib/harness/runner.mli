@@ -163,9 +163,8 @@ val run :
     serial run's; with [registry], synchronisation counters additionally
     appear under ["pdes/"] (per-host ["srm/"] metrics stay in the
     workers and are not republished). Runs a sharded execution cannot
-    reproduce exactly fall back to serial: a [tracer], LMS, lossy
-    recovery/sessions, link-jitter fault events, or a partition that
-    degenerates to one shard.
+    reproduce exactly execute on the serial engine instead, for the
+    reason {!shardable} names (front-ends print it).
 
     With [steady], the run executes in streaming mode
     ({!Steady.Config}): sources arm their data sends as lazy chains
@@ -187,8 +186,8 @@ val run :
     for replies and expedited pairs, and true tree distances are
     forced on (scoped timers aim at arbitrary repliers the session
     exchange never converges for). SRM and CESRM only
-    (@raise Invalid_argument under LMS); forces the serial path
-    ([shards] is ignored — scoped casts need the global tree). Without
+    (@raise Invalid_argument under LMS); runs on the serial engine
+    (scoped casts need the global tree — see {!shardable}). Without
     [domains] every run is byte-identical to before the mode
     existed.
 
@@ -197,6 +196,30 @@ val run :
     CLI's [--cache-policy] lever. A no-op for SRM and LMS; omitted, the
     config's own retention (default: the paper's keep-most-recent
     scheme, byte-identical to the pre-policy cache) stands. *)
+
+val shardable :
+  tracer:Obs.Trace.t option ->
+  fault_plan:Fault.Plan.t option ->
+  setup:setup ->
+  steady:Steady.Config.t option ->
+  domains:Rdomain.spec option ->
+  protocol ->
+  string option
+(** Why a run of this configuration executes on the serial engine
+    whatever [?shards] asks, or [None] when it can shard. Every
+    condition needs a global view mid-run that a shard lacks:
+    - event tracing (the event stream interleaves all members);
+    - recovery domains (scoped casts on the global tree);
+    - lossy recovery or sessions (drop-RNG draws per walked branch,
+      which shard-pruned walks would desynchronise);
+    - LMS (subcasts route by global replier state);
+    - a finite steady window (the global delivered-prefix minimum) or
+      records-off steady mode (it conflicts with the workers'
+      record tagging);
+    - link-jitter fault events (per-crossing RNG draws).
+
+    A fallback, not a rejection: a sweep passes one [--shards] value
+    to every cell. *)
 
 val run_leg :
   ?setup:setup ->

@@ -1,14 +1,16 @@
 (* Conservative-PDES tests: qcheck properties of the tree partitioner
    and the sharded-vs-serial differential battery.
 
-   The battery is the tentpole's acceptance gate: for every scale
-   family x protocol x fault plan x shard count, the sharded run must
+   The battery is sharding's acceptance gate: for every scale family
+   x protocol x fault plan x shard count, the sharded run must
    reproduce the serial artifact bit for bit — counters, recovery
    records (float-exact), cost matrices, RTTs, audit and oracle
-   verdicts. On divergence the battery shrinks the run (fewer packets)
-   to the smallest failing instance and names the first differing
-   component, so a conservative-sync bug reports as, say,
-   "counters differ at 10 packets", not as a wall of bytes. *)
+   verdicts — and the serial run must detect losses, so that every
+   cell compares real recovery traffic. On divergence the battery
+   shrinks the run (fewer packets) to the smallest failing instance
+   and names the first differing component, so a conservative-sync bug
+   reports as, say, "counters differ at 10 packets", not as a wall of
+   bytes. *)
 
 let check = Alcotest.check
 
@@ -132,8 +134,14 @@ let first_difference (a : Harness.Runner.result) (b : Harness.Runner.result) =
   then "oracle verdict"
   else "nothing (fingerprints agree at this size)"
 
-let run_once ~row ~protocol ~fault ~n_packets ~shards =
-  Harness.Runner.run_leg ~n_packets ?fault ~shards ~seed:42L protocol row
+let run_once ~row ~protocol ~fault ~n_packets ~seed ~shards =
+  Harness.Runner.run_leg ~n_packets ?fault ~shards ~seed protocol row
+
+(* A cell whose serial run detects no loss compares two runs without
+   recovery traffic: it would pass whatever sharding did to repairs. *)
+let check_detects label (serial : Harness.Runner.result) =
+  if serial.Harness.Runner.detected = 0 then
+    Alcotest.fail (label ^ ": the serial run detected no loss, so the cell tests no recovery")
 
 let protocol_label = function
   | Harness.Runner.Srm_protocol -> "srm"
@@ -142,10 +150,10 @@ let protocol_label = function
 
 (* Shrink a divergence to the smallest packet count that still shows
    it, then report the first differing component there. *)
-let diagnose ~row ~protocol ~fault ~n_packets ~shards =
+let diagnose ~row ~protocol ~fault ~n_packets ~seed ~shards =
   let diverges n =
-    let serial = run_once ~row ~protocol ~fault ~n_packets:n ~shards:1 in
-    let sharded = run_once ~row ~protocol ~fault ~n_packets:n ~shards in
+    let serial = run_once ~row ~protocol ~fault ~n_packets:n ~seed ~shards:1 in
+    let sharded = run_once ~row ~protocol ~fault ~n_packets:n ~seed ~shards in
     if fingerprint serial = fingerprint sharded then None
     else Some (first_difference serial sharded)
   in
@@ -161,16 +169,26 @@ let diagnose ~row ~protocol ~fault ~n_packets ~shards =
         (match fault with None -> "" | Some f -> "+" ^ f)
         shards n what
 
-let check_identical ~row ~protocol ~fault ~n_packets ~shards () =
-  let serial = run_once ~row ~protocol ~fault ~n_packets ~shards:1 in
-  let sharded = run_once ~row ~protocol ~fault ~n_packets ~shards in
+let check_identical ~label ~row ~protocol ~fault ~n_packets ~seed ~shards () =
+  let serial = run_once ~row ~protocol ~fault ~n_packets ~seed ~shards:1 in
+  let sharded = run_once ~row ~protocol ~fault ~n_packets ~seed ~shards in
   check Alcotest.int "serial audit clean" 0 serial.Harness.Runner.audit_violations;
+  check_detects label serial;
   if fingerprint serial <> fingerprint sharded then
-    Alcotest.fail (diagnose ~row ~protocol ~fault ~n_packets ~shards)
+    Alcotest.fail (diagnose ~row ~protocol ~fault ~n_packets ~seed ~shards)
 
 let battery =
+  (* (row, packets, seed): every unfaulted cell detects losses and
+     CESRM sends expedited requests in each. At seed 42 the
+     128-receiver rows detect 0-3 losses and send none. *)
   let rows =
-    [ ("SCALE-bf-128", 40); ("SCALE-ss-128", 40); ("SCALE-dc-48", 40) ]
+    [
+      ("SCALE-bf-128", 100, 1L);
+      ("SCALE-ss-128", 100, 1L);
+      ("SCALE-dc-48", 40, 42L);
+      ("SCALE-bf-256", 100, 42L);
+      ("SCALE-ss-256", 100, 42L);
+    ]
   in
   let protocols =
     [
@@ -178,14 +196,24 @@ let battery =
       Harness.Runner.Cesrm_protocol Cesrm.Host.default_config;
     ]
   in
-  let faults = [ None; Some "crash-replier" ] in
+  (* Each fault plan with the shard counts it runs at on a row: no plan
+     and crash-replier everywhere, the other shardable canned plans —
+     the partition, flap, duplication and churn hooks — on bf-256 at
+     k = 2. *)
+  let faults =
+    let everywhere _ = [ 2; 4 ] and on_bf256 name = if name = "SCALE-bf-256" then [ 2 ] else [] in
+    [ (None, everywhere); (Some "crash-replier", everywhere) ]
+    @ List.map
+        (fun plan -> (Some plan, on_bf256))
+        [ "partition-heal"; "link-flap"; "dup-burst"; "churn-late"; "churn-flash"; "churn-steady" ]
+  in
   List.concat_map
-    (fun (name, n_packets) ->
+    (fun (name, n_packets, seed) ->
       let row = Mtrace.Scale.find name in
       List.concat_map
         (fun protocol ->
           List.concat_map
-            (fun fault ->
+            (fun (fault, shard_counts) ->
               List.map
                 (fun shards ->
                   let label =
@@ -194,8 +222,8 @@ let battery =
                       shards
                   in
                   Alcotest.test_case label `Quick
-                    (check_identical ~row ~protocol ~fault ~n_packets ~shards))
-                [ 2; 4 ])
+                    (check_identical ~label ~row ~protocol ~fault ~n_packets ~seed ~shards))
+                (shard_counts name))
             faults)
         protocols)
     rows
@@ -204,15 +232,16 @@ let battery =
    a non-uniform lookahead; data jitter exercises the replicated
    per-packet send-time draws. *)
 let battery_setups =
-  let row = Mtrace.Scale.find "SCALE-bf-128" in
+  let row = Mtrace.Scale.find "SCALE-bf-256" in
   List.map
     (fun (label, setup) ->
       Alcotest.test_case label `Quick (fun () ->
           let run shards =
-            Harness.Runner.run_leg ~setup ~n_packets:40 ~shards ~seed:42L
+            Harness.Runner.run_leg ~setup ~n_packets:100 ~shards ~seed:42L
               Harness.Runner.Srm_protocol row
           in
           let serial = run 1 and sharded = run 3 in
+          check_detects label serial;
           if fingerprint serial <> fingerprint sharded then
             Alcotest.fail (label ^ ": sharded diverges from serial")))
     [
@@ -247,7 +276,25 @@ let test_infeasible_fallback () =
       Harness.Runner.Srm_protocol row
   in
   check Alcotest.string "link jitter falls back to serial" (fingerprint faulted_serial)
-    (fingerprint faulted)
+    (fingerprint faulted);
+  (* every fallback names its reason, which run and compare print *)
+  let reason ?tracer ?steady ?domains ?(setup = Harness.Runner.default_setup) protocol =
+    Harness.Runner.shardable ~tracer ~fault_plan:None ~setup ~steady ~domains protocol
+  in
+  let cesrm = Harness.Runner.Cesrm_protocol Cesrm.Host.default_config in
+  List.iter
+    (fun (expected, got) -> check Alcotest.(option string) "serial reason" expected got)
+    [
+      (None, reason cesrm);
+      (None, reason ~steady:Steady.Config.infinite cesrm);
+      (Some "event tracing", reason ~tracer:(Obs.Trace.create ()) cesrm);
+      (Some "recovery domains", reason ~domains:Rdomain.Auto cesrm);
+      (Some "lossy recovery/sessions", reason ~setup Harness.Runner.Srm_protocol);
+      (Some "LMS", reason Harness.Runner.Lms_protocol);
+      (Some "finite steady window", reason ~steady:(Steady.Config.windowed 32) cesrm);
+      ( Some "records-off steady mode",
+        reason ~steady:{ Steady.Config.infinite with retain_records = false } cesrm );
+    ]
 
 let () =
   Alcotest.run "pdes"
