@@ -357,12 +357,12 @@ let bechamel () =
             ignore (Harness.Runner.attribution_of_trace (Lazy.force small_trace)));
         make "fig1-4:srm-run" (fun () ->
             ignore
-              (Harness.Runner.run Harness.Runner.Srm_protocol (Lazy.force small_trace)
-                 (Lazy.force small_att)));
+              (Harness.Runner.run_model Harness.Runner.Srm_protocol (Lazy.force small_trace)
+                 (Harness.Runner.Attributed (Lazy.force small_att))));
         make "fig1-4:cesrm-run" (fun () ->
             ignore
-              (Harness.Runner.run (Harness.Runner.Cesrm_protocol Cesrm.Host.default_config)
-                 (Lazy.force small_trace) (Lazy.force small_att)));
+              (Harness.Runner.run_model (Harness.Runner.Cesrm_protocol Cesrm.Host.default_config)
+                 (Lazy.force small_trace) (Harness.Runner.Attributed (Lazy.force small_att))));
         make "fig5:overhead-accounting" (fun () ->
             let c = Net.Cost.create () in
             for _ = 1 to 1000 do

@@ -30,44 +30,41 @@ let seed =
   Arg.(value & opt (some int64) None & info [ "seed" ] ~doc ~docv:"SEED")
 
 (* Trace names resolve through [Mtrace.Scale.find]: the 14 published
-   rows by name, plus synthetic SCALE-<family>-<n> scenarios. Scale
-   scenarios also carry the generator's ground-truth link states so
-   [run]/[compare] can skip the attribution pass (quadratic-ish in
-   receivers, pointless when the generator's own Gilbert chains are in
-   hand). *)
-let load_trace ~name ~file ~packets ~seed =
-  match (name, file) with
-  | None, None -> Error "one of --trace or --file is required"
-  | Some _, Some _ -> Error "--trace and --file are mutually exclusive"
-  | None, Some path -> Ok (Mtrace.Codec.load path, None)
-  | Some n, None -> (
-      match (try Some (Mtrace.Scale.find n) with Not_found -> None) with
-      | None -> Error (Printf.sprintf "unknown trace %s" n)
-      | Some row ->
-          let gen = Mtrace.Generator.synthesize ?seed ?n_packets:packets row in
-          let ground_truth =
-            if Mtrace.Scale.family_of_name n <> None then
-              Some gen.Mtrace.Generator.link_bad
-            else None
-          in
-          Ok (gen.Mtrace.Generator.trace, ground_truth))
+   rows by name, plus synthetic SCALE-<family>-<n> scenarios. *)
+let source_term =
+  let source name file =
+    match (name, file) with
+    | None, None -> `Error (false, "one of --trace or --file is required")
+    | Some _, Some _ -> `Error (false, "--trace and --file are mutually exclusive")
+    | None, Some path -> `Ok (`File path)
+    | Some n, None -> (
+        match Mtrace.Scale.find n with
+        | row -> `Ok (`Row row)
+        | exception Not_found -> `Error (false, Printf.sprintf "unknown trace %s" n))
+  in
+  Term.(ret (const source $ trace_name $ trace_file))
 
 let trace_term =
-  let combine name file packets seed =
-    match load_trace ~name ~file ~packets ~seed with
-    | Ok (t, _) -> `Ok t
-    | Error msg -> `Error (false, msg)
+  let load source packets seed =
+    match source with
+    | `File path -> Mtrace.Codec.load path
+    | `Row row -> (Mtrace.Generator.synthesize ?seed ?n_packets:packets row).Mtrace.Generator.trace
   in
-  Term.(ret (const combine $ trace_name $ trace_file $ packets $ seed))
+  Term.(const load $ source_term $ packets $ seed)
 
-(* Variant keeping the ground-truth link states for run/compare. *)
-let trace_model_term =
-  let combine name file packets seed =
-    match load_trace ~name ~file ~packets ~seed with
-    | Ok (t, ground) -> `Ok (t, ground)
-    | Error msg -> `Error (false, msg)
-  in
-  Term.(ret (const combine $ trace_name $ trace_file $ packets $ seed))
+(* A run's trace and loss model: a row's come from [Runner.inputs]
+   (streamed, ground truth or attributed); a trace file replays the
+   paper's inference pipeline. *)
+let run_inputs ?steady source packets seed =
+  match source with
+  | `File path ->
+      let trace = Mtrace.Codec.load path in
+      (trace, Harness.Runner.Attributed (Harness.Runner.attribution_of_trace trace))
+  | `Row row -> Harness.Runner.inputs ?seed ?n_packets:packets ?steady row
+
+let ret = function Ok () -> `Ok () | Error msg -> `Error (false, msg)
+
+let ( let* ) = Result.bind
 
 (* -- list ------------------------------------------------------------ *)
 
@@ -206,15 +203,20 @@ let cache_policy_arg =
 let router_assist_arg =
   Arg.(value & flag & info [ "router-assist" ] ~doc:"Enable turning-point subcast (Section 3.3).")
 
+(* The CESRM protocol run and compare deploy. *)
+let cesrm_term =
+  let cesrm policy cache_policy router_assist =
+    let retention = Option.value cache_policy ~default:Cesrm.Retention.default in
+    Harness.Runner.Cesrm_protocol { Cesrm.Host.default_config with policy; retention; router_assist }
+  in
+  Term.(const cesrm $ policy_arg $ cache_policy_arg $ router_assist_arg)
+
 let lossy_arg =
   Arg.(value & flag & info [ "lossy-recovery" ] ~doc:"Drop recovery packets per link rates.")
 
 let link_delay_arg =
   let doc = "Per-link one-way delay in milliseconds." in
   Arg.(value & opt float 20. & info [ "link-delay" ] ~doc ~docv:"MS")
-
-let make_setup ~lossy ~link_delay_ms =
-  { Harness.Runner.default_setup with lossy_recovery = lossy; link_delay = link_delay_ms /. 1000. }
 
 let domains_arg =
   let doc =
@@ -227,27 +229,29 @@ let domains_arg =
   in
   Arg.(value & opt ~vopt:(Some (-1)) (some int) None & info [ "domains" ] ~doc ~docv:"MEMBERS")
 
-let resolve_domains = function
-  | None | Some 0 -> Ok None
-  | Some (-1) -> Ok (Some Rdomain.Auto)
-  | Some k when k > 0 -> Ok (Some (Rdomain.Max_members k))
-  | Some k -> Error (Printf.sprintf "--domains: %d is not a valid member bound" k)
-
 let shards_arg =
   let doc =
     "Shard the simulation across $(docv) forked PDES workers with conservative \
      synchronization; results are byte-identical to a serial run. Runs that cannot be \
      sharded (event tracing, recovery domains, lossy recovery/sessions, LMS, a finite or \
-     records-off steady window, link-jitter faults) run on the serial engine, and $(b,run) \
-     and $(b,compare) print why."
+     records-off steady window, link-jitter faults, CESRM) run on the serial engine, and \
+     $(b,run) and $(b,compare) print why."
   in
   Arg.(value & opt int 1 & info [ "shards" ] ~doc ~docv:"K")
 
-let report_serial_engine ~shards ?tracer ?fault_plan ~setup ?steady ?domains proto =
-  if shards > 1 then
-    Option.iter
-      (Printf.printf "shards: serial engine (%s)\n")
-      (Harness.Runner.shardable ~tracer ~fault_plan ~setup ~steady ~domains proto)
+(* The run levers run, compare and sweep share. *)
+type levers = { lossy : bool; link_delay_ms : float; shards : int; domains : Rdomain.spec option }
+
+let levers_term =
+  let levers lossy link_delay_ms shards domains =
+    let ok domains = `Ok { lossy; link_delay_ms; shards; domains } in
+    match domains with
+    | None | Some 0 -> ok None
+    | Some -1 -> ok (Some Rdomain.Auto)
+    | Some k when k > 0 -> ok (Some (Rdomain.Max_members k))
+    | Some k -> `Error (false, Printf.sprintf "--domains: %d is not a valid member bound" k)
+  in
+  Term.(ret (const levers $ lossy_arg $ link_delay_arg $ shards_arg $ domains_arg))
 
 (* Per-receiver rows are capped: a 10 000-receiver scale run would
    otherwise print 10 000 table lines (and pay an O(n) lookup each). *)
@@ -316,19 +320,40 @@ let faults_arg =
   in
   Arg.(value & opt (some string) None & info [ "faults" ] ~doc ~docv:"PLAN")
 
-let resolve_fault_plan ~trace name =
-  let tree = Mtrace.Trace.tree trace in
-  let warmup = Harness.Runner.default_setup.Harness.Runner.warmup in
-  let duration = float_of_int (Mtrace.Trace.n_packets trace) *. Mtrace.Trace.period trace in
-  match Fault.Plan.canned ~tree ~warmup ~duration name with
-  | Some plan -> Ok plan
+(* Prints why a run asking for shards executes on the serial engine,
+   once per distinct reason. *)
+let serial_note () =
+  let printed = ref [] in
+  fun reason ->
+    if not (List.mem reason !printed) then Printf.printf "shards: serial engine (%s)\n" reason;
+    printed := reason :: !printed
+
+(* One protocol run of [run] or [compare]: resolve the fault plan,
+   check the configuration, [note] why it runs serially, run. *)
+let run_one ?tracer ?registry ?steady ~note levers ~faults proto (trace, loss_model) =
+  let { shards; domains; lossy = lossy_recovery; link_delay_ms } = levers in
+  let setup =
+    Harness.Runner.tune_for_trace ?domains trace
+      { Harness.Runner.default_setup with lossy_recovery; link_delay = link_delay_ms /. 1000. }
+  in
+  let* fault_plan =
+    match faults with
+    | None -> Ok None
+    | Some name ->
+        Harness.Runner.fault_plan ~setup trace name
+        |> Result.map Option.some
+        |> Result.map_error (( ^ ) "--faults: ")
+  in
+  let faulted = Option.is_some fault_plan in
+  match Harness.Runner.rejected ~faulted ~domains proto with
+  | Some reason -> Error ("configuration rejected: " ^ reason)
   | None ->
-      if Sys.file_exists name then
-        Result.bind (Fault.Plan.load name) (Fault.Plan.validate ~tree)
-      else
-        Error
-          (Printf.sprintf "--faults: %S is neither a canned plan (%s) nor a file" name
-             (String.concat ", " (Fault.Plan.canned_names @ Fault.Plan.churn_names)))
+      if shards > 1 then
+        Option.iter note (Harness.Runner.shardable ~tracer ~fault_plan ~setup ~steady ~domains proto);
+      Ok
+        ( Harness.Runner.run_model ~setup ~shards ?tracer ?registry ?fault_plan ?steady ?domains
+            proto trace loss_model,
+          fault_plan )
 
 let print_oracle (res : Harness.Runner.result) =
   Option.iter
@@ -374,150 +399,79 @@ let print_steady (res : Harness.Runner.result) =
     res.retirement
 
 let run_cmd =
-  let run verbose name file packets seed protocol policy cache_policy router_assist lossy
-      link_delay_ms faults trace_out metrics_out shards steady_window domains_opt =
+  let run verbose source packets seed protocol cesrm levers faults trace_out metrics_out
+      steady_window =
     setup_logs verbose;
-    match resolve_domains domains_opt with
-    | Error msg -> `Error (false, msg)
-    | Ok domains -> (
-    match
-      match steady_window with
-      | Some w when w < 1 -> Error "--steady: window must be >= 1"
-      | _ -> Ok (Option.map Steady.Config.windowed steady_window)
-    with
-    | Error msg -> `Error (false, msg)
-    | Ok steady -> (
-    (* In steady mode a scale scenario never materializes its loss
-       matrix: the trace streams from the generator's lazy chains, so
-       the run starts in O(links) no matter the packet count. *)
-    let resolved =
-      match (steady, name, file) with
-      | Some _, Some n, None
-        when (match Mtrace.Scale.family_of_name n with
-             | Some f -> Mtrace.Scale.supports_streaming f
-             | None -> false) -> (
-          match (try Some (Mtrace.Scale.find n) with Not_found -> None) with
-          | None -> Error (Printf.sprintf "unknown trace %s" n)
-          | Some row ->
-              let g = Mtrace.Generator.synthesize_streaming ?seed ?n_packets:packets row in
-              Ok (g.Mtrace.Generator.s_trace, Harness.Runner.Streamed g.Mtrace.Generator.s_loss))
-      | _ ->
-          Result.map
-            (fun (trace, ground) ->
-              ( trace,
-                match ground with
-                | Some link_bad -> Harness.Runner.Ground_truth link_bad
-                | None -> Harness.Runner.Attributed (Harness.Runner.attribution_of_trace trace) ))
-            (load_trace ~name ~file ~packets ~seed)
-    in
-    match resolved with
-    | Error msg -> `Error (false, msg)
-    | Ok (trace, loss_model) ->
-    let setup =
-      Harness.Runner.tune_for_trace ?domains trace (make_setup ~lossy ~link_delay_ms)
-    in
-    let proto =
-      match protocol with
-      | `Srm -> Harness.Runner.Srm_protocol
-      | `Lms -> Harness.Runner.Lms_protocol
-      | `Cesrm ->
-          Harness.Runner.Cesrm_protocol { Cesrm.Host.default_config with policy; router_assist }
-    in
-    match
-      match (faults, proto, domains) with
-      | _, Harness.Runner.Lms_protocol, Some _ -> Error "--domains: SRM and CESRM only"
-      | None, _, _ -> Ok None
-      | Some name, _, _ -> Result.map Option.some (resolve_fault_plan ~trace name)
-    with
-    | Error msg -> `Error (false, msg)
-    | Ok fault_plan ->
-        let tracer = Option.map (fun _ -> Obs.Trace.create ()) trace_out in
-        let registry = Option.map (fun _ -> Obs.Registry.create ()) metrics_out in
-        report_serial_engine ~shards ?tracer ?fault_plan ~setup ?steady ?domains proto;
-        let res =
-          Harness.Runner.run_model ~setup ~shards ?tracer ?registry ?fault_plan ?steady ?domains
-            ?cache_policy proto trace loss_model
-        in
-        print_result res;
-        print_steady res;
-        Option.iter
-          (fun (plan : Fault.Plan.t) ->
-            Printf.printf "faults: plan %s (%d event(s))\n" plan.Fault.Plan.name
-              (Fault.Plan.n_events plan))
-          fault_plan;
-        Option.iter
-          (fun file ->
-            let tr = Option.get tracer in
-            Obs.Trace.export_chrome tr ~file;
-            Printf.printf "(trace: %d events to %s%s)\n" (Obs.Trace.length tr) file
-              (if Obs.Trace.dropped tr > 0 then
-                 Printf.sprintf "; ring wrapped, %d oldest dropped" (Obs.Trace.dropped tr)
-               else ""))
-          trace_out;
-        Option.iter
-          (fun file ->
-            let meta =
-              [
-                ("protocol", Obs.Json.Str (Harness.Runner.protocol_name proto));
-                ("trace", Obs.Json.Str (Mtrace.Trace.summary trace));
-                ("link_delay_ms", Obs.Json.Num link_delay_ms);
-                ("lossy_recovery", Obs.Json.Bool lossy);
-              ]
-            in
-            Obs.Report.save ~meta (Option.get registry) ~file;
-            Printf.printf "(metrics to %s)\n" file)
-          metrics_out;
-        print_oracle res;
-        `Ok ()))
+    ret
+      (let* steady =
+         match steady_window with
+         | Some w when w < 1 -> Error "--steady: window must be >= 1"
+         | w -> Ok (Option.map Steady.Config.windowed w)
+       in
+       let proto =
+         match protocol with
+         | `Srm -> Harness.Runner.Srm_protocol
+         | `Lms -> Harness.Runner.Lms_protocol
+         | `Cesrm -> cesrm
+       in
+       let ((trace, _) as inputs) = run_inputs ?steady source packets seed in
+       let tracer = Option.map (fun _ -> Obs.Trace.create ()) trace_out in
+       let registry = Option.map (fun _ -> Obs.Registry.create ()) metrics_out in
+       let* res, fault_plan =
+         run_one ?tracer ?registry ?steady ~note:(serial_note ()) levers ~faults proto inputs
+       in
+       print_result res;
+       print_steady res;
+       Option.iter
+         (fun (plan : Fault.Plan.t) ->
+           Printf.printf "faults: plan %s (%d event(s))\n" plan.Fault.Plan.name
+             (Fault.Plan.n_events plan))
+         fault_plan;
+       Option.iter
+         (fun file ->
+           let tr = Option.get tracer in
+           Obs.Trace.export_chrome tr ~file;
+           Printf.printf "(trace: %d events to %s%s)\n" (Obs.Trace.length tr) file
+             (if Obs.Trace.dropped tr > 0 then
+                Printf.sprintf "; ring wrapped, %d oldest dropped" (Obs.Trace.dropped tr)
+              else ""))
+         trace_out;
+       Option.iter
+         (fun file ->
+           let meta =
+             [
+               ("protocol", Obs.Json.Str (Harness.Runner.protocol_name proto));
+               ("trace", Obs.Json.Str (Mtrace.Trace.summary trace));
+               ("link_delay_ms", Obs.Json.Num levers.link_delay_ms);
+               ("lossy_recovery", Obs.Json.Bool levers.lossy);
+             ]
+           in
+           Obs.Report.save ~meta (Option.get registry) ~file;
+           Printf.printf "(metrics to %s)\n" file)
+         metrics_out;
+       print_oracle res;
+       Ok ())
   in
   Cmd.v
     (Cmd.info "run" ~doc:"Re-enact a trace under SRM or CESRM and report recovery statistics.")
     Term.(
       ret
-        (const run $ verbose_flag $ trace_name $ trace_file $ packets $ seed $ protocol_arg
-        $ policy_arg $ cache_policy_arg $ router_assist_arg $ lossy_arg $ link_delay_arg
-        $ faults_arg $ trace_out_arg $ metrics_arg $ shards_arg $ steady_arg $ domains_arg))
+        (const run $ verbose_flag $ source_term $ packets $ seed $ protocol_arg $ cesrm_term
+        $ levers_term $ faults_arg $ trace_out_arg $ metrics_arg $ steady_arg))
 
 let compare_cmd =
-  let run verbose (trace, ground) policy cache_policy router_assist lossy link_delay_ms faults
-      shards domains_opt =
+  let run verbose source packets seed cesrm levers faults =
     setup_logs verbose;
-    match resolve_domains domains_opt with
-    | Error msg -> `Error (false, msg)
-    | Ok domains -> (
-    let loss_model =
-      match ground with
-      | Some link_bad -> Harness.Runner.Ground_truth link_bad
-      | None -> Harness.Runner.Attributed (Harness.Runner.attribution_of_trace trace)
-    in
-    let setup =
-      Harness.Runner.tune_for_trace ?domains trace (make_setup ~lossy ~link_delay_ms)
-    in
-    match
-      match faults with
-      | None -> Ok None
-      | Some name -> Result.map Option.some (resolve_fault_plan ~trace name)
-    with
-    | Error msg -> `Error (false, msg)
-    | Ok fault_plan ->
-        (* SRM and CESRM shard alike *)
-        report_serial_engine ~shards ?fault_plan ~setup ?domains Harness.Runner.Srm_protocol;
-        let srm =
-          Harness.Runner.run_model ~setup ~shards ?fault_plan ?domains
-            Harness.Runner.Srm_protocol trace loss_model
-        in
-        let cesrm =
-          Harness.Runner.run_model ~setup ~shards ?fault_plan ?domains ?cache_policy
-            (Harness.Runner.Cesrm_protocol
-               { Cesrm.Host.default_config with policy; router_assist })
-            trace loss_model
-        in
-        print_result srm;
-        print_newline ();
-        print_result cesrm;
-        print_oracle srm;
-        print_oracle cesrm;
-        `Ok ())
+    let inputs = run_inputs source packets seed and note = serial_note () in
+    ret
+      (let* srm, _ = run_one ~note levers ~faults Harness.Runner.Srm_protocol inputs in
+       let* cesrm, _ = run_one ~note levers ~faults cesrm inputs in
+       print_result srm;
+       print_newline ();
+       print_result cesrm;
+       print_oracle srm;
+       print_oracle cesrm;
+       Ok ())
   in
   Cmd.v
     (Cmd.info "compare"
@@ -526,9 +480,8 @@ let compare_cmd =
           both reports.")
     Term.(
       ret
-        (const run $ verbose_flag $ trace_model_term $ policy_arg $ cache_policy_arg
-        $ router_assist_arg $ lossy_arg $ link_delay_arg $ faults_arg $ shards_arg
-        $ domains_arg))
+        (const run $ verbose_flag $ source_term $ packets $ seed $ cesrm_term $ levers_term
+        $ faults_arg))
 
 (* -- diff -------------------------------------------------------------- *)
 
@@ -573,7 +526,8 @@ let diff_cmd =
 let sweep_cmd =
   let spec_file =
     let doc = "Load the experiment spec from a JSON file (written by --print-spec or by hand); \
-               the axis flags below are then ignored." in
+               the axis flags below, --link-delay, --lossy-recovery and --domains are then \
+               ignored." in
     Arg.(value & opt (some file) None & info [ "spec" ] ~doc ~docv:"FILE")
   in
   let traces_arg =
@@ -646,39 +600,51 @@ let sweep_cmd =
     in
     Arg.(value & opt string "" & info [ "faults" ] ~doc ~docv:"LIST")
   in
-  let build_spec ~spec_file ~name ~traces ~protocols ~seeds ~base_seed ~packets ~link_delay_ms
-      ~lossy ~faults =
-    match spec_file with
-    | Some file -> (
-        match Obs.Json.parse_file file with
-        | Error msg -> Error (Printf.sprintf "%s: %s" file msg)
-        | Ok json -> Exp.Spec.of_json json)
-    | None ->
-        let trace_names =
-          match traces with
-          | "all" -> List.map (fun r -> r.Mtrace.Meta.name) Mtrace.Meta.all
-          | "featured" -> List.map (fun r -> r.Mtrace.Meta.name) Mtrace.Meta.featured
-          | list -> String.split_on_char ',' list
-        in
-        let rec parse_protocols = function
-          | [] -> Ok []
-          | p :: rest ->
-              Result.bind (Exp.Spec.protocol_of_name p) (fun spec ->
-                  Result.map (fun tl -> spec :: tl) (parse_protocols rest))
-        in
-        Result.bind (parse_protocols (String.split_on_char ',' protocols)) (fun protocols ->
-            Exp.Spec.validate
-              {
-                Exp.Spec.name;
-                traces = trace_names;
-                protocols;
-                base_seed;
-                n_seeds = seeds;
-                n_packets = packets;
-                link_delay_ms;
-                lossy_recovery = lossy;
-                faults = (match faults with "" -> [] | l -> String.split_on_char ',' l);
-              })
+  let build_spec ~spec_file ~name ~traces ~protocols ~seeds ~base_seed ~packets ~levers ~faults
+      ~cache_policy =
+    let* spec =
+      match spec_file with
+      | Some file -> (
+          match Obs.Json.parse_file file with
+          | Error msg -> Error (Printf.sprintf "%s: %s" file msg)
+          | Ok json -> Exp.Spec.of_json json)
+      | None ->
+          let trace_names =
+            match traces with
+            | "all" -> List.map (fun r -> r.Mtrace.Meta.name) Mtrace.Meta.all
+            | "featured" -> List.map (fun r -> r.Mtrace.Meta.name) Mtrace.Meta.featured
+            | list -> String.split_on_char ',' list
+          in
+          let rec parse_protocols = function
+            | [] -> Ok []
+            | p :: rest ->
+                let* spec = Exp.Spec.protocol_of_name p in
+                Result.map (fun tl -> spec :: tl) (parse_protocols rest)
+          in
+          let* protocols = parse_protocols (String.split_on_char ',' protocols) in
+          Ok
+            {
+              Exp.Spec.name;
+              traces = trace_names;
+              protocols;
+              base_seed;
+              n_seeds = seeds;
+              n_packets = packets;
+              link_delay_ms = levers.link_delay_ms;
+              lossy_recovery = levers.lossy;
+              faults = (match faults with "" -> [] | l -> String.split_on_char ',' l);
+              domains = levers.domains;
+            }
+    in
+    (* --cache-policy rewrites the retention of every CESRM entry on the
+       protocols axis; the rewritten retention lands in the artifact's
+       cell names, so round-tripping the spec preserves it. *)
+    let rewrite = function
+      | Exp.Spec.Cesrm c ->
+          Exp.Spec.Cesrm { c with retention = Option.value cache_policy ~default:c.retention }
+      | p -> p
+    in
+    Exp.Spec.validate { spec with Exp.Spec.protocols = List.map rewrite spec.Exp.Spec.protocols }
   in
   let summary_table artifact =
     let open Obs.Json in
@@ -704,91 +670,65 @@ let sweep_cmd =
       ~header:[ "cell"; "detected"; "unrecov"; "exp ok"; "audit"; "oracle" ]
       ~rows
   in
-  let run verbose spec_file name traces protocols seeds base_seed packets link_delay_ms lossy
-      faults cache_policy jobs shards timeout retries out print_spec baseline rel abs domains_opt =
+  let run verbose spec_file name traces protocols seeds base_seed packets levers faults
+      cache_policy jobs timeout retries out print_spec baseline rel abs =
     setup_logs verbose;
-    match resolve_domains domains_opt with
-    | Error msg -> `Error (false, msg)
-    | Ok domains -> (
-    match
-      build_spec ~spec_file ~name ~traces ~protocols ~seeds ~base_seed ~packets ~link_delay_ms
-        ~lossy ~faults
-    with
-    | Error msg -> `Error (false, msg)
-    | Ok spec ->
-        (* --cache-policy rewrites the retention of every CESRM entry on
-           the protocols axis; the rewritten retention lands in the
-           artifact's cell names, so round-tripping the spec preserves
-           it. *)
-        let spec =
-          match cache_policy with
-          | None -> spec
-          | Some retention ->
-              {
-                spec with
-                Exp.Spec.protocols =
-                  List.map
-                    (function
-                      | Exp.Spec.Cesrm { policy; retention = _; router_assist } ->
-                          Exp.Spec.Cesrm { policy; retention; router_assist }
-                      | p -> p)
-                    spec.Exp.Spec.protocols;
-              }
-        in
-        if print_spec then begin
-          print_endline (Obs.Json.to_string ~pretty:true (Exp.Spec.to_json spec));
-          `Ok ()
-        end
-        else begin
-          let n = Array.length (Exp.Spec.cells spec) in
-          let resolved = Exp.Pool.resolve_jobs jobs in
-          Printf.printf "sweep %s: %d shard(s) over %d worker(s)%s%s\n%!" spec.Exp.Spec.name n
-            (min resolved n)
-            (if shards > 1 then Printf.sprintf " x %d sim shard(s)" shards else "")
-            (if resolved > 1 && not Exp.Pool.available then " (fork unavailable: serial)" else "");
-          let t0 = Unix.gettimeofday () in
-          match
-            Exp.Sweep.run ?jobs ~shards ?timeout ~retries
-              ~on_result:(fun ~index:_ ~done_ ~total ->
-                Printf.printf "\r  %d/%d shards%!" done_ total)
-              ?domains spec
-          with
-          | exception Failure msg -> `Error (false, msg)
-          | artifact ->
-              Printf.printf "\r  %d/%d shards, %.1f s\n" n n (Unix.gettimeofday () -. t0);
-              print_string (summary_table artifact);
-              let totals = Obs.Json.member "totals" artifact in
-              Option.iter
-                (fun t ->
-                  let num name =
-                    match Option.bind (Obs.Json.member name t) Obs.Json.to_float with
-                    | Some x -> x
-                    | None -> 0.
-                  in
-                  Printf.printf
-                    "totals: detected %.0f, unrecovered %.0f, audit violations %.0f, oracle \
-                     violations %.0f\n"
-                    (num "detected") (num "unrecovered") (num "audit_violations")
-                    (num "oracle_violations"))
-                totals;
-              Option.iter
-                (fun file ->
-                  Obs.Json.save ~pretty:true artifact ~file;
-                  Printf.printf "(artifact to %s)\n" file)
-                out;
-              (match baseline with
-              | None -> `Ok ()
-              | Some file -> (
-                  match Obs.Json.parse_file file with
-                  | Error msg -> `Error (false, Printf.sprintf "%s: %s" file msg)
-                  | Ok base ->
-                      let thresholds = { Obs.Diff.rel = rel /. 100.; abs } in
-                      let entries = Obs.Diff.diff ~thresholds ~base ~current:artifact () in
-                      Printf.printf "---- vs baseline %s ----\n" file;
-                      print_string (Obs.Diff.render entries);
-                      if Obs.Diff.flagged entries <> [] then exit 1;
-                      `Ok ()))
-        end)
+    ret
+      (let* spec =
+         build_spec ~spec_file ~name ~traces ~protocols ~seeds ~base_seed ~packets ~levers ~faults
+           ~cache_policy
+       in
+       if print_spec then Ok (print_endline (Obs.Json.to_string ~pretty:true (Exp.Spec.to_json spec)))
+       else begin
+         let n = Array.length (Exp.Spec.cells spec) and shards = levers.shards in
+         let resolved = Exp.Pool.resolve_jobs jobs in
+         Printf.printf "sweep %s: %d shard(s) over %d worker(s)%s%s\n%!" spec.Exp.Spec.name n
+           (min resolved n)
+           (if shards > 1 then Printf.sprintf " x %d sim shard(s)" shards else "")
+           (if resolved > 1 && not Exp.Pool.available then " (fork unavailable: serial)" else "");
+         let t0 = Unix.gettimeofday () in
+         match
+           Exp.Sweep.run ?jobs ~shards ?timeout ~retries
+             ~on_result:(fun ~index:_ ~done_ ~total ->
+               Printf.printf "\r  %d/%d shards%!" done_ total)
+             spec
+         with
+         | exception Failure msg -> Error msg
+         | artifact -> (
+             Printf.printf "\r  %d/%d shards, %.1f s\n" n n (Unix.gettimeofday () -. t0);
+             print_string (summary_table artifact);
+             let totals = Obs.Json.member "totals" artifact in
+             Option.iter
+               (fun t ->
+                 let num name =
+                   match Option.bind (Obs.Json.member name t) Obs.Json.to_float with
+                   | Some x -> x
+                   | None -> 0.
+                 in
+                 Printf.printf
+                   "totals: detected %.0f, unrecovered %.0f, audit violations %.0f, oracle \
+                    violations %.0f\n"
+                   (num "detected") (num "unrecovered") (num "audit_violations")
+                   (num "oracle_violations"))
+               totals;
+             Option.iter
+               (fun file ->
+                 Obs.Json.save ~pretty:true artifact ~file;
+                 Printf.printf "(artifact to %s)\n" file)
+               out;
+             match baseline with
+             | None -> Ok ()
+             | Some file ->
+                 let* base =
+                   Result.map_error (Printf.sprintf "%s: %s" file) (Obs.Json.parse_file file)
+                 in
+                 let thresholds = { Obs.Diff.rel = rel /. 100.; abs } in
+                 let entries = Obs.Diff.diff ~thresholds ~base ~current:artifact () in
+                 Printf.printf "---- vs baseline %s ----\n" file;
+                 print_string (Obs.Diff.render entries);
+                 if Obs.Diff.flagged entries <> [] then exit 1;
+                 Ok ())
+       end)
   in
   Cmd.v
     (Cmd.info "sweep"
@@ -798,9 +738,8 @@ let sweep_cmd =
     Term.(
       ret
         (const run $ verbose_flag $ spec_file $ name_arg $ traces_arg $ protocols_arg $ seeds_arg
-        $ base_seed_arg $ packets $ link_delay_arg $ lossy_arg $ faults_axis_arg
-        $ cache_policy_arg $ jobs_arg $ shards_arg $ timeout_arg $ retries_arg $ out_arg
-        $ print_spec_arg $ baseline_arg $ rel_arg $ abs_arg $ domains_arg))
+        $ base_seed_arg $ packets $ levers_term $ faults_axis_arg $ cache_policy_arg $ jobs_arg
+        $ timeout_arg $ retries_arg $ out_arg $ print_spec_arg $ baseline_arg $ rel_arg $ abs_arg))
 
 (* -- main -------------------------------------------------------------- *)
 

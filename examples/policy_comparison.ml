@@ -27,13 +27,11 @@ let () =
     List.concat_map
       (fun name ->
         let row = Mtrace.Meta.find name in
-        let gen = Mtrace.Generator.synthesize ~n_packets row in
-        let trace = gen.Mtrace.Generator.trace in
-        let att = Harness.Runner.attribution_of_trace trace in
+        let trace, loss = Harness.Runner.inputs ~n_packets row in
         List.map
           (fun policy ->
-            let config = { Cesrm.Host.default_config with policy; cache_capacity = 16 } in
-            let res = Harness.Runner.run (Harness.Runner.Cesrm_protocol config) trace att in
+            let config = { Cesrm.Host.default_config with policy } in
+            let res = Harness.Runner.run_model (Harness.Runner.Cesrm_protocol config) trace loss in
             let success =
               100. *. float_of_int res.exp_replies /. float_of_int (max 1 res.exp_requests)
             in

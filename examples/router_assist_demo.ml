@@ -11,17 +11,14 @@ let n_packets =
   | Some s -> int_of_string s
   | None -> 4000
 
-let run ~router_assist trace att =
+let run ~router_assist trace loss =
   let config = { Cesrm.Host.default_config with router_assist } in
-  Harness.Runner.run (Harness.Runner.Cesrm_protocol config) trace att
+  Harness.Runner.run_model (Harness.Runner.Cesrm_protocol config) trace loss
 
 let () =
-  let row = Mtrace.Meta.find "UCB960424" in
-  let gen = Mtrace.Generator.synthesize ~n_packets row in
-  let trace = gen.Mtrace.Generator.trace in
-  let att = Harness.Runner.attribution_of_trace trace in
-  let plain = run ~router_assist:false trace att in
-  let assisted = run ~router_assist:true trace att in
+  let trace, loss = Harness.Runner.inputs ~n_packets (Mtrace.Meta.find "UCB960424") in
+  let plain = run ~router_assist:false trace loss in
+  let assisted = run ~router_assist:true trace loss in
   let describe label (res : Harness.Runner.result) =
     let erepl_sends =
       Net.Cost.sends res.cost Net.Cost.Exp_reply Net.Cost.Multicast

@@ -30,14 +30,12 @@ let in_time_fraction (res : Harness.Runner.result) deadline =
 let () =
   let name = if Array.length Sys.argv > 1 then Sys.argv.(1) else "WRN951128" in
   let row = Mtrace.Meta.find name in
-  let gen = Mtrace.Generator.synthesize ~n_packets row in
-  let trace = gen.Mtrace.Generator.trace in
-  let att = Harness.Runner.attribution_of_trace trace in
-  let srm = Harness.Runner.run Harness.Runner.Srm_protocol trace att in
+  let trace, loss = Harness.Runner.inputs ~n_packets row in
+  let srm = Harness.Runner.run_model Harness.Runner.Srm_protocol trace loss in
   let cesrm =
-    Harness.Runner.run (Harness.Runner.Cesrm_protocol Cesrm.Host.default_config) trace att
+    Harness.Runner.run_model (Harness.Runner.Cesrm_protocol Cesrm.Host.default_config) trace loss
   in
-  let lms = Harness.Runner.run Harness.Runner.Lms_protocol trace att in
+  let lms = Harness.Runner.run_model Harness.Runner.Lms_protocol trace loss in
   Format.printf
     "Streaming over %s: fraction of lost packets repaired before the playout deadline@.@."
     name;

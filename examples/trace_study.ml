@@ -40,9 +40,10 @@ let () =
     (Net.Tree.links tree);
 
   (* 4. Re-enact under both protocols. *)
-  let srm = Harness.Runner.run Harness.Runner.Srm_protocol trace att in
+  let loss = Harness.Runner.Attributed att in
+  let srm = Harness.Runner.run_model Harness.Runner.Srm_protocol trace loss in
   let cesrm =
-    Harness.Runner.run (Harness.Runner.Cesrm_protocol Cesrm.Host.default_config) trace att
+    Harness.Runner.run_model (Harness.Runner.Cesrm_protocol Cesrm.Host.default_config) trace loss
   in
   let avg res =
     let s = Stats.Summary.create () in

@@ -1,5 +1,4 @@
 type config = {
-  cache_capacity : int;
   policy : Policy.t;
   retention : Retention.t;
   reorder_delay : float;
@@ -9,7 +8,6 @@ type config = {
 
 let default_config =
   {
-    cache_capacity = 16;
     policy = Policy.Most_recent;
     retention = Retention.default;
     reorder_delay = 0.;
@@ -46,9 +44,7 @@ let cache ?(src = 0) t =
   match Hashtbl.find_opt t.caches src with
   | Some c -> c
   | None ->
-      let capacity =
-        Option.value t.config.retention.Retention.capacity ~default:t.config.cache_capacity
-      in
+      let capacity = Option.value t.config.retention.Retention.capacity ~default:16 in
       let c = Cache.create ~retention:t.config.retention.Retention.scheme ~capacity () in
       Hashtbl.replace t.caches src c;
       c
@@ -140,7 +136,12 @@ let note_expedited_outcome t ~src seq ~expedited =
       Hashtbl.remove t.pending_exp (key t ~src ~seq);
       let ok, total = Option.value ~default:(0, 0) (Hashtbl.find_opt t.replier_stats replier) in
       Hashtbl.replace t.replier_stats replier ((ok + if expedited then 1 else 0), total + 1);
-      if expedited then Hashtbl.remove t.consec_failures replier
+      (* Only a repair from the replier we asked is its success: credited
+         with other repliers' expedited repairs, a replier that shares
+         our losses stays chosen (hotspot heat, domain preference) while
+         the others repair us. *)
+      if expedited && Srm.Host.reply_sender t.srm = Some replier then
+        Hashtbl.remove t.consec_failures replier
       else note_replier_failure t ~replier
 
 let cancel_expedited t ~src seq =
@@ -228,7 +229,9 @@ let maybe_expedite t ~src ~seq =
 let digest_reply t payload =
   match payload with
   | Net.Packet.Reply { src; seq; requestor; d_qs; replier; d_rq; expedited = _; turning_point } ->
-      revive_replier t ~replier;
+      (* A reply still in flight when its replier left the group must
+         not revive it; its rejoin makes it a member again. *)
+      if Net.Network.is_member t.network replier then revive_replier t ~replier;
       if Srm.Host.suffered_loss ~src t.srm ~seq then begin
         let turning_point =
           if not t.config.router_assist then None

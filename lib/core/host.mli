@@ -21,13 +21,12 @@
     recovery fails, the loss is still repaired the SRM way. *)
 
 type config = {
-  cache_capacity : int;
   policy : Policy.t;
   retention : Retention.t;
-      (** cache retention scheme ({!Retention.default} = the paper's
-          keep-most-recent / evict-least-recent, byte-identical to the
-          pre-policy cache); its [capacity] field, when set, overrides
-          [cache_capacity] *)
+      (** cache retention scheme and size ({!Retention.default} = the
+          paper's keep-most-recent / evict-least-recent, byte-identical
+          to the pre-policy cache; its [capacity], when unset, is 16
+          entries per stream) *)
   reorder_delay : float;
   router_assist : bool;
   replier_failure_limit : int option;
@@ -40,7 +39,7 @@ type config = {
 }
 
 val default_config : config
-(** Capacity 16, most-recent policy, default (paper) retention, zero
+(** Most-recent policy, default (paper) retention (16 entries), zero
     reorder delay (the paper's simulation setting — no reordering
     occurs), no router assist, no replier failure limit. *)
 

@@ -31,8 +31,8 @@ type scheme =
 type t = {
   scheme : scheme;
   capacity : int option;
-      (** overrides [Host.config.cache_capacity] when set — e.g. the
-          paper's 1-entry baseline is [{ scheme = Recent; capacity = Some 1 }] *)
+      (** entries per cache; [None] = the host's default of 16 — e.g.
+          the paper's 1-entry baseline is [{ scheme = Recent; capacity = Some 1 }] *)
 }
 
 val default : t

@@ -226,27 +226,37 @@ let parallel_map ~jobs ~timeout ~retries ~on_result f n =
       done;
       match !failure with Some msg -> failwith msg | None -> results)
 
-let map ?jobs ?timeout ?(retries = 1) ?on_result f n =
+let no_progress ~index:_ ~done_:_ ~total:_ = ()
+
+(* Serial fallback: same shards, same order, no processes, and the
+   parallel path's contract — an [f] that raises is retried within the
+   same budget, then reported as the same [Failure]. *)
+let serial_map ~retries ~on_result f n =
+  Array.init n (fun i ->
+      let rec attempt k =
+        try f i with
+        | e when k > retries ->
+            let e = Printexc.to_string e in
+            failwith (Printf.sprintf "Pool: shard %d failed after %d attempt(s): f raised: %s" i k e)
+        | _ -> attempt (k + 1)
+      in
+      let r = attempt 1 in
+      on_result ~index:i ~done_:(i + 1) ~total:n;
+      r)
+
+let map ?jobs ?timeout ?(retries = 1) ?(on_result = no_progress) f n =
   if n < 0 then invalid_arg "Pool.map: negative n";
   let jobs = resolve_jobs jobs in
-  let on_result =
-    match on_result with Some g -> g | None -> fun ~index:_ ~done_:_ ~total:_ -> ()
-  in
   if n = 0 then [||]
-  else if (not available) || jobs <= 1 || n <= 1 then
-    (* Serial fallback: same shards, same order, no processes. *)
-    Array.init n (fun i ->
-        let r = f i in
-        on_result ~index:i ~done_:(i + 1) ~total:n;
-        r)
+  else if (not available) || jobs <= 1 || n <= 1 then serial_map ~retries ~on_result f n
   else parallel_map ~jobs ~timeout ~retries ~on_result f n
 
-let marshal_map ?jobs ?timeout ?retries f n =
+let marshal_map ?jobs ?timeout ?(retries = 1) f n =
   let jobs = resolve_jobs jobs in
-  if (not available) || jobs <= 1 || n <= 1 then Array.init n f
+  if (not available) || jobs <= 1 || n <= 1 then serial_map ~retries ~on_result:no_progress f n
   else begin
     (* Closures are safe to marshal here: a forked worker shares the
        parent's code image, so code pointers stay valid. *)
     let enc i = Marshal.to_string (f i) [ Marshal.Closures ] in
-    Array.map (fun s -> Marshal.from_string s 0) (map ~jobs ?timeout ?retries enc n)
+    Array.map (fun s -> Marshal.from_string s 0) (map ~jobs ?timeout ~retries enc n)
   end

@@ -17,7 +17,8 @@
 
     With [jobs <= 1], on platforms without [fork], or when [n <= 1],
     the pool degrades to serial in-process evaluation — same results,
-    no processes. Because shards are deterministic functions of their
+    no processes, and the same retry budget and [Failure] for an [f]
+    that raises. Because shards are deterministic functions of their
     index, serial and parallel execution are interchangeable. *)
 
 val available : bool

@@ -1,7 +1,7 @@
 let hist_names =
   [ "latency_s"; "latency_rtt"; "latency_rtt_expedited"; "latency_rtt_fallback" ]
 
-let run ?shards ?domains (spec : Spec.t) (cell : Spec.cell) =
+let run ?shards (spec : Spec.t) (cell : Spec.cell) =
   let open Obs.Json in
   let row = Mtrace.Scale.find cell.Spec.trace in
   let setup =
@@ -15,7 +15,7 @@ let run ?shards ?domains (spec : Spec.t) (cell : Spec.cell) =
   let fault = match cell.Spec.fault with Some f when f <> "none" -> Some f | _ -> None in
   let res =
     Harness.Runner.run_leg ~setup ~registry ?n_packets:spec.Spec.n_packets ?fault ?shards
-      ?domains ~seed:cell.Spec.seed
+      ?domains:spec.Spec.domains ~seed:cell.Spec.seed
       (Spec.runner_protocol cell.Spec.protocol)
       row
   in
@@ -102,4 +102,4 @@ let run ?shards ?domains (spec : Spec.t) (cell : Spec.cell) =
       ("hists", hists);
     ]
 
-let run_string ?shards ?domains spec cell = Obs.Json.to_string (run ?shards ?domains spec cell)
+let run_string ?shards spec cell = Obs.Json.to_string (run ?shards spec cell)

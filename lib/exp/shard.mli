@@ -18,14 +18,12 @@ val hist_names : string list
     ["latency_rtt_fallback"] — the {!Harness.Instrument} registry
     names without their ["recovery/"] prefix. *)
 
-val run : ?shards:int -> ?domains:Rdomain.spec -> Spec.t -> Spec.cell -> Obs.Json.t
+val run : ?shards:int -> Spec.t -> Spec.cell -> Obs.Json.t
 (** [shards] executes the cell's run sharded
     ([Harness.Runner.run_leg ?shards]); the rendered cell is
     byte-identical for any value, so it is a runtime knob, not part of
-    the spec. [domains] runs every cell with hierarchical local
-    recovery domains ([Harness.Runner.run_leg ?domains]); unlike
-    [shards] it changes the results, so artifacts produced with it are
-    only comparable to baselines swept the same way. *)
+    the spec. Everything that changes results — recovery domains
+    included — comes from the spec. *)
 
-val run_string : ?shards:int -> ?domains:Rdomain.spec -> Spec.t -> Spec.cell -> string
+val run_string : ?shards:int -> Spec.t -> Spec.cell -> string
 (** [run] rendered compactly — the worker-to-parent transport form. *)

@@ -74,6 +74,7 @@ type t = {
   link_delay_ms : float;
   lossy_recovery : bool;
   faults : string list;
+  domains : Rdomain.spec option;
 }
 
 let default =
@@ -96,6 +97,7 @@ let default =
     link_delay_ms = 20.;
     lossy_recovery = false;
     faults = [];
+    domains = None;
   }
 
 let fault_names = ("none" :: Fault.Plan.canned_names) @ Fault.Plan.churn_names
@@ -116,9 +118,20 @@ let validate t =
   else if (match t.n_packets with Some n -> n <= 0 | None -> false) then
     Error "n_packets must be positive"
   else if not (t.link_delay_ms > 0.) then Error "link_delay_ms must be positive"
+  else if (match t.domains with Some (Rdomain.Max_members k) -> k < 1 | _ -> false) then
+    Error "domains: the member bound must be positive"
   else begin
+    (* Every cell's lever combination, checked before any cell runs. *)
+    let rejected p fault =
+      Harness.Runner.rejected ~faulted:(fault <> "none") ~domains:t.domains (runner_protocol p)
+      |> Option.map (Printf.sprintf "%s/%s: %s" (protocol_name p) fault)
+    in
+    let faults = if t.faults = [] then [ "none" ] else t.faults in
     match List.filter (fun f -> not (List.mem f fault_names)) t.faults with
-    | [] -> Ok t
+    | [] -> (
+        match List.concat_map (fun p -> List.filter_map (rejected p) faults) t.protocols with
+        | [] -> Ok t
+        | reasons -> Error ("rejected: " ^ String.concat "; " reasons))
     | unknown ->
         Error
           (Printf.sprintf "unknown fault plan(s): %s (expected %s)"
@@ -171,7 +184,7 @@ let cell_label c =
 let to_json t =
   let open Obs.Json in
   Obj
-    [
+    ([
       ("name", Str t.name);
       ("traces", Arr (List.map (fun n -> Str n) t.traces));
       ("protocols", Arr (List.map (fun p -> Str (protocol_name p)) t.protocols));
@@ -182,6 +195,11 @@ let to_json t =
       ("lossy_recovery", Bool t.lossy_recovery);
       ("faults", Arr (List.map (fun f -> Str f) t.faults));
     ]
+    (* omitted when flat, so flat artifacts keep their bytes *)
+    @ match t.domains with
+    | None -> []
+    | Some Rdomain.Auto -> [ ("domains", Str "auto") ]
+    | Some (Rdomain.Max_members k) -> [ ("domains", int k) ])
 
 let of_json json =
   let open Obs.Json in
@@ -250,6 +268,13 @@ let of_json json =
     | Some _ -> Error "lossy_recovery: expected a boolean"
   in
   let* faults = match member "faults" json with None -> Ok [] | Some _ -> str_list "faults" in
+  let* domains =
+    match member "domains" json with
+    | None -> Ok None
+    | Some (Str "auto") -> Ok (Some Rdomain.Auto)
+    | Some (Num x) when Float.is_integer x -> Ok (Some (Rdomain.Max_members (int_of_float x)))
+    | Some _ -> Error "domains: expected \"auto\" or an integer"
+  in
   validate
     {
       name;
@@ -261,4 +286,5 @@ let of_json json =
       link_delay_ms;
       lossy_recovery;
       faults;
+      domains;
     }

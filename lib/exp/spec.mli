@@ -45,12 +45,17 @@ type t = {
       (** optional faults axis: canned {!Fault.Plan} names and/or
           ["none"] for the unfaulted baseline; [[]] = no axis (the
           pre-faults enumeration, bit for bit) *)
+  domains : Rdomain.spec option;
+      (** every cell runs under hierarchical local recovery domains
+          ({!Harness.Runner.run_model}); serialized as
+          ["domains": "auto" | k] and omitted when [None], so flat
+          artifacts keep their bytes *)
 }
 
 val default : t
 (** The featured 6 traces × (SRM, default CESRM) × 1 seed, full packet
     counts, 20 ms links, lossless recovery, base seed 42, no faults
-    axis. *)
+    axis, flat recovery. *)
 
 val fault_names : string list
 (** The admissible faults-axis entries: ["none"] plus
@@ -58,7 +63,9 @@ val fault_names : string list
 
 val validate : t -> (t, string) result
 (** Reject unknown trace names, empty axes, non-positive parameters,
-    and unknown fault-plan names. *)
+    unknown fault-plan names, and any protocol × faults-axis entry
+    whose lever combination {!Harness.Runner.rejected} names (e.g. LMS
+    with [domains] or under a fault plan) — before any cell runs. *)
 
 type cell = {
   index : int;  (** position in {!cells} — the shard id *)

@@ -1,9 +1,9 @@
-let run ?jobs ?shards ?timeout ?retries ?on_result ?meta ?domains spec =
+let run ?jobs ?shards ?timeout ?retries ?on_result ?meta spec =
   let cells = Spec.cells spec in
   let agg = Agg.create spec in
   let results =
     Pool.map ?jobs ?timeout ?retries ?on_result
-      (fun i -> Shard.run_string ?shards ?domains spec cells.(i))
+      (fun i -> Shard.run_string ?shards spec cells.(i))
       (Array.length cells)
   in
   Array.iteri

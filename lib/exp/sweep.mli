@@ -15,7 +15,6 @@ val run :
   ?retries:int ->
   ?on_result:(index:int -> done_:int -> total:int -> unit) ->
   ?meta:(string * Obs.Json.t) list ->
-  ?domains:Rdomain.spec ->
   Spec.t ->
   Obs.Json.t
 (** @raise Failure when a shard fails beyond its retry budget (see
@@ -27,7 +26,4 @@ val run :
     exception is [jobs = 0] (auto-detect), whose resolved worker count
     is recorded under meta ["jobs"] as
     [{"requested": 0, "detected": n}] — explicit counts record nothing,
-    keeping the artifact a pure function of the spec. [domains] runs
-    every cell under hierarchical local recovery domains
-    ({!Shard.run}); it changes the results, so only compare such
-    artifacts against baselines swept with the same spec. *)
+    keeping the artifact a pure function of the spec. *)

@@ -13,23 +13,18 @@ let success_pct (res : Runner.result) =
   if res.exp_requests = 0 then 0.
   else 100. *. float_of_int res.exp_replies /. float_of_int res.exp_requests
 
-let run_config ?setup ~config trace attribution =
-  Runner.run ?setup (Runner.Cesrm_protocol config) trace attribution
-
-let prepared ?n_packets row =
-  let gen = Mtrace.Generator.synthesize ?n_packets row in
-  let trace = gen.Mtrace.Generator.trace in
-  (trace, Runner.attribution_of_trace trace)
+let run_config ?setup ~config trace loss =
+  Runner.run_model ?setup (Runner.Cesrm_protocol config) trace loss
 
 let policies ?(n_packets = 4000) rows =
   let rows_out =
     List.concat_map
       (fun row ->
-        let trace, att = prepared ~n_packets row in
+        let trace, loss = Runner.inputs ~n_packets row in
         List.map
           (fun policy ->
             let config = { Cesrm.Host.default_config with policy } in
-            let res = run_config ~config trace att in
+            let res = run_config ~config trace loss in
             [
               row.Mtrace.Meta.name;
               Cesrm.Policy.name policy;
@@ -47,14 +42,14 @@ let policies ?(n_packets = 4000) rows =
       ~rows:rows_out
 
 let cache_sizes ?(n_packets = 4000) ?(sizes = [ 1; 2; 4; 8; 16; 32 ]) row =
-  let trace, att = prepared ~n_packets row in
+  let trace, loss = Runner.inputs ~n_packets row in
   let rows_out =
     List.map
-      (fun cache_capacity ->
-        let config = { Cesrm.Host.default_config with cache_capacity } in
-        let res = run_config ~config trace att in
+      (fun k ->
+        let retention = { Cesrm.Retention.default with capacity = Some k } in
+        let res = run_config ~config:{ Cesrm.Host.default_config with retention } trace loss in
         [
-          string_of_int cache_capacity;
+          string_of_int k;
           Printf.sprintf "%.2f" (avg_norm res);
           Printf.sprintf "%.0f%%" (success_pct res);
           string_of_int res.exp_requests;
@@ -68,12 +63,12 @@ let cache_sizes ?(n_packets = 4000) ?(sizes = [ 1; 2; 4; 8; 16; 32 ]) row =
   ^ Stats.Table.render ~header:[ "capacity"; "avg rec (RTT)"; "exp success"; "erqst" ] ~rows:rows_out
 
 let reorder_delays ?(n_packets = 4000) ?(delays = [ 0.; 0.01; 0.04; 0.1 ]) row =
-  let trace, att = prepared ~n_packets row in
+  let trace, loss = Runner.inputs ~n_packets row in
   let rows_out =
     List.map
       (fun reorder_delay ->
         let config = { Cesrm.Host.default_config with reorder_delay } in
-        let res = run_config ~config trace att in
+        let res = run_config ~config trace loss in
         let exp =
           Stats.Recovery.latency_summary res.recoveries ~filter:(fun r -> r.Stats.Recovery.expedited)
         in
@@ -94,13 +89,13 @@ let reorder_delays ?(n_packets = 4000) ?(delays = [ 0.; 0.01; 0.04; 0.1 ]) row =
       ~rows:rows_out
 
 let link_delays ?(n_packets = 4000) ?(delays = [ 0.010; 0.020; 0.030 ]) row =
-  let trace, att = prepared ~n_packets row in
+  let trace, loss = Runner.inputs ~n_packets row in
   let rows_out =
     List.map
       (fun link_delay ->
         let setup = { Runner.default_setup with link_delay } in
-        let srm = Runner.run ~setup Runner.Srm_protocol trace att in
-        let cesrm = run_config ~setup ~config:Cesrm.Host.default_config trace att in
+        let srm = Runner.run_model ~setup Runner.Srm_protocol trace loss in
+        let cesrm = run_config ~setup ~config:Cesrm.Host.default_config trace loss in
         let reduction =
           if avg_norm srm > 0. then 100. *. (1. -. (avg_norm cesrm /. avg_norm srm)) else 0.
         in
@@ -123,12 +118,12 @@ let lossy_recovery ?(n_packets = 4000) rows =
   let rows_out =
     List.concat_map
       (fun row ->
-        let trace, att = prepared ~n_packets row in
+        let trace, loss = Runner.inputs ~n_packets row in
         List.map
           (fun lossy ->
             let setup = { Runner.default_setup with lossy_recovery = lossy } in
-            let srm = Runner.run ~setup Runner.Srm_protocol trace att in
-            let cesrm = run_config ~setup ~config:Cesrm.Host.default_config trace att in
+            let srm = Runner.run_model ~setup Runner.Srm_protocol trace loss in
+            let cesrm = run_config ~setup ~config:Cesrm.Host.default_config trace loss in
             let reduction =
               if avg_norm srm > 0. then 100. *. (1. -. (avg_norm cesrm /. avg_norm srm)) else 0.
             in
@@ -153,12 +148,12 @@ let router_assist ?(n_packets = 4000) rows =
   let rows_out =
     List.map
       (fun row ->
-        let trace, att = prepared ~n_packets row in
-        let plain = run_config ~config:Cesrm.Host.default_config trace att in
+        let trace, loss = Runner.inputs ~n_packets row in
+        let plain = run_config ~config:Cesrm.Host.default_config trace loss in
         let assisted =
           run_config
             ~config:{ Cesrm.Host.default_config with router_assist = true }
-            trace att
+            trace loss
         in
         let crossings_per_reply (res : Runner.result) =
           let replies =
@@ -195,7 +190,7 @@ let router_assist ?(n_packets = 4000) rows =
       ~rows:rows_out
 
 let reordering ?(n_packets = 4000) row =
-  let trace, att = prepared ~n_packets row in
+  let trace, loss = Runner.inputs ~n_packets row in
   let jitter = 2.5 *. Mtrace.Trace.period trace in
   let rows_out =
     List.concat_map
@@ -206,7 +201,7 @@ let reordering ?(n_packets = 4000) row =
             else begin
               let setup = { Runner.default_setup with data_jitter } in
               let config = { Cesrm.Host.default_config with reorder_delay } in
-              let res = run_config ~setup ~config trace att in
+              let res = run_config ~setup ~config trace loss in
               (* Spurious expedited requests show up as excess requests
                  relative to truly lossy packets. *)
               Some
@@ -236,12 +231,12 @@ let lossy_sessions ?(n_packets = 4000) rows =
   let rows_out =
     List.concat_map
       (fun row ->
-        let trace, att = prepared ~n_packets row in
+        let trace, loss = Runner.inputs ~n_packets row in
         List.map
           (fun lossy ->
             let setup = { Runner.default_setup with lossy_sessions = lossy } in
-            let srm = Runner.run ~setup Runner.Srm_protocol trace att in
-            let cesrm = run_config ~setup ~config:Cesrm.Host.default_config trace att in
+            let srm = Runner.run_model ~setup Runner.Srm_protocol trace loss in
+            let cesrm = run_config ~setup ~config:Cesrm.Host.default_config trace loss in
             let reduction =
               if avg_norm srm > 0. then 100. *. (1. -. (avg_norm cesrm /. avg_norm srm)) else 0.
             in
@@ -266,14 +261,14 @@ let adaptive_timers ?(n_packets = 4000) rows =
   let rows_out =
     List.concat_map
       (fun row ->
-        let trace, att = prepared ~n_packets row in
+        let trace, loss = Runner.inputs ~n_packets row in
         let lossy = List.length (Mtrace.Trace.lossy_packets trace) in
         List.map
           (fun adaptive ->
             let setup =
               { Runner.default_setup with params = { Srm.Params.default with adaptive } }
             in
-            let res = Runner.run ~setup Runner.Srm_protocol trace att in
+            let res = Runner.run_model ~setup Runner.Srm_protocol trace loss in
             let replies = Stats.Counters.total res.counters Stats.Counters.Repl in
             [
               row.Mtrace.Meta.name;
@@ -313,10 +308,10 @@ let scaling ?(n_packets = 3000) ?(sizes = [ 8; 12; 16; 24; 32 ]) () =
             n_losses = int_of_float (0.05 *. float_of_int (n_packets * n_receivers));
           }
         in
-        let trace, att = prepared ~n_packets row in
+        let trace, loss = Runner.inputs ~n_packets row in
         let events = List.length (Mtrace.Trace.lossy_packets trace) in
-        let srm = Runner.run Runner.Srm_protocol trace att in
-        let cesrm = run_config ~config:Cesrm.Host.default_config trace att in
+        let srm = Runner.run_model Runner.Srm_protocol trace loss in
+        let cesrm = run_config ~config:Cesrm.Host.default_config trace loss in
         let per_event crossings = float_of_int crossings /. float_of_int (max 1 events) in
         [
           string_of_int n_receivers;
@@ -354,12 +349,12 @@ let heterogeneous ?(n_packets = 4000) rows =
   let rows_out =
     List.concat_map
       (fun row ->
-        let trace, att = prepared ~n_packets row in
+        let trace, loss = Runner.inputs ~n_packets row in
         List.map
           (fun hetero ->
             let setup = { Runner.default_setup with heterogeneous_delays = hetero } in
-            let srm = Runner.run ~setup Runner.Srm_protocol trace att in
-            let cesrm = run_config ~setup ~config:Cesrm.Host.default_config trace att in
+            let srm = Runner.run_model ~setup Runner.Srm_protocol trace loss in
+            let cesrm = run_config ~setup ~config:Cesrm.Host.default_config trace loss in
             let reduction =
               if avg_norm srm > 0. then 100. *. (1. -. (avg_norm cesrm /. avg_norm srm)) else 0.
             in

@@ -10,8 +10,9 @@ let run_pair ?setup ?(config = Cesrm.Host.default_config) ?n_packets ?seed row =
   let generated = Mtrace.Generator.synthesize ?seed ?n_packets row in
   let trace = generated.Mtrace.Generator.trace in
   let attribution = Runner.attribution_of_trace trace in
-  let srm = Runner.run ?setup Runner.Srm_protocol trace attribution in
-  let cesrm = Runner.run ?setup (Runner.Cesrm_protocol config) trace attribution in
+  let loss = Runner.Attributed attribution in
+  let srm = Runner.run_model ?setup Runner.Srm_protocol trace loss in
+  let cesrm = Runner.run_model ?setup (Runner.Cesrm_protocol config) trace loss in
   { row; trace; attribution; srm; cesrm }
 
 (* -- Table 1 -------------------------------------------------------- *)

@@ -19,8 +19,8 @@
     {!Runner}, whose {!Runner.shardable} names the conditions that keep
     a run on the serial engine — event tracing, recovery domains,
     lossy recovery/sessions, LMS, a finite or records-off steady
-    window, link-jitter fault events — so callers just pass [?shards]
-    to {!Runner.run}. *)
+    window, link-jitter fault events, CESRM — so callers just pass
+    [?shards] to {!Runner.run_model}. *)
 
 val run :
   partition:Net.Partition.t ->

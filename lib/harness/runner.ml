@@ -1,10 +1,10 @@
-(* Run policy: the fault-plan, domain and cache-policy adjustments,
-   the shardability verdict, and the serial run's end. The types, the
-   drop predicate and the model builder are shared with the sharded
-   parallel runner (see [Run_types]): a serial run is
-   [Run_types.build], [Sim.Engine.run], [finish]; a sharded one hands
-   the same inputs to [Parallel]. The equations keep
-   [Harness.Runner.setup] et al. the public names. *)
+(* Run policy: the run's inputs, the rejected lever combinations, the
+   fault-plan and domain adjustments, the shardability verdict, and the
+   serial run's end. The types, the drop predicate and the model
+   builder are shared with the sharded parallel runner (see
+   [Run_types]): a serial run is [Run_types.build], [Sim.Engine.run],
+   [finish]; a sharded one hands the same inputs to [Parallel]. The
+   equations keep [Harness.Runner.setup] et al. the public names. *)
 
 type protocol = Run_types.protocol =
   | Srm_protocol
@@ -58,7 +58,8 @@ type loss_model = Run_types.loss_model =
 (* Each condition needs a global view mid-run that a shard lacks (see
    the interface). Everything else — crashes, partitions, outage and
    duplication windows, churn, heterogeneous delays, data jitter,
-   streaming sends — replays identically on every shard. *)
+   streaming sends — replays identically on every shard. CESRM comes
+   last: the other reasons say more when they also apply. *)
 let shardable ~tracer ~fault_plan ~setup ~steady ~domains protocol =
   let link_jitter = function Fault.Plan.Link_jitter _ -> true | _ -> false in
   match (protocol, steady, fault_plan) with
@@ -69,6 +70,7 @@ let shardable ~tracer ~fault_plan ~setup ~steady ~domains protocol =
   | _, Some { Steady.Config.window = Some _; _ }, _ -> Some "finite steady window"
   | _, Some { Steady.Config.retain_records = false; _ }, _ -> Some "records-off steady mode"
   | _, _, Some plan when List.exists link_jitter plan.Fault.Plan.events -> Some "link-jitter faults"
+  | Cesrm_protocol _, _, _ -> Some "CESRM expedited recovery"
   | _ -> None
 
 (* The serial run's end: the oracle's liveness verdict, the registry
@@ -112,16 +114,17 @@ let finish ?registry ~setup ~protocol trace (m : Run_types.model) =
     retirement = m.controller;
   }
 
+(* The lever combinations no run accepts (see the interface): each
+   falls outside both the stated identity laws and a clean oracle. *)
+let rejected ~faulted ~domains protocol =
+  match protocol with
+  | Lms_protocol when Option.is_some domains -> Some "LMS with recovery domains"
+  | Lms_protocol when faulted -> Some "LMS under a fault plan"
+  | _ -> None
+
 let run_model ?(setup = default_setup) ?tracer ?registry ?fault_plan ?(shards = 1) ?steady
-    ?domains ?cache_policy protocol trace loss_model =
-  (* [cache_policy] overrides the CESRM config's retention scheme — the
-     CLI/bench lever; a no-op for SRM and LMS, and omitting it leaves
-     the config (hence the default scheme's bits) untouched. *)
-  let protocol =
-    match (protocol, cache_policy) with
-    | Cesrm_protocol config, Some retention -> Cesrm_protocol { config with Cesrm.Host.retention }
-    | _ -> protocol
-  in
+    ?domains protocol trace loss_model =
+  Option.iter invalid_arg (rejected ~faulted:(Option.is_some fault_plan) ~domains protocol);
   (* A fault plan switches on the robustness extensions unless the
      caller pinned them: session-driven request re-arm (bounds
      post-heal recovery latency by the session period instead of the
@@ -176,9 +179,6 @@ let run_model ?(setup = default_setup) ?tracer ?registry ?fault_plan ?(shards = 
         if params == setup.params then setup else { setup with params }
     | None -> setup
   in
-  (match (domain, protocol) with
-  | Some _, Lms_protocol -> invalid_arg "Runner.run_model: domains are an SRM/CESRM mode"
-  | _ -> ());
   let serial () =
     let m =
       Run_types.build ?tracer ?registry ?fault_plan ?steady ?domain ~setup protocol trace
@@ -200,11 +200,6 @@ let run_model ?(setup = default_setup) ?tracer ?registry ?fault_plan ?(shards = 
       Parallel.run ~partition ~delay ?registry ?fault_plan ~setup ?steady protocol trace
         loss_model
   end
-
-let run ?setup ?tracer ?registry ?fault_plan ?shards ?steady ?domains ?cache_policy protocol trace
-    attribution =
-  run_model ?setup ?tracer ?registry ?fault_plan ?shards ?steady ?domains ?cache_policy protocol
-    trace (Attributed attribution)
 
 (* Harness tuning for the synthetic scale scenarios. Classic SRM
    settings assume a ~10–50 member group; at 10^3–10^4 members the
@@ -264,50 +259,48 @@ let tune_for_trace ?domains trace setup =
       let n_members = 1 + Array.length (Net.Tree.receivers (Mtrace.Trace.tree trace)) in
       scale_setup ?domains ~family ~n_members setup
 
-let run_leg ?(setup = default_setup) ?registry ?n_packets ?fault ?shards ?steady ?domains
-    ?cache_policy ~seed protocol row =
-  let scale_family = Mtrace.Scale.family_of_name row.Mtrace.Meta.name in
-  (* A steady run over a scale row never materializes the event list:
-     the trace comes from the streaming generator (lazy per-link loss
-     chains, O(links) setup), so a million-packet leg starts instantly.
-     Legacy table rows need the full bits for attribution and keep the
-     eager path regardless. *)
-  let stream_trace =
-    (match steady with Some c -> Steady.Config.streaming c | None -> false)
-    && (match scale_family with
-       | Some f -> Mtrace.Scale.supports_streaming f
-       | None -> false)
-  in
-  let trace, loss_model =
-    if stream_trace then begin
-      let g = Mtrace.Generator.synthesize_streaming ~seed ?n_packets row in
+(* A row's trace and loss model. A steady run over a scale row never
+   materializes the event list: the trace comes from the streaming
+   generator (lazy per-link loss chains, O(links) setup), so a
+   million-packet run starts instantly. Legacy table rows need the full
+   bits for attribution and keep the eager path regardless; scale rows
+   inject the generator's own Gilbert link states directly (attribution
+   is quadratic-ish in receivers, and pointless with the generator's
+   chains in hand). *)
+let inputs ?seed ?n_packets ?steady row =
+  match (Mtrace.Scale.family_of_name row.Mtrace.Meta.name, steady) with
+  | Some f, Some c when Steady.Config.streaming c && Mtrace.Scale.supports_streaming f ->
+      let g = Mtrace.Generator.synthesize_streaming ?seed ?n_packets row in
       (g.Mtrace.Generator.s_trace, Streamed g.Mtrace.Generator.s_loss)
-    end
-    else begin
-      let generated = Mtrace.Generator.synthesize ~seed ?n_packets row in
-      let trace = generated.Mtrace.Generator.trace in
-      (* Scale scenarios inject the generator's own Gilbert link states
-         directly; trace-sized rows replay the paper's inference
-         pipeline. *)
+  | family, _ ->
+      let g = Mtrace.Generator.synthesize ?seed ?n_packets row in
+      let trace = g.Mtrace.Generator.trace in
       ( trace,
-        match scale_family with
-        | None -> Attributed (attribution_of_trace trace)
-        | Some _ -> Ground_truth generated.Mtrace.Generator.link_bad )
-    end
-  in
+        if family = None then Attributed (attribution_of_trace trace)
+        else Ground_truth g.Mtrace.Generator.link_bad )
+
+let fault_plan ~setup trace name =
+  let tree = Mtrace.Trace.tree trace in
+  let duration = float_of_int (Mtrace.Trace.n_packets trace) *. Mtrace.Trace.period trace in
+  match Fault.Plan.canned ~tree ~warmup:setup.warmup ~duration name with
+  | Some plan -> Ok plan
+  | None when Sys.file_exists name -> Result.bind (Fault.Plan.load name) (Fault.Plan.validate ~tree)
+  | None ->
+      Error
+        (Printf.sprintf "%S is neither a canned plan (%s) nor a file" name
+           (String.concat ", " (Fault.Plan.canned_names @ Fault.Plan.churn_names)))
+
+let run_leg ?(setup = default_setup) ?registry ?n_packets ?fault ?shards ?steady ?domains ~seed
+    protocol row =
+  let trace, loss_model = inputs ~seed ?n_packets ?steady row in
   let setup = tune_for_trace ?domains trace setup in
-  let fault_plan =
-    Option.map
-      (fun name ->
-        let tree = Mtrace.Trace.tree trace in
-        let duration = float_of_int (Mtrace.Trace.n_packets trace) *. Mtrace.Trace.period trace in
-        match Fault.Plan.canned ~tree ~warmup:setup.warmup ~duration name with
-        | Some plan -> plan
-        | None -> invalid_arg (Printf.sprintf "Runner.run_leg: unknown canned fault plan %S" name))
-      fault
+  let resolve name =
+    match fault_plan ~setup trace name with
+    | Ok plan -> plan
+    | Error msg -> invalid_arg ("Runner.run_leg: " ^ msg)
   in
-  run_model ~setup:{ setup with seed } ?registry ?fault_plan ?shards ?steady ?domains ?cache_policy
-    protocol trace loss_model
+  run_model ~setup:{ setup with seed } ?registry ?fault_plan:(Option.map resolve fault) ?shards
+    ?steady ?domains protocol trace loss_model
 
 let normalized_recovery result ~node ~filter =
   let rtt = List.assoc node result.rtt_to_source in

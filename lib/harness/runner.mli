@@ -93,27 +93,15 @@ val run_model :
   ?shards:int ->
   ?steady:Steady.Config.t ->
   ?domains:Rdomain.spec ->
-  ?cache_policy:Cesrm.Retention.t ->
   protocol ->
   Mtrace.Trace.t ->
   loss_model ->
   result
-(** Generalization of {!run} over the loss-injection model. *)
+(** Run [protocol] on [trace] under the loss model. The labelled
+    arguments are the run's levers; a combination {!rejected} names
+    raises [Invalid_argument] with that reason before anything runs.
 
-val run :
-  ?setup:setup ->
-  ?tracer:Obs.Trace.t ->
-  ?registry:Obs.Registry.t ->
-  ?fault_plan:Fault.Plan.t ->
-  ?shards:int ->
-  ?steady:Steady.Config.t ->
-  ?domains:Rdomain.spec ->
-  ?cache_policy:Cesrm.Retention.t ->
-  protocol ->
-  Mtrace.Trace.t ->
-  Inference.Attribution.t ->
-  result
-(** With [tracer], structured events are recorded through the hosts'
+    With [tracer], structured events are recorded through the hosts'
     hooks and the network tap (see {!Instrument}) — purely
     observational, the run's outcome is bit-identical. With [registry],
     end-of-run metrics from the engine, the network and every member
@@ -151,8 +139,8 @@ val run :
     oracle is fed the membership timeline and checks the churn-aware
     invariants (no delivery to departed hosts, no expedited retries
     pinned on a departed replier, membership-aware liveness). LMS
-    churn plans only toggle the network layer (LMS hosts carry no SRM
-    soft state).
+    runs reject every fault plan (see {!rejected}); LMS's crash
+    behaviour is measured by {!Churn} instead.
 
     With [shards] at least 2, the run executes in parallel: the tree is
     partitioned into that many shards of roughly equal member weight
@@ -185,17 +173,17 @@ val run :
     unanswered rounds, each domain's designated replier is preferred
     for replies and expedited pairs, and true tree distances are
     forced on (scoped timers aim at arbitrary repliers the session
-    exchange never converges for). SRM and CESRM only
-    (@raise Invalid_argument under LMS); runs on the serial engine
-    (scoped casts need the global tree — see {!shardable}). Without
-    [domains] every run is byte-identical to before the mode
-    existed.
+    exchange never converges for). SRM and CESRM only (see
+    {!rejected}); runs on the serial engine (scoped casts need the
+    global tree — see {!shardable}). Without [domains] every run is
+    byte-identical to before the mode existed. *)
 
-    With [cache_policy], a CESRM protocol's replier-cache retention
-    scheme is overridden ({!Cesrm.Retention}) before the run — the
-    CLI's [--cache-policy] lever. A no-op for SRM and LMS; omitted, the
-    config's own retention (default: the paper's keep-most-recent
-    scheme, byte-identical to the pre-policy cache) stands. *)
+val rejected : faulted:bool -> domains:Rdomain.spec option -> protocol -> string option
+(** Why no run accepts this configuration, or [None] — the
+    combinations that neither obey an identity law nor run clean:
+    - ["LMS with recovery domains"]: LMS routes nothing through them;
+    - ["LMS under a fault plan"]: the oracle flags LMS's by-design
+      retries to stale repliers. *)
 
 val shardable :
   tracer:Obs.Trace.t option ->
@@ -216,10 +204,28 @@ val shardable :
     - a finite steady window (the global delivered-prefix minimum) or
       records-off steady mode (it conflicts with the workers'
       record tagging);
-    - link-jitter fault events (per-crossing RNG draws).
+    - link-jitter fault events (per-crossing RNG draws);
+    - CESRM (deterministic-time expedited casts reach a host at the
+      same instant, and a shard replaying a remote one at its barrier
+      can act on them in another order than the serial engine).
 
     A fallback, not a rejection: a sweep passes one [--shards] value
     to every cell. *)
+
+val inputs :
+  ?seed:int64 -> ?n_packets:int -> ?steady:Steady.Config.t -> Mtrace.Meta.row ->
+  Mtrace.Trace.t * loss_model
+(** A row's trace, synthesized with [seed] (default: derived from the
+    name) and truncated to [n_packets], and its loss model: [Streamed]
+    when [steady] streams ({!Steady.Config.streaming}) and the scale
+    family supports it — O(links) setup whatever the packet count —
+    else [Ground_truth] on scale rows and [Attributed] on Table 1
+    rows. *)
+
+val fault_plan : setup:setup -> Mtrace.Trace.t -> string -> (Fault.Plan.t, string) Stdlib.result
+(** A {!Fault.Plan.canned} plan (perturbation or churn) instantiated
+    against the trace's tree, [setup.warmup] and data phase, or else a
+    plan JSON file, loaded and validated against the tree. *)
 
 val run_leg :
   ?setup:setup ->
@@ -229,38 +235,26 @@ val run_leg :
   ?shards:int ->
   ?steady:Steady.Config.t ->
   ?domains:Rdomain.spec ->
-  ?cache_policy:Cesrm.Retention.t ->
   seed:int64 ->
   protocol ->
   Mtrace.Meta.row ->
   result
-(** One self-contained experiment leg: synthesize the Table 1 row's
-    trace with [seed] (optionally truncated to [n_packets]), attribute
-    its losses, and run [protocol] on it with [setup] reseeded to the
-    same [seed] — so a leg is a pure function of
+(** One self-contained experiment leg: the row's {!inputs} with
+    [seed], run with [setup] tuned for the trace ({!tune_for_trace})
+    and reseeded to the same [seed] — so a leg is a pure function of
     [(row, protocol, setup, n_packets, seed, fault)], the unit a sweep
-    shard executes. [fault] names a {!Fault.Plan.canned} plan — a
-    perturbation plan from {!Fault.Plan.canned_names} or a membership
-    (churn) plan from {!Fault.Plan.churn_names} — instantiated against
-    the synthesized trace's tree and data phase.
+    shard executes. [fault] names a plan {!fault_plan} resolves.
 
-    Rows naming a {!Mtrace.Scale} scenario switch to ground-truth loss
-    injection (no attribution pass) and get harness tuning for group
-    size: hosts read true tree distances instead of warming them up
-    over session echoes ([Srm.Params.oracle_distances]), only the
+    Rows naming a {!Mtrace.Scale} scenario get harness tuning for
+    group size: hosts read true tree distances instead of warming them
+    up over session echoes ([Srm.Params.oracle_distances]), only the
     source runs the periodic session tick
     ([Srm.Params.session_sources_only]), the session echo table is
     capped ([session_echo_limit], unless the caller pinned it), and
     deep-chain trees use a 1 ms link delay so the worst-case path
     stays within the recovery timers' reach.
-
-    A [steady] config with any streaming lever on
-    ({!Steady.Config.streaming}) additionally routes scale rows
-    through {!Mtrace.Generator.synthesize_streaming}: no materialized
-    loss matrix, the run starts in O(links) regardless of packet
-    count. Legacy rows keep the eager generator (attribution needs the
-    bits).
-    @raise Invalid_argument on an unknown canned name. *)
+    @raise Invalid_argument on a fault name {!fault_plan} cannot
+    resolve, or a configuration {!rejected} names. *)
 
 val tune_for_trace : ?domains:Rdomain.spec -> Mtrace.Trace.t -> setup -> setup
 (** Apply the scale-scenario harness tuning described under {!run_leg}

@@ -67,6 +67,10 @@ type stream_state = {
   (* Per-stream in-flight slack, lazily computed (nan = unset): scales
      with this host's distance to the stream's source. *)
   mutable inflight_slack : float;
+  (* One bit per seq whose detection retirement swept (empty until the
+     first), so [suffered_loss] answers for retired seqs as it would
+     had nothing been retired. *)
+  mutable lost_retired : Bytes.t;
 }
 
 (* Streams start with a bounded window so a million-packet run never
@@ -139,6 +143,8 @@ type t = {
      the wiped host and would charge it for every packet it no longer
      tracks. *)
   mutable in_group : bool;
+  mutable retired_losses : bool; (* some stream's [lost_retired] is set *)
+  mutable reply_from : int; (* replier of the reply being handled; -1 outside one *)
   counters : Stats.Counters.t;
   recoveries : Stats.Recovery.t;
   hooks : hooks;
@@ -178,6 +184,7 @@ let stream t src =
           scanned_due = 0;
           due_pending = false;
           inflight_slack = Float.nan;
+          lost_retired = Bytes.empty;
         }
       in
       Hashtbl.replace t.streams src s;
@@ -191,7 +198,18 @@ let stream t src =
 let has_packet ?(src = 0) t ~seq =
   seq >= 1 && seq <= t.n_packets && win_get (stream t src) ~seq
 
-let suffered_loss ?(src = 0) t ~seq = Hashtbl.mem t.detect_info (key t ~src ~seq)
+let reply_sender t = if t.reply_from < 0 then None else Some t.reply_from
+
+let suffered_loss ?(src = 0) t ~seq =
+  Hashtbl.mem t.detect_info (key t ~src ~seq)
+  || t.retired_losses
+     &&
+     match Hashtbl.find_opt t.streams src with
+     | Some st ->
+         let i = seq lsr 3 in
+         i < Bytes.length st.lost_retired
+         && Char.code (Bytes.get st.lost_retired i) land (1 lsl (seq land 7)) <> 0
+     | None -> false
 
 let max_seq_seen ?(src = 0) t = (stream t src).max_seq
 
@@ -678,6 +696,22 @@ let retire_below t ~upto =
   in
   sweep t.replies ~keep:(fun _ timer -> Sim.Engine.is_pending timer);
   sweep t.reply_abstain ~keep:(fun _ horizon -> horizon > now t);
+  (* A reply can still arrive for a retired loss (a duplicate, a repair
+     held up by an outage), and CESRM digests it by [suffered_loss]:
+     keep that answer as a bit before the detection goes. *)
+  Hashtbl.iter
+    (fun k _ ->
+      if retired k then begin
+        let st = Hashtbl.find t.streams (Key.src ~stride:t.stride k) in
+        if Bytes.length st.lost_retired = 0 then
+          st.lost_retired <- Bytes.make ((t.n_packets lsr 3) + 1) '\000';
+        let seq = Key.seq ~stride:t.stride k in
+        let i = seq lsr 3 in
+        Bytes.set st.lost_retired i
+          (Char.chr (Char.code (Bytes.get st.lost_retired i) lor (1 lsl (seq land 7))));
+        t.retired_losses <- true
+      end)
+    t.detect_info;
   sweep t.detect_info;
   sweep t.replied
 
@@ -806,7 +840,9 @@ let handle_reply t payload ~src ~seq ~requestor ~replier =
     let expedited =
       match payload with Net.Packet.Reply { expedited; _ } -> expedited | _ -> false
     in
+    t.reply_from <- replier;
     obtain t ~src seq ~expedited ~repaired:true;
+    t.reply_from <- -1;
     t.hooks.on_reply_observed payload
   end
 
@@ -924,6 +960,8 @@ let create ?domain ~network ~self ~params ~n_packets ~counters ~recoveries () =
       n_escalations = 0;
       n_detected = 0;
       in_group = true;
+      retired_losses = false;
+      reply_from = -1;
       counters;
       recoveries;
       hooks = no_hooks ();

@@ -101,8 +101,13 @@ val note_sent : ?src:int -> t -> seq:int -> unit
 
 val has_packet : ?src:int -> t -> seq:int -> bool
 
+val reply_sender : t -> int option
+(** While a reply is being handled — in particular during
+    [on_packet_obtained] — the replier that sent it. *)
+
 val suffered_loss : ?src:int -> t -> seq:int -> bool
-(** Has this member ever detected the loss of [seq]? *)
+(** Has this member ever detected the loss of [seq]? Retirement does
+    not change the answer. *)
 
 val reply_blocked : ?src:int -> t -> seq:int -> bool
 (** A reply for the packet is scheduled or pending (abstinence) — the
@@ -160,8 +165,9 @@ val retire_below : t -> upto:int -> unit
     window bytes, detection times, expired abstinence horizons) for
     sequence numbers at or below [upto], clamped per stream to its own
     delivered prefix. Only inert state is dropped — pending reply
-    timers fire as they would have — so a finite-window run remains
-    byte-identical to an infinite-window one. Driven by
+    timers fire as they would have, and a retired detection leaves one
+    bit so {!suffered_loss} keeps its answer — so a finite-window run
+    remains byte-identical to an infinite-window one. Driven by
     [Steady.Controller]; never called in classic runs. *)
 
 val restart_recovery : t -> unit

@@ -54,15 +54,20 @@ let percentile t q =
   else if q < 0. || q > 1. then invalid_arg "Summary.percentile: q in [0,1]"
   else if t.n = 0 then Float.nan
   else
+    let rank = int_of_float (Float.round (q *. float_of_int (t.n - 1))) in
     match (t.samples, t.sketch) with
     | Some d, _ ->
         (* Exact nearest-rank over the retained samples; duplicates are
            just adjacent equal ranks, q = 0 / 1 are the extremes. *)
         let a = Vec.to_array d in
         Array.sort Float.compare a;
-        let rank = int_of_float (Float.round (q *. float_of_int (t.n - 1))) in
         a.(rank)
-    | None, Some h -> Obs.Hist.quantile h q
+    | None, Some h ->
+        (* The same rank through the sketch's nearest rank [ceil (q' n)]:
+           q' = (rank + 1/2) / n lands on it with no rounding edge; the
+           extreme ranks are the exact extremes. *)
+        if rank = 0 then t.minv else if rank = t.n - 1 then t.maxv
+        else Obs.Hist.quantile h ((float_of_int rank +. 0.5) /. float_of_int t.n)
     | None, None -> invalid_arg "Summary.percentile: samples not retained"
 
 let merge a b =

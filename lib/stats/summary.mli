@@ -30,8 +30,9 @@ val max : t -> float
 val total : t -> float
 
 val percentile : t -> float -> float
-(** [percentile t 0.5] is the median — exact nearest-rank over retained
-    samples, sketch-approximated otherwise. [q = 0] and [q = 1] are the
+(** [percentile t 0.5] is the median — the observation of 0-based rank
+    [round (q (n-1))], exact over retained samples and otherwise
+    sketch-approximated at that same rank. [q = 0] and [q = 1] are the
     extremes; a single-sample summary returns that sample for every
     [q]; duplicates are handled like any adjacent equal ranks. Returns
     [nan] when the summary is empty.

@@ -523,9 +523,9 @@ let test_multi_source_repeat_expedited () =
 let test_cesrm_beats_srm_on_trace () =
   let gen = Mtrace.Generator.synthesize ~n_packets:1500 (Mtrace.Meta.nth 4) in
   let att = Harness.Runner.attribution_of_trace gen.trace in
-  let srm = Harness.Runner.run Harness.Runner.Srm_protocol gen.trace att in
+  let srm = Harness.Runner.run_model Harness.Runner.Srm_protocol gen.trace (Harness.Runner.Attributed att) in
   let cesrm =
-    Harness.Runner.run (Harness.Runner.Cesrm_protocol Cesrm.Host.default_config) gen.trace att
+    Harness.Runner.run_model (Harness.Runner.Cesrm_protocol Cesrm.Host.default_config) gen.trace (Harness.Runner.Attributed att)
   in
   check Alcotest.int "srm complete" 0 srm.unrecovered;
   check Alcotest.int "cesrm complete" 0 cesrm.unrecovered;

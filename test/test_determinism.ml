@@ -32,7 +32,7 @@ let case = lazy (
 
 let run ?setup ?steady protocol =
   let trace, att = Lazy.force case in
-  Harness.Runner.run ?setup ?steady protocol trace att
+  Harness.Runner.run_model ?setup ?steady protocol trace (Harness.Runner.Attributed att)
 
 let lossy = { Harness.Runner.default_setup with lossy_recovery = true; lossy_sessions = true }
 

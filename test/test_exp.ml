@@ -23,6 +23,7 @@ let small_spec =
     link_delay_ms = 20.;
     lossy_recovery = false;
     faults = [];
+    domains = None;
   }
 
 let test_spec_roundtrip () =
@@ -51,6 +52,10 @@ let test_spec_roundtrip () =
       lossy_recovery = true;
     };
   same { small_spec with faults = [ "none"; "partition-heal"; "link-flap" ] };
+  same { small_spec with domains = Some Rdomain.Auto };
+  same { small_spec with domains = Some (Rdomain.Max_members 4) };
+  check Alcotest.bool "flat specs carry no domains key" true
+    (Obs.Json.member "domains" (Exp.Spec.to_json small_spec) = None);
   (* parse also accepts a text round-trip through the strict parser *)
   match Obs.Json.parse (Obs.Json.to_string ~pretty:true (Exp.Spec.to_json small_spec)) with
   | Error msg -> Alcotest.fail msg
@@ -269,20 +274,32 @@ let test_pool_timeout_retry () =
       "hung shard killed and retried" [| "ok-0"; "ok-1"; "ok-2" |] results
   end
 
+(* The serial path (jobs = 1) keeps the parallel contract: the same
+   retry budget and the same [Failure]. *)
 let test_pool_retry_exhaustion () =
-  if not Exp.Pool.available then ()
-  else begin
-    let f i = if i = 2 then failwith "always broken" else string_of_int i in
-    match Exp.Pool.map ~jobs:2 ~retries:1 f 4 with
-    | _ -> Alcotest.fail "expected Failure"
-    | exception Failure msg ->
-        let contains ~sub s =
-          let n = String.length sub and m = String.length s in
-          let rec go i = i + n <= m && (String.sub s i n = sub || go (i + 1)) in
-          go 0
-        in
-        check Alcotest.bool "names the shard" true (contains ~sub:"shard 2" msg)
-  end
+  let contains ~sub s =
+    let n = String.length sub and m = String.length s in
+    let rec go i = i + n <= m && (String.sub s i n = sub || go (i + 1)) in
+    go 0
+  in
+  List.iter
+    (fun jobs ->
+      let calls = ref 0 in
+      let f i =
+        if i = 2 then begin
+          incr calls;
+          failwith "always broken"
+        end
+        else string_of_int i
+      in
+      match Exp.Pool.map ~jobs ~retries:1 f 4 with
+      | _ -> Alcotest.fail "expected Failure"
+      | exception Failure msg ->
+          check Alcotest.bool "names the shard" true (contains ~sub:"shard 2" msg);
+          check Alcotest.bool "counts the attempts" true (contains ~sub:"after 2 attempt(s)" msg);
+          (* forked attempts raise in the workers, not here *)
+          if jobs = 1 then check Alcotest.int "serial attempts" 2 !calls)
+    (if Exp.Pool.available then [ 1; 2 ] else [ 1 ])
 
 let test_pool_marshal_map () =
   let f i = (i, float_of_int i /. 2., Printf.sprintf "s%d" i) in
@@ -330,6 +347,59 @@ let test_sweep_identity_faulted () =
     check Alcotest.string "faulted sweep byte-identical serial vs parallel" serial parallel
   end
 
+(* Spec.validate checks every protocol × faults-axis entry against the
+   runner's rejected combinations before any cell runs: a
+   [srm,lms --domains] sweep used to die on its LMS cell after the SRM
+   cell had run. *)
+let test_spec_rejections () =
+  let reason spec =
+    match Exp.Spec.validate spec with Ok _ -> None | Error msg -> Some msg
+  in
+  check (Alcotest.option Alcotest.string) "lms with domains"
+    (Some "rejected: lms/none: LMS with recovery domains")
+    (reason
+       { small_spec with protocols = [ Exp.Spec.Srm; Exp.Spec.Lms ]; domains = Some Rdomain.Auto });
+  check (Alcotest.option Alcotest.string) "lms under a plan"
+    (Some "rejected: lms/link-flap: LMS under a fault plan")
+    (reason { small_spec with protocols = [ Exp.Spec.Lms ]; faults = [ "none"; "link-flap" ] });
+  check (Alcotest.option Alcotest.string) "lms unfaulted and flat" None
+    (reason { small_spec with protocols = [ Exp.Spec.Srm; Exp.Spec.Lms ]; faults = [ "none" ] });
+  check (Alcotest.option Alcotest.string) "srm and cesrm with domains under a plan" None
+    (reason { small_spec with domains = Some Rdomain.Auto; faults = [ "churn-flash" ] })
+
+(* The spec carries domains: a sweep replayed from its printed spec
+   reproduces the artifact, and every cell runs what run_leg runs with
+   domains on. *)
+let test_sweep_spec_domains () =
+  let spec =
+    {
+      small_spec with
+      traces = [ "SCALE-dc-64" ];
+      n_seeds = 1;
+      n_packets = Some 30;
+      domains = Some Rdomain.Auto;
+    }
+  in
+  let artifact = Obs.Json.to_string (Exp.Sweep.run ~jobs:1 spec) in
+  let replayed =
+    match Exp.Spec.of_json (Exp.Spec.to_json spec) with
+    | Ok spec' -> Obs.Json.to_string (Exp.Sweep.run ~jobs:1 spec')
+    | Error msg -> Alcotest.fail msg
+  in
+  check Alcotest.string "replay from the spec" artifact replayed;
+  Array.iter
+    (fun (cell : Exp.Spec.cell) ->
+      let res =
+        Harness.Runner.run_leg ~n_packets:30 ~domains:Rdomain.Auto ~seed:cell.seed
+          (Exp.Spec.runner_protocol cell.protocol)
+          (Mtrace.Scale.find cell.trace)
+      in
+      let shard = Exp.Shard.run spec cell in
+      check (Alcotest.option Alcotest.int) (Exp.Spec.cell_label cell ^ " detected")
+        (Some res.detected)
+        (Option.map int_of_float (Option.bind (Obs.Json.member "detected" shard) Obs.Json.to_float)))
+    (Exp.Spec.cells spec)
+
 let test_agg_missing () =
   let agg = Exp.Agg.create small_spec in
   check (Alcotest.list Alcotest.int) "all missing" [ 0; 1; 2; 3 ] (Exp.Agg.missing agg);
@@ -353,6 +423,7 @@ let () =
           Alcotest.test_case "cells and derived seeds" `Quick test_cells_and_seeds;
           Alcotest.test_case "cells with a faults axis" `Quick test_cells_with_faults;
           Alcotest.test_case "rng substream" `Quick test_substream;
+          Alcotest.test_case "rejected lever combinations" `Quick test_spec_rejections;
         ] );
       ( "pool",
         [
@@ -369,5 +440,6 @@ let () =
           Alcotest.test_case "faulted serial = parallel (bytes)" `Slow
             test_sweep_identity_faulted;
           Alcotest.test_case "agg missing shards" `Quick test_agg_missing;
+          Alcotest.test_case "domains ride in the spec" `Quick test_sweep_spec_domains;
         ] );
     ]

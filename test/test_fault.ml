@@ -296,7 +296,7 @@ let test_replier_failure_limit () =
 (* Run [plan] over a small synthetic group (30 packets, 50 ms period,
    data phase 5.0..6.5 s, session until ~21.5 s) and report whether the
    oracle stayed clean. The robustness extensions are on, as under
-   [Harness.Runner.run ?fault_plan]. *)
+   [Harness.Runner.run_model ?fault_plan]. *)
 let run_plan ?(protocol = `Srm) plan =
   let tree = sample_tree () in
   let engine = Sim.Engine.create ~seed:5L () in
@@ -927,6 +927,278 @@ let test_empty_group_mid_stream () =
         (Stats.Recovery.count res.recoveries + res.forgiven))
     both_protocols
 
+(* --- Rejected lever combinations --------------------------------------- *)
+
+let rejects reason f =
+  match f () with
+  | exception Invalid_argument msg -> check Alcotest.string "rejection reason" reason msg
+  | (_ : Harness.Runner.result) -> Alcotest.fail ("expected a rejection: " ^ reason)
+
+(* LMS retries an expedited request to a stale replier by design, so
+   the oracle flags most faulted LMS runs (on SCALE-bf-64 at 120
+   packets, 26 of 32 over the canned plans): no plan runs under LMS. *)
+let test_reject_lms_faulted () =
+  let row = Mtrace.Scale.find "SCALE-bf-64" in
+  List.iter
+    (fun fault ->
+      rejects "LMS under a fault plan" (fun () ->
+          Harness.Runner.run_leg ~n_packets:120 ~fault ~seed:42L Harness.Runner.Lms_protocol row))
+    (Fault.Plan.canned_names @ Fault.Plan.churn_names)
+
+(* Domains scope SRM/CESRM requests and repairs; LMS routes neither
+   through them. *)
+let test_reject_lms_domains () =
+  rejects "LMS with recovery domains" (fun () ->
+      Harness.Runner.run_leg ~n_packets:30 ~domains:Rdomain.Auto ~seed:42L
+        Harness.Runner.Lms_protocol (Mtrace.Scale.find "SCALE-dc-64"))
+
+(* A reply can reach a host after retirement swept its loss (a
+   duplicate, a repair held up by an outage), and CESRM digests it only
+   for a loss the host suffered. Retirement used to forget that: on
+   SCALE-bf-128 at 200 packets, seed 7, lru with a 16-packet window
+   sent 20 requests and 71 replies against 21 and 72 without
+   retirement; recent diverged the same way under dup-burst on
+   SCALE-bf-48 (77 packets, seed 26578) and recent:1 under
+   partition-heal with domains on SCALE-dc-48 (192 packets, seed
+   128336). Every leg must match its never-retiring twin. *)
+let test_retire_late_replies () =
+  let leg (row, scheme, n_packets, seed, fault, domains) window =
+    let retention = Option.get (Cesrm.Retention.of_name scheme) in
+    let r =
+      Harness.Runner.run_leg ~n_packets ?fault ?domains ~seed
+        ~steady:(Steady.Config.windowed ~retain_records:true window)
+        (Harness.Runner.Cesrm_protocol { Cesrm.Host.default_config with retention })
+        (Mtrace.Scale.find row)
+    in
+    Printf.sprintf "rqst=%d repl=%d exp=%d/%d lat=%.17g"
+      (Stats.Counters.total r.counters Stats.Counters.Rqst)
+      (Stats.Counters.total r.counters Stats.Counters.Repl)
+      r.exp_requests r.exp_replies
+      (Stats.Summary.mean (Stats.Recovery.latency_summary r.recoveries))
+  in
+  List.iter
+    (fun ((row, scheme, n_packets, _, fault, _) as case) ->
+      check Alcotest.string
+        (Printf.sprintf "%s %s %s" row scheme (Option.value fault ~default:"unfaulted"))
+        (leg case n_packets) (leg case 16))
+    [
+      ("SCALE-bf-128", "lru", 200, 7L, None, None);
+      ("SCALE-bf-128", "ttl", 200, 7L, None, None);
+      ("SCALE-bf-48", "recent", 77, 26578L, Some "dup-burst", None);
+      ("SCALE-dc-48", "recent:1", 192, 128336L, Some "partition-heal", Some Rdomain.Auto);
+    ]
+
+(* A replier that shares the requestor's losses cannot answer its
+   expedited requests, yet others' expedited repairs used to count as
+   its success, so wherever selection does not follow recency it
+   stayed chosen past the oracle's retry bound: the domain preference
+   on SCALE-ss-96 (145 packets, seed 850166, link-flap; nodes 29 and 38
+   sent 13 requests in a row) and hotspot heat on SCALE-dc-48 (108
+   packets, seed 70135, jitter-reorder; node 75 to its parent 74). *)
+let test_replier_credit () =
+  List.iter
+    (fun (row, scheme, n_packets, seed, fault, domains) ->
+      let retention = Option.get (Cesrm.Retention.of_name scheme) in
+      let res =
+        Harness.Runner.run_leg ~n_packets ~fault ?domains ~seed
+          (Harness.Runner.Cesrm_protocol { Cesrm.Host.default_config with retention })
+          (Mtrace.Scale.find row)
+      in
+      check Alcotest.int (row ^ " " ^ scheme ^ " oracle clean") 0 res.oracle_violations;
+      check Alcotest.int (row ^ " " ^ scheme ^ " everything recovered") 0 res.unrecovered)
+    [
+      ("SCALE-ss-96", "recent", 145, 850166L, "link-flap", Some Rdomain.Auto);
+      ("SCALE-dc-48", "hotspot", 108, 70135L, "jitter-reorder", None);
+    ]
+
+(* A reply the departed replier sent before leaving used to revive it
+   on arrival: on SCALE-dc-48 at 200 packets, seed 313912, under
+   churn-steady, node 76 heard one from replier 73 after 73 left and
+   sent it 3 expedited requests, past the oracle's straddler
+   allowance. *)
+let test_stale_reply_departed () =
+  let res =
+    Harness.Runner.run_leg ~n_packets:200 ~fault:"churn-steady" ~seed:313912L
+      (Harness.Runner.Cesrm_protocol Cesrm.Host.default_config)
+      (Mtrace.Scale.find "SCALE-dc-48")
+  in
+  check Alcotest.int "oracle clean" 0 res.oracle_violations;
+  check Alcotest.int "accounting" res.detected
+    (Stats.Recovery.count res.recoveries + res.forgiven + res.unrecovered)
+
+(* --- Composition battery ---------------------------------------------- *)
+
+(* Every lever against every other: protocol (SRM, CESRM under each
+   retention scheme, LMS) × fault plan × steady mode × recovery
+   domains × shards × row × packets × seed. A rejected draw must carry
+   the reason the rules below predict. Every other draw must run clean
+   and obey the identity laws: an infinite window ≡ no steady mode, a
+   16-packet window ≡ one that never retires, 2 shards ≡ 1 whenever
+   [shardable] allows sharding. *)
+
+type steady_draw = No_steady | Infinite | Windowed of { records : bool }
+
+type draw = {
+  protocol : string;  (** ["srm"], ["lms"], or a CESRM retention name *)
+  fault : string option;
+  steady : steady_draw;
+  domains : bool;
+  shards : int;
+  row : string;
+  n_packets : int;
+  seed : int64;
+}
+
+let print_draw d =
+  Printf.sprintf "%s on %s, %d packets, seed %Ld, faults %s, steady %s, domains %b, shards %d"
+    d.protocol d.row d.n_packets d.seed
+    (Option.value d.fault ~default:"none")
+    (match d.steady with
+    | No_steady -> "none"
+    | Infinite -> "infinite"
+    | Windowed { records } -> Printf.sprintf "windowed 16 (records %b)" records)
+    d.domains d.shards
+
+let composition_gen =
+  QCheck.Gen.(
+    let* protocol = oneofl [ "srm"; "recent"; "recent:1"; "lru"; "ttl"; "hotspot"; "lms" ] in
+    let* fault =
+      oneofl (None :: List.map Option.some (Fault.Plan.canned_names @ Fault.Plan.churn_names))
+    in
+    let* steady =
+      oneofl [ No_steady; Infinite; Windowed { records = true }; Windowed { records = false } ]
+    in
+    let* domains = bool in
+    let* shards = oneofl [ 1; 2 ] in
+    let* row = oneofl [ "SCALE-bf-48"; "SCALE-dc-48"; "SCALE-ss-96" ] in
+    let* n_packets = int_range 60 200 in
+    let+ seed = int_bound 1_000_000 in
+    { protocol; fault; steady; domains; shards; row; n_packets; seed = Int64.of_int seed })
+
+(* The rules, restated independently of [Runner.rejected]. *)
+let predicted_rejection d =
+  match d.protocol with
+  | "lms" when d.domains -> Some "LMS with recovery domains"
+  | "lms" when d.fault <> None -> Some "LMS under a fault plan"
+  | _ -> None
+
+(* Everything a run reports, bit for bit, except the makespan figure
+   (see [makespan_face]). *)
+let exact_face (r : Harness.Runner.result) =
+  let lat = Stats.Recovery.latency_summary r.recoveries in
+  Printf.sprintf
+    "counters=%s detected=%d unrecovered=%d forgiven=%d recovered=%d exp=%d/%d audit=%d \
+     oracle=%d cost=%d/%d/%d lat=%.17g/%d"
+    (String.concat ","
+       (List.map
+          (fun k -> string_of_int (Stats.Counters.total r.counters k))
+          Stats.Counters.all_kinds))
+    r.detected r.unrecovered r.forgiven
+    (Stats.Recovery.count r.recoveries)
+    r.exp_requests r.exp_replies r.audit_violations r.oracle_violations
+    (Net.Cost.retransmission_overhead r.cost)
+    (Net.Cost.control_overhead r.cost ~multicast:true)
+    (Net.Cost.control_overhead r.cost ~multicast:false)
+    (Stats.Summary.mean lat) (Stats.Summary.count lat)
+
+(* Count, max, mean, p50 and p99 of the makespan. A records-off run
+   flushes retired spans into a sketch, so against a run that never
+   retires its mean agrees to rounding and its percentiles to the
+   sketch's 1/16 bucket bound. *)
+let makespan_face (r : Harness.Runner.result) =
+  let mk = Stats.Recovery.makespan_summary r.recoveries in
+  ( Stats.Summary.count mk,
+    Stats.Summary.max mk,
+    [
+      (Stats.Summary.mean mk, 1e-9);
+      (Stats.Summary.percentile mk 0.5, 1. /. 16.);
+      (Stats.Summary.percentile mk 0.99, 1. /. 16.);
+    ] )
+
+let same_makespan ~sketched a b =
+  let n, max_a, qa = makespan_face a and n', max_b, qb = makespan_face b in
+  n = n'
+  && Float.equal max_a max_b
+  && List.for_all2
+       (fun (x, bound) (y, _) ->
+         Float.equal x y || (sketched && Float.abs (x -. y) <= bound *. Float.abs y))
+       qa qb
+
+let composition_case d =
+  let protocol =
+    match d.protocol with
+    | "srm" -> Harness.Runner.Srm_protocol
+    | "lms" -> Harness.Runner.Lms_protocol
+    | scheme ->
+        Harness.Runner.Cesrm_protocol
+          {
+            Cesrm.Host.default_config with
+            retention = Option.get (Cesrm.Retention.of_name scheme);
+          }
+  in
+  let domains = if d.domains then Some Rdomain.Auto else None in
+  let row = Mtrace.Scale.find d.row in
+  let steady, reference =
+    match d.steady with
+    | No_steady -> (None, None)
+    | Infinite -> (Some Steady.Config.infinite, None)
+    | Windowed { records } ->
+        ( Some (Steady.Config.windowed ~retain_records:records 16),
+          Some (Steady.Config.windowed ~retain_records:records d.n_packets) )
+  in
+  let run ?steady shards =
+    Harness.Runner.run_leg ~n_packets:d.n_packets ?fault:d.fault ~shards ?steady ?domains
+      ~seed:d.seed protocol row
+  in
+  let predicted = predicted_rejection d in
+  match Harness.Runner.rejected ~faulted:(d.fault <> None) ~domains protocol with
+  | Some reason when Some reason = predicted -> (
+      match run ?steady d.shards with
+      | exception Invalid_argument msg when msg = reason -> true
+      | _ -> QCheck.Test.fail_reportf "%s: ran although rejected" (print_draw d))
+  | rejected when rejected <> predicted ->
+      QCheck.Test.fail_reportf "%s: rejected for %s, the rules say %s" (print_draw d)
+        (Option.value rejected ~default:"nothing")
+        (Option.value predicted ~default:"nothing")
+  | _ ->
+      let r = run ?steady d.shards in
+      (* a run that detects nothing tests nothing *)
+      QCheck.assume (r.detected > 0);
+      let churn = match d.fault with Some f -> List.mem f Fault.Plan.churn_names | None -> false in
+      if
+        r.audit_violations <> 0 || r.unrecovered <> 0 || r.oracle_violations <> 0
+        || (r.forgiven <> 0 && not churn)
+      then
+        QCheck.Test.fail_reportf "%s: audit %d, unrecovered %d, forgiven %d, oracle %d"
+          (print_draw d) r.audit_violations r.unrecovered r.forgiven r.oracle_violations;
+      (* The shard law applies where the runner would really shard. *)
+      let shards_law =
+        d.shards > 1
+        &&
+        let trace, _ = Harness.Runner.inputs ~seed:d.seed ~n_packets:d.n_packets ?steady row in
+        let setup = Harness.Runner.tune_for_trace ?domains trace Harness.Runner.default_setup in
+        let fault_plan =
+          Option.map
+            (fun f -> Result.get_ok (Harness.Runner.fault_plan ~setup trace f))
+            d.fault
+        in
+        Harness.Runner.shardable ~tracer:None ~fault_plan ~setup ~steady ~domains protocol = None
+      in
+      if d.steady <> No_steady || shards_law then begin
+        let expected = run ?steady:reference 1 in
+        let sketched = d.steady = Windowed { records = false } in
+        if exact_face r <> exact_face expected || not (same_makespan ~sketched r expected) then
+          QCheck.Test.fail_reportf "%s: diverges from its reference run@.%s@.vs@.%s"
+            (print_draw d) (exact_face r) (exact_face expected)
+      end;
+      true
+
+let prop_composition =
+  QCheck.Test.make ~name:"lever composition: rejected by name, else clean and lawful" ~count:200
+    ~if_assumptions_fail:(`Fatal, 0.5)
+    (QCheck.make ~print:print_draw composition_gen)
+    composition_case
+
 let () =
   Alcotest.run "fault"
     [
@@ -976,6 +1248,8 @@ let () =
           Alcotest.test_case "designated-replier crash" `Quick test_replier_crash_domains;
           qcheck prop_domain_crash_partition_srm;
           qcheck prop_domain_crash_partition_cesrm;
+          Alcotest.test_case "expedited credit to the asked replier" `Quick
+            test_replier_credit;
         ] );
       ( "retirement",
         [
@@ -985,7 +1259,14 @@ let () =
             test_retire_crash_restart;
           Alcotest.test_case "retirement under an active partition" `Quick
             test_retire_under_partition;
+          Alcotest.test_case "late replies for retired losses" `Quick test_retire_late_replies;
         ] );
+      ( "rejected",
+        [
+          Alcotest.test_case "LMS under every canned plan" `Quick test_reject_lms_faulted;
+          Alcotest.test_case "LMS with recovery domains" `Quick test_reject_lms_domains;
+        ] );
+      ("compose", [ qcheck prop_composition ]);
       ( "churn",
         [
           Alcotest.test_case "churn plan json round-trip" `Quick test_churn_plan_json_roundtrip;
@@ -1002,5 +1283,7 @@ let () =
           Alcotest.test_case "oracle rejects departed-replier retries" `Quick
             test_oracle_rejects_departed_replier_retries;
           Alcotest.test_case "empty group mid-stream" `Quick test_empty_group_mid_stream;
+          Alcotest.test_case "stale reply from a departed replier" `Quick
+            test_stale_reply_departed;
         ] );
     ]

@@ -118,10 +118,10 @@ let test_lossy_recovery_still_completes () =
   let gen = Mtrace.Generator.synthesize ~n_packets:1200 (Mtrace.Meta.nth 4) in
   let att = Harness.Runner.attribution_of_trace gen.trace in
   let setup = { Harness.Runner.default_setup with lossy_recovery = true } in
-  let srm = Harness.Runner.run ~setup Harness.Runner.Srm_protocol gen.trace att in
+  let srm = Harness.Runner.run_model ~setup Harness.Runner.Srm_protocol gen.trace (Harness.Runner.Attributed att) in
   let cesrm =
-    Harness.Runner.run ~setup (Harness.Runner.Cesrm_protocol Cesrm.Host.default_config)
-      gen.trace att
+    Harness.Runner.run_model ~setup (Harness.Runner.Cesrm_protocol Cesrm.Host.default_config)
+      gen.trace (Harness.Runner.Attributed att)
   in
   check Alcotest.int "srm complete under lossy recovery" 0 srm.unrecovered;
   check Alcotest.int "cesrm complete under lossy recovery" 0 cesrm.unrecovered
@@ -133,7 +133,7 @@ let test_link_delay_invariance () =
   let att = Harness.Runner.attribution_of_trace gen.trace in
   let avg_at link_delay =
     let setup = { Harness.Runner.default_setup with link_delay } in
-    let res = Harness.Runner.run ~setup Harness.Runner.Srm_protocol gen.trace att in
+    let res = Harness.Runner.run_model ~setup Harness.Runner.Srm_protocol gen.trace (Harness.Runner.Attributed att) in
     let s = Stats.Summary.create () in
     List.iter
       (fun (node, _) ->
@@ -149,7 +149,7 @@ let test_link_delay_invariance () =
 let test_deterministic_runs () =
   let gen = Mtrace.Generator.synthesize ~n_packets:800 (Mtrace.Meta.nth 4) in
   let att = Harness.Runner.attribution_of_trace gen.trace in
-  let run () = Harness.Runner.run Harness.Runner.Srm_protocol gen.trace att in
+  let run () = Harness.Runner.run_model Harness.Runner.Srm_protocol gen.trace (Harness.Runner.Attributed att) in
   let a = run () and b = run () in
   check Alcotest.int "same recovery count" (Stats.Recovery.count a.recoveries)
     (Stats.Recovery.count b.recoveries);
@@ -165,9 +165,9 @@ let test_data_jitter_reordering () =
   let jitter = 2.5 *. Mtrace.Trace.period gen.trace in
   let run reorder_delay =
     let setup = { Harness.Runner.default_setup with data_jitter = jitter } in
-    Harness.Runner.run ~setup
+    Harness.Runner.run_model ~setup
       (Harness.Runner.Cesrm_protocol { Cesrm.Host.default_config with reorder_delay })
-      gen.trace att
+      gen.trace (Harness.Runner.Attributed att)
   in
   let eager = run 0. and guarded = run (2. *. jitter) in
   check Alcotest.int "still complete (eager)" 0 eager.unrecovered;
@@ -179,7 +179,7 @@ let test_lossy_sessions_unchanged () =
   let gen = Mtrace.Generator.synthesize ~n_packets:1200 (Mtrace.Meta.nth 4) in
   let att = Harness.Runner.attribution_of_trace gen.trace in
   let setup = { Harness.Runner.default_setup with lossy_sessions = true } in
-  let res = Harness.Runner.run ~setup Harness.Runner.Srm_protocol gen.trace att in
+  let res = Harness.Runner.run_model ~setup Harness.Runner.Srm_protocol gen.trace (Harness.Runner.Attributed att) in
   check Alcotest.int "lossy sessions: still complete" 0 res.unrecovered
 
 (* --- protocol audit ------------------------------------------------- *)

@@ -360,10 +360,10 @@ let test_tracing_is_observational () =
   let gen = Mtrace.Generator.synthesize ~n_packets:200 (Mtrace.Meta.nth 4) in
   let att = Harness.Runner.attribution_of_trace gen.trace in
   let proto = Harness.Runner.Cesrm_protocol Cesrm.Host.default_config in
-  let plain = Harness.Runner.run proto gen.trace att in
+  let plain = Harness.Runner.run_model proto gen.trace (Harness.Runner.Attributed att) in
   let tracer = Obs.Trace.create () in
   let registry = Obs.Registry.create () in
-  let traced = Harness.Runner.run ~tracer ~registry proto gen.trace att in
+  let traced = Harness.Runner.run_model ~tracer ~registry proto gen.trace (Harness.Runner.Attributed att) in
   check Alcotest.string "fingerprints identical" (fingerprint plain) (fingerprint traced);
   Alcotest.(check bool) "trace non-empty" true (Obs.Trace.recorded tracer > 0);
   Alcotest.(check bool) "registry populated" false (Obs.Registry.is_empty registry);

@@ -277,16 +277,28 @@ let test_infeasible_fallback () =
   in
   check Alcotest.string "link jitter falls back to serial" (fingerprint faulted_serial)
     (fingerprint faulted);
+  (* Two replies reach node 78 of this leg at the same instant; a
+     sharded replay acted on them in the other order and diverged. *)
+  let same_instant shards =
+    Harness.Runner.run_leg ~n_packets:112 ~shards ~seed:174277L
+      (Harness.Runner.Cesrm_protocol Cesrm.Host.default_config)
+      (Mtrace.Scale.find "SCALE-ss-96")
+  in
+  check Alcotest.string "CESRM falls back to serial" (fingerprint (same_instant 1))
+    (fingerprint (same_instant 2));
   (* every fallback names its reason, which run and compare print *)
   let reason ?tracer ?steady ?domains ?(setup = Harness.Runner.default_setup) protocol =
     Harness.Runner.shardable ~tracer ~fault_plan:None ~setup ~steady ~domains protocol
   in
   let cesrm = Harness.Runner.Cesrm_protocol Cesrm.Host.default_config in
+  let srm = Harness.Runner.Srm_protocol in
   List.iter
     (fun (expected, got) -> check Alcotest.(option string) "serial reason" expected got)
     [
-      (None, reason cesrm);
-      (None, reason ~steady:Steady.Config.infinite cesrm);
+      (None, reason srm);
+      (None, reason ~steady:Steady.Config.infinite srm);
+      (Some "CESRM expedited recovery", reason cesrm);
+      (Some "CESRM expedited recovery", reason ~steady:Steady.Config.infinite cesrm);
       (Some "event tracing", reason ~tracer:(Obs.Trace.create ()) cesrm);
       (Some "recovery domains", reason ~domains:Rdomain.Auto cesrm);
       (Some "lossy recovery/sessions", reason ~setup Harness.Runner.Srm_protocol);

@@ -186,18 +186,18 @@ let test_domains_compose_steady () =
 
 let retention_of name = Option.get (Cesrm.Retention.of_name name)
 
-let run_adv ?cache_policy ?shards ?steady trace protocol =
-  Harness.Runner.run_leg ?cache_policy ?shards ?steady ~seed:42L protocol
-    (Mtrace.Scale.find trace)
+(* CESRM with the named retention scheme. *)
+let cesrm_at name =
+  Harness.Runner.Cesrm_protocol { Cesrm.Host.default_config with retention = retention_of name }
+
+let run_adv ?shards ?steady trace protocol =
+  Harness.Runner.run_leg ?shards ?steady ~seed:42L protocol (Mtrace.Scale.find trace)
 
 let check_adv_fingerprint name expected trace policy () =
-  let protocol, cache_policy =
-    match policy with
-    | None -> (Harness.Runner.Srm_protocol, None)
-    | Some p ->
-        (Harness.Runner.Cesrm_protocol Cesrm.Host.default_config, Some (retention_of p))
+  let protocol =
+    match policy with None -> Harness.Runner.Srm_protocol | Some p -> cesrm_at p
   in
-  let res = run_adv ?cache_policy trace protocol in
+  let res = run_adv trace protocol in
   check Alcotest.int (name ^ " audit clean") 0 res.Harness.Runner.audit_violations;
   check Alcotest.string name expected (fingerprint res)
 
@@ -210,10 +210,7 @@ let test_multi_entry_beats_one_entry () =
   (* The acceptance criterion: on the phase-shifting scenario a
      multi-entry retention scheme beats the paper's 1-entry
      most-recent cache on expedited success rate. *)
-  let run p =
-    run_adv ~cache_policy:(retention_of p) "SCALE-ps-1024"
-      (Harness.Runner.Cesrm_protocol Cesrm.Host.default_config)
-  in
+  let run p = run_adv "SCALE-ps-1024" (cesrm_at p) in
   let baseline = expedited_success (run "recent:1") in
   let hotspot = expedited_success (run "hotspot") in
   let lru = expedited_success (run "lru") in
@@ -224,21 +221,16 @@ let test_multi_entry_beats_one_entry () =
     (lru > baseline)
 
 let test_default_policy_invisible () =
-  (* Passing the default retention explicitly must be byte-identical to
-     not passing one at all — on the pinned dc-1024 golden row and on
-     an adversarial row. *)
+  (* Naming the default retention explicitly must be byte-identical to
+     the default config — on the golden dc-1024 row and on an
+     adversarial row. *)
+  let cesrm = Harness.Runner.Cesrm_protocol Cesrm.Host.default_config in
   let pairs =
     [
-      ("dc-1024", fingerprint (run_dc Harness.Runner.Srm_protocol),
-       fingerprint
-         (Harness.Runner.run_leg ~cache_policy:Cesrm.Retention.default ~n_packets:40
-            ~seed:42L Harness.Runner.Srm_protocol dc_row));
+      ("dc-1024", fingerprint (run_dc cesrm), fingerprint (run_dc (cesrm_at "recent")));
       ( "ps-1024",
-        fingerprint
-          (run_adv "SCALE-ps-1024" (Harness.Runner.Cesrm_protocol Cesrm.Host.default_config)),
-        fingerprint
-          (run_adv ~cache_policy:Cesrm.Retention.default "SCALE-ps-1024"
-             (Harness.Runner.Cesrm_protocol Cesrm.Host.default_config)) );
+        fingerprint (run_adv "SCALE-ps-1024" cesrm),
+        fingerprint (run_adv "SCALE-ps-1024" (cesrm_at "recent")) );
     ]
   in
   List.iter (fun (name, plain, explicit) -> check Alcotest.string name plain explicit) pairs
@@ -248,14 +240,12 @@ let test_adversarial_compose () =
      adversarial trace path: both compose to the serial eager result
      (adversarial families are eager-only, so a finite window is the
      one thing that may not engage here). *)
-  let protocol = Harness.Runner.Cesrm_protocol Cesrm.Host.default_config in
-  let policy = retention_of "hotspot" in
-  let serial = fingerprint (run_adv ~cache_policy:policy "SCALE-ps-1024" protocol) in
-  let sharded = fingerprint (run_adv ~cache_policy:policy ~shards:2 "SCALE-ps-1024" protocol) in
+  let protocol = cesrm_at "hotspot" in
+  let serial = fingerprint (run_adv "SCALE-ps-1024" protocol) in
+  let sharded = fingerprint (run_adv ~shards:2 "SCALE-ps-1024" protocol) in
   check Alcotest.string "ps-1024 serial = 2 shards" serial sharded;
   let steady =
-    fingerprint
-      (run_adv ~cache_policy:policy ~steady:Steady.Config.infinite "SCALE-ps-1024" protocol)
+    fingerprint (run_adv ~steady:Steady.Config.infinite "SCALE-ps-1024" protocol)
   in
   check Alcotest.string "ps-1024 serial = infinite steady" serial steady
 
@@ -317,6 +307,7 @@ let scale_spec =
     link_delay_ms = 20.;
     lossy_recovery = false;
     faults = [];
+    domains = None;
   }
 
 let test_sweep_identity_at_scale () =

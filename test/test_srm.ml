@@ -308,7 +308,7 @@ let test_adaptive_run_completes () =
   let setup =
     { Harness.Runner.default_setup with params = { Srm.Params.default with adaptive = true } }
   in
-  let res = Harness.Runner.run ~setup Harness.Runner.Srm_protocol gen.trace att in
+  let res = Harness.Runner.run_model ~setup Harness.Runner.Srm_protocol gen.trace (Harness.Runner.Attributed att) in
   Alcotest.check Alcotest.int "adaptive SRM recovers everything" 0 res.unrecovered
 
 let test_multi_source_recovery () =
@@ -340,7 +340,7 @@ let test_full_trace_completeness () =
   (* Integration: a generated trace has every detected loss repaired. *)
   let gen = Mtrace.Generator.synthesize ~n_packets:1500 (Mtrace.Meta.nth 4) in
   let att = Harness.Runner.attribution_of_trace gen.trace in
-  let res = Harness.Runner.run Harness.Runner.Srm_protocol gen.trace att in
+  let res = Harness.Runner.run_model Harness.Runner.Srm_protocol gen.trace (Harness.Runner.Attributed att) in
   check Alcotest.int "no unrecovered losses" 0 res.unrecovered;
   check Alcotest.bool "plenty recovered" true (Stats.Recovery.count res.recoveries > 100)
 

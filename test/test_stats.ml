@@ -56,6 +56,28 @@ let test_summary_percentile () =
   let approx = Stats.Summary.percentile no_samples 0.5 in
   Alcotest.(check bool) "sketch median within bound" true (Float.abs (approx -. 51.) <= 51. /. 16.)
 
+(* The sketch answers at the retained samples' rank, round(q (n-1)),
+   not at its own nearest rank ceil(q n): with one outlier in 60
+   samples, p99 is the bulk's value, not the outlier's. *)
+let test_summary_sketch_rank () =
+  let kept = Stats.Summary.create () and sketched = Stats.Summary.create ~keep_samples:false () in
+  for i = 1 to 60 do
+    let x = if i = 60 then 10. else 1. +. (float_of_int i /. 1000.) in
+    Stats.Summary.add kept x;
+    Stats.Summary.add sketched x
+  done;
+  List.iter
+    (fun q ->
+      let exact = Stats.Summary.percentile kept q in
+      let approx = Stats.Summary.percentile sketched q in
+      Alcotest.(check bool)
+        (Printf.sprintf "p%g %.4f within the bucket bound of %.4f" (100. *. q) approx exact)
+        true
+        (Float.abs (approx -. exact) <= exact /. 16.))
+    [ 0.01; 0.25; 0.5; 0.9; 0.99 ];
+  check (Alcotest.float 1e-9) "rank n-1 is the exact max" 10.
+    (Stats.Summary.percentile sketched 0.999)
+
 let test_summary_percentile_edges () =
   (* Boundary behaviour pinned: empty -> nan, NaN q / out-of-range q ->
      Invalid_argument, single sample -> that sample for every q,
@@ -224,6 +246,7 @@ let () =
           Alcotest.test_case "percentile edges" `Quick test_summary_percentile_edges;
           Alcotest.test_case "merge" `Quick test_summary_merge;
           qcheck prop_summary_matches_naive;
+          Alcotest.test_case "sketch percentile rank" `Quick test_summary_sketch_rank;
         ] );
       ( "recovery",
         [

@@ -318,6 +318,29 @@ let test_retirement_happens () =
   Alcotest.(check bool) "recovery count survives records-off" true
     (Stats.Recovery.count r.recoveries > 0)
 
+(* Records-off makespan percentiles read retired spans from the
+   sketch at the retained samples' rank: on SCALE-bf-128 at 200
+   packets, seed 7, a 16-packet window used to report the max (2.407 s
+   SRM, 2.427 s CESRM) as p99 against 1.852 s and 1.593 s without
+   retirement. *)
+let test_records_off_makespan_p99 () =
+  let row = Mtrace.Scale.find "SCALE-bf-128" in
+  List.iter
+    (fun protocol ->
+      let p99 window =
+        let steady = Steady.Config.windowed ~retain_records:false window in
+        let r = Harness.Runner.run_leg ~n_packets:200 ~seed:7L ~steady protocol row in
+        Stats.Summary.percentile (Stats.Recovery.makespan_summary r.recoveries) 0.99
+      in
+      let retiring = p99 16 and never = p99 200 in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s p99 %.3f s within the bucket bound of %.3f s"
+           (Harness.Runner.protocol_name protocol)
+           retiring never)
+        true
+        (Float.abs (retiring -. never) <= never /. 16.))
+    [ Harness.Runner.Srm_protocol; Harness.Runner.Cesrm_protocol Cesrm.Host.default_config ]
+
 let () =
   Alcotest.run "steady"
     [
@@ -343,5 +366,6 @@ let () =
         [
           QCheck_alcotest.to_alcotest battery;
           Alcotest.test_case "retirement happens" `Quick test_retirement_happens;
+          Alcotest.test_case "records-off makespan p99" `Quick test_records_off_makespan_p99;
         ] );
     ]
