@@ -58,8 +58,9 @@ type t = {
   tree : Tree.t;
   delays : float array; (* per link id; slot 0 unused *)
   bandwidth_bps : float;
-  routes : Routes.t; (* precomputed traversal orders; see routes.mli *)
+  routes : Routes.t; (* static preorder arrays; see routes.mli *)
   arrive : float array; (* scratch: per-node arrival time of the packet in flight *)
+  chain : int array; (* scratch: the root-ward node chain of the walk in progress *)
   mutable drop : link:int -> down:bool -> Packet.t -> bool;
   handlers : (Packet.t -> unit) option array;
   enabled : bool array; (* crashed / departed members are disabled *)
@@ -158,8 +159,9 @@ let create_heterogeneous ~engine ~tree ~delays ?(bandwidth_bps = 1.5e6) () =
       tree;
       delays;
       bandwidth_bps;
-      routes = Routes.create ~tree ~delays;
+      routes = Routes.create tree;
       arrive = Array.make n 0.;
+      chain = Array.make (Tree.height tree + 1) 0;
       drop = no_drop;
       handlers = Array.make n None;
       enabled = Array.make n true;
@@ -239,11 +241,45 @@ let cost t = t.cost
 
 let link_delay t l = t.delays.(l)
 
+(* Climb [src] and [dst] to their LCA through the parent and depth
+   arrays, keeping [dst]'s side in the scratch chain: [chain.(0 .. k-1)]
+   holds the nodes from [dst] up to just below the LCA, [chain.(k)] the
+   LCA itself, and [k] is returned — so [chain.(j + 1)] is the parent of
+   [chain.(j)] for every [j < k]. One helper serves every unicast leg,
+   {!dist} and {!delivery_rank}; none of them, nor [flood] (which keeps
+   its ancestors in the same chain), runs inside another. *)
+let climb_to_lca t ~src ~dst =
+  let parent = t.routes.Routes.parent and depth = t.routes.Routes.depth in
+  let u = ref src and v = ref dst and k = ref 0 in
+  while !u <> !v do
+    let du = depth.(!u) and dv = depth.(!v) in
+    if du >= dv then u := parent.(!u);
+    if dv >= du then begin
+      t.chain.(!k) <- !v;
+      incr k;
+      v := parent.(!v)
+    end
+  done;
+  t.chain.(!k) <- !v;
+  !k
+
 (* On-demand tree walk instead of a precomputed n x n matrix: the
    matrix was the dominant memory cost at scale (800 MB at 10^4
-   nodes). [Tree.dist] sums link delays in the same order the matrix
-   builder did, so callers see bit-identical floats. *)
-let dist t u v = Tree.dist t.tree ~delay:(fun l -> t.delays.(l)) u v
+   nodes). The sum runs up the source side, then down the destination
+   side — [Tree.dist]'s order, so callers see bit-identical floats —
+   and builds no list. *)
+let dist t u v =
+  let k = climb_to_lca t ~src:u ~dst:v in
+  let lca = t.chain.(k) and parent = t.routes.Routes.parent in
+  let d = ref 0. and x = ref u in
+  while !x <> lca do
+    d := !d +. t.delays.(!x);
+    x := parent.(!x)
+  done;
+  for j = k - 1 downto 0 do
+    d := !d +. t.delays.(t.chain.(j))
+  done;
+  !d
 
 let rtt t u v = 2. *. dist t u v
 
@@ -493,40 +529,34 @@ let tx_of t packet = float_of_int (Packet.size_bits packet) /. t.bandwidth_bps
 
 let is_fifo packet = match packet.Packet.payload with Packet.Data _ -> true | _ -> false
 
-(* Replay a precomputed DFS order: each entry crosses one link and
-   delivers at the entered node; a dropped crossing skips the entry's
-   whole subtree. [arrive] carries per-hop arrival times so the float
-   accumulation is hop-by-hop, exactly as the former recursive walk.
+(* Cross the down links into root-preorder entries [lo, hi) — whole
+   subtrees, each in the order a recursive child walk visits it — and
+   deliver at every node entered; a dropped crossing skips the entry's
+   subtree. [arrive] carries per-hop arrival times, so the float
+   accumulation is hop by hop, exactly as a recursive walk's.
 
    Shard mode prunes non-FIFO walks to the branches that matter here:
-   a down-crossing into a subtree holding none of this shard's nodes,
-   or an up-crossing whose remainder holds none, is skipped whole via
-   the same subtree-skip a drop uses. Kept entries are prefix-closed
-   (a kept entry's predecessor toward the origin is always kept), so
-   the hop-by-hop [arrive] accumulation still sees serial-identical
-   floats. FIFO walks — the source's replicated data floods — are
-   never pruned: their link reservations ([busy]) must advance
-   identically on every shard. *)
-let run_order t ~cat ~cast ~tx ~fifo order packet =
-  let nodes = order.Routes.nodes
-  and prevs = order.Routes.prevs
-  and links = order.Routes.links
-  and skips = order.Routes.skips in
+   a crossing into a subtree holding none of this shard's nodes is
+   skipped whole via the same subtree skip a drop uses ([flood] prunes
+   its up-crossings alike). Kept crossings are prefix-closed (a kept
+   crossing's predecessor toward the origin is always kept), so the
+   hop-by-hop [arrive] accumulation still sees serial-identical floats.
+   FIFO walks — the source's replicated data floods — are never pruned:
+   their link reservations ([busy]) must advance identically on every
+   shard. *)
+let scan t ~cat ~cast ~tx ~fifo lo hi packet =
+  let r = t.routes in
+  let nodes = r.Routes.nodes and prevs = r.Routes.prevs and skips = r.Routes.skips in
   let below = if fifo then [||] else t.sh_below in
-  let n = Array.length nodes in
-  let i = ref 0 in
-  while !i < n do
-    let node = nodes.(!i) and prev = prevs.(!i) and link = links.(!i) in
-    let down = link = node in
-    let keep =
-      Array.length below = 0
-      || (if down then below.(node) > 0 else t.sh_total - below.(prev) > 0)
-    in
-    if not keep then i := !i + skips.(!i)
+  let i = ref lo in
+  while !i < hi do
+    let node = nodes.(!i) in
+    if Array.length below > 0 && below.(node) = 0 then i := !i + skips.(!i)
     else begin
+      let prev = prevs.(!i) in
       let at' =
-        traverse t ~cat ~cast ~link ~down ~from:prev ~to_:node ~at:t.arrive.(prev) ~tx ~fifo
-          packet
+        traverse t ~cat ~cast ~link:node ~down:true ~from:prev ~to_:node ~at:t.arrive.(prev)
+          ~tx ~fifo packet
       in
       if Float.is_nan at' then i := !i + skips.(!i)
       else begin
@@ -536,6 +566,56 @@ let run_order t ~cat ~cast ~tx ~fifo order packet =
       end
     end
   done
+
+(* Everything strictly below [v]: its children's subtrees. *)
+let scan_below t ~cat ~cast ~tx ~fifo v packet =
+  let r = t.routes in
+  let p = r.Routes.pos.(v) in
+  let stop = p + r.Routes.skips.(p) in
+  if p + 1 < stop then scan t ~cat ~cast ~tx ~fifo (p + 1) stop packet
+
+(* The whole-tree flood away from [origin], in the order of a recursive
+   neighbour walk (parent first, then children in [Tree.children]
+   order). Up: climb the parent chain p1, p2, ... while the crossings
+   survive, delivering at each. Down: for each ancestor reached, from
+   the highest to p1, its children's subtrees except the one toward
+   [origin] — the preorder ranges either side of that child's — and
+   finally [origin]'s own children's subtrees. A dropped up-crossing
+   thus loses exactly the levels above it, as in the recursive walk.
+   In shard mode an up-crossing is kept while an owned node lies
+   outside the subtree it leaves. *)
+let flood t ~cat ~cast ~tx ~fifo ~origin packet =
+  let r = t.routes and chain = t.chain in
+  let parent = r.Routes.parent and pos = r.Routes.pos and skips = r.Routes.skips in
+  let below = if fifo then [||] else t.sh_below in
+  chain.(0) <- origin;
+  let m = ref 0 and climbing = ref (parent.(origin) >= 0) in
+  while !climbing do
+    let x = chain.(!m) in
+    let p = parent.(x) in
+    if Array.length below > 0 && t.sh_total - below.(x) <= 0 then climbing := false
+    else begin
+      let at' =
+        traverse t ~cat ~cast ~link:x ~down:false ~from:x ~to_:p ~at:t.arrive.(x) ~tx ~fifo
+          packet
+      in
+      if Float.is_nan at' then climbing := false
+      else begin
+        t.arrive.(p) <- at';
+        deliver t ~node:p ~at:at';
+        incr m;
+        chain.(!m) <- p;
+        climbing := parent.(p) >= 0
+      end
+    end
+  done;
+  for j = !m downto 1 do
+    let pa = pos.(chain.(j)) and pc = pos.(chain.(j - 1)) in
+    let stop_a = pa + skips.(pa) and stop_c = pc + skips.(pc) in
+    if pa + 1 < pc then scan t ~cat ~cast ~tx ~fifo (pa + 1) pc packet;
+    if stop_c < stop_a then scan t ~cat ~cast ~tx ~fifo stop_c stop_a packet
+  done;
+  scan_below t ~cat ~cast ~tx ~fifo origin packet
 
 (* Record an origin cast for the shard exchange: buffered until the
    next conservative sync window, then replayed by every other shard.
@@ -576,8 +656,7 @@ let multicast t ~from packet =
         t.pwalk.(s) <- (e.e_at, e.e_from, e.e_idx)
     | None -> ());
     t.arrive.(from) <- Sim.Engine.now t.engine;
-    run_order t ~cat ~cast:Cost.Multicast ~tx:(tx_of t packet) ~fifo:(is_fifo packet)
-      (Routes.flood_order t.routes from)
+    flood t ~cat ~cast:Cost.Multicast ~tx:(tx_of t packet) ~fifo:(is_fifo packet) ~origin:from
       packet;
     release_pslot t s;
     t.cur_pslot <- saved
@@ -621,31 +700,35 @@ let multicast_replicated t ~from packet =
         t.pwalk.(s) <- (Sim.Engine.now t.engine, from, -2 - i)
     | None -> ());
     t.arrive.(from) <- Sim.Engine.now t.engine;
-    run_order t ~cat ~cast:Cost.Multicast ~tx:(tx_of t packet) ~fifo:(is_fifo packet)
-      (Routes.flood_order t.routes from)
+    flood t ~cat ~cast:Cost.Multicast ~tx:(tx_of t packet) ~fifo:(is_fifo packet) ~origin:from
       packet;
     release_pslot t s;
     t.cur_pslot <- saved
   end
 
-(* Walk a precomputed unicast path; delivery happens only if every hop
-   survives the loss predicate. Returns the arrival time at the path's
-   end, or NaN if any hop dropped. *)
-let walk_path t ~cat ~cast ~from ~at ~tx ~fifo path packet =
-  let hops = path.Routes.hops
-  and plinks = path.Routes.plinks
-  and pdowns = path.Routes.pdowns in
-  let n = Array.length hops in
-  let node = ref from and at = ref at and i = ref 0 in
-  while (not (Float.is_nan !at)) && !i < n do
-    let next = hops.(!i) in
-    let at' =
-      traverse t ~cat ~cast ~link:plinks.(!i) ~down:pdowns.(!i) ~from:!node ~to_:next
-        ~at:!at ~tx ~fifo packet
-    in
-    if not (Float.is_nan at') then node := next;
-    at := at';
-    incr i
+(* Walk the unicast path [from] -> [dst] through their LCA, charged as
+   unicast crossings: up the source side, then down the destination
+   side, the hop order of [Tree.path]. Returns the arrival time at
+   [dst], or NaN if a hop dropped; callers deliver only on arrival. *)
+let walk_path t ~cat ~from ~dst ~at ~tx ~fifo packet =
+  let k = climb_to_lca t ~src:from ~dst in
+  let chain = t.chain and parent = t.routes.Routes.parent in
+  let lca = chain.(k) in
+  let at = ref at and x = ref from in
+  while !x <> lca && not (Float.is_nan !at) do
+    let p = parent.(!x) in
+    at :=
+      traverse t ~cat ~cast:Cost.Unicast ~link:!x ~down:false ~from:!x ~to_:p ~at:!at ~tx ~fifo
+        packet;
+    x := p
+  done;
+  let j = ref (k - 1) in
+  while !j >= 0 && not (Float.is_nan !at) do
+    let c = chain.(!j) in
+    at :=
+      traverse t ~cat ~cast:Cost.Unicast ~link:c ~down:true ~from:chain.(!j + 1) ~to_:c ~at:!at
+        ~tx ~fifo packet;
+    decr j
   done;
   !at
 
@@ -666,10 +749,9 @@ let unicast t ~from ~dst packet =
       (match origin with
       | Some e -> t.pwalk.(s) <- (e.e_at, e.e_from, e.e_idx)
       | None -> ());
-      let path = Routes.path t.routes ~src:from ~dst in
       let at =
-        walk_path t ~cat ~cast:Cost.Unicast ~from ~at:(Sim.Engine.now t.engine)
-          ~tx:(tx_of t packet) ~fifo:(is_fifo packet) path packet
+        walk_path t ~cat ~from ~dst ~at:(Sim.Engine.now t.engine) ~tx:(tx_of t packet)
+          ~fifo:(is_fifo packet) packet
       in
       if not (Float.is_nan at) then deliver t ~node:dst ~at;
       release_pslot t s;
@@ -680,9 +762,7 @@ let unicast t ~from ~dst packet =
 let flood_down t ~cat ~node ~at packet =
   deliver t ~node ~at;
   t.arrive.(node) <- at;
-  run_order t ~cat ~cast:Cost.Subcast ~tx:(tx_of t packet) ~fifo:(is_fifo packet)
-    (Routes.down_order t.routes node)
-    packet
+  scan_below t ~cat ~cast:Cost.Subcast ~tx:(tx_of t packet) ~fifo:(is_fifo packet) node packet
 
 let subcast t ~at:root packet =
   tap t ~from:root packet;
@@ -712,10 +792,9 @@ let relayed_subcast t ~from ~via packet =
     | None -> ());
     (if from = via then flood_down t ~cat ~node:via ~at:(Sim.Engine.now t.engine) packet
      else begin
-       let path = Routes.path t.routes ~src:from ~dst:via in
        let at =
-         walk_path t ~cat ~cast:Cost.Unicast ~from ~at:(Sim.Engine.now t.engine)
-           ~tx:(tx_of t packet) ~fifo:(is_fifo packet) path packet
+         walk_path t ~cat ~from ~dst:via ~at:(Sim.Engine.now t.engine) ~tx:(tx_of t packet)
+           ~fifo:(is_fifo packet) packet
        in
        if not (Float.is_nan at) then flood_down t ~cat ~node:via ~at packet
      end);
@@ -723,25 +802,26 @@ let relayed_subcast t ~from ~via packet =
     t.cur_pslot <- saved
   end
 
-(* Replay a downward DFS order keeping only the branches [scope]
-   accepts. Scope predicates come from {!Rdomain}-style recovery-domain
-   chains, which are closed under tree ancestry inside the flooded
-   subtree: an out-of-scope node has no in-scope descendant, so the
-   whole subtree is skipped in O(1) exactly like a dropped crossing.
-   The sender [skip] never hears its own cast (matching multicast). *)
-let run_scoped t ~cat ~tx ~fifo ~scope ~skip order packet =
-  let nodes = order.Routes.nodes
-  and prevs = order.Routes.prevs
-  and links = order.Routes.links
-  and skips = order.Routes.skips in
-  let n = Array.length nodes in
-  let i = ref 0 in
-  while !i < n do
-    let node = nodes.(!i) and prev = prevs.(!i) and link = links.(!i) in
+(* Flood the subtree below [root] — its root-preorder range — keeping
+   only the branches [scope] accepts. Scope predicates come from
+   {!Rdomain}-style recovery-domain chains, which are closed under tree
+   ancestry inside the flooded subtree: an out-of-scope node has no
+   in-scope descendant, so the whole subtree is skipped in O(1) exactly
+   like a dropped crossing. The sender [skip] never hears its own cast
+   (matching multicast). *)
+let run_scoped t ~cat ~tx ~fifo ~scope ~skip ~root packet =
+  let r = t.routes in
+  let nodes = r.Routes.nodes and prevs = r.Routes.prevs and skips = r.Routes.skips in
+  let p = r.Routes.pos.(root) in
+  let stop = p + skips.(p) in
+  let i = ref (p + 1) in
+  while !i < stop do
+    let node = nodes.(!i) in
     if not (scope node) then i := !i + skips.(!i)
     else begin
+      let prev = prevs.(!i) in
       let at' =
-        traverse t ~cat ~cast:Cost.Subcast ~link ~down:true ~from:prev ~to_:node
+        traverse t ~cat ~cast:Cost.Subcast ~link:node ~down:true ~from:prev ~to_:node
           ~at:t.arrive.(prev) ~tx ~fifo packet
       in
       if Float.is_nan at' then i := !i + skips.(!i)
@@ -767,18 +847,14 @@ let scoped_cast t ~from ~root ~scope packet =
     let s = acquire_pslot t packet in
     (if from = root then begin
        t.arrive.(root) <- Sim.Engine.now t.engine;
-       run_scoped t ~cat ~tx ~fifo ~scope ~skip:from (Routes.down_order t.routes root) packet
+       run_scoped t ~cat ~tx ~fifo ~scope ~skip:from ~root packet
      end
      else begin
-       let path = Routes.path t.routes ~src:from ~dst:root in
-       let at =
-         walk_path t ~cat ~cast:Cost.Unicast ~from ~at:(Sim.Engine.now t.engine) ~tx ~fifo
-           path packet
-       in
+       let at = walk_path t ~cat ~from ~dst:root ~at:(Sim.Engine.now t.engine) ~tx ~fifo packet in
        if not (Float.is_nan at) then begin
          if scope root then deliver t ~node:root ~at;
          t.arrive.(root) <- at;
-         run_scoped t ~cat ~tx ~fifo ~scope ~skip:from (Routes.down_order t.routes root) packet
+         run_scoped t ~cat ~tx ~fifo ~scope ~skip:from ~root packet
        end
      end);
     release_pslot t s;
@@ -827,31 +903,49 @@ let take_observations t =
       sh.sh_obs <- [];
       os
 
+(* [v]'s index in the unpruned walk {!flood} makes from [origin] (-1
+   for [origin] itself). The walk lists the ancestors p1 .. pd first,
+   then blocks B_d .. B_0: B_j is p_j's subtree less p_j and less
+   p_(j-1)'s subtree, in preorder (p_0 = [origin], whose block is its
+   subtree less itself). B_j .. B_0 are p_j's subtree less the j + 1
+   chain nodes, so B_j starts at index n - |subtree p_j| + j. *)
+let walk_rank t ~origin v =
+  if v = origin then -1
+  else begin
+    let r = t.routes in
+    let j = climb_to_lca t ~src:v ~dst:origin in
+    let a = t.chain.(j) in
+    if a = v then j - 1
+    else begin
+      let pa = r.Routes.pos.(a) and pv = r.Routes.pos.(v) in
+      let skipped =
+        if j = 0 then 0
+        else begin
+          let pc = r.Routes.pos.(t.chain.(j - 1)) in
+          if pv > pc then r.Routes.skips.(pc) else 0
+        end
+      in
+      Array.length r.Routes.nodes - r.Routes.skips.(pa) + j + (pv - pa - 1) - skipped
+    end
+  end
+
 (* The firing delivery's serial rank: its walk's cast key plus the
-   delivered node's position in the walk's full (unpruned) precomputed
-   order — the exact (time, seq) FIFO key the serial engine executes
+   delivered node's position in the unpruned flood from the cast's
+   origin — the exact (time, seq) FIFO key the serial engine executes
    same-time deliveries in, reconstructible on any shard because the
-   order arrays are static functions of the tree. The O(n) position
-   scan runs once per tagged recovery, never on the delivery path. *)
+   walk is a static function of the tree. Runs once per tagged
+   recovery, never on the delivery path. *)
 let delivery_rank t =
   match t.shard with
   | None -> None
   | Some _ ->
       if t.cur_deliver_node < 0 || t.cur_deliver_from < 0 then None
-      else begin
-        let order = Routes.flood_order t.routes t.cur_deliver_from in
-        let nodes = order.Routes.nodes in
-        let pos = ref (-1) in
-        (try
-           for i = 0 to Array.length nodes - 1 do
-             if nodes.(i) = t.cur_deliver_node then begin
-               pos := i;
-               raise Exit
-             end
-           done
-         with Exit -> ());
-        Some (t.cur_deliver_at, t.cur_deliver_from, t.cur_deliver_idx, !pos)
-      end
+      else
+        Some
+          ( t.cur_deliver_at,
+            t.cur_deliver_from,
+            t.cur_deliver_idx,
+            walk_rank t ~origin:t.cur_deliver_from t.cur_deliver_node )
 
 (* Replay a remote shard's origin cast: the same walk the origin ran,
    started from the emit's recorded send time, with the origin-side
@@ -875,26 +969,16 @@ let apply_emit t e =
       (match e.e_cast with
       | Ecast_multicast ->
           t.arrive.(e.e_from) <- e.e_at;
-          run_order t ~cat ~cast:Cost.Multicast ~tx ~fifo
-            (Routes.flood_order t.routes e.e_from)
-            packet
+          flood t ~cat ~cast:Cost.Multicast ~tx ~fifo ~origin:e.e_from packet
       | Ecast_unicast dst ->
           if e.e_from <> dst then begin
-            let path = Routes.path t.routes ~src:e.e_from ~dst in
-            let at =
-              walk_path t ~cat ~cast:Cost.Unicast ~from:e.e_from ~at:e.e_at ~tx ~fifo path
-                packet
-            in
+            let at = walk_path t ~cat ~from:e.e_from ~dst ~at:e.e_at ~tx ~fifo packet in
             if not (Float.is_nan at) then deliver t ~node:dst ~at
           end
       | Ecast_relayed via ->
           if e.e_from = via then flood_down t ~cat ~node:via ~at:e.e_at packet
           else begin
-            let path = Routes.path t.routes ~src:e.e_from ~dst:via in
-            let at =
-              walk_path t ~cat ~cast:Cost.Unicast ~from:e.e_from ~at:e.e_at ~tx ~fifo path
-                packet
-            in
+            let at = walk_path t ~cat ~from:e.e_from ~dst:via ~at:e.e_at ~tx ~fifo packet in
             if not (Float.is_nan at) then flood_down t ~cat ~node:via ~at packet
           end);
       release_pslot t s;

@@ -14,7 +14,25 @@
     Loss injection is a pluggable predicate consulted once per directed
     link traversal; dropping a packet on a link prunes the flood below
     that link, which is exactly how a loss on an IP multicast tree link
-    manifests. *)
+    manifests.
+
+    {b Walk order.} Every cast visits links in the order of a recursive
+    neighbour walk from its sender — parent first, then children in
+    {!Tree.children} order — because that order fixes the sequence of
+    loss-predicate calls, random draws and delivery events, and with
+    them the whole run. The walks read only the static arrays of
+    {!Routes}; nothing is built per packet or memoized per origin. A
+    multicast from [o] first climbs the parent chain p1, p2, ... while
+    the crossings survive, delivering at each; then, for each ancestor
+    reached from the highest down to p1, it floods that ancestor's
+    child subtrees except the one toward [o]; then [o]'s own subtrees.
+    Each child's subtree is a contiguous range of the root preorder, so
+    a level costs at most two range scans, and a dropped up-crossing
+    p_i -> p_(i+1) loses exactly the levels above p_i. Subcasts flood
+    their root's preorder range. Unicast legs and {!dist} climb both
+    ends to the LCA and go up the source side, then down the
+    destination side — the hop order of {!Tree.path} and the summation
+    order of {!Tree.dist}. *)
 
 type t
 
@@ -41,22 +59,24 @@ val engine : t -> Sim.Engine.t
 val tree : t -> Tree.t
 
 val routes : t -> Routes.t
-(** The precomputed routing state the delivery primitives replay; see
-    {!Routes}. *)
+(** The static preorder arrays every walk reads; see {!Routes}. *)
 
 val cost : t -> Cost.t
 
 val link_delay : t -> int -> float
 
 val dist : t -> int -> int -> float
-(** True one-way latency between two nodes (sum of link delays). *)
+(** True one-way latency between two nodes (sum of link delays),
+    bit-identical to {!Tree.dist}; allocates nothing per hop. *)
 
 val rtt : t -> int -> int -> float
 
 val set_drop : t -> (link:int -> down:bool -> Packet.t -> bool) -> unit
 (** Install the loss-injection predicate. [down] is true when the
     packet is traversing the link away from the root. Return [true] to
-    drop. The default predicate drops nothing. *)
+    drop. The default predicate drops nothing. It runs inside a walk,
+    which keeps its state in per-network scratch arrays, so it must
+    not call back into this network. *)
 
 val on_receive : t -> int -> (Packet.t -> unit) -> unit
 (** Register node [v]'s delivery handler. Only registered nodes receive
@@ -245,7 +265,8 @@ val apply_emit : t -> emit -> unit
 val delivery_rank : t -> (float * int * int * int) option
 (** Shard mode, during a delivery handler: [(at, from, idx, pos)] — the
     cast key of the walk whose delivery is firing plus the delivered
-    node's position in that walk's full precomputed order. Sorting
+    node's index in the unpruned, drop-free multicast walk from [from]
+    (see {e Walk order} above; [-1] for [from] itself). Sorting
     same-[recovered_at] records by this rank reconstructs the serial
     engine's FIFO execution order among equal-time deliveries, which is
     what makes merged per-shard recovery streams byte-identical to a

@@ -1,171 +1,46 @@
-type order = {
+type t = {
+  parent : int array;
+  depth : int array;
   nodes : int array;
   prevs : int array;
-  links : int array;
   skips : int array;
-  cum : float array;
+  pos : int array;
 }
 
-type path = { hops : int array; plinks : int array; pdowns : bool array }
-
-(* Orders are pure functions of the (static) tree, so caching is a
-   time/space trade only: evicting and rebuilding an entry yields the
-   same arrays and therefore the same simulation. Unbounded per-origin
-   memoization was O(n) orders of O(n) entries each — every member
-   multicasts session packets, so at 10^4 nodes the flood cache alone
-   approached gigabytes. Instead: origin 0 (the data source, by far
-   the hottest origin) is pinned forever, and other origins share a
-   FIFO of [cache_capacity] slots. *)
-let cache_capacity = 64
-
-type cache = {
-  tbl : (int, order) Hashtbl.t;
-  fifo : int Queue.t; (* insertion order of the evictable (non-0) keys *)
-}
-
-let cache_create () = { tbl = Hashtbl.create 64; fifo = Queue.create () }
-
-let cache_add c key v =
-  if key <> 0 then begin
-    if Queue.length c.fifo >= cache_capacity then
-      Hashtbl.remove c.tbl (Queue.pop c.fifo);
-    Queue.push key c.fifo
-  end;
-  Hashtbl.replace c.tbl key v
-
-(* LCA paths are cheap to rebuild, so the path cache is simply reset
-   when it fills rather than tracking eviction order. *)
-let paths_capacity = 4096
-
-type t = {
-  tree : Tree.t;
-  delays : float array;
-  neighbors : int array array;
-  children : int array array;
-  sizes : int array; (* subtree node counts *)
-  floods : cache; (* per multicast origin *)
-  downs : cache; (* per subcast root *)
-  paths : (int, path) Hashtbl.t; (* key: src * n_nodes + dst *)
-}
-
-let empty_order = { nodes = [||]; prevs = [||]; links = [||]; skips = [||]; cum = [||] }
-
-let create ~tree ~delays =
+let create tree =
   let n = Tree.n_nodes tree in
-  if Array.length delays <> n then invalid_arg "Routes.create: delays size";
-  let children = Array.init n (fun v -> Array.of_list (Tree.children tree v)) in
-  let neighbors =
-    Array.init n (fun v ->
-        if v = 0 then children.(v)
-        else Array.append [| Tree.parent tree v |] children.(v))
-  in
-  let sizes = Array.make n 1 in
-  (* Children DFS; every node id is visited once, so an explicit
-     post-order accumulation over a preorder stack is enough. *)
-  let rec accumulate v =
-    Array.iter
-      (fun c ->
-        accumulate c;
-        sizes.(v) <- sizes.(v) + sizes.(c))
-      children.(v)
-  in
-  accumulate 0;
-  {
-    tree;
-    delays;
-    neighbors;
-    children;
-    sizes;
-    floods = cache_create ();
-    downs = cache_create ();
-    paths = Hashtbl.create 64;
-  }
-
-let tree t = t.tree
-
-let neighbors t v = t.neighbors.(v)
-
-let children t v = t.children.(v)
-
-let subtree_size t v = t.sizes.(v)
-
-(* Shared DFS-preorder builder. [succ v prev] enumerates the nodes to
-   enter from [v], in the exact order the former recursive list walk
-   visited them, so packet-level event ordering is preserved. *)
-let build_order ~n_entries ~roots ~origin ~succ t =
-  let nodes = Array.make n_entries 0 in
-  let prevs = Array.make n_entries 0 in
-  let links = Array.make n_entries 0 in
-  let skips = Array.make n_entries 0 in
-  let cum = Array.make n_entries 0. in
+  let parent = Array.init n (Tree.parent tree) in
+  let nodes = Array.make n 0 in
+  let skips = Array.make n 0 in
+  let pos = Array.make n 0 in
   let idx = ref 0 in
-  let rec visit ~prev ~acc v =
+  let rec visit v =
     let i = !idx in
     incr idx;
-    let link = if Tree.parent t.tree v = prev then v else prev in
-    let acc = acc +. t.delays.(link) in
     nodes.(i) <- v;
-    prevs.(i) <- prev;
-    links.(i) <- link;
-    cum.(i) <- acc;
-    Array.iter (fun nb -> if nb <> v && nb <> prev then visit ~prev:v ~acc nb) (succ v);
+    pos.(v) <- i;
+    List.iter visit (Tree.children tree v);
     skips.(i) <- !idx - i
   in
-  Array.iter (fun r -> if r <> origin then visit ~prev:origin ~acc:0. r) roots;
-  assert (!idx = n_entries);
-  { nodes; prevs; links; skips; cum }
+  visit 0;
+  {
+    parent;
+    depth = Array.init n (Tree.depth tree);
+    nodes;
+    prevs = Array.map (fun v -> parent.(v)) nodes;
+    skips;
+    pos;
+  }
 
-let flood_order t origin =
-  match Hashtbl.find_opt t.floods.tbl origin with
-  | Some o -> o
-  | None ->
-      let o =
-        build_order t
-          ~n_entries:(Tree.n_nodes t.tree - 1)
-          ~roots:t.neighbors.(origin) ~origin
-          ~succ:(fun v -> t.neighbors.(v))
-      in
-      cache_add t.floods origin o;
-      o
+let subtree_size t v = t.skips.(t.pos.(v))
 
-let down_order t root =
-  match Hashtbl.find_opt t.downs.tbl root with
-  | Some o -> o
-  | None ->
-      let o =
-        if t.sizes.(root) = 1 then empty_order
-        else
-          build_order t ~n_entries:(t.sizes.(root) - 1) ~roots:t.children.(root)
-            ~origin:root
-            ~succ:(fun v -> t.children.(v))
-      in
-      cache_add t.downs root o;
-      o
+(* A child's subtree follows its previous sibling's, so the children
+   are the entries reached by hopping whole subtrees from [v]'s first. *)
+let children t v =
+  let stop = t.pos.(v) + subtree_size t v in
+  let rec collect i acc =
+    if i >= stop then List.rev acc else collect (i + t.skips.(i)) (t.nodes.(i) :: acc)
+  in
+  Array.of_list (collect (t.pos.(v) + 1) [])
 
-let build_path t ~src ~dst =
-  match Tree.path t.tree src dst with
-  | [] | [ _ ] -> { hops = [||]; plinks = [||]; pdowns = [||] }
-  | _ :: hops_list ->
-      let hops = Array.of_list hops_list in
-      let n = Array.length hops in
-      let plinks = Array.make n 0 in
-      let pdowns = Array.make n false in
-      let prev = ref src in
-      for i = 0 to n - 1 do
-        let next = hops.(i) in
-        let down = Tree.parent t.tree next = !prev in
-        plinks.(i) <- (if down then next else !prev);
-        pdowns.(i) <- down;
-        prev := next
-      done;
-      { hops; plinks; pdowns }
-
-let path t ~src ~dst =
-  let key = (src * Tree.n_nodes t.tree) + dst in
-  match Hashtbl.find_opt t.paths key with
-  | Some p -> p
-  | None ->
-      if Hashtbl.length t.paths >= paths_capacity then Hashtbl.reset t.paths;
-      let p = build_path t ~src ~dst in
-      Hashtbl.replace t.paths key p;
-      p
+let neighbors t v = if v = 0 then children t v else Array.append [| t.parent.(v) |] (children t v)

@@ -1,61 +1,36 @@
-(** Precomputed routing state for a static multicast tree.
+(** Static routing arrays for a multicast tree.
 
-    The tree topology and per-link propagation delays are immutable
-    after {!Network} construction, so every traversal the delivery
-    primitives need — neighbor sets, whole-tree flood orders, downward
-    subcast orders, and unicast paths — can be computed once and then
-    replayed allocation-free for every packet. This removes the
-    per-packet list construction ([Tree.neighbors], [Tree.path],
-    [Tree.on_path_links]) from the simulator's hot path.
+    The tree topology is immutable after {!Network} construction, so
+    every walk the delivery primitives make — whole-tree floods,
+    downward subcasts and unicast paths — can be replayed from a few
+    flat arrays built once, with no per-packet list construction and
+    nothing memoized per origin or per pair.
 
-    Flood and subcast orders are DFS preorders stored as flat parallel
-    arrays. Each entry describes one directed link crossing; the
-    [skips] field gives the size of the subtree rooted at that entry so
-    a consumer can prune an entire subtree in O(1) when the crossing is
-    dropped. Orders and paths are memoized on first use and never
-    invalidated (the topology cannot change). *)
+    The arrays describe one DFS preorder from the root, children
+    visited in {!Tree.children} order. Every node's subtree is the
+    contiguous run [pos.(v) .. pos.(v) + skips.(pos.(v)) - 1] of that
+    preorder, so a downward walk below any node is a range scan, and a
+    consumer can prune an entire subtree in O(1) when a crossing is
+    dropped. How {!Network} composes these ranges into a flood from an
+    arbitrary origin is described there. *)
 
-type order = {
-  nodes : int array;  (** visited node per entry, DFS preorder (origin excluded) *)
-  prevs : int array;  (** the node each entry is entered from *)
-  links : int array;  (** link id crossed (= child endpoint of the edge) *)
-  skips : int array;  (** entries spanned by this entry's subtree, itself included *)
-  cum : float array;  (** cumulative propagation delay from the origin *)
+type t = private {
+  parent : int array;  (** [-1] for the root; copied from the tree *)
+  depth : int array;  (** link count from the root *)
+  nodes : int array;  (** the root preorder *)
+  prevs : int array;  (** [parent] of each preorder entry *)
+  skips : int array;  (** entries spanned by each entry's subtree, itself included *)
+  pos : int array;  (** each node's index in [nodes] *)
 }
 
-type path = {
-  hops : int array;  (** node sequence from source to destination, source excluded *)
-  plinks : int array;  (** link id crossed at each hop *)
-  pdowns : bool array;  (** whether each hop moves away from the root *)
-}
-
-type t
-
-val create : tree:Tree.t -> delays:float array -> t
-(** Precompute neighbor/children arrays for [tree] with per-link
-    propagation [delays] (indexed by link id; slot 0 unused). *)
-
-val tree : t -> Tree.t
+val create : Tree.t -> t
+(** Build the arrays for a tree, in O(n). *)
 
 val neighbors : t -> int -> int array
 (** Parent (if any) followed by children — array form of
-    {!Tree.neighbors}. *)
+    {!Tree.neighbors}, read off the preorder. *)
 
 val children : t -> int -> int array
 
 val subtree_size : t -> int -> int
 (** Nodes at or below the given node, itself included. *)
-
-val flood_order : t -> int -> order
-(** [flood_order t origin]: the whole-tree multicast DFS preorder away
-    from [origin], matching the traversal order of a recursive
-    neighbor walk. Memoized per origin. *)
-
-val down_order : t -> int -> order
-(** [down_order t root]: the children-only subcast DFS preorder below
-    [root] ([root] itself excluded). Memoized per root. *)
-
-val path : t -> src:int -> dst:int -> path
-(** The unicast walk from [src] to [dst] (via their LCA), matching
-    {!Tree.path}/{!Tree.on_path_links}. Memoized per pair.
-    [src = dst] yields empty arrays. *)

@@ -634,11 +634,14 @@ let obtain t ~src seq ~expedited ~repaired =
       | Some st ->
           (match st.timer with Some timer -> Sim.Engine.cancel timer | None -> ());
           Hashtbl.remove t.requests (key t ~src ~seq);
-          (match (t.adaptive, st.first_sent, Hashtbl.find_opt t.detect_info (key t ~src ~seq)) with
-          | Some a, Some sent, Some detected ->
-              let d = Float.max 1e-9 (dist_to_source ~src t) in
-              Adaptive.note_request_cycle a ~dups:st.dup_requests
-                ~delay_in_d:((sent -. detected) /. d)
+          (match (t.adaptive, st.first_sent) with
+          | Some a, Some sent -> (
+              match Hashtbl.find_opt t.detect_info (key t ~src ~seq) with
+              | Some detected ->
+                  let d = Float.max 1e-9 (dist_to_source ~src t) in
+                  Adaptive.note_request_cycle a ~dups:st.dup_requests
+                    ~delay_in_d:((sent -. detected) /. d)
+              | None -> ())
           | _ -> ());
           st.backoff
     in
@@ -833,8 +836,9 @@ let handle_reply t payload ~src ~seq ~requestor ~replier =
     | None -> ());
     (* Adaptive: a reply for something we also replied to recently is a
        duplicate our timers failed to suppress. *)
-    (match (t.adaptive, Hashtbl.find_opt t.replied (key t ~src ~seq)) with
-    | Some a, Some _ -> Adaptive.note_reply_cycle a ~dups:1 ~delay_in_d:1.
+    (match t.adaptive with
+    | Some a when Hashtbl.mem t.replied (key t ~src ~seq) ->
+        Adaptive.note_reply_cycle a ~dups:1 ~delay_in_d:1.
     | _ -> ());
     open_reply_abstinence t ~src seq ~requestor;
     let expedited =
@@ -908,9 +912,9 @@ let create ?domain ~network ~self ~params ~n_packets ~counters ~recoveries () =
   let get_max_seqs_cell = ref (fun () -> []) in
   let on_max_seq_cell = ref (fun ~src:_ (_ : int) -> ()) in
   (* Oracle distances are memoized per host: the underlying tree walk
-     is O(depth) and allocating, while the scheduling hot path asks for
-     the same few peers (the source, recent requestors) over and over.
-     The memo only ever holds those few. *)
+     is O(depth), while the scheduling hot path asks for the same few
+     peers (the source, recent requestors) over and over. The memo
+     only ever holds those few. *)
   let oracle =
     if params.Params.oracle_distances then (
       let memo = Hashtbl.create 8 in

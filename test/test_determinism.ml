@@ -2,7 +2,7 @@
 
    The expected strings below were captured from the pre-route-cache,
    pre-slot-heap implementation (the straightforward recursive tree
-   walks and the timer-record event heap). The route cache, the
+   walks and the timer-record event heap). The static route arrays, the
    allocation-free event core and the packed per-loss keys are pure
    representation changes: same seeds must yield byte-identical
    counters and recovery latencies. The latency sum is compared as a

@@ -535,84 +535,273 @@ let test_membership_crash_is_not_departure () =
   Net.Network.set_enabled network 4 true;
   check Alcotest.bool "and stays one after restart" true (Net.Network.is_member network 4)
 
-(* --- Routes: precomputed orders agree with the Tree walks ------------- *)
+(* --- Routes: every cast replays the recursive neighbour walk ---------- *)
 
-let routes_of parents =
-  let tree = Net.Tree.of_parents parents in
-  let delays =
-    Array.init (Net.Tree.n_nodes tree) (fun l ->
-        if l = 0 then 0. else 0.001 *. float_of_int (1 + (l mod 7)))
+(* A random tree; per-link delays from a small set, so equal arrival
+   times (which the engine fires in schedule order) are common; a
+   random set of directed crossings to drop; a scope cut for scoped
+   casts; and a 1 KB reply or a size-0 request. *)
+type walk_case = {
+  parents : int array;
+  units : int array; (* per-link delay in ms; slot 0 unused *)
+  drops : (int * bool) list; (* (link, down) crossings the loss predicate drops *)
+  cuts : int list; (* scoped casts exclude these nodes' subtrees *)
+  payload : bool;
+}
+
+let arbitrary_walk_case =
+  let gen =
+    QCheck.Gen.(
+      random_parents_gen >>= fun parents ->
+      let n = Array.length parents in
+      array_repeat n (int_range 1 3) >>= fun units ->
+      list_size (int_range 0 (n / 3)) (pair (int_range 1 (n - 1)) bool) >>= fun drops ->
+      list_size (int_range 0 (n / 4)) (int_range 0 (n - 1)) >>= fun cuts ->
+      bool >>= fun payload -> return { parents; units; drops; cuts; payload })
   in
-  (tree, delays, Net.Routes.create ~tree ~delays)
+  let ints l = String.concat "," (List.map string_of_int l) in
+  QCheck.make gen ~print:(fun c ->
+      Printf.sprintf "parents %s; ms %s; drops %s; cuts %s; payload %b"
+        (ints (Array.to_list c.parents))
+        (ints (Array.to_list c.units))
+        (String.concat ","
+           (List.map
+              (fun (l, down) -> Printf.sprintf "%d%s" l (if down then "v" else "^"))
+              c.drops))
+        (ints c.cuts) c.payload)
 
-(* An order entry's subtree is the contiguous run [i .. i+skips-1]; it
-   must hold exactly the later entries whose tree path from [origin]
-   passes through this entry's node. *)
-let check_order ~what tree delays origin (o : Net.Routes.order) expected_nodes =
-  let n = Array.length o.nodes in
-  if List.sort compare (Array.to_list o.nodes) <> List.sort compare expected_nodes then
-    Alcotest.failf "%s: wrong node set from %d" what origin;
-  for i = 0 to n - 1 do
-    let node = o.nodes.(i) in
-    let path = Net.Tree.path tree origin node in
-    (match List.rev path with
-    | _ :: prev :: _ ->
-        if o.prevs.(i) <> prev then Alcotest.failf "%s: prev of %d" what node
-    | _ -> Alcotest.failf "%s: degenerate path to %d" what node);
-    let link = if Net.Tree.parent tree node = o.prevs.(i) then node else o.prevs.(i) in
-    if o.links.(i) <> link then Alcotest.failf "%s: link of %d" what node;
-    let d = Net.Tree.dist tree ~delay:(fun l -> delays.(l)) origin node in
-    if Float.abs (o.cum.(i) -. d) > 1e-9 then Alcotest.failf "%s: cum of %d" what node;
-    let in_subtree = ref 0 in
-    for j = i to n - 1 do
-      if List.mem node (Net.Tree.path tree origin o.nodes.(j)) then incr in_subtree
-    done;
-    if o.skips.(i) <> !in_subtree then Alcotest.failf "%s: skips of %d" what node
+type cast =
+  | Multicast of int
+  | Subcast of int
+  | Relayed of int * int (* from, via *)
+  | Scoped of int * int (* from, root *)
+  | Unicast of int * int
+
+let show_cast = function
+  | Multicast o -> Printf.sprintf "multicast from %d" o
+  | Subcast r -> Printf.sprintf "subcast at %d" r
+  | Relayed (f, v) -> Printf.sprintf "relayed subcast %d via %d" f v
+  | Scoped (f, r) -> Printf.sprintf "scoped cast %d to %d" f r
+  | Unicast (s, d) -> Printf.sprintf "unicast %d to %d" s d
+
+(* The reference every cast must replay, built on [Tree] lists alone:
+   a recursive neighbour walk (parent first, then children in
+   [Tree.children] order), with unicast legs along [Tree.path]. Returns
+   the crossings attempted, as the loss predicate sees them, and the
+   deliveries in walk order. *)
+let reference tree ~delay ~tx ~dropped ~scope cast at =
+  let crossings = ref [] and deliveries = ref [] in
+  let cross ~from ~to_ at =
+    let down = Net.Tree.parent tree to_ = from in
+    let link = if down then to_ else from in
+    crossings := (link, down) :: !crossings;
+    if dropped (link, down) then None
+    else Some (if tx = 0. then at +. delay link else at +. tx +. delay link)
+  in
+  let deliver v at = deliveries := (v, at) :: !deliveries in
+  let rec walk ~keep ~quiet ~prev v at =
+    if keep v then
+      match cross ~from:prev ~to_:v at with
+      | None -> ()
+      | Some at ->
+          if v <> quiet then deliver v at;
+          List.iter
+            (fun nb -> if nb <> prev then walk ~keep ~quiet ~prev:v nb at)
+            (Net.Tree.neighbors tree v)
+  in
+  let walk_from ?(keep = fun _ -> true) ?(quiet = -1) v nbs at =
+    List.iter (fun nb -> walk ~keep ~quiet ~prev:v nb at) nbs
+  in
+  let rec path at = function
+    | x :: (y :: _ as rest) -> Option.bind (cross ~from:x ~to_:y at) (fun at -> path at rest)
+    | _ -> Some at
+  in
+  let leg src dst = path at (Net.Tree.path tree src dst) in
+  (match cast with
+  | Multicast o -> walk_from o (Net.Tree.neighbors tree o) at
+  | Subcast r ->
+      deliver r at;
+      walk_from r (Net.Tree.children tree r) at
+  | Relayed (from, via) ->
+      Option.iter
+        (fun at ->
+          deliver via at;
+          walk_from via (Net.Tree.children tree via) at)
+        (leg from via)
+  | Scoped (from, root) ->
+      Option.iter
+        (fun at ->
+          if from <> root && scope root then deliver root at;
+          walk_from ~keep:scope ~quiet:from root (Net.Tree.children tree root) at)
+        (leg from root)
+  | Unicast (src, dst) -> if src <> dst then Option.iter (deliver dst) (leg src dst));
+  (List.rev !crossings, List.rev !deliveries)
+
+let walk_packet c =
+  mk
+    (if c.payload then
+       Net.Packet.Reply
+         {
+           src = 0;
+           seq = 1;
+           requestor = 1;
+           d_qs = 0.;
+           replier = 1;
+           d_rq = 0.;
+           expedited = false;
+           turning_point = None;
+         }
+     else Net.Packet.Request { src = 0; seq = 1; requestor = 1; d_qs = 0.; round = 0 })
+
+let walk_network c =
+  let tree = Net.Tree.of_parents c.parents in
+  let delays = Array.mapi (fun l u -> if l = 0 then 0. else 0.001 *. float_of_int u) c.units in
+  let engine = Sim.Engine.create () in
+  let network =
+    Net.Network.create_heterogeneous ~engine ~tree ~delays ~bandwidth_bps:1.5e6 ()
+  in
+  (tree, delays, engine, network)
+
+let walk_tx c = float_of_int (Net.Packet.size_bits (walk_packet c)) /. 1.5e6
+
+let in_scope c tree v = not (List.exists (fun a -> Net.Tree.is_ancestor tree a v) c.cuts)
+
+let fired_order deliveries =
+  List.map
+    (fun (v, at) -> Printf.sprintf "%d@%.17g" v at)
+    (List.stable_sort (fun (_, a) (_, b) -> Float.compare a b) deliveries)
+
+(* A checker for [c]: it runs each cast on one serial network (the
+   engine drained in between) and compares the crossings the loss
+   predicate saw, and the deliveries in firing order with their
+   arrival times, against the reference. *)
+let cast_checker c =
+  let tree, delays, engine, network = walk_network c in
+  let packet = walk_packet c and scope = in_scope c tree in
+  let seen = ref [] and got = ref [] in
+  Net.Network.set_drop network (fun ~link ~down _ ->
+      seen := (link, down) :: !seen;
+      List.mem (link, down) c.drops);
+  for v = 0 to Net.Tree.n_nodes tree - 1 do
+    Net.Network.on_receive network v (fun _ -> got := (v, Sim.Engine.now engine) :: !got)
+  done;
+  fun cast ->
+    seen := [];
+    got := [];
+    let at = Sim.Engine.now engine in
+    (match cast with
+    | Multicast o -> Net.Network.multicast network ~from:o packet
+    | Subcast r -> Net.Network.subcast network ~at:r packet
+    | Relayed (from, via) -> Net.Network.relayed_subcast network ~from ~via packet
+    | Scoped (from, root) -> Net.Network.scoped_cast network ~from ~root ~scope packet
+    | Unicast (src, dst) -> Net.Network.unicast network ~from:src ~dst packet);
+    Sim.Engine.run engine;
+    let crossings, deliveries =
+      reference tree
+        ~delay:(fun l -> delays.(l))
+        ~tx:(walk_tx c)
+        ~dropped:(fun x -> List.mem x c.drops)
+        ~scope cast at
+    in
+    if List.rev !seen <> crossings then Alcotest.failf "%s: crossings differ" (show_cast cast);
+    let got = List.rev_map (fun (v, at) -> Printf.sprintf "%d@%.17g" v at) !got in
+    if got <> fired_order deliveries then
+      Alcotest.failf "%s: deliveries differ: got %s, expected %s" (show_cast cast)
+        (String.concat " " got)
+        (String.concat " " (fired_order deliveries))
+
+(* Shard 0 of a two-way partition prunes its multicast walks to the
+   branches holding its nodes, yet each owned node must get exactly the
+   reference delivery, and [delivery_rank] must report the node's index
+   in the unpruned, drop-free reference walk. *)
+let check_shard_multicasts c =
+  let tree, delays, engine, network = walk_network c in
+  let n = Net.Tree.n_nodes tree in
+  let partition = Net.Partition.make ~tree ~delay:(fun l -> delays.(l)) ~shards:2 in
+  Net.Network.enable_shard network ~partition ~me:0 ~observe:true;
+  Net.Network.set_drop network (fun ~link ~down _ -> List.mem (link, down) c.drops);
+  let got = ref [] in
+  for v = 0 to n - 1 do
+    if Net.Network.owns network v then
+      Net.Network.on_receive network v (fun _ ->
+          match Net.Network.delivery_rank network with
+          | Some (_, _, _, rank) -> got := (v, Sim.Engine.now engine, rank) :: !got
+          | None -> Alcotest.failf "no delivery rank at %d" v)
+  done;
+  for origin = 0 to n - 1 do
+    got := [];
+    let at = Sim.Engine.now engine in
+    Net.Network.multicast network ~from:origin (walk_packet c);
+    Sim.Engine.run engine;
+    let reference ~dropped =
+      snd
+        (reference tree
+           ~delay:(fun l -> delays.(l))
+           ~tx:(walk_tx c) ~dropped ~scope:(fun _ -> true) (Multicast origin) at)
+    in
+    let owned = List.filter (fun (v, _) -> Net.Network.owns network v) in
+    let got = List.rev !got in
+    if
+      List.map (fun (v, at, _) -> Printf.sprintf "%d@%.17g" v at) got
+      <> fired_order (owned (reference ~dropped:(fun x -> List.mem x c.drops)))
+    then Alcotest.failf "shard multicast from %d: deliveries differ" origin;
+    let walk = List.map fst (reference ~dropped:(fun _ -> false)) in
+    List.iter
+      (fun (v, _, rank) ->
+        match List.find_index (( = ) v) walk with
+        | Some i when i = rank -> ()
+        | _ -> Alcotest.failf "multicast from %d: rank %d at node %d" origin rank v)
+      got
   done
 
 let prop_routes_flood_order =
   QCheck.Test.make ~name:"routes: flood orders replay the neighbor walk" ~count:60
-    arbitrary_tree (fun parents ->
-      let tree, delays, routes = routes_of parents in
-      let n = Net.Tree.n_nodes tree in
-      let all = List.init n Fun.id in
-      for origin = 0 to n - 1 do
-        check_order ~what:"flood" tree delays origin
-          (Net.Routes.flood_order routes origin)
-          (List.filter (fun v -> v <> origin) all)
+    arbitrary_walk_case (fun c ->
+      let check = cast_checker c in
+      for origin = 0 to Array.length c.parents - 1 do
+        check (Multicast origin)
       done;
+      check_shard_multicasts c;
       true)
 
 let prop_routes_down_order =
   QCheck.Test.make ~name:"routes: down orders cover exactly the subtree" ~count:60
-    arbitrary_tree (fun parents ->
-      let tree, delays, routes = routes_of parents in
-      for root = 0 to Net.Tree.n_nodes tree - 1 do
-        let below = List.filter (fun v -> v <> root) (Net.Tree.subtree_nodes tree root) in
-        if Net.Routes.subtree_size routes root <> List.length below + 1 then
-          Alcotest.failf "subtree_size of %d" root;
-        check_order ~what:"down" tree delays root (Net.Routes.down_order routes root) below
+    arbitrary_walk_case (fun c ->
+      let tree = Net.Tree.of_parents c.parents in
+      let routes = Net.Routes.create tree in
+      let check = cast_checker c in
+      let n = Net.Tree.n_nodes tree in
+      for root = 0 to n - 1 do
+        if Net.Routes.subtree_size routes root <> List.length (Net.Tree.subtree_nodes tree root)
+        then Alcotest.failf "subtree_size of %d" root;
+        check (Subcast root);
+        for from = 0 to n - 1 do
+          check (Relayed (from, root));
+          check (Scoped (from, root))
+        done
       done;
       true)
 
 let prop_routes_path =
   QCheck.Test.make ~name:"routes: paths agree with Tree.path/on_path_links" ~count:60
-    arbitrary_tree (fun parents ->
-      let tree, _, routes = routes_of parents in
+    arbitrary_walk_case (fun c ->
+      let tree, delays, _, network = walk_network c in
+      let check = cast_checker c in
       let n = Net.Tree.n_nodes tree in
+      let delay l = delays.(l) in
       for src = 0 to n - 1 do
         for dst = 0 to n - 1 do
-          let p = Net.Routes.path routes ~src ~dst in
-          if Array.to_list p.hops <> List.tl (Net.Tree.path tree src dst) then
-            Alcotest.failf "hops %d->%d" src dst;
-          if Array.to_list p.plinks <> Net.Tree.on_path_links tree src dst then
-            Alcotest.failf "plinks %d->%d" src dst;
-          Array.iteri
-            (fun i down ->
-              let prev = if i = 0 then src else p.hops.(i - 1) in
-              if down <> (Net.Tree.parent tree p.hops.(i) = prev) then
-                Alcotest.failf "pdowns %d->%d hop %d" src dst i)
-            p.pdowns
+          (* the reference's unicast leg is Tree.on_path_links *)
+          let crossings, _ =
+            reference tree ~delay ~tx:0. ~dropped:(fun _ -> false) ~scope:(fun _ -> true)
+              (Unicast (src, dst)) 0.
+          in
+          if List.map fst crossings <> Net.Tree.on_path_links tree src dst then
+            Alcotest.failf "reference links %d->%d" src dst;
+          check (Unicast (src, dst));
+          let d = Net.Network.dist network src dst and d' = Net.Tree.dist tree ~delay src dst in
+          if Int64.bits_of_float d <> Int64.bits_of_float d' then
+            Alcotest.failf "dist %d->%d: %.17g, Tree.dist %.17g" src dst d d'
         done
       done;
       true)
@@ -620,7 +809,8 @@ let prop_routes_path =
 let prop_routes_neighbors =
   QCheck.Test.make ~name:"routes: neighbors/children mirror the tree lists" ~count:100
     arbitrary_tree (fun parents ->
-      let tree, _, routes = routes_of parents in
+      let tree = Net.Tree.of_parents parents in
+      let routes = Net.Routes.create tree in
       let ok = ref true in
       for v = 0 to Net.Tree.n_nodes tree - 1 do
         if Array.to_list (Net.Routes.neighbors routes v) <> Net.Tree.neighbors tree v then
@@ -652,6 +842,51 @@ let prop_subtree_nodes_preorder =
           nodes
       done;
       !ok)
+
+(* --- Allocation: casts and distances build nothing per origin or hop -- *)
+
+(* [Gc.allocated_bytes] is exact only right after a minor collection:
+   on OCaml 5.1 it counts an eighth of the young generation's
+   allocation until the next collection corrects it. *)
+let allocated f =
+  Gc.minor ();
+  let before = Gc.allocated_bytes () in
+  f ();
+  Gc.minor ();
+  Gc.allocated_bytes () -. before
+
+(* Walks replay static arrays, so where a flood starts cannot change
+   what it allocates: 512 receivers each multicasting once allocate
+   exactly what one receiver multicasting 512 times does. *)
+let test_alloc_multicast_origins () =
+  let tree = Net.Tree.balanced ~fanout:8 ~depth:3 in
+  let engine, network = make_network ~tree () in
+  let receivers = Net.Tree.receivers tree in
+  check Alcotest.int "512 members" 512 (Array.length receivers);
+  Array.iter (fun v -> Net.Network.on_receive network v ignore) receivers;
+  let casts origin () =
+    Array.iteri
+      (fun i _ ->
+        Net.Network.multicast network ~from:(origin i) session_packet;
+        Sim.Engine.run engine)
+      receivers
+  in
+  let distinct i = receivers.(i) and same _ = receivers.(0) in
+  casts distinct ();
+  casts same ();
+  let from_distinct = allocated (casts distinct) and from_one = allocated (casts same) in
+  check (Alcotest.float 0.) "bytes from 512 origins = from one" from_one from_distinct
+
+(* [Network.dist] sums the path in place: a 999-link distance allocates
+   no more than a one-link one. *)
+let test_alloc_dist () =
+  let tree = Net.Tree.line 1000 in
+  let _, network = make_network ~tree () in
+  let across hops () = ignore (Sys.opaque_identity (Net.Network.dist network 0 hops)) in
+  across 999 ();
+  let far = allocated (across 999) and near = allocated (across 1) in
+  if far > near then
+    Alcotest.failf "dist over 999 links allocated %.0f B, over one link %.0f B" far near
 
 let () =
   Alcotest.run "net"
@@ -719,5 +954,11 @@ let () =
           qcheck prop_routes_path;
           qcheck prop_routes_neighbors;
           qcheck prop_subtree_nodes_preorder;
+        ] );
+      ( "alloc",
+        [
+          Alcotest.test_case "multicast origins allocate alike" `Quick
+            test_alloc_multicast_origins;
+          Alcotest.test_case "dist allocates nothing per hop" `Quick test_alloc_dist;
         ] );
     ]
