@@ -55,10 +55,6 @@ let expedited_requests_sent t = t.exp_requests_sent
 
 let expedited_replies_sent t = t.exp_replies_sent
 
-let domain_cache_local_hits t = t.cache_local_hits
-
-let domain_cache_remote_hits t = t.cache_remote_hits
-
 let engine t = Net.Network.engine t.network
 
 (* Virtual time for the retention schemes (TTL ages, hotspot decay).
@@ -279,18 +275,14 @@ let handle_expedited_request t ~src ~seq ~requestor ~d_qs ~turning_point =
   in
   if sent then t.exp_replies_sent <- t.exp_replies_sent + 1
 
-(* Crash support: all of CESRM's state is soft — caches, outstanding
-   expedited recoveries, replier bookkeeping — so a restarting host
-   comes back with none of it. *)
-(* Steady-state retirement: forward the horizon to the SRM core, then
-   sweep the expedited tables. Both are self-cleaning on delivery (the
-   on_packet_obtained hook cancels the timer and scores the replier),
-   so the sweep is defensive — it drops whatever was left behind for a
-   retired (hence delivered) packet, keeping the tables bounded over a
-   million-packet run without touching any timer that could still
-   fire. *)
-let retire_below t ~upto =
-  Srm.Host.retire_below t.srm ~upto;
+(* Steady-state retirement, run once the SRM core has moved its floors
+   (the [on_retired] hook): sweep the expedited tables. Both are
+   self-cleaning on delivery (the on_packet_obtained hook cancels the
+   timer and scores the replier), so the sweep is defensive — it drops
+   whatever was left behind for a retired (hence delivered) packet,
+   keeping the tables bounded over a million-packet run without
+   touching any timer that could still fire. *)
+let sweep_retired t =
   let retired k =
     Srm.Key.seq ~stride:t.stride k
     <= Srm.Host.retired_floor ~src:(Srm.Key.src ~stride:t.stride k) t.srm
@@ -304,6 +296,9 @@ let retire_below t ~upto =
   sweep t.exp_timers ~keep:Sim.Engine.is_pending;
   sweep t.pending_exp
 
+(* Crash support: all of CESRM's state is soft — caches, outstanding
+   expedited recoveries, replier bookkeeping — so a restarting (or
+   departing) host comes back with none of it. *)
 let reset_caches t =
   Hashtbl.iter (fun _ c -> Cache.clear c) t.caches;
   Hashtbl.iter (fun _ timer -> Sim.Engine.cancel timer) t.exp_timers;
@@ -350,9 +345,10 @@ let create ?domain ~network ~self ~params ~config ~n_packets ~counters ~recoveri
       cancel_expedited t ~src seq;
       note_expedited_outcome t ~src seq ~expedited);
   hooks.on_reply_observed <- (fun payload -> digest_reply t payload);
+  hooks.on_state_reset <- (fun () -> reset_caches t);
+  hooks.on_peer_left <- (fun replier -> invalidate_replier t ~replier);
+  hooks.on_retired <- (fun () -> sweep_retired t);
   t
-
-let start t ~session_until = Srm.Host.start t.srm ~session_until
 
 let publish_metrics t registry =
   Srm.Host.publish_metrics t.srm registry;

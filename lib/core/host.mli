@@ -1,7 +1,8 @@
 (** A CESRM group member (paper Section 3).
 
     A CESRM host {e is} an SRM host plus the caching-based expedited
-    recovery scheme, wired through the SRM host's hooks:
+    recovery scheme, wired through the SRM host's hooks
+    ({!Srm.Host.hooks}):
 
     - every incoming reply for a loss this member suffered feeds the
       optimal requestor/replier {!Cache};
@@ -18,7 +19,14 @@
       then subcast (Section 3.3), shrinking exposure.
 
     SRM's ordinary recovery keeps running underneath; when an expedited
-    recovery fails, the loss is still repaired the SRM way. *)
+    recovery fails, the loss is still repaired the SRM way.
+
+    The SRM host's lifecycle drives the CESRM state too: a restart or
+    departure of {!srm} empties the caches ({!reset_caches}), a
+    [Srm.Host.forget_peer] invalidates the pairs naming the departed
+    peer ({!invalidate_replier}), and [Srm.Host.retire_below] sweeps
+    the expedited bookkeeping of retired packets. Callers drive the
+    SRM host alone. *)
 
 type config = {
   policy : Policy.t;
@@ -73,8 +81,6 @@ val cache : ?src:int -> t -> Cache.t
 
 val self : t -> int
 
-val start : t -> session_until:float -> unit
-
 val on_packet : t -> Net.Packet.t -> unit
 (** Full CESRM dispatch: handles expedited PDUs, delegates the rest to
     the SRM host. *)
@@ -82,15 +88,6 @@ val on_packet : t -> Net.Packet.t -> unit
 val expedited_requests_sent : t -> int
 
 val expedited_replies_sent : t -> int
-
-val domain_cache_local_hits : t -> int
-(** Domain mode: expedited recoveries this member initiated whose
-    cached replier shared its recovery domain. 0 in flat runs. *)
-
-val domain_cache_remote_hits : t -> int
-(** Domain mode: expedited recoveries initiated against an off-domain
-    cached replier (no in-domain pair was available). 0 in flat
-    runs. *)
 
 val replier_dead : t -> replier:int -> bool
 (** Whether retry back-off currently presumes [replier] dead. *)
@@ -113,26 +110,20 @@ val invalidate_replier : t -> replier:int -> unit
     presume it dead — so an expedited timer armed before the leave
     does not fire a unicast at the ghost, and CESRM falls back to SRM
     recovery — and clear its failure streak. A rejoined replier's
-    first reply revives it. Called by the runner's leave wiring on
-    every other member. *)
+    first reply revives it. Installed as the SRM host's [on_peer_left]
+    hook, so every [Srm.Host.forget_peer] runs it first. *)
 
 val cache_invalidations : t -> int
 (** Cached pairs this member dropped because their replier left the
     group (accumulated into the ["cesrm/cache_invalidations"] metric,
     which is only published when non-zero). *)
 
-val retire_below : t -> upto:int -> unit
-(** Steady-state retirement: forward the horizon to
-    {!Srm.Host.retire_below} and defensively sweep the expedited
-    bookkeeping for retired (hence delivered) packets. Pending timers
-    are never touched, so finite-window runs stay byte-identical to
-    infinite-window ones. *)
-
 val reset_caches : t -> unit
 (** Model this host crashing: every cache is emptied and all expedited
     bookkeeping (outstanding recoveries, replier scores, presumed
-    deaths) is dropped — CESRM state is soft state. Pair with
-    {!Srm.Host.restart_recovery} on the underlying SRM host. *)
+    deaths) is dropped — CESRM state is soft state. Installed as the
+    SRM host's [on_state_reset] hook, so [Srm.Host.restart_recovery]
+    and [Srm.Host.depart] run it first. *)
 
 val publish_metrics : t -> Obs.Registry.t -> unit
 (** Accumulate this member's SRM metrics plus the expedited-recovery

@@ -1,94 +1,27 @@
-type t = {
-  network : Net.Network.t;
-  n_packets : int;
-  period : float;
-  hosts : (int * Host.t) list;
-  counters : Stats.Counters.t;
-  recoveries : Stats.Recovery.t;
-}
+type t = Host.t Srm.Proto.group
 
 let deploy ?(config = Host.default_config) ?owned ?domain ~network ~params ~n_packets ~period () =
-  let tree = Net.Network.tree network in
-  let counters = Stats.Counters.create ~n_nodes:(Net.Tree.n_nodes tree) in
-  let recoveries = Stats.Recovery.create () in
-  let owned = match owned with Some f -> f | None -> fun _ -> true in
-  let member node =
-    if owned node then begin
-      let host =
-        Host.create ?domain ~network ~self:node ~params ~config ~n_packets ~counters
-          ~recoveries ()
-      in
-      Net.Network.on_receive network node (Host.on_packet host);
-      Some (node, host)
-    end
-    else begin
-      (* A shard deploys hosts only for its own members but must keep
-         the engine's split sequence identical to the full deployment:
-         every member consumes exactly one root split, in deploy
-         order, so owned hosts draw the same generators everywhere. *)
-      ignore (Sim.Rng.split (Sim.Engine.rng (Net.Network.engine network)));
-      None
-    end
-  in
-  let nodes = 0 :: Array.to_list (Net.Tree.receivers tree) in
-  { network; n_packets; period; hosts = List.filter_map member nodes; counters; recoveries }
+  Srm.Proto.deploy_with ?owned ~network ~n_packets ~period ~on_packet:Host.on_packet ~srm:Host.srm
+    ~create:(fun ~self ~counters ~recoveries ->
+      Host.create ?domain ~network ~self ~params ~config ~n_packets ~counters ~recoveries ())
+    ()
 
-let host t node = List.assoc node t.hosts
+let start = Srm.Proto.start
 
-let members t = t.hosts
+let add_stream = Srm.Proto.add_stream
 
-let receivers t = List.filter (fun (node, _) -> node <> 0) t.hosts
+let host = Srm.Proto.host
 
-let counters t = t.counters
+let members = Srm.Proto.members
 
-let recoveries t = t.recoveries
+let counters = Srm.Proto.counters
 
-let network t = t.network
+let recoveries = Srm.Proto.recoveries
 
-let n_packets t = t.n_packets
-
-let end_time t ~warmup ~tail = warmup +. (float_of_int t.n_packets *. t.period) +. tail
-
-(* Streaming is exact only when sends cannot reorder; see
-   [Srm.Proto.can_stream]. *)
-let can_stream ~send_jitter ~period = send_jitter <= period
-
-let add_stream ?(send_jitter = 0.) ?(streaming = false) t ~src ~n_packets ~period ~start_at =
-  let engine = Net.Network.engine t.network in
-  let origin = List.assoc_opt src t.hosts in
-  let jitter_rng = Sim.Rng.split (Sim.Engine.rng engine) in
-  Sim.Stream.schedule engine
-    ~streaming:(streaming && can_stream ~send_jitter ~period)
-    ~n:(min n_packets t.n_packets)
-    ~at:(fun seq ->
-      let jitter = if send_jitter <= 0. then 0. else Sim.Rng.float jitter_rng send_jitter in
-      start_at +. (float_of_int (seq - 1) *. period) +. jitter)
-    ~fire:(fun seq ->
-      (match origin with
-      | Some h -> Srm.Host.note_sent ~src (Host.srm h) ~seq
-      | None -> ());
-      Net.Network.multicast_replicated t.network ~from:src
-        { Net.Packet.sender = src; payload = Net.Packet.Data { seq } })
-
-let start ?(send_jitter = 0.) ?(streaming = false) t ~warmup ~tail =
-  let engine = Net.Network.engine t.network in
-  let session_until = end_time t ~warmup ~tail in
-  List.iter (fun (_, h) -> Host.start h ~session_until) t.hosts;
-  let source = List.assoc_opt 0 t.hosts in
-  let jitter_rng = Sim.Rng.split (Sim.Engine.rng engine) in
-  Sim.Stream.schedule engine
-    ~streaming:(streaming && can_stream ~send_jitter ~period:t.period)
-    ~n:t.n_packets
-    ~at:(fun seq ->
-      let jitter = if send_jitter <= 0. then 0. else Sim.Rng.float jitter_rng send_jitter in
-      warmup +. (float_of_int (seq - 1) *. t.period) +. jitter)
-    ~fire:(fun seq ->
-      (match source with Some h -> Srm.Host.note_sent (Host.srm h) ~seq | None -> ());
-      Net.Network.multicast_replicated t.network ~from:0
-        { Net.Packet.sender = 0; payload = Net.Packet.Data { seq } })
+let network = Srm.Proto.network
 
 let expedited_requests t =
-  List.fold_left (fun acc (_, h) -> acc + Host.expedited_requests_sent h) 0 t.hosts
+  List.fold_left (fun acc (_, h) -> acc + Host.expedited_requests_sent h) 0 (members t)
 
 let expedited_replies t =
-  List.fold_left (fun acc (_, h) -> acc + Host.expedited_replies_sent h) 0 t.hosts
+  List.fold_left (fun acc (_, h) -> acc + Host.expedited_replies_sent h) 0 (members t)

@@ -1,7 +1,9 @@
-(** Deploying CESRM on a simulated multicast group — the CESRM
-    counterpart of [Srm.Proto]. *)
+(** Deploying CESRM on a simulated multicast group: an [Srm.Proto]
+    group whose members are CESRM hosts. Deploy order, RNG discipline,
+    send schedule and lookups are [Srm.Proto]'s; this module adds only
+    the CESRM host construction and the expedited sums. *)
 
-type t
+type t = Host.t Srm.Proto.group
 
 val deploy :
   ?config:Host.config ->
@@ -13,18 +15,11 @@ val deploy :
   period:float ->
   unit ->
   t
-(** Default config is {!Host.default_config}. [owned] (default:
-    everyone) restricts which members get a live host — a PDES shard
-    deploys only its own; non-owned members still consume their
-    engine-RNG split in deploy order (see [Srm.Proto.deploy]).
-    [domain] enables hierarchical local recovery on every host (see
-    {!Host.create}); it does not perturb the deploy-order RNG
-    discipline. *)
+(** Default config is {!Host.default_config}. [owned] and [domain] as
+    in [Srm.Proto.deploy] (see also {!Host.create}). *)
 
 val start : ?send_jitter:float -> ?streaming:bool -> t -> warmup:float -> tail:float -> unit
-(** Same schedule (and [streaming] contract) as [Srm.Proto.start]. *)
-
-val end_time : t -> warmup:float -> tail:float -> float
+(** [Srm.Proto.start]. *)
 
 val add_stream :
   ?send_jitter:float ->
@@ -35,23 +30,19 @@ val add_stream :
   period:float ->
   start_at:float ->
   unit
-(** Schedule a second data stream originating at member [src]; each
-    member keeps a per-source requestor/replier cache (Section 3.1). *)
+(** [Srm.Proto.add_stream]; each member keeps a per-source
+    requestor/replier cache (Section 3.1). *)
 
 val host : t -> int -> Host.t
 (** By node id. @raise Not_found for non-members. *)
 
 val members : t -> (int * Host.t) list
 
-val receivers : t -> (int * Host.t) list
-
 val counters : t -> Stats.Counters.t
 
 val recoveries : t -> Stats.Recovery.t
 
 val network : t -> Net.Network.t
-
-val n_packets : t -> int
 
 val expedited_requests : t -> int
 (** Total over members. *)

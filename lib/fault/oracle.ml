@@ -43,6 +43,9 @@ type t = {
   replies : (int * int * int, int) Hashtbl.t;
   (* bounded invariants report once per offending key *)
   latched : (string * int * int, unit) Hashtbl.t;
+  (* steady-state retirement floor: [obtained], [requests] and
+     [replies] hold no entry naming a seq at or below it *)
+  mutable floor : int;
   mutable violations_rev : violation list;
   mutable n_violations : int;
   mutable finalized : bool;
@@ -125,15 +128,19 @@ let observe t ~at ~from:_ (p : Net.Packet.t) =
           t.ghost_streak []
       in
       List.iter (Hashtbl.remove t.ghost_streak) stale_ghost;
-      let key = (replier, src, seq) in
-      let n = 1 + Option.value ~default:0 (Hashtbl.find_opt t.replies key) in
-      Hashtbl.replace t.replies key n;
-      if n > config.max_replies_per_loss then
-        latch_once t ~invariant:"reply-suppression" ~a:replier ~b:((src * 1_000_000) + seq)
-          (fun () ->
-            violate t ~at ~node:replier ~invariant:"reply-suppression"
-              (Printf.sprintf "%d replies for src %d seq %d" n src seq))
-  | Net.Packet.Request { requestor; src; seq; _ } ->
+      (* A retired seq's count is gone: the per-loss bound no longer
+         applies to it (replies still serve retired packets). *)
+      if seq > t.floor then begin
+        let key = (replier, src, seq) in
+        let n = 1 + Option.value ~default:0 (Hashtbl.find_opt t.replies key) in
+        Hashtbl.replace t.replies key n;
+        if n > config.max_replies_per_loss then
+          latch_once t ~invariant:"reply-suppression" ~a:replier ~b:((src * 1_000_000) + seq)
+            (fun () ->
+              violate t ~at ~node:replier ~invariant:"reply-suppression"
+                (Printf.sprintf "%d replies for src %d seq %d" n src seq))
+      end
+  | Net.Packet.Request { requestor; src; seq; _ } when seq > t.floor ->
       let key = (requestor, src, seq) in
       let n = 1 + Option.value ~default:0 (Hashtbl.find_opt t.requests key) in
       Hashtbl.replace t.requests key n;
@@ -142,7 +149,7 @@ let observe t ~at ~from:_ (p : Net.Packet.t) =
           (fun () ->
             violate t ~at ~node:requestor ~invariant:"request-suppression"
               (Printf.sprintf "%d requests for src %d seq %d" n src seq))
-  | Net.Packet.Data _ | Net.Packet.Session _ -> ()
+  | Net.Packet.Request _ | Net.Packet.Data _ | Net.Packet.Session _ -> ()
 
 let make ?(config = default_config) network =
   {
@@ -156,6 +163,7 @@ let make ?(config = default_config) network =
     requests = Hashtbl.create 256;
     replies = Hashtbl.create 256;
     latched = Hashtbl.create 32;
+    floor = 0;
     violations_rev = [];
     n_violations = 0;
     finalized = false;
@@ -226,6 +234,24 @@ let forget_node t ~node =
     Hashtbl.fold (fun ((n, _, _) as k) _ acc -> if n = node then k :: acc else acc) t.pending []
   in
   List.iter (Hashtbl.remove t.pending) stale
+
+(* Steady-state retirement. Every member has delivered the packets at
+   or below the floor, so no obtain of one can follow and no loss of
+   one is pending; only their per-packet counts would stay behind. *)
+let retire_below t ~upto =
+  if upto > t.floor then begin
+    t.floor <- upto;
+    let live (_, _, seq) n = if seq <= upto then None else Some n in
+    Hashtbl.filter_map_inplace live t.obtained;
+    Hashtbl.filter_map_inplace live t.requests;
+    Hashtbl.filter_map_inplace live t.replies
+  end
+
+let entries_at_or_below t ~upto =
+  let count table =
+    Hashtbl.fold (fun (_, _, seq) _ acc -> if seq <= upto then acc + 1 else acc) table 0
+  in
+  count t.obtained + count t.requests + count t.replies
 
 let liveness_violations ~at still_missing =
   List.map

@@ -102,6 +102,21 @@ val forget_node : t -> node:int -> unit
     those losses' full recovery windows). Call from the leave wiring,
     on the worker owning the node. *)
 
+val retire_below : t -> upto:int -> unit
+(** Steady-state retirement, registered on the run's
+    [Steady.Controller] like the auditor's: drop the per-packet
+    delivery, request and reply counts naming a seq at or below
+    [upto], every member having delivered those packets. Requests and
+    replies naming a retired seq are exempt from the per-loss bounds
+    from then on (a reply timer armed before retirement still fires).
+    The floor covers every stream source; steady runs are
+    single-source. *)
+
+val entries_at_or_below : t -> upto:int -> int
+(** Per-packet entries (delivery, request and reply counts) naming a
+    seq at or below [upto] — 0 below the retirement floor. For
+    tests. *)
+
 val pending_losses : t -> (int * int * int * float) list
 (** [(node, src, seq, detected_at)] for every loss still unrepaired at
     a member currently enabled {e and in the group} — the raw material

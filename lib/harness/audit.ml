@@ -147,7 +147,7 @@ let create ?(expect_in_order = true) ?(max_exp_per_loss = 1) network =
 
 let attach ?expect_in_order ?max_exp_per_loss network =
   let t = create ?expect_in_order ?max_exp_per_loss network in
-  Net.Network.set_tap network (fun ~from p ->
+  Net.Network.add_tap network (fun ~from p ->
       observe t ~at:(now t) ~from p);
   t
 

@@ -80,28 +80,12 @@ let busiest_lms_replier tree =
     ((Net.Tree.receivers tree).(0), 0)
   |> fst
 
-let busiest_srm_replier trace attribution ~cesrm =
+let busiest_srm_replier ~deploy trace attribution =
   let engine, network = make_network trace attribution in
-  let counters, members_detect =
-    if cesrm then begin
-      let proto =
-        Cesrm.Proto.deploy ~network ~params:Srm.Params.default
-          ~n_packets:(Mtrace.Trace.n_packets trace) ~period:(Mtrace.Trace.period trace) ()
-      in
-      Cesrm.Proto.start proto ~warmup ~tail;
-      (Cesrm.Proto.counters proto, fun () -> ())
-    end
-    else begin
-      let proto =
-        Srm.Proto.deploy ~network ~params:Srm.Params.default
-          ~n_packets:(Mtrace.Trace.n_packets trace) ~period:(Mtrace.Trace.period trace) ()
-      in
-      Srm.Proto.start proto ~warmup ~tail;
-      (Srm.Proto.counters proto, fun () -> ())
-    end
-  in
-  members_detect ();
+  let proto = deploy ~network in
+  Srm.Proto.start proto ~warmup ~tail;
   Sim.Engine.run ~until:1e6 engine;
+  let counters = Srm.Proto.counters proto in
   Array.fold_left
     (fun (best, best_count) node ->
       let c =
@@ -127,47 +111,27 @@ let finish ~label ~crashed ~crash_at ~recoveries ~alive_detected engine =
 let schedule_crash engine network node ~at =
   ignore (Sim.Engine.schedule_at engine ~at (fun () -> Net.Network.set_enabled network node false))
 
-let run_srm ?lms_refresh:_ ~crash_at trace attribution =
-  let crashed = busiest_srm_replier trace attribution ~cesrm:false in
+(* SRM and CESRM: a dry run picks the busiest replier, a second run
+   crashes it. *)
+let run_srm_family ~label ~deploy ~crash_at trace attribution =
+  let crashed = busiest_srm_replier ~deploy trace attribution in
   let engine, network = make_network trace attribution in
-  let proto =
-    Srm.Proto.deploy ~network ~params:Srm.Params.default ~n_packets:(Mtrace.Trace.n_packets trace)
-      ~period:(Mtrace.Trace.period trace) ()
-  in
+  let proto = deploy ~network in
   Srm.Proto.start proto ~warmup ~tail;
   schedule_crash engine network crashed ~at:crash_at;
   let alive_detected () =
     List.fold_left
       (fun acc (node, h) -> if node <> crashed then acc + Srm.Host.detected_losses h else acc)
-      0 (Srm.Proto.members proto)
+      0 (Srm.Proto.srm_members proto)
   in
-  finish ~label:"SRM" ~crashed ~crash_at ~recoveries:(Srm.Proto.recoveries proto) ~alive_detected
-    engine
+  finish ~label ~crashed ~crash_at ~recoveries:(Srm.Proto.recoveries proto) ~alive_detected engine
 
-let run_cesrm ?lms_refresh:_ ~crash_at trace attribution =
-  let crashed = busiest_srm_replier trace attribution ~cesrm:true in
-  let engine, network = make_network trace attribution in
-  let proto =
-    Cesrm.Proto.deploy ~network ~params:Srm.Params.default
-      ~n_packets:(Mtrace.Trace.n_packets trace) ~period:(Mtrace.Trace.period trace) ()
-  in
-  Cesrm.Proto.start proto ~warmup ~tail;
-  schedule_crash engine network crashed ~at:crash_at;
-  let alive_detected () =
-    List.fold_left
-      (fun acc (node, h) ->
-        if node <> crashed then acc + Srm.Host.detected_losses (Cesrm.Host.srm h) else acc)
-      0 (Cesrm.Proto.members proto)
-  in
-  finish ~label:"CESRM" ~crashed ~crash_at ~recoveries:(Cesrm.Proto.recoveries proto)
-    ~alive_detected engine
-
-let run_lms ?(lms_refresh = 10.) ~crash_at trace attribution =
+let run_lms ~crash_at trace attribution =
   let crashed = busiest_lms_replier (Mtrace.Trace.tree trace) in
   let engine, network = make_network trace attribution in
   let proto =
     Lms.Proto.deploy ~network ~n_packets:(Mtrace.Trace.n_packets trace)
-      ~period:(Mtrace.Trace.period trace) ~refresh_period:lms_refresh ()
+      ~period:(Mtrace.Trace.period trace) ()
   in
   Lms.Proto.start proto ~warmup ~tail;
   schedule_crash engine network crashed ~at:crash_at;
@@ -184,10 +148,14 @@ let report ?n_packets row =
   let trace = gen.Mtrace.Generator.trace in
   let attribution = Runner.attribution_of_trace trace in
   let crash_at = crash_time trace in
+  let params = Srm.Params.default in
+  let n_packets = Mtrace.Trace.n_packets trace and period = Mtrace.Trace.period trace in
   let outcomes =
     [
-      run_srm ~crash_at trace attribution;
-      run_cesrm ~crash_at trace attribution;
+      run_srm_family ~label:"SRM" ~crash_at trace attribution ~deploy:(fun ~network ->
+          Srm.Proto.deploy ~network ~params ~n_packets ~period ());
+      run_srm_family ~label:"CESRM" ~crash_at trace attribution ~deploy:(fun ~network ->
+          Cesrm.Proto.deploy ~network ~params ~n_packets ~period ());
       run_lms ~crash_at trace attribution;
     ]
   in

@@ -12,31 +12,5 @@
     crash-free dry run) and compares recovery latency of the surviving
     receivers before and after the crash. *)
 
-type phase = {
-  recoveries : int;
-  mean_latency : float;  (** seconds *)
-  p99_latency : float;
-  max_latency : float;
-}
-
-type outcome = {
-  label : string;
-  crashed : int;
-  before : phase;  (** losses detected before the crash *)
-  after : phase;  (** losses detected after the crash *)
-  unrecovered_alive : int;  (** among surviving members; 0 expected *)
-}
-
-val run_srm :
-  ?lms_refresh:float -> crash_at:float -> Mtrace.Trace.t -> Inference.Attribution.t -> outcome
-
-val run_cesrm :
-  ?lms_refresh:float -> crash_at:float -> Mtrace.Trace.t -> Inference.Attribution.t -> outcome
-
-val run_lms :
-  ?lms_refresh:float -> crash_at:float -> Mtrace.Trace.t -> Inference.Attribution.t -> outcome
-(** [lms_refresh] is LMS's soft-state refresh period (default 10 s);
-    ignored by the other two. *)
-
 val report : ?n_packets:int -> Mtrace.Meta.row -> string
 (** The bench section: all three protocols under the crash. *)

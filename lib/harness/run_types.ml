@@ -216,105 +216,61 @@ type deployment = {
 let retiree node ~prefix ~retire =
   { Steady.Controller.node; delivered_prefix = prefix; retire }
 
+(* Every SRM-family deployment, seen through its SRM hosts. The
+   departing host drops all soft state (forgiving its pending losses)
+   and every remaining member forgets the session state naming it;
+   CESRM's caches follow through the SRM hooks its hosts installed. *)
+let srm_family ~setup ~streaming g ~expedited ~publish =
+  let members = Srm.Proto.srm_members g in
+  {
+    (* After deploy: CESRM hosts have installed their own hooks, which
+       the tracer and the oracle chain onto rather than replace. *)
+    hosts = members;
+    d_counters = Srm.Proto.counters g;
+    d_recoveries = Srm.Proto.recoveries g;
+    retirees =
+      (fun () ->
+        List.map
+          (fun (node, h) ->
+            retiree node
+              ~prefix:(fun () -> Srm.Host.delivered_prefix h)
+              ~retire:(Srm.Host.retire_below h))
+          members);
+    leave =
+      (fun ~node ->
+        List.fold_left
+          (fun forgiven (n, h) ->
+            if n = node then forgiven + Srm.Host.depart h
+            else begin
+              Srm.Host.forget_peer h node;
+              forgiven
+            end)
+          0 members);
+    restart = (fun ~node -> Option.iter Srm.Host.restart_recovery (List.assoc_opt node members));
+    start =
+      (fun () ->
+        Srm.Proto.start ~send_jitter:setup.data_jitter ~streaming g ~warmup:setup.warmup
+          ~tail:setup.tail);
+    d_detected =
+      (fun () -> List.fold_left (fun acc (_, h) -> acc + Srm.Host.detected_losses h) 0 members);
+    d_expedited = expedited;
+    d_publish = (fun reg -> List.iter (fun (_, h) -> publish h reg) (Srm.Proto.members g));
+  }
+
 let deploy ?owned ?domain ~network ~setup ~n_packets ~period ~streaming = function
   | Srm_protocol ->
-      let p = Srm.Proto.deploy ?owned ?domain ~network ~params:setup.params ~n_packets ~period () in
-      let members = Srm.Proto.members p in
-      {
-        hosts = members;
-        d_counters = Srm.Proto.counters p;
-        d_recoveries = Srm.Proto.recoveries p;
-        retirees =
-          (fun () ->
-            List.map
-              (fun (node, h) ->
-                retiree node
-                  ~prefix:(fun () -> Srm.Host.delivered_prefix h)
-                  ~retire:(Srm.Host.retire_below h))
-              members);
-        (* The departing host drops all soft state (forgiving its
-           pending losses); every remaining member forgets the session
-           state naming it. *)
-        leave =
-          (fun ~node ->
-            List.fold_left
-              (fun forgiven (n, h) ->
-                if n = node then forgiven + Srm.Host.depart h
-                else begin
-                  Srm.Host.forget_peer h node;
-                  forgiven
-                end)
-              0 members);
-        restart =
-          (fun ~node -> Option.iter Srm.Host.restart_recovery (List.assoc_opt node members));
-        start =
-          (fun () ->
-            Srm.Proto.start ~send_jitter:setup.data_jitter ~streaming p ~warmup:setup.warmup
-              ~tail:setup.tail);
-        d_detected =
-          (fun () -> List.fold_left (fun acc (_, h) -> acc + Srm.Host.detected_losses h) 0 members);
-        d_expedited = (fun () -> (0, 0));
-        d_publish = (fun reg -> List.iter (fun (_, h) -> Srm.Host.publish_metrics h reg) members);
-      }
+      srm_family ~setup ~streaming
+        (Srm.Proto.deploy ?owned ?domain ~network ~params:setup.params ~n_packets ~period ())
+        ~expedited:(fun () -> (0, 0))
+        ~publish:Srm.Host.publish_metrics
   | Cesrm_protocol config ->
       let p =
         Cesrm.Proto.deploy ~config ?owned ?domain ~network ~params:setup.params ~n_packets ~period
           ()
       in
-      let members = Cesrm.Proto.members p in
-      {
-        (* After deploy: the CESRM hosts have installed their own hooks,
-           which the tracer and the oracle chain onto rather than
-           replace. *)
-        hosts = List.map (fun (node, h) -> (node, Cesrm.Host.srm h)) members;
-        d_counters = Cesrm.Proto.counters p;
-        d_recoveries = Cesrm.Proto.recoveries p;
-        retirees =
-          (fun () ->
-            List.map
-              (fun (node, h) ->
-                retiree node
-                  ~prefix:(fun () -> Srm.Host.delivered_prefix (Cesrm.Host.srm h))
-                  ~retire:(Cesrm.Host.retire_below h))
-              members);
-        (* Beyond the SRM departure, every remaining member invalidates
-           its cached expedited pairs naming the departed replier —
-           CESRM falls back to SRM recovery instead of unicasting a
-           ghost. *)
-        leave =
-          (fun ~node ->
-            List.fold_left
-              (fun forgiven (n, h) ->
-                if n = node then begin
-                  Cesrm.Host.reset_caches h;
-                  forgiven + Srm.Host.depart (Cesrm.Host.srm h)
-                end
-                else begin
-                  Cesrm.Host.invalidate_replier h ~replier:node;
-                  Srm.Host.forget_peer (Cesrm.Host.srm h) node;
-                  forgiven
-                end)
-              0 members);
-        restart =
-          (fun ~node ->
-            Option.iter
-              (fun h ->
-                Cesrm.Host.reset_caches h;
-                Srm.Host.restart_recovery (Cesrm.Host.srm h))
-              (List.assoc_opt node members));
-        start =
-          (fun () ->
-            Cesrm.Proto.start ~send_jitter:setup.data_jitter ~streaming p ~warmup:setup.warmup
-              ~tail:setup.tail);
-        d_detected =
-          (fun () ->
-            List.fold_left
-              (fun acc (_, h) -> acc + Srm.Host.detected_losses (Cesrm.Host.srm h))
-              0 members);
-        d_expedited =
-          (fun () -> (Cesrm.Proto.expedited_requests p, Cesrm.Proto.expedited_replies p));
-        d_publish = (fun reg -> List.iter (fun (_, h) -> Cesrm.Host.publish_metrics h reg) members);
-      }
+      srm_family ~setup ~streaming p
+        ~expedited:(fun () -> (Cesrm.Proto.expedited_requests p, Cesrm.Proto.expedited_replies p))
+        ~publish:Cesrm.Host.publish_metrics
   | Lms_protocol ->
       (* LMS hosts carry no SRM soft state: crashes and departures only
          toggle the network layer, and the oracle checks network-level
@@ -408,6 +364,13 @@ let build ?shard ?tracer ?registry ?fault_plan ?steady ?domain ~setup protocol t
         o)
       fault_plan
   in
+  (* Its per-packet counts retire with the auditor's. *)
+  Option.iter
+    (fun c ->
+      Option.iter
+        (fun o -> Steady.Controller.on_retire c (fun ~upto -> Fault.Oracle.retire_below o ~upto))
+        oracle)
+    controller;
   let owned = Option.map (fun _ -> Net.Network.owns network) shard in
   let d =
     deploy ?owned ?domain ~network ~setup ~n_packets ~period ~streaming:(Option.is_some steady)

@@ -112,7 +112,8 @@ val run_model :
     before the run, a {!Fault.Oracle} checks the graceful-degradation
     invariants (violations land in the result, the registry under
     ["fault/"], and {!Stats.Counters} kind [Oracle]), and host restarts
-    drop soft state ({!Srm.Host.restart_recovery}, CESRM cache reset).
+    drop soft state ({!Srm.Host.restart_recovery}, which resets a CESRM
+    host's caches through its hook).
     Unless the caller pinned them, a fault plan also switches on the
     robustness extensions: [Srm.Params.rearm_backoff] (set to the
     session period) and CESRM's [replier_failure_limit] (set to 8) —
@@ -127,12 +128,14 @@ val run_model :
     receives subcasts nor gets its transmissions onto the wire. On a
     leave, the departing SRM/CESRM host drops {e all} soft state
     ({!Srm.Host.depart} — its pending losses are counted into
-    [result.forgiven], not [unrecovered]), every remaining member
-    forgets the session state naming it ({!Srm.Host.forget_peer}), and
-    every remaining CESRM member invalidates its cached expedited
-    pairs naming the departed replier
-    ({!Cesrm.Host.invalidate_replier}) so recovery falls back to SRM
-    instead of unicasting a ghost. On a join or rejoin, the member
+    [result.forgiven], not [unrecovered]) and every remaining member
+    forgets the session state naming it ({!Srm.Host.forget_peer}).
+    The harness drives the SRM hosts alone: a CESRM host's hooks empty
+    the departing member's caches ({!Cesrm.Host.reset_caches}) and
+    make every remaining one invalidate its cached expedited pairs
+    naming the departed replier ({!Cesrm.Host.invalidate_replier}),
+    so recovery falls back to SRM instead of unicasting a ghost. On a
+    join or rejoin, the member
     starts with empty soft state and its per-stream detection windows
     baselined at the packets already sent ({!Srm.Host.join}) — a late
     joiner is never charged for packets sent before it joined. The

@@ -1,56 +1,12 @@
 type retry_state = { mutable attempt : int; mutable timer : Sim.Engine.timer option }
 
-(* Windowed delivery map, same scheme as [Srm.Host]: byte [i] covers
-   seq [base + 1 + i]; seqs at or below [base] were retired by the
-   steady controller (which only retires fully-delivered prefixes) and
-   read as delivered. *)
-type stream_state = {
-  mutable received : Bytes.t;
-  mutable base : int;
-  mutable prefix : int;
-  mutable max_seq : int;
-}
-
-let initial_window = 4096
-
-let win_get st ~seq =
-  seq <= st.base
-  ||
-  let i = seq - st.base - 1 in
-  i < Bytes.length st.received && Bytes.get st.received i = '\001'
-
-let rec advance_prefix st len =
-  let i = st.prefix - st.base in
-  if i < len && Bytes.get st.received i = '\001' then begin
-    st.prefix <- st.prefix + 1;
-    advance_prefix st len
-  end
-
-let win_set ~n_packets st ~seq =
-  if seq > st.base then begin
-    let i = seq - st.base - 1 in
-    let len = Bytes.length st.received in
-    let len =
-      if i >= len then begin
-        let len' = min (n_packets - st.base) (max (i + 1) (max (2 * len) 64)) in
-        let b = Bytes.make len' '\000' in
-        Bytes.blit st.received 0 b 0 len;
-        st.received <- b;
-        len'
-      end
-      else len
-    in
-    Bytes.set st.received i '\001';
-    if seq = st.prefix + 1 then advance_prefix st len
-  end
-
 type t = {
   network : Net.Network.t;
   self : int;
   n_packets : int;
   rng : Sim.Rng.t;
   route : from:int -> (int * int) option;
-  streams : (int, stream_state) Hashtbl.t;
+  streams : (int, Srm.Window.t) Hashtbl.t; (* per stream source *)
   detect_info : (int * int, float) Hashtbl.t;
   retries : (int * int, retry_state) Hashtbl.t;
   mutable n_detected : int;
@@ -70,27 +26,18 @@ let stream t src =
   match Hashtbl.find_opt t.streams src with
   | Some s -> s
   | None ->
-      let s =
-        {
-          received = Bytes.make (min t.n_packets initial_window) '\000';
-          base = 0;
-          prefix = 0;
-          max_seq = 0;
-        }
-      in
+      let s = Srm.Window.create ~n_packets:t.n_packets in
       Hashtbl.replace t.streams src s;
       s
 
 let has_packet ?(src = 0) t ~seq =
-  seq >= 1 && seq <= t.n_packets && win_get (stream t src) ~seq
+  seq >= 1 && seq <= t.n_packets && Srm.Window.mem (stream t src) ~seq
 
 let detected_losses t = t.n_detected
 
-let max_seq ?(src = 0) t = (stream t src).max_seq
-
 let max_seqs t =
   Hashtbl.fold
-    (fun src st acc -> if st.max_seq > 0 then (src, st.max_seq) :: acc else acc)
+    (fun src w acc -> if Srm.Window.max_seq w > 0 then (src, Srm.Window.max_seq w) :: acc else acc)
     t.streams []
 
 let create ~network ~self ~n_packets ~route ~counters ~recoveries =
@@ -167,18 +114,18 @@ let detect_loss t ~src seq =
   end
 
 let seq_exists t ~src m =
-  let stream = stream t src in
-  if m > stream.max_seq then begin
-    let first = stream.max_seq + 1 in
-    stream.max_seq <- min m t.n_packets;
-    for seq = first to stream.max_seq do
+  let w = stream t src in
+  if m > Srm.Window.max_seq w then begin
+    let first = Srm.Window.max_seq w + 1 in
+    Srm.Window.note_max_seq w (min m t.n_packets);
+    for seq = first to Srm.Window.max_seq w do
       if not (has_packet ~src t ~seq) then detect_loss t ~src seq
     done
   end
 
 let obtain t ~src seq ~repaired =
   if not (has_packet ~src t ~seq) then begin
-    win_set ~n_packets:t.n_packets (stream t src) ~seq;
+    Srm.Window.add (stream t src) ~seq;
     (match Hashtbl.find_opt t.retries (src, seq) with
     | Some st ->
         (match st.timer with Some timer -> Sim.Engine.cancel timer | None -> ());
@@ -202,36 +149,25 @@ let obtain t ~src seq ~repaired =
 
 let note_sent ?(src = 0) t ~seq =
   if seq >= 1 && seq <= t.n_packets then begin
-    let stream = stream t src in
-    win_set ~n_packets:t.n_packets stream ~seq;
-    if seq > stream.max_seq then stream.max_seq <- seq
+    let w = stream t src in
+    Srm.Window.add w ~seq;
+    Srm.Window.note_max_seq w seq
   end
 
-let delivered_prefix ?(src = 0) t = (stream t src).prefix
+let delivered_prefix ?(src = 0) t = Srm.Window.prefix (stream t src)
 
-let retired_floor ?(src = 0) t = (stream t src).base
+let retired_floor ?(src = 0) t = Srm.Window.base (stream t src)
 
 (* Steady-state retirement (see [Srm.Host.retire_below]): everything
    at or below the clamped horizon is delivered, so its retry entry is
    gone already ([obtain] removes it) and only the detection-time table
    needs sweeping alongside the window shift. *)
 let retire_below t ~upto =
-  Hashtbl.iter
-    (fun _src st ->
-      let upto = min upto st.prefix in
-      if upto > st.base then begin
-        let len = Bytes.length st.received in
-        let shift = upto - st.base in
-        if shift >= len then Bytes.fill st.received 0 len '\000'
-        else begin
-          Bytes.blit st.received shift st.received 0 (len - shift);
-          Bytes.fill st.received (len - shift) shift '\000'
-        end;
-        st.base <- upto
-      end)
-    t.streams;
+  Hashtbl.iter (fun _src w -> Srm.Window.retire_below w ~upto) t.streams;
   let retired (src, seq) =
-    match Hashtbl.find_opt t.streams src with Some st -> seq <= st.base | None -> false
+    match Hashtbl.find_opt t.streams src with
+    | Some w -> seq <= Srm.Window.base w
+    | None -> false
   in
   let dead = Hashtbl.fold (fun k _ acc -> if retired k then k :: acc else acc) t.detect_info [] in
   List.iter (Hashtbl.remove t.detect_info) dead
@@ -300,8 +236,7 @@ let on_packet t (p : Net.Packet.t) =
       let src = p.sender in
       seq_exists t ~src (seq - 1);
       obtain t ~src seq ~repaired:false;
-      let stream = stream t src in
-      if seq > stream.max_seq then stream.max_seq <- seq
+      Srm.Window.note_max_seq (stream t src) seq
   | Net.Packet.Exp_request { src; seq; requestor; d_qs; replier = _; turning_point } ->
       let ttl =
         (* the TTL rides the (otherwise unused) d_qs annotation *)
@@ -317,7 +252,7 @@ let on_packet t (p : Net.Packet.t) =
          wait out one source-path delay before declaring losses *)
       List.iter
         (fun (src, m) ->
-          if m > (stream t src).max_seq then begin
+          if m > Srm.Window.max_seq (stream t src) then begin
             let grace = Net.Network.dist t.network src t.self +. 0.05 in
             ignore
               (Sim.Engine.schedule (engine t) ~after:grace (fun () -> seq_exists t ~src m))

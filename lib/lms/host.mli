@@ -34,13 +34,11 @@ val has_packet : ?src:int -> t -> seq:int -> bool
 
 val detected_losses : t -> int
 
-val max_seq : ?src:int -> t -> int
-(** Highest sequence number seen (for a source: highest sent). *)
-
 val max_seqs : t -> (int * int) list
 
 val delivered_prefix : ?src:int -> t -> int
-(** Contiguous delivered prefix of [src]'s stream. *)
+(** Contiguous delivered prefix of [src]'s stream (its
+    [Srm.Window.prefix]). *)
 
 val retired_floor : ?src:int -> t -> int
 

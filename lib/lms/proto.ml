@@ -36,8 +36,6 @@ let host t node = List.assoc node t.hosts
 
 let members t = t.hosts
 
-let repliers t = t.repliers
-
 let counters t = t.counters
 
 let recoveries t = t.recoveries
@@ -45,8 +43,6 @@ let recoveries t = t.recoveries
 let network t = t.network
 
 let detected t = List.fold_left (fun acc (_, h) -> acc + Host.detected_losses h) 0 t.hosts
-
-let end_time t ~warmup ~tail = warmup +. (float_of_int t.n_packets *. t.period) +. tail
 
 (* Refresh the soft replier state in place so hosts' [route] closures
    observe it immediately. *)
@@ -59,7 +55,7 @@ let refresh t =
 
 let start ?(streaming = false) t ~warmup ~tail =
   let engine = Net.Network.engine t.network in
-  let horizon = end_time t ~warmup ~tail in
+  let horizon = warmup +. (float_of_int t.n_packets *. t.period) +. tail in
   let source = host t 0 in
   (* LMS sends on an unjittered grid, so the streamed producer is
      always exact (see [Sim.Stream]). *)

@@ -24,14 +24,9 @@ val start : ?streaming:bool -> t -> warmup:float -> tail:float -> unit
     (tail-loss detection). [streaming] produces sends lazily (always
     exact here — the LMS grid is unjittered). *)
 
-val end_time : t -> warmup:float -> tail:float -> float
-
 val host : t -> int -> Host.t
 
 val members : t -> (int * Host.t) list
-
-val repliers : t -> int array
-(** The live replier table (per node; [-1] where none). *)
 
 val counters : t -> Stats.Counters.t
 

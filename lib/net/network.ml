@@ -285,8 +285,6 @@ let rtt t u v = 2. *. dist t u v
 
 let set_drop t f = t.drop <- f
 
-let set_tap t f = t.tap <- Some f
-
 (* Compose with any installed tap so several passive observers (the
    protocol auditor, the Obs tracer) can coexist; the earlier tap runs
    first. *)

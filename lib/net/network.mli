@@ -113,15 +113,12 @@ val scoped_cast : t -> from:int -> root:int -> scope:(int -> bool) -> Packet.t -
     engine.
     @raise Invalid_argument in shard mode. *)
 
-val set_tap : t -> (from:int -> Packet.t -> unit) -> unit
-(** Install a passive observer invoked once per packet {e sent} (any
-    cast mode), before delivery is computed. Used by the protocol
-    auditor; has no effect on behaviour. *)
-
 val add_tap : t -> (from:int -> Packet.t -> unit) -> unit
-(** Like {!set_tap} but composes with any tap already installed (which
-    keeps running, first). Lets the auditor and the {!Obs} tracer
-    observe the same run. *)
+(** Install a passive observer invoked once per packet {e sent} (any
+    cast mode), before delivery is computed; it has no effect on
+    behaviour. Composes with any tap already installed (which keeps
+    running, first), so the protocol auditor, the {!Obs} tracer and the
+    fault oracle observe the same run. *)
 
 val publish_metrics : t -> Obs.Registry.t -> unit
 (** Snapshot delivery and link-crossing totals into the registry under

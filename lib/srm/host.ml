@@ -20,6 +20,9 @@ type hooks = {
   mutable on_loss_detected : src:int -> seq:int -> unit;
   mutable on_reply_observed : Net.Packet.payload -> unit;
   mutable on_packet_obtained : src:int -> seq:int -> expedited:bool -> unit;
+  mutable on_state_reset : unit -> unit;
+  mutable on_peer_left : int -> unit;
+  mutable on_retired : unit -> unit;
 }
 
 (* Hierarchical local recovery (lib/domain): the host's own domain and
@@ -27,35 +30,18 @@ type hooks = {
    levels index into them. *)
 type domain_ctx = { dmap : Rdomain.t; my_dom : int; max_lvl : int }
 
-let no_hooks () =
-  {
-    on_loss_detected = (fun ~src:_ ~seq:_ -> ());
-    on_reply_observed = (fun _ -> ());
-    on_packet_obtained = (fun ~src:_ ~seq:_ ~expedited:_ -> ());
-  }
-
 (* Per-stream reception state; SRM is multi-source, so every table
    below is keyed by (stream source, sequence number). The delivery
-   map is windowed for steady-state runs: byte [i] of [received]
-   covers sequence [base + 1 + i]; everything at or below [base] has
-   been retired by the steady controller, which only ever retires
-   fully-delivered prefixes — so a retired seq reads as delivered.
-   [prefix] is the contiguous delivered prefix (every seq <= prefix is
-   locally available), the quantity the stability horizon is computed
-   from. With no retirement ([base] stays 0) the window grows to
-   [n_packets] on demand and behaves exactly like the old flat
-   bitmap. *)
+   map is a {!Window}: windowed for steady-state runs, a flat bitmap
+   otherwise. *)
 type stream_state = {
-  mutable received : Bytes.t; (* window: 0 = missing, 1 = have *)
-  mutable base : int; (* retired floor: seqs <= base are delivered *)
-  mutable prefix : int; (* contiguous delivered prefix *)
-  mutable max_seq : int;
+  win : Window.t;
   (* Data-arrival anchor for the domain-mode in-flight allowance: the
      last original data packet of this stream to land here, and when.
-     Unlike [max_seq] (which session advertisements also advance) this
-     tracks only real arrivals, so [last_data_at + Δseq · period]
-     predicts when a later packet is {e due} on this host's path —
-     constant pipeline lag cancels out. *)
+     Unlike the window's [max_seq] (which session advertisements also
+     advance) this tracks only real arrivals, so [last_data_at + Δseq ·
+     period] predicts when a later packet is {e due} on this host's
+     path — constant pipeline lag cancels out. *)
   mutable last_data_seq : int;
   mutable last_data_at : float;
   (* Due-time detection frontier (domain mode): every sequence at or
@@ -72,42 +58,6 @@ type stream_state = {
      had nothing been retired. *)
   mutable lost_retired : Bytes.t;
 }
-
-(* Streams start with a bounded window so a million-packet run never
-   materializes the full per-receiver bitmap; short runs reach
-   [n_packets] immediately and allocate exactly what they used to. *)
-let initial_window = 4096
-
-let win_get st ~seq =
-  seq <= st.base
-  ||
-  let i = seq - st.base - 1 in
-  i < Bytes.length st.received && Bytes.get st.received i = '\001'
-
-let rec advance_prefix st len =
-  let i = st.prefix - st.base in
-  if i < len && Bytes.get st.received i = '\001' then begin
-    st.prefix <- st.prefix + 1;
-    advance_prefix st len
-  end
-
-let win_set ~n_packets st ~seq =
-  if seq > st.base then begin
-    let i = seq - st.base - 1 in
-    let len = Bytes.length st.received in
-    let len =
-      if i >= len then begin
-        let len' = min (n_packets - st.base) (max (i + 1) (max (2 * len) 64)) in
-        let b = Bytes.make len' '\000' in
-        Bytes.blit st.received 0 b 0 len;
-        st.received <- b;
-        len'
-      end
-      else len
-    in
-    Bytes.set st.received i '\001';
-    if seq = st.prefix + 1 then advance_prefix st len
-  end
 
 type t = {
   network : Net.Network.t;
@@ -161,8 +111,6 @@ let now t = Sim.Engine.now (engine t)
 
 let self t = t.self
 
-let session t = t.session
-
 let hooks t = t.hooks
 
 let inject_mutation t m = if not (List.mem m t.mutations) then t.mutations <- m :: t.mutations
@@ -175,10 +123,7 @@ let stream t src =
   | None ->
       let s =
         {
-          received = Bytes.make (min t.n_packets initial_window) '\000';
-          base = 0;
-          prefix = 0;
-          max_seq = 0;
+          win = Window.create ~n_packets:t.n_packets;
           last_data_seq = 0;
           last_data_at = neg_infinity;
           scanned_due = 0;
@@ -196,7 +141,7 @@ let stream t src =
       s
 
 let has_packet ?(src = 0) t ~seq =
-  seq >= 1 && seq <= t.n_packets && win_get (stream t src) ~seq
+  seq >= 1 && seq <= t.n_packets && Window.mem (stream t src).win ~seq
 
 let reply_sender t = if t.reply_from < 0 then None else Some t.reply_from
 
@@ -211,13 +156,13 @@ let suffered_loss ?(src = 0) t ~seq =
          && Char.code (Bytes.get st.lost_retired i) land (1 lsl (seq land 7)) <> 0
      | None -> false
 
-let max_seq_seen ?(src = 0) t = (stream t src).max_seq
+let max_seq_seen ?(src = 0) t = Window.max_seq (stream t src).win
 
 let max_seqs t =
   List.filter_map
     (fun src ->
       match Hashtbl.find_opt t.streams src with
-      | Some st when st.max_seq > 0 -> Some (src, st.max_seq)
+      | Some st when Window.max_seq st.win > 0 -> Some (src, Window.max_seq st.win)
       | _ -> None)
     t.stream_srcs
 
@@ -235,12 +180,6 @@ let dist_to t peer = Session.distance_or t.session peer ~default:1.0
 let dist_to_source ?(src = 0) t = dist_to t src
 
 (* --- hierarchical local recovery ----------------------------------- *)
-
-let domain t = Option.map (fun c -> c.dmap) t.domain
-
-let domain_local_requests t = t.n_local_requests
-
-let domain_escalations t = t.n_escalations
 
 (* Escalation level of a request round: [domain_local_rounds] rounds
    are spent inside the home domain, then the scope widens {e
@@ -400,6 +339,7 @@ let rearm_stale t ~src ~upto ~window =
    known losses survive, with every pending request restarted from
    round 0 so recovery does not inherit a pre-crash back-off exponent. *)
 let restart_recovery t =
+  t.hooks.on_state_reset ();
   Session.reset t.session;
   Hashtbl.iter (fun _ timer -> Sim.Engine.cancel timer) t.replies;
   Hashtbl.reset t.replies;
@@ -421,6 +361,7 @@ let restart_recovery t =
    dropped: the member was not present for those losses' full recovery
    windows, so the run's liveness accounting forgives them. *)
 let depart t =
+  t.hooks.on_state_reset ();
   let forgiven = Hashtbl.length t.requests in
   Hashtbl.iter
     (fun _ (st : request_state) ->
@@ -447,21 +388,16 @@ let depart t =
 (* Membership (re)join with empty soft state. The one thing a joiner
    must be told is where each stream already stands: baselining the
    window at the source's current max-seq uses the steady-mode
-   "retired = delivered" convention ([win_get] answers true at or below
-   [base]), so detection — gap-, session-, and due-time-triggered alike
-   — can only ever charge the member for packets sent after it joined. *)
+   "retired = delivered" convention ({!Window.baseline}), so detection
+   — gap-, session-, and due-time-triggered alike — can only ever
+   charge the member for packets sent after it joined. *)
 let join t ~baselines =
   t.in_group <- true;
   List.iter
     (fun (src, upto) ->
       if upto > 0 then begin
         let st = stream t src in
-        (* [max] for idempotence; the window bytes are all-zero here
-           (fresh host, or [depart] just wiped them), so moving [base]
-           shifts no live bits. *)
-        st.base <- max st.base upto;
-        st.prefix <- max st.prefix upto;
-        st.max_seq <- max st.max_seq upto;
+        Window.baseline st.win ~upto;
         st.scanned_due <- max st.scanned_due upto;
         st.last_data_seq <- max st.last_data_seq upto
       end)
@@ -469,7 +405,9 @@ let join t ~baselines =
 
 (* A peer left the group: drop the session soft state naming it, so a
    later rejoin re-measures instead of inheriting a stale estimate. *)
-let forget_peer t peer = Session.forget_peer t.session peer
+let forget_peer t peer =
+  t.hooks.on_peer_left peer;
+  Session.forget_peer t.session peer
 
 (* A request for [seq] was overheard while ours is pending: push ours to
    the next round unless inside the back-off abstinence period. *)
@@ -559,12 +497,14 @@ let rec scan_due t ~src ~period =
   let st = stream t src in
   if st.last_data_at > neg_infinity then begin
     let frontier = ref st.scanned_due in
-    while !frontier < st.max_seq && due_time t ~src st ~period (!frontier + 1) <= now t do
+    while
+      !frontier < Window.max_seq st.win && due_time t ~src st ~period (!frontier + 1) <= now t
+    do
       incr frontier;
       if not (has_packet ~src t ~seq:!frontier) then detect_loss t ~src !frontier
     done;
     st.scanned_due <- !frontier;
-    if st.scanned_due < st.max_seq && not st.due_pending then begin
+    if st.scanned_due < Window.max_seq st.win && not st.due_pending then begin
       st.due_pending <- true;
       let after = Float.max 0. (due_time t ~src st ~period (st.scanned_due + 1) -. now t) in
       ignore
@@ -578,18 +518,18 @@ let rec scan_due t ~src ~period =
    sequentially): any unseen gap at or below m is a loss — immediately
    in flat mode, once overdue in domain mode. *)
 let seq_exists t ~src m =
-  let stream = stream t src in
+  let win = (stream t src).win in
   match inflight_period t with
   | None ->
-      if m > stream.max_seq then begin
-        let first = stream.max_seq + 1 in
-        stream.max_seq <- min m t.n_packets;
-        for seq = first to stream.max_seq do
+      if m > Window.max_seq win then begin
+        let first = Window.max_seq win + 1 in
+        Window.note_max_seq win (min m t.n_packets);
+        for seq = first to Window.max_seq win do
           if not (has_packet ~src t ~seq) then detect_loss t ~src seq
         done
       end
   | Some period ->
-      if m > stream.max_seq then stream.max_seq <- min m t.n_packets;
+      Window.note_max_seq win (min m t.n_packets);
       scan_due t ~src ~period
 
 (* Whether [seq] is past the in-flight allowance — gate for detection
@@ -626,7 +566,7 @@ let record_recovery t ~src seq ~expedited ~rounds ~repaired =
    outran the data flood on a deep path. *)
 let obtain t ~src seq ~expedited ~repaired =
   if not (has_packet ~src t ~seq) then begin
-    win_set ~n_packets:t.n_packets (stream t src) ~seq;
+    Window.add (stream t src).win ~seq;
     (* A pending request is now moot. *)
     let rounds =
       match Hashtbl.find_opt t.requests (key t ~src ~seq) with
@@ -655,14 +595,14 @@ let obtain t ~src seq ~expedited ~repaired =
 
 let note_sent ?(src = 0) t ~seq =
   if seq >= 1 && seq <= t.n_packets then begin
-    let stream = stream t src in
-    win_set ~n_packets:t.n_packets stream ~seq;
-    if seq > stream.max_seq then stream.max_seq <- seq
+    let win = (stream t src).win in
+    Window.add win ~seq;
+    Window.note_max_seq win seq
   end
 
-let delivered_prefix ?(src = 0) t = (stream t src).prefix
+let delivered_prefix ?(src = 0) t = Window.prefix (stream t src).win
 
-let retired_floor ?(src = 0) t = (stream t src).base
+let retired_floor ?(src = 0) t = Window.base (stream t src).win
 
 (* Steady-state retirement: drop per-packet state at or below [upto],
    clamped to each stream's own delivered prefix (the controller's
@@ -675,23 +615,12 @@ let retired_floor ?(src = 0) t = (stream t src).base
    exists only while the packet is missing, and everything at or below
    the delivered prefix has arrived. *)
 let retire_below t ~upto =
-  Hashtbl.iter
-    (fun _src st ->
-      let upto = min upto st.prefix in
-      if upto > st.base then begin
-        let len = Bytes.length st.received in
-        let shift = upto - st.base in
-        if shift >= len then Bytes.fill st.received 0 len '\000'
-        else begin
-          Bytes.blit st.received shift st.received 0 (len - shift);
-          Bytes.fill st.received (len - shift) shift '\000'
-        end;
-        st.base <- upto
-      end)
-    t.streams;
+  Hashtbl.iter (fun _src st -> Window.retire_below st.win ~upto) t.streams;
   let retired k =
     let src = Key.src ~stride:t.stride k and seq = Key.seq ~stride:t.stride k in
-    match Hashtbl.find_opt t.streams src with Some st -> seq <= st.base | None -> false
+    match Hashtbl.find_opt t.streams src with
+    | Some st -> seq <= Window.base st.win
+    | None -> false
   in
   let sweep ?(keep = fun _ _ -> false) table =
     let dead = Hashtbl.fold (fun k v acc -> if retired k && not (keep k v) then k :: acc else acc) table [] in
@@ -716,7 +645,8 @@ let retire_below t ~upto =
       end)
     t.detect_info;
   sweep t.detect_info;
-  sweep t.replied
+  sweep t.replied;
+  t.hooks.on_retired ()
 
 (* --- replies ------------------------------------------------------- *)
 
@@ -864,7 +794,7 @@ let on_packet t (p : Net.Packet.t) =
       end;
       seq_exists t ~src (seq - 1);
       obtain t ~src seq ~expedited:false ~repaired:false;
-      if seq > stream.max_seq then stream.max_seq <- seq
+      Window.note_max_seq stream.win seq
   | Net.Packet.Request { src; seq; requestor; d_qs; round } ->
       handle_request t ~src ~seq ~requestor ~d_qs ~round
   | Net.Packet.Reply { src; seq; requestor; replier; _ } ->
@@ -968,7 +898,15 @@ let create ?domain ~network ~self ~params ~n_packets ~counters ~recoveries () =
       reply_from = -1;
       counters;
       recoveries;
-      hooks = no_hooks ();
+      hooks =
+        {
+          on_loss_detected = (fun ~src:_ ~seq:_ -> ());
+          on_reply_observed = (fun _ -> ());
+          on_packet_obtained = (fun ~src:_ ~seq:_ ~expedited:_ -> ());
+          on_state_reset = ignore;
+          on_peer_left = ignore;
+          on_retired = ignore;
+        };
       mutations = [];
     }
   in
@@ -985,7 +923,7 @@ let create ?domain ~network ~self ~params ~n_packets ~counters ~recoveries () =
       (match params.Params.rearm_backoff with
       | Some window -> rearm_stale t ~src ~upto:m ~window
       | None -> ());
-      if m > (stream t src).max_seq then begin
+      if m > Window.max_seq (stream t src).win then begin
         let grace = dist_to_source ~src t +. 0.05 in
         (* Domain mode: {!seq_exists} itself defers detection until the
            advertised packets are overdue (the in-flight allowance), so

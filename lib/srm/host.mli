@@ -11,7 +11,10 @@
 
     One implementation serves both protocols: CESRM installs the
     {!hooks} callbacks and drives the expedited scheme on top (see
-    [Cesrm.Host]), so the suppression machinery is shared verbatim. *)
+    [Cesrm.Host]), so the suppression machinery is shared verbatim,
+    and so is the lifecycle: restarting, departing or retiring an SRM
+    host, or making it forget a peer, reaches the CESRM state layered
+    on it through the lifecycle hooks. *)
 
 type t
 
@@ -37,9 +40,16 @@ type hooks = {
           [expedited] says whether an expedited reply delivered it
           (false for original data and ordinary replies); used to
           cancel expedited requests and score repliers *)
+  mutable on_state_reset : unit -> unit;
+      (** fired first in {!restart_recovery} and in {!depart}: the
+          host's soft state is gone *)
+  mutable on_peer_left : int -> unit;
+      (** fired first in {!forget_peer}, with the departed peer *)
+  mutable on_retired : unit -> unit;
+      (** fired last in {!retire_below}, once the floor of every
+          stream ({!retired_floor}) has moved *)
 }
-
-val no_hooks : unit -> hooks
+(** Every hook defaults to a no-op. *)
 
 val create :
   ?domain:Rdomain.t ->
@@ -65,23 +75,11 @@ val create :
     {!Params.t.domain_dr_bias} suppression weight. Without it every
     code path is byte-identical to classic SRM. *)
 
-val domain : t -> Rdomain.t option
-
-val domain_local_requests : t -> int
-(** Domain mode: requests this host sent at escalation level 0 (inside
-    its own domain). 0 in flat runs. *)
-
-val domain_escalations : t -> int
-(** Domain mode: requests this host sent at escalation level > 0
-    (widened to an ancestor domain). 0 in flat runs. *)
-
 val network : t -> Net.Network.t
 
 val hooks : t -> hooks
 
 val self : t -> int
-
-val session : t -> Session.t
 
 val start : t -> session_until:float -> unit
 (** Start session-message emission (with random phase). *)

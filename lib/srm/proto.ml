@@ -1,23 +1,24 @@
-type t = {
+type 'h group = {
   network : Net.Network.t;
   n_packets : int;
   period : float;
-  hosts : (int * Host.t) list;
+  hosts : (int * 'h) list;
+  srm : 'h -> Host.t;
   counters : Stats.Counters.t;
   recoveries : Stats.Recovery.t;
 }
 
-let deploy ?owned ?domain ~network ~params ~n_packets ~period () =
+type t = Host.t group
+
+let deploy_with ?owned ~create ~on_packet ~srm ~network ~n_packets ~period () =
   let tree = Net.Network.tree network in
   let counters = Stats.Counters.create ~n_nodes:(Net.Tree.n_nodes tree) in
   let recoveries = Stats.Recovery.create () in
   let owned = match owned with Some f -> f | None -> fun _ -> true in
   let member node =
     if owned node then begin
-      let host =
-        Host.create ?domain ~network ~self:node ~params ~n_packets ~counters ~recoveries ()
-      in
-      Net.Network.on_receive network node (Host.on_packet host);
+      let host = create ~self:node ~counters ~recoveries in
+      Net.Network.on_receive network node (on_packet host);
       Some (node, host)
     end
     else begin
@@ -30,23 +31,25 @@ let deploy ?owned ?domain ~network ~params ~n_packets ~period () =
     end
   in
   let nodes = 0 :: Array.to_list (Net.Tree.receivers tree) in
-  { network; n_packets; period; hosts = List.filter_map member nodes; counters; recoveries }
+  { network; n_packets; period; hosts = List.filter_map member nodes; srm; counters; recoveries }
+
+let deploy ?owned ?domain ~network ~params ~n_packets ~period () =
+  deploy_with ?owned ~network ~n_packets ~period ~on_packet:Host.on_packet ~srm:Fun.id
+    ~create:(fun ~self ~counters ~recoveries ->
+      Host.create ?domain ~network ~self ~params ~n_packets ~counters ~recoveries ())
+    ()
 
 let host t node = List.assoc node t.hosts
 
 let members t = t.hosts
 
-let receivers t = List.filter (fun (node, _) -> node <> 0) t.hosts
+let srm_members t = List.map (fun (node, h) -> (node, t.srm h)) t.hosts
 
 let counters t = t.counters
 
 let recoveries t = t.recoveries
 
 let network t = t.network
-
-let n_packets t = t.n_packets
-
-let end_time t ~warmup ~tail = warmup +. (float_of_int t.n_packets *. t.period) +. tail
 
 (* A streamed producer is only byte-identical to the eager loop when
    sends cannot reorder: each firing arms its successor, so jitter
@@ -55,38 +58,29 @@ let end_time t ~warmup ~tail = warmup +. (float_of_int t.n_packets *. t.period) 
    the eager loop. *)
 let can_stream ~send_jitter ~period = send_jitter <= period
 
-(* Schedule an additional data stream originating at member [src]. *)
 let add_stream ?(send_jitter = 0.) ?(streaming = false) t ~src ~n_packets ~period ~start_at =
   let engine = Net.Network.engine t.network in
-  let origin = List.assoc_opt src t.hosts in
+  let origin = Option.map t.srm (List.assoc_opt src t.hosts) in
+  (* Passed as [?src]: a [~src] at the call would box a fresh option
+     on every send. *)
+  let src_opt = Some src in
   let jitter_rng = Sim.Rng.split (Sim.Engine.rng engine) in
   Sim.Stream.schedule engine
     ~streaming:(streaming && can_stream ~send_jitter ~period)
     ~n:(min n_packets t.n_packets)
     ~at:(fun seq ->
-      let jitter = if send_jitter <= 0. then 0. else Sim.Rng.float jitter_rng send_jitter in
-      start_at +. (float_of_int (seq - 1) *. period) +. jitter)
-    ~fire:(fun seq ->
-      (match origin with Some h -> Host.note_sent ~src h ~seq | None -> ());
-      Net.Network.multicast_replicated t.network ~from:src
-        { Net.Packet.sender = src; payload = Net.Packet.Data { seq } })
-
-let start ?(send_jitter = 0.) ?(streaming = false) t ~warmup ~tail =
-  let engine = Net.Network.engine t.network in
-  let session_until = end_time t ~warmup ~tail in
-  List.iter (fun (_, h) -> Host.start h ~session_until) t.hosts;
-  let source = List.assoc_opt 0 t.hosts in
-  let jitter_rng = Sim.Rng.split (Sim.Engine.rng engine) in
-  Sim.Stream.schedule engine
-    ~streaming:(streaming && can_stream ~send_jitter ~period:t.period)
-    ~n:t.n_packets
-    ~at:(fun seq ->
       (* Optional per-packet jitter models upstream reordering: with
          jitter beyond one period, packets can overtake and receivers
          see transient gaps — the situation REORDER-DELAY exists for. *)
       let jitter = if send_jitter <= 0. then 0. else Sim.Rng.float jitter_rng send_jitter in
-      warmup +. (float_of_int (seq - 1) *. t.period) +. jitter)
+      start_at +. (float_of_int (seq - 1) *. period) +. jitter)
     ~fire:(fun seq ->
-      (match source with Some h -> Host.note_sent h ~seq | None -> ());
-      Net.Network.multicast_replicated t.network ~from:0
-        { Net.Packet.sender = 0; payload = Net.Packet.Data { seq } })
+      (match origin with Some h -> Host.note_sent ?src:src_opt h ~seq | None -> ());
+      Net.Network.multicast_replicated t.network ~from:src
+        { Net.Packet.sender = src; payload = Net.Packet.Data { seq } })
+
+let start ?send_jitter ?streaming t ~warmup ~tail =
+  let session_until = warmup +. (float_of_int t.n_packets *. t.period) +. tail in
+  List.iter (fun (_, h) -> Host.start (t.srm h) ~session_until) t.hosts;
+  add_stream ?send_jitter ?streaming t ~src:0 ~n_packets:t.n_packets ~period:t.period
+    ~start_at:warmup

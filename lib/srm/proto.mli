@@ -1,10 +1,38 @@
-(** Deploying plain SRM on a simulated multicast group.
+(** Deploying an SRM-family protocol on a simulated multicast group.
 
-    Creates one {!Host} per group member (the source on node 0 plus
-    every receiver leaf), registers their network handlers, and drives
-    the source's constant-rate transmission. *)
+    Creates one host per group member (the source on node 0 plus every
+    receiver leaf), registers their network handlers, and drives the
+    source's constant-rate transmission. A group is generic in its
+    member type: plain SRM deploys {!Host.t} members ({!deploy}), and a
+    protocol layered on SRM — CESRM — deploys its own hosts through
+    {!deploy_with}, naming the SRM host inside each. Everything after
+    the deploy (start, extra streams, lookups) is shared. *)
 
-type t
+type 'h group
+
+type t = Host.t group
+(** Plain SRM. *)
+
+val deploy_with :
+  ?owned:(int -> bool) ->
+  create:(self:int -> counters:Stats.Counters.t -> recoveries:Stats.Recovery.t -> 'h) ->
+  on_packet:('h -> Net.Packet.t -> unit) ->
+  srm:('h -> Host.t) ->
+  network:Net.Network.t ->
+  n_packets:int ->
+  period:float ->
+  unit ->
+  'h group
+(** Build one member per node with [create], in deploy order (source
+    first, then [Net.Tree.receivers]), sharing the group's counters
+    and recovery log, and register [on_packet] as its handler. [srm]
+    is the member's SRM host, which {!start} and the streams drive.
+
+    [owned] (default: everyone) restricts which members get a live
+    host — a PDES shard deploys only its own. Non-owned members still
+    consume one engine-RNG split each in deploy order, so owned hosts
+    draw identical generators on every shard; [create] must consume
+    exactly one. *)
 
 val deploy :
   ?owned:(int -> bool) ->
@@ -15,53 +43,47 @@ val deploy :
   period:float ->
   unit ->
   t
-(** [owned] (default: everyone) restricts which members get a live
-    host — a PDES shard deploys only its own. Non-owned members still
-    consume their engine-RNG split in deploy order, so owned hosts
-    draw identical generators on every shard. [domain] enables
-    hierarchical local recovery on every host (see {!Host.create});
-    passing it does not perturb the deploy-order RNG discipline. *)
+(** Plain SRM through {!deploy_with}. [domain] enables hierarchical
+    local recovery on every host (see {!Host.create}); passing it does
+    not perturb the deploy-order RNG discipline. *)
 
-val start : ?send_jitter:float -> ?streaming:bool -> t -> warmup:float -> tail:float -> unit
-(** Sessions begin immediately (randomly phased); the source transmits
-    packet [seq] at [warmup + (seq-1)·period] plus a uniform random
-    [send_jitter] (default 0 — jitter beyond one period reorders
-    packets, the case REORDER-DELAY guards against); session emission
-    stops at [end_of_data + tail]. Run the engine afterwards.
-    [streaming] (default false) produces sends lazily — one pending
-    timer instead of [n_packets] — via {!Sim.Stream}; byte-identical
-    to the eager schedule, and honoured only when
-    [send_jitter <= period] (beyond that, sends may reorder and the
-    eager loop is used). *)
-
-val end_time : t -> warmup:float -> tail:float -> float
-(** The horizon matching {!start}'s schedule. *)
+val start : ?send_jitter:float -> ?streaming:bool -> 'h group -> warmup:float -> tail:float -> unit
+(** Sessions begin immediately (randomly phased) and stop at
+    [end_of_data + tail]; then the source's stream is scheduled as
+    {!add_stream} [~src:0 ~start_at:warmup] with the group's length
+    and period. Run the engine afterwards. *)
 
 val add_stream :
   ?send_jitter:float ->
   ?streaming:bool ->
-  t ->
+  'h group ->
   src:int ->
   n_packets:int ->
   period:float ->
   start_at:float ->
   unit
-(** Schedule a second data stream originating at member [src] (SRM is
-    multi-source; recovery state is kept per stream). [n_packets] is
-    clamped to the deployment's per-stream cap. *)
+(** Schedule a data stream originating at member [src] (SRM is
+    multi-source; recovery state is kept per stream): packet [seq]
+    leaves at [start_at + (seq-1)·period] plus a uniform random
+    [send_jitter] (default 0 — jitter beyond one period reorders
+    packets, the case REORDER-DELAY guards against). [n_packets] is
+    clamped to the deployment's per-stream cap. [streaming] (default
+    false) produces sends lazily — one pending timer instead of
+    [n_packets] — via {!Sim.Stream}; byte-identical to the eager
+    schedule, and honoured only when [send_jitter <= period] (beyond
+    that, sends may reorder and the eager loop is used). *)
 
-val host : t -> int -> Host.t
+val host : 'h group -> int -> 'h
 (** By node id. @raise Not_found for non-members. *)
 
-val members : t -> (int * Host.t) list
-(** All members, source first. *)
+val members : 'h group -> (int * 'h) list
+(** All (owned) members, source first. *)
 
-val receivers : t -> (int * Host.t) list
+val srm_members : 'h group -> (int * Host.t) list
+(** {!members}' SRM hosts, in the same order. *)
 
-val counters : t -> Stats.Counters.t
+val counters : 'h group -> Stats.Counters.t
 
-val recoveries : t -> Stats.Recovery.t
+val recoveries : 'h group -> Stats.Recovery.t
 
-val network : t -> Net.Network.t
-
-val n_packets : t -> int
+val network : 'h group -> Net.Network.t

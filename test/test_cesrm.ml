@@ -466,6 +466,44 @@ let test_invalidate_replier () =
   check Alcotest.bool "rejoin revives via a heard reply" false
     (Cesrm.Host.replier_dead host ~replier:4)
 
+(* The SRM host's lifecycle drives the CESRM state layered on it: a
+   caller that retires, forgets a peer on, or restarts the SRM host
+   alone still sweeps, invalidates or empties the expedited state. *)
+let test_srm_lifecycle_drives_cesrm () =
+  let engine = Sim.Engine.create ~seed:77L () in
+  let network = Net.Network.create ~engine ~tree:(sample_tree ()) ~link_delay:0.02 () in
+  let proto =
+    Cesrm.Proto.deploy ~network ~params:Srm.Params.default ~n_packets:5 ~period:0.05 ()
+  in
+  let host = Cesrm.Proto.host proto 3 in
+  let srm = Cesrm.Host.srm host in
+  let cache = Cesrm.Host.cache host in
+  ignore (Cesrm.Cache.note_reply cache (entry ~seq:1 ~requestor:3 ~replier:5 ()));
+  ignore (Cesrm.Cache.note_reply cache (entry ~seq:2 ~requestor:3 ~replier:4 ()));
+  ignore (Cesrm.Cache.note_reply cache (entry ~seq:3 ~requestor:3 ~replier:5 ()));
+  let outstanding () =
+    let reg = Obs.Registry.create () in
+    Cesrm.Host.publish_metrics host reg;
+    Option.value ~default:0 (Obs.Registry.counter_value reg "cesrm/exp_outstanding_at_end")
+  in
+  (* Packet 5 lands with 1..4 missing: each loss is expedited to the
+     most recent pair's replier, which does not have them either. *)
+  Cesrm.Host.on_packet host { Net.Packet.sender = 0; payload = Net.Packet.Data { seq = 5 } };
+  Sim.Engine.run ~until:0.01 engine;
+  check Alcotest.int "four expedited recoveries outstanding" 4 (outstanding ());
+  (* 1 and 2 become available without a delivery event, then retire. *)
+  Srm.Host.note_sent srm ~seq:1;
+  Srm.Host.note_sent srm ~seq:2;
+  Srm.Host.retire_below srm ~upto:2;
+  check Alcotest.int "retirement swept the retired packets' entries" 2 (outstanding ());
+  Srm.Host.forget_peer srm 4;
+  check Alcotest.int "the pair naming the departed peer is dropped" 2 (Cesrm.Cache.size cache);
+  check Alcotest.bool "the departed peer is presumed dead" true
+    (Cesrm.Host.replier_dead host ~replier:4);
+  Srm.Host.restart_recovery srm;
+  check Alcotest.int "a restart empties the cache" 0 (Cesrm.Cache.size cache);
+  check Alcotest.int "and drops the outstanding recoveries" 0 (outstanding ())
+
 let test_multi_source_streams () =
   (* Two concurrent streams — the root and receiver 5 both transmit —
      with losses in each; recovery state and caches are per source
@@ -574,7 +612,11 @@ let () =
           Alcotest.test_case "router assist exposure" `Quick test_router_assist_reduces_exposure;
         ] );
       ( "churn",
-        [ Alcotest.test_case "invalidate departed replier" `Quick test_invalidate_replier ] );
+        [
+          Alcotest.test_case "invalidate departed replier" `Quick test_invalidate_replier;
+          Alcotest.test_case "SRM lifecycle drives CESRM state" `Quick
+            test_srm_lifecycle_drives_cesrm;
+        ] );
       ( "multi-source",
         [
           Alcotest.test_case "two streams" `Quick test_multi_source_streams;

@@ -321,9 +321,7 @@ let run_plan ?(protocol = `Srm) plan =
       in
       let on_restart ~node =
         Option.iter
-          (fun h ->
-            Cesrm.Host.reset_caches h;
-            Srm.Host.restart_recovery (Cesrm.Host.srm h))
+          (fun h -> Srm.Host.restart_recovery (Cesrm.Host.srm h))
           (List.assoc_opt node (Cesrm.Proto.members proto))
       in
       Fault.Plan.compile ~network ~on_restart plan;

@@ -344,6 +344,98 @@ let test_full_trace_completeness () =
   check Alcotest.int "no unrecovered losses" 0 res.unrecovered;
   check Alcotest.bool "plenty recovered" true (Stats.Recovery.count res.recoveries > 100)
 
+(* --- the delivery window against a reference model -------------------- *)
+
+(* Random add / retire / baseline / max-seq sequences over one stream;
+   after every step the window must agree with a bool array plus an
+   explicit floor. [Extend k] adds the [k] seqs above the current
+   prefix in descending order, so runs close gaps and walk the prefix
+   far; streams past 4096 packets exercise window growth. *)
+type window_op =
+  | Add of int
+  | Extend of int
+  | Retire of int
+  | Baseline of int
+  | Note of int
+
+let show_window_op = function
+  | Add s -> Printf.sprintf "add %d" s
+  | Extend k -> Printf.sprintf "extend %d" k
+  | Retire u -> Printf.sprintf "retire %d" u
+  | Baseline u -> Printf.sprintf "baseline %d" u
+  | Note m -> Printf.sprintf "note %d" m
+
+let window_case (n, ops) =
+  let w = Srm.Window.create ~n_packets:n in
+  let have = Array.make (n + 1) false and floor = ref 0 and max_seq = ref 0 in
+  let mem s = s <= !floor || have.(s) in
+  let prefix () =
+    let p = ref 0 in
+    while !p < n && mem (!p + 1) do
+      incr p
+    done;
+    !p
+  in
+  List.iteri
+    (fun step op ->
+      (match op with
+      | Add s ->
+          Srm.Window.add w ~seq:s;
+          have.(s) <- true
+      | Extend k ->
+          let p = prefix () in
+          for s = min n (p + k) downto p + 1 do
+            Srm.Window.add w ~seq:s;
+            have.(s) <- true
+          done
+      | Retire u ->
+          Srm.Window.retire_below w ~upto:u;
+          floor := max !floor (min u (prefix ()))
+      | Baseline u ->
+          Srm.Window.baseline w ~upto:u;
+          floor := max !floor u;
+          max_seq := max !max_seq u
+      | Note m ->
+          Srm.Window.note_max_seq w m;
+          max_seq := max !max_seq m);
+      let fail what got want =
+        QCheck.Test.fail_reportf "step %d (%s): %s = %d, model %d" step (show_window_op op) what
+          got want
+      in
+      if Srm.Window.base w <> !floor then fail "base" (Srm.Window.base w) !floor;
+      if Srm.Window.prefix w <> prefix () then fail "prefix" (Srm.Window.prefix w) (prefix ());
+      if Srm.Window.max_seq w <> !max_seq then fail "max_seq" (Srm.Window.max_seq w) !max_seq;
+      for s = 1 to n do
+        if Srm.Window.mem w ~seq:s <> mem s then
+          fail (Printf.sprintf "mem %d" s) (Bool.to_int (Srm.Window.mem w ~seq:s))
+            (Bool.to_int (mem s))
+      done)
+    ops;
+  true
+
+let window_model =
+  let gen =
+    QCheck.Gen.(
+      oneof [ int_range 1 80; int_range 4000 9000 ] >>= fun n ->
+      let seq = int_range 1 n in
+      let op =
+        frequency
+          [
+            (4, map (fun s -> Add s) seq);
+            (3, map (fun k -> Extend k) (oneof [ int_range 1 8; int_range 1 5000 ]));
+            (2, map (fun u -> Retire u) seq);
+            (1, map (fun u -> Baseline u) seq);
+            (1, map (fun m -> Note m) seq);
+          ]
+      in
+      map (fun ops -> (n, ops)) (list_size (int_range 1 40) op))
+  in
+  let print (n, ops) =
+    Printf.sprintf "n=%d: %s" n (String.concat "; " (List.map show_window_op ops))
+  in
+  QCheck.Test.make ~count:200 ~name:"window agrees with a bool-array model"
+    (QCheck.make ~print gen) window_case
+
 let () =
   Alcotest.run "srm"
     [
@@ -392,4 +484,5 @@ let () =
           Alcotest.test_case "trace completeness" `Quick test_full_trace_completeness;
           Alcotest.test_case "multi-source recovery" `Quick test_multi_source_recovery;
         ] );
+      ("window", [ QCheck_alcotest.to_alcotest window_model ]);
     ]

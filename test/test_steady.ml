@@ -341,6 +341,35 @@ let test_records_off_makespan_p99 () =
         (Float.abs (retiring -. never) <= never /. 16.))
     [ Harness.Runner.Srm_protocol; Harness.Runner.Cesrm_protocol Cesrm.Host.default_config ]
 
+(* --- the fault oracle retires too -------------------------------- *)
+
+(* A faulted windowed run: the oracle keeps per-packet counts only
+   above the retirement floor, and judges the run exactly as the
+   never-retiring run does. *)
+let test_oracle_retires () =
+  List.iter
+    (fun protocol ->
+      let leg window =
+        steady_leg ~seed:42L ~window ~epoch_every:None ~retain_records:false
+          ~fault:(Some "link-flap") protocol
+      in
+      let finite = leg 32 and never = leg 400 in
+      let oracle (r : Harness.Runner.result) = Option.get r.oracle in
+      let floor = Steady.Controller.floor (Option.get finite.Harness.Runner.retirement) in
+      let name = Harness.Runner.protocol_name protocol in
+      Alcotest.(check bool) (name ^ ": floor advanced") true (floor > 0);
+      Alcotest.(check int)
+        (name ^ ": nothing held at or below the floor")
+        0
+        (Fault.Oracle.entries_at_or_below (oracle finite) ~upto:floor);
+      Alcotest.(check bool)
+        (name ^ ": the never-retiring oracle holds them")
+        true
+        (Fault.Oracle.entries_at_or_below (oracle never) ~upto:floor > 0);
+      let verdict r = Format.asprintf "%a" Fault.Oracle.pp (oracle r) in
+      Alcotest.(check string) (name ^ ": same verdict") (verdict never) (verdict finite))
+    [ Harness.Runner.Srm_protocol; Harness.Runner.Cesrm_protocol Cesrm.Host.default_config ]
+
 let () =
   Alcotest.run "steady"
     [
@@ -368,4 +397,6 @@ let () =
           Alcotest.test_case "retirement happens" `Quick test_retirement_happens;
           Alcotest.test_case "records-off makespan p99" `Quick test_records_off_makespan_p99;
         ] );
+      ( "oracle",
+        [ Alcotest.test_case "oracle retires with the window" `Quick test_oracle_retires ] );
     ]
