@@ -18,6 +18,7 @@ let default_config =
 type t = {
   srm : Srm.Host.t;
   network : Net.Network.t;
+  clock : Sim.Engine.clock; (* the engine's; [now] reads it unboxed *)
   self : int;
   domain : Rdomain.t option;
   config : config;
@@ -40,10 +41,12 @@ let srm t = t.srm
 
 let key t ~src ~seq = Srm.Key.make ~stride:t.stride ~src ~seq
 
+(* [find] with [Not_found]: a hit allocates nothing, where [find_opt]
+   allocates a [Some]. *)
 let cache ?(src = 0) t =
-  match Hashtbl.find_opt t.caches src with
-  | Some c -> c
-  | None ->
+  match Hashtbl.find t.caches src with
+  | c -> c
+  | exception Not_found ->
       let capacity = Option.value t.config.retention.Retention.capacity ~default:16 in
       let c = Cache.create ~retention:t.config.retention.Retention.scheme ~capacity () in
       Hashtbl.replace t.caches src c;
@@ -59,7 +62,7 @@ let engine t = Net.Network.engine t.network
 
 (* Virtual time for the retention schemes (TTL ages, hotspot decay).
    The default scheme ignores it entirely. *)
-let now t = Sim.Engine.now (engine t)
+let now t = t.clock.now
 
 (* Observed per-replier expedited success rate; unknown repliers get
    the optimistic prior so fresh pairs are always tried. *)
@@ -320,6 +323,7 @@ let create ?domain ~network ~self ~params ~config ~n_packets ~counters ~recoveri
     {
       srm;
       network;
+      clock = Sim.Engine.clock (Net.Network.engine network);
       self;
       domain;
       config;

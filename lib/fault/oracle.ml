@@ -22,6 +22,7 @@ type violation = { at : float; node : int; invariant : string; detail : string }
 type t = {
   config : config;
   network : Net.Network.t option; (* None for an {!assemble}d merge result *)
+  clock : Sim.Engine.clock option; (* the network engine's, read unboxed per event *)
   (* (node, src, seq) -> detection time, removed on first obtain *)
   pending : (int * int * int, float) Hashtbl.t;
   (* (node, src, seq) -> how many times the member obtained it *)
@@ -155,6 +156,7 @@ let make ?(config = default_config) network =
   {
     config;
     network;
+    clock = Option.map (fun n -> Sim.Engine.clock (Net.Network.engine n)) network;
     pending = Hashtbl.create 256;
     obtained = Hashtbl.create 1024;
     exp_streak = Hashtbl.create 32;
@@ -172,8 +174,8 @@ let make ?(config = default_config) network =
 let create_detached ?config ~network () = make ?config (Some network)
 
 let now t =
-  match t.network with
-  | Some network -> Sim.Engine.now (Net.Network.engine network)
+  match t.clock with
+  | Some clock -> clock.now
   | None -> invalid_arg "Oracle: no network (assembled result)"
 
 let create ?config ~network () =

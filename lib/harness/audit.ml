@@ -2,6 +2,7 @@ type violation = { at : float; rule : string; detail : string }
 
 type t = {
   network : Net.Network.t;
+  clock : Sim.Engine.clock; (* the engine's; [now] reads it unboxed *)
   expect_in_order : bool;
   max_exp_per_loss : int;
   mutable finalized : bool;
@@ -15,7 +16,7 @@ type t = {
   requests : (int * int * int, int) Hashtbl.t; (* (host, src, seq) -> mc request count *)
 }
 
-let now t = Sim.Engine.now (Net.Network.engine t.network)
+let now t = t.clock.now
 
 let flag t ~at rule detail = t.violations <- { at; rule; detail } :: t.violations
 
@@ -132,6 +133,7 @@ let finalize_checks t =
 let create ?(expect_in_order = true) ?(max_exp_per_loss = 1) network =
   {
     network;
+    clock = Sim.Engine.clock (Net.Network.engine network);
     expect_in_order;
     max_exp_per_loss;
     finalized = false;

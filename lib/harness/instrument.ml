@@ -1,7 +1,7 @@
 let attach_network ~trace ~stride network =
-  let engine = Net.Network.engine network in
+  let clock = Sim.Engine.clock (Net.Network.engine network) in
   Net.Network.add_tap network (fun ~from (p : Net.Packet.t) ->
-      let at = Sim.Engine.now engine in
+      let at = clock.now in
       match p.payload with
       | Net.Packet.Data { seq } ->
           Obs.Trace.record trace ~at ~node:from ~stream:from
@@ -24,14 +24,14 @@ let attach_network ~trace ~stride network =
             Obs.Trace.Session_sent)
 
 let attach_srm_host ~trace ~stride host =
-  let engine = Net.Network.engine (Srm.Host.network host) in
+  let clock = Sim.Engine.clock (Net.Network.engine (Srm.Host.network host)) in
   let node = Srm.Host.self host in
   let hooks = Srm.Host.hooks host in
   let prev_detect = hooks.on_loss_detected in
   hooks.on_loss_detected <-
     (fun ~src ~seq ->
       prev_detect ~src ~seq;
-      Obs.Trace.record trace ~at:(Sim.Engine.now engine) ~node ~stream:src
+      Obs.Trace.record trace ~at:clock.now ~node ~stream:src
         ~key:(Srm.Key.make ~stride ~src ~seq)
         Obs.Trace.Loss_detected);
   let prev_obtained = hooks.on_packet_obtained in
@@ -41,7 +41,7 @@ let attach_srm_host ~trace ~stride host =
       (* The hook fires for every delivery; only packets this member
          detected as lost close a recovery span. *)
       if Srm.Host.suffered_loss ~src host ~seq then
-        Obs.Trace.record trace ~at:(Sim.Engine.now engine) ~node ~stream:src
+        Obs.Trace.record trace ~at:clock.now ~node ~stream:src
           ~key:(Srm.Key.make ~stride ~src ~seq)
           (if expedited then Obs.Trace.Recovered_expedited else Obs.Trace.Recovered_fallback))
 

@@ -2,6 +2,7 @@ type retry_state = { mutable attempt : int; mutable timer : Sim.Engine.timer opt
 
 type t = {
   network : Net.Network.t;
+  clock : Sim.Engine.clock; (* the engine's; [now] reads it unboxed *)
   self : int;
   n_packets : int;
   rng : Sim.Rng.t;
@@ -18,14 +19,16 @@ let max_forward_ttl = 24
 
 let engine t = Net.Network.engine t.network
 
-let now t = Sim.Engine.now (engine t)
+let now t = t.clock.now
 
 let self t = t.self
 
+(* [find] with [Not_found]: a hit allocates nothing, where [find_opt]
+   allocates a [Some]. *)
 let stream t src =
-  match Hashtbl.find_opt t.streams src with
-  | Some s -> s
-  | None ->
+  match Hashtbl.find t.streams src with
+  | s -> s
+  | exception Not_found ->
       let s = Srm.Window.create ~n_packets:t.n_packets in
       Hashtbl.replace t.streams src s;
       s
@@ -43,6 +46,7 @@ let max_seqs t =
 let create ~network ~self ~n_packets ~route ~counters ~recoveries =
   {
     network;
+    clock = Sim.Engine.clock (Net.Network.engine network);
     self;
     n_packets;
     rng = Sim.Rng.split (Sim.Engine.rng (Net.Network.engine network));

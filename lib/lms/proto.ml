@@ -55,6 +55,7 @@ let refresh t =
 
 let start ?(streaming = false) t ~warmup ~tail =
   let engine = Net.Network.engine t.network in
+  let clock = Sim.Engine.clock engine in
   let horizon = warmup +. (float_of_int t.n_packets *. t.period) +. tail in
   let source = host t 0 in
   (* LMS sends on an unjittered grid, so the streamed producer is
@@ -67,7 +68,7 @@ let start ?(streaming = false) t ~warmup ~tail =
         { Net.Packet.sender = 0; payload = Net.Packet.Data { seq } });
   (* Source heartbeat for tail-loss detection. *)
   let rec heartbeat () =
-    if Sim.Engine.now engine <= horizon then begin
+    if clock.now <= horizon then begin
       Stats.Counters.bump t.counters ~node:0 Stats.Counters.Sess;
       Net.Network.multicast t.network ~from:0
         {
@@ -76,7 +77,7 @@ let start ?(streaming = false) t ~warmup ~tail =
             Net.Packet.Session
               {
                 origin = 0;
-                sent_at = Sim.Engine.now engine;
+                sent_at = clock.now;
                 max_seqs = Host.max_seqs source;
                 echoes = [];
               };
@@ -87,7 +88,7 @@ let start ?(streaming = false) t ~warmup ~tail =
   ignore (Sim.Engine.schedule engine ~after:1.0 heartbeat);
   (* Soft-state replier refresh. *)
   let rec refresher () =
-    if Sim.Engine.now engine <= horizon then begin
+    if clock.now <= horizon then begin
       refresh t;
       ignore (Sim.Engine.schedule engine ~after:t.refresh_period refresher)
     end

@@ -55,11 +55,16 @@ type shard = {
 
 type t = {
   engine : Sim.Engine.t;
+  clock : Sim.Engine.clock; (* the engine's; read unboxed on every cast *)
   tree : Tree.t;
   delays : float array; (* per link id; slot 0 unused *)
   bandwidth_bps : float;
   routes : Routes.t; (* static preorder arrays; see routes.mli *)
-  arrive : float array; (* scratch: per-node arrival time of the packet in flight *)
+  (* Scratch: per-node arrival time of the packet in flight, plus one
+     spare cell (index [n_nodes]) for a duplicated copy's later
+     arrival. Every delivery reads its time from here
+     ([Engine.schedule_call ~times:arrive]), so no arrival is boxed. *)
+  arrive : float array;
   chain : int array; (* scratch: the root-ward node chain of the walk in progress *)
   mutable drop : link:int -> down:bool -> Packet.t -> bool;
   handlers : (Packet.t -> unit) option array;
@@ -87,9 +92,10 @@ type t = {
   mutable shard : shard option;
   (* Allocation-free delivery: one pooled packet slot per in-flight
      cast and one shared fire closure, dispatched by integer argument
-     [(slot lsl node_bits) lor node] through [Engine.schedule_call] —
-     the per-delivery closure this replaces dominated allocation at
-     scale (tens of MB per 200-packet leg). *)
+     [(slot lsl node_bits) lor node] through [Engine.schedule_call],
+     with the time read from [arrive] — the per-delivery closure this
+     replaces dominated allocation at scale (tens of MB per 200-packet
+     leg). *)
   mutable pslots : Packet.t array;
   mutable prefs : int array; (* per-slot pending deliveries + 1 while walking *)
   mutable pfree : int array; (* free-slot stack *)
@@ -156,11 +162,12 @@ let create_heterogeneous ~engine ~tree ~delays ?(bandwidth_bps = 1.5e6) () =
   let t =
     {
       engine;
+      clock = Sim.Engine.clock engine;
       tree;
       delays;
       bandwidth_bps;
       routes = Routes.create tree;
-      arrive = Array.make n 0.;
+      arrive = Array.make (n + 1) 0.;
       chain = Array.make (Tree.height tree + 1) 0;
       drop = no_drop;
       handlers = Array.make n None;
@@ -437,11 +444,13 @@ let link_is_down t ~link ~at =
   | Some p -> window_at p.downs.(link) at <> None
 
 (* Schedule delivery of the current cast's packet (the one pinned in
-   [cur_pslot]) at [node]. During an emit replay the send-time enabled
-   check consults the origin's snapshot instead of live state: the
-   member may have crashed or revived between the origin's send and
-   this shard's replay of it. *)
-let deliver t ~node ~at =
+   [cur_pslot]) at [node], at the time the walk wrote into
+   [arrive.(cell)]: [node]'s own cell, or the spare cell for a
+   duplicated copy. During an emit replay the send-time enabled check
+   consults the origin's snapshot instead of live state: the member may
+   have crashed or revived between the origin's send and this shard's
+   replay of it. *)
+let deliver t ~node ~cell =
   match t.handlers.(node) with
   | None -> ()
   | Some _ ->
@@ -453,7 +462,8 @@ let deliver t ~node ~at =
       if not blocked then begin
         let s = t.cur_pslot in
         t.prefs.(s) <- t.prefs.(s) + 1;
-        Sim.Engine.schedule_call t.engine ~at t.fire ((s lsl t.node_bits) lor node)
+        Sim.Engine.schedule_call t.engine ~times:t.arrive cell t.fire
+          ((s lsl t.node_bits) lor node)
       end
 
 (* Whether this shard tallies the crossing into [to_] — exactly the
@@ -518,7 +528,10 @@ let[@inline] traverse t ~cat ~cast ~link ~down ~from:_ ~to_ ~at ~tx ~fifo packet
              link's child-side endpoint one extra propagation delay
              later (a last-hop duplicate; it is not re-forwarded). *)
           (match window_at p.dups.(link) at with
-          | Some _ -> deliver t ~node:to_ ~at:(arrival +. t.delays.(link))
+          | Some _ ->
+              let spare = Tree.n_nodes t.tree in
+              t.arrive.(spare) <- arrival +. t.delays.(link);
+              deliver t ~node:to_ ~cell:spare
           | None -> ());
           arrival
         end
@@ -559,7 +572,7 @@ let scan t ~cat ~cast ~tx ~fifo lo hi packet =
       if Float.is_nan at' then i := !i + skips.(!i)
       else begin
         t.arrive.(node) <- at';
-        deliver t ~node ~at:at';
+        deliver t ~node ~cell:node;
         incr i
       end
     end
@@ -600,7 +613,7 @@ let flood t ~cat ~cast ~tx ~fifo ~origin packet =
       if Float.is_nan at' then climbing := false
       else begin
         t.arrive.(p) <- at';
-        deliver t ~node:p ~at:at';
+        deliver t ~node:p ~cell:p;
         incr m;
         chain.(!m) <- p;
         climbing := parent.(p) >= 0
@@ -627,7 +640,7 @@ let note_origin t sh ~from ~cast packet =
     invalid_arg "Network: fifo (data) casts in shard mode must use multicast_replicated";
   let e =
     {
-      e_at = Sim.Engine.now t.engine;
+      e_at = t.clock.now;
       e_from = from;
       e_idx = sh.sh_next_idx;
       e_cast = cast;
@@ -653,7 +666,7 @@ let multicast t ~from packet =
         let e = note_origin t sh ~from ~cast:Ecast_multicast packet in
         t.pwalk.(s) <- (e.e_at, e.e_from, e.e_idx)
     | None -> ());
-    t.arrive.(from) <- Sim.Engine.now t.engine;
+    t.arrive.(from) <- t.clock.now;
     flood t ~cat ~cast:Cost.Multicast ~tx:(tx_of t packet) ~fifo:(is_fifo packet) ~origin:from
       packet;
     release_pslot t s;
@@ -678,7 +691,7 @@ let multicast_replicated t ~from packet =
         if sh.sh_observe then begin
           let e =
             {
-              e_at = Sim.Engine.now t.engine;
+              e_at = t.clock.now;
               e_from = from;
               e_idx = sh.sh_next_idx;
               e_cast = Ecast_multicast;
@@ -695,9 +708,9 @@ let multicast_replicated t ~from packet =
     | Some sh ->
         let i = sh.sh_rep_idx in
         sh.sh_rep_idx <- i + 1;
-        t.pwalk.(s) <- (Sim.Engine.now t.engine, from, -2 - i)
+        t.pwalk.(s) <- (t.clock.now, from, -2 - i)
     | None -> ());
-    t.arrive.(from) <- Sim.Engine.now t.engine;
+    t.arrive.(from) <- t.clock.now;
     flood t ~cat ~cast:Cost.Multicast ~tx:(tx_of t packet) ~fifo:(is_fifo packet) ~origin:from
       packet;
     release_pslot t s;
@@ -706,13 +719,15 @@ let multicast_replicated t ~from packet =
 
 (* Walk the unicast path [from] -> [dst] through their LCA, charged as
    unicast crossings: up the source side, then down the destination
-   side, the hop order of [Tree.path]. Returns the arrival time at
-   [dst], or NaN if a hop dropped; callers deliver only on arrival. *)
-let walk_path t ~cat ~from ~dst ~at ~tx ~fifo packet =
+   side, the hop order of [Tree.path]. The walk leaves [from] at
+   [arrive.(from)]; on arrival it writes the time into [arrive.(dst)]
+   and returns [true], and it returns [false] if a hop dropped. Callers
+   deliver only on arrival. *)
+let walk_path t ~cat ~from ~dst ~tx ~fifo packet =
   let k = climb_to_lca t ~src:from ~dst in
   let chain = t.chain and parent = t.routes.Routes.parent in
   let lca = chain.(k) in
-  let at = ref at and x = ref from in
+  let at = ref t.arrive.(from) and x = ref from in
   while !x <> lca && not (Float.is_nan !at) do
     let p = parent.(!x) in
     at :=
@@ -728,7 +743,11 @@ let walk_path t ~cat ~from ~dst ~at ~tx ~fifo packet =
         ~tx ~fifo packet;
     decr j
   done;
-  !at
+  if Float.is_nan !at then false
+  else begin
+    t.arrive.(dst) <- !at;
+    true
+  end
 
 let unicast t ~from ~dst packet =
   if not t.enabled.(from) then ()
@@ -747,19 +766,18 @@ let unicast t ~from ~dst packet =
       (match origin with
       | Some e -> t.pwalk.(s) <- (e.e_at, e.e_from, e.e_idx)
       | None -> ());
-      let at =
-        walk_path t ~cat ~from ~dst ~at:(Sim.Engine.now t.engine) ~tx:(tx_of t packet)
-          ~fifo:(is_fifo packet) packet
-      in
-      if not (Float.is_nan at) then deliver t ~node:dst ~at;
+      t.arrive.(from) <- t.clock.now;
+      if walk_path t ~cat ~from ~dst ~tx:(tx_of t packet) ~fifo:(is_fifo packet) packet then
+        deliver t ~node:dst ~cell:dst;
       release_pslot t s;
       t.cur_pslot <- saved
     end
   end
 
-let flood_down t ~cat ~node ~at packet =
-  deliver t ~node ~at;
-  t.arrive.(node) <- at;
+(* Deliver at [node], then flood its subtree; the caller has written
+   [node]'s arrival time into [arrive.(node)]. *)
+let flood_down t ~cat ~node packet =
+  deliver t ~node ~cell:node;
   scan_below t ~cat ~cast:Cost.Subcast ~tx:(tx_of t packet) ~fifo:(is_fifo packet) node packet
 
 let subcast t ~at:root packet =
@@ -768,7 +786,8 @@ let subcast t ~at:root packet =
   Cost.record_send t.cost cat Cost.Subcast;
   let saved = t.cur_pslot in
   let s = acquire_pslot t packet in
-  flood_down t ~cat ~node:root ~at:(Sim.Engine.now t.engine) packet;
+  t.arrive.(root) <- t.clock.now;
+  flood_down t ~cat ~node:root packet;
   release_pslot t s;
   t.cur_pslot <- saved
 
@@ -788,14 +807,10 @@ let relayed_subcast t ~from ~via packet =
     (match origin with
     | Some e -> t.pwalk.(s) <- (e.e_at, e.e_from, e.e_idx)
     | None -> ());
-    (if from = via then flood_down t ~cat ~node:via ~at:(Sim.Engine.now t.engine) packet
-     else begin
-       let at =
-         walk_path t ~cat ~from ~dst:via ~at:(Sim.Engine.now t.engine) ~tx:(tx_of t packet)
-           ~fifo:(is_fifo packet) packet
-       in
-       if not (Float.is_nan at) then flood_down t ~cat ~node:via ~at packet
-     end);
+    t.arrive.(from) <- t.clock.now;
+    let tx = tx_of t packet and fifo = is_fifo packet in
+    if from = via || walk_path t ~cat ~from ~dst:via ~tx ~fifo packet then
+      flood_down t ~cat ~node:via packet;
     release_pslot t s;
     t.cur_pslot <- saved
   end
@@ -825,7 +840,7 @@ let run_scoped t ~cat ~tx ~fifo ~scope ~skip ~root packet =
       if Float.is_nan at' then i := !i + skips.(!i)
       else begin
         t.arrive.(node) <- at';
-        if node <> skip then deliver t ~node ~at:at';
+        if node <> skip then deliver t ~node ~cell:node;
         incr i
       end
     end
@@ -843,17 +858,11 @@ let scoped_cast t ~from ~root ~scope packet =
     let tx = tx_of t packet and fifo = is_fifo packet in
     let saved = t.cur_pslot in
     let s = acquire_pslot t packet in
-    (if from = root then begin
-       t.arrive.(root) <- Sim.Engine.now t.engine;
+    t.arrive.(from) <- t.clock.now;
+    (if from = root then run_scoped t ~cat ~tx ~fifo ~scope ~skip:from ~root packet
+     else if walk_path t ~cat ~from ~dst:root ~tx ~fifo packet then begin
+       if scope root then deliver t ~node:root ~cell:root;
        run_scoped t ~cat ~tx ~fifo ~scope ~skip:from ~root packet
-     end
-     else begin
-       let at = walk_path t ~cat ~from ~dst:root ~at:(Sim.Engine.now t.engine) ~tx ~fifo packet in
-       if not (Float.is_nan at) then begin
-         if scope root then deliver t ~node:root ~at;
-         t.arrive.(root) <- at;
-         run_scoped t ~cat ~tx ~fifo ~scope ~skip:from ~root packet
-       end
      end);
     release_pslot t s;
     t.cur_pslot <- saved
@@ -970,15 +979,14 @@ let apply_emit t e =
           flood t ~cat ~cast:Cost.Multicast ~tx ~fifo ~origin:e.e_from packet
       | Ecast_unicast dst ->
           if e.e_from <> dst then begin
-            let at = walk_path t ~cat ~from:e.e_from ~dst ~at:e.e_at ~tx ~fifo packet in
-            if not (Float.is_nan at) then deliver t ~node:dst ~at
+            t.arrive.(e.e_from) <- e.e_at;
+            if walk_path t ~cat ~from:e.e_from ~dst ~tx ~fifo packet then
+              deliver t ~node:dst ~cell:dst
           end
       | Ecast_relayed via ->
-          if e.e_from = via then flood_down t ~cat ~node:via ~at:e.e_at packet
-          else begin
-            let at = walk_path t ~cat ~from:e.e_from ~dst:via ~at:e.e_at ~tx ~fifo packet in
-            if not (Float.is_nan at) then flood_down t ~cat ~node:via ~at packet
-          end);
+          t.arrive.(e.e_from) <- e.e_at;
+          if e.e_from = via || walk_path t ~cat ~from:e.e_from ~dst:via ~tx ~fifo packet then
+            flood_down t ~cat ~node:via packet);
       release_pslot t s;
       t.cur_pslot <- saved;
       sh.sh_replaying <- false;

@@ -32,7 +32,14 @@
     their root's preorder range. Unicast legs and {!dist} climb both
     ends to the LCA and go up the source side, then down the
     destination side — the hop order of {!Tree.path} and the summation
-    order of {!Tree.dist}. *)
+    order of {!Tree.dist}.
+
+    {b Delivery.} A walk writes each node's arrival time into a per-node
+    scratch array (one spare cell holds a duplicated copy's time) and
+    schedules the delivery with {!Sim.Engine.schedule_call}, which reads
+    the time from that array cell. A delivery carries no closure, handle
+    or boxed time, so casting and draining allocate the same bytes
+    whatever the number of receivers. *)
 
 type t
 

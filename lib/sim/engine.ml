@@ -55,8 +55,14 @@ let wheel_span_f = 16777216.
    keep the hot path on a multiply. *)
 let inv_granularity = 1e3
 
+(* A flat float record: OCaml stores a record whose fields are all
+   floats unboxed, so [step]'s per-event store into [now] allocates
+   nothing. A float field of the mixed record [t] would instead point
+   to a fresh 16-byte box on every event. *)
+type clock = { mutable now : float }
+
 type t = {
-  mutable clock : float;
+  clock : clock;
   mutable next_seq : int;
   root_rng : Rng.t;
   mutable live : int; (* pending (scheduled, not fired/cancelled) timers *)
@@ -66,7 +72,8 @@ type t = {
      parallel [calls]/[args] columns — a shared [int -> unit] closure
      plus an immediate argument — so the network's delivery fan-out
      (the dominant scheduler client at scale) costs zero allocations
-     per event: no per-event closure, no handle record. *)
+     per event: no per-event closure, no handle record, no boxed
+     time. *)
   mutable times : float array;
   mutable seqs : int array;
   mutable actions : (unit -> unit) array;
@@ -114,7 +121,7 @@ let no_call (_ : int) = ()
 
 let create ?(seed = 1L) ?(backend = `Wheel) () =
   {
-    clock = 0.;
+    clock = { now = 0. };
     next_seq = 0;
     root_rng = Rng.create seed;
     live = 0;
@@ -143,7 +150,9 @@ let create ?(seed = 1L) ?(backend = `Wheel) () =
     n_wheel_cascades = 0;
   }
 
-let now t = t.clock
+let clock t = t.clock
+
+let now t = t.clock.now
 
 let rng t = t.root_rng
 
@@ -326,7 +335,7 @@ let advance_frontier t target =
   done
 
 let schedule_at t ~at f =
-  let at = if at < t.clock then t.clock else at in
+  let at = if at < t.clock.now then t.clock.now else at in
   let s = alloc_slot t in
   t.times.(s) <- at;
   t.seqs.(s) <- t.next_seq;
@@ -339,18 +348,22 @@ let schedule_at t ~at f =
 
 let schedule t ~after f =
   let after = if after < 0. then 0. else after in
-  schedule_at t ~at:(t.clock +. after) f
+  schedule_at t ~at:(t.clock.now +. after) f
 
 (* Allocation-free scheduling for fire-and-forget events: the shared
    closure [f] is dispatched with the immediate [arg] — no per-event
-   closure, no handle. Consumes [next_seq] exactly as [schedule_at]
-   does, so interleaving both primitives preserves the engine's
-   (time, seq) firing order: a run that swaps one for the other (with
-   the same events) fires identically. Not cancellable. *)
-let schedule_call t ~at f arg =
-  let at = if at < t.clock then t.clock else at in
+   closure, no handle — and the fire time is read from the caller's
+   float array, so it is never boxed on the way in (a [float] argument
+   to a function of another module is a pointer to a box). Consumes
+   [next_seq] exactly as [schedule_at] does, so interleaving both
+   primitives preserves the engine's (time, seq) firing order: a run
+   that swaps one for the other (with the same events) fires
+   identically. Not cancellable. *)
+let schedule_call t ~times i f arg =
+  let at = times.(i) in
+  let now = t.clock.now in
   let s = alloc_slot t in
-  t.times.(s) <- at;
+  t.times.(s) <- (if at < now then now else at);
   t.seqs.(s) <- t.next_seq;
   t.actions.(s) <- call_marker;
   t.calls.(s) <- f;
@@ -378,7 +391,7 @@ let reserve_seqs t n =
    disjoint from every handle's [hseq] (both are drawn from the same
    monotone counter, by different calls), so slot reuse stays safe. *)
 let schedule_at_seq t ~at ~seq f =
-  let at = if at < t.clock then t.clock else at in
+  let at = if at < t.clock.now then t.clock.now else at in
   let s = alloc_slot t in
   t.times.(s) <- at;
   t.seqs.(s) <- seq;
@@ -401,7 +414,7 @@ let every_epoch t ~every ~until f =
            let at' = at +. every in
            if at' <= until then arm at'))
   in
-  let first = t.clock +. every in
+  let first = t.clock.now +. every in
   if first <= until then arm first
 
 let epochs_ticked t = t.n_epochs
@@ -509,7 +522,7 @@ let step t =
     let f = t.actions.(s) in
     t.live <- t.live - 1;
     t.n_fired <- t.n_fired + 1;
-    t.clock <- t.times.(s);
+    t.clock.now <- t.times.(s);
     if f == call_marker then begin
       (* Read out the call before freeing: the callee may schedule into
          the recycled slot. Clearing the column drops the engine's
@@ -557,4 +570,4 @@ let publish_metrics t registry =
   Obs.Registry.incr ~by:t.n_wheel_cascades registry "sim/wheel_cascades";
   Obs.Registry.set_gauge registry "sim/heap_max_size" (float_of_int t.max_heap_size);
   Obs.Registry.set_gauge registry "sim/slots_high_water" (float_of_int t.n_slots);
-  Obs.Registry.set_gauge registry "sim/clock_end" t.clock
+  Obs.Registry.set_gauge registry "sim/clock_end" t.clock.now

@@ -33,8 +33,23 @@ val create : ?seed:int64 -> ?backend:[ `Wheel | `Heap ] -> unit -> t
     differential scheduler tests compare against. Both backends fire
     the same events in the same order at the same times. *)
 
+type clock = private { mutable now : float }
+(** The engine's virtual clock, in seconds. A record whose only field
+    is a float is stored flat, so reading [(clock t).now] yields an
+    unboxed float and the engine's per-event store into it allocates
+    nothing. Per-event readers (network walks, protocol hosts, taps)
+    fetch the record once with {!clock} and read [.now] directly.
+    [private]: only the engine advances it. *)
+
+val clock : t -> clock
+(** The engine's clock record. It is the same record for the engine's
+    whole life, so callers may cache it. *)
+
 val now : t -> float
-(** Current virtual time, in seconds. *)
+(** Current virtual time, in seconds. The result crosses a module
+    boundary, so it is boxed: 16 bytes per call. For cold callers
+    (setup, reports, shard windows); code that runs on every event
+    reads {!clock} instead. *)
 
 val rng : t -> Rng.t
 (** The engine's root generator. Hosts should [Rng.split] it. *)
@@ -47,14 +62,18 @@ val schedule_at : t -> at:float -> (unit -> unit) -> timer
 (** [schedule_at t ~at f] runs [f] at absolute time [at]; clamped to
     [now t] if already past. *)
 
-val schedule_call : t -> at:float -> (int -> unit) -> int -> unit
-(** Allocation-free [schedule_at] for fire-and-forget events: the
-    {e shared} closure is dispatched with the immediate [int] argument,
-    so scheduling allocates nothing (no per-event closure, no handle).
+val schedule_call : t -> times:float array -> int -> (int -> unit) -> int -> unit
+(** [schedule_call t ~times i f arg] runs [f arg] at time [times.(i)],
+    clamped to the current time if already past. This is the delivery
+    primitive: the network writes each arrival time into its per-node
+    [arrive] array during a walk and passes the array and the cell, so
+    the time is read in place and never boxed. The {e shared} closure
+    is dispatched with the immediate [int] argument, so scheduling
+    allocates nothing (no per-event closure, no handle, no float box).
     Consumes the same (time, seq) key a [schedule_at] would, so mixing
     the two primitives preserves firing order exactly. Not
-    cancellable — meant for the network's delivery fan-out, which never
-    cancels. *)
+    cancellable — meant for the network's delivery fan-out, which
+    never cancels. *)
 
 val reserve_seqs : t -> int -> int
 (** [reserve_seqs t n] reserves the next [n] sequence keys and returns

@@ -1,20 +1,35 @@
-type t = { mutable state : int64 }
+(* The 64-bit state lives unboxed in an 8-byte buffer. An [int64]
+   record field points to a boxed custom block, so storing the new
+   state would allocate a 24-byte box on every draw; a [Bytes] store
+   writes the raw bits in place. Little-endian on every host, so the
+   byte layout is fixed. *)
+type t = Bytes.t
 
 let golden_gamma = 0x9E3779B97F4A7C15L
 
-let create seed = { state = seed }
+let[@inline] get t = Bytes.get_int64_le t 0
 
-let copy t = { state = t.state }
+let[@inline] set t x = Bytes.set_int64_le t 0 x
 
-(* SplitMix64 output function (Steele, Lea & Flood 2014). *)
-let mix z =
+let create seed =
+  let t = Bytes.create 8 in
+  set t seed;
+  t
+
+let copy = Bytes.copy
+
+(* SplitMix64 output function (Steele, Lea & Flood 2014). [mix],
+   [bits64] and [unit_float] inline into their callers here, so the
+   intermediate [int64] values stay in registers. *)
+let[@inline] mix z =
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
   Int64.logxor z (Int64.shift_right_logical z 31)
 
-let bits64 t =
-  t.state <- Int64.add t.state golden_gamma;
-  mix t.state
+let[@inline] bits64 t =
+  let s = Int64.add (get t) golden_gamma in
+  set t s;
+  mix s
 
 let split t = create (bits64 t)
 
@@ -29,7 +44,7 @@ let substream base i =
   go i
 
 (* Top 53 bits give a uniform float in [0,1). *)
-let unit_float t =
+let[@inline] unit_float t =
   let x = Int64.shift_right_logical (bits64 t) 11 in
   Int64.to_float x *. 0x1p-53
 

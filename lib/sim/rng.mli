@@ -4,7 +4,14 @@
     seed. We therefore carry our own SplitMix64 generator rather than
     depending on the global [Random] state. SplitMix64 passes BigCrush
     and is trivially splittable, which lets every host derive an
-    independent stream from the experiment seed. *)
+    independent stream from the experiment seed.
+
+    The state is 64 raw bits stored in place, so a draw allocates
+    nothing beyond its own result (a float or [int64] returned to
+    another module is boxed). Storage does not touch the arithmetic:
+    every output is plain SplitMix64 of the seed and the sequence of
+    draws, splits and copies, and [test_sim]'s "rng stream golden"
+    pins the first outputs of three seeds, a split and a copy. *)
 
 type t
 (** A mutable generator state. *)

@@ -2,6 +2,11 @@ let log = Logs.Src.create "srm.host" ~doc:"SRM host events"
 
 module Log = (val Logs.src_log log : Logs.LOG)
 
+(* [Log.debug]'s message closure is allocated at the call site even
+   when the level filters the message out, so the request and reply
+   paths build it only when debug logging is on. *)
+let debug_on () = match Logs.Src.level log with Some Logs.Debug -> true | _ -> false
+
 type request_state = {
   mutable backoff : int; (* k = number of times this request was scheduled *)
   mutable timer : Sim.Engine.timer option;
@@ -61,6 +66,7 @@ type stream_state = {
 
 type t = {
   network : Net.Network.t;
+  clock : Sim.Engine.clock; (* the engine's; [now] reads it unboxed *)
   self : int;
   params : Params.t;
   n_packets : int; (* per-stream cap *)
@@ -107,7 +113,7 @@ let network t = t.network
 
 let engine t = Net.Network.engine t.network
 
-let now t = Sim.Engine.now (engine t)
+let now t = t.clock.now
 
 let self t = t.self
 
@@ -117,10 +123,13 @@ let inject_mutation t m = if not (List.mem m t.mutations) then t.mutations <- m 
 
 let mutated t m = List.mem m t.mutations
 
+(* Every delivery looks its stream up two to four times; [find] with
+   [Not_found] allocates nothing on a hit, where [find_opt] allocates a
+   [Some]. *)
 let stream t src =
-  match Hashtbl.find_opt t.streams src with
-  | Some s -> s
-  | None ->
+  match Hashtbl.find t.streams src with
+  | s -> s
+  | exception Not_found ->
       let s =
         {
           win = Window.create ~n_packets:t.n_packets;
@@ -237,16 +246,15 @@ let domain_transmit t ~requestor ~round =
 let two_pow k = Float.of_int (1 lsl min k 30)
 
 (* Current scheduling weights: fixed from Params, or the adaptive
-   controller's live values. *)
-let request_weights t =
-  match t.adaptive with
-  | Some a -> (Adaptive.c1 a, Adaptive.c2 a)
-  | None -> (t.params.Params.c1, t.params.Params.c2)
+   controller's live values. One reader per weight: a pair would be a
+   tuple allocated per timer draw. *)
+let c1 t = match t.adaptive with Some a -> Adaptive.c1 a | None -> t.params.Params.c1
 
-let reply_weights t =
-  match t.adaptive with
-  | Some a -> (Adaptive.d1 a, Adaptive.d2 a)
-  | None -> (t.params.Params.d1, t.params.Params.d2)
+let c2 t = match t.adaptive with Some a -> Adaptive.c2 a | None -> t.params.Params.c2
+
+let d1 t = match t.adaptive with Some a -> Adaptive.d1 a | None -> t.params.Params.d1
+
+let d2 t = match t.adaptive with Some a -> Adaptive.d2 a | None -> t.params.Params.d2
 
 (* Binary back-off multiplier. Flat SRM doubles without bound; domain
    mode caps the exponent at the local-round count, because past that
@@ -261,8 +269,7 @@ let backoff_factor t round =
 
 let request_interval t ~src (st : request_state) =
   let d = request_dist t ~src ~round:st.backoff in
-  let w1, w2 = request_weights t in
-  let lo = w1 *. d and w = w2 *. d in
+  let lo = c1 t *. d and w = c2 t *. d in
   let f = backoff_factor t st.backoff in
   Sim.Rng.uniform t.rng (f *. lo) (f *. (lo +. w))
 
@@ -275,9 +282,10 @@ let rec arm_request t ~src seq st =
 and fire_request t ~src seq st =
   if not (has_packet ~src t ~seq) then begin
     let d = dist_to_source ~src t in
-    Log.debug (fun m ->
-        m "t=%.4f host %d RQST src %d seq %d round %d d_hs=%.4f" (now t) t.self src seq
-          st.backoff d);
+    if debug_on () then
+      Log.debug (fun m ->
+          m "t=%.4f host %d RQST src %d seq %d round %d d_hs=%.4f" (now t) t.self src seq
+            st.backoff d);
     Stats.Counters.bump t.counters ~node:t.self Stats.Counters.Rqst;
     if st.first_sent = None then st.first_sent <- Some (now t);
     let packet =
@@ -427,7 +435,8 @@ let detect_loss ?(initial_backoff = 0) t ~src seq =
   then begin
     if not (Hashtbl.mem t.detect_info (key t ~src ~seq)) then begin
       Hashtbl.replace t.detect_info (key t ~src ~seq) (now t);
-      Log.debug (fun m -> m "t=%.4f host %d DETECT src %d seq %d" (now t) t.self src seq);
+      if debug_on () then
+        Log.debug (fun m -> m "t=%.4f host %d DETECT src %d seq %d" (now t) t.self src seq);
       t.n_detected <- t.n_detected + 1
     end;
     let st =
@@ -586,7 +595,8 @@ let obtain t ~src seq ~expedited ~repaired =
           st.backoff
     in
     if suffered_loss ~src t ~seq then begin
-      Log.debug (fun m -> m "t=%.4f host %d RECOVERED src %d seq %d" (now t) t.self src seq);
+      if debug_on () then
+        Log.debug (fun m -> m "t=%.4f host %d RECOVERED src %d seq %d" (now t) t.self src seq);
       record_recovery t ~src seq ~expedited ~rounds ~repaired
     end;
     t.hooks.on_packet_obtained ~src ~seq ~expedited;
@@ -665,10 +675,11 @@ let open_reply_abstinence t ~src seq ~requestor =
 let emit_reply ?transmit ?(delay_norm = 0.) t ~src ~seq ~requestor ~d_qs ~expedited
     ~turning_point =
   let d_rq = dist_to t requestor in
-  Log.debug (fun m ->
-      m "t=%.4f host %d %s src %d seq %d (req=%d d_rq=%.4f)" (now t) t.self
-        (if expedited then "EREPL" else "REPL")
-        src seq requestor d_rq);
+  if debug_on () then
+    Log.debug (fun m ->
+        m "t=%.4f host %d %s src %d seq %d (req=%d d_rq=%.4f)" (now t) t.self
+          (if expedited then "EREPL" else "REPL")
+          src seq requestor d_rq);
   Stats.Counters.bump t.counters ~node:t.self
     (if expedited then Stats.Counters.Exp_repl else Stats.Counters.Repl);
   let packet =
@@ -699,7 +710,6 @@ let send_reply_now ?(src = 0) t ~seq ~requestor ~d_qs ~expedited ?turning_point 
 
 let schedule_reply t ~src ~seq ~requestor ~d_qs ~round =
   let d = dist_to t requestor in
-  let w1, w2 = reply_weights t in
   (* Domain mode: a designated replier keeps the paper's window; every
      other candidate waits an extra [dr_bias · d] first, so the local
      replier answers unchallenged unless it is down or missing the
@@ -707,14 +717,15 @@ let schedule_reply t ~src ~seq ~requestor ~d_qs ~round =
   let w1 =
     match t.domain with
     | Some ctx when not (Rdomain.is_replier ctx.dmap t.self) ->
-        w1 +. t.params.Params.domain_dr_bias
-    | _ -> w1
+        d1 t +. t.params.Params.domain_dr_bias
+    | _ -> d1 t
   in
-  let lo = w1 *. d and w = w2 *. d in
+  let lo = w1 *. d and w = d2 t *. d in
   let delay = Sim.Rng.uniform t.rng lo (lo +. w) in
-  Log.debug (fun m ->
-      m "t=%.4f host %d schedule REPL seq %d for +%.4f (d_rq=%.4f req=%d)" (now t) t.self seq
-        delay d requestor);
+  if debug_on () then
+    Log.debug (fun m ->
+        m "t=%.4f host %d schedule REPL seq %d for +%.4f (d_rq=%.4f req=%d)" (now t) t.self
+          seq delay d requestor);
   let delay_norm = if d <= 0. then 0. else delay /. d in
   let transmit = domain_transmit t ~requestor ~round in
   let timer =
@@ -870,6 +881,7 @@ let create ?domain ~network ~self ~params ~n_packets ~counters ~recoveries () =
   let t =
     {
       network;
+      clock = Sim.Engine.clock (Net.Network.engine network);
       self;
       params;
       n_packets;

@@ -2,6 +2,7 @@ type heard = { mutable h_ts : float; mutable h_at : float }
 
 type t = {
   network : Net.Network.t;
+  clock : Sim.Engine.clock; (* the engine's, read unboxed per session event *)
   self : int;
   period : float;
   rng : Sim.Rng.t;
@@ -35,6 +36,7 @@ let create ?echo_limit ?oracle ~network ~self ~period ~rng ~get_max_seqs ~on_max
   let ring_size = match echo_limit with None -> 0 | Some k -> Int.max (4 * k) 128 in
   {
     network;
+    clock = Sim.Engine.clock (Net.Network.engine network);
     self;
     period;
     rng;
@@ -57,12 +59,12 @@ let engine t = Net.Network.engine t.network
    are 0-bit control traffic and receivers only look up their own
    entry, so neither timing nor behavior depends on list order. *)
 let send t =
-  let now = Sim.Engine.now (engine t) in
   let echo peer acc =
     match Hashtbl.find_opt t.heard peer with
     | None -> acc
     | Some h ->
-        { Net.Packet.echo_member = peer; echo_ts = h.h_ts; echo_delay = now -. h.h_at } :: acc
+        { Net.Packet.echo_member = peer; echo_ts = h.h_ts; echo_delay = t.clock.now -. h.h_at }
+        :: acc
   in
   let echoes =
     match t.echo_limit with
@@ -93,25 +95,28 @@ let send t =
       Net.Packet.sender = t.self;
       payload =
         Net.Packet.Session
-          { origin = t.self; sent_at = now; max_seqs = t.get_max_seqs (); echoes };
+          { origin = t.self; sent_at = t.clock.now; max_seqs = t.get_max_seqs (); echoes };
     }
 
 let start ?jitter t ~until =
   let jitter = match jitter with Some j -> j | None -> t.period in
   let offset = if jitter <= 0. then 0. else Sim.Rng.float t.rng jitter in
   let rec tick () =
-    if Sim.Engine.now (engine t) <= until then begin
+    if t.clock.now <= until then begin
       send t;
       ignore (Sim.Engine.schedule (engine t) ~after:t.period tick)
     end
   in
   ignore (Sim.Engine.schedule (engine t) ~after:offset tick)
 
-let note_heard t origin ~sent_at ~now =
+(* The clock is read where it is stored, never held in a local: a float
+   local passed to a function or captured by a closure is boxed at each
+   such use. *)
+let note_heard t origin ~sent_at =
   match Hashtbl.find_opt t.heard origin with
   | Some h ->
       h.h_ts <- sent_at;
-      h.h_at <- now
+      h.h_at <- t.clock.now
   | None ->
       (match t.echo_limit with
       | None -> t.heard_order <- origin :: t.heard_order
@@ -120,17 +125,16 @@ let note_heard t origin ~sent_at ~now =
           if victim >= 0 then Hashtbl.remove t.heard victim;
           t.ring.(t.ring_pos) <- origin;
           t.ring_pos <- (t.ring_pos + 1) mod Array.length t.ring);
-      Hashtbl.replace t.heard origin { h_ts = sent_at; h_at = now }
+      Hashtbl.replace t.heard origin { h_ts = sent_at; h_at = t.clock.now }
 
 let on_packet t (p : Net.Packet.t) =
   match p.payload with
   | Net.Packet.Session { origin; sent_at; max_seqs; echoes } when origin <> t.self ->
-      let now = Sim.Engine.now (engine t) in
-      note_heard t origin ~sent_at ~now;
+      note_heard t origin ~sent_at;
       List.iter
         (fun { Net.Packet.echo_member; echo_ts; echo_delay } ->
           if echo_member = t.self then begin
-            let rtt = now -. echo_ts -. echo_delay in
+            let rtt = t.clock.now -. echo_ts -. echo_delay in
             if rtt >= 0. then Hashtbl.replace t.dists origin (rtt /. 2.)
           end)
         echoes;

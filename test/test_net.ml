@@ -888,6 +888,24 @@ let test_alloc_dist () =
   if far > near then
     Alcotest.failf "dist over 999 links allocated %.0f B, over one link %.0f B" far near
 
+(* Deliveries take their times from the walk's arrival array, and the
+   engine clock is a flat float record: one multicast to 512 receivers,
+   drained, allocates exactly what one to 8 receivers does. *)
+let test_alloc_deliveries () =
+  let cast depth =
+    let tree = Net.Tree.balanced ~fanout:8 ~depth in
+    let engine, network = make_network ~tree () in
+    Array.iter (fun v -> Net.Network.on_receive network v ignore) (Net.Tree.receivers tree);
+    fun () ->
+      Net.Network.multicast network ~from:0 session_packet;
+      Sim.Engine.run engine
+  in
+  let wide = cast 3 and narrow = cast 1 in
+  wide ();
+  narrow ();
+  let many = allocated wide and few = allocated narrow in
+  check (Alcotest.float 0.) "bytes for 512 receivers = for 8" few many
+
 let () =
   Alcotest.run "net"
     [
@@ -960,5 +978,7 @@ let () =
           Alcotest.test_case "multicast origins allocate alike" `Quick
             test_alloc_multicast_origins;
           Alcotest.test_case "dist allocates nothing per hop" `Quick test_alloc_dist;
+          Alcotest.test_case "deliveries allocate nothing per receiver" `Quick
+            test_alloc_deliveries;
         ] );
     ]

@@ -92,6 +92,82 @@ let test_rng_log_uniform_bounds () =
     check Alcotest.bool "in range" true (x >= 0.0099 && x <= 10.01)
   done
 
+(* SplitMix64 outputs pinned as literals: a slip in how the state is
+   stored (width, byte order, the split or copy path) changes them. *)
+let test_rng_stream_golden () =
+  let first8 r = List.init 8 (fun _ -> Sim.Rng.bits64 r) in
+  let stream = Alcotest.(list int64) in
+  check stream "seed 0"
+    [
+      0xe220a8397b1dcdafL; 0x6e789e6aa1b965f4L; 0x06c45d188009454fL; 0xf88bb8a8724c81ecL;
+      0x1b39896a51a8749bL; 0x53cb9f0c747ea2eaL; 0x2c829abe1f4532e1L; 0xc584133ac916ab3cL;
+    ]
+    (first8 (Sim.Rng.create 0L));
+  check stream "seed 42"
+    [
+      0xbdd732262feb6e95L; 0x28efe333b266f103L; 0x47526757130f9f52L; 0x581ce1ff0e4ae394L;
+      0x09bc585a244823f2L; 0xde4431fa3c80db06L; 0x37e9671c45376d5dL; 0xccf635ee9e9e2fa4L;
+    ]
+    (first8 (Sim.Rng.create 42L));
+  check stream "seed -1"
+    [
+      0xe4d971771b652c20L; 0xe99ff867dbf682c9L; 0x382ff84cb27281e9L; 0x6d1db36ccba982d2L;
+      0xb4a0472e578069aeL; 0xd31dadbda438bb33L; 0xf14f2cf802083fa5L; 0x405da438a39e8064L;
+    ]
+    (first8 (Sim.Rng.create (-1L)));
+  let parent = Sim.Rng.create 42L in
+  let child = Sim.Rng.split parent in
+  check stream "split child of seed 42"
+    [
+      0x57e1faba65107204L; 0xf4abd143feb24055L; 0x7c816738c12903b2L; 0x113e5dec6f8fd8a8L;
+      0xad4a599062fd1739L; 0x11485b98a7ea20b7L; 0x32028f50341ebd74L; 0xbc16a3d4cc48678eL;
+    ]
+    (first8 child);
+  let after_two =
+    [
+      0x47526757130f9f52L; 0x581ce1ff0e4ae394L; 0x09bc585a244823f2L; 0xde4431fa3c80db06L;
+      0x37e9671c45376d5dL; 0xccf635ee9e9e2fa4L; 0x5705b8770b3d7dd5L; 0x9e54d738297f77aeL;
+    ]
+  in
+  let original = Sim.Rng.create 42L in
+  ignore (Sim.Rng.bits64 original);
+  ignore (Sim.Rng.bits64 original);
+  let copy = Sim.Rng.copy original in
+  check stream "copy of seed 42 after two draws" after_two (first8 copy);
+  check stream "the original is untouched by the copy" after_two (first8 original);
+  let u = Sim.Rng.create 7L in
+  let uniforms =
+    List.init 4 (fun i -> Sim.Rng.uniform u (float_of_int i) (float_of_int i +. 0.25))
+  in
+  check
+    Alcotest.(list (float 0.))
+    "uniform draws from seed 7"
+    [ 0x1.8f2f879164c82p-4; 0x1.01130f35fd0f2p+0; 0x1.1cd3081017562p+1; 0x1.92a75d6e0ce7cp+1 ]
+    uniforms
+
+(* [Gc.allocated_bytes] is exact only right after a minor collection:
+   on OCaml 5.1 it counts an eighth of the young generation's
+   allocation until the next collection corrects it. *)
+let allocated f =
+  Gc.minor ();
+  let before = Gc.allocated_bytes () in
+  f ();
+  Gc.minor ();
+  Gc.allocated_bytes () -. before
+
+(* The generator state is stored in place: a draw allocates only the
+   box of the float it returns to this module. *)
+let test_rng_draw_alloc () =
+  let rng = Sim.Rng.create 5L and n = 10_000 in
+  let draws () =
+    for _ = 1 to n do
+      ignore (Sys.opaque_identity (Sim.Rng.uniform rng 0. 1.))
+    done
+  in
+  draws ();
+  let per_draw = (allocated draws -. allocated ignore) /. float_of_int n in
+  if per_draw > 16. then Alcotest.failf "Rng.uniform allocated %.1f B per draw" per_draw
+
 (* --- Heap ------------------------------------------------------------ *)
 
 let test_heap_empty () =
@@ -490,6 +566,8 @@ let () =
           qcheck prop_rng_float_bounds;
           qcheck prop_rng_int_bounds;
           qcheck prop_rng_shuffle_multiset;
+          Alcotest.test_case "rng stream golden" `Quick test_rng_stream_golden;
+          Alcotest.test_case "an Rng draw allocates only its result" `Quick test_rng_draw_alloc;
         ] );
       ( "heap",
         [

@@ -125,13 +125,13 @@ let test_burst_loss_recovery () =
 
 (* --- white-box host behaviour ---------------------------------------- *)
 
-let make_host ?(self = 3) () =
+let make_host ?(self = 3) ?(n_packets = 100) () =
   let tree = sample_tree () in
   let engine = Sim.Engine.create ~seed:5L () in
   let network = Net.Network.create ~engine ~tree ~link_delay:0.02 () in
   let counters = Stats.Counters.create ~n_nodes:(Net.Tree.n_nodes tree) in
   let recoveries = Stats.Recovery.create () in
-  let host = Srm.Host.create ~network ~self ~params ~n_packets:100 ~counters ~recoveries () in
+  let host = Srm.Host.create ~network ~self ~params ~n_packets ~counters ~recoveries () in
   (engine, network, host)
 
 let test_host_gap_detection () =
@@ -436,6 +436,84 @@ let window_model =
   QCheck.Test.make ~count:200 ~name:"window agrees with a bool-array model"
     (QCheck.make ~print gen) window_case
 
+(* [Gc.allocated_bytes] is exact only right after a minor collection:
+   on OCaml 5.1 it counts an eighth of the young generation's
+   allocation until the next collection corrects it. *)
+let allocated f =
+  Gc.minor ();
+  let before = Gc.allocated_bytes () in
+  f ();
+  Gc.minor ();
+  Gc.allocated_bytes () -. before
+
+(* In-order data with no loss pending changes only the reception
+   window: the stream lookups allocate no [Some], so the one box left
+   is the arrival time stored into the stream's mixed record. *)
+let test_host_in_order_data_alloc () =
+  let n = 2000 in
+  let _, _, host = make_host ~n_packets:(n + 1) () in
+  let data =
+    Array.init (n + 1) (fun i ->
+        { Net.Packet.sender = 0; payload = Net.Packet.Data { seq = i + 1 } })
+  in
+  Srm.Host.on_packet host data.(0);
+  let deliver () =
+    for i = 1 to n do
+      Srm.Host.on_packet host data.(i)
+    done
+  in
+  let per_call = (allocated deliver -. allocated ignore) /. float_of_int n in
+  check Alcotest.int "no loss detected" 0 (Srm.Host.detected_losses host);
+  if per_call > 16. then
+    Alcotest.failf "on_packet allocated %.1f B per in-order data packet" per_call
+
+(* Run [f] with every log source at [level] and a reporter that keeps
+   the formatted messages; both are restored afterwards. *)
+let capture_logs level f =
+  let lines = ref [] in
+  let report _src _level ~over k msgf =
+    msgf (fun ?header:_ ?tags:_ fmt ->
+        Format.kasprintf
+          (fun line ->
+            lines := line :: !lines;
+            over ();
+            k ())
+          fmt)
+  in
+  let reporter = Logs.reporter () and saved = Logs.level () in
+  Logs.set_reporter { Logs.report };
+  Logs.set_level level;
+  Fun.protect
+    ~finally:(fun () ->
+      Logs.set_reporter reporter;
+      Logs.set_level saved)
+    f;
+  List.rev !lines
+
+(* The host builds its debug messages only when debug logging is on
+   (what [cesrm run -v] sets): one dropped data packet must still log
+   its whole recovery at [Debug], and nothing at [Warning]. *)
+let test_host_debug_logging () =
+  let recover () = ignore (run_srm ~drops:[ (3, 3) ] ~n_packets:10 ()) in
+  let lines = capture_logs (Some Logs.Debug) recover in
+  let contains sub line =
+    let n = String.length sub in
+    let rec at i = i + n <= String.length line && (String.sub line i n = sub || at (i + 1)) in
+    at 0
+  in
+  List.iter
+    (fun (what, sub) ->
+      if not (List.exists (contains sub) lines) then
+        Alcotest.failf "no %s line among %d debug lines" what (List.length lines))
+    [
+      ("detection", " DETECT src 0 seq 3");
+      ("request", " RQST src 0 seq 3 ");
+      ("reply scheduling", " schedule REPL seq 3 ");
+      ("reply", " REPL src 0 seq 3 ");
+      ("recovery", " RECOVERED src 0 seq 3");
+    ];
+  check Alcotest.(list string) "nothing at Warning" [] (capture_logs (Some Logs.Warning) recover)
+
 let () =
   Alcotest.run "srm"
     [
@@ -462,6 +540,9 @@ let () =
             test_host_reply_recovers_and_cancels;
           Alcotest.test_case "reply-now abstinence" `Quick test_host_send_reply_now_abstinence;
           Alcotest.test_case "hooks fire" `Quick test_host_hooks_fire;
+          Alcotest.test_case "in-order data allocates at most one float" `Quick
+            test_host_in_order_data_alloc;
+          Alcotest.test_case "debug logging still works" `Quick test_host_debug_logging;
         ] );
       ( "churn",
         [
