@@ -673,7 +673,11 @@ let scale_main profile =
    once the retirement pipeline fills (floor a full window past
    zero), live heap must plateau — the mean over the last decile of
    steady-state epoch samples stays within tolerance of the first
-   decile's. *)
+   decile's. The samples are live words after a full major
+   collection, taken right after each steady epoch's retirement: the
+   major heap's size also follows the GC's pacing (with little
+   promoted, one cycle can span the whole leg and the size climbs
+   toward its equilibrium while live state stays flat). *)
 let steady_smoke_heap_ceiling_mb = 1024.
 
 let steady_smoke_heap_growth_max = 1.25
@@ -681,8 +685,7 @@ let steady_smoke_heap_growth_max = 1.25
 (* The full (million-packet) profile is the acceptance measurement:
    heap over the last decile of steady-state epochs must be within
    10% of the first decile's. The smoke bound is looser because 50k
-   packets leave only ~25 steady samples and GC high-water jitter
-   dominates. *)
+   packets leave only ~25 steady samples. *)
 let steady_full_heap_growth_max = 1.10
 
 let steady_scenarios = function
@@ -697,11 +700,16 @@ let steady_leg ~label ~row ~n_packets ~window =
   let t0 = Unix.gettimeofday () in
   let alloc0 = Gc.allocated_bytes () in
   let steady = Steady.Config.windowed window in
+  (* [Gc.stat] runs a full major collection, so its live words are
+     what the run still reaches. *)
+  let live = ref [] in
+  let on_retire ~upto = if upto >= window then live := (Gc.stat ()).Gc.live_words :: !live in
   let r =
-    Harness.Runner.run_leg ~seed:42L ~registry ~n_packets ~steady
+    Harness.Runner.run_leg ~seed:42L ~registry ~n_packets ~steady ~on_retire
       (Harness.Runner.Cesrm_protocol Cesrm.Host.default_config)
       row
   in
+  let live = Array.of_list (List.rev !live) in
   let wall = Unix.gettimeofday () -. t0 in
   let alloc_bytes = Gc.allocated_bytes () -. alloc0 in
   let events =
@@ -710,23 +718,27 @@ let steady_leg ~label ~row ~n_packets ~window =
   let c = Option.get r.Harness.Runner.retirement in
   let peak_heap_mb = float_of_int (Steady.Controller.peak_heap_words c) *. 8. /. 1e6 in
   let heap_growth = Steady.Controller.heap_growth c in
+  let live_growth = Steady.Controller.decile_growth live in
   let total k = Stats.Counters.total r.Harness.Runner.counters k in
   Printf.printf
-    "%-16s %-8s wall %7.2f s  events/s %8.0f  bytes/event %6.0f  peak heap %6.1f MB  growth %s  \
-     floor %d/%d in %d epochs  detected %d  unrecovered %d\n\
+    "%-16s %-8s wall %7.2f s  events/s %8.0f  bytes/event %6.0f  peak heap %6.1f MB  live growth \
+     %s  floor %d/%d in %d epochs  detected %d  unrecovered %d\n\
      %!"
     row.Mtrace.Meta.name label wall
     (float_of_int events /. wall)
     (alloc_bytes /. Float.max 1. (float_of_int events))
     peak_heap_mb
-    (match heap_growth with Some g -> Printf.sprintf "x%.3f" g | None -> "-")
+    (match live_growth with Some g -> Printf.sprintf "x%.3f" g | None -> "-")
     (Steady.Controller.floor c) n_packets (Steady.Controller.ticks c) r.detected r.unrecovered;
-  let samples = Steady.Controller.heap_samples c in
-  if Array.length samples > 0 then begin
-    Printf.printf "  heap/epoch (MB):";
-    Array.iter (fun w -> Printf.printf " %.0f" (float_of_int w *. 8. /. 1e6)) samples;
-    print_newline ()
-  end;
+  let print_mb what samples =
+    if Array.length samples > 0 then begin
+      Printf.printf "  %s (MB):" what;
+      Array.iter (fun w -> Printf.printf " %.0f" (float_of_int w *. 8. /. 1e6)) samples;
+      print_newline ()
+    end
+  in
+  print_mb "heap/epoch" (Steady.Controller.heap_samples c);
+  print_mb "live/steady epoch" live;
   if r.Harness.Runner.unrecovered <> 0 then failwith ("steady: unrecovered losses in " ^ label);
   if r.Harness.Runner.audit_violations <> 0 then
     failwith ("steady: audit violations in " ^ label);
@@ -756,10 +768,12 @@ let steady_leg ~label ~row ~n_packets ~window =
               ("peak_heap_mb", Num peak_heap_mb);
               ( "heap_growth",
                 match heap_growth with Some g -> Num g | None -> Null );
+              ( "live_growth",
+                match live_growth with Some g -> Num g | None -> Null );
             ] );
       ]
   in
-  (r, peak_heap_mb, heap_growth, json)
+  (r, peak_heap_mb, live_growth, json)
 
 let steady_main profile =
   let t0 = Unix.gettimeofday () in
@@ -781,7 +795,7 @@ let steady_main profile =
             (fun g ->
               if g > steady_smoke_heap_growth_max then
                 failwith
-                  (Printf.sprintf "steady: heap grew x%.3f across epochs (max x%.2f)" g
+                  (Printf.sprintf "steady: live heap grew x%.3f across epochs (max x%.2f)" g
                      steady_smoke_heap_growth_max))
             growth
         end
@@ -791,7 +805,7 @@ let steady_main profile =
               if g > steady_full_heap_growth_max then
                 failwith
                   (Printf.sprintf
-                     "steady: heap grew x%.3f across epochs (acceptance max x%.2f)" g
+                     "steady: live heap grew x%.3f across epochs (acceptance max x%.2f)" g
                      steady_full_heap_growth_max))
             growth;
         (* Identity gate: a window of n_packets never retires anything

@@ -146,7 +146,7 @@ let note_expedited_outcome t ~src seq ~expedited =
 let cancel_expedited t ~src seq =
   match Hashtbl.find_opt t.exp_timers (key t ~src ~seq) with
   | Some timer ->
-      Sim.Engine.cancel timer;
+      Sim.Engine.cancel (engine t) timer;
       Hashtbl.remove t.exp_timers (key t ~src ~seq)
   | None -> ()
 
@@ -296,7 +296,7 @@ let sweep_retired t =
     in
     List.iter (Hashtbl.remove table) dead
   in
-  sweep t.exp_timers ~keep:Sim.Engine.is_pending;
+  sweep t.exp_timers ~keep:(Sim.Engine.is_pending (engine t));
   sweep t.pending_exp
 
 (* Crash support: all of CESRM's state is soft — caches, outstanding
@@ -304,7 +304,7 @@ let sweep_retired t =
    departing) host comes back with none of it. *)
 let reset_caches t =
   Hashtbl.iter (fun _ c -> Cache.clear c) t.caches;
-  Hashtbl.iter (fun _ timer -> Sim.Engine.cancel timer) t.exp_timers;
+  Hashtbl.iter (fun _ timer -> Sim.Engine.cancel (engine t) timer) t.exp_timers;
   Hashtbl.reset t.exp_timers;
   Hashtbl.reset t.pending_exp;
   Hashtbl.reset t.replier_stats;

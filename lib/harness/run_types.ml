@@ -303,7 +303,8 @@ let deploy ?owned ?domain ~network ~setup ~n_packets ~period ~streaming = functi
    what a worker must: the network's shard mode, live hosts for owned
    members only, and a detached auditor and oracle, fed the merged tap
    stream at finish. *)
-let build ?shard ?tracer ?registry ?fault_plan ?steady ?domain ~setup protocol trace loss_model =
+let build ?shard ?tracer ?registry ?fault_plan ?steady ?on_retire ?domain ~setup protocol trace
+    loss_model =
   let tree = Mtrace.Trace.tree trace in
   let n_packets = Mtrace.Trace.n_packets trace in
   let period = Mtrace.Trace.period trace in
@@ -344,6 +345,9 @@ let build ?shard ?tracer ?registry ?fault_plan ?steady ?domain ~setup protocol t
         Some (Steady.Controller.create ~window:w ~n_packets)
     | _ -> None
   in
+  (* Retirement hooks run newest first: the caller's, registered
+     first, sees every other table already retired. *)
+  Option.iter (fun c -> Option.iter (Steady.Controller.on_retire c) on_retire) controller;
   Option.iter
     (fun c -> Steady.Controller.on_retire c (fun ~upto -> Audit.retire_below audit ~upto))
     controller;

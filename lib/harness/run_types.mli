@@ -136,6 +136,7 @@ val build :
   ?registry:Obs.Registry.t ->
   ?fault_plan:Fault.Plan.t ->
   ?steady:Steady.Config.t ->
+  ?on_retire:(upto:int -> unit) ->
   ?domain:Rdomain.t ->
   setup:setup ->
   protocol ->
@@ -153,8 +154,9 @@ val build :
     + the protocol deployment ([domain] on every SRM/CESRM host), its
       members' tracer and oracle hooks;
     + with [steady], streaming sends; with a finite window, the
-      retirement controller over every member (and the auditor), and
-      with records off, the online ["recovery/"] histograms into
+      retirement controller over every member (and the auditor, and
+      [on_retire], which runs after every other retirement), and with
+      records off, the online ["recovery/"] histograms into
       [registry];
     + the fault plan's events and its churn join/leave/restart hooks;
     + the protocol's start, then the steady epoch tick.

@@ -123,7 +123,7 @@ let rejected ~faulted ~domains protocol =
   | _ -> None
 
 let run_model ?(setup = default_setup) ?tracer ?registry ?fault_plan ?(shards = 1) ?steady
-    ?domains protocol trace loss_model =
+    ?on_retire ?domains protocol trace loss_model =
   Option.iter invalid_arg (rejected ~faulted:(Option.is_some fault_plan) ~domains protocol);
   (* A fault plan switches on the robustness extensions unless the
      caller pinned them: session-driven request re-arm (bounds
@@ -181,8 +181,8 @@ let run_model ?(setup = default_setup) ?tracer ?registry ?fault_plan ?(shards = 
   in
   let serial () =
     let m =
-      Run_types.build ?tracer ?registry ?fault_plan ?steady ?domain ~setup protocol trace
-        loss_model
+      Run_types.build ?tracer ?registry ?fault_plan ?steady ?on_retire ?domain ~setup protocol
+        trace loss_model
     in
     Sim.Engine.run ~until:m.horizon m.engine;
     finish ?registry ~setup ~protocol trace m
@@ -290,8 +290,8 @@ let fault_plan ~setup trace name =
         (Printf.sprintf "%S is neither a canned plan (%s) nor a file" name
            (String.concat ", " (Fault.Plan.canned_names @ Fault.Plan.churn_names)))
 
-let run_leg ?(setup = default_setup) ?registry ?n_packets ?fault ?shards ?steady ?domains ~seed
-    protocol row =
+let run_leg ?(setup = default_setup) ?registry ?n_packets ?fault ?shards ?steady ?on_retire
+    ?domains ~seed protocol row =
   let trace, loss_model = inputs ~seed ?n_packets ?steady row in
   let setup = tune_for_trace ?domains trace setup in
   let resolve name =
@@ -300,7 +300,7 @@ let run_leg ?(setup = default_setup) ?registry ?n_packets ?fault ?shards ?steady
     | Error msg -> invalid_arg ("Runner.run_leg: " ^ msg)
   in
   run_model ~setup:{ setup with seed } ?registry ?fault_plan:(Option.map resolve fault) ?shards
-    ?steady ?domains protocol trace loss_model
+    ?steady ?on_retire ?domains protocol trace loss_model
 
 let normalized_recovery result ~node ~filter =
   let rtt = List.assoc node result.rtt_to_source in

@@ -92,6 +92,7 @@ val run_model :
   ?fault_plan:Fault.Plan.t ->
   ?shards:int ->
   ?steady:Steady.Config.t ->
+  ?on_retire:(upto:int -> unit) ->
   ?domains:Rdomain.spec ->
   protocol ->
   Mtrace.Trace.t ->
@@ -169,6 +170,9 @@ val run_model :
     Finite windows and records-off runs stay serial; infinite-window
     steady composes with [shards]. A finite-window run's controller is
     returned in [result.retirement] (floor, tick count, heap samples).
+    [on_retire] is registered on that controller: at each epoch whose
+    floor advanced it runs after everything else retired (the bench
+    samples live words there). Without a finite window it never runs.
 
     With [domains], the tree is partitioned into hierarchical local
     recovery domains ({!Rdomain}) shared by every host: requests and
@@ -237,6 +241,7 @@ val run_leg :
   ?fault:string ->
   ?shards:int ->
   ?steady:Steady.Config.t ->
+  ?on_retire:(upto:int -> unit) ->
   ?domains:Rdomain.spec ->
   seed:int64 ->
   protocol ->
@@ -246,7 +251,8 @@ val run_leg :
     [seed], run with [setup] tuned for the trace ({!tune_for_trace})
     and reseeded to the same [seed] — so a leg is a pure function of
     [(row, protocol, setup, n_packets, seed, fault)], the unit a sweep
-    shard executes. [fault] names a plan {!fault_plan} resolves.
+    shard executes. [fault] names a plan {!fault_plan} resolves;
+    [on_retire] is passed to {!run_model}.
 
     Rows naming a {!Mtrace.Scale} scenario get harness tuning for
     group size: hosts read true tree distances instead of warming them

@@ -1,4 +1,4 @@
-type retry_state = { mutable attempt : int; mutable timer : Sim.Engine.timer option }
+type retry_state = { mutable attempt : int; mutable timer : Sim.Engine.timer }
 
 type t = {
   network : Net.Network.t;
@@ -92,13 +92,12 @@ let rec arm_retry t ~src seq st =
   let d = Net.Network.dist t.network src t.self in
   let timeout = Float.max (4. *. d) 0.2 *. Float.of_int (1 lsl min st.attempt 16) in
   st.timer <-
-    Some
-      (Sim.Engine.schedule (engine t) ~after:timeout (fun () ->
-           if not (has_packet ~src t ~seq) then begin
-             st.attempt <- st.attempt + 1;
-             send_request t ~src seq;
-             arm_retry t ~src seq st
-           end))
+    Sim.Engine.schedule (engine t) ~after:timeout (fun () ->
+        if not (has_packet ~src t ~seq) then begin
+          st.attempt <- st.attempt + 1;
+          send_request t ~src seq;
+          arm_retry t ~src seq st
+        end)
 
 let detect_loss t ~src seq =
   if not (has_packet ~src t ~seq || Hashtbl.mem t.retries (src, seq)) then begin
@@ -106,7 +105,7 @@ let detect_loss t ~src seq =
       Hashtbl.replace t.detect_info (src, seq) (now t);
       t.n_detected <- t.n_detected + 1
     end;
-    let st = { attempt = 0; timer = None } in
+    let st = { attempt = 0; timer = Sim.Engine.no_timer } in
     Hashtbl.replace t.retries (src, seq) st;
     (* small jitter so co-detecting receivers do not fire in lockstep *)
     ignore
@@ -132,7 +131,7 @@ let obtain t ~src seq ~repaired =
     Srm.Window.add (stream t src) ~seq;
     (match Hashtbl.find_opt t.retries (src, seq) with
     | Some st ->
-        (match st.timer with Some timer -> Sim.Engine.cancel timer | None -> ());
+        Sim.Engine.cancel (engine t) st.timer;
         Hashtbl.remove t.retries (src, seq)
     | None -> ());
     match Hashtbl.find_opt t.detect_info (src, seq) with

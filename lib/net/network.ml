@@ -462,8 +462,9 @@ let deliver t ~node ~cell =
       if not blocked then begin
         let s = t.cur_pslot in
         t.prefs.(s) <- t.prefs.(s) + 1;
-        Sim.Engine.schedule_call t.engine ~times:t.arrive cell t.fire
-          ((s lsl t.node_bits) lor node)
+        ignore
+          (Sim.Engine.schedule_call t.engine ~times:t.arrive cell t.fire
+             ((s lsl t.node_bits) lor node))
       end
 
 (* Whether this shard tallies the crossing into [to_] — exactly the

@@ -37,9 +37,10 @@
     {b Delivery.} A walk writes each node's arrival time into a per-node
     scratch array (one spare cell holds a duplicated copy's time) and
     schedules the delivery with {!Sim.Engine.schedule_call}, which reads
-    the time from that array cell. A delivery carries no closure, handle
-    or boxed time, so casting and draining allocate the same bytes
-    whatever the number of receivers. *)
+    the time from that array cell. A delivery carries no closure or
+    boxed time, and its handle is an immediate int the network ignores,
+    so casting and draining allocate the same bytes whatever the number
+    of receivers. *)
 
 type t
 

@@ -4,8 +4,9 @@
    reads (no closure call, no polymorphic compare) and sift swaps store
    immediate ints (no caml_modify write barrier), which together are
    the bulk of the event core's cost on long traces. Slots are recycled
-   through a free stack; a handle keeps its slot's generation ([hseq])
-   so a stale cancel on a reused slot is a no-op.
+   through a free stack. A handle is an immediate int packing the slot
+   id with the sequence key the slot was scheduled under; a recycled
+   slot carries a fresh key, so a stale cancel on it is a no-op.
 
    On top of the heap sits a hierarchical timer wheel (the default
    [`Wheel] backend; DESIGN.md §12). SRM-style workloads are dominated
@@ -71,9 +72,9 @@ type t = {
      holding the [call_marker] sentinel instead dispatches through the
      parallel [calls]/[args] columns — a shared [int -> unit] closure
      plus an immediate argument — so the network's delivery fan-out
-     (the dominant scheduler client at scale) costs zero allocations
-     per event: no per-event closure, no handle record, no boxed
-     time. *)
+     (the dominant scheduler client at scale) and the SRM hosts'
+     recovery timers cost zero allocations per event: no per-event
+     closure, no boxed time, and the handle is an immediate int. *)
   mutable times : float array;
   mutable seqs : int array;
   mutable actions : (unit -> unit) array;
@@ -107,7 +108,22 @@ type t = {
   mutable n_wheel_cascades : int;
 }
 
-and timer = { owner : t; slot : int; hseq : int; htime : float }
+(* A handle packs [(seq lsl slot_bits) lor slot]: an immediate int, so
+   making, storing and checking one allocates nothing. 24 slot bits
+   allow 16.7M simultaneously pending events, and the 38 key bits
+   2.7 * 10^11 scheduled events; past either limit the engine fails
+   rather than let two handles collide. *)
+type timer = int
+
+let slot_bits = 24
+
+let slot_mask = (1 lsl slot_bits) - 1
+
+let max_handle_seq = (1 lsl (62 - slot_bits)) - 1
+
+(* Never pending: its key field ([-1 asr slot_bits] = -1) matches no
+   slot's sequence key. *)
+let no_timer = -1
 
 let no_action () = ()
 
@@ -188,7 +204,8 @@ let rec sift_down t i =
 
 let grow_slots t =
   let cap = Array.length t.times in
-  let cap' = if cap = 0 then 64 else 2 * cap in
+  if cap > slot_mask then failwith "Engine: more than 2^24 pending events";
+  let cap' = if cap = 0 then 64 else min (2 * cap) (slot_mask + 1) in
   let times' = Array.make cap' 0. and seqs' = Array.make cap' 0 in
   let actions' = Array.make cap' no_action and free' = Array.make cap' 0 in
   let calls' = Array.make cap' no_call and args' = Array.make cap' 0 in
@@ -334,43 +351,46 @@ let advance_frontier t target =
     flush_level0 t (f land wheel_mask)
   done
 
-let schedule_at t ~at f =
+(* Queue slot [s], whose time (clamped to the clock) and action are
+   set, under the next sequence key, and return its handle. *)
+let[@inline] enqueue t s =
+  let seq = t.next_seq in
+  if seq > max_handle_seq then failwith "Engine: handle sequence keys exhausted";
+  t.seqs.(s) <- seq;
+  t.next_seq <- seq + 1;
+  insert_pending t s;
+  t.live <- t.live + 1;
+  (seq lsl slot_bits) lor s
+
+let[@inline] schedule_at t ~at f =
   let at = if at < t.clock.now then t.clock.now else at in
   let s = alloc_slot t in
   t.times.(s) <- at;
-  t.seqs.(s) <- t.next_seq;
   t.actions.(s) <- f;
-  let handle = { owner = t; slot = s; hseq = t.next_seq; htime = at } in
-  t.next_seq <- t.next_seq + 1;
-  insert_pending t s;
-  t.live <- t.live + 1;
-  handle
+  enqueue t s
 
-let schedule t ~after f =
-  let after = if after < 0. then 0. else after in
-  schedule_at t ~at:(t.clock.now +. after) f
+(* Inlining [schedule_at] keeps the absolute time unboxed on its way
+   to the slot table. *)
+let schedule t ~after f = schedule_at t ~at:(t.clock.now +. if after < 0. then 0. else after) f
 
-(* Allocation-free scheduling for fire-and-forget events: the shared
-   closure [f] is dispatched with the immediate [arg] — no per-event
-   closure, no handle — and the fire time is read from the caller's
-   float array, so it is never boxed on the way in (a [float] argument
-   to a function of another module is a pointer to a box). Consumes
-   [next_seq] exactly as [schedule_at] does, so interleaving both
+(* Allocation-free scheduling: the shared closure [f] is dispatched
+   with the immediate [arg] — no per-event closure — and the fire time
+   is read from the caller's float array, so it is never boxed on the
+   way in (a [float] argument to a function of another module is a
+   pointer to a box). The handle is an immediate int. Consumes
+   [next_seq] exactly as [schedule_at] does, so interleaving the
    primitives preserves the engine's (time, seq) firing order: a run
    that swaps one for the other (with the same events) fires
-   identically. Not cancellable. *)
+   identically. *)
 let schedule_call t ~times i f arg =
   let at = times.(i) in
   let now = t.clock.now in
   let s = alloc_slot t in
   t.times.(s) <- (if at < now then now else at);
-  t.seqs.(s) <- t.next_seq;
   t.actions.(s) <- call_marker;
   t.calls.(s) <- f;
   t.args.(s) <- arg;
-  t.next_seq <- t.next_seq + 1;
-  insert_pending t s;
-  t.live <- t.live + 1
+  enqueue t s
 
 (* Reserve a contiguous block of sequence keys without scheduling
    anything. A streaming producer that replaces an eager
@@ -388,7 +408,7 @@ let reserve_seqs t n =
 
 (* Schedule with a caller-provided seq key (from [reserve_seqs])
    instead of consuming [next_seq]. Not cancellable: reserved keys are
-   disjoint from every handle's [hseq] (both are drawn from the same
+   disjoint from every handle's key (both are drawn from the same
    monotone counter, by different calls), so slot reuse stays safe. *)
 let schedule_at_seq t ~at ~seq f =
   let at = if at < t.clock.now then t.clock.now else at in
@@ -419,9 +439,9 @@ let every_epoch t ~every ~until f =
 
 let epochs_ticked t = t.n_epochs
 
-let is_pending timer =
-  let t = timer.owner in
-  t.seqs.(timer.slot) = timer.hseq && t.actions.(timer.slot) != no_action
+let[@inline] is_pending t timer =
+  let s = timer land slot_mask in
+  s < t.n_slots && t.seqs.(s) = timer asr slot_bits && t.actions.(s) != no_action
 
 (* SRM-style suppression cancels timers constantly, so tombstones can
    outnumber live events by orders of magnitude over a long trace.
@@ -453,18 +473,23 @@ let compact_if_needed t =
 
 (* Cancellation leaves a tombstone; the run loop, the bucket flushes
    and the compaction pass discard dead slots. O(1) in both backends
-   (a wheel resident stays chained in its bucket until flushed). *)
-let cancel timer =
-  let t = timer.owner in
-  if t.seqs.(timer.slot) = timer.hseq && t.actions.(timer.slot) != no_action then begin
-    t.actions.(timer.slot) <- no_action;
+   (a wheel resident stays chained in its bucket until flushed).
+   Clearing a call slot's closure drops the engine's reference to its
+   environment, as firing does. *)
+let cancel t timer =
+  if is_pending t timer then begin
+    let s = timer land slot_mask in
+    t.actions.(s) <- no_action;
+    t.calls.(s) <- no_call;
     t.live <- t.live - 1;
     t.n_cancelled <- t.n_cancelled + 1;
-    if t.in_wheel.(timer.slot) then t.wheel_live <- t.wheel_live - 1
+    if t.in_wheel.(s) then t.wheel_live <- t.wheel_live - 1
     else compact_if_needed t
   end
 
-let fire_time timer = timer.htime
+let fire_time t timer =
+  if not (is_pending t timer) then invalid_arg "Engine.fire_time: timer not pending";
+  t.times.(timer land slot_mask)
 
 let pending_events t = t.live
 

@@ -2,11 +2,14 @@
 
     An engine owns a virtual clock and a pending-event queue. Events
     are closures scheduled at absolute or relative virtual times; [run]
-    executes them in time order (FIFO among equal times). Timers are
-    cancellable: cancellation is O(1) and leaves a tombstone that the
-    run loop discards; when tombstones outgrow half the queue the heap
-    is compacted in place, so its size stays proportional to the live
-    event count no matter how aggressively timers are cancelled.
+    executes them in time order (FIFO among equal times). Every
+    scheduling primitive except {!schedule_at_seq} returns a {!timer}
+    handle, an immediate int, so scheduling and cancelling allocate
+    nothing beyond the event's own closure (if any). Cancellation is
+    O(1) and leaves a tombstone that the run loop discards; when
+    tombstones outgrow half the queue the heap is compacted in place,
+    so its size stays proportional to the live event count no matter
+    how aggressively timers are cancelled.
 
     The queue is a hierarchical timer wheel layered over an exact
     (time, seq) binary heap (DESIGN.md §12). Timers within the wheel
@@ -22,8 +25,19 @@
 
 type t
 
-type timer
-(** A handle on a scheduled event. *)
+type timer = private int
+(** A handle on a scheduled event: its slot id and the sequence key it
+    was scheduled under, packed into one immediate int. Storing one in
+    an [int]-like array column or a mutable field costs no allocation
+    and no write barrier. Once the event fires or is cancelled its slot
+    is recycled under a fresh key, so a stale handle is never mistaken
+    for the slot's new occupant. The packing holds 2^24 simultaneously
+    pending events and 2^38 scheduled ones; an engine that would exceed
+    either raises [Failure] instead of reusing a handle. *)
+
+val no_timer : timer
+(** A handle that is never pending, for "no timer armed" fields:
+    {!cancel} ignores it and {!is_pending} is false. *)
 
 val create : ?seed:int64 -> ?backend:[ `Wheel | `Heap ] -> unit -> t
 (** Fresh engine at time 0.0. Default seed is 1. [backend] selects the
@@ -56,24 +70,24 @@ val rng : t -> Rng.t
 
 val schedule : t -> after:float -> (unit -> unit) -> timer
 (** [schedule t ~after f] runs [f] at [now t +. after]. Negative delays
-    are clamped to 0. *)
+    are clamped to 0: the fire time is [now t +. max after 0.]. *)
 
 val schedule_at : t -> at:float -> (unit -> unit) -> timer
 (** [schedule_at t ~at f] runs [f] at absolute time [at]; clamped to
     [now t] if already past. *)
 
-val schedule_call : t -> times:float array -> int -> (int -> unit) -> int -> unit
+val schedule_call : t -> times:float array -> int -> (int -> unit) -> int -> timer
 (** [schedule_call t ~times i f arg] runs [f arg] at time [times.(i)],
-    clamped to the current time if already past. This is the delivery
-    primitive: the network writes each arrival time into its per-node
-    [arrive] array during a walk and passes the array and the cell, so
-    the time is read in place and never boxed. The {e shared} closure
-    is dispatched with the immediate [int] argument, so scheduling
-    allocates nothing (no per-event closure, no handle, no float box).
+    clamped to the current time if already past. The caller writes the
+    time into a float array cell, so it is read in place and never
+    boxed, and the {e shared} closure is dispatched with the immediate
+    [int] argument, so scheduling allocates nothing (no per-event
+    closure, no float box; the handle is an int). It is the network's
+    delivery primitive (each arrival time sits in the walk's [arrive]
+    array; the network ignores the handle) and the SRM host's
+    recovery-timer primitive, which cancels it like any other timer.
     Consumes the same (time, seq) key a [schedule_at] would, so mixing
-    the two primitives preserves firing order exactly. Not
-    cancellable — meant for the network's delivery fan-out, which
-    never cancels. *)
+    the primitives preserves firing order exactly. *)
 
 val reserve_seqs : t -> int -> int
 (** [reserve_seqs t n] reserves the next [n] sequence keys and returns
@@ -108,16 +122,18 @@ val next_time : t -> float option
     nothing is pending). Used by the conservative-parallel driver to
     run an engine window-by-window. *)
 
-val cancel : timer -> unit
-(** Cancel a pending timer. Cancelling a fired or already-cancelled
-    timer is a no-op. *)
+val cancel : t -> timer -> unit
+(** [cancel t timer] cancels a pending timer of [t]. Cancelling a
+    fired or already-cancelled timer, or {!no_timer}, is a no-op. *)
 
-val is_pending : timer -> bool
+val is_pending : t -> timer -> bool
 (** True if the timer has neither fired nor been cancelled. *)
 
-val fire_time : timer -> float
-(** The virtual time at which the timer fires (or fired / would have
-    fired). *)
+val fire_time : t -> timer -> float
+(** The virtual time at which a pending timer fires (after clamping to
+    the clock at scheduling time).
+    @raise Invalid_argument if the timer is not pending: a fired or
+    cancelled handle's slot may already hold another event. *)
 
 val pending_events : t -> int
 (** Number of live (non-cancelled) events still queued. O(1): the

@@ -43,10 +43,13 @@ let substream base i =
   let rec go k = if k = 0 then bits64 r else (ignore (bits64 r); go (k - 1)) in
   go i
 
-(* Top 53 bits give a uniform float in [0,1). *)
-let[@inline] unit_float t =
-  let x = Int64.shift_right_logical (bits64 t) 11 in
-  Int64.to_float x *. 0x1p-53
+(* The top 53 bits, an immediate int: every float draw scales it, so a
+   caller that does its own scaling gets the draw without a box. *)
+let[@inline] bits53 t = Int64.to_int (Int64.shift_right_logical (bits64 t) 11)
+
+(* Top 53 bits give a uniform float in [0,1). Both conversions are
+   exact below 2^53. *)
+let[@inline] unit_float t = Float.of_int (bits53 t) *. 0x1p-53
 
 let float t b =
   assert (b > 0.);

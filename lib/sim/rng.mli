@@ -38,12 +38,21 @@ val substream : int64 -> int -> int64
 val bits64 : t -> int64
 (** Next raw 64-bit output. *)
 
+val bits53 : t -> int
+(** The top 53 bits of the next {!bits64} output, in [\[0, 2^53)]: the
+    draw behind {!float}, {!uniform} and {!bernoulli}, which scale
+    [Float.of_int (bits53 t) *. 0x1p-53]. An immediate int, so a caller
+    that scales it in place (the SRM host's timer draws) allocates
+    nothing, where a float returned from this module is boxed. *)
+
 val float : t -> float -> float
 (** [float t b] is uniform in [\[0, b)]. [b] must be positive. *)
 
 val uniform : t -> float -> float -> float
-(** [uniform t lo hi] is uniform in [\[lo, hi)]. Requires [lo <= hi];
-    returns [lo] when the interval is empty. *)
+(** [uniform t lo hi] is uniform in [\[lo, hi)]:
+    [lo +. (Float.of_int (bits53 t) *. 0x1p-53 *. (hi -. lo))]. Requires
+    [lo <= hi]; returns [lo] when the interval is empty, without
+    drawing. *)
 
 val int : t -> int -> int
 (** [int t n] is uniform in [\[0, n)]. [n] must be positive. *)

@@ -7,12 +7,19 @@ module Log = (val Logs.src_log log : Logs.LOG)
    paths build it only when debug logging is on. *)
 let debug_on () = match Logs.Src.level log with Some Logs.Debug -> true | _ -> false
 
+(* A flat float record: its stores allocate nothing, where a float
+   field of the mixed [request_state] would box on every write. *)
+type request_times = {
+  detected_at : float;
+  mutable abstain_until : float; (* back-off abstinence horizon *)
+  mutable first_sent : float; (* when our own first request fired; nan = not yet *)
+}
+
 type request_state = {
   mutable backoff : int; (* k = number of times this request was scheduled *)
-  mutable timer : Sim.Engine.timer option;
-  mutable abstain_until : float; (* back-off abstinence horizon *)
+  mutable timer : Sim.Engine.timer; (* no_timer once the rounds are exhausted *)
   mutable dup_requests : int; (* duplicate requests overheard for this loss *)
-  mutable first_sent : float option; (* when our own first request fired *)
+  times : request_times;
 }
 
 (* Test-only protocol mutations: each one breaks a different invariant
@@ -35,6 +42,17 @@ type hooks = {
    levels index into them. *)
 type domain_ctx = { dmap : Rdomain.t; my_dom : int; max_lvl : int }
 
+(* A stream's float state for the domain-mode in-flight allowance,
+   flat so a data arrival's store into [last_data_at] allocates
+   nothing. *)
+type inflight = {
+  (* When [last_data_seq] (below) landed: the data-arrival anchor. *)
+  mutable last_data_at : float;
+  (* Lazily computed (nan = unset): scales with this host's distance
+     to the stream's source. *)
+  mutable slack : float;
+}
+
 (* Per-stream reception state; SRM is multi-source, so every table
    below is keyed by (stream source, sequence number). The delivery
    map is a {!Window}: windowed for steady-state runs, a flat bitmap
@@ -42,30 +60,29 @@ type domain_ctx = { dmap : Rdomain.t; my_dom : int; max_lvl : int }
 type stream_state = {
   win : Window.t;
   (* Data-arrival anchor for the domain-mode in-flight allowance: the
-     last original data packet of this stream to land here, and when.
-     Unlike the window's [max_seq] (which session advertisements also
-     advance) this tracks only real arrivals, so [last_data_at + Δseq ·
-     period] predicts when a later packet is {e due} on this host's
-     path — constant pipeline lag cancels out. *)
+     last original data packet of this stream to land here, and when
+     ([inflight.last_data_at]). Unlike the window's [max_seq] (which
+     session advertisements also advance) this tracks only real
+     arrivals, so [last_data_at + Δseq · period] predicts when a later
+     packet is {e due} on this host's path — constant pipeline lag
+     cancels out. *)
   mutable last_data_seq : int;
-  mutable last_data_at : float;
   (* Due-time detection frontier (domain mode): every sequence at or
      below it has been either delivered or declared lost; sequences
      above wait until they are overdue. [due_pending] coalesces the
      rescan timer — at most one per stream is ever outstanding. *)
   mutable scanned_due : int;
   mutable due_pending : bool;
-  (* Per-stream in-flight slack, lazily computed (nan = unset): scales
-     with this host's distance to the stream's source. *)
-  mutable inflight_slack : float;
-  (* One bit per seq whose detection retirement swept (empty until the
-     first), so [suffered_loss] answers for retired seqs as it would
-     had nothing been retired. *)
-  mutable lost_retired : Bytes.t;
+  inflight : inflight;
+  (* One bit per detected seq (empty until the first detection): the
+     answer to [suffered_loss], which outlives the request and
+     retirement. *)
+  mutable lost : Bytes.t;
 }
 
 type t = {
   network : Net.Network.t;
+  engine : Sim.Engine.t;
   clock : Sim.Engine.clock; (* the engine's; [now] reads it unboxed *)
   self : int;
   params : Params.t;
@@ -81,12 +98,20 @@ type t = {
      original deterministic order. *)
   streams : (int, stream_state) Hashtbl.t;
   mutable stream_srcs : int list;
-  (* Per-loss tables below are keyed by packed (src, seq) ints. *)
+  (* Per-loss state, keyed by packed (src, seq) ints. [requests] stays
+     a [Hashtbl]: crash restarts and session re-arms walk it in its
+     iteration order, drawing from [rng] per request, so its order is
+     part of every faulted run's outcome. *)
   requests : (Key.t, request_state) Hashtbl.t;
-  replies : (Key.t, Sim.Engine.timer) Hashtbl.t; (* scheduled reply *)
-  reply_abstain : (Key.t, float) Hashtbl.t; (* -> horizon *)
-  detect_info : (Key.t, float) Hashtbl.t; (* -> detection time *)
-  replied : (Key.t, float) Hashtbl.t; (* -> when we sent a reply *)
+  replies : Reply_table.t; (* scheduled reply, abstinence, last reply sent *)
+  (* Recovery timers carry only the packed key: the engine dispatches
+     it to one of these closures, built once in [create], and reads the
+     fire time from [fire_at]'s single cell, so arming a timer
+     allocates nothing. *)
+  fire_at : float array;
+  mutable request_timer : Key.t -> unit;
+  mutable reply_timer : Key.t -> unit;
+  mutable grace_timer : Key.t -> unit; (* session-advertisement grace *)
   adaptive : Adaptive.t option;
   domain : domain_ctx option;
   mutable n_local_requests : int; (* domain mode: requests sent at level 0 *)
@@ -99,7 +124,6 @@ type t = {
      the wiped host and would charge it for every packet it no longer
      tracks. *)
   mutable in_group : bool;
-  mutable retired_losses : bool; (* some stream's [lost_retired] is set *)
   mutable reply_from : int; (* replier of the reply being handled; -1 outside one *)
   counters : Stats.Counters.t;
   recoveries : Stats.Recovery.t;
@@ -109,11 +133,24 @@ type t = {
 
 let key t ~src ~seq = Key.make ~stride:t.stride ~src ~seq
 
+(* A reply row that holds nothing observable: no reply scheduled, no
+   abstinence still running (a passed horizon blocks nothing, just like
+   no horizon) and no reply of ours on record. Dropping it changes no
+   answer, so the table may recycle it. *)
+let inert (clock : Sim.Engine.clock) (l : Reply_table.t) r =
+  l.timer.(r) = Sim.Engine.no_timer
+  && (not (l.abstain.(r) > clock.now))
+  && Float.is_nan l.replied.(r)
+
 let network t = t.network
 
-let engine t = Net.Network.engine t.network
-
 let now t = t.clock.now
+
+(* Arm a recovery timer [after] seconds from now (clamped at 0, as
+   [Sim.Engine.schedule] does) whose callback gets the packed [k]. *)
+let[@inline] arm t ~after callback k =
+  t.fire_at.(0) <- now t +. (if after < 0. then 0. else after);
+  Sim.Engine.schedule_call t.engine ~times:t.fire_at 0 callback k
 
 let self t = t.self
 
@@ -134,11 +171,10 @@ let stream t src =
         {
           win = Window.create ~n_packets:t.n_packets;
           last_data_seq = 0;
-          last_data_at = neg_infinity;
           scanned_due = 0;
           due_pending = false;
-          inflight_slack = Float.nan;
-          lost_retired = Bytes.empty;
+          inflight = { last_data_at = neg_infinity; slack = Float.nan };
+          lost = Bytes.empty;
         }
       in
       Hashtbl.replace t.streams src s;
@@ -155,15 +191,11 @@ let has_packet ?(src = 0) t ~seq =
 let reply_sender t = if t.reply_from < 0 then None else Some t.reply_from
 
 let suffered_loss ?(src = 0) t ~seq =
-  Hashtbl.mem t.detect_info (key t ~src ~seq)
-  || t.retired_losses
-     &&
-     match Hashtbl.find_opt t.streams src with
-     | Some st ->
-         let i = seq lsr 3 in
-         i < Bytes.length st.lost_retired
-         && Char.code (Bytes.get st.lost_retired i) land (1 lsl (seq land 7)) <> 0
-     | None -> false
+  match Hashtbl.find t.streams src with
+  | st ->
+      let i = seq lsr 3 in
+      i < Bytes.length st.lost && Char.code (Bytes.get st.lost i) land (1 lsl (seq land 7)) <> 0
+  | exception Not_found -> false
 
 let max_seq_seen ?(src = 0) t = Window.max_seq (stream t src).win
 
@@ -243,7 +275,13 @@ let domain_transmit t ~requestor ~round =
 
 (* --- request scheduling ------------------------------------------- *)
 
-let two_pow k = Float.of_int (1 lsl min k 30)
+let[@inline] two_pow k = Float.of_int (1 lsl min k 30)
+
+(* [Sim.Rng.uniform], scaled here from the generator's 53-bit draw:
+   inlined into the request and reply timers, its bounds and result
+   stay unboxed. *)
+let[@inline] uniform_draw rng lo hi =
+  if hi <= lo then lo else lo +. (Float.of_int (Sim.Rng.bits53 rng) *. 0x1p-53 *. (hi -. lo))
 
 (* Current scheduling weights: fixed from Params, or the adaptive
    controller's live values. One reader per weight: a pair would be a
@@ -262,24 +300,23 @@ let d2 t = match t.adaptive with Some a -> Adaptive.d2 a | None -> t.params.Para
    with it the target distance the interval scales by — so compounding
    2^round on top would square the growth and park deep-ladder rounds
    beyond the run horizon. *)
-let backoff_factor t round =
+let[@inline] backoff_factor t round =
   match t.domain with
   | None -> two_pow round
   | Some _ -> two_pow (min round t.params.Params.domain_local_rounds)
 
-let request_interval t ~src (st : request_state) =
+let arm_request t ~src seq (st : request_state) =
   let d = request_dist t ~src ~round:st.backoff in
   let lo = c1 t *. d and w = c2 t *. d in
   let f = backoff_factor t st.backoff in
-  Sim.Rng.uniform t.rng (f *. lo) (f *. (lo +. w))
-
-let rec arm_request t ~src seq st =
   st.timer <-
-    Some
-      (Sim.Engine.schedule (engine t) ~after:(request_interval t ~src st) (fun () ->
-           fire_request t ~src seq st))
+    arm t ~after:(uniform_draw t.rng (f *. lo) (f *. (lo +. w))) t.request_timer (key t ~src ~seq)
 
-and fire_request t ~src seq st =
+(* The request timer's callback. A request leaves [requests] only with
+   its timer cancelled, so the key always finds it. *)
+let fire_request t k =
+  let st = Hashtbl.find t.requests k in
+  let src = Key.src ~stride:t.stride k and seq = Key.seq ~stride:t.stride k in
   if not (has_packet ~src t ~seq) then begin
     let d = dist_to_source ~src t in
     if debug_on () then
@@ -287,7 +324,7 @@ and fire_request t ~src seq st =
           m "t=%.4f host %d RQST src %d seq %d round %d d_hs=%.4f" (now t) t.self src seq
             st.backoff d);
     Stats.Counters.bump t.counters ~node:t.self Stats.Counters.Rqst;
-    if st.first_sent = None then st.first_sent <- Some (now t);
+    if Float.is_nan st.times.first_sent then st.times.first_sent <- now t;
     let packet =
       {
         Net.Packet.sender = t.self;
@@ -308,13 +345,13 @@ and fire_request t ~src seq st =
        a fresh back-off abstinence period opens (Section 2.1). *)
     if st.backoff < t.params.Params.max_rounds then begin
       st.backoff <- st.backoff + 1;
-      st.abstain_until <-
+      st.times.abstain_until <-
         now t
         +. (backoff_factor t st.backoff *. t.params.Params.c3
            *. request_dist t ~src ~round:st.backoff);
       arm_request t ~src seq st
     end
-    else st.timer <- None
+    else st.timer <- Sim.Engine.no_timer
   end
 
 (* Session-driven re-arm (Params.rearm_backoff): session evidence says
@@ -322,20 +359,21 @@ and fire_request t ~src seq st =
    requests for them have their next round more than [window] seconds
    out — exponential back-off pushed them there during an outage.
    Restart those from round 0, and revive exhausted requests (all
-   max_rounds fired, timer gone). *)
+   max_rounds fired, timer gone). A handle that fired without being
+   replaced has its time in the past, so it never counts as stale. *)
 let rearm_stale t ~src ~upto ~window =
   Hashtbl.iter
     (fun k (st : request_state) ->
       if Key.src ~stride:t.stride k = src && Key.seq ~stride:t.stride k <= upto then begin
         let stale =
-          match st.timer with
-          | None -> true
-          | Some timer -> Sim.Engine.fire_time timer -. now t > window
+          if Sim.Engine.is_pending t.engine st.timer then
+            Sim.Engine.fire_time t.engine st.timer -. now t > window
+          else st.timer = Sim.Engine.no_timer
         in
         if stale then begin
-          (match st.timer with Some timer -> Sim.Engine.cancel timer | None -> ());
+          Sim.Engine.cancel t.engine st.timer;
           st.backoff <- 0;
-          st.abstain_until <- neg_infinity;
+          st.times.abstain_until <- neg_infinity;
           arm_request t ~src (Key.seq ~stride:t.stride k) st
         end
       end)
@@ -349,14 +387,17 @@ let rearm_stale t ~src ~upto ~window =
 let restart_recovery t =
   t.hooks.on_state_reset ();
   Session.reset t.session;
-  Hashtbl.iter (fun _ timer -> Sim.Engine.cancel timer) t.replies;
-  Hashtbl.reset t.replies;
-  Hashtbl.reset t.reply_abstain;
+  let l = t.replies in
+  Reply_table.filter l (fun r ->
+      Sim.Engine.cancel t.engine l.timer.(r);
+      l.timer.(r) <- Sim.Engine.no_timer;
+      l.abstain.(r) <- Float.nan;
+      not (inert t.clock l r));
   Hashtbl.iter
     (fun k (st : request_state) ->
-      (match st.timer with Some timer -> Sim.Engine.cancel timer | None -> ());
+      Sim.Engine.cancel t.engine st.timer;
       st.backoff <- 0;
-      st.abstain_until <- neg_infinity;
+      st.times.abstain_until <- neg_infinity;
       arm_request t ~src:(Key.src ~stride:t.stride k) (Key.seq ~stride:t.stride k) st)
     t.requests
 
@@ -371,22 +412,16 @@ let restart_recovery t =
 let depart t =
   t.hooks.on_state_reset ();
   let forgiven = Hashtbl.length t.requests in
-  Hashtbl.iter
-    (fun _ (st : request_state) ->
-      match st.timer with Some timer -> Sim.Engine.cancel timer | None -> ())
-    t.requests;
+  Hashtbl.iter (fun _ (st : request_state) -> Sim.Engine.cancel t.engine st.timer) t.requests;
   Hashtbl.reset t.requests;
-  Hashtbl.iter (fun _ timer -> Sim.Engine.cancel timer) t.replies;
-  Hashtbl.reset t.replies;
-  Hashtbl.reset t.reply_abstain;
-  Hashtbl.reset t.detect_info;
-  Hashtbl.reset t.replied;
+  Reply_table.iter t.replies (fun r -> Sim.Engine.cancel t.engine t.replies.timer.(r));
+  Reply_table.reset t.replies;
   (* Reception state goes too; a parked due-scan timer that fires after
      this finds (or lazily recreates) a stream with no data anchor and
-     does nothing. Session-advertisement grace timers are anonymous
-     (uncancellable), so [in_group] gates {!detect_loss} instead: one
-     firing on the wiped host would otherwise charge the departed
-     member for every packet of the stream. *)
+     does nothing. Session-advertisement grace timers are not tracked,
+     so [in_group] gates {!detect_loss} instead: one firing on the
+     wiped host would otherwise charge the departed member for every
+     packet of the stream. *)
   Hashtbl.reset t.streams;
   t.stream_srcs <- [];
   Session.reset t.session;
@@ -419,11 +454,11 @@ let forget_peer t peer =
 
 (* A request for [seq] was overheard while ours is pending: push ours to
    the next round unless inside the back-off abstinence period. *)
-let back_off_request t ~src seq st =
-  if now t >= st.abstain_until && st.backoff < t.params.Params.max_rounds then begin
-    (match st.timer with Some timer -> Sim.Engine.cancel timer | None -> ());
+let back_off_request t ~src seq (st : request_state) =
+  if now t >= st.times.abstain_until && st.backoff < t.params.Params.max_rounds then begin
+    Sim.Engine.cancel t.engine st.timer;
     st.backoff <- st.backoff + 1;
-    st.abstain_until <-
+    st.times.abstain_until <-
       now t
       +. (backoff_factor t st.backoff *. t.params.Params.c3
          *. request_dist t ~src ~round:st.backoff);
@@ -433,19 +468,21 @@ let back_off_request t ~src seq st =
 let detect_loss ?(initial_backoff = 0) t ~src seq =
   if t.in_group && not (has_packet ~src t ~seq || Hashtbl.mem t.requests (key t ~src ~seq))
   then begin
-    if not (Hashtbl.mem t.detect_info (key t ~src ~seq)) then begin
-      Hashtbl.replace t.detect_info (key t ~src ~seq) (now t);
-      if debug_on () then
-        Log.debug (fun m -> m "t=%.4f host %d DETECT src %d seq %d" (now t) t.self src seq);
-      t.n_detected <- t.n_detected + 1
-    end;
+    (* A loss is detected once: its request lives until the packet
+       arrives, and the packet never leaves again. *)
+    let stream = stream t src in
+    if Bytes.length stream.lost = 0 then stream.lost <- Bytes.make ((t.n_packets lsr 3) + 1) '\000';
+    let i = seq lsr 3 in
+    Bytes.set stream.lost i (Char.chr (Char.code (Bytes.get stream.lost i) lor (1 lsl (seq land 7))));
+    if debug_on () then
+      Log.debug (fun m -> m "t=%.4f host %d DETECT src %d seq %d" (now t) t.self src seq);
+    t.n_detected <- t.n_detected + 1;
     let st =
       {
         backoff = initial_backoff;
-        timer = None;
-        abstain_until = neg_infinity;
+        timer = Sim.Engine.no_timer;
         dup_requests = 0;
-        first_sent = None;
+        times = { detected_at = now t; abstain_until = neg_infinity; first_sent = Float.nan };
       }
     in
     Hashtbl.replace t.requests (key t ~src ~seq) st;
@@ -483,8 +520,8 @@ let inflight_period t =
    [C1 · d_src]; domain mode's request timers are local by design, so
    the patience must live in the detector. *)
 let inflight_slack t ~src st =
-  if Float.is_nan st.inflight_slack then
-    (st.inflight_slack <-
+  if Float.is_nan st.inflight.slack then
+    (st.inflight.slack <-
        (match t.domain with
        | None -> 0.
        | Some _ ->
@@ -492,10 +529,10 @@ let inflight_slack t ~src st =
            (p.Params.c1 +. p.Params.c2 +. p.Params.d1 +. p.Params.d2
            +. p.Params.domain_dr_bias +. 2.)
            *. dist_to_source ~src t));
-  st.inflight_slack
+  st.inflight.slack
 
 let due_time t ~src st ~period seq =
-  st.last_data_at
+  st.inflight.last_data_at
   +. ((float_of_int (seq - st.last_data_seq) +. 1.) *. period)
   +. inflight_slack t ~src st
 
@@ -504,7 +541,7 @@ let due_time t ~src st ~period seq =
    only ever advances, so each sequence is scanned O(1) times. *)
 let rec scan_due t ~src ~period =
   let st = stream t src in
-  if st.last_data_at > neg_infinity then begin
+  if st.inflight.last_data_at > neg_infinity then begin
     let frontier = ref st.scanned_due in
     while
       !frontier < Window.max_seq st.win && due_time t ~src st ~period (!frontier + 1) <= now t
@@ -517,7 +554,7 @@ let rec scan_due t ~src ~period =
       st.due_pending <- true;
       let after = Float.max 0. (due_time t ~src st ~period (st.scanned_due + 1) -. now t) in
       ignore
-        (Sim.Engine.schedule (engine t) ~after (fun () ->
+        (Sim.Engine.schedule t.engine ~after (fun () ->
              st.due_pending <- false;
              scan_due t ~src ~period))
     end
@@ -549,25 +586,22 @@ let inflight_clear t ~src ~seq =
   | None -> true
   | Some period ->
       let st = stream t src in
-      st.last_data_at > neg_infinity && due_time t ~src st ~period seq <= now t
+      st.inflight.last_data_at > neg_infinity && due_time t ~src st ~period seq <= now t
 
 (* --- obtaining packets -------------------------------------------- *)
 
-let record_recovery t ~src seq ~expedited ~rounds ~repaired =
-  match Hashtbl.find_opt t.detect_info (key t ~src ~seq) with
-  | None -> ()
-  | Some detected_at ->
-      Stats.Recovery.add t.recoveries
-        {
-          Stats.Recovery.node = t.self;
-          src;
-          seq;
-          detected_at;
-          recovered_at = now t;
-          rounds;
-          expedited;
-          repaired;
-        }
+let record_recovery t ~src seq (st : request_state) ~expedited ~repaired =
+  Stats.Recovery.add t.recoveries
+    {
+      Stats.Recovery.node = t.self;
+      src;
+      seq;
+      detected_at = st.times.detected_at;
+      recovered_at = now t;
+      rounds = st.backoff;
+      expedited;
+      repaired;
+    }
 
 (* [repaired] says how the packet got here: [true] for a
    retransmission (any reply), [false] for the original data packet —
@@ -576,29 +610,22 @@ let record_recovery t ~src seq ~expedited ~rounds ~repaired =
 let obtain t ~src seq ~expedited ~repaired =
   if not (has_packet ~src t ~seq) then begin
     Window.add (stream t src).win ~seq;
-    (* A pending request is now moot. *)
-    let rounds =
-      match Hashtbl.find_opt t.requests (key t ~src ~seq) with
-      | None -> 0
-      | Some st ->
-          (match st.timer with Some timer -> Sim.Engine.cancel timer | None -> ());
-          Hashtbl.remove t.requests (key t ~src ~seq);
-          (match (t.adaptive, st.first_sent) with
-          | Some a, Some sent -> (
-              match Hashtbl.find_opt t.detect_info (key t ~src ~seq) with
-              | Some detected ->
-                  let d = Float.max 1e-9 (dist_to_source ~src t) in
-                  Adaptive.note_request_cycle a ~dups:st.dup_requests
-                    ~delay_in_d:((sent -. detected) /. d)
-              | None -> ())
-          | _ -> ());
-          st.backoff
-    in
-    if suffered_loss ~src t ~seq then begin
-      if debug_on () then
-        Log.debug (fun m -> m "t=%.4f host %d RECOVERED src %d seq %d" (now t) t.self src seq);
-      record_recovery t ~src seq ~expedited ~rounds ~repaired
-    end;
+    (* A pending request is now moot. A missing packet has one exactly
+       when it was detected lost, so its request is the recovery. *)
+    (match Hashtbl.find_opt t.requests (key t ~src ~seq) with
+    | None -> ()
+    | Some st ->
+        Sim.Engine.cancel t.engine st.timer;
+        Hashtbl.remove t.requests (key t ~src ~seq);
+        (match t.adaptive with
+        | Some a when not (Float.is_nan st.times.first_sent) ->
+            let d = Float.max 1e-9 (dist_to_source ~src t) in
+            Adaptive.note_request_cycle a ~dups:st.dup_requests
+              ~delay_in_d:((st.times.first_sent -. st.times.detected_at) /. d)
+        | _ -> ());
+        if debug_on () then
+          Log.debug (fun m -> m "t=%.4f host %d RECOVERED src %d seq %d" (now t) t.self src seq);
+        record_recovery t ~src seq st ~expedited ~repaired);
     t.hooks.on_packet_obtained ~src ~seq ~expedited;
     if mutated t Double_deliver then t.hooks.on_packet_obtained ~src ~seq ~expedited
   end
@@ -626,54 +653,34 @@ let retired_floor ?(src = 0) t = Window.base (stream t src).win
    the delivered prefix has arrived. *)
 let retire_below t ~upto =
   Hashtbl.iter (fun _src st -> Window.retire_below st.win ~upto) t.streams;
-  let retired k =
-    let src = Key.src ~stride:t.stride k and seq = Key.seq ~stride:t.stride k in
-    match Hashtbl.find_opt t.streams src with
-    | Some st -> seq <= Window.base st.win
-    | None -> false
-  in
-  let sweep ?(keep = fun _ _ -> false) table =
-    let dead = Hashtbl.fold (fun k v acc -> if retired k && not (keep k v) then k :: acc else acc) table [] in
-    List.iter (Hashtbl.remove table) dead
-  in
-  sweep t.replies ~keep:(fun _ timer -> Sim.Engine.is_pending timer);
-  sweep t.reply_abstain ~keep:(fun _ horizon -> horizon > now t);
-  (* A reply can still arrive for a retired loss (a duplicate, a repair
-     held up by an outage), and CESRM digests it by [suffered_loss]:
-     keep that answer as a bit before the detection goes. *)
-  Hashtbl.iter
-    (fun k _ ->
-      if retired k then begin
-        let st = Hashtbl.find t.streams (Key.src ~stride:t.stride k) in
-        if Bytes.length st.lost_retired = 0 then
-          st.lost_retired <- Bytes.make ((t.n_packets lsr 3) + 1) '\000';
-        let seq = Key.seq ~stride:t.stride k in
-        let i = seq lsr 3 in
-        Bytes.set st.lost_retired i
-          (Char.chr (Char.code (Bytes.get st.lost_retired i) lor (1 lsl (seq land 7))));
-        t.retired_losses <- true
-      end)
-    t.detect_info;
-  sweep t.detect_info;
-  sweep t.replied;
+  let l = t.replies in
+  (* A pending reply timer and a running abstinence stay, for retired
+     packets too; our replies to retired packets are forgotten. *)
+  Reply_table.filter l (fun r ->
+      let k = l.keys.(r) in
+      (match Hashtbl.find_opt t.streams (Key.src ~stride:t.stride k) with
+      | Some st when Key.seq ~stride:t.stride k <= Window.base st.win -> l.replied.(r) <- Float.nan
+      | _ -> ());
+      not (inert t.clock l r));
   t.hooks.on_retired ()
 
 (* --- replies ------------------------------------------------------- *)
 
+(* Inside the reply abstinence period ([nan], no horizon, compares
+   false). *)
 let reply_pending t ~src seq =
-  match Hashtbl.find_opt t.reply_abstain (key t ~src ~seq) with
-  | Some horizon -> now t < horizon
-  | None -> false
+  let r = Reply_table.find t.replies (key t ~src ~seq) in
+  r >= 0 && now t < t.replies.abstain.(r)
 
 let reply_blocked ?(src = 0) t ~seq =
-  Hashtbl.mem t.replies (key t ~src ~seq) || reply_pending t ~src seq
+  let r = Reply_table.find t.replies (key t ~src ~seq) in
+  r >= 0 && (t.replies.timer.(r) <> Sim.Engine.no_timer || now t < t.replies.abstain.(r))
 
 let open_reply_abstinence t ~src seq ~requestor =
-  Hashtbl.replace t.reply_abstain (key t ~src ~seq)
-    (now t +. (t.params.Params.d3 *. dist_to t requestor))
+  let r = Reply_table.add t.replies (key t ~src ~seq) in
+  t.replies.abstain.(r) <- now t +. (t.params.Params.d3 *. dist_to t requestor)
 
-let emit_reply ?transmit ?(delay_norm = 0.) t ~src ~seq ~requestor ~d_qs ~expedited
-    ~turning_point =
+let emit_reply ?transmit ~delay_norm t ~src ~seq ~requestor ~d_qs ~expedited ~turning_point =
   let d_rq = dist_to t requestor in
   if debug_on () then
     Log.debug (fun m ->
@@ -696,14 +703,15 @@ let emit_reply ?transmit ?(delay_norm = 0.) t ~src ~seq ~requestor ~d_qs ~expedi
      | None -> Net.Network.multicast t.network ~from:t.self packet);
   (match t.adaptive with
   | Some a ->
-      Hashtbl.replace t.replied (key t ~src ~seq) (now t);
+      let r = Reply_table.add t.replies (key t ~src ~seq) in
+      t.replies.replied.(r) <- now t;
       Adaptive.note_reply_cycle a ~dups:0 ~delay_in_d:delay_norm
   | None -> ());
   open_reply_abstinence t ~src seq ~requestor
 
 let send_reply_now ?(src = 0) t ~seq ~requestor ~d_qs ~expedited ?turning_point ?transmit () =
   if has_packet ~src t ~seq && not (reply_blocked ~src t ~seq) then begin
-    emit_reply ?transmit t ~src ~seq ~requestor ~d_qs ~expedited ~turning_point;
+    emit_reply ?transmit ~delay_norm:0. t ~src ~seq ~requestor ~d_qs ~expedited ~turning_point;
     true
   end
   else false
@@ -721,23 +729,37 @@ let schedule_reply t ~src ~seq ~requestor ~d_qs ~round =
     | _ -> d1 t
   in
   let lo = w1 *. d and w = d2 t *. d in
-  let delay = Sim.Rng.uniform t.rng lo (lo +. w) in
+  let delay = uniform_draw t.rng lo (lo +. w) in
   if debug_on () then
     Log.debug (fun m ->
         m "t=%.4f host %d schedule REPL seq %d for +%.4f (d_rq=%.4f req=%d)" (now t) t.self
           seq delay d requestor);
-  let delay_norm = if d <= 0. then 0. else delay /. d in
-  let transmit = domain_transmit t ~requestor ~round in
-  let timer =
-    Sim.Engine.schedule (engine t) ~after:delay (fun () ->
-        Hashtbl.remove t.replies (key t ~src ~seq);
-        (* The abstinence may have opened while we waited (an expedited
-           reply of ours, for instance). *)
-        if (not (reply_pending t ~src seq)) && has_packet ~src t ~seq then
-          emit_reply ?transmit ~delay_norm t ~src ~seq ~requestor ~d_qs ~expedited:false
-            ~turning_point:None)
-  in
-  Hashtbl.replace t.replies (key t ~src ~seq) timer
+  let k = key t ~src ~seq in
+  let timer = arm t ~after:delay t.reply_timer k in
+  let l = t.replies in
+  let r = Reply_table.add l k in
+  l.timer.(r) <- timer;
+  l.requestor.(r) <- requestor;
+  l.round.(r) <- round;
+  l.d_qs.(r) <- d_qs;
+  l.delay_norm.(r) <- (if d <= 0. then 0. else delay /. d)
+
+(* The reply timer's callback: the reply's parameters wait in its row,
+   which stays while the timer is pending. *)
+let fire_reply t k =
+  let l = t.replies in
+  let r = Reply_table.find l k in
+  l.timer.(r) <- Sim.Engine.no_timer;
+  let src = Key.src ~stride:t.stride k and seq = Key.seq ~stride:t.stride k in
+  (* The abstinence may have opened while we waited (an expedited reply
+     of ours, for instance). *)
+  if (not (reply_pending t ~src seq)) && has_packet ~src t ~seq then begin
+    let requestor = l.requestor.(r) in
+    emit_reply
+      ?transmit:(domain_transmit t ~requestor ~round:l.round.(r))
+      ~delay_norm:l.delay_norm.(r) t ~src ~seq ~requestor ~d_qs:l.d_qs.(r) ~expedited:false
+      ~turning_point:None
+  end
 
 (* --- incoming PDUs -------------------------------------------------- *)
 
@@ -769,18 +791,19 @@ let handle_request t ~src ~seq ~requestor ~d_qs ~round =
 let handle_reply t payload ~src ~seq ~requestor ~replier =
   if replier <> t.self then begin
     seq_exists t ~src seq;
-    (* Suppression: cancel any scheduled reply for this packet. *)
-    (match Hashtbl.find_opt t.replies (key t ~src ~seq) with
-    | Some timer ->
-        Sim.Engine.cancel timer;
-        Hashtbl.remove t.replies (key t ~src ~seq)
-    | None -> ());
-    (* Adaptive: a reply for something we also replied to recently is a
-       duplicate our timers failed to suppress. *)
-    (match t.adaptive with
-    | Some a when Hashtbl.mem t.replied (key t ~src ~seq) ->
-        Adaptive.note_reply_cycle a ~dups:1 ~delay_in_d:1.
-    | _ -> ());
+    let l = t.replies in
+    let r = Reply_table.find l (key t ~src ~seq) in
+    if r >= 0 then begin
+      (* Suppression: cancel any scheduled reply for this packet. *)
+      Sim.Engine.cancel t.engine l.timer.(r);
+      l.timer.(r) <- Sim.Engine.no_timer;
+      (* Adaptive: a reply for something we also replied to recently is
+         a duplicate our timers failed to suppress. *)
+      match t.adaptive with
+      | Some a when not (Float.is_nan l.replied.(r)) ->
+          Adaptive.note_reply_cycle a ~dups:1 ~delay_in_d:1.
+      | _ -> ()
+    end;
     open_reply_abstinence t ~src seq ~requestor;
     let expedited =
       match payload with Net.Packet.Reply { expedited; _ } -> expedited | _ -> false
@@ -801,7 +824,7 @@ let on_packet t (p : Net.Packet.t) =
       let stream = stream t src in
       if seq > stream.last_data_seq then begin
         stream.last_data_seq <- seq;
-        stream.last_data_at <- now t
+        stream.inflight.last_data_at <- now t
       end;
       seq_exists t ~src (seq - 1);
       obtain t ~src seq ~expedited:false ~repaired:false;
@@ -826,7 +849,10 @@ let start t ~session_until =
 let publish_metrics t registry =
   Obs.Registry.incr ~by:t.n_detected registry "srm/losses_detected";
   Obs.Registry.incr ~by:(Hashtbl.length t.requests) registry "srm/requests_open_at_end";
-  Obs.Registry.incr ~by:(Hashtbl.length t.replies) registry "srm/replies_scheduled_at_end";
+  let scheduled = ref 0 in
+  Reply_table.iter t.replies (fun r ->
+      if t.replies.timer.(r) <> Sim.Engine.no_timer then incr scheduled);
+  Obs.Registry.incr ~by:!scheduled registry "srm/replies_scheduled_at_end";
   Obs.Registry.incr ~by:(List.length (Session.known_peers t.session)) registry
     "srm/session_peer_links";
   (match t.domain with
@@ -878,10 +904,13 @@ let create ?domain ~network ~self ~params ~n_packets ~counters ~recoveries () =
       ~on_send:(fun () -> Stats.Counters.bump counters ~node:self Stats.Counters.Sess)
       ()
   in
+  let engine = Net.Network.engine network in
+  let clock = Sim.Engine.clock engine in
   let t =
     {
       network;
-      clock = Sim.Engine.clock (Net.Network.engine network);
+      engine;
+      clock;
       self;
       params;
       n_packets;
@@ -896,17 +925,17 @@ let create ?domain ~network ~self ~params ~n_packets ~counters ~recoveries () =
          ~4 KB per host, tens of MB across a scale group, and the
          delivery path touches a random host's tables per event. *)
       requests = Hashtbl.create 8;
-      replies = Hashtbl.create 8;
-      reply_abstain = Hashtbl.create 8;
-      detect_info = Hashtbl.create 8;
-      replied = Hashtbl.create 8;
+      replies = Reply_table.create ~disposable:(inert clock) 4;
+      fire_at = [| 0. |];
+      request_timer = ignore;
+      reply_timer = ignore;
+      grace_timer = ignore;
       adaptive = (if params.Params.adaptive then Some (Adaptive.create ~initial:params) else None);
       domain;
       n_local_requests = 0;
       n_escalations = 0;
       n_detected = 0;
       in_group = true;
-      retired_losses = false;
       reply_from = -1;
       counters;
       recoveries;
@@ -922,6 +951,10 @@ let create ?domain ~network ~self ~params ~n_packets ~counters ~recoveries () =
       mutations = [];
     }
   in
+  t.request_timer <- fire_request t;
+  t.reply_timer <- fire_reply t;
+  t.grace_timer <-
+    (fun k -> seq_exists t ~src:(Key.src ~stride:t.stride k) (Key.seq ~stride:t.stride k));
   get_max_seqs_cell := (fun () -> max_seqs t);
   (* A peer's session max-seq may name packets still in flight to us
      (the peer can be closer to the source). Gap- and request-triggered
@@ -946,13 +979,13 @@ let create ?domain ~network ~self ~params ~n_packets ~counters ~recoveries () =
         (match (t.domain, params.Params.domain_inflight_period) with
         | Some _, Some _ ->
             let st = stream t src in
-            if st.last_data_at = neg_infinity then begin
-              st.last_data_at <- now t;
+            if st.inflight.last_data_at = neg_infinity then begin
+              st.inflight.last_data_at <- now t;
               st.last_data_seq <- 0
             end
         | _ -> ());
-        ignore
-          (Sim.Engine.schedule (Net.Network.engine network) ~after:grace (fun () ->
-               seq_exists t ~src m))
+        (* [seq_exists] clamps the advertisement to [n_packets] anyway;
+           clamped, it packs into a key. *)
+        ignore (arm t ~after:grace t.grace_timer (key t ~src ~seq:(min m t.n_packets)))
       end);
   t

@@ -104,8 +104,9 @@ val reply_sender : t -> int option
     [on_packet_obtained] — the replier that sent it. *)
 
 val suffered_loss : ?src:int -> t -> seq:int -> bool
-(** Has this member ever detected the loss of [seq]? Retirement does
-    not change the answer. *)
+(** Has this member ever detected the loss of [seq]? One bit per
+    sequence number, kept past recovery and retirement (until
+    {!depart}). *)
 
 val reply_blocked : ?src:int -> t -> seq:int -> bool
 (** A reply for the packet is scheduled or pending (abstinence) — the
@@ -128,6 +129,13 @@ val send_reply_now :
     (default: multicast) — the router-assisted path substitutes a
     relayed subcast. Used by CESRM's expedited replier (with
     [expedited:true]). *)
+
+val uniform_draw : Sim.Rng.t -> float -> float -> float
+(** The draw behind the request and reply timers: {!Sim.Rng.uniform},
+    computed here from {!Sim.Rng.bits53} so that, inlined into the
+    timers, its bounds and result are never boxed. Bit for bit the same
+    value, and the same generator state afterwards (no draw when
+    [hi <= lo]). *)
 
 val dist_to_source : ?src:int -> t -> float
 (** Session estimate, falling back to 1 s before any exchange. *)
@@ -160,13 +168,14 @@ val retired_floor : ?src:int -> t -> int
 
 val retire_below : t -> upto:int -> unit
 (** Steady-state retirement: drop per-packet soft state (delivery
-    window bytes, detection times, expired abstinence horizons) for
-    sequence numbers at or below [upto], clamped per stream to its own
-    delivered prefix. Only inert state is dropped — pending reply
-    timers fire as they would have, and a retired detection leaves one
-    bit so {!suffered_loss} keeps its answer — so a finite-window run
-    remains byte-identical to an infinite-window one. Driven by
-    [Steady.Controller]; never called in classic runs. *)
+    window bytes, the record of our replies) for sequence numbers at or
+    below [upto], clamped per stream to its own delivered prefix, and
+    every reply-table row that holds nothing (such as a passed
+    abstinence horizon). Only inert state is dropped — pending reply
+    timers fire as they would have, and {!suffered_loss} keeps its
+    answer — so a finite-window run remains byte-identical to an
+    infinite-window one. Driven by [Steady.Controller]; never called in
+    classic runs. *)
 
 val restart_recovery : t -> unit
 (** Model a crashed host coming back up: session distance estimates,

@@ -18,7 +18,7 @@ type t = {
   mutable extra : (upto:int -> unit) list;
   mutable floor : int;
   mutable ticks : int;
-  mutable heap_samples : int list; (* newest first; live heap words per tick *)
+  mutable heap_samples : int list; (* newest first; major heap words per tick *)
   mutable peak_heap : int;
   mutable steady_start_tick : int;
   (* 1-based tick at which the retirement pipeline filled (floor has
@@ -77,34 +77,37 @@ let peak_heap_words t = t.peak_heap
 
 let heap_samples t = Array.of_list (List.rev t.heap_samples)
 
-(* Mean heap over the last decile of steady-state ticks relative to
-   the first decile — the constant-memory acceptance number: a leak of
-   per-packet state shows up as a ratio growing with stream length, a
-   healthy windowed run stays near 1. "Steady state" starts once the
-   floor has advanced a full window: before that the run is still
-   filling the retirement pipeline (the un-retired span grows from
-   zero to window-plus-lag), so the heap legitimately climbs and the
-   ratio would only measure the fill against the warmup, not a leak.
-   [None] until there are at least 10 steady samples. *)
+(* Mean of the last decile of [samples] over the first decile's: ~1
+   for a quantity that has plateaued, growing with the run if it
+   leaks. [None] under 10 samples or a non-positive first decile. *)
+let decile_growth samples =
+  let n = Array.length samples in
+  if n < 10 then None
+  else begin
+    let d = max 1 (n / 10) in
+    let mean lo hi =
+      let acc = ref 0. in
+      for i = lo to hi - 1 do
+        acc := !acc +. float_of_int samples.(i)
+      done;
+      !acc /. float_of_int (hi - lo)
+    in
+    let first = mean 0 d and last = mean (n - d) n in
+    if first <= 0. then None else Some (last /. first)
+  end
+
+(* The heap's decile growth over the steady-state ticks. "Steady
+   state" starts once the floor has advanced a full window: before
+   that the run is still filling the retirement pipeline (the
+   un-retired span grows from zero to window-plus-lag), so the heap
+   legitimately climbs and the ratio would only measure the fill
+   against the warmup, not a leak. *)
 let heap_growth t =
-  let samples = heap_samples t in
   if t.steady_start_tick = 0 then None
   else begin
+    let samples = heap_samples t in
     let off = t.steady_start_tick - 1 in
-    let n = Array.length samples - off in
-    if n < 10 then None
-    else begin
-      let d = max 1 (n / 10) in
-      let mean lo hi =
-        let acc = ref 0. in
-        for i = lo to hi - 1 do
-          acc := !acc +. float_of_int samples.(off + i)
-        done;
-        !acc /. float_of_int (hi - lo)
-      in
-      let first = mean 0 d and last = mean (n - d) n in
-      if first <= 0. then None else Some (last /. first)
-    end
+    decile_growth (Array.sub samples off (Array.length samples - off))
   end
 
 (* Only the deterministic numbers go to the registry (it feeds the

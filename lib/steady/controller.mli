@@ -14,8 +14,10 @@
     closures, so SRM, CESRM and LMS hosts (or anything else with
     per-packet soft state) register the same way.
 
-    It also samples the live heap ([Gc.quick_stat]) at each tick —
-    the constant-memory evidence the bench asserts on. *)
+    It also samples the major heap's size ([Gc.quick_stat]) at each
+    tick. That size follows the GC's pacing as well as live state, so
+    the bench's leak gate reads live words instead ({!decile_growth}
+    over forced-collection samples taken from an [on_retire] hook). *)
 
 type t
 
@@ -33,7 +35,9 @@ val create : window:int -> n_packets:int -> t
 val add_member : t -> member -> unit
 
 val on_retire : t -> (upto:int -> unit) -> unit
-(** Register a non-member retirement hook (auditor, instrumentation). *)
+(** Register a non-member retirement hook (auditor, instrumentation).
+    At a tick whose floor advanced, hooks run after every member has
+    retired, newest first. *)
 
 val tick : t -> unit
 (** One epoch: advance the floor, retire if it moved, sample the heap.
@@ -49,16 +53,21 @@ val peak_heap_words : t -> int
 (** Max [top_heap_words] observed at ticks (machine-dependent). *)
 
 val heap_samples : t -> int array
-(** Live heap words at each tick, in tick order (machine-dependent). *)
+(** Major heap words ([heap_words]) at each tick, in tick order
+    (machine-dependent). *)
+
+val decile_growth : int array -> float option
+(** Mean of the last decile of the samples divided by the first
+    decile's — ~1 for a quantity that has plateaued, growing with
+    stream length for one that leaks. [None] under 10 samples or when
+    the first decile's mean is not positive. *)
 
 val heap_growth : t -> float option
-(** Mean heap over the last decile of steady-state ticks divided by
-    the first decile, where steady state starts once the floor has
-    advanced a full window (before that the retirement pipeline is
-    still filling and the heap legitimately climbs) — ~1 for a healthy
-    windowed run, growing with stream length if per-packet state
-    leaks. [None] before the pipeline fills or under 10 steady
-    ticks. *)
+(** {!decile_growth} of the heap samples of the steady-state ticks,
+    where steady state starts once the floor has advanced a full
+    window (before that the retirement pipeline is still filling and
+    the heap legitimately climbs). [None] before the pipeline fills or
+    under 10 steady ticks. *)
 
 val publish_metrics : t -> Obs.Registry.t -> unit
 (** Publish the deterministic numbers ([steady/ticks], [steady/floor],

@@ -168,6 +168,30 @@ let test_rng_draw_alloc () =
   let per_draw = (allocated draws -. allocated ignore) /. float_of_int n in
   if per_draw > 16. then Alcotest.failf "Rng.uniform allocated %.1f B per draw" per_draw
 
+(* The SRM host's timers draw through [Srm.Host.uniform_draw], which
+   scales [Rng.bits53] in place so nothing is boxed. It must be
+   [Rng.uniform] bit for bit, draw nothing on an empty interval, and
+   leave the generator where [uniform] does. *)
+let prop_host_draw_is_uniform =
+  let bound =
+    QCheck.Gen.(
+      frequency
+        [
+          (4, float_range (-10.) 10.);
+          (1, map (fun i -> float_of_int i /. 4.) (int_range (-8) 8));
+          (1, oneofl [ 0.; -0.; 1e-300; 1e300 ]);
+        ])
+  in
+  QCheck.Test.make ~name:"rng: host timer draw = uniform, same generator state" ~count:500
+    QCheck.(
+      make
+        ~print:(fun (seed, lo, hi) -> Printf.sprintf "seed %Ld, lo %h, hi %h" seed lo hi)
+        Gen.(triple ui64 bound bound))
+    (fun (seed, lo, hi) ->
+      let a = Sim.Rng.create seed and b = Sim.Rng.create seed in
+      let x = Sim.Rng.uniform a lo hi and y = Srm.Host.uniform_draw b lo hi in
+      Printf.sprintf "%h" x = Printf.sprintf "%h" y && Sim.Rng.bits64 a = Sim.Rng.bits64 b)
+
 (* --- Heap ------------------------------------------------------------ *)
 
 let test_heap_empty () =
@@ -276,17 +300,17 @@ let test_engine_cancel () =
   let e = Sim.Engine.create () in
   let fired = ref false in
   let timer = Sim.Engine.schedule e ~after:1.0 (fun () -> fired := true) in
-  check Alcotest.bool "pending before" true (Sim.Engine.is_pending timer);
-  Sim.Engine.cancel timer;
-  check Alcotest.bool "not pending after" false (Sim.Engine.is_pending timer);
+  check Alcotest.bool "pending before" true (Sim.Engine.is_pending e timer);
+  Sim.Engine.cancel e timer;
+  check Alcotest.bool "not pending after" false (Sim.Engine.is_pending e timer);
   Sim.Engine.run e;
   check Alcotest.bool "cancelled timer did not fire" false !fired
 
 let test_engine_cancel_idempotent () =
   let e = Sim.Engine.create () in
   let timer = Sim.Engine.schedule e ~after:1.0 (fun () -> ()) in
-  Sim.Engine.cancel timer;
-  Sim.Engine.cancel timer;
+  Sim.Engine.cancel e timer;
+  Sim.Engine.cancel e timer;
   Sim.Engine.run e
 
 let test_engine_schedule_inside_callback () =
@@ -341,7 +365,7 @@ let test_engine_pending_events () =
   let t1 = Sim.Engine.schedule e ~after:1.0 (fun () -> ()) in
   ignore (Sim.Engine.schedule e ~after:2.0 (fun () -> ()));
   check Alcotest.int "two pending" 2 (Sim.Engine.pending_events e);
-  Sim.Engine.cancel t1;
+  Sim.Engine.cancel e t1;
   check Alcotest.int "one pending after cancel" 1 (Sim.Engine.pending_events e)
 
 let test_engine_step () =
@@ -355,7 +379,7 @@ let test_engine_step () =
 let test_engine_fire_time () =
   let e = Sim.Engine.create () in
   let t = Sim.Engine.schedule e ~after:2.5 (fun () -> ()) in
-  check (Alcotest.float 1e-9) "fire time" 2.5 (Sim.Engine.fire_time t)
+  check (Alcotest.float 1e-9) "fire time" 2.5 (Sim.Engine.fire_time e t)
 
 let test_engine_pending_events_lifecycle () =
   let e = Sim.Engine.create () in
@@ -363,13 +387,13 @@ let test_engine_pending_events_lifecycle () =
   let timers = List.init 10 (fun i -> Sim.Engine.schedule e ~after:(float_of_int i) (fun () -> incr fired)) in
   check Alcotest.int "all pending" 10 (Sim.Engine.pending_events e);
   let victim = List.nth timers 3 in
-  Sim.Engine.cancel victim;
-  Sim.Engine.cancel victim;
+  Sim.Engine.cancel e victim;
+  Sim.Engine.cancel e victim;
   check Alcotest.int "double cancel counts once" 9 (Sim.Engine.pending_events e);
-  check Alcotest.bool "cancelled is not pending" false (Sim.Engine.is_pending victim);
+  check Alcotest.bool "cancelled is not pending" false (Sim.Engine.is_pending e victim);
   ignore (Sim.Engine.step e);
   check Alcotest.int "fire decrements" 8 (Sim.Engine.pending_events e);
-  Sim.Engine.cancel (List.hd timers);
+  Sim.Engine.cancel e (List.hd timers);
   check Alcotest.int "cancel after fire is a no-op" 8 (Sim.Engine.pending_events e);
   Sim.Engine.run e;
   check Alcotest.int "queue drained" 0 (Sim.Engine.pending_events e);
@@ -385,7 +409,7 @@ let test_engine_compaction () =
         let at = float_of_int ((i * 7919) mod 1000) in
         Sim.Engine.schedule_at e ~at (fun () -> log := at :: !log))
   in
-  Array.iteri (fun i t -> if i mod 10 <> 0 then Sim.Engine.cancel t) timers;
+  Array.iteri (fun i t -> if i mod 10 <> 0 then Sim.Engine.cancel e t) timers;
   check Alcotest.int "post-compaction pending" 100 (Sim.Engine.pending_events e);
   Sim.Engine.run e;
   let fired = List.rev !log in
@@ -400,11 +424,110 @@ let test_engine_slot_reuse_safe () =
   Sim.Engine.run e;
   let fired = ref false in
   let fresh = Sim.Engine.schedule e ~after:1.0 (fun () -> fired := true) in
-  Sim.Engine.cancel stale;
-  check Alcotest.bool "stale handle reports not pending" false (Sim.Engine.is_pending stale);
-  check Alcotest.bool "fresh timer survives stale cancel" true (Sim.Engine.is_pending fresh);
+  Sim.Engine.cancel e stale;
+  check Alcotest.bool "stale handle reports not pending" false (Sim.Engine.is_pending e stale);
+  check Alcotest.bool "fresh timer survives stale cancel" true (Sim.Engine.is_pending e fresh);
   Sim.Engine.run e;
   check Alcotest.bool "fresh timer fired" true !fired
+
+(* [schedule_call] handles cancel like any other: the event never
+   fires and leaves the pending count at once. *)
+let test_engine_cancel_call () =
+  let e = Sim.Engine.create () in
+  let fired = ref [] in
+  let call i = fired := i :: !fired in
+  let at = [| 1.0 |] in
+  let a = Sim.Engine.schedule_call e ~times:at 0 call 1 in
+  at.(0) <- 2.0;
+  ignore (Sim.Engine.schedule_call e ~times:at 0 call 2);
+  check Alcotest.bool "pending before" true (Sim.Engine.is_pending e a);
+  check (Alcotest.float 0.) "fire time read from the cell" 1.0 (Sim.Engine.fire_time e a);
+  Sim.Engine.cancel e a;
+  check Alcotest.bool "not pending after" false (Sim.Engine.is_pending e a);
+  check Alcotest.int "pending count drops" 1 (Sim.Engine.pending_events e);
+  Sim.Engine.run e;
+  check Alcotest.(list int) "only the live call fired" [ 2 ] !fired;
+  check Alcotest.int "one cancelled" 1 (Sim.Engine.events_cancelled e)
+
+(* A handle outlives its event; once the slot is recycled — by either
+   primitive — cancelling the old handle must leave the new occupant
+   alone. [no_timer] is never pending. *)
+let test_engine_stale_handles () =
+  let at = [| 1.0 |] and fired = ref 0 in
+  let call (_ : int) = incr fired in
+  let cases =
+    [
+      ("schedule", fun e -> Sim.Engine.schedule e ~after:1.0 (fun () -> incr fired));
+      ("schedule_call", fun e -> Sim.Engine.schedule_call e ~times:at 0 call 0);
+    ]
+  in
+  List.iter
+    (fun (old_name, old_prim) ->
+      List.iter
+        (fun (new_name, new_prim) ->
+          let what = Printf.sprintf "%s then %s" old_name new_name in
+          let e = Sim.Engine.create () in
+          fired := 0;
+          let stale = old_prim e in
+          Sim.Engine.run e;
+          at.(0) <- Sim.Engine.now e +. 1.0;
+          let fresh = new_prim e in
+          Sim.Engine.cancel e stale;
+          check Alcotest.bool (what ^ ": stale is not pending") false
+            (Sim.Engine.is_pending e stale);
+          check Alcotest.bool (what ^ ": fresh survives") true (Sim.Engine.is_pending e fresh);
+          Sim.Engine.run e;
+          check Alcotest.int (what ^ ": both fired") 2 !fired;
+          check Alcotest.int (what ^ ": nothing cancelled") 0 (Sim.Engine.events_cancelled e))
+        cases)
+    cases;
+  let e = Sim.Engine.create () in
+  ignore (Sim.Engine.schedule e ~after:1.0 ignore);
+  Sim.Engine.cancel e Sim.Engine.no_timer;
+  check Alcotest.bool "no_timer is never pending" false
+    (Sim.Engine.is_pending e Sim.Engine.no_timer);
+  check Alcotest.int "cancelling no_timer is a no-op" 1 (Sim.Engine.pending_events e)
+
+let test_engine_fire_time_not_pending () =
+  let e = Sim.Engine.create () in
+  let fired = Sim.Engine.schedule e ~after:1.0 ignore in
+  Sim.Engine.run e;
+  let cancelled = Sim.Engine.schedule e ~after:1.0 ignore in
+  Sim.Engine.cancel e cancelled;
+  List.iter
+    (fun (what, timer) ->
+      match Sim.Engine.fire_time e timer with
+      | _ -> Alcotest.failf "fire_time answered for a %s handle" what
+      | exception Invalid_argument _ -> ())
+    [ ("fired", fired); ("cancelled", cancelled); ("no_timer", Sim.Engine.no_timer) ]
+
+(* The recovery timers' path: arming a [schedule_call] timer and
+   cancelling it, on an engine whose slot tables are warm, allocates
+   nothing — no closure, no handle record, no boxed time. Nor does
+   [schedule] with a shared closure: it reaches the slot table through
+   the inlined [schedule_at], so the fire time it computes is never
+   boxed. *)
+let test_engine_cancel_alloc () =
+  let e = Sim.Engine.create () and n = 10_000 in
+  let call (_ : int) = () in
+  let at = [| 0. |] and clock = Sim.Engine.clock e in
+  let cycle () =
+    at.(0) <- clock.now +. 1.0;
+    for i = 1 to n do
+      Sim.Engine.cancel e (Sim.Engine.schedule_call e ~times:at 0 call i);
+      Sim.Engine.cancel e (Sim.Engine.schedule e ~after:1.0 ignore)
+    done
+  in
+  let flush () =
+    ignore (Sim.Engine.schedule e ~after:5.0 ignore);
+    Sim.Engine.run e
+  in
+  cycle ();
+  flush ();
+  let per_pair = (allocated cycle -. allocated ignore) /. float_of_int n in
+  check Alcotest.int "all cancelled" (4 * n) (Sim.Engine.events_cancelled e);
+  if per_pair > 0. then
+    Alcotest.failf "schedule_call + cancel and schedule + cancel allocated %.1f B" per_pair
 
 (* --- Differential: wheel backend vs. reference heap ----------------- *)
 
@@ -415,7 +538,9 @@ let test_engine_slot_reuse_safe () =
    trace plus the lifetime counters. Programs mix zero delays,
    sub-tick delays, quantized delays (lots of exact ties), ordinary
    delays, beyond-horizon delays (the heap overflow level), and
-   callback-driven cancellation, chained scheduling and re-arms.
+   callback-driven cancellation, chained scheduling and re-arms. Every
+   other timer goes through [schedule_call] (a shared closure, its
+   label as the argument), so cancels and re-arms hit both primitives.
    Shrinking drops ops, so a failure reports a minimal diverging
    schedule. *)
 
@@ -432,26 +557,34 @@ let run_sched_program backend specs =
   let log = ref [] in
   let timers = Hashtbl.create 16 in
   let next_label = ref 0 in
+  let calls = Hashtbl.create 16 and at = [| 0. |] in
   let rec add delay action =
     let label = !next_label in
     incr next_label;
     let cancel_nth k =
       if !next_label > 0 then
-        Option.iter Sim.Engine.cancel (Hashtbl.find_opt timers (k mod !next_label))
+        Option.iter (Sim.Engine.cancel e) (Hashtbl.find_opt timers (k mod !next_label))
+    in
+    let fire () =
+      log := (label, Sim.Engine.now e) :: !log;
+      match action with
+      | Sched_nop -> ()
+      | Sched_cancel k -> cancel_nth k
+      | Sched_chain d -> add d Sched_nop
+      | Sched_rearm (k, d) ->
+          cancel_nth k;
+          add d Sched_nop
     in
     let t =
-      Sim.Engine.schedule e ~after:delay (fun () ->
-          log := (label, Sim.Engine.now e) :: !log;
-          match action with
-          | Sched_nop -> ()
-          | Sched_cancel k -> cancel_nth k
-          | Sched_chain d -> add d Sched_nop
-          | Sched_rearm (k, d) ->
-              cancel_nth k;
-              add d Sched_nop)
+      if label land 1 = 0 then Sim.Engine.schedule e ~after:delay fire
+      else begin
+        Hashtbl.replace calls label fire;
+        at.(0) <- Sim.Engine.now e +. delay;
+        Sim.Engine.schedule_call e ~times:at 0 call label
+      end
     in
     Hashtbl.replace timers label t
-  in
+  and call label = (Hashtbl.find calls label) () in
   List.iter (fun { sched_delay; sched_action } -> add sched_delay sched_action) specs;
   Sim.Engine.run e;
   ( List.rev !log,
@@ -523,7 +656,7 @@ let test_engine_wheel_cascades_differential () =
           let at = float_of_int (i * 7919 mod 3000) +. (float_of_int i /. 97.) in
           Sim.Engine.schedule_at e ~at (fun () -> log := (i, Sim.Engine.now e) :: !log))
     in
-    Array.iteri (fun i t -> if i land 3 = 0 then Sim.Engine.cancel t) timers;
+    Array.iteri (fun i t -> if i land 3 = 0 then Sim.Engine.cancel e t) timers;
     Sim.Engine.run e;
     (e, List.rev !log)
   in
@@ -568,6 +701,7 @@ let () =
           qcheck prop_rng_shuffle_multiset;
           Alcotest.test_case "rng stream golden" `Quick test_rng_stream_golden;
           Alcotest.test_case "an Rng draw allocates only its result" `Quick test_rng_draw_alloc;
+          qcheck prop_host_draw_is_uniform;
         ] );
       ( "heap",
         [
@@ -599,6 +733,13 @@ let () =
           Alcotest.test_case "step" `Quick test_engine_step;
           Alcotest.test_case "fire time" `Quick test_engine_fire_time;
           qcheck prop_engine_random_schedule;
+          Alcotest.test_case "a cancelled schedule_call timer never fires" `Quick
+            test_engine_cancel_call;
+          Alcotest.test_case "stale handles on recycled slots are no-ops" `Quick
+            test_engine_stale_handles;
+          Alcotest.test_case "fire_time raises unless pending" `Quick
+            test_engine_fire_time_not_pending;
+          Alcotest.test_case "a cancelled timer allocates nothing" `Quick test_engine_cancel_alloc;
         ] );
       ( "differential",
         [

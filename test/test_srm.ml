@@ -436,6 +436,189 @@ let window_model =
   QCheck.Test.make ~count:200 ~name:"window agrees with a bool-array model"
     (QCheck.make ~print gen) window_case
 
+(* --- the reply table against a Hashtbl model ------------------------- *)
+
+type reply_row = {
+  timer : Sim.Engine.timer;
+  requestor : int;
+  round : int;
+  d_qs : float;
+  delay_norm : float;
+  abstain : float;
+  replied : float;
+}
+
+let blank_row =
+  {
+    timer = Sim.Engine.no_timer;
+    requestor = 0;
+    round = 0;
+    d_qs = 0.;
+    delay_norm = 0.;
+    abstain = Float.nan;
+    replied = Float.nan;
+  }
+
+type reply_op =
+  | R_add of int
+  | R_update of int * int (* key, seed of the column values *)
+  | R_remove of int
+  | R_filter of int * int (* drop keys with [key mod m = j]; restamp the rest *)
+  | R_reset
+  | R_iter
+
+let show_reply_op = function
+  | R_add k -> Printf.sprintf "add %d" k
+  | R_update (k, v) -> Printf.sprintf "update %d <- %d" k v
+  | R_remove k -> Printf.sprintf "remove %d" k
+  | R_filter (m, j) -> Printf.sprintf "filter mod %d <> %d" m j
+  | R_reset -> "reset"
+  | R_iter -> "iter"
+
+(* Ninety-six fixed keys spread like hashed ones. Consecutive packed
+   keys land almost without collisions under the table's Fibonacci
+   hash, so a range like 0..95 would rarely build a long probe chain or
+   one that wraps past the last slot; random keys do both often. *)
+let reply_keys =
+  let rng = Random.State.make [| 2026 |] in
+  Array.init 96 (fun _ -> Random.State.bits rng lor (Random.State.bits rng lsl 30))
+
+(* Real handles (the column's type admits no others), scheduled once. *)
+let reply_handles =
+  let e = Sim.Engine.create () in
+  Array.init 7 (fun i -> Sim.Engine.schedule e ~after:(float_of_int i) ignore)
+
+let row_of_seed v =
+  {
+    timer = (if v mod 4 = 0 then Sim.Engine.no_timer else reply_handles.(v mod 7));
+    requestor = v;
+    round = 3 * v;
+    d_qs = float_of_int v /. 2.;
+    delay_norm = float_of_int v /. 3.;
+    abstain = (if v mod 3 = 0 then Float.nan else float_of_int v);
+    replied = (if v mod 5 = 0 then Float.nan else float_of_int (-v));
+  }
+
+let read_row (l : Srm.Reply_table.t) r =
+  {
+    timer = l.timer.(r);
+    requestor = l.requestor.(r);
+    round = l.round.(r);
+    d_qs = l.d_qs.(r);
+    delay_norm = l.delay_norm.(r);
+    abstain = l.abstain.(r);
+    replied = l.replied.(r);
+  }
+
+let write_row (l : Srm.Reply_table.t) r row =
+  l.timer.(r) <- row.timer;
+  l.requestor.(r) <- row.requestor;
+  l.round.(r) <- row.round;
+  l.d_qs.(r) <- row.d_qs;
+  l.delay_norm.(r) <- row.delay_norm;
+  l.abstain.(r) <- row.abstain;
+  l.replied.(r) <- row.replied
+
+let same_row a b =
+  a.timer = b.timer && a.requestor = b.requestor && a.round = b.round
+  && Float.equal a.d_qs b.d_qs
+  && Float.equal a.delay_norm b.delay_norm
+  && Float.equal a.abstain b.abstain
+  && Float.equal a.replied b.replied
+
+(* The model's disposable rows are the ones with an odd [round]: the
+   table may drop them whenever it inserts, and must keep every other
+   row. *)
+let disposable_row row = row.round land 1 = 1
+
+let reply_table_case ops =
+  let l = Srm.Reply_table.create ~disposable:(fun l r -> l.round.(r) land 1 = 1) 4
+  and model = Hashtbl.create 16 in
+  List.iteri
+    (fun step op ->
+      let fail fmt =
+        Printf.ksprintf
+          (fun msg -> QCheck.Test.fail_reportf "step %d (%s): %s" step (show_reply_op op) msg)
+          fmt
+      in
+      (match op with
+      | R_add k ->
+          let r = Srm.Reply_table.add l k in
+          if not (Hashtbl.mem model k) then begin
+            if not (same_row (read_row l r) blank_row) then fail "new row is not blank";
+            Hashtbl.replace model k blank_row
+          end
+      | R_update (k, v) ->
+          let r = Srm.Reply_table.find l k in
+          if r >= 0 then begin
+            write_row l r (row_of_seed v);
+            Hashtbl.replace model k (row_of_seed v)
+          end
+      | R_remove k ->
+          Srm.Reply_table.remove l k;
+          Hashtbl.remove model k
+      | R_filter (m, j) ->
+          let offered = Hashtbl.create 16 in
+          Srm.Reply_table.filter l (fun r ->
+              let k = l.keys.(r) in
+              if Hashtbl.mem offered k then fail "key %d offered twice" k;
+              Hashtbl.replace offered k ();
+              if k mod m = j then false
+              else begin
+                l.abstain.(r) <- float_of_int (k * 10);
+                true
+              end);
+          if Hashtbl.length offered <> Hashtbl.length model then
+            fail "offered %d rows of %d" (Hashtbl.length offered) (Hashtbl.length model);
+          Hashtbl.filter_map_inplace
+            (fun k row ->
+              if k mod m = j then None else Some { row with abstain = float_of_int (k * 10) })
+            model
+      | R_reset ->
+          Srm.Reply_table.reset l;
+          Hashtbl.reset model
+      | R_iter ->
+          let seen = ref [] in
+          Srm.Reply_table.iter l (fun r -> seen := l.keys.(r) :: !seen);
+          let want = List.sort compare (Hashtbl.fold (fun k _ acc -> k :: acc) model []) in
+          if List.sort compare !seen <> want then fail "iter visits the wrong keys");
+      Array.iter
+        (fun k ->
+          let r = Srm.Reply_table.find l k in
+          match Hashtbl.find_opt model k with
+          | None -> if r >= 0 then fail "key %d found at row %d but absent" k r
+          | Some row ->
+              if r < 0 then
+                if disposable_row row then Hashtbl.remove model k else fail "key %d lost" k
+              else if l.keys.(r) <> k then fail "key %d found at a row holding %d" k l.keys.(r)
+              else if not (same_row (read_row l r) row) then fail "key %d: columns differ" k)
+        reply_keys;
+      if l.count <> Hashtbl.length model then
+        fail "count %d, model %d" l.count (Hashtbl.length model))
+    ops;
+  true
+
+let reply_table_model =
+  let gen =
+    QCheck.Gen.(
+      let key = map (fun i -> reply_keys.(i)) (int_range 0 (Array.length reply_keys - 1)) in
+      let op =
+        frequency
+          [
+            (8, map (fun k -> R_add k) key);
+            (4, map2 (fun k v -> R_update (k, v)) key (int_range 0 1000));
+            (4, map (fun k -> R_remove k) key);
+            (1, map2 (fun m j -> R_filter (m, j mod m)) (int_range 2 5) (int_range 0 4));
+            (1, return R_iter);
+            (1, frequency [ (1, return R_reset); (9, return R_iter) ]);
+          ]
+      in
+      list_size (int_range 1 300) op)
+  in
+  let print ops = String.concat "; " (List.map show_reply_op ops) in
+  QCheck.Test.make ~count:300 ~name:"reply table agrees with a Hashtbl model"
+    (QCheck.make ~print gen) reply_table_case
+
 (* [Gc.allocated_bytes] is exact only right after a minor collection:
    on OCaml 5.1 it counts an eighth of the young generation's
    allocation until the next collection corrects it. *)
@@ -465,6 +648,108 @@ let test_host_in_order_data_alloc () =
   let per_call = (allocated deliver -. allocated ignore) /. float_of_int n in
   check Alcotest.int "no loss detected" 0 (Srm.Host.detected_losses host);
   if per_call > 16. then
+    Alcotest.failf "on_packet allocated %.1f B per in-order data packet" per_call
+
+(* A host holding packets 1..n of stream 0, for the recovery-path
+   guards below. *)
+let host_with_packets n =
+  let engine, _, host = make_host ~n_packets:n () in
+  for seq = 1 to n do
+    Srm.Host.note_sent host ~seq
+  done;
+  (engine, host)
+
+let request_for seq =
+  {
+    Net.Packet.sender = 4;
+    payload = Net.Packet.Request { src = 0; seq; requestor = 4; d_qs = 0.04; round = 0 };
+  }
+
+let reply_for seq =
+  {
+    Net.Packet.sender = 5;
+    payload =
+      Net.Packet.Reply
+        {
+          src = 0;
+          seq;
+          requestor = 4;
+          d_qs = 0.04;
+          replier = 5;
+          d_rq = 0.08;
+          expedited = false;
+          turning_point = None;
+        };
+  }
+
+(* Move the clock to [at] by running an empty event there: every
+   cancelled timer's tombstone is swept on the way, so its slot is
+   free again. *)
+let advance engine ~at =
+  ignore (Sim.Engine.schedule_at engine ~at ignore);
+  Sim.Engine.run engine
+
+(* The suppression exchange at a replier: a request arms the reply
+   timer, and another member's reply cancels it and opens the reply
+   abstinence. A warm pass sizes the host's tables and the engine's
+   slots; the measured pass repeats it over the same keys once every
+   abstinence horizon has passed, so each request schedules again. At
+   most one reply is ever pending. *)
+let test_host_suppressed_reply_alloc () =
+  let n = 2000 in
+  let engine, host = host_with_packets n in
+  let requests = Array.init n (fun i -> request_for (i + 1))
+  and replies = Array.init n (fun i -> reply_for (i + 1)) in
+  let exchange () =
+    for i = 0 to n - 1 do
+      Srm.Host.on_packet host requests.(i);
+      Srm.Host.on_packet host replies.(i)
+    done
+  in
+  exchange ();
+  advance engine ~at:100.;
+  let cancelled = Sim.Engine.events_cancelled engine in
+  let per_pair = (allocated exchange -. allocated ignore) /. float_of_int n in
+  check Alcotest.int "every request armed a reply the reply cancelled" n
+    (Sim.Engine.events_cancelled engine - cancelled);
+  check Alcotest.int "nothing left pending" 0 (Sim.Engine.pending_events engine);
+  if per_pair > 0. then
+    Alcotest.failf "a suppressed request/reply pair allocated %.1f B" per_pair
+
+(* A reply for a packet we hold and have no reply scheduled for only
+   refreshes the abstinence horizon. *)
+let test_host_repeated_reply_alloc () =
+  let n = 2000 in
+  let _, host = host_with_packets n in
+  let replies = Array.init n (fun i -> reply_for (i + 1)) in
+  let hear () =
+    for i = 0 to n - 1 do
+      Srm.Host.on_packet host replies.(i)
+    done
+  in
+  hear ();
+  let per_reply = (allocated hear -. allocated ignore) /. float_of_int n in
+  check Alcotest.bool "abstinence open" true (Srm.Host.reply_blocked host ~seq:n);
+  if per_reply > 0. then Alcotest.failf "a repeated reply allocated %.1f B" per_reply
+
+(* In-order data with no loss pending changes only the reception
+   window and the stream's arrival anchor, both stored in place. *)
+let test_host_in_order_data_no_alloc () =
+  let n = 2000 in
+  let _, _, host = make_host ~n_packets:(n + 1) () in
+  let data =
+    Array.init (n + 1) (fun i ->
+        { Net.Packet.sender = 0; payload = Net.Packet.Data { seq = i + 1 } })
+  in
+  Srm.Host.on_packet host data.(0);
+  let deliver () =
+    for i = 1 to n do
+      Srm.Host.on_packet host data.(i)
+    done
+  in
+  let per_call = (allocated deliver -. allocated ignore) /. float_of_int n in
+  check Alcotest.int "no loss detected" 0 (Srm.Host.detected_losses host);
+  if per_call > 0. then
     Alcotest.failf "on_packet allocated %.1f B per in-order data packet" per_call
 
 (* Run [f] with every log source at [level] and a reporter that keeps
@@ -543,6 +828,12 @@ let () =
           Alcotest.test_case "in-order data allocates at most one float" `Quick
             test_host_in_order_data_alloc;
           Alcotest.test_case "debug logging still works" `Quick test_host_debug_logging;
+          Alcotest.test_case "a request answered by a suppressing reply allocates nothing" `Quick
+            test_host_suppressed_reply_alloc;
+          Alcotest.test_case "a repeated reply allocates nothing" `Quick
+            test_host_repeated_reply_alloc;
+          Alcotest.test_case "in-order data allocates nothing" `Quick
+            test_host_in_order_data_no_alloc;
         ] );
       ( "churn",
         [
@@ -566,4 +857,5 @@ let () =
           Alcotest.test_case "multi-source recovery" `Quick test_multi_source_recovery;
         ] );
       ("window", [ QCheck_alcotest.to_alcotest window_model ]);
+      ("reply table", [ QCheck_alcotest.to_alcotest reply_table_model ]);
     ]
