@@ -310,8 +310,8 @@ let ablation_packets () = match !n_packets with Some n -> min n 4000 | None -> 4
 let ablations () =
   let n = ablation_packets () in
   let featured3 = [ Mtrace.Meta.nth 1; Mtrace.Meta.nth 7; Mtrace.Meta.nth 11 ] in
-  section "ablation-policy" (fun () ->
-      print_string (Harness.Ablation.policies ~n_packets:n featured3));
+  section "ablation-retention" (fun () ->
+      print_string (Harness.Ablation.retentions ~n_packets:n featured3));
   section "ablation-cache" (fun () ->
       print_string (Harness.Ablation.cache_sizes ~n_packets:n (Mtrace.Meta.nth 1)));
   section "ablation-reorder" (fun () ->
@@ -396,7 +396,7 @@ let bechamel () =
                      turning_point = None;
                    })
             done;
-            ignore (Cesrm.Policy.choose Cesrm.Policy.Most_frequent cache));
+            ignore (Cesrm.Cache.choose ~live:(fun _ -> true) cache));
       ]
   in
   let cfg = Benchmark.cfg ~limit:200 ~quota:(Time.second 0.5) ~kde:None () in
@@ -454,7 +454,7 @@ let scale_scenarios = function
   (* The retention-policy gate: both adversarial cache-thrash families
      at a cheap size. The profile replaces the plain cesrm leg with one
      leg per retention scheme (the paper's 1-entry cache first as the
-     floor), so the baseline pins the policy x scenario expedited
+     floor), so the baseline pins the retention x scenario expedited
      grid. *)
   | "cache" -> [ "SCALE-rh-256"; "SCALE-ps-256" ]
   | _ ->
@@ -618,7 +618,7 @@ let run_scale profile =
               scale_leg ("cesrm@" ^ name)
                 (Harness.Runner.Cesrm_protocol { Cesrm.Host.default_config with retention })
                 row)
-            [ "recent:1"; "recent"; "lru"; "ttl"; "hotspot" ]
+            [ "recent:1"; "recent"; "lru"; "hotspot" ]
       in
       (* --domains adds a hierarchical-recovery leg per protocol next
          to its flat twin, so one report carries the domains-vs-flat

@@ -166,18 +166,6 @@ let protocol_arg =
     & opt (enum [ ("srm", `Srm); ("cesrm", `Cesrm); ("lms", `Lms) ]) `Cesrm
     & info [ "p"; "protocol" ] ~doc)
 
-let policy_arg =
-  let doc = "CESRM pair-selection policy: most-recent, most-frequent, freq-recent or success-biased." in
-  let policy_conv =
-    Arg.conv
-      ( (fun s ->
-          match Cesrm.Policy.of_name s with
-          | Some p -> Ok p
-          | None -> Error (`Msg (Printf.sprintf "unknown policy %s" s))),
-        fun ppf p -> Format.pp_print_string ppf (Cesrm.Policy.name p) )
-  in
-  Arg.(value & opt policy_conv Cesrm.Policy.Most_recent & info [ "policy" ] ~doc)
-
 let retention_conv =
   Arg.conv
     ( (fun s ->
@@ -192,11 +180,12 @@ let retention_conv =
 
 let cache_policy_arg =
   let doc =
-    "CESRM replier-cache retention scheme: recent (default, the paper's \
-     keep-most-recent/evict-least-recent), lru (true least-recently-used), ttl[=horizon_s] \
-     (entries expire after the virtual-time horizon, default 2 s), or hotspot[=half_life_s] \
-     (exponential-decay (requestor,replier) score, default half-life 1 s). Append :K to cap \
-     the cache at K entries, e.g. recent:1 for the paper's 1-entry baseline."
+    "CESRM replier-cache retention scheme, which also ranks the expedited pair choice: \
+     recent (default, the paper's keep-most-recent/evict-least-recent, most recent pair \
+     chosen), lru (true least-recently-used), or hotspot[=half_life_s] (exponential-decay \
+     (requestor,replier) score, default half-life 1 s; hotspot=inf never decays and chooses \
+     the most frequent pair). Append :K to cap the cache at K entries, e.g. recent:1 for the \
+     paper's 1-entry baseline."
   in
   Arg.(value & opt (some retention_conv) None & info [ "cache-policy" ] ~doc ~docv:"SCHEME")
 
@@ -205,11 +194,11 @@ let router_assist_arg =
 
 (* The CESRM protocol run and compare deploy. *)
 let cesrm_term =
-  let cesrm policy cache_policy router_assist =
+  let cesrm cache_policy router_assist =
     let retention = Option.value cache_policy ~default:Cesrm.Retention.default in
-    Harness.Runner.Cesrm_protocol { Cesrm.Host.default_config with policy; retention; router_assist }
+    Harness.Runner.Cesrm_protocol { Cesrm.Host.default_config with retention; router_assist }
   in
-  Term.(const cesrm $ policy_arg $ cache_policy_arg $ router_assist_arg)
+  Term.(const cesrm $ cache_policy_arg $ router_assist_arg)
 
 let lossy_arg =
   Arg.(value & flag & info [ "lossy-recovery" ] ~doc:"Drop recovery packets per link rates.")
@@ -537,8 +526,7 @@ let sweep_cmd =
   let protocols_arg =
     let doc =
       "Protocols axis, comma-separated: $(b,srm), $(b,lms), or \
-       $(b,cesrm)[:policy][@retention][+ra] (e.g. cesrm:most-frequent+ra, \
-       cesrm:most-recent@lru:4)."
+       $(b,cesrm)[@retention][+ra] (e.g. cesrm+ra, cesrm@lru:4, cesrm@hotspot=inf)."
     in
     Arg.(value & opt string "srm,cesrm" & info [ "protocols" ] ~doc ~docv:"LIST")
   in

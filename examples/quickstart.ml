@@ -27,7 +27,7 @@ let () =
       | Net.Packet.Data { seq } -> down && lost_on_link ~link ~seq
       | _ -> false);
 
-  (* Deploy CESRM with its defaults (most-recent policy, the paper's
+  (* Deploy CESRM with its defaults (the most recent cached pair, the paper's
      C1=C2=2, D1=D2=1 scheduling parameters) and stream 100 packets at
      25 packets/s. *)
   let proto =

@@ -9,28 +9,24 @@ type entry = {
 
 let recovery_delay e = e.d_qs +. (2. *. e.d_rq)
 
-(* A cached tuple plus the retention metadata the non-default schemes
-   rank and evict on. The default scheme reads none of it, so the
-   [Recent] arm below is the seed algorithm verbatim (the determinism
-   goldens pin its bits). *)
-type slot = {
-  e : entry;
-  born : float; (* virtual time this seq first entered the cache *)
-  mutable used : float; (* last use: digest, improvement, or policy hit *)
-}
+(* What an empty cell holds, so the arrays keep no dropped tuple alive. *)
+let vacant =
+  { seq = min_int; requestor = -1; d_qs = 0.; replier = -1; d_rq = 0.; turning_point = None }
 
 type t = {
   capacity : int;
   scheme : Retention.scheme;
-  (* Ranking-order invariant: [Recent]/[Ttl]/[Hotspot] keep slots
-     sorted by seq descending (the seed order); [Lru] keeps them
-     most-recently-used first. *)
-  mutable slots : slot list;
+  (* Cells [0, size) in ranking order: [Recent] and [Hotspot] keep
+     them sorted by seq descending (the seed order), [Lru] most
+     recently used first. [used] is each cell's last use (digest,
+     improvement or acted-on choice), which only [Lru] reads. *)
+  entries : entry array;
+  used : float array;
+  mutable size : int;
   (* Hotspot only: (requestor, replier) -> (score, last bump time). *)
   pair_heat : (int * int, float * float) Hashtbl.t;
   mutable evictions : int; (* capacity-driven removals *)
-  mutable expiries : int; (* TTL-driven removals *)
-  mutable hits : int; (* policy selections acted on (see [touch]) *)
+  mutable hits : int; (* choices acted on (see [touch]) *)
 }
 
 let create ?(retention = Retention.Recent) ~capacity () =
@@ -38,38 +34,53 @@ let create ?(retention = Retention.Recent) ~capacity () =
   {
     capacity;
     scheme = retention;
-    slots = [];
+    entries = Array.make capacity vacant;
+    used = Array.make capacity 0.;
+    size = 0;
     pair_heat = Hashtbl.create 8;
     evictions = 0;
-    expiries = 0;
     hits = 0;
   }
 
-let capacity t = t.capacity
-
-let scheme t = t.scheme
-
-let size t = List.length t.slots
+let size t = t.size
 
 let evictions t = t.evictions
 
-let expiries t = t.expiries
-
 let hits t = t.hits
 
-(* TTL expiry happens on every timed access — digest or lookup — so no
-   entry older than the horizon ever survives one (the qcheck law). An
-   access with no [now] (the untimed legacy call sites) purges
-   nothing. *)
-let purge_expired t ~now =
-  match t.scheme with
-  | Retention.Ttl horizon ->
-      let live, dead = List.partition (fun s -> now -. s.born <= horizon) t.slots in
-      if dead <> [] then begin
-        t.expiries <- t.expiries + List.length dead;
-        t.slots <- live
-      end
-  | _ -> ()
+(* The cell holding [seq], or -1. *)
+let index t seq =
+  let i = ref 0 in
+  while !i < t.size && t.entries.(!i).seq <> seq do
+    incr i
+  done;
+  if !i = t.size then -1 else !i
+
+(* The cell a new [seq] takes in seq-descending order. *)
+let seq_position t seq =
+  let i = ref 0 in
+  while !i < t.size && t.entries.(!i).seq > seq do
+    incr i
+  done;
+  !i
+
+let remove_at t i =
+  let last = t.size - 1 in
+  Array.blit t.entries (i + 1) t.entries i (last - i);
+  Array.blit t.used (i + 1) t.used i (last - i);
+  t.entries.(last) <- vacant;
+  t.size <- last
+
+let insert_at t i e ~now =
+  Array.blit t.entries i t.entries (i + 1) (t.size - i);
+  Array.blit t.used i t.used (i + 1) (t.size - i);
+  t.entries.(i) <- e;
+  t.used.(i) <- now;
+  t.size <- t.size + 1
+
+let evict t i =
+  t.evictions <- t.evictions + 1;
+  remove_at t i
 
 let pair_key e = (e.requestor, e.replier)
 
@@ -90,94 +101,132 @@ let bump_heat t ~now key =
   let score = heat t ~now key in
   Hashtbl.replace t.pair_heat key (score +. 1., now)
 
-let ranked ?now t =
+let entries ?(now = 0.) t =
+  let es = Array.to_list (Array.sub t.entries 0 t.size) in
   match t.scheme with
   | Retention.Hotspot _ ->
-      let now = Option.value now ~default:0. in
       List.stable_sort
-        (fun a b -> compare (heat t ~now (pair_key b.e)) (heat t ~now (pair_key a.e)))
-        t.slots
-  | _ -> t.slots
+        (fun a b -> compare (heat t ~now (pair_key b)) (heat t ~now (pair_key a)))
+        es
+  | Retention.Recent | Retention.Lru -> es
 
-let entries ?now t =
-  (match now with Some now -> purge_expired t ~now | None -> ());
-  List.map (fun s -> s.e) (ranked ?now t)
+let anywhere (_ : int) = true
 
-let most_recent ?now t = match entries ?now t with [] -> None | e :: _ -> Some e
+(* Cells [i, size) in ranking order: the first live local pair, else
+   the first live one ([fallback], -1 while none). *)
+let rec first_live t ~live ~local i fallback =
+  if i = t.size then if fallback < 0 then raise Not_found else t.entries.(fallback)
+  else
+    let replier = t.entries.(i).replier in
+    if not (live replier) then first_live t ~live ~local (i + 1) fallback
+    else if local replier then t.entries.(i)
+    else first_live t ~live ~local (i + 1) (if fallback < 0 then i else fallback)
 
-let find ?now t ~seq =
-  (match now with Some now -> purge_expired t ~now | None -> ());
-  Option.map (fun s -> s.e) (List.find_opt (fun s -> s.e.seq = seq) t.slots)
+(* The hottest live local pair, else the hottest live one; a strict
+   [>] keeps the earlier (higher-seq) cell on equal heat, as a stable
+   sort of the cells by heat would. *)
+let hottest_live t ~now ~live ~local =
+  let best = ref (-1) and best_heat = ref neg_infinity in
+  let any = ref (-1) and any_heat = ref neg_infinity in
+  for i = 0 to t.size - 1 do
+    let e = t.entries.(i) in
+    if live e.replier then begin
+      let h = heat t ~now (pair_key e) in
+      if h > !any_heat then begin
+        any := i;
+        any_heat := h
+      end;
+      if h > !best_heat && local e.replier then begin
+        best := i;
+        best_heat := h
+      end
+    end
+  done;
+  if !best >= 0 then t.entries.(!best)
+  else if !any >= 0 then t.entries.(!any)
+  else raise Not_found
+
+let choose ?(now = 0.) ?(local = anywhere) ~live t =
+  match t.scheme with
+  | Retention.Recent | Retention.Lru -> first_live t ~live ~local 0 (-1)
+  | Retention.Hotspot _ -> hottest_live t ~now ~live ~local
+
+let find t ~seq =
+  let i = index t seq in
+  if i < 0 then None else Some t.entries.(i)
 
 let clear t =
-  t.slots <- [];
+  Array.fill t.entries 0 t.size vacant;
+  t.size <- 0;
   Hashtbl.reset t.pair_heat
 
-let expire_replier t ~replier = t.slots <- List.filter (fun s -> s.e.replier <> replier) t.slots
+let expire_replier t ~replier =
+  let kept = ref 0 in
+  for i = 0 to t.size - 1 do
+    if t.entries.(i).replier <> replier then begin
+      t.entries.(!kept) <- t.entries.(i);
+      t.used.(!kept) <- t.used.(i);
+      incr kept
+    end
+  done;
+  Array.fill t.entries !kept (t.size - !kept) vacant;
+  t.size <- !kept
 
-let seq_desc a b = compare b.e.seq a.e.seq
-
-let replace_entry t e = List.map (fun s -> if s.e.seq = e.seq then { s with e } else s) t.slots
+(* A digest for a cached seq: the tuple is replaced only when strictly
+   better, under every scheme. *)
+let improve t i e =
+  if recovery_delay e < recovery_delay t.entries.(i) then begin
+    t.entries.(i) <- e;
+    `Updated
+  end
+  else `Ignored
 
 (* The seed scheme, bit-for-bit: same-seq tuples replaced only when
-   strictly better, eviction by least-recent seq, stale seqs ignored on
-   a full cache. *)
+   strictly better, eviction by least-recent seq (the last cell),
+   stale seqs ignored on a full cache. *)
 let note_reply_recent t ~now e =
-  match find t ~seq:e.seq with
-  | Some existing ->
-      if recovery_delay e < recovery_delay existing then begin
-        t.slots <- replace_entry t e;
-        `Updated
-      end
-      else `Ignored
-  | None ->
-      let full = size t >= t.capacity in
-      let least_recent_seq =
-        List.fold_left (fun acc s -> min acc s.e.seq) max_int t.slots
-      in
-      if full && e.seq < least_recent_seq then `Ignored
-      else begin
-        let kept =
-          if full then begin
-            t.evictions <- t.evictions + 1;
-            List.filter (fun s -> s.e.seq <> least_recent_seq) t.slots
-          end
-          else t.slots
-        in
-        t.slots <- List.sort seq_desc ({ e; born = now; used = now } :: kept);
-        `Inserted
-      end
+  let i = index t e.seq in
+  if i >= 0 then improve t i e
+  else
+    let full = t.size >= t.capacity in
+    if full && e.seq < t.entries.(t.size - 1).seq then `Ignored
+    else begin
+      if full then evict t (t.size - 1);
+      insert_at t (seq_position t e.seq) e ~now;
+      `Inserted
+    end
+
+(* The eviction victim of [Lru] and [Hotspot]: the least recently used
+   cell, or the coldest pair's, ties toward the lower seq. *)
+let victim t ~now =
+  let hot = match t.scheme with Retention.Hotspot _ -> true | _ -> false in
+  let v = ref 0 in
+  for i = 1 to t.size - 1 do
+    let k = if hot then heat t ~now (pair_key t.entries.(i)) else t.used.(i) in
+    let kv = if hot then heat t ~now (pair_key t.entries.(!v)) else t.used.(!v) in
+    if k < kv || (k = kv && t.entries.(i).seq < t.entries.(!v).seq) then v := i
+  done;
+  !v
 
 (* True-LRU: any digest for a cached seq is a use (hit refreshes
    recency — the qcheck law), the tuple itself still only improves when
    strictly better; new seqs always enter (even stale ones — use
    recency, not packet recency, decides retention), evicting the least
-   recently used slot when full. *)
+   recently used cell when full. *)
 let note_reply_lru t ~now e =
-  match List.find_opt (fun s -> s.e.seq = e.seq) t.slots with
-  | Some s ->
-      let better = recovery_delay e < recovery_delay s.e in
-      let s = if better then { s with e; used = now } else (s.used <- now; s) in
-      t.slots <- s :: List.filter (fun x -> x.e.seq <> e.seq) t.slots;
-      if better then `Updated else `Ignored
-  | None ->
-      if size t >= t.capacity then begin
-        let victim =
-          List.fold_left
-            (fun (acc : slot) s ->
-              if s.used < acc.used || (s.used = acc.used && s.e.seq < acc.e.seq) then s
-              else acc)
-            (List.hd t.slots) t.slots
-        in
-        t.evictions <- t.evictions + 1;
-        t.slots <- List.filter (fun s -> s != victim) t.slots
-      end;
-      t.slots <- { e; born = now; used = now } :: t.slots;
-      `Inserted
-
-(* TTL is the seed scheme over the unexpired view; [purge_expired] ran
-   before this. *)
-let note_reply_ttl = note_reply_recent
+  let i = index t e.seq in
+  if i >= 0 then begin
+    let verdict = improve t i e in
+    let e = t.entries.(i) in
+    remove_at t i;
+    insert_at t 0 e ~now;
+    verdict
+  end
+  else begin
+    if t.size >= t.capacity then evict t (victim t ~now);
+    insert_at t 0 e ~now;
+    `Inserted
+  end
 
 (* Hotspot: every digest bumps the pair's decayed score; eviction
    drops the coldest pair's tuple (ties toward the oldest seq), and new
@@ -185,71 +234,28 @@ let note_reply_ttl = note_reply_recent
    retention. *)
 let note_reply_hotspot t ~now e =
   bump_heat t ~now (pair_key e);
-  match List.find_opt (fun s -> s.e.seq = e.seq) t.slots with
-  | Some s ->
-      if recovery_delay e < recovery_delay s.e then begin
-        t.slots <- replace_entry t e;
-        `Updated
-      end
-      else `Ignored
-  | None ->
-      if size t >= t.capacity then begin
-        let victim =
-          List.fold_left
-            (fun (acc : slot) s ->
-              let hs = heat t ~now (pair_key s.e) and ha = heat t ~now (pair_key acc.e) in
-              if hs < ha || (hs = ha && s.e.seq < acc.e.seq) then s else acc)
-            (List.hd t.slots) t.slots
-        in
-        t.evictions <- t.evictions + 1;
-        t.slots <- List.filter (fun s -> s != victim) t.slots
-      end;
-      t.slots <- List.sort seq_desc ({ e; born = now; used = now } :: t.slots);
-      `Inserted
+  let i = index t e.seq in
+  if i >= 0 then improve t i e
+  else begin
+    if t.size >= t.capacity then evict t (victim t ~now);
+    insert_at t (seq_position t e.seq) e ~now;
+    `Inserted
+  end
 
 let note_reply ?(now = 0.) t e =
-  purge_expired t ~now;
   match t.scheme with
   | Retention.Recent -> note_reply_recent t ~now e
   | Retention.Lru -> note_reply_lru t ~now e
-  | Retention.Ttl _ -> note_reply_ttl t ~now e
   | Retention.Hotspot _ -> note_reply_hotspot t ~now e
 
 let touch ?(now = 0.) t ~seq =
   t.hits <- t.hits + 1;
   match t.scheme with
-  | Retention.Lru -> (
-      match List.find_opt (fun s -> s.e.seq = seq) t.slots with
-      | Some s ->
-          s.used <- now;
-          t.slots <- s :: List.filter (fun x -> x != s) t.slots
-      | None -> ())
-  | _ -> ()
-
-let most_frequent_of entries =
-  match entries with
-  | [] -> None
-  | es ->
-      (* Count (requestor, replier) pair occurrences; entries are most
-         recent first, so the first representative of a pair is its
-         most recent tuple, and [max] on (count, position) breaks ties
-         toward recency. *)
-      let tbl = Hashtbl.create 8 in
-      List.iter
-        (fun e ->
-          let key = (e.requestor, e.replier) in
-          let count, first = Option.value (Hashtbl.find_opt tbl key) ~default:(0, e) in
-          Hashtbl.replace tbl key (count + 1, first))
-        es;
-      let best =
-        List.fold_left
-          (fun acc e ->
-            let count, first = Hashtbl.find tbl (e.requestor, e.replier) in
-            match acc with
-            | Some (best_count, _) when best_count >= count -> acc
-            | _ -> Some (count, first))
-          None es
-      in
-      Option.map snd best
-
-let most_frequent ?now t = most_frequent_of (entries ?now t)
+  | Retention.Lru ->
+      let i = index t seq in
+      if i >= 0 then begin
+        let e = t.entries.(i) in
+        remove_at t i;
+        insert_at t 0 e ~now
+      end
+  | Retention.Recent | Retention.Hotspot _ -> ()

@@ -1,5 +1,4 @@
 type config = {
-  policy : Policy.t;
   retention : Retention.t;
   reorder_delay : float;
   router_assist : bool;
@@ -8,7 +7,6 @@ type config = {
 
 let default_config =
   {
-    policy = Policy.Most_recent;
     retention = Retention.default;
     reorder_delay = 0.;
     router_assist = false;
@@ -30,6 +28,10 @@ type t = {
   replier_stats : (int, int * int) Hashtbl.t; (* replier -> successes, attempts *)
   consec_failures : (int, int) Hashtbl.t; (* replier -> consecutive expedited failures *)
   dead_repliers : (int, unit) Hashtbl.t; (* presumed dead until a reply revives them *)
+  (* [Cache.choose]'s predicates, built once: not presumed dead, and
+     (domain mode) in our recovery domain. *)
+  live : int -> bool;
+  in_domain : (int -> bool) option;
   mutable exp_requests_sent : int;
   mutable exp_replies_sent : int;
   mutable n_cache_invalidations : int; (* cached pairs dropped because their replier left *)
@@ -60,16 +62,9 @@ let expedited_replies_sent t = t.exp_replies_sent
 
 let engine t = Net.Network.engine t.network
 
-(* Virtual time for the retention schemes (TTL ages, hotspot decay).
+(* Virtual time for the retention schemes (LRU use, hotspot decay).
    The default scheme ignores it entirely. *)
 let now t = t.clock.now
-
-(* Observed per-replier expedited success rate; unknown repliers get
-   the optimistic prior so fresh pairs are always tried. *)
-let replier_score t ~replier =
-  match Hashtbl.find_opt t.replier_stats replier with
-  | Some (ok, total) when total > 0 -> float_of_int ok /. float_of_int total
-  | _ -> 1.
 
 (* Fresh evidence a replier is alive and answering: forget any presumed
    death and the consecutive-failure streak. *)
@@ -83,7 +78,7 @@ let replier_dead t ~replier = Hashtbl.mem t.dead_repliers replier
    after [replier_failure_limit] consecutive expedited recoveries that a
    replier failed to serve — the packet arrived the SRM way instead —
    presume the replier dead, purge it from every cache, and exclude it
-   from policy selection until one of its replies is heard again. *)
+   from the pair choice until one of its replies is heard again. *)
 let note_replier_failure t ~replier =
   match t.config.replier_failure_limit with
   | None -> ()
@@ -181,41 +176,20 @@ let send_expedited_request t ~src seq (pair : Cache.entry) =
       }
   end
 
-let in_my_domain t ~replier =
-  match t.domain with
-  | None -> true
-  | Some dmap -> Rdomain.dom_of dmap replier = Rdomain.dom_of dmap t.self
-
-(* Domain mode prefers cached pairs whose replier shares the
-   requestor's recovery domain — an in-domain expedited exchange never
-   leaves the domain subtree — and falls back to any live replier when
-   the cache offers no local one. *)
-let choose_pair t ~src =
-  let now = now t in
-  let score ~replier = replier_score t ~replier in
-  let dead ~replier = replier_dead t ~replier in
-  match t.domain with
-  | None -> Policy.choose ~now ~score ~exclude:dead t.config.policy (cache ~src t)
-  | Some _ -> (
-      match
-        Policy.choose ~now ~score
-          ~exclude:(fun ~replier -> dead ~replier || not (in_my_domain t ~replier))
-          t.config.policy (cache ~src t)
-      with
-      | Some _ as local -> local
-      | None -> Policy.choose ~now ~score ~exclude:dead t.config.policy (cache ~src t))
-
-(* Section 3.2: on detecting a loss, consult the policy; if we are the
-   expeditious requestor, arm the REORDER_DELAY timer. *)
+(* Section 3.2: on detecting a loss, take the cache's best-ranked pair
+   with a live replier — in domain mode preferring one in our recovery
+   domain, since an in-domain expedited exchange never leaves the
+   domain subtree; if we are its expeditious requestor, arm the
+   REORDER_DELAY timer. *)
 let maybe_expedite t ~src ~seq =
-  match choose_pair t ~src with
-  | Some pair when pair.requestor = t.self && not (Hashtbl.mem t.exp_timers (key t ~src ~seq)) ->
+  match Cache.choose ~now:(now t) ?local:t.in_domain ~live:t.live (cache ~src t) with
+  | exception Not_found -> ()
+  | pair when pair.requestor = t.self && not (Hashtbl.mem t.exp_timers (key t ~src ~seq)) ->
       Cache.touch ~now:(now t) (cache ~src t) ~seq:pair.seq;
-      (match t.domain with
+      (match t.in_domain with
       | None -> ()
-      | Some _ ->
-          if in_my_domain t ~replier:pair.replier then
-            t.cache_local_hits <- t.cache_local_hits + 1
+      | Some local ->
+          if local pair.replier then t.cache_local_hits <- t.cache_local_hits + 1
           else t.cache_remote_hits <- t.cache_remote_hits + 1);
       let timer =
         Sim.Engine.schedule (engine t) ~after:t.config.reorder_delay (fun () ->
@@ -319,6 +293,7 @@ let on_packet t (p : Net.Packet.t) =
 
 let create ?domain ~network ~self ~params ~config ~n_packets ~counters ~recoveries () =
   let srm = Srm.Host.create ?domain ~network ~self ~params ~n_packets ~counters ~recoveries () in
+  let dead_repliers = Hashtbl.create 8 in
   let t =
     {
       srm;
@@ -334,7 +309,12 @@ let create ?domain ~network ~self ~params ~config ~n_packets ~counters ~recoveri
       pending_exp = Hashtbl.create 16;
       replier_stats = Hashtbl.create 8;
       consec_failures = Hashtbl.create 8;
-      dead_repliers = Hashtbl.create 8;
+      dead_repliers;
+      live = (fun replier -> not (Hashtbl.mem dead_repliers replier));
+      in_domain =
+        Option.map
+          (fun dmap replier -> Rdomain.dom_of dmap replier = Rdomain.dom_of dmap self)
+          domain;
       exp_requests_sent = 0;
       exp_replies_sent = 0;
       n_cache_invalidations = 0;
@@ -375,7 +355,7 @@ let publish_metrics t registry =
       Obs.Registry.incr registry "cesrm/caches";
       Obs.Registry.incr ~by:(Cache.size c) registry "cesrm/cache_entries")
     t.caches;
-  (* Retention accounting, keyed by scheme so policy sweeps read as
+  (* Retention accounting, keyed by scheme so retention sweeps read as
      "hits under lru" vs "hits under recent" straight off the report. *)
   let scheme_key metric =
     Printf.sprintf "cesrm/cache_%s/%s" metric
@@ -383,7 +363,6 @@ let publish_metrics t registry =
   in
   let sum f = Hashtbl.fold (fun _ c acc -> acc + f c) t.caches 0 in
   Obs.Registry.incr ~by:(sum Cache.evictions) registry (scheme_key "evictions");
-  Obs.Registry.incr ~by:(sum Cache.expiries) registry (scheme_key "expiries");
   Obs.Registry.incr ~by:(sum Cache.hits) registry (scheme_key "hits");
   Hashtbl.iter
     (fun _ (ok, total) ->

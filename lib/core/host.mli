@@ -6,8 +6,9 @@
 
     - every incoming reply for a loss this member suffered feeds the
       optimal requestor/replier {!Cache};
-    - on detecting a loss, the member consults its {!Policy}; if the
-      chosen pair names it as the expeditious requestor, it schedules
+    - on detecting a loss, the member takes its cache's best-ranked
+      pair with a live replier ({!Cache.choose}); if that pair names it
+      as the expeditious requestor, it schedules
       an expedited request [REORDER_DELAY] in the future, cancelled if
       the packet shows up first, and otherwise {e unicast} to the
       expeditious replier;
@@ -29,25 +30,24 @@
     SRM host alone. *)
 
 type config = {
-  policy : Policy.t;
   retention : Retention.t;
-      (** cache retention scheme and size ({!Retention.default} = the
-          paper's keep-most-recent / evict-least-recent, byte-identical
-          to the pre-policy cache; its [capacity], when unset, is 16
-          entries per stream) *)
+      (** cache retention scheme and size, which also rank the pair
+          choice ({!Retention.default} = the paper's keep-most-recent /
+          evict-least-recent with the most recent pair chosen; its
+          [capacity], when unset, is 16 entries per stream) *)
   reorder_delay : float;
   router_assist : bool;
   replier_failure_limit : int option;
       (** retry back-off (robustness extension, off by default): after
           this many {e consecutive} expedited recoveries a replier
           failed to serve, presume it dead — purge it from every cache
-          and exclude it from policy selection until one of its replies
+          and exclude it from the pair choice until one of its replies
           is heard again. [None] = never presume death (paper-faithful:
           the paper's evaluation has no failing repliers). *)
 }
 
 val default_config : config
-(** Most-recent policy, default (paper) retention (16 entries), zero
+(** Default (paper) retention (16 entries, most recent pair), zero
     reorder delay (the paper's simulation setting — no reordering
     occurs), no router assist, no replier failure limit. *)
 
@@ -66,7 +66,7 @@ val create :
   t
 (** [domain] switches on hierarchical local recovery in the underlying
     SRM host (see {!Srm.Host.create}) and makes the expedited scheme
-    domain-aware: the policy prefers cached pairs whose replier lives
+    domain-aware: the pair choice prefers cached pairs whose replier lives
     in this member's recovery domain (falling back to any live
     replier), and expedited replies are scoped to the requestor's
     domain instead of multicast group-wide. Without it the host is
@@ -96,7 +96,7 @@ val note_replier_failure : t -> replier:int -> unit
 (** Charge one consecutive expedited failure to [replier]. With
     [replier_failure_limit = Some k], the k-th consecutive failure
     presumes the replier dead: it is purged from every cache and
-    excluded from policy selection until revived. No-op without a
+    excluded from the pair choice until revived. No-op without a
     limit. (Called internally when an expedited recovery resolves the
     SRM way; exposed for driving the accounting directly in tests.) *)
 
@@ -129,5 +129,5 @@ val publish_metrics : t -> Obs.Registry.t -> unit
 (** Accumulate this member's SRM metrics plus the expedited-recovery
     state (["cesrm/"] prefix: requests/replies sent, cache occupancy,
     observed per-replier success rates, and the retention accounting —
-    ["cesrm/cache_evictions/<scheme>"], ["…_expiries/<scheme>"],
-    ["…_hits/<scheme>"]) into the registry. *)
+    ["cesrm/cache_evictions/<scheme>"] and ["…_hits/<scheme>"]) into
+    the registry. *)

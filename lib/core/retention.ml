@@ -1,34 +1,25 @@
 type scheme =
   | Recent
   | Lru
-  | Ttl of float
   | Hotspot of float
 
 type t = { scheme : scheme; capacity : int option }
-
-let default_ttl = 2.0
 
 let default_half_life = 1.0
 
 let default = { scheme = Recent; capacity = None }
 
-let scheme_label = function
-  | Recent -> "recent"
-  | Lru -> "lru"
-  | Ttl _ -> "ttl"
-  | Hotspot _ -> "hotspot"
+let scheme_label = function Recent -> "recent" | Lru -> "lru" | Hotspot _ -> "hotspot"
 
-(* The canonical name round-trips through [of_name]; parameters are
-   printed only when they differ from the scheme defaults, so the
-   default policy's name is the bare ["recent"] everywhere (sweep
-   artifacts, bench legs) and pre-existing labels never change. *)
+(* The canonical name round-trips through [of_name]; the half-life is
+   printed only when it differs from the default, so the default
+   scheme's name is the bare ["recent"] everywhere (sweep artifacts,
+   bench legs) and pre-existing labels never change. *)
 let name t =
   let base =
     match t.scheme with
     | Recent -> "recent"
     | Lru -> "lru"
-    | Ttl h when h = default_ttl -> "ttl"
-    | Ttl h -> Printf.sprintf "ttl=%g" h
     | Hotspot hl when hl = default_half_life -> "hotspot"
     | Hotspot hl -> Printf.sprintf "hotspot=%g" hl
   in
@@ -53,28 +44,22 @@ let of_name s =
         ( String.sub base 0 i,
           Some (String.sub base (i + 1) (String.length base - i - 1)) )
   in
-  let positive_float ~default = function
-    | None -> Some default
-    | Some p -> (
-        match float_of_string_opt p with Some x when x > 0. -> Some x | _ -> None)
-  in
   let* capacity = Result.to_option capacity in
   let* scheme =
     match (scheme_name, param) with
     | "recent", None -> Some Recent
     | "lru", None -> Some Lru
-    | "ttl", p ->
-        let* h = positive_float ~default:default_ttl p in
-        Some (Ttl h)
-    | "hotspot", p ->
-        let* hl = positive_float ~default:default_half_life p in
-        Some (Hotspot hl)
+    | "hotspot", None -> Some (Hotspot default_half_life)
+    | "hotspot", Some p -> (
+        match float_of_string_opt p with Some hl when hl > 0. -> Some (Hotspot hl) | _ -> None)
     | _ -> None
   in
   Some { scheme; capacity }
 
 let is_default t = t = default
 
-let all_names = [ "recent"; "lru"; "ttl"; "hotspot" ]
+let all_names = [ "recent"; "lru"; "hotspot"; "hotspot=inf" ]
 
-let names_doc = "recent (default), lru, ttl[=horizon_s], hotspot[=half_life_s]; append :K to cap the cache at K entries (e.g. recent:1)"
+let names_doc =
+  "recent (default), lru, hotspot[=half_life_s] (hotspot=inf ranks by frequency); append :K \
+   to cap the cache at K entries (e.g. recent:1)"

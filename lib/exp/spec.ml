@@ -1,68 +1,51 @@
 type protocol_spec =
   | Srm
-  | Cesrm of { policy : Cesrm.Policy.t; retention : Cesrm.Retention.t; router_assist : bool }
+  | Cesrm of { retention : Cesrm.Retention.t; router_assist : bool }
   | Lms
 
 let protocol_name = function
   | Srm -> "srm"
   | Lms -> "lms"
-  | Cesrm { policy; retention; router_assist } ->
-      (* The retention segment is omitted when default, so every
-         pre-retention artifact name round-trips unchanged. *)
-      Printf.sprintf "cesrm:%s%s%s" (Cesrm.Policy.name policy)
+  | Cesrm { retention; router_assist } ->
+      (* The retention segment is omitted when default, so the default
+         CESRM cell is plain "cesrm". *)
+      Printf.sprintf "cesrm%s%s"
         (if Cesrm.Retention.is_default retention then ""
          else "@" ^ Cesrm.Retention.name retention)
         (if router_assist then "+ra" else "")
 
+let grammar = "srm, cesrm[@RETENTION][+ra] or lms"
+
 let protocol_of_name s =
+  let rest, router_assist =
+    if String.ends_with ~suffix:"+ra" s then (String.sub s 0 (String.length s - 3), true)
+    else (s, false)
+  in
   match s with
   | "srm" -> Ok Srm
   | "lms" -> Ok Lms
-  | _ when s = "cesrm" || String.length s > 6 && String.sub s 0 6 = "cesrm:" ->
-      let rest = if s = "cesrm" then "" else String.sub s 6 (String.length s - 6) in
-      let rest, router_assist =
-        match String.length rest with
-        | n when n >= 3 && String.sub rest (n - 3) 3 = "+ra" -> (String.sub rest 0 (n - 3), true)
-        | _ -> (rest, false)
-      in
-      let policy_part, retention_part =
-        match String.index_opt rest '@' with
-        | Some i ->
-            (String.sub rest 0 i, Some (String.sub rest (i + 1) (String.length rest - i - 1)))
-        | None -> (rest, None)
-      in
-      let ( let* ) = Result.bind in
-      let* retention =
-        match retention_part with
-        | None -> Ok Cesrm.Retention.default
-        | Some r -> (
-            match Cesrm.Retention.of_name r with
-            | Some retention -> Ok retention
-            | None ->
-                Error
-                  (Printf.sprintf "unknown CESRM cache policy %S (expected %s)" r
-                     Cesrm.Retention.names_doc))
-      in
-      let* policy =
-        if policy_part = "" then Ok Cesrm.Host.default_config.Cesrm.Host.policy
-        else begin
-          match Cesrm.Policy.of_name policy_part with
-          | Some policy -> Ok policy
-          | None -> Error (Printf.sprintf "unknown CESRM policy %S" policy_part)
-        end
-      in
-      Ok (Cesrm { policy; retention; router_assist })
-  | _ ->
+  | _ when rest = "cesrm" -> Ok (Cesrm { retention = Cesrm.Retention.default; router_assist })
+  | _ when String.starts_with ~prefix:"cesrm@" rest -> (
+      let r = String.sub rest 6 (String.length rest - 6) in
+      match Cesrm.Retention.of_name r with
+      | Some retention -> Ok (Cesrm { retention; router_assist })
+      | None ->
+          Error
+            (Printf.sprintf "unknown CESRM cache retention %S (expected %s)" r
+               Cesrm.Retention.names_doc))
+  | _ when String.starts_with ~prefix:"cesrm:" s ->
       Error
-        (Printf.sprintf "unknown protocol %S (expected srm, cesrm[:policy][@retention][+ra] or lms)"
-           s)
+        (Printf.sprintf
+           "%S: the cesrm:POLICY segment was removed; the retention scheme alone ranks the \
+            replier choice (expected %s)"
+           s grammar)
+  | _ -> Error (Printf.sprintf "unknown protocol %S (expected %s)" s grammar)
 
 let runner_protocol = function
   | Srm -> Harness.Runner.Srm_protocol
   | Lms -> Harness.Runner.Lms_protocol
-  | Cesrm { policy; retention; router_assist } ->
-      Harness.Runner.Cesrm_protocol
-        { Cesrm.Host.default_config with policy; retention; router_assist }
+  | Cesrm { retention; router_assist } ->
+      Harness.Runner.Cesrm_protocol { Cesrm.Host.default_config with retention; router_assist }
 
 type t = {
   name : string;
@@ -86,7 +69,6 @@ let default =
         Srm;
         Cesrm
           {
-            policy = Cesrm.Host.default_config.Cesrm.Host.policy;
             retention = Cesrm.Retention.default;
             router_assist = Cesrm.Host.default_config.Cesrm.Host.router_assist;
           };

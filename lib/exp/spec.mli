@@ -14,19 +14,21 @@
 
 type protocol_spec =
   | Srm
-  | Cesrm of { policy : Cesrm.Policy.t; retention : Cesrm.Retention.t; router_assist : bool }
+  | Cesrm of { retention : Cesrm.Retention.t; router_assist : bool }
   | Lms
 
 val protocol_name : protocol_spec -> string
-(** ["srm"], ["lms"], or ["cesrm:<policy>[@retention]"] with a ["+ra"]
-    suffix when router assist is on (e.g. ["cesrm:most-recent+ra"],
-    ["cesrm:most-recent@lru:4"]). The retention segment is omitted when
-    it is {!Cesrm.Retention.default}, so pre-retention artifact names
-    are stable. *)
+(** ["srm"], ["lms"], or ["cesrm[@retention]"] with a ["+ra"] suffix
+    when router assist is on (e.g. ["cesrm+ra"], ["cesrm@lru:4"],
+    ["cesrm@hotspot=inf+ra"]). The retention segment is omitted when it
+    is {!Cesrm.Retention.default}, so the default CESRM cell is plain
+    ["cesrm"]. *)
 
 val protocol_of_name : string -> (protocol_spec, string) result
-(** Inverse of {!protocol_name}; bare ["cesrm"] means the default
-    policy, default retention, no router assist. *)
+(** Inverse of {!protocol_name}: [srm], [lms] or
+    [cesrm[@RETENTION][+ra]]; bare ["cesrm"] means the default
+    retention without router assist. A [cesrm:POLICY] name is rejected
+    with a message saying the policy segment was removed. *)
 
 val runner_protocol : protocol_spec -> Harness.Runner.protocol
 

@@ -16,29 +16,30 @@ let success_pct (res : Runner.result) =
 let run_config ?setup ~config trace loss =
   Runner.run_model ?setup (Runner.Cesrm_protocol config) trace loss
 
-let policies ?(n_packets = 4000) rows =
+let retentions ?(n_packets = 4000) rows =
   let rows_out =
     List.concat_map
       (fun row ->
         let trace, loss = Runner.inputs ~n_packets row in
         List.map
-          (fun policy ->
-            let config = { Cesrm.Host.default_config with policy } in
-            let res = run_config ~config trace loss in
+          (fun name ->
+            let retention = Option.get (Cesrm.Retention.of_name name) in
+            let res = run_config ~config:{ Cesrm.Host.default_config with retention } trace loss in
             [
               row.Mtrace.Meta.name;
-              Cesrm.Policy.name policy;
+              name;
               Printf.sprintf "%.2f" (avg_norm res);
               Printf.sprintf "%.0f%%" (success_pct res);
               string_of_int res.exp_requests;
               string_of_int res.unrecovered;
             ])
-          Cesrm.Policy.all)
+          [ "recent:1"; "recent"; "lru"; "hotspot"; "hotspot=inf" ])
       rows
   in
-  "Ablation — expeditious pair selection policy (paper: most-recent wins; Section 4.3)\n"
+  "Ablation — replier-cache retention, which ranks the expeditious pair (paper: the most\n\
+   recent pair, Section 3.2; hotspot=inf is its most frequent pair)\n"
   ^ Stats.Table.render
-      ~header:[ "trace"; "policy"; "avg rec (RTT)"; "exp success"; "erqst"; "unrecovered" ]
+      ~header:[ "trace"; "retention"; "avg rec (RTT)"; "exp success"; "erqst"; "unrecovered" ]
       ~rows:rows_out
 
 let cache_sizes ?(n_packets = 4000) ?(sizes = [ 1; 2; 4; 8; 16; 32 ]) row =
@@ -57,8 +58,8 @@ let cache_sizes ?(n_packets = 4000) ?(sizes = [ 1; 2; 4; 8; 16; 32 ]) row =
       sizes
   in
   Printf.sprintf
-    "Ablation — cache capacity on %s (most-recent policy uses one entry; capacity only\n\
-     matters to frequency-based policies)\n"
+    "Ablation — cache capacity on %s (the default recent scheme uses one entry; capacity\n\
+     only matters to the lru and hotspot rankings)\n"
     row.Mtrace.Meta.name
   ^ Stats.Table.render ~header:[ "capacity"; "avg rec (RTT)"; "exp success"; "erqst" ] ~rows:rows_out
 

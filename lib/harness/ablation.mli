@@ -1,12 +1,14 @@
 (** Ablation experiments for the design choices DESIGN.md calls out:
-    the selection policy, the cache size, the reorder delay, the link
+    the cache retention scheme, the cache size, the reorder delay, the link
     delay (the paper's 10/20/30 ms robustness claim), lossy recovery
     (the paper's [10] variant), and router-assisted local recovery
     (Section 3.3). Each function runs its sweep and renders a table. *)
 
-val policies : ?n_packets:int -> Mtrace.Meta.row list -> string
-(** Most-recent vs most-frequent vs the hybrid policy: average
-    normalized recovery, expedited success, retransmission overhead. *)
+val retentions : ?n_packets:int -> Mtrace.Meta.row list -> string
+(** The paper's 1-entry cache and each retention scheme ([recent],
+    [lru], [hotspot], and [hotspot=inf] for the paper's most-frequent
+    pair): average normalized recovery, expedited success, expedited
+    requests. *)
 
 val cache_sizes : ?n_packets:int -> ?sizes:int list -> Mtrace.Meta.row -> string
 

@@ -69,10 +69,11 @@ type stream_state = {
   mutable last_data_seq : int;
   (* Due-time detection frontier (domain mode): every sequence at or
      below it has been either delivered or declared lost; sequences
-     above wait until they are overdue. [due_pending] coalesces the
-     rescan timer — at most one per stream is ever outstanding. *)
+     above wait until they are overdue. [due_scan] is the parked
+     rescan timer ({!Sim.Engine.no_timer} when none): at most one per
+     stream is ever outstanding. *)
   mutable scanned_due : int;
-  mutable due_pending : bool;
+  mutable due_scan : Sim.Engine.timer;
   inflight : inflight;
   (* One bit per detected seq (empty until the first detection): the
      answer to [suffered_loss], which outlives the request and
@@ -112,6 +113,7 @@ type t = {
   mutable request_timer : Key.t -> unit;
   mutable reply_timer : Key.t -> unit;
   mutable grace_timer : Key.t -> unit; (* session-advertisement grace *)
+  mutable due_timer : int -> unit; (* domain mode's due scan, armed with the stream's src *)
   adaptive : Adaptive.t option;
   domain : domain_ctx option;
   mutable n_local_requests : int; (* domain mode: requests sent at level 0 *)
@@ -172,7 +174,7 @@ let stream t src =
           win = Window.create ~n_packets:t.n_packets;
           last_data_seq = 0;
           scanned_due = 0;
-          due_pending = false;
+          due_scan = Sim.Engine.no_timer;
           inflight = { last_data_at = neg_infinity; slack = Float.nan };
           lost = Bytes.empty;
         }
@@ -519,7 +521,7 @@ let inflight_period t =
    gets the same insulation implicitly from request timers scaled by
    [C1 · d_src]; domain mode's request timers are local by design, so
    the patience must live in the detector. *)
-let inflight_slack t ~src st =
+let[@inline] inflight_slack t ~src st =
   if Float.is_nan st.inflight.slack then
     (st.inflight.slack <-
        (match t.domain with
@@ -531,7 +533,7 @@ let inflight_slack t ~src st =
            *. dist_to_source ~src t));
   st.inflight.slack
 
-let due_time t ~src st ~period seq =
+let[@inline] due_time t ~src st ~period seq =
   st.inflight.last_data_at
   +. ((float_of_int (seq - st.last_data_seq) +. 1.) *. period)
   +. inflight_slack t ~src st
@@ -539,7 +541,7 @@ let due_time t ~src st ~period seq =
 (* Detect every missing sequence whose due time has passed, and leave
    one timer parked at the next due instant for the rest. The frontier
    only ever advances, so each sequence is scanned O(1) times. *)
-let rec scan_due t ~src ~period =
+let scan_due t ~src ~period =
   let st = stream t src in
   if st.inflight.last_data_at > neg_infinity then begin
     let frontier = ref st.scanned_due in
@@ -550,15 +552,18 @@ let rec scan_due t ~src ~period =
       if not (has_packet ~src t ~seq:!frontier) then detect_loss t ~src !frontier
     done;
     st.scanned_due <- !frontier;
-    if st.scanned_due < Window.max_seq st.win && not st.due_pending then begin
-      st.due_pending <- true;
-      let after = Float.max 0. (due_time t ~src st ~period (st.scanned_due + 1) -. now t) in
-      ignore
-        (Sim.Engine.schedule t.engine ~after (fun () ->
-             st.due_pending <- false;
-             scan_due t ~src ~period))
-    end
+    if st.scanned_due < Window.max_seq st.win && st.due_scan = Sim.Engine.no_timer then
+      st.due_scan <-
+        arm t ~after:(due_time t ~src st ~period (st.scanned_due + 1) -. now t) t.due_timer src
   end
+
+(* The due-scan timer of [src]'s stream fired. One parked before a
+   [depart] dropped the stream finds the new stream's own timer, if
+   any, still pending, and leaves it parked. *)
+let fire_due t src =
+  let st = stream t src in
+  if not (Sim.Engine.is_pending t.engine st.due_scan) then st.due_scan <- Sim.Engine.no_timer;
+  match inflight_period t with Some period -> scan_due t ~src ~period | None -> ()
 
 (* Evidence that packets 1..m of [src]'s stream exist (sources send
    sequentially): any unseen gap at or below m is a loss — immediately
@@ -930,6 +935,7 @@ let create ?domain ~network ~self ~params ~n_packets ~counters ~recoveries () =
       request_timer = ignore;
       reply_timer = ignore;
       grace_timer = ignore;
+      due_timer = ignore;
       adaptive = (if params.Params.adaptive then Some (Adaptive.create ~initial:params) else None);
       domain;
       n_local_requests = 0;
@@ -955,6 +961,7 @@ let create ?domain ~network ~self ~params ~n_packets ~counters ~recoveries () =
   t.reply_timer <- fire_reply t;
   t.grace_timer <-
     (fun k -> seq_exists t ~src:(Key.src ~stride:t.stride k) (Key.seq ~stride:t.stride k));
+  t.due_timer <- fire_due t;
   get_max_seqs_cell := (fun () -> max_seqs t);
   (* A peer's session max-seq may name packets still in flight to us
      (the peer can be closer to the source). Gap- and request-triggered

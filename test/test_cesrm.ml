@@ -1,6 +1,6 @@
-(* Tests for CESRM: the requestor/replier cache, selection policies,
-   the expedited recovery scheme, fallback behaviour, and the
-   router-assisted variant. *)
+(* Tests for CESRM: the requestor/replier cache, its retention schemes
+   and pair choice, the expedited recovery scheme, fallback behaviour,
+   and the router-assisted variant. *)
 
 let check = Alcotest.check
 
@@ -9,18 +9,24 @@ let qcheck = QCheck_alcotest.to_alcotest
 let entry ?(seq = 1) ?(requestor = 1) ?(d_qs = 0.1) ?(replier = 2) ?(d_rq = 0.05) ?tp () =
   { Cesrm.Cache.seq; requestor; d_qs; replier; d_rq; turning_point = tp }
 
+let everyone (_ : int) = true
+
+(* [Cesrm.Cache.choose] as an option; by default every replier is live. *)
+let choose ?now ?local ?(live = everyone) c =
+  match Cesrm.Cache.choose ?now ?local ~live c with e -> Some e | exception Not_found -> None
+
 (* --- Cache ------------------------------------------------------------- *)
 
 let test_cache_insert_and_recency () =
   let c = Cesrm.Cache.create ~capacity:3 () in
   check Alcotest.int "empty" 0 (Cesrm.Cache.size c);
-  check Alcotest.bool "no most recent" true (Cesrm.Cache.most_recent c = None);
+  check Alcotest.bool "no pair" true (choose c = None);
   ignore (Cesrm.Cache.note_reply c (entry ~seq:5 ()));
   ignore (Cesrm.Cache.note_reply c (entry ~seq:9 ()));
   ignore (Cesrm.Cache.note_reply c (entry ~seq:7 ()));
   check Alcotest.int "size" 3 (Cesrm.Cache.size c);
   check Alcotest.(option int) "most recent is highest seq" (Some 9)
-    (Option.map (fun (e : Cesrm.Cache.entry) -> e.seq) (Cesrm.Cache.most_recent c))
+    (Option.map (fun (e : Cesrm.Cache.entry) -> e.seq) (choose c))
 
 let test_cache_eviction () =
   let c = Cesrm.Cache.create ~capacity:2 () in
@@ -51,8 +57,10 @@ let test_cache_recovery_delay () =
   check (Alcotest.float 1e-9) "d_qs + 2 d_rq" 0.2
     (Cesrm.Cache.recovery_delay (entry ~d_qs:0.1 ~d_rq:0.05 ()))
 
+(* The paper's most-frequent pair is the hotspot ranking without decay:
+   the score then counts digests. *)
 let test_cache_most_frequent () =
-  let c = Cesrm.Cache.create ~capacity:8 () in
+  let c = Cesrm.Cache.create ~retention:(Cesrm.Retention.Hotspot infinity) ~capacity:8 () in
   ignore (Cesrm.Cache.note_reply c (entry ~seq:1 ~requestor:1 ~replier:2 ()));
   ignore (Cesrm.Cache.note_reply c (entry ~seq:2 ~requestor:3 ~replier:4 ()));
   ignore (Cesrm.Cache.note_reply c (entry ~seq:3 ~requestor:1 ~replier:2 ()));
@@ -60,10 +68,53 @@ let test_cache_most_frequent () =
   check Alcotest.(option (pair int int)) "dominant pair" (Some (1, 2))
     (Option.map
        (fun (e : Cesrm.Cache.entry) -> (e.requestor, e.replier))
-       (Cesrm.Cache.most_frequent c));
+       (choose ~now:50. c));
   (* the representative tuple is the most recent one of that pair *)
   check Alcotest.(option int) "representative is most recent" (Some 4)
-    (Option.map (fun (e : Cesrm.Cache.entry) -> e.seq) (Cesrm.Cache.most_frequent c))
+    (Option.map (fun (e : Cesrm.Cache.entry) -> e.seq) (choose ~now:50. c))
+
+(* [Gc.minor_words] counts young allocation exactly (and, unboxed,
+   allocates nothing itself). *)
+let minor_words f =
+  let before = Gc.minor_words () in
+  f ();
+  Gc.minor_words () -. before
+
+let replier_one r = r = 1
+
+(* Prebuilt, as the host keeps its domain predicate: passing
+   [~local:f] would allocate the [Some]. *)
+let odd_domain = Some (fun r -> r land 1 = 1)
+
+(* Under the default scheme a choice on a populated cache and a digest
+   the cache ignores (a worse tuple for a cached seq, a stale seq on a
+   full cache) walk the cells in place: nothing is allocated. *)
+let test_recent_alloc () =
+  let c = Cesrm.Cache.create ~capacity:16 () in
+  for seq = 1 to 16 do
+    ignore (Cesrm.Cache.note_reply c (entry ~seq ~replier:(seq mod 4) ()))
+  done;
+  let worse = entry ~seq:8 ~d_qs:1. () and stale = entry ~seq:0 () in
+  check Alcotest.bool "worse tuple ignored" true (Cesrm.Cache.note_reply c worse = `Ignored);
+  check Alcotest.bool "stale seq ignored" true (Cesrm.Cache.note_reply c stale = `Ignored);
+  check Alcotest.(option int) "first live pair" (Some 13)
+    (Option.map (fun (e : Cesrm.Cache.entry) -> e.seq) (choose ~live:replier_one c));
+  let n = 10_000 in
+  let choices () =
+    for _ = 1 to n do
+      ignore (Cesrm.Cache.choose ~live:replier_one c);
+      ignore (Cesrm.Cache.choose ?local:odd_domain ~live:everyone c)
+    done
+  and digests () =
+    for _ = 1 to n do
+      ignore (Cesrm.Cache.note_reply c worse);
+      ignore (Cesrm.Cache.note_reply c stale)
+    done
+  in
+  let per_call f = (minor_words f -. minor_words ignore) /. float_of_int (2 * n) in
+  let choice = per_call choices and digest = per_call digests in
+  if choice > 0. then Alcotest.failf "a choice allocated %.1f words" choice;
+  if digest > 0. then Alcotest.failf "an ignored digest allocated %.1f words" digest
 
 let test_cache_validation () =
   Alcotest.check_raises "capacity >= 1"
@@ -137,25 +188,6 @@ let prop_lru_use_order =
       Cesrm.Cache.size c <= capacity
       && List.sort (fun a b -> compare b a) uses = uses)
 
-let prop_ttl_expiry =
-  QCheck.Test.make ~name:"retention: no TTL entry outlives the horizon" ~count:300
-    QCheck.(triple (int_range 1 6) (int_range 1 40) (int_range 0 100))
-    (fun (capacity, n, extra) ->
-      let horizon = 1.5 in
-      let c = Cesrm.Cache.create ~retention:(Cesrm.Retention.Ttl horizon) ~capacity () in
-      (* Distinct seqs at distinct times, so each entry's age at the
-         final lookup is exactly [t_final - its note time]. *)
-      for i = 1 to n do
-        ignore (Cesrm.Cache.note_reply ~now:(op_time i) c (entry ~seq:i ()))
-      done;
-      let t_final = op_time n +. (0.05 *. float_of_int extra) in
-      let survivors = Cesrm.Cache.entries ~now:t_final c in
-      List.for_all
-        (fun (e : Cesrm.Cache.entry) -> t_final -. op_time e.seq <= horizon)
-        survivors
-      && Cesrm.Cache.expiries c + List.length survivors
-         >= min n capacity - Cesrm.Cache.evictions c)
-
 let prop_hotspot_ordering =
   QCheck.Test.make ~name:"retention: hotspot order time-invariant, bump never demotes"
     ~count:300
@@ -196,16 +228,20 @@ let test_retention_names () =
       match Cesrm.Retention.of_name n with
       | None -> Alcotest.failf "%S must parse" n
       | Some r -> check Alcotest.string "canonical" n (Cesrm.Retention.name r))
-    ([ "recent"; "recent:1"; "lru"; "lru:4"; "ttl"; "ttl=2.5"; "ttl=2.5:8"; "hotspot";
-       "hotspot=0.5" ]
+    ([ "recent"; "recent:1"; "lru"; "lru:4"; "hotspot"; "hotspot=0.5"; "hotspot=0.5:8";
+       "hotspot=inf"; "hotspot=inf:4" ]
     @ Cesrm.Retention.all_names);
+  check Alcotest.bool "hotspot=inf never decays" true
+    (Cesrm.Retention.of_name "hotspot=inf"
+    = Some { Cesrm.Retention.scheme = Cesrm.Retention.Hotspot infinity; capacity = None });
   check Alcotest.bool "default is default" true
     (Cesrm.Retention.is_default Cesrm.Retention.default);
   check Alcotest.bool "capacity override is not default" false
     (Cesrm.Retention.is_default { Cesrm.Retention.default with capacity = Some 1 });
   List.iter
     (fun bad -> check Alcotest.bool bad true (Cesrm.Retention.of_name bad = None))
-    [ ""; "nope"; "recent:0"; "recent:-1"; "ttl=0"; "ttl=x"; "hotspot=-1"; "lru:" ]
+    [ ""; "nope"; "recent:0"; "recent:-1"; "recent=1"; "lru=2"; "ttl"; "hotspot=0";
+      "hotspot=x"; "hotspot=-1"; "lru:" ]
 
 (* Reference implementation of the seed retention algorithm (a bare
    sorted assoc list), run in lockstep with the default cache on random
@@ -250,59 +286,61 @@ let prop_default_matches_reference =
           reference := reference';
           verdict = verdict'
           && Cesrm.Cache.entries c = !reference
-          && Cesrm.Cache.most_recent c
-             = (match !reference with [] -> None | x :: _ -> Some x))
+          && choose c = (match !reference with [] -> None | x :: _ -> Some x))
         notes)
 
-(* --- Policy -------------------------------------------------------------- *)
+(* --- Pair choice ------------------------------------------------------------ *)
 
-let test_policy_names () =
-  check Alcotest.int "four policies" 4 (List.length Cesrm.Policy.all);
-  List.iter
-    (fun p ->
-      check Alcotest.bool "roundtrip" true (Cesrm.Policy.of_name (Cesrm.Policy.name p) = Some p))
-    Cesrm.Policy.all;
-  check Alcotest.bool "unknown name" true (Cesrm.Policy.of_name "nope" = None)
+let scheme_cache name ~capacity =
+  let r = Option.get (Cesrm.Retention.of_name name) in
+  Cesrm.Cache.create ~retention:r.Cesrm.Retention.scheme ~capacity ()
 
+(* Each scheme's best-ranked pair: the highest seq under recent, the
+   last used under lru, the hottest pair under hotspot and the most
+   digested pair under hotspot=inf. *)
 let test_policy_choices () =
-  let c = Cesrm.Cache.create ~capacity:8 () in
-  check Alcotest.bool "empty cache yields nothing" true
-    (Cesrm.Policy.choose Cesrm.Policy.Most_recent c = None);
-  ignore (Cesrm.Cache.note_reply c (entry ~seq:1 ~requestor:1 ~replier:2 ()));
-  ignore (Cesrm.Cache.note_reply c (entry ~seq:2 ~requestor:1 ~replier:2 ()));
-  ignore (Cesrm.Cache.note_reply c (entry ~seq:3 ~requestor:5 ~replier:6 ()));
-  check Alcotest.(option int) "most recent picks seq 3" (Some 5)
-    (Option.map
-       (fun (e : Cesrm.Cache.entry) -> e.requestor)
-       (Cesrm.Policy.choose Cesrm.Policy.Most_recent c));
-  check Alcotest.(option int) "most frequent picks (1,2)" (Some 1)
-    (Option.map
-       (fun (e : Cesrm.Cache.entry) -> e.requestor)
-       (Cesrm.Policy.choose Cesrm.Policy.Most_frequent c));
-  check Alcotest.bool "hybrid picks something" true
-    (Cesrm.Policy.choose Cesrm.Policy.Frequency_weighted_recent c <> None)
+  let requestor_of ?now c = Option.map (fun (e : Cesrm.Cache.entry) -> e.requestor) (choose ?now c) in
+  let fill name =
+    let c = scheme_cache name ~capacity:8 in
+    check Alcotest.bool (name ^ ": empty cache yields nothing") true (choose c = None);
+    ignore (Cesrm.Cache.note_reply ~now:1. c (entry ~seq:1 ~requestor:1 ~replier:2 ()));
+    ignore (Cesrm.Cache.note_reply ~now:2. c (entry ~seq:2 ~requestor:1 ~replier:2 ()));
+    ignore (Cesrm.Cache.note_reply ~now:3. c (entry ~seq:3 ~requestor:5 ~replier:6 ()));
+    c
+  in
+  check Alcotest.(option int) "recent picks seq 3" (Some 5) (requestor_of (fill "recent"));
+  let lru = fill "lru" in
+  check Alcotest.(option int) "lru picks the last digest" (Some 5) (requestor_of lru);
+  Cesrm.Cache.touch ~now:4. lru ~seq:1;
+  check Alcotest.(option int) "lru picks the last use" (Some 1) (requestor_of lru);
+  check Alcotest.(option int) "hotspot=inf picks the most frequent pair" (Some 1)
+    (requestor_of ~now:3. (fill "hotspot=inf"));
+  (* With a 0.1 s half-life the pair (1, 2) has decayed below the
+     fresh (5, 6) by t = 3 s. *)
+  check Alcotest.(option int) "hotspot picks the hottest pair" (Some 5)
+    (requestor_of ~now:3. (fill "hotspot=0.1"))
 
-let test_policy_success_biased () =
-  let c = Cesrm.Cache.create ~capacity:8 () in
-  ignore (Cesrm.Cache.note_reply c (entry ~seq:1 ~requestor:1 ~replier:2 ()));
-  ignore (Cesrm.Cache.note_reply c (entry ~seq:2 ~requestor:1 ~replier:9 ()));
-  (* With the optimistic default score, recency wins: replier 9. *)
-  check Alcotest.(option int) "optimistic = most recent" (Some 9)
-    (Option.map
-       (fun (e : Cesrm.Cache.entry) -> e.replier)
-       (Cesrm.Policy.choose Cesrm.Policy.Success_biased c));
-  (* When replier 9 has been failing, the policy skips to replier 2. *)
-  let score ~replier = if replier = 9 then 0.1 else 1. in
-  check Alcotest.(option int) "failing replier is skipped" (Some 2)
-    (Option.map
-       (fun (e : Cesrm.Cache.entry) -> e.replier)
-       (Cesrm.Policy.choose ~score Cesrm.Policy.Success_biased c));
-  (* When everyone fails, fall back to plain recency. *)
-  let all_bad ~replier:_ = 0. in
-  check Alcotest.(option int) "all failing -> most recent" (Some 9)
-    (Option.map
-       (fun (e : Cesrm.Cache.entry) -> e.replier)
-       (Cesrm.Policy.choose ~score:all_bad Cesrm.Policy.Success_biased c))
+(* The choice is the ranking's first live entry, or with [local] its
+   first live local entry ahead of the first live one, under every
+   scheme and on any digest/use history. *)
+let prop_choice_first_live =
+  QCheck.Test.make ~name:"choice: the ranking's first live (local) pair" ~count:300
+    QCheck.(
+      quad (int_range 0 3) (int_range 1 6) ops_arb (pair (int_range 0 31) (int_range 0 31)))
+    (fun (scheme, capacity, ops, (dead_mask, local_mask)) ->
+      let name = List.nth [ "recent"; "lru"; "hotspot"; "hotspot=inf" ] scheme in
+      let c = scheme_cache name ~capacity in
+      run_ops c ops;
+      let now = op_time (List.length ops) in
+      (* repliers are 200 + (seq mod 5) *)
+      let bit mask replier = mask land (1 lsl (replier - 200)) <> 0 in
+      let live r = not (bit dead_mask r) and local r = bit local_mask r in
+      let ranked = Cesrm.Cache.entries ~now c in
+      let first p = List.find_opt (fun (e : Cesrm.Cache.entry) -> p e.replier) ranked in
+      let expected =
+        match first (fun r -> live r && local r) with Some _ as e -> e | None -> first live
+      in
+      choose ~now ~live c = first live && choose ~now ~local ~live c = expected)
 
 (* --- Host behaviour -------------------------------------------------------- *)
 
@@ -583,21 +621,21 @@ let () =
           Alcotest.test_case "recovery delay" `Quick test_cache_recovery_delay;
           Alcotest.test_case "most frequent" `Quick test_cache_most_frequent;
           Alcotest.test_case "validation" `Quick test_cache_validation;
+          Alcotest.test_case "recent choice and ignored digest allocate nothing" `Quick
+            test_recent_alloc;
           qcheck prop_cache_bounded_and_sorted;
         ] );
       ( "retention",
         [
           Alcotest.test_case "names round-trip" `Quick test_retention_names;
           qcheck prop_lru_use_order;
-          qcheck prop_ttl_expiry;
           qcheck prop_hotspot_ordering;
           qcheck prop_default_matches_reference;
         ] );
       ( "policy",
         [
-          Alcotest.test_case "names" `Quick test_policy_names;
           Alcotest.test_case "choices" `Quick test_policy_choices;
-          Alcotest.test_case "success-biased" `Quick test_policy_success_biased;
+          qcheck prop_choice_first_live;
         ] );
       ( "host",
         [

@@ -15,7 +15,7 @@ let small_spec =
     protocols =
       [
         Exp.Spec.Srm;
-        Exp.Spec.Cesrm { policy = Cesrm.Policy.Most_recent; retention = Cesrm.Retention.default; router_assist = false };
+        Exp.Spec.Cesrm { retention = Cesrm.Retention.default; router_assist = false };
       ];
     base_seed = 7L;
     n_seeds = 2;
@@ -45,7 +45,8 @@ let test_spec_roundtrip () =
       protocols =
         [
           Exp.Spec.Lms;
-          Exp.Spec.Cesrm { policy = Cesrm.Policy.Most_frequent; retention = Cesrm.Retention.default; router_assist = true };
+          Exp.Spec.Cesrm
+            { retention = Option.get (Cesrm.Retention.of_name "hotspot=inf"); router_assist = true };
         ];
       base_seed = Int64.min_int;
       n_packets = None;
@@ -81,13 +82,38 @@ let test_spec_errors () =
   expect_error (set "traces" (Obs.Json.Arr [ Obs.Json.Str "NOSUCH" ]));
   expect_error (set "traces" (Obs.Json.Arr []));
   expect_error (set "protocols" (Obs.Json.Arr [ Obs.Json.Str "tcp" ]));
-  expect_error (set "protocols" (Obs.Json.Arr [ Obs.Json.Str "cesrm:nopolicy" ]));
+  expect_error (set "protocols" (Obs.Json.Arr [ Obs.Json.Str "cesrm:most-recent" ]));
+  expect_error (set "protocols" (Obs.Json.Arr [ Obs.Json.Str "cesrm@ttl" ]));
   expect_error (set "base_seed" (Obs.Json.Str "not-a-seed"));
   expect_error (set "n_seeds" (Obs.Json.int 0));
   expect_error (set "link_delay_ms" (Obs.Json.int 0));
   expect_error (set "faults" (Obs.Json.Arr [ Obs.Json.Str "nosuch-plan" ]))
 
+let contains ~sub s =
+  let n = String.length sub and m = String.length s in
+  let rec go i = i + n <= m && (String.sub s i n = sub || go (i + 1)) in
+  go 0
+
 let test_protocol_names () =
+  (* Names parse to the protocol they say and print back unchanged:
+     the default retention is omitted, so the default cell is plain
+     "cesrm". *)
+  let parses name ~retention ~router_assist =
+    match Exp.Spec.protocol_of_name name with
+    | Ok (Exp.Spec.Cesrm c as p) ->
+        check Alcotest.string (name ^ " retention") retention (Cesrm.Retention.name c.retention);
+        check Alcotest.bool (name ^ " router assist") router_assist c.router_assist;
+        check Alcotest.string (name ^ " round-trip") name (Exp.Spec.protocol_name p)
+    | Ok _ -> Alcotest.failf "%s must parse as CESRM" name
+    | Error msg -> Alcotest.failf "%s must parse: %s" name msg
+  in
+  parses "cesrm" ~retention:"recent" ~router_assist:false;
+  parses "cesrm+ra" ~retention:"recent" ~router_assist:true;
+  parses "cesrm@hotspot" ~retention:"hotspot" ~router_assist:false;
+  parses "cesrm@hotspot=inf" ~retention:"hotspot=inf" ~router_assist:false;
+  parses "cesrm@lru:4+ra" ~retention:"lru:4" ~router_assist:true;
+  parses "cesrm@recent:1" ~retention:"recent:1" ~router_assist:false;
+  parses "cesrm@hotspot=0.5:8" ~retention:"hotspot=0.5:8" ~router_assist:false;
   List.iter
     (fun p ->
       match Exp.Spec.protocol_of_name (Exp.Spec.protocol_name p) with
@@ -95,52 +121,22 @@ let test_protocol_names () =
           check Alcotest.string "protocol name round-trip" (Exp.Spec.protocol_name p)
             (Exp.Spec.protocol_name p')
       | Error msg -> Alcotest.fail msg)
-    (Exp.Spec.Srm :: Exp.Spec.Lms
-    :: List.concat_map
-         (fun policy ->
-           [
-             Exp.Spec.Cesrm { policy; retention = Cesrm.Retention.default; router_assist = false };
-             Exp.Spec.Cesrm { policy; retention = Cesrm.Retention.default; router_assist = true };
-           ])
-         Cesrm.Policy.all);
-  (* The retention segment: non-default retentions round-trip through
-     the "@" syntax, the default one is omitted from the name (so
-     pre-retention artifact names stay stable), and malformed
-     retentions are rejected. *)
+    [ Exp.Spec.Srm; Exp.Spec.Lms ];
+  check Alcotest.string "default cell label" "cesrm"
+    (Exp.Spec.protocol_name (List.nth Exp.Spec.default.Exp.Spec.protocols 1));
+  let rejected name =
+    match Exp.Spec.protocol_of_name name with
+    | Error msg -> msg
+    | Ok _ -> Alcotest.failf "%s must be rejected" name
+  in
+  let msg = rejected "cesrm:most-recent" in
+  check Alcotest.bool
+    (Printf.sprintf "the policy segment's error says it was removed: %s" msg)
+    true
+    (contains ~sub:"removed" msg);
   List.iter
-    (fun r ->
-      let retention = Option.get (Cesrm.Retention.of_name r) in
-      let p =
-        Exp.Spec.Cesrm
-          { policy = Cesrm.Policy.Most_recent; retention; router_assist = false }
-      in
-      let name = Exp.Spec.protocol_name p in
-      check Alcotest.string "retention in name" ("cesrm:most-recent@" ^ r) name;
-      match Exp.Spec.protocol_of_name name with
-      | Ok (Exp.Spec.Cesrm { retention = retention'; _ }) ->
-          check Alcotest.string "retention round-trip" r (Cesrm.Retention.name retention')
-      | _ -> Alcotest.failf "%s must parse back" name)
-    [ "recent:1"; "lru"; "ttl=2.5"; "hotspot=0.5:8" ];
-  (match
-     Exp.Spec.protocol_of_name
-       (Exp.Spec.protocol_name
-          (Exp.Spec.Cesrm
-             {
-               policy = Cesrm.Policy.Most_recent;
-               retention = Cesrm.Retention.default;
-               router_assist = true;
-             }))
-   with
-  | Ok (Exp.Spec.Cesrm { retention; router_assist = true; _ }) ->
-      check Alcotest.bool "+ra keeps default retention" true
-        (Cesrm.Retention.is_default retention)
-  | _ -> Alcotest.fail "cesrm:most-recent+ra must parse");
-  (match Exp.Spec.protocol_of_name "cesrm:most-recent@nope" with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "unknown retention must be rejected");
-  match Exp.Spec.protocol_of_name "cesrm" with
-  | Ok (Exp.Spec.Cesrm { router_assist = false; _ }) -> ()
-  | _ -> Alcotest.fail "bare cesrm should mean the default policy"
+    (fun name -> ignore (rejected name))
+    [ "cesrm:most-recent@lru"; "cesrm@nope"; "cesrm@ttl"; "cesrm@"; "srm+ra"; "cesrmx" ]
 
 let test_cells_and_seeds () =
   let cells = Exp.Spec.cells small_spec in
@@ -277,11 +273,6 @@ let test_pool_timeout_retry () =
 (* The serial path (jobs = 1) keeps the parallel contract: the same
    retry budget and the same [Failure]. *)
 let test_pool_retry_exhaustion () =
-  let contains ~sub s =
-    let n = String.length sub and m = String.length s in
-    let rec go i = i + n <= m && (String.sub s i n = sub || go (i + 1)) in
-    go 0
-  in
   List.iter
     (fun jobs ->
       let calls = ref 0 in

@@ -253,24 +253,41 @@ let test_cache_expire_replier () =
   Cesrm.Cache.expire_replier c ~replier:2;
   check Alcotest.int "only the other replier's entry left" 1 (Cesrm.Cache.size c);
   check Alcotest.(option int) "survivor" (Some 4)
-    (Option.map (fun (e : Cesrm.Cache.entry) -> e.replier) (Cesrm.Cache.most_recent c))
+    (Option.map
+       (fun (e : Cesrm.Cache.entry) -> e.replier)
+       (match Cesrm.Cache.choose ~live:(fun _ -> true) c with
+       | e -> Some e
+       | exception Not_found -> None))
 
+(* Under every scheme the choice skips excluded (presumed-dead)
+   repliers, prefers a replier in the requestor's domain over a
+   better-ranked one outside it, and finds nothing when every replier
+   is excluded. *)
 let test_policy_exclude () =
-  let c = Cesrm.Cache.create ~capacity:8 () in
-  ignore (Cesrm.Cache.note_reply c (cache_entry ~seq:1 ~replier:2));
-  ignore (Cesrm.Cache.note_reply c (cache_entry ~seq:2 ~replier:4));
-  let exclude ~replier = replier = 4 in
   List.iter
-    (fun policy ->
-      match Cesrm.Policy.choose ~exclude policy c with
-      | Some e ->
-          check Alcotest.int
-            (Cesrm.Policy.name policy ^ " avoids the excluded replier")
-            2 e.Cesrm.Cache.replier
-      | None -> Alcotest.failf "%s found no pair" (Cesrm.Policy.name policy))
-    Cesrm.Policy.all;
-  check Alcotest.bool "all excluded -> no pair" true
-    (Cesrm.Policy.choose ~exclude:(fun ~replier:_ -> true) Cesrm.Policy.Most_recent c = None)
+    (fun name ->
+      let retention = Option.get (Cesrm.Retention.of_name name) in
+      let c = Cesrm.Cache.create ~retention:retention.Cesrm.Retention.scheme ~capacity:8 () in
+      ignore (Cesrm.Cache.note_reply ~now:1. c (cache_entry ~seq:1 ~replier:2));
+      ignore (Cesrm.Cache.note_reply ~now:2. c (cache_entry ~seq:2 ~replier:3));
+      ignore (Cesrm.Cache.note_reply ~now:3. c (cache_entry ~seq:3 ~replier:4));
+      let chosen ?local live =
+        match Cesrm.Cache.choose ~now:3. ?local ~live c with
+        | e -> Some e.Cesrm.Cache.replier
+        | exception Not_found -> None
+      in
+      let alive (_ : int) = true in
+      (* every scheme ranks the last digest (seq 3, replier 4) first *)
+      check Alcotest.(option int) (name ^ " best-ranked") (Some 4) (chosen alive);
+      check Alcotest.(option int) (name ^ " avoids the excluded replier") (Some 3)
+        (chosen (fun r -> r <> 4));
+      check Alcotest.(option int) (name ^ " prefers the in-domain replier") (Some 2)
+        (chosen ~local:(fun r -> r = 2) alive);
+      check Alcotest.(option int) (name ^ " skips a dead in-domain replier") (Some 4)
+        (chosen ~local:(fun r -> r = 2) (fun r -> r <> 2));
+      check Alcotest.(option int) (name ^ ": all excluded -> no pair") None
+        (chosen (fun _ -> false)))
+    [ "recent"; "lru"; "hotspot"; "hotspot=inf" ]
 
 let test_replier_failure_limit () =
   let engine = Sim.Engine.create ~seed:1L () in
@@ -981,7 +998,7 @@ let test_retire_late_replies () =
         (leg case n_packets) (leg case 16))
     [
       ("SCALE-bf-128", "lru", 200, 7L, None, None);
-      ("SCALE-bf-128", "ttl", 200, 7L, None, None);
+      ("SCALE-bf-128", "hotspot=inf", 200, 7L, None, None);
       ("SCALE-bf-48", "recent", 77, 26578L, Some "dup-burst", None);
       ("SCALE-dc-48", "recent:1", 192, 128336L, Some "partition-heal", Some Rdomain.Auto);
     ]
@@ -1059,7 +1076,9 @@ let print_draw d =
 
 let composition_gen =
   QCheck.Gen.(
-    let* protocol = oneofl [ "srm"; "recent"; "recent:1"; "lru"; "ttl"; "hotspot"; "lms" ] in
+    let* protocol =
+      oneofl [ "srm"; "recent"; "recent:1"; "lru"; "hotspot"; "hotspot=inf"; "lms" ]
+    in
     let* fault =
       oneofl (None :: List.map Option.some (Fault.Plan.canned_names @ Fault.Plan.churn_names))
     in

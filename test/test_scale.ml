@@ -299,7 +299,7 @@ let scale_spec =
     protocols =
       [
         Exp.Spec.Srm;
-        Exp.Spec.Cesrm { policy = Cesrm.Policy.Most_recent; retention = Cesrm.Retention.default; router_assist = false };
+        Exp.Spec.Cesrm { retention = Cesrm.Retention.default; router_assist = false };
       ];
     base_seed = 7L;
     n_seeds = 1;
@@ -425,8 +425,8 @@ let () =
              ("rh-1024 cesrm@recent:1", rh, Some "recent:1", rh_shared);
              ("rh-1024 cesrm@recent", rh, Some "recent", rh_shared);
              ("rh-1024 cesrm@lru", rh, Some "lru", rh_shared);
-             ("rh-1024 cesrm@ttl", rh, Some "ttl", rh_shared);
              ("rh-1024 cesrm@hotspot", rh, Some "hotspot", rh_shared);
+             ("rh-1024 cesrm@hotspot=inf", rh, Some "hotspot=inf", rh_shared);
              ( "ps-1024 srm", ps, None,
                "rqst=98 exp_rqst=0 repl=955 exp_repl=0 sess=43 detected=307 unrecovered=0 \
                 recoveries=307 lat_sum=407.07739872758106" );
@@ -439,12 +439,12 @@ let () =
              ( "ps-1024 cesrm@lru", ps, Some "lru",
                "rqst=67 exp_rqst=57 repl=505 exp_repl=36 sess=43 detected=307 unrecovered=0 \
                 recoveries=307 lat_sum=284.16249844561906" );
-             ( "ps-1024 cesrm@ttl", ps, Some "ttl",
-               "rqst=78 exp_rqst=42 repl=762 exp_repl=25 sess=43 detected=307 unrecovered=0 \
-                recoveries=307 lat_sum=309.08152589992557" );
              ( "ps-1024 cesrm@hotspot", ps, Some "hotspot",
                "rqst=69 exp_rqst=48 repl=652 exp_repl=31 sess=43 detected=307 unrecovered=0 \
                 recoveries=307 lat_sum=288.40262821668074" );
+             ( "ps-1024 cesrm@hotspot=inf", ps, Some "hotspot=inf",
+               "rqst=89 exp_rqst=10 repl=841 exp_repl=8 sess=43 detected=307 unrecovered=0 \
+                recoveries=307 lat_sum=353.98520225427973" );
            ])
         @ [
             Alcotest.test_case "multi-entry beats recent:1 on ps" `Quick
