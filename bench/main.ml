@@ -7,7 +7,8 @@
      dune exec bench/main.exe                 (default: 6000 packets/trace)
      dune exec bench/main.exe -- --full       (full Table 1 packet counts)
      dune exec bench/main.exe -- --packets N
-     dune exec bench/main.exe -- --sections fig1,fig5b
+     dune exec bench/main.exe -- --sections fig1,fig5b  (an unknown name is
+                                               an error listing the known ones)
      dune exec bench/main.exe -- --jobs 8     (shard the per-trace pair
                                                runs across 8 forked
                                                workers; results identical)
@@ -221,24 +222,29 @@ let write_json ~file doc =
 
 (* Machine-dependent numbers (wall, allocation, events/sec, heap) live
    under a "machine" key in the scale and steady reports: numeric for
-   downstream tooling, never compared by --baseline — the simulation
-   counters outside it are deterministic and gate exactly. *)
-let is_machine_path path = List.mem "machine" (String.split_on_char '/' path)
+   downstream tooling, never compared by --baseline. The run's own
+   parameters live under "meta". *)
+let under key path = List.mem key (String.split_on_char '/' path)
 
-(* Diff this run's timings against a stored --json file. Wall-clock
-   noise is real, so the thresholds are loose: 25% relative and 50 ms
-   absolute, enough to catch an injected slowdown but not scheduler
-   jitter. Returns the number of flagged metrics (exit status). *)
-let diff_against_baseline ~file doc =
+(* Diff this run against a stored --json file. Returns the number of
+   flagged metrics (exit status). The scale and steady reports outside
+   "machine" and "meta" are deterministic simulation counters, so
+   [exact] flags any change in them. The default report's section
+   timings are wall clock, whose noise is real, so they get loose
+   thresholds: 25% relative and 50 ms absolute, enough to catch an
+   injected slowdown but not scheduler jitter. *)
+let diff_against_baseline ?(exact = false) ~file doc =
   match Obs.Json.parse_file file with
   | Error msg ->
       Printf.eprintf "baseline %s: %s\n" file msg;
       1
   | Ok base ->
-      let thresholds = { Obs.Diff.rel = 0.25; abs = 0.050 } in
-      let entries =
-        Obs.Diff.diff ~thresholds ~ignore:is_machine_path ~base ~current:doc ()
+      let thresholds, ignore =
+        if exact then
+          ({ Obs.Diff.rel = 0.; abs = 0. }, fun p -> under "machine" p || under "meta" p)
+        else ({ Obs.Diff.rel = 0.25; abs = 0.050 }, under "machine")
       in
+      let entries = Obs.Diff.diff ~thresholds ~ignore ~base ~current:doc () in
       Printf.printf "---- vs baseline %s ----\n" file;
       print_string (Obs.Diff.render entries);
       List.length (Obs.Diff.flagged entries)
@@ -283,22 +289,26 @@ let all_pairs =
                rest)
        Mtrace.Meta.all)
 
+(* The reproduction's sections in run order; [reproduction] runs the
+   wanted ones, then writes the CSVs. *)
+let reproduction_sections =
+  let over_all f () = print_string (f (Lazy.force all_pairs)) in
+  let per_featured f () = List.iter (fun p -> print_string (f p)) (Lazy.force featured_pairs) in
+  [
+    ("table1", over_all Harness.Figures.table1);
+    ("attribution", over_all Harness.Figures.attribution_accuracy);
+    ("fig1", per_featured Harness.Figures.figure1);
+    ("fig2", per_featured Harness.Figures.figure2);
+    ("fig3", per_featured Harness.Figures.figure3);
+    ("fig4", per_featured Harness.Figures.figure4);
+    ("fig5a", over_all Harness.Figures.figure5a);
+    ("fig5b", over_all Harness.Figures.figure5b);
+    ("summary", over_all Harness.Figures.summary);
+    ("analysis", over_all Harness.Analysis.report);
+  ]
+
 let reproduction () =
-  section "table1" (fun () -> print_string (Harness.Figures.table1 (Lazy.force all_pairs)));
-  section "attribution" (fun () ->
-      print_string (Harness.Figures.attribution_accuracy (Lazy.force all_pairs)));
-  section "fig1" (fun () ->
-      List.iter (fun p -> print_string (Harness.Figures.figure1 p)) (Lazy.force featured_pairs));
-  section "fig2" (fun () ->
-      List.iter (fun p -> print_string (Harness.Figures.figure2 p)) (Lazy.force featured_pairs));
-  section "fig3" (fun () ->
-      List.iter (fun p -> print_string (Harness.Figures.figure3 p)) (Lazy.force featured_pairs));
-  section "fig4" (fun () ->
-      List.iter (fun p -> print_string (Harness.Figures.figure4 p)) (Lazy.force featured_pairs));
-  section "fig5a" (fun () -> print_string (Harness.Figures.figure5a (Lazy.force all_pairs)));
-  section "fig5b" (fun () -> print_string (Harness.Figures.figure5b (Lazy.force all_pairs)));
-  section "summary" (fun () -> print_string (Harness.Figures.summary (Lazy.force all_pairs)));
-  section "analysis" (fun () -> print_string (Harness.Analysis.report (Lazy.force all_pairs)));
+  List.iter (fun (name, body) -> section name body) reproduction_sections;
   match !csv_dir with
   | None -> ()
   | Some dir ->
@@ -307,36 +317,51 @@ let reproduction () =
 
 let ablation_packets () = match !n_packets with Some n -> min n 4000 | None -> 4000
 
-let ablations () =
-  let n = ablation_packets () in
+let ablation_sections =
+  let n () = ablation_packets () in
   let featured3 = [ Mtrace.Meta.nth 1; Mtrace.Meta.nth 7; Mtrace.Meta.nth 11 ] in
-  section "ablation-retention" (fun () ->
-      print_string (Harness.Ablation.retentions ~n_packets:n featured3));
-  section "ablation-cache" (fun () ->
-      print_string (Harness.Ablation.cache_sizes ~n_packets:n (Mtrace.Meta.nth 1)));
-  section "ablation-reorder" (fun () ->
-      print_string (Harness.Ablation.reorder_delays ~n_packets:n (Mtrace.Meta.nth 1)));
-  section "ablation-linkdelay" (fun () ->
-      print_string (Harness.Ablation.link_delays ~n_packets:n (Mtrace.Meta.nth 7)));
-  section "ablation-lossy" (fun () ->
-      print_string
-        (Harness.Ablation.lossy_recovery ~n_packets:n [ Mtrace.Meta.nth 1; Mtrace.Meta.nth 9 ]));
-  section "ablation-router-assist" (fun () ->
-      print_string (Harness.Ablation.router_assist ~n_packets:n featured3));
-  section "ablation-reordering" (fun () ->
-      print_string (Harness.Ablation.reordering ~n_packets:n (Mtrace.Meta.nth 1)));
-  section "ablation-lossy-sessions" (fun () ->
-      print_string (Harness.Ablation.lossy_sessions ~n_packets:n [ Mtrace.Meta.nth 9 ]));
-  section "ablation-adaptive" (fun () ->
-      print_string
-        (Harness.Ablation.adaptive_timers ~n_packets:n [ Mtrace.Meta.nth 1; Mtrace.Meta.nth 11 ]));
-  section "extension-churn" (fun () ->
-      print_string (Harness.Churn.report ~n_packets:n (Mtrace.Meta.nth 7)));
-  section "extension-scaling" (fun () ->
-      print_string (Harness.Ablation.scaling ~n_packets:(min n 3000) ()));
-  section "ablation-heterogeneous" (fun () ->
-      print_string
-        (Harness.Ablation.heterogeneous ~n_packets:n [ Mtrace.Meta.nth 1; Mtrace.Meta.nth 9 ]))
+  [
+    ( "ablation-retention",
+      fun () -> print_string (Harness.Ablation.retentions ~n_packets:(n ()) featured3) );
+    ( "ablation-cache",
+      fun () -> print_string (Harness.Ablation.cache_sizes ~n_packets:(n ()) (Mtrace.Meta.nth 1))
+    );
+    ( "ablation-reorder",
+      fun () ->
+        print_string (Harness.Ablation.reorder_delays ~n_packets:(n ()) (Mtrace.Meta.nth 1)) );
+    ( "ablation-linkdelay",
+      fun () -> print_string (Harness.Ablation.link_delays ~n_packets:(n ()) (Mtrace.Meta.nth 7))
+    );
+    ( "ablation-lossy",
+      fun () ->
+        print_string
+          (Harness.Ablation.lossy_recovery ~n_packets:(n ())
+             [ Mtrace.Meta.nth 1; Mtrace.Meta.nth 9 ]) );
+    ( "ablation-router-assist",
+      fun () -> print_string (Harness.Ablation.router_assist ~n_packets:(n ()) featured3) );
+    ( "ablation-reordering",
+      fun () -> print_string (Harness.Ablation.reordering ~n_packets:(n ()) (Mtrace.Meta.nth 1))
+    );
+    ( "ablation-lossy-sessions",
+      fun () ->
+        print_string (Harness.Ablation.lossy_sessions ~n_packets:(n ()) [ Mtrace.Meta.nth 9 ]) );
+    ( "ablation-adaptive",
+      fun () ->
+        print_string
+          (Harness.Ablation.adaptive_timers ~n_packets:(n ())
+             [ Mtrace.Meta.nth 1; Mtrace.Meta.nth 11 ]) );
+    ( "extension-churn",
+      fun () -> print_string (Harness.Churn.report ~n_packets:(n ()) (Mtrace.Meta.nth 7)) );
+    ( "extension-scaling",
+      fun () -> print_string (Harness.Ablation.scaling ~n_packets:(min (n ()) 3000) ()) );
+    ( "ablation-heterogeneous",
+      fun () ->
+        print_string
+          (Harness.Ablation.heterogeneous ~n_packets:(n ())
+             [ Mtrace.Meta.nth 1; Mtrace.Meta.nth 9 ]) );
+  ]
+
+let ablations () = List.iter (fun (name, body) -> section name body) ablation_sections
 
 (* --- Bechamel micro-benchmarks ------------------------------------- *)
 
@@ -369,16 +394,6 @@ let bechamel () =
               Net.Cost.record_crossing c Net.Cost.Reply Net.Cost.Multicast
             done;
             ignore (Net.Cost.retransmission_overhead c));
-        make "substrate:event-heap-10k" (fun () ->
-            let h = Sim.Heap.create ~cmp:Int.compare in
-            for i = 10_000 downto 1 do
-              Sim.Heap.add h i
-            done;
-            let acc = ref 0 in
-            while not (Sim.Heap.is_empty h) do
-              acc := !acc + Sim.Heap.pop_exn h
-            done;
-            ignore !acc);
         make "substrate:gilbert-50k" (fun () ->
             let model = Mtrace.Gilbert.of_marginal ~loss_rate:0.05 ~mean_burst:2.5 in
             ignore (Mtrace.Gilbert.run model (Sim.Rng.create 7L) 50_000));
@@ -483,7 +498,7 @@ let scale_family_name row =
    OCaml), so they are numbers the --baseline diff compares exactly;
    wall, allocation and events/sec depend on the machine, so they go
    in the leg's "machine" sub-object — numeric, but excluded from the
-   diff by [is_machine_path]. *)
+   diff (see [diff_against_baseline]). *)
 (* One timed leg. [Gc.allocated_bytes] only sees this process, so
    [alloc_mb] is meaningful for serial runs; sharded legs take their
    allocation figure from the serial reference run instead. Events
@@ -663,7 +678,7 @@ let scale_main profile =
   Option.iter (fun file -> write_json ~file doc) !json_file;
   match !baseline_file with
   | None -> ()
-  | Some file -> if diff_against_baseline ~file doc > 0 then exit 1
+  | Some file -> if diff_against_baseline ~exact:true ~file doc > 0 then exit 1
 
 (* --- Steady profiles (--steady smoke|full) -------------------------- *)
 
@@ -851,10 +866,23 @@ let steady_main profile =
   Option.iter (fun file -> write_json ~file doc) !json_file;
   match !baseline_file with
   | None -> ()
-  | Some file -> if diff_against_baseline ~file doc > 0 then exit 1
+  | Some file -> if diff_against_baseline ~exact:true ~file doc > 0 then exit 1
+
+(* Every name --sections accepts, in run order. *)
+let section_names =
+  ("smoke" :: List.map fst reproduction_sections) @ List.map fst ablation_sections @ [ "bechamel" ]
 
 let () =
   parse_args ();
+  Option.iter
+    (fun names ->
+      match List.filter (fun name -> not (List.mem name section_names)) names with
+      | [] -> ()
+      | unknown ->
+          failwith
+            (Printf.sprintf "unknown --sections name(s): %s (known: %s)"
+               (String.concat ", " unknown) (String.concat ", " section_names)))
+    !sections_filter;
   match (!scale_profile, !steady_profile) with
   | Some profile, _ -> scale_main profile
   | None, Some profile -> steady_main profile

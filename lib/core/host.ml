@@ -291,8 +291,10 @@ let on_packet t (p : Net.Packet.t) =
       if replier = t.self then handle_expedited_request t ~src ~seq ~requestor ~d_qs ~turning_point
   | _ -> Srm.Host.on_packet t.srm p
 
-let create ?domain ~network ~self ~params ~config ~n_packets ~counters ~recoveries () =
-  let srm = Srm.Host.create ?domain ~network ~self ~params ~n_packets ~counters ~recoveries () in
+let create ?domain ~network ~self ~params ~config ~n_packets ~period ~counters ~recoveries () =
+  let srm =
+    Srm.Host.create ?domain ~network ~self ~params ~n_packets ~period ~counters ~recoveries ()
+  in
   let dead_repliers = Hashtbl.create 8 in
   let t =
     {

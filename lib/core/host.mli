@@ -60,17 +60,19 @@ val create :
   params:Srm.Params.t ->
   config:config ->
   n_packets:int ->
+  period:float ->
   counters:Stats.Counters.t ->
   recoveries:Stats.Recovery.t ->
   unit ->
   t
-(** [domain] switches on hierarchical local recovery in the underlying
-    SRM host (see {!Srm.Host.create}) and makes the expedited scheme
-    domain-aware: the pair choice prefers cached pairs whose replier lives
-    in this member's recovery domain (falling back to any live
-    replier), and expedited replies are scoped to the requestor's
-    domain instead of multicast group-wide. Without it the host is
-    byte-identical to classic CESRM. *)
+(** [n_packets], [period] and [domain] as in {!Srm.Host.create}:
+    [domain] switches on hierarchical local recovery in the underlying
+    SRM host and makes the expedited scheme domain-aware: the pair
+    choice prefers cached pairs whose replier lives in this member's
+    recovery domain (falling back to any live replier), and expedited
+    replies are scoped to the requestor's domain instead of multicast
+    group-wide. Without it the host is byte-identical to classic
+    CESRM. *)
 
 val srm : t -> Srm.Host.t
 (** The underlying SRM machinery (for queries: [has_packet], …). *)

@@ -3,7 +3,8 @@ type t = Host.t Srm.Proto.group
 let deploy ?(config = Host.default_config) ?owned ?domain ~network ~params ~n_packets ~period () =
   Srm.Proto.deploy_with ?owned ~network ~n_packets ~period ~on_packet:Host.on_packet ~srm:Host.srm
     ~create:(fun ~self ~counters ~recoveries ->
-      Host.create ?domain ~network ~self ~params ~config ~n_packets ~counters ~recoveries ())
+      Host.create ?domain ~network ~self ~params ~config ~n_packets ~period ~counters ~recoveries
+        ())
     ()
 
 let start = Srm.Proto.start

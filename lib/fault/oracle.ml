@@ -1,26 +1,20 @@
-type config = {
-  max_expedited_retry : int;
-  max_requests_per_loss : int;
-  max_replies_per_loss : int;
-  max_departed_retry : int;
-}
+(* The bounds, generous enough that only genuinely broken suppression
+   trips them. *)
+let max_expedited_retry = 12
 
-let default_config =
-  {
-    max_expedited_retry = 12;
-    max_requests_per_loss = 200;
-    max_replies_per_loss = 16;
-    (* Small: a CESRM host may have expedited timers already armed at
-       the instant its cached replier departs (those in-flight retries
-       are legitimate), but a host that keeps unicasting a ghost past
-       that has failed to invalidate the pair. *)
-    max_departed_retry = 2;
-  }
+let max_requests_per_loss = 200
+
+let max_replies_per_loss = 16
+
+(* Small: a CESRM host may have expedited timers already armed at the
+   instant its cached replier departs (those in-flight retries are
+   legitimate), but a host that keeps unicasting a ghost past that has
+   failed to invalidate the pair. *)
+let max_departed_retry = 2
 
 type violation = { at : float; node : int; invariant : string; detail : string }
 
 type t = {
-  config : config;
   network : Net.Network.t option; (* None for an {!assemble}d merge result *)
   clock : Sim.Engine.clock option; (* the network engine's, read unboxed per event *)
   (* (node, src, seq) -> detection time, removed on first obtain *)
@@ -84,12 +78,11 @@ let member_at t node ~at =
    worker replays the merged cross-shard tap stream in timestamp
    order. *)
 let observe t ~at ~from:_ (p : Net.Packet.t) =
-  let config = t.config in
   match p.payload with
   | Net.Packet.Exp_request { requestor; replier; src; seq; _ } ->
       let n = 1 + Option.value ~default:0 (Hashtbl.find_opt t.exp_streak (requestor, replier)) in
       Hashtbl.replace t.exp_streak (requestor, replier) n;
-      if n > config.max_expedited_retry then
+      if n > max_expedited_retry then
         latch_once t ~invariant:"expedited-retry" ~a:requestor ~b:replier (fun () ->
             violate t ~at ~node:requestor ~invariant:"expedited-retry"
               (Printf.sprintf
@@ -101,7 +94,7 @@ let observe t ~at ~from:_ (p : Net.Packet.t) =
           1 + Option.value ~default:0 (Hashtbl.find_opt t.ghost_streak (requestor, replier))
         in
         Hashtbl.replace t.ghost_streak (requestor, replier) g;
-        if g > config.max_departed_retry then
+        if g > max_departed_retry then
           latch_once t ~invariant:"expedited-retry-departed" ~a:requestor ~b:replier (fun () ->
               violate t ~at ~node:requestor ~invariant:"expedited-retry-departed"
                 (Printf.sprintf
@@ -135,7 +128,7 @@ let observe t ~at ~from:_ (p : Net.Packet.t) =
         let key = (replier, src, seq) in
         let n = 1 + Option.value ~default:0 (Hashtbl.find_opt t.replies key) in
         Hashtbl.replace t.replies key n;
-        if n > config.max_replies_per_loss then
+        if n > max_replies_per_loss then
           latch_once t ~invariant:"reply-suppression" ~a:replier ~b:((src * 1_000_000) + seq)
             (fun () ->
               violate t ~at ~node:replier ~invariant:"reply-suppression"
@@ -145,16 +138,15 @@ let observe t ~at ~from:_ (p : Net.Packet.t) =
       let key = (requestor, src, seq) in
       let n = 1 + Option.value ~default:0 (Hashtbl.find_opt t.requests key) in
       Hashtbl.replace t.requests key n;
-      if n > config.max_requests_per_loss then
+      if n > max_requests_per_loss then
         latch_once t ~invariant:"request-suppression" ~a:requestor ~b:((src * 1_000_000) + seq)
           (fun () ->
             violate t ~at ~node:requestor ~invariant:"request-suppression"
               (Printf.sprintf "%d requests for src %d seq %d" n src seq))
   | Net.Packet.Request _ | Net.Packet.Data _ | Net.Packet.Session _ -> ()
 
-let make ?(config = default_config) network =
+let make network =
   {
-    config;
     network;
     clock = Option.map (fun n -> Sim.Engine.clock (Net.Network.engine n)) network;
     pending = Hashtbl.create 256;
@@ -171,15 +163,15 @@ let make ?(config = default_config) network =
     finalized = false;
   }
 
-let create_detached ?config ~network () = make ?config (Some network)
+let create_detached ~network = make (Some network)
 
 let now t =
   match t.clock with
   | Some clock -> clock.now
   | None -> invalid_arg "Oracle: no network (assembled result)"
 
-let create ?config ~network () =
-  let t = make ?config (Some network) in
+let create ~network =
+  let t = make (Some network) in
   Net.Network.add_tap network (fun ~from p -> observe t ~at:(now t) ~from p);
   t
 

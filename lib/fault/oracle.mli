@@ -10,23 +10,25 @@
     - {b no duplicate delivery}: a member obtains each (src, seq) at
       most once — recovery may duplicate packets on the wire, never to
       the application;
-    - {b bounded expedited retry}: CESRM may keep unicasting a cached
-      replier only so many consecutive times without {e anything}
-      being heard back from it — past the bound it must have fallen
+    - {b bounded expedited retry}: a CESRM requestor may keep
+      unicasting a cached replier only 12 consecutive times without
+      {e anything} being heard back from it — past the bound it must
+      have fallen
       back to SRM and moved off the silent (dead) replier. Any reply
       from the replier resets the bound: a live replier may
       legitimately draw many expedited requests it cannot answer
       (post-heal it can lack the very packets it is asked for, while
       its other replies keep it cached);
-    - {b suppression sanity}: per loss, one member sends at most a
-      bounded number of requests and of replies — timers, abstinence
-      and back-off must keep working under churn;
+    - {b suppression sanity}: per loss, one member sends at most 200
+      requests and at most 16 replies — timers, abstinence and
+      back-off must keep working under churn;
     - {b no delivery to departed hosts}: a member that left the group
       must not obtain packets — churn must actually silence it;
     - {b no expedited retries pinned on a departed replier}: once a
       cached replier leaves the group (per the membership timeline fed
-      through {!note_membership}), at most a couple of already-armed
-      expedited requests may still reach for it — past that bound the
+      through {!note_membership}), at most two already-armed expedited
+      requests per requestor may still reach for it (in-flight timers
+      may legitimately straddle the leave) — past that bound the
       cached pair should have been invalidated and CESRM fallen back
       to SRM recovery.
 
@@ -39,26 +41,8 @@
 
     Violations are recorded as structured events, exported as JSON and
     counted into {!Stats.Counters} (kind [Oracle]) by the runner. A run
-    with no violations is {!clean}. *)
-
-type config = {
-  max_expedited_retry : int;
-      (** consecutive expedited requests to one replier without any
-          reply heard from it before the retry is deemed unbounded *)
-  max_requests_per_loss : int;  (** per (member, src, seq) *)
-  max_replies_per_loss : int;  (** per (replier, src, seq) *)
-  max_departed_retry : int;
-      (** expedited requests tolerated to a replier {e after it left
-          the group} (in-flight timers armed before the leave), per
-          (requestor, replier) *)
-}
-
-val default_config : config
-(** Retry bound 12, requests 200, replies 16 — generous enough that
-    only genuinely broken suppression trips them — and departed-retry
-    2 (in-flight expedited timers may legitimately straddle a leave;
-    a third unicast to the ghost means the pair was never
-    invalidated). *)
+    with no violations is {!clean}. The numeric bounds are generous
+    enough that only genuinely broken suppression trips them. *)
 
 type violation = {
   at : float;  (** sim time the violation was established *)
@@ -72,11 +56,11 @@ type violation = {
 
 type t
 
-val create : ?config:config -> network:Net.Network.t -> unit -> t
+val create : network:Net.Network.t -> t
 (** Installs a (composing) packet tap on the network; per-member hooks
     are added with {!attach_host}. *)
 
-val create_detached : ?config:config -> network:Net.Network.t -> unit -> t
+val create_detached : network:Net.Network.t -> t
 (** Like {!create} but without the packet tap: feed the stream
     explicitly with {!observe}. A sharded run uses this — the primary
     worker replays the merged cross-shard tap stream in timestamp

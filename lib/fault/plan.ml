@@ -107,8 +107,8 @@ let validate ~tree t =
 
 (* --- compilation ---------------------------------------------------- *)
 
-let compile ~network ?(on_crash = fun ~node:_ -> ()) ?(on_restart = fun ~node:_ -> ())
-    ?(on_join = fun ~node:_ -> ()) ?(on_leave = fun ~node:_ -> ()) t =
+let compile ~network ?(on_restart = fun ~node:_ -> ()) ?(on_join = fun ~node:_ -> ())
+    ?(on_leave = fun ~node:_ -> ()) t =
   (match validate ~tree:(Net.Network.tree network) t with
   | Ok _ -> ()
   | Error msg -> invalid_arg (Printf.sprintf "Fault.Plan.compile: %s" msg));
@@ -134,8 +134,7 @@ let compile ~network ?(on_crash = fun ~node:_ -> ()) ?(on_restart = fun ~node:_ 
       | Crash { node; at; restart_at } ->
           ignore
             (Sim.Engine.schedule_at engine ~at (fun () ->
-                 Net.Network.set_enabled network node false;
-                 on_crash ~node));
+                 Net.Network.set_enabled network node false));
           Option.iter
             (fun at ->
               ignore

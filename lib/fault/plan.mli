@@ -70,7 +70,6 @@ val validate : tree:Net.Tree.t -> t -> (t, string) result
 
 val compile :
   network:Net.Network.t ->
-  ?on_crash:(node:int -> unit) ->
   ?on_restart:(node:int -> unit) ->
   ?on_join:(node:int -> unit) ->
   ?on_leave:(node:int -> unit) ->
@@ -78,12 +77,12 @@ val compile :
   unit
 (** Install the plan onto a network and its engine. Call before
     [Sim.Engine.run]; events are compiled in list order (determinism).
-    [on_crash]/[on_restart] fire from the crash timers {e after} the
-    node's enabled flag is flipped — the runner uses them to drop the
-    member's soft protocol state. Membership events lower onto
-    {!Net.Network.set_member}: [Join] nodes are excluded from the
-    group at compile time (uncounted — a starting condition) and
-    restored by a timer at their join time; [on_join]/[on_leave] fire
+    [on_restart] fires from the restart timer {e after} the node is
+    re-enabled — the runner uses it to drop the member's soft protocol
+    state. Membership events lower onto {!Net.Network.set_member}:
+    [Join] nodes are excluded from the group at compile time
+    (uncounted — a starting condition) and restored by a timer at
+    their join time; [on_join]/[on_leave] fire
     {e after} the membership flip, and the runner uses them to
     baseline a joiner's detection window and to drop / invalidate a
     departed member's state group-wide.

@@ -55,7 +55,7 @@ let observe t ~at ~from (p : Net.Packet.t) =
       Hashtbl.replace t.requested (src, seq) ();
       bump t.requests (requestor, src, seq);
       let n = Hashtbl.find t.requests (requestor, src, seq) in
-      if n > Srm.Params.default.max_rounds + 1 then
+      if n > Srm.Params.max_rounds + 1 then
         flag t "request-rounds-bounded"
           (Printf.sprintf "host %d sent %d requests for seq %d" requestor n seq)
   | Net.Packet.Exp_request { src; seq; requestor; _ } when seq > floor_of t src ->

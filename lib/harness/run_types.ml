@@ -361,7 +361,7 @@ let build ?shard ?tracer ?registry ?fault_plan ?steady ?on_retire ?domain ~setup
     Option.map
       (fun plan ->
         let create = if serial then Fault.Oracle.create else Fault.Oracle.create_detached in
-        let o = create ~network () in
+        let o = create ~network in
         List.iter
           (fun node -> Fault.Oracle.note_membership o ~node ~at:0. ~member:false)
           (Fault.Plan.initial_absentees plan);

@@ -151,34 +151,9 @@ let run_model ?(setup = default_setup) ?tracer ?registry ?fault_plan ?(shards = 
   in
   let tree = Mtrace.Trace.tree trace in
   (* Recovery domains: built once (pure topology, no randomness) and
-     shared by every host. Scoped request timers aim at arbitrary
-     designated repliers, whose distances the session exchange never
-     converges for — domain runs therefore force true tree distances
-     (the converged steady state, as scale runs already do). With
-     [domains] absent nothing here touches the setup, so flat runs stay
-     byte-identical. *)
+     shared by every host, which derives true distances and its
+     in-flight allowance from it (see [Srm.Host.create]). *)
   let domain = Option.map (fun spec -> Rdomain.of_tree ~tree spec) domains in
-  let setup =
-    match domain with
-    | Some _ ->
-        (* Domain timers fire on local round-trips, so session-driven
-           detection additionally needs the in-flight allowance (see
-           {!Srm.Params.domain_inflight_period}) — anchor it to the
-           trace's send period unless the caller pinned one. *)
-        let params = setup.params in
-        let params =
-          if params.Srm.Params.oracle_distances then params
-          else { params with Srm.Params.oracle_distances = true }
-        in
-        let params =
-          match params.Srm.Params.domain_inflight_period with
-          | Some _ -> params
-          | None ->
-              { params with Srm.Params.domain_inflight_period = Some (Mtrace.Trace.period trace) }
-        in
-        if params == setup.params then setup else { setup with params }
-    | None -> setup
-  in
   let serial () =
     let m =
       Run_types.build ?tracer ?registry ?fault_plan ?steady ?on_retire ?domain ~setup protocol
@@ -207,18 +182,13 @@ let run_model ?(setup = default_setup) ?tracer ?registry ?fault_plan ?(shards = 
    deliveries per period, n^2 echo state) and the default-distance
    timers collapse into reply implosion. Scale runs therefore model
    the converged steady state the paper's Section 4.3 assumes: true
-   tree distances ([oracle_distances]), session ticks from the source
-   only ([session_sources_only] — its max-seq advertisements are what
-   tail-loss detection needs), and a capped echo table should sessions
-   be re-enabled by hand. Deep chains additionally shrink the per-link
-   delay so the source-to-leaf path stays within the recovery timers'
-   reach. Caller-pinned option values win. *)
+   tree distances ([oracle_distances]) and session ticks from the
+   source only ([session_sources_only] — its max-seq advertisements
+   are what tail-loss detection needs, and with no receiver sending
+   there is no echo table to grow). Deep chains additionally shrink
+   the per-link delay so the source-to-leaf path stays within the
+   recovery timers' reach. *)
 let scale_setup ?domains ~family ~n_members setup =
-  let session_echo_limit =
-    match setup.params.Srm.Params.session_echo_limit with
-    | Some _ as pinned -> pinned
-    | None -> Some 32
-  in
   (* Probabilistic-suppression windows widen as log2(n): with fixed C2
      and D2 the number of same-event requests and replies that fire
      before the first one propagates grows linearly with the group —
@@ -240,8 +210,7 @@ let scale_setup ?domains ~family ~n_members setup =
   let params =
     {
       setup.params with
-      Srm.Params.session_echo_limit;
-      oracle_distances = true;
+      Srm.Params.oracle_distances = true;
       session_sources_only = true;
       c2 = Float.max setup.params.Srm.Params.c2 spread;
       d2 = Float.max setup.params.Srm.Params.d2 spread;

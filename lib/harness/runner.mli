@@ -178,9 +178,10 @@ val run_model :
     recovery domains ({!Rdomain}) shared by every host: requests and
     repairs are scoped to the requestor's domain chain and escalate on
     unanswered rounds, each domain's designated replier is preferred
-    for replies and expedited pairs, and true tree distances are
-    forced on (scoped timers aim at arbitrary repliers the session
-    exchange never converges for). SRM and CESRM only (see
+    for replies and expedited pairs, and each host reads true tree
+    distances and holds session-driven detection for an in-flight
+    allowance counted in the trace's send period ({!Srm.Host.create};
+    [setup.params] is left as given). SRM and CESRM only (see
     {!rejected}); runs on the serial engine (scoped casts need the
     global tree — see {!shardable}). Without [domains] every run is
     byte-identical to before the mode existed. *)
@@ -258,10 +259,11 @@ val run_leg :
     group size: hosts read true tree distances instead of warming them
     up over session echoes ([Srm.Params.oracle_distances]), only the
     source runs the periodic session tick
-    ([Srm.Params.session_sources_only]), the session echo table is
-    capped ([session_echo_limit], unless the caller pinned it), and
-    deep-chain trees use a 1 ms link delay so the worst-case path
-    stays within the recovery timers' reach.
+    ([Srm.Params.session_sources_only]), so no member echoes a peer,
+    the probabilistic-suppression windows C2 and D2 widen to at least
+    [3 · log2] of the group size, and deep-chain trees use a 1 ms link
+    delay so the worst-case path stays within the recovery timers'
+    reach.
     @raise Invalid_argument on a fault name {!fault_plan} cannot
     resolve, or a configuration {!rejected} names. *)
 

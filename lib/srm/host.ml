@@ -39,8 +39,9 @@ type hooks = {
 
 (* Hierarchical local recovery (lib/domain): the host's own domain and
    chain height are resolved once at creation; per-request escalation
-   levels index into them. *)
-type domain_ctx = { dmap : Rdomain.t; my_dom : int; max_lvl : int }
+   levels index into them. [period] is the source's send period, which
+   the in-flight allowance counts in. *)
+type domain_ctx = { dmap : Rdomain.t; my_dom : int; max_lvl : int; period : float }
 
 (* A stream's float state for the domain-mode in-flight allowance,
    flat so a data arrival's store into [last_data_at] allocates
@@ -236,8 +237,8 @@ let dist_to_source ?(src = 0) t = dist_to t src
 let level_for ~local_rounds ~max_lvl round =
   if round < local_rounds then 0 else min max_lvl (1 lsl min 30 (round - local_rounds))
 
-let level_of t ctx ~round =
-  level_for ~local_rounds:t.params.Params.domain_local_rounds ~max_lvl:ctx.max_lvl round
+let level_of ctx ~round =
+  level_for ~local_rounds:Params.domain_local_rounds ~max_lvl:ctx.max_lvl round
 
 (* The distance a request timer scales by: flat SRM uses the source,
    domain mode the escalation level's designated replier — so local
@@ -247,7 +248,7 @@ let request_dist t ~src ~round =
   match t.domain with
   | None -> dist_to_source ~src t
   | Some ctx ->
-      dist_to t (Rdomain.request_target ctx.dmap ~node:t.self ~level:(level_of t ctx ~round))
+      dist_to t (Rdomain.request_target ctx.dmap ~node:t.self ~level:(level_of ctx ~round))
 
 (* Reply transmission for a requestor at a given round: a repair
    subcast flooding the {e entire subtree} under the round's scope
@@ -264,7 +265,7 @@ let domain_transmit t ~requestor ~round =
   | Some ctx ->
       let dom = Rdomain.dom_of ctx.dmap requestor in
       let level =
-        level_for ~local_rounds:t.params.Params.domain_local_rounds
+        level_for ~local_rounds:Params.domain_local_rounds
           ~max_lvl:(Rdomain.max_level ctx.dmap ~dom)
           round
       in
@@ -305,7 +306,7 @@ let d2 t = match t.adaptive with Some a -> Adaptive.d2 a | None -> t.params.Para
 let[@inline] backoff_factor t round =
   match t.domain with
   | None -> two_pow round
-  | Some _ -> two_pow (min round t.params.Params.domain_local_rounds)
+  | Some _ -> two_pow (min round Params.domain_local_rounds)
 
 let arm_request t ~src seq (st : request_state) =
   let d = request_dist t ~src ~round:st.backoff in
@@ -336,7 +337,7 @@ let fire_request t k =
     (match t.domain with
     | None -> Net.Network.multicast t.network ~from:t.self packet
     | Some ctx ->
-        let level = level_of t ctx ~round:st.backoff in
+        let level = level_of ctx ~round:st.backoff in
         if level = 0 then t.n_local_requests <- t.n_local_requests + 1
         else t.n_escalations <- t.n_escalations + 1;
         Net.Network.scoped_cast t.network ~from:t.self
@@ -345,7 +346,7 @@ let fire_request t k =
           packet);
     (* Schedule the next round: k increments, the interval doubles, and
        a fresh back-off abstinence period opens (Section 2.1). *)
-    if st.backoff < t.params.Params.max_rounds then begin
+    if st.backoff < Params.max_rounds then begin
       st.backoff <- st.backoff + 1;
       st.times.abstain_until <-
         now t
@@ -457,7 +458,7 @@ let forget_peer t peer =
 (* A request for [seq] was overheard while ours is pending: push ours to
    the next round unless inside the back-off abstinence period. *)
 let back_off_request t ~src seq (st : request_state) =
-  if now t >= st.times.abstain_until && st.backoff < t.params.Params.max_rounds then begin
+  if now t >= st.times.abstain_until && st.backoff < Params.max_rounds then begin
     Sim.Engine.cancel t.engine st.timer;
     st.backoff <- st.backoff + 1;
     st.times.abstain_until <-
@@ -503,8 +504,6 @@ let detect_loss ?(initial_backoff = 0) t ~src seq =
    cancels, making the check depth-independent; one extra period
    absorbs jitter. Without an anchor (no data yet) everything defers:
    the first arrival re-triggers the scan. *)
-let inflight_period t =
-  match t.domain with None -> None | Some _ -> t.params.Params.domain_inflight_period
 
 (* How far past its nominal arrival time a packet may run before the
    gap is declared a loss: one period absorbs send jitter, plus a
@@ -528,8 +527,7 @@ let[@inline] inflight_slack t ~src st =
        | None -> 0.
        | Some _ ->
            let p = t.params in
-           (p.Params.c1 +. p.Params.c2 +. p.Params.d1 +. p.Params.d2
-           +. p.Params.domain_dr_bias +. 2.)
+           (p.Params.c1 +. p.Params.c2 +. p.Params.d1 +. p.Params.d2 +. Params.domain_dr_bias +. 2.)
            *. dist_to_source ~src t));
   st.inflight.slack
 
@@ -563,14 +561,14 @@ let scan_due t ~src ~period =
 let fire_due t src =
   let st = stream t src in
   if not (Sim.Engine.is_pending t.engine st.due_scan) then st.due_scan <- Sim.Engine.no_timer;
-  match inflight_period t with Some period -> scan_due t ~src ~period | None -> ()
+  match t.domain with Some ctx -> scan_due t ~src ~period:ctx.period | None -> ()
 
 (* Evidence that packets 1..m of [src]'s stream exist (sources send
    sequentially): any unseen gap at or below m is a loss — immediately
    in flat mode, once overdue in domain mode. *)
 let seq_exists t ~src m =
   let win = (stream t src).win in
-  match inflight_period t with
+  match t.domain with
   | None ->
       if m > Window.max_seq win then begin
         let first = Window.max_seq win + 1 in
@@ -579,19 +577,19 @@ let seq_exists t ~src m =
           if not (has_packet ~src t ~seq) then detect_loss t ~src seq
         done
       end
-  | Some period ->
+  | Some ctx ->
       Window.note_max_seq win (min m t.n_packets);
-      scan_due t ~src ~period
+      scan_due t ~src ~period:ctx.period
 
 (* Whether [seq] is past the in-flight allowance — gate for detection
    paths that bypass {!seq_exists} (the overheard-request suppression
    join). Always true in flat mode. *)
 let inflight_clear t ~src ~seq =
-  match inflight_period t with
+  match t.domain with
   | None -> true
-  | Some period ->
+  | Some ctx ->
       let st = stream t src in
-      st.inflight.last_data_at > neg_infinity && due_time t ~src st ~period seq <= now t
+      st.inflight.last_data_at > neg_infinity && due_time t ~src st ~period:ctx.period seq <= now t
 
 (* --- obtaining packets -------------------------------------------- *)
 
@@ -730,7 +728,7 @@ let schedule_reply t ~src ~seq ~requestor ~d_qs ~round =
   let w1 =
     match t.domain with
     | Some ctx when not (Rdomain.is_replier ctx.dmap t.self) ->
-        d1 t +. t.params.Params.domain_dr_bias
+        d1 t +. Params.domain_dr_bias
     | _ -> d1 t
   in
   let lo = w1 *. d and w = d2 t *. d in
@@ -870,13 +868,13 @@ let publish_metrics t registry =
       Obs.Registry.observe registry "srm/open_request_rounds" (float_of_int st.backoff))
     t.requests
 
-let create ?domain ~network ~self ~params ~n_packets ~counters ~recoveries () =
+let create ?domain ~network ~self ~params ~n_packets ~period ~counters ~recoveries () =
   let rng = Sim.Rng.split (Sim.Engine.rng (Net.Network.engine network)) in
   let domain =
     Option.map
       (fun dmap ->
         let my_dom = Rdomain.dom_of dmap self in
-        { dmap; my_dom; max_lvl = Rdomain.max_level dmap ~dom:my_dom })
+        { dmap; my_dom; max_lvl = Rdomain.max_level dmap ~dom:my_dom; period })
       domain
   in
   (* The session needs callbacks into the host being constructed; tie
@@ -886,9 +884,11 @@ let create ?domain ~network ~self ~params ~n_packets ~counters ~recoveries () =
   (* Oracle distances are memoized per host: the underlying tree walk
      is O(depth), while the scheduling hot path asks for the same few
      peers (the source, recent requestors) over and over. The memo
-     only ever holds those few. *)
+     only ever holds those few. A domain host always reads them: its
+     request timers aim at designated repliers, whose distances the
+     session exchange never converges for. *)
   let oracle =
-    if params.Params.oracle_distances then (
+    if params.Params.oracle_distances || Option.is_some domain then (
       let memo = Hashtbl.create 8 in
       Some
         (fun peer ->
@@ -901,9 +901,8 @@ let create ?domain ~network ~self ~params ~n_packets ~counters ~recoveries () =
     else None
   in
   let session =
-    Session.create
-      ?echo_limit:params.Params.session_echo_limit ?oracle
-      ~network ~self ~period:params.Params.session_period ~rng:(Sim.Rng.split rng)
+    Session.create ?oracle ~network ~self ~period:params.Params.session_period
+      ~rng:(Sim.Rng.split rng)
       ~get_max_seqs:(fun () -> !get_max_seqs_cell ())
       ~on_max_seq:(fun ~src m -> !on_max_seq_cell ~src m)
       ~on_send:(fun () -> Stats.Counters.bump counters ~node:self Stats.Counters.Sess)
@@ -983,14 +982,14 @@ let create ?domain ~network ~self ~params ~n_packets ~counters ~recoveries () =
            no data yet takes its anchor from this first advertisement
            (as if packet 0 just landed), else a stream lost in its
            entirety would never be declared missing. *)
-        (match (t.domain, params.Params.domain_inflight_period) with
-        | Some _, Some _ ->
+        (match t.domain with
+        | Some _ ->
             let st = stream t src in
             if st.inflight.last_data_at = neg_infinity then begin
               st.inflight.last_data_at <- now t;
               st.last_data_seq <- 0
             end
-        | _ -> ());
+        | None -> ());
         (* [seq_exists] clamps the advertisement to [n_packets] anyway;
            clamped, it packs into a key. *)
         ignore (arm t ~after:grace t.grace_timer (key t ~src ~seq:(min m t.n_packets)))

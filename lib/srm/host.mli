@@ -57,23 +57,32 @@ val create :
   self:int ->
   params:Params.t ->
   n_packets:int ->
+  period:float ->
   counters:Stats.Counters.t ->
   recoveries:Stats.Recovery.t ->
   unit ->
   t
 (** The member joins the group on node [self] of the network's tree.
-    [n_packets] caps each stream's length. Handlers are {e not}
-    registered with the network — the owner dispatches via {!on_packet}
-    (this lets CESRM intercept its own PDUs first).
+    [n_packets] caps each stream's length and [period] is the source's
+    send period. Handlers are {e not} registered with the network —
+    the owner dispatches via {!on_packet} (this lets CESRM intercept
+    its own PDUs first).
 
     [domain] switches on hierarchical local recovery: requests and
     replies travel over {!Net.Network.scoped_cast} restricted to the
     requestor's recovery-domain chain at the request round's
-    escalation level (see {!Params.t.domain_local_rounds}), request
+    escalation level (see {!Params.domain_local_rounds}), request
     timers scale by the distance to the level's designated replier
     instead of the source, and non-designated repliers wait an extra
-    {!Params.t.domain_dr_bias} suppression weight. Without it every
-    code path is byte-identical to classic SRM. *)
+    {!Params.domain_dr_bias} suppression weight. Such a host derives
+    its two other needs from its own inputs: it reads true tree
+    distances (as {!Params.t.oracle_distances} would), because the
+    session exchange never converges for designated repliers; and
+    session-driven detection waits out an in-flight allowance counted
+    in [period], because its request timers fire on local round-trips
+    that a packet still pipelined down a deep path would outrun.
+    Without [domain] every code path is byte-identical to classic SRM
+    and [period] is unused. *)
 
 val network : t -> Net.Network.t
 

@@ -6,15 +6,10 @@ type t = {
   d2 : float;
   d3 : float;
   session_period : float;
-  max_rounds : int;
   adaptive : bool;
   rearm_backoff : float option;
-  session_echo_limit : int option;
   oracle_distances : bool;
   session_sources_only : bool;
-  domain_local_rounds : int;
-  domain_dr_bias : float;
-  domain_inflight_period : float option;
 }
 
 let default =
@@ -26,30 +21,24 @@ let default =
     d2 = 1.;
     d3 = 1.5;
     session_period = 1.;
-    max_rounds = 40;
     adaptive = false;
     rearm_backoff = None;
-    session_echo_limit = None;
     oracle_distances = false;
     session_sources_only = false;
-    domain_local_rounds = 2;
-    domain_dr_bias = 2.;
-    domain_inflight_period = None;
   }
+
+let max_rounds = 40
+
+let domain_local_rounds = 2
+
+let domain_dr_bias = 2.
 
 let validate t =
   if t.c1 < 0. || t.c2 < 0. || t.c3 < 0. || t.d1 < 0. || t.d2 < 0. || t.d3 < 0. then
     Error "scheduling weights must be non-negative"
   else if t.session_period <= 0. then Error "session period must be positive"
-  else if t.max_rounds <= 0 then Error "max_rounds must be positive"
   else if (match t.rearm_backoff with Some w -> w <= 0. | None -> false) then
     Error "rearm_backoff must be positive when set"
-  else if (match t.session_echo_limit with Some k -> k <= 0 | None -> false) then
-    Error "session_echo_limit must be positive when set"
-  else if t.domain_local_rounds <= 0 then Error "domain_local_rounds must be positive"
-  else if t.domain_dr_bias < 0. then Error "domain_dr_bias must be non-negative"
-  else if (match t.domain_inflight_period with Some p -> p <= 0. | None -> false) then
-    Error "domain_inflight_period must be positive when set"
   else Ok t
 
 let pp ppf t =

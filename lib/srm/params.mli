@@ -4,7 +4,11 @@
     [2^k · \[C1·d_hs, (C1+C2)·d_hs\]] and backed off once per round;
     the back-off abstinence period is [2^k · C3 · d_hs]. Replies are
     scheduled uniformly in [\[D1·d_hh', (D1+D2)·d_hh'\]] with a reply
-    abstinence period of [D3 · d_hh']. *)
+    abstinence period of [D3 · d_hh'].
+
+    The record holds what callers set: the paper's six weights and
+    session period (Section 4.3), and four extensions, all off by
+    default. Values no caller varies are the constants below. *)
 
 type t = {
   c1 : float;  (** request deterministic-suppression weight *)
@@ -14,7 +18,6 @@ type t = {
   d2 : float;  (** reply probabilistic-suppression window *)
   d3 : float;  (** reply abstinence weight *)
   session_period : float;  (** seconds between session messages *)
-  max_rounds : int;  (** safety cap on request rounds *)
   adaptive : bool;
       (** adjust C1/C2 and D1/D2 dynamically per host ({!Adaptive});
           the values above are then the starting point *)
@@ -24,17 +27,9 @@ type t = {
           persists, a pending request timer more than this many seconds
           away — exponential back-off pushed it out during an outage —
           is cancelled and rescheduled from round 0, and an exhausted
-          request (all [max_rounds] fired) is re-armed. Keeps recovery
+          request (all {!max_rounds} fired) is re-armed. Keeps recovery
           latency bounded by the session period after a partition
           heals, instead of by [2^k] back-off. *)
-  session_echo_limit : int option;
-      (** scale extension (default [None] = off): cap the number of
-          peer echoes per session message and track only a bounded
-          ring of recently heard peers, echoed round-robin. Keeps
-          per-member session state and per-message work O(1) in group
-          size — essential for 10^3–10^4-receiver synthetic scenarios,
-          where the classic echo-everyone table is quadratic across
-          the group. *)
   oracle_distances : bool;
       (** scale extension (default [false] = off): hosts read peer
           distances straight from the network's delay-weighted tree
@@ -42,51 +37,42 @@ type t = {
           converged steady state the paper's Section 4.3 runs assume
           ("distances are known before data flows"), reached without
           simulating the quadratic session warm-up. Measured estimates,
-          when they exist, still take precedence. *)
+          when they exist, still take precedence. A host with a
+          recovery-domain map always reads them (see [Host.create]). *)
   session_sources_only : bool;
       (** scale extension (default [false] = off): only the data
           source runs the periodic session tick (its [max_seqs]
           advertisements are what tail-loss detection needs); receivers
-          stay silent. Fixed-period all-member sessions are n messages
-          of n deliveries each per period — unaffordable at 10^4
-          members. Only sensible together with [oracle_distances],
-          since silent receivers are never echoed. *)
-  domain_local_rounds : int;
-      (** hierarchical local recovery (active only when the host was
-          created with a recovery-domain map): how many request rounds
-          are spent inside the home domain before the scope starts
-          widening geometrically up the domain chain — rounds
-          [0 .. domain_local_rounds - 1] stay at level 0, round
-          [domain_local_rounds + k] escalates to level [2^k], clamped
-          to the chain top. Default 2. Ignored in flat (domain-less)
-          runs. *)
-  domain_dr_bias : float;
-      (** hierarchical local recovery: extra deterministic-suppression
-          weight added to D1 for repliers that are {e not} a domain's
-          designated replier, giving the designated replier a head
-          start of [bias · d_hh'] before anyone else answers. Default
-          2. Ignored in flat runs. *)
-  domain_inflight_period : float option;
-      (** hierarchical local recovery: the source's inter-packet send
-          period, enabling the in-flight allowance on session-driven
-          loss detection. A session advertisement can name packets
-          still pipelined down a deep path; flat SRM is insulated by
-          request timers scaled to the full source distance, but
-          domain-mode timers fire on {e local} round-trips, so a gap
-          is only declared lost once it is overdue against the host's
-          own data-arrival anchor: [last_data_at + Δseq · period]
-          (constant pipeline lag cancels). [None] (default) keeps the
-          flat grace. Ignored in flat runs — flat behaviour is
-          byte-identical either way. *)
+          stay silent, so no member ever echoes a peer. Fixed-period
+          all-member sessions are n messages of n deliveries each per
+          period — unaffordable at 10^4 members. Only sensible together
+          with [oracle_distances], since silent receivers are never
+          echoed. *)
 }
 
 val default : t
 (** The paper's Section 4.3 settings: C1 = C2 = 2, C3 = 1.5,
-    D1 = D2 = 1, D3 = 1.5, session period 1 s; [rearm_backoff = None]
-    (paper-faithful: no session-driven re-arming). *)
+    D1 = D2 = 1, D3 = 1.5, session period 1 s; every extension off
+    ([rearm_backoff = None]: paper-faithful, no session-driven
+    re-arming). *)
+
+val max_rounds : int
+(** Safety cap on a loss's request rounds: 40. *)
+
+val domain_local_rounds : int
+(** Hierarchical local recovery (hosts with a recovery-domain map
+    only): request rounds [0 .. domain_local_rounds - 1] stay inside
+    the home domain (level 0), and round [domain_local_rounds + k]
+    escalates to level [2^k], clamped to the chain top. 2. *)
+
+val domain_dr_bias : float
+(** Hierarchical local recovery: extra deterministic-suppression
+    weight added to D1 for repliers that are {e not} a domain's
+    designated replier, giving the designated replier a head start of
+    [bias · d_hh'] before anyone else answers. 2. *)
 
 val validate : t -> (t, string) result
-(** Reject negative weights, non-positive session period, and a
-    non-positive round cap. *)
+(** Reject negative weights, a non-positive session period and a
+    non-positive [rearm_backoff]. *)
 
 val pp : Format.formatter -> t -> unit

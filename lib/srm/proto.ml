@@ -36,7 +36,7 @@ let deploy_with ?owned ~create ~on_packet ~srm ~network ~n_packets ~period () =
 let deploy ?owned ?domain ~network ~params ~n_packets ~period () =
   deploy_with ?owned ~network ~n_packets ~period ~on_packet:Host.on_packet ~srm:Fun.id
     ~create:(fun ~self ~counters ~recoveries ->
-      Host.create ?domain ~network ~self ~params ~n_packets ~counters ~recoveries ())
+      Host.create ?domain ~network ~self ~params ~n_packets ~period ~counters ~recoveries ())
     ()
 
 let host t node = List.assoc node t.hosts

@@ -10,12 +10,17 @@
     as [rtt / 2].
 
     Session messages double as a loss-detection channel: a session
-    max-sequence number above the local one reveals tail losses. *)
+    max-sequence number above the local one reveals tail losses.
+
+    The echo table is the classic one: every heard peer, in every
+    message. Its size is quadratic across a group whose members all
+    send sessions; scale runs avoid that by letting only the source
+    send ({!Params.t.session_sources_only}), so there is no peer to
+    echo. *)
 
 type t
 
 val create :
-  ?echo_limit:int ->
   ?oracle:(int -> float) ->
   network:Net.Network.t ->
   self:int ->
@@ -30,42 +35,26 @@ val create :
     [on_max_seq] is invoked for each stream a peer advertises;
     [on_send] is invoked per session message sent (for counting).
 
-    [echo_limit] caps the number of peer echoes per session message
-    (default: unlimited — every heard peer is echoed, the classic SRM
-    behavior, appropriate for trace-sized groups). When set, the host
-    tracks only a bounded ring of recently heard peers and echoes them
-    round-robin, [echo_limit] per message, keeping per-member session
-    state O(1) in the group size.
-
     [oracle] supplies an authoritative distance for peers with no
     measured estimate yet (scale runs pass the network's true
     delay-weighted tree distance — the converged state the paper
     assumes — so timers are well-spread without the quadratic session
-    warm-up). Measured estimates take precedence once they exist.
+    warm-up). Measured estimates take precedence once they exist. *)
 
-    @raise Invalid_argument if [echo_limit] is non-positive. *)
-
-val start : ?jitter:float -> t -> until:float -> unit
-(** Begin periodic transmission after a random offset in
-    [\[0, jitter\]] (default: one period), stopping at [until]. *)
+val start : t -> until:float -> unit
+(** Begin periodic transmission after a random offset within one
+    period, stopping at [until]. *)
 
 val on_packet : t -> Net.Packet.t -> unit
 (** Feed an incoming session packet. Non-session packets are ignored. *)
 
-val distance : t -> int -> float option
-(** Current one-way distance estimate to a peer, if any exchange has
-    completed. *)
-
 val distance_or : t -> int -> default:float -> float
-(** [distance_or t peer ~default] is the estimate, else the [oracle]'s
-    answer, else [default]. Allocation-free variant of {!distance} for
-    the request/reply scheduling hot path. *)
-
-val distance_exn : t -> int -> float
-(** @raise Failure when no estimate exists yet — protocol logic should
-    only need distances after the warm-up phase. *)
+(** [distance_or t peer ~default] is the current one-way distance
+    estimate to [peer], else the [oracle]'s answer, else [default].
+    Allocation-free: it serves the request/reply scheduling hot path. *)
 
 val known_peers : t -> int list
+(** The peers with a distance estimate, ascending. *)
 
 val reset : t -> unit
 (** Forget all distance estimates and last-heard state, as a crashed
@@ -75,5 +64,4 @@ val reset : t -> unit
 val forget_peer : t -> int -> unit
 (** Drop the distance estimate and heard state for one peer — called
     when that peer {e leaves the group}, so a later rejoin starts from
-    scratch instead of inheriting a stale estimate. Remaining peers'
-    echo rotation is unaffected. *)
+    scratch instead of inheriting a stale estimate. *)

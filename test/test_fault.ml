@@ -136,7 +136,7 @@ let run_mutated ?mutation ?(drops = [ (5, 3) ]) () =
       match p.payload with
       | Net.Packet.Data { seq } -> down && List.mem (seq, link) drops
       | _ -> false);
-  let oracle = Fault.Oracle.create ~network () in
+  let oracle = Fault.Oracle.create ~network in
   let proto = Srm.Proto.deploy ~network ~params:Srm.Params.default ~n_packets:10 ~period:0.05 () in
   List.iter
     (fun (_, h) ->
@@ -200,7 +200,7 @@ let test_oracle_json_and_pp () =
 let drive_oracle sends =
   let engine = Sim.Engine.create ~seed:1L () in
   let network = Net.Network.create ~engine ~tree:(sample_tree ()) ~link_delay:0.02 () in
-  let oracle = Fault.Oracle.create ~network () in
+  let oracle = Fault.Oracle.create ~network in
   List.iteri
     (fun i payload ->
       ignore
@@ -321,7 +321,7 @@ let run_plan ?(protocol = `Srm) plan =
   let params =
     { Srm.Params.default with rearm_backoff = Some Srm.Params.default.Srm.Params.session_period }
   in
-  let oracle = Fault.Oracle.create ~network () in
+  let oracle = Fault.Oracle.create ~network in
   (match protocol with
   | `Srm ->
       let proto = Srm.Proto.deploy ~network ~params ~n_packets:30 ~period:0.05 () in
@@ -867,7 +867,7 @@ let prop_churn_plans_clean_cesrm =
 let run_departed_delivery ~resurrect () =
   let engine = Sim.Engine.create ~seed:7L () in
   let network = Net.Network.create ~engine ~tree:(sample_tree ()) ~link_delay:0.02 () in
-  let oracle = Fault.Oracle.create ~network () in
+  let oracle = Fault.Oracle.create ~network in
   let proto = Srm.Proto.deploy ~network ~params:Srm.Params.default ~n_packets:10 ~period:0.05 () in
   List.iter (fun (_, h) -> Fault.Oracle.attach_host oracle h) (Srm.Proto.members proto);
   ignore
@@ -896,7 +896,7 @@ let test_oracle_rejects_deliver_to_departed () =
 let drive_oracle_departed n =
   let engine = Sim.Engine.create ~seed:1L () in
   let network = Net.Network.create ~engine ~tree:(sample_tree ()) ~link_delay:0.02 () in
-  let oracle = Fault.Oracle.create ~network () in
+  let oracle = Fault.Oracle.create ~network in
   ignore
     (Sim.Engine.schedule_at engine ~at:0.05 (fun () ->
          Fault.Oracle.note_membership oracle ~node:5 ~at:0.05 ~member:false));

@@ -173,6 +173,63 @@ let test_domains_compose_steady () =
   let finite = bf ~window:16 and reference = bf ~window:40 in
   check Alcotest.string "domains + finite steady window invisible" reference finite
 
+(* A host created with a domain map derives what domain mode needs
+   from its own inputs — true tree distances, and an in-flight
+   allowance counted in the send period its deployment hands it — so a
+   group deployed straight through [Proto.deploy ~domain], with the
+   paper's default params untouched, must run exactly as
+   [run_model ~domains] runs it. Only the link delay is the deep-chain
+   tuning's 1 ms; every member sends sessions, so a host that ignored
+   its domain map would schedule on session estimates, and without
+   the allowance it detects thousands of losses still in flight where
+   the domain run detects 8. *)
+let test_direct_domain_deploy protocol () =
+  let setup = { Harness.Runner.default_setup with link_delay = 0.001 } in
+  let trace, loss_model =
+    Harness.Runner.inputs ~seed:42L ~n_packets:200 (Mtrace.Scale.find "SCALE-dc-64")
+  in
+  let reference =
+    Harness.Runner.run_model ~setup ~domains:Rdomain.Auto protocol trace loss_model
+  in
+  let tree = Mtrace.Trace.tree trace in
+  let n_packets = Mtrace.Trace.n_packets trace and period = Mtrace.Trace.period trace in
+  let engine = Sim.Engine.create ~seed:setup.seed () in
+  let network =
+    Net.Network.create ~engine ~tree ~link_delay:setup.link_delay
+      ~bandwidth_bps:setup.bandwidth_bps ()
+  in
+  Net.Network.set_drop network
+    (Harness.Run_types.make_drop ~loss_model ~lossy_recovery:false ~lossy_sessions:false
+       ~rates:(Array.make (Net.Tree.n_nodes tree) 0.)
+       ~rng:(Sim.Rng.split (Sim.Engine.rng engine)));
+  let audit = Harness.Audit.attach ~max_exp_per_loss:1 network in
+  let domain = Rdomain.of_tree ~tree Rdomain.Auto in
+  let params = setup.params and warmup = setup.warmup and tail = setup.tail in
+  let hosts, counters, recoveries =
+    match protocol with
+    | Harness.Runner.Cesrm_protocol config ->
+        let g = Cesrm.Proto.deploy ~config ~domain ~network ~params ~n_packets ~period () in
+        Cesrm.Proto.start g ~warmup ~tail;
+        (Srm.Proto.srm_members g, Cesrm.Proto.counters g, Cesrm.Proto.recoveries g)
+    | _ ->
+        let g = Srm.Proto.deploy ~domain ~network ~params ~n_packets ~period () in
+        Srm.Proto.start g ~warmup ~tail;
+        (Srm.Proto.srm_members g, Srm.Proto.counters g, Srm.Proto.recoveries g)
+  in
+  Sim.Engine.run ~until:(Harness.Run_types.horizon ~setup ~n_packets ~period) engine;
+  let detected = List.fold_left (fun n (_, h) -> n + Srm.Host.detected_losses h) 0 hosts in
+  check Alcotest.int "audit clean" 0 (List.length (Harness.Audit.violations audit));
+  check Alcotest.int "detections" reference.Harness.Runner.detected detected;
+  check Alcotest.string "fingerprint" (domain_fingerprint reference)
+    (domain_fingerprint
+       {
+         reference with
+         counters;
+         recoveries;
+         detected;
+         unrecovered = detected - Stats.Recovery.count recoveries;
+       })
+
 (* --- Adversarial cache-thrash goldens (rh/ps at 1024) ----------------- *)
 
 (* Full 200-packet runs: the adversarial families' dynamics are
@@ -407,6 +464,10 @@ let () =
                Harness.Runner.Srm_protocol);
           Alcotest.test_case "compose with shards" `Quick test_domains_compose_shards;
           Alcotest.test_case "compose with steady window" `Quick test_domains_compose_steady;
+          Alcotest.test_case "srm deployed with a domain map" `Quick
+            (test_direct_domain_deploy Harness.Runner.Srm_protocol);
+          Alcotest.test_case "cesrm deployed with a domain map" `Quick
+            (test_direct_domain_deploy (Harness.Runner.Cesrm_protocol Cesrm.Host.default_config));
         ] );
       ( "adversarial",
         (let rh = "SCALE-rh-1024" and ps = "SCALE-ps-1024" in

@@ -192,85 +192,6 @@ let prop_host_draw_is_uniform =
       let x = Sim.Rng.uniform a lo hi and y = Srm.Host.uniform_draw b lo hi in
       Printf.sprintf "%h" x = Printf.sprintf "%h" y && Sim.Rng.bits64 a = Sim.Rng.bits64 b)
 
-(* --- Heap ------------------------------------------------------------ *)
-
-let test_heap_empty () =
-  let h = Sim.Heap.create ~cmp:Int.compare in
-  check Alcotest.bool "is_empty" true (Sim.Heap.is_empty h);
-  check Alcotest.(option int) "peek none" None (Sim.Heap.peek h);
-  check Alcotest.(option int) "pop none" None (Sim.Heap.pop h);
-  Alcotest.check_raises "pop_exn raises" (Invalid_argument "Heap.pop_exn: empty heap") (fun () ->
-      ignore (Sim.Heap.pop_exn h))
-
-let test_heap_order () =
-  let h = Sim.Heap.create ~cmp:Int.compare in
-  List.iter (Sim.Heap.add h) [ 5; 3; 8; 1; 9; 2; 7 ];
-  check Alcotest.(option int) "peek min" (Some 1) (Sim.Heap.peek h);
-  let drained = List.init 7 (fun _ -> Sim.Heap.pop_exn h) in
-  check Alcotest.(list int) "sorted drain" [ 1; 2; 3; 5; 7; 8; 9 ] drained
-
-let test_heap_interleaved () =
-  let h = Sim.Heap.create ~cmp:Int.compare in
-  Sim.Heap.add h 4;
-  Sim.Heap.add h 2;
-  check Alcotest.int "pop 2" 2 (Sim.Heap.pop_exn h);
-  Sim.Heap.add h 1;
-  Sim.Heap.add h 3;
-  check Alcotest.int "pop 1" 1 (Sim.Heap.pop_exn h);
-  check Alcotest.int "pop 3" 3 (Sim.Heap.pop_exn h);
-  check Alcotest.int "pop 4" 4 (Sim.Heap.pop_exn h);
-  check Alcotest.int "length 0" 0 (Sim.Heap.length h)
-
-let test_heap_clear () =
-  let h = Sim.Heap.create ~cmp:Int.compare in
-  List.iter (Sim.Heap.add h) [ 1; 2; 3 ];
-  Sim.Heap.clear h;
-  check Alcotest.bool "cleared" true (Sim.Heap.is_empty h)
-
-let test_heap_duplicates () =
-  let h = Sim.Heap.create ~cmp:Int.compare in
-  List.iter (Sim.Heap.add h) [ 2; 2; 2; 1; 1 ];
-  check Alcotest.(list int) "dups kept" [ 1; 1; 2; 2; 2 ]
-    (List.init 5 (fun _ -> Sim.Heap.pop_exn h))
-
-let prop_heap_sorted =
-  QCheck.Test.make ~name:"heap: drain is sorted" ~count:300
-    QCheck.(list int)
-    (fun xs ->
-      let h = Sim.Heap.create ~cmp:Int.compare in
-      List.iter (Sim.Heap.add h) xs;
-      let drained = List.init (List.length xs) (fun _ -> Sim.Heap.pop_exn h) in
-      drained = List.sort compare xs)
-
-let prop_heap_to_sorted_list =
-  QCheck.Test.make ~name:"heap: to_sorted_list is non-destructive and sorted" ~count:300
-    QCheck.(list int)
-    (fun xs ->
-      let h = Sim.Heap.create ~cmp:Int.compare in
-      List.iter (Sim.Heap.add h) xs;
-      let sorted = Sim.Heap.to_sorted_list h in
-      sorted = List.sort compare xs && Sim.Heap.length h = List.length xs)
-
-let test_heap_filter () =
-  let h = Sim.Heap.create ~cmp:Int.compare in
-  List.iter (Sim.Heap.add h) [ 7; 2; 9; 4; 1; 8; 6; 3; 5; 10 ];
-  Sim.Heap.filter h (fun x -> x mod 2 = 0);
-  check Alcotest.int "evens kept" 5 (Sim.Heap.length h);
-  check Alcotest.(list int) "drain sorted" [ 2; 4; 6; 8; 10 ]
-    (List.init 5 (fun _ -> Sim.Heap.pop_exn h));
-  Sim.Heap.filter h (fun _ -> true);
-  check Alcotest.bool "filter on empty" true (Sim.Heap.is_empty h)
-
-let prop_heap_filter_preserves_order =
-  QCheck.Test.make ~name:"heap: filter keeps exactly the matches, still sorted" ~count:300
-    QCheck.(pair (list int) int)
-    (fun (xs, pivot) ->
-      let h = Sim.Heap.create ~cmp:Int.compare in
-      List.iter (Sim.Heap.add h) xs;
-      Sim.Heap.filter h (fun x -> x < pivot);
-      let expected = List.sort compare (List.filter (fun x -> x < pivot) xs) in
-      List.init (Sim.Heap.length h) (fun _ -> Sim.Heap.pop_exn h) = expected)
-
 (* --- Engine ----------------------------------------------------------- *)
 
 let test_engine_time_order () =
@@ -702,18 +623,6 @@ let () =
           Alcotest.test_case "rng stream golden" `Quick test_rng_stream_golden;
           Alcotest.test_case "an Rng draw allocates only its result" `Quick test_rng_draw_alloc;
           qcheck prop_host_draw_is_uniform;
-        ] );
-      ( "heap",
-        [
-          Alcotest.test_case "empty" `Quick test_heap_empty;
-          Alcotest.test_case "ordering" `Quick test_heap_order;
-          Alcotest.test_case "interleaved" `Quick test_heap_interleaved;
-          Alcotest.test_case "clear" `Quick test_heap_clear;
-          Alcotest.test_case "duplicates" `Quick test_heap_duplicates;
-          qcheck prop_heap_sorted;
-          qcheck prop_heap_to_sorted_list;
-          Alcotest.test_case "filter" `Quick test_heap_filter;
-          qcheck prop_heap_filter_preserves_order;
         ] );
       ( "engine",
         [

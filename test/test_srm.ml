@@ -37,9 +37,7 @@ let test_params () =
   check Alcotest.bool "negative weight rejected" true
     (Result.is_error (Srm.Params.validate { params with c1 = -1. }));
   check Alcotest.bool "zero session period rejected" true
-    (Result.is_error (Srm.Params.validate { params with session_period = 0. }));
-  check Alcotest.bool "bad round cap rejected" true
-    (Result.is_error (Srm.Params.validate { params with max_rounds = 0 }))
+    (Result.is_error (Srm.Params.validate { params with session_period = 0. }))
 
 let test_session_distances_converge () =
   let proto = run_srm ~n_packets:1 () in
@@ -131,7 +129,9 @@ let make_host ?(self = 3) ?(n_packets = 100) () =
   let network = Net.Network.create ~engine ~tree ~link_delay:0.02 () in
   let counters = Stats.Counters.create ~n_nodes:(Net.Tree.n_nodes tree) in
   let recoveries = Stats.Recovery.create () in
-  let host = Srm.Host.create ~network ~self ~params ~n_packets ~counters ~recoveries () in
+  let host =
+    Srm.Host.create ~network ~self ~params ~n_packets ~period:0.05 ~counters ~recoveries ()
+  in
   (engine, network, host)
 
 let test_host_gap_detection () =
