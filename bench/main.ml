@@ -31,10 +31,6 @@
                                                one cesrm leg per retention
                                                scheme next to the SRM and
                                                1-entry floors)
-     dune exec bench/main.exe -- --cache-policy SCHEME  (override the CESRM
-                                               replier-cache retention scheme
-                                               of the cesrm/cesrm-dom legs in
-                                               the other scale profiles)
      dune exec bench/main.exe -- --scale smoke --domains  (add an
                                                srm-dom/cesrm-dom leg pair per
                                                scenario: hierarchical local
@@ -90,8 +86,6 @@ let steady_profile = ref None
 
 let with_domains = ref false
 
-let cache_policy = ref None
-
 let parse_args () =
   let rec go = function
     | [] -> ()
@@ -135,14 +129,6 @@ let parse_args () =
         go rest
     | "--domains" :: rest ->
         with_domains := true;
-        go rest
-    | "--cache-policy" :: name :: rest ->
-        (match Cesrm.Retention.of_name name with
-        | Some r -> cache_policy := Some r
-        | None ->
-            failwith
-              (Printf.sprintf "unknown --cache-policy %S (expected %s)" name
-                 Cesrm.Retention.names_doc));
         go rest
     | arg :: _ -> failwith ("unknown argument: " ^ arg)
   in
@@ -252,19 +238,17 @@ let diff_against_baseline ?(exact = false) ~file doc =
 (* ------------------------------------------------------------------ *)
 
 (* Running the per-trace SRM+CESRM pairs is the bench's dominant cost;
-   with --jobs > 1 the rows are sharded across Exp.Pool's forked
-   workers (each pair marshalled back whole), which scales the matrix
-   with the core count while every downstream figure stays a pure
-   extraction over the same in-order pair list. *)
+   --jobs N shards the rows across N of Exp.Pool's forked workers (0
+   auto-detects the count, 1 runs them in this process; each pair is
+   marshalled back whole), which scales the matrix with the core count
+   while every downstream figure stays a pure extraction over the same
+   in-order pair list. *)
 let run_pairs rows =
-  if !jobs > 1 && Exp.Pool.available && List.length rows > 1 then begin
-    let rows = Array.of_list rows in
-    Array.to_list
-      (Exp.Pool.marshal_map ~jobs:!jobs
-         (fun i -> Harness.Figures.run_pair ?n_packets:!n_packets rows.(i))
-         (Array.length rows))
-  end
-  else List.map (fun row -> Harness.Figures.run_pair ?n_packets:!n_packets row) rows
+  let rows = Array.of_list rows in
+  Array.to_list
+    (Exp.Pool.map ~jobs:!jobs
+       (fun i -> Harness.Figures.run_pair ?n_packets:!n_packets rows.(i))
+       (Array.length rows))
 
 let featured_pairs = lazy (run_pairs Mtrace.Meta.featured)
 
@@ -335,7 +319,7 @@ let ablation_sections =
     ( "ablation-lossy",
       fun () ->
         print_string
-          (Harness.Ablation.lossy_recovery ~n_packets:(n ())
+          (Harness.Ablation.toggle ~n_packets:(n ()) Harness.Ablation.Lossy_recovery
              [ Mtrace.Meta.nth 1; Mtrace.Meta.nth 9 ]) );
     ( "ablation-router-assist",
       fun () -> print_string (Harness.Ablation.router_assist ~n_packets:(n ()) featured3) );
@@ -344,7 +328,9 @@ let ablation_sections =
     );
     ( "ablation-lossy-sessions",
       fun () ->
-        print_string (Harness.Ablation.lossy_sessions ~n_packets:(n ()) [ Mtrace.Meta.nth 9 ]) );
+        print_string
+          (Harness.Ablation.toggle ~n_packets:(n ()) Harness.Ablation.Lossy_sessions
+             [ Mtrace.Meta.nth 9 ]) );
     ( "ablation-adaptive",
       fun () ->
         print_string
@@ -357,7 +343,7 @@ let ablation_sections =
     ( "ablation-heterogeneous",
       fun () ->
         print_string
-          (Harness.Ablation.heterogeneous ~n_packets:(n ())
+          (Harness.Ablation.toggle ~n_packets:(n ()) Harness.Ablation.Heterogeneous_delays
              [ Mtrace.Meta.nth 1; Mtrace.Meta.nth 9 ]) );
   ]
 
@@ -617,15 +603,10 @@ let run_scale profile =
   List.map
     (fun scenario ->
       let row = Mtrace.Scale.find scenario in
-      let cesrm_config =
-        match !cache_policy with
-        | None -> Cesrm.Host.default_config
-        | Some retention -> { Cesrm.Host.default_config with retention }
-      in
       let srm = scale_leg "srm" Harness.Runner.Srm_protocol row in
       let cesrm_legs =
         if profile <> "cache" then
-          [ scale_leg "cesrm" (Harness.Runner.Cesrm_protocol cesrm_config) row ]
+          [ scale_leg "cesrm" (Harness.Runner.Cesrm_protocol Cesrm.Host.default_config) row ]
         else
           List.map
             (fun name ->
@@ -644,7 +625,7 @@ let run_scale profile =
           [
             scale_leg "srm-dom" ~domains:Rdomain.Auto Harness.Runner.Srm_protocol row;
             scale_leg "cesrm-dom" ~domains:Rdomain.Auto
-              (Harness.Runner.Cesrm_protocol cesrm_config) row;
+              (Harness.Runner.Cesrm_protocol Cesrm.Host.default_config) row;
           ]
       in
       let legs = (srm :: cesrm_legs) @ dom_legs in

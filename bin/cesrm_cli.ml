@@ -278,10 +278,6 @@ let print_result (res : Harness.Runner.result) =
        (Stats.Summary.mean mk)
        (Stats.Summary.percentile mk 0.99)
        (Stats.Summary.max mk));
-  if Sys.getenv_opt "CESRM_DEBUG_SPANS" <> None then
-    Stats.Recovery.iter_spans res.recoveries (fun ~src ~seq ~detected ~recovered ->
-        Printf.eprintf "span src=%d seq=%d det=%.3f rec=%.3f span=%.3f\n" src seq detected
-          recovered (recovered -. detected));
   Printf.printf "requests: mc %d uc %d | replies: %d expedited %d | sessions %d\n"
     (Stats.Counters.total res.counters Stats.Counters.Rqst)
     (Stats.Counters.total res.counters Stats.Counters.Exp_rqst)
@@ -549,15 +545,6 @@ let sweep_cmd =
     in
     Arg.(value & opt (some int) None & info [ "j"; "jobs" ] ~doc ~docv:"N")
   in
-  let timeout_arg =
-    let doc = "Per-shard wall-clock timeout in seconds (default: none); an overrunning \
-               worker is killed and its shard retried." in
-    Arg.(value & opt (some float) None & info [ "timeout" ] ~doc ~docv:"SEC")
-  in
-  let retries_arg =
-    let doc = "Extra attempts for a crashed / timed-out / raising shard." in
-    Arg.(value & opt int 1 & info [ "retries" ] ~doc ~docv:"K")
-  in
   let out_arg =
     let doc = "Write the aggregated artifact JSON to $(docv)." in
     Arg.(value & opt (some string) None & info [ "o"; "out" ] ~doc ~docv:"FILE")
@@ -588,8 +575,7 @@ let sweep_cmd =
     in
     Arg.(value & opt string "" & info [ "faults" ] ~doc ~docv:"LIST")
   in
-  let build_spec ~spec_file ~name ~traces ~protocols ~seeds ~base_seed ~packets ~levers ~faults
-      ~cache_policy =
+  let build_spec ~spec_file ~name ~traces ~protocols ~seeds ~base_seed ~packets ~levers ~faults =
     let* spec =
       match spec_file with
       | Some file -> (
@@ -624,15 +610,7 @@ let sweep_cmd =
               domains = levers.domains;
             }
     in
-    (* --cache-policy rewrites the retention of every CESRM entry on the
-       protocols axis; the rewritten retention lands in the artifact's
-       cell names, so round-tripping the spec preserves it. *)
-    let rewrite = function
-      | Exp.Spec.Cesrm c ->
-          Exp.Spec.Cesrm { c with retention = Option.value cache_policy ~default:c.retention }
-      | p -> p
-    in
-    Exp.Spec.validate { spec with Exp.Spec.protocols = List.map rewrite spec.Exp.Spec.protocols }
+    Exp.Spec.validate spec
   in
   let summary_table artifact =
     let open Obs.Json in
@@ -658,13 +636,12 @@ let sweep_cmd =
       ~header:[ "cell"; "detected"; "unrecov"; "exp ok"; "audit"; "oracle" ]
       ~rows
   in
-  let run verbose spec_file name traces protocols seeds base_seed packets levers faults
-      cache_policy jobs timeout retries out print_spec baseline rel abs =
+  let run verbose spec_file name traces protocols seeds base_seed packets levers faults jobs out
+      print_spec baseline rel abs =
     setup_logs verbose;
     ret
       (let* spec =
          build_spec ~spec_file ~name ~traces ~protocols ~seeds ~base_seed ~packets ~levers ~faults
-           ~cache_policy
        in
        if print_spec then Ok (print_endline (Obs.Json.to_string ~pretty:true (Exp.Spec.to_json spec)))
        else begin
@@ -676,7 +653,7 @@ let sweep_cmd =
            (if resolved > 1 && not Exp.Pool.available then " (fork unavailable: serial)" else "");
          let t0 = Unix.gettimeofday () in
          match
-           Exp.Sweep.run ?jobs ~shards ?timeout ~retries
+           Exp.Sweep.run ?jobs ~shards
              ~on_result:(fun ~index:_ ~done_ ~total ->
                Printf.printf "\r  %d/%d shards%!" done_ total)
              spec
@@ -726,8 +703,8 @@ let sweep_cmd =
     Term.(
       ret
         (const run $ verbose_flag $ spec_file $ name_arg $ traces_arg $ protocols_arg $ seeds_arg
-        $ base_seed_arg $ packets $ levers_term $ faults_axis_arg $ cache_policy_arg $ jobs_arg
-        $ timeout_arg $ retries_arg $ out_arg $ print_spec_arg $ baseline_arg $ rel_arg $ abs_arg))
+        $ base_seed_arg $ packets $ levers_term $ faults_axis_arg $ jobs_arg $ out_arg
+        $ print_spec_arg $ baseline_arg $ rel_arg $ abs_arg))
 
 (* -- main -------------------------------------------------------------- *)
 

@@ -1,47 +1,18 @@
-module Frame = struct
-  let write oc ~tag payload =
-    Printf.fprintf oc "%s %d\n" tag (String.length payload);
-    output_string oc payload;
-    flush oc
-
-  type buf = Buffer.t
-
-  let create_buf () = Buffer.create 256
-
-  let add buf chunk k = Buffer.add_subbytes buf chunk 0 k
-
-  (* Complete frames currently sitting in [buf], removed from it. *)
-  let rec take ?(tags = [ "ok"; "er" ]) buf =
-    let contents = Buffer.contents buf in
-    match String.index_opt contents '\n' with
-    | None -> []
-    | Some nl -> (
-        let header = String.sub contents 0 nl in
-        match String.split_on_char ' ' header with
-        | [ tag; len ] when List.mem tag tags -> (
-            match int_of_string_opt len with
-            | Some len when String.length contents >= nl + 1 + len ->
-                let payload = String.sub contents (nl + 1) len in
-                Buffer.clear buf;
-                Buffer.add_substring buf contents (nl + 1 + len)
-                  (String.length contents - nl - 1 - len);
-                (tag, payload) :: take ~tags buf
-            | Some _ -> []
-            | None -> failwith (Printf.sprintf "Ipc.Frame: malformed frame header %S" header))
-        | _ -> failwith (Printf.sprintf "Ipc.Frame: malformed frame header %S" header))
-end
-
 module Chan = struct
   type t = { ic : in_channel; oc : out_channel }
 
   let of_fds ~read ~write =
     { ic = Unix.in_channel_of_descr read; oc = Unix.out_channel_of_descr write }
 
+  (* Closures are safe to marshal: both ends of every channel are a
+     process and its fork, which share one code image. *)
   let send t v =
-    Marshal.to_channel t.oc v [];
+    Marshal.to_channel t.oc v [ Marshal.Closures ];
     flush t.oc
 
   let recv t = Marshal.from_channel t.ic
+
+  let fd t = Unix.descr_of_in_channel t.ic
 
   let close t =
     (try close_in_noerr t.ic with _ -> ());

@@ -1,35 +1,10 @@
-(** Framed-pipe inter-process transport.
+(** The one transport between a process and the workers it forks.
 
-    Extracted from [Exp.Pool] so every fork-based parallelism layer —
-    the sweep worker pool and the PDES shard workers — speaks the same
-    wire protocol. Two facilities:
-
-    - {!Frame}: the pool's tagged text frames
-      (["<tag> <len>\n<payload>"]), with the incremental reassembly
-      buffer the parent's select loop feeds.
-    - {!Chan}: length-prefixed [Marshal] messages over a pipe pair,
-      plus a fork helper — the shard workers' control channel, where
-      both ends block on whole messages and tags are unnecessary. *)
-
-module Frame : sig
-  val write : out_channel -> tag:string -> string -> unit
-  (** Emit one ["<tag> <len>\n"] header plus payload, and flush. *)
-
-  type buf
-  (** Reassembly state for one pipe: bytes arrive in arbitrary chunks;
-      complete frames are taken out as they form. *)
-
-  val create_buf : unit -> buf
-
-  val add : buf -> bytes -> int -> unit
-  (** [add buf chunk k] appends the first [k] bytes just read. *)
-
-  val take : ?tags:string list -> buf -> (string * string) list
-  (** Complete [(tag, payload)] frames sitting in the buffer, removed
-      from it, in arrival order. [tags] is the set of accepted tags
-      (default [["ok"; "er"]]).
-      @raise Failure on a malformed header. *)
-end
+    {!Chan} carries length-prefixed [Marshal] messages over a pipe
+    pair, and {!Chan.fork} is the repo's one fork site. Both the sweep
+    pool ([Exp.Pool]) and the sharded-run coordinator
+    ([Harness.Parallel]) speak it; it lives below both so neither
+    depends on the other. *)
 
 module Chan : sig
   type t
@@ -38,12 +13,22 @@ module Chan : sig
   val of_fds : read:Unix.file_descr -> write:Unix.file_descr -> t
 
   val send : t -> 'a -> unit
-  (** Marshal one value (without closures) and write it, length-prefixed. *)
+  (** Marshal one value, closures included, and write it with its
+      length prefix. Closures are safe because the peer is a fork that
+      shares this process's code image.
+      @raise Sys_error if the peer is gone (with SIGPIPE ignored). *)
 
   val recv : t -> 'a
   (** Block for the next whole message. Unsafe cast, as with [Marshal]:
       both endpoints must agree on the message type.
       @raise End_of_file if the peer closed the pipe. *)
+
+  val fd : t -> Unix.file_descr
+  (** The descriptor {!recv} reads, for [Unix.select]. [recv] reads
+      through a buffered channel, so the descriptor only tells the
+      whole truth when the peer has at most one message in flight:
+      then the buffer is empty between messages, and a [select] on the
+      descriptor cannot miss a message already sitting in it. *)
 
   val close : t -> unit
 

@@ -1,8 +1,8 @@
-let run ?jobs ?shards ?timeout ?retries ?on_result ?meta spec =
+let run ?jobs ?shards ?on_result ?meta spec =
   let cells = Spec.cells spec in
   let agg = Agg.create spec in
   let results =
-    Pool.map ?jobs ?timeout ?retries ?on_result
+    Pool.map ?jobs ?on_result
       (fun i -> Shard.run_string ?shards spec cells.(i))
       (Array.length cells)
   in

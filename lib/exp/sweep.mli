@@ -11,15 +11,13 @@
 val run :
   ?jobs:int ->
   ?shards:int ->
-  ?timeout:float ->
-  ?retries:int ->
   ?on_result:(index:int -> done_:int -> total:int -> unit) ->
   ?meta:(string * Obs.Json.t) list ->
   Spec.t ->
   Obs.Json.t
-(** @raise Failure when a shard fails beyond its retry budget (see
-    {!Pool.map}). [meta] extends the artifact's meta object and must
-    stay run-independent to preserve byte-identity. [shards] runs each
+(** @raise Failure when a shard fails (see {!Pool.map}). [meta]
+    extends the artifact's meta object and must stay run-independent
+    to preserve byte-identity. [shards] runs each
     cell's simulation sharded over that many PDES workers
     ({!Shard.run}) — total process count is then [jobs * shards]. The
     artifact is byte-identical for any [jobs] and [shards]; the one

@@ -16,6 +16,10 @@ let success_pct (res : Runner.result) =
 let run_config ?setup ~config trace loss =
   Runner.run_model ?setup (Runner.Cesrm_protocol config) trace loss
 
+(* CESRM's cut in average normalized recovery against SRM's, in percent. *)
+let reduction srm cesrm =
+  if avg_norm srm > 0. then 100. *. (1. -. (avg_norm cesrm /. avg_norm srm)) else 0.
+
 let retentions ?(n_packets = 4000) rows =
   let rows_out =
     List.concat_map
@@ -97,14 +101,11 @@ let link_delays ?(n_packets = 4000) ?(delays = [ 0.010; 0.020; 0.030 ]) row =
         let setup = { Runner.default_setup with link_delay } in
         let srm = Runner.run_model ~setup Runner.Srm_protocol trace loss in
         let cesrm = run_config ~setup ~config:Cesrm.Host.default_config trace loss in
-        let reduction =
-          if avg_norm srm > 0. then 100. *. (1. -. (avg_norm cesrm /. avg_norm srm)) else 0.
-        in
         [
           Printf.sprintf "%.0f ms" (1000. *. link_delay);
           Printf.sprintf "%.2f" (avg_norm srm);
           Printf.sprintf "%.2f" (avg_norm cesrm);
-          Printf.sprintf "%.0f%%" reduction;
+          Printf.sprintf "%.0f%%" (reduction srm cesrm);
         ])
       delays
   in
@@ -115,34 +116,53 @@ let link_delays ?(n_packets = 4000) ?(delays = [ 0.010; 0.020; 0.030 ]) row =
       ~header:[ "link delay"; "SRM rec (RTT)"; "CESRM rec (RTT)"; "reduction" ]
       ~rows:rows_out
 
-let lossy_recovery ?(n_packets = 4000) rows =
+type setting = Lossy_recovery | Lossy_sessions | Heterogeneous_delays
+
+let toggle ?(n_packets = 4000) setting rows =
+  let set, column, (off, on), title =
+    match setting with
+    | Lossy_recovery ->
+        ( (fun lossy_recovery -> { Runner.default_setup with lossy_recovery }),
+          "recovery",
+          ("lossless", "lossy"),
+          "Ablation — lossy recovery (recovery packets dropped per estimated link rates; paper\n\
+           Section 4.3 reports slightly larger latencies and similar improvements)\n" )
+    | Lossy_sessions ->
+        ( (fun lossy_sessions -> { Runner.default_setup with lossy_sessions }),
+          "sessions",
+          ("lossless", "lossy"),
+          "Ablation — lossy session exchange (the paper assumes sessions are lossless; dropping\n\
+           them per link rates slows distance estimation slightly but changes nothing else)\n" )
+    | Heterogeneous_delays ->
+        ( (fun heterogeneous_delays -> { Runner.default_setup with heterogeneous_delays }),
+          "delays",
+          ("uniform 20ms", "log-uniform"),
+          "Ablation — heterogeneous link delays (the paper uses one uniform delay; drawing\n\
+           per-link delays log-uniformly in [6.7, 60] ms leaves the comparison intact)\n" )
+  in
   let rows_out =
     List.concat_map
       (fun row ->
         let trace, loss = Runner.inputs ~n_packets row in
         List.map
-          (fun lossy ->
-            let setup = { Runner.default_setup with lossy_recovery = lossy } in
+          (fun value ->
+            let setup = set value in
             let srm = Runner.run_model ~setup Runner.Srm_protocol trace loss in
             let cesrm = run_config ~setup ~config:Cesrm.Host.default_config trace loss in
-            let reduction =
-              if avg_norm srm > 0. then 100. *. (1. -. (avg_norm cesrm /. avg_norm srm)) else 0.
-            in
             [
               row.Mtrace.Meta.name;
-              (if lossy then "lossy" else "lossless");
+              (if value then on else off);
               Printf.sprintf "%.2f" (avg_norm srm);
               Printf.sprintf "%.2f" (avg_norm cesrm);
-              Printf.sprintf "%.0f%%" reduction;
+              Printf.sprintf "%.0f%%" (reduction srm cesrm);
               string_of_int (srm.unrecovered + cesrm.unrecovered);
             ])
           [ false; true ])
       rows
   in
-  "Ablation — lossy recovery (recovery packets dropped per estimated link rates; paper\n\
-   Section 4.3 reports slightly larger latencies and similar improvements)\n"
+  title
   ^ Stats.Table.render
-      ~header:[ "trace"; "recovery"; "SRM rec"; "CESRM rec"; "reduction"; "unrecovered" ]
+      ~header:[ "trace"; column; "SRM rec"; "CESRM rec"; "reduction"; "unrecovered" ]
       ~rows:rows_out
 
 let router_assist ?(n_packets = 4000) rows =
@@ -226,36 +246,6 @@ let reordering ?(n_packets = 4000) row =
   ^ Stats.Table.render
       ~header:
         [ "jitter"; "reorder-delay"; "erqst"; "lossy packets"; "avg rec (RTT)"; "unrecovered" ]
-      ~rows:rows_out
-
-let lossy_sessions ?(n_packets = 4000) rows =
-  let rows_out =
-    List.concat_map
-      (fun row ->
-        let trace, loss = Runner.inputs ~n_packets row in
-        List.map
-          (fun lossy ->
-            let setup = { Runner.default_setup with lossy_sessions = lossy } in
-            let srm = Runner.run_model ~setup Runner.Srm_protocol trace loss in
-            let cesrm = run_config ~setup ~config:Cesrm.Host.default_config trace loss in
-            let reduction =
-              if avg_norm srm > 0. then 100. *. (1. -. (avg_norm cesrm /. avg_norm srm)) else 0.
-            in
-            [
-              row.Mtrace.Meta.name;
-              (if lossy then "lossy" else "lossless");
-              Printf.sprintf "%.2f" (avg_norm srm);
-              Printf.sprintf "%.2f" (avg_norm cesrm);
-              Printf.sprintf "%.0f%%" reduction;
-              string_of_int (srm.unrecovered + cesrm.unrecovered);
-            ])
-          [ false; true ])
-      rows
-  in
-  "Ablation — lossy session exchange (the paper assumes sessions are lossless; dropping\n\
-   them per link rates slows distance estimation slightly but changes nothing else)\n"
-  ^ Stats.Table.render
-      ~header:[ "trace"; "sessions"; "SRM rec"; "CESRM rec"; "reduction"; "unrecovered" ]
       ~rows:rows_out
 
 let adaptive_timers ?(n_packets = 4000) rows =
@@ -343,35 +333,4 @@ let scaling ?(n_packets = 3000) ?(sizes = [ 8; 12; 16; 24; 32 ]) () =
           "retx ratio";
           "unrecovered";
         ]
-      ~rows:rows_out
-
-
-let heterogeneous ?(n_packets = 4000) rows =
-  let rows_out =
-    List.concat_map
-      (fun row ->
-        let trace, loss = Runner.inputs ~n_packets row in
-        List.map
-          (fun hetero ->
-            let setup = { Runner.default_setup with heterogeneous_delays = hetero } in
-            let srm = Runner.run_model ~setup Runner.Srm_protocol trace loss in
-            let cesrm = run_config ~setup ~config:Cesrm.Host.default_config trace loss in
-            let reduction =
-              if avg_norm srm > 0. then 100. *. (1. -. (avg_norm cesrm /. avg_norm srm)) else 0.
-            in
-            [
-              row.Mtrace.Meta.name;
-              (if hetero then "log-uniform" else "uniform 20ms");
-              Printf.sprintf "%.2f" (avg_norm srm);
-              Printf.sprintf "%.2f" (avg_norm cesrm);
-              Printf.sprintf "%.0f%%" reduction;
-              string_of_int (srm.unrecovered + cesrm.unrecovered);
-            ])
-          [ false; true ])
-      rows
-  in
-  "Ablation — heterogeneous link delays (the paper uses one uniform delay; drawing\n\
-   per-link delays log-uniformly in [6.7, 60] ms leaves the comparison intact)\n"
-  ^ Stats.Table.render
-      ~header:[ "trace"; "delays"; "SRM rec"; "CESRM rec"; "reduction"; "unrecovered" ]
       ~rows:rows_out

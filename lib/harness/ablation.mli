@@ -18,9 +18,25 @@ val link_delays : ?n_packets:int -> ?delays:float list -> Mtrace.Meta.row -> str
 (** The paper ran 10, 20 and 30 ms and found the results very similar;
     normalized metrics should be nearly delay-invariant. *)
 
-val lossy_recovery : ?n_packets:int -> Mtrace.Meta.row list -> string
-(** Recovery packets dropped per estimated link rates: latencies grow
-    slightly, CESRM's advantage persists (paper Section 4.3). *)
+(** A setup switch the paper holds fixed; {!toggle} runs it off, then
+    on. *)
+type setting =
+  | Lossy_recovery
+      (** Recovery packets dropped per estimated link rates: latencies
+          grow slightly, CESRM's advantage persists (paper Section
+          4.3). *)
+  | Lossy_sessions
+      (** Drop session packets per link rates, violating the paper's
+          lossless-session assumption: distance estimates still
+          converge and the comparison is unchanged. *)
+  | Heterogeneous_delays
+      (** Uniform vs per-link log-uniform delays: the suppression
+          timers are distance-driven, so the normalized comparison
+          survives latency heterogeneity the paper did not model. *)
+
+val toggle : ?n_packets:int -> setting -> Mtrace.Meta.row list -> string
+(** SRM vs CESRM average normalized recovery, CESRM's reduction and the
+    unrecovered count, per row with the setting off and on. *)
 
 val router_assist : ?n_packets:int -> Mtrace.Meta.row list -> string
 (** Exposure of retransmissions: average link crossings per reply with
@@ -32,11 +48,6 @@ val reordering : ?n_packets:int -> Mtrace.Meta.row -> string
     trigger spurious expedited requests; with it they are cancelled by
     the late packet's arrival (Section 3.2's rationale). *)
 
-val lossy_sessions : ?n_packets:int -> Mtrace.Meta.row list -> string
-(** Drop session packets per link rates, violating the paper's
-    lossless-session assumption: distance estimates still converge and
-    the comparison is unchanged. *)
-
 val adaptive_timers : ?n_packets:int -> Mtrace.Meta.row list -> string
 (** Fixed vs adaptive SRM scheduling parameters: the adaptive variant
     (Floyd et al. §VI) rebalances the duplicate-suppression / latency
@@ -46,9 +57,3 @@ val adaptive_timers : ?n_packets:int -> Mtrace.Meta.row list -> string
 val scaling : ?n_packets:int -> ?sizes:int list -> unit -> string
 (** Group-size sweep on synthetic rows (5% per-receiver loss): how the
     SRM-vs-CESRM gap evolves as the group grows. *)
-
-
-val heterogeneous : ?n_packets:int -> Mtrace.Meta.row list -> string
-(** Uniform vs per-link log-uniform delays: the suppression timers are
-    distance-driven, so the normalized comparison survives latency
-    heterogeneity the paper did not model. *)

@@ -32,8 +32,7 @@ type to_worker =
          still have to be walked on every shard — their link crossings
          count and the primary's tap stream must include them *)
 
-(* Everything a worker ships home. Plain data only: the channel is
-   [Marshal] without closures. *)
+(* Everything a worker ships home. *)
 (* The serial engine fires same-time deliveries FIFO by schedule
    order; a record's walk rank (Network.delivery_rank: cast key +
    in-walk position) is that order's cross-shard reconstruction. *)

@@ -118,21 +118,6 @@ let makespan_summary t =
     keys;
   if Summary.count t.span_online = 0 then live else Summary.merge t.span_online live
 
-let iter_spans t f =
-  let keys = List.sort compare (Hashtbl.fold (fun k _ acc -> k :: acc) t.spans []) in
-  List.iter
-    (fun ((src, seq) as k) ->
-      let det, rec_ = Hashtbl.find t.spans k in
-      f ~src ~seq ~detected:det ~recovered:rec_)
-    keys
-
 let makespan t =
   let s = makespan_summary t in
   if Summary.count s = 0 then 0. else Summary.max s
-
-let unrecovered t ~expected =
-  List.filter_map
-    (fun (node, losses) ->
-      let got = List.length (for_node t node) in
-      if got < losses then Some (node, losses - got) else None)
-    expected

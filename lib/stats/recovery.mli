@@ -76,17 +76,6 @@ val makespan_summary : t -> Summary.t
     {!retire_spans} the retired part comes from a bounded-error sketch
     (like {!latency_summary} percentiles after {!drop_records}). *)
 
-val iter_spans :
-  t -> (src:int -> seq:int -> detected:float -> recovered:float -> unit) -> unit
-(** Visit every {e live} (un-retired) per-packet span in (src, seq)
-    order: the earliest detection and latest repaired recovery the
-    packet has accumulated so far. Diagnostic hook — spans already
-    flushed by [retire_spans] are only in the sketch and not visited. *)
-
 val makespan : t -> float
 (** [Summary.max (makespan_summary t)] — the single worst last-receiver
     recovery time of the run; 0 when no losses were recovered. *)
-
-val unrecovered : t -> expected:(int * int) list -> (int * int) list
-(** Given [(node, losses_detected)] expectations, report nodes whose
-    record count falls short, as [(node, missing)]. *)

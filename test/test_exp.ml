@@ -1,6 +1,6 @@
 (* The experiment-orchestration subsystem: spec expansion and JSON
    round-trips, scheduling-independent seed derivation, the fork pool's
-   retry/timeout machinery, and the invariant the whole design rests
+   failure contract, and the invariant the whole design rests
    on — a parallel sweep aggregates to the same bytes as a serial run
    of the same spec. *)
 
@@ -227,76 +227,44 @@ let test_pool_parallel_matches_serial () =
       "parallel = serial" (Exp.Pool.map ~jobs:1 f 9) (Exp.Pool.map ~jobs:3 f 9)
   end
 
-let test_pool_crash_retry () =
-  if not Exp.Pool.available then ()
-  else begin
-    (* Shard 1's first attempt kills its worker process; the retry (in
-       a respawned or surviving worker) sees the flag file and
-       succeeds. *)
-    let flag = Filename.temp_file "cesrm-pool" ".flag" in
-    Sys.remove flag;
-    let f i =
-      if i = 1 && not (Sys.file_exists flag) then begin
-        close_out (open_out flag);
-        Unix._exit 1
-      end
-      else Printf.sprintf "ok-%d" i
-    in
-    let results = Exp.Pool.map ~jobs:2 ~retries:1 f 4 in
-    if Sys.file_exists flag then Sys.remove flag;
-    check
-      (Alcotest.array Alcotest.string)
-      "crashed shard retried" [| "ok-0"; "ok-1"; "ok-2"; "ok-3" |] results
+(* An [f] that raises, in process or in a worker, and a worker that
+   dies mid-shard each fail the map with one [Failure] naming the
+   shard. *)
+let test_pool_failure_names_shard () =
+  let expect_failure label jobs f =
+    match Exp.Pool.map ~jobs f 4 with
+    | _ -> Alcotest.fail (label ^ ": expected Failure")
+    | exception Failure msg ->
+        check Alcotest.bool (label ^ ": names the shard") true (contains ~sub:"shard 2" msg)
+  in
+  let raises i = if i = 2 then failwith "broken" else string_of_int i in
+  let dies i = if i = 2 then Unix._exit 3 else string_of_int i in
+  expect_failure "raises, serial" 1 raises;
+  if Exp.Pool.available then begin
+    expect_failure "raises, forked" 2 raises;
+    expect_failure "worker dies" 2 dies
   end
 
-let test_pool_timeout_retry () =
-  if not Exp.Pool.available then ()
-  else begin
-    (* Shard 0's first attempt hangs past the timeout (the parent
-       SIGKILLs the worker); the retry returns promptly. *)
-    let flag = Filename.temp_file "cesrm-pool" ".flag" in
-    Sys.remove flag;
-    let f i =
-      if i = 0 && not (Sys.file_exists flag) then begin
-        close_out (open_out flag);
-        Unix.sleepf 30.
-      end;
-      Printf.sprintf "ok-%d" i
-    in
-    let results = Exp.Pool.map ~jobs:2 ~timeout:0.5 ~retries:1 f 3 in
-    if Sys.file_exists flag then Sys.remove flag;
-    check
-      (Alcotest.array Alcotest.string)
-      "hung shard killed and retried" [| "ok-0"; "ok-1"; "ok-2" |] results
+(* A failed map leaves no child behind, running or unreaped. *)
+let test_pool_failure_reaps () =
+  if Exp.Pool.available then begin
+    (match Exp.Pool.map ~jobs:2 (fun i -> if i = 1 then Unix._exit 1 else i) 6 with
+    | _ -> Alcotest.fail "expected Failure"
+    | exception Failure _ -> ());
+    match Unix.waitpid [ Unix.WNOHANG ] (-1) with
+    | exception Unix.Unix_error (Unix.ECHILD, _, _) -> ()
+    | pid, _ -> Alcotest.failf "child left behind (waitpid returned %d)" pid
   end
 
-(* The serial path (jobs = 1) keeps the parallel contract: the same
-   retry budget and the same [Failure]. *)
-let test_pool_retry_exhaustion () =
-  List.iter
-    (fun jobs ->
-      let calls = ref 0 in
-      let f i =
-        if i = 2 then begin
-          incr calls;
-          failwith "always broken"
-        end
-        else string_of_int i
-      in
-      match Exp.Pool.map ~jobs ~retries:1 f 4 with
-      | _ -> Alcotest.fail "expected Failure"
-      | exception Failure msg ->
-          check Alcotest.bool "names the shard" true (contains ~sub:"shard 2" msg);
-          check Alcotest.bool "counts the attempts" true (contains ~sub:"after 2 attempt(s)" msg);
-          (* forked attempts raise in the workers, not here *)
-          if jobs = 1 then check Alcotest.int "serial attempts" 2 !calls)
-    (if Exp.Pool.available then [ 1; 2 ] else [ 1 ])
-
-let test_pool_marshal_map () =
-  let f i = (i, float_of_int i /. 2., Printf.sprintf "s%d" i) in
-  let serial = Exp.Pool.marshal_map ~jobs:1 f 6 in
-  let parallel = Exp.Pool.marshal_map ~jobs:3 f 6 in
-  check Alcotest.bool "marshal round-trip" true (serial = parallel)
+(* Results cross the pool as [Marshal] messages with closures allowed
+   (bench ships figure pairs that hold closures). *)
+let test_pool_closure_results () =
+  let results = Exp.Pool.map ~jobs:3 (fun i -> (i, fun x -> (x * i) + 1)) 6 in
+  Array.iteri
+    (fun i (j, g) ->
+      check Alcotest.int "index" i j;
+      check Alcotest.int "closure" ((10 * i) + 1) (g 10))
+    results
 
 (* -- Sweep: serial vs parallel byte-identity ------------------------- *)
 
@@ -420,10 +388,9 @@ let () =
         [
           Alcotest.test_case "serial fallback" `Quick test_pool_serial;
           Alcotest.test_case "parallel matches serial" `Quick test_pool_parallel_matches_serial;
-          Alcotest.test_case "crash retry" `Quick test_pool_crash_retry;
-          Alcotest.test_case "timeout retry" `Quick test_pool_timeout_retry;
-          Alcotest.test_case "retry exhaustion" `Quick test_pool_retry_exhaustion;
-          Alcotest.test_case "marshal map" `Quick test_pool_marshal_map;
+          Alcotest.test_case "failure names the shard" `Quick test_pool_failure_names_shard;
+          Alcotest.test_case "failure reaps every worker" `Quick test_pool_failure_reaps;
+          Alcotest.test_case "closure results" `Quick test_pool_closure_results;
         ] );
       ( "sweep",
         [

@@ -165,12 +165,6 @@ let test_recovery_collector () =
   in
   check (Alcotest.float 1e-9) "normalized" 0.75 (Stats.Summary.mean norm)
 
-let test_recovery_unrecovered () =
-  let c = Stats.Recovery.create () in
-  Stats.Recovery.add c (rec_record ~node:1 ());
-  let missing = Stats.Recovery.unrecovered c ~expected:[ (1, 3); (2, 1) ] in
-  check Alcotest.(list (pair int int)) "missing" [ (1, 2); (2, 1) ] missing
-
 (* --- Counters -------------------------------------------------------------- *)
 
 let test_counters () =
@@ -251,7 +245,6 @@ let () =
       ( "recovery",
         [
           Alcotest.test_case "collector" `Quick test_recovery_collector;
-          Alcotest.test_case "unrecovered" `Quick test_recovery_unrecovered;
         ] );
       ( "counters",
         [
