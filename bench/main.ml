@@ -1,7 +1,7 @@
 (* Reproduction harness: regenerates every table and figure of the
    paper's evaluation (Section 4) plus the Section 3.4 analysis and the
-   ablations listed in DESIGN.md, then runs Bechamel micro-benchmarks
-   (one per experiment) on scaled-down inputs.
+   ablations listed in DESIGN.md. The output carries no timing, so it
+   is a pure function of the code: bench/reproduction.t pins it.
 
    Usage:
      dune exec bench/main.exe                 (default: 6000 packets/trace)
@@ -12,11 +12,6 @@
      dune exec bench/main.exe -- --jobs 8     (shard the per-trace pair
                                                runs across 8 forked
                                                workers; results identical)
-     dune exec bench/main.exe -- --no-bechamel
-     dune exec bench/main.exe -- --json FILE  (machine-readable timings)
-     dune exec bench/main.exe -- --baseline FILE  (diff timings against a
-                                               previous --json file; exits 1
-                                               on deltas beyond thresholds)
      dune exec bench/main.exe -- --scale smoke|full  (synthetic scale
                                                scenarios instead of the trace
                                                reproduction; see below)
@@ -38,10 +33,10 @@
                                                next to their flat twins, for
                                                the domains-vs-flat makespan
                                                comparison)
-
-   The extra section "smoke" (one SRM+CESRM pair on the smallest
-   trace) runs only when named explicitly; `dune runtest` uses it as a
-   hot-path regression canary.
+     dune exec bench/main.exe -- --scale smoke --json FILE  (write the
+                                               --scale or --steady report as
+                                               JSON; the reproduction has
+                                               none)
 
    --scale replaces the reproduction entirely: it runs SRM+CESRM legs
    over synthetic Mtrace.Scale scenarios (256–10 000 receivers) and
@@ -50,11 +45,11 @@
    regression gate; the "full" profile (families at 256/1024 plus
    bounded-fanout at 4096 and 10 000) is the scaling measurement.
    Either way every machine-dependent number (wall, allocation,
-   events/sec) lives in a "machine" sub-object — a side channel the
-   --baseline diff skips entirely — so the committed smoke baseline
-   gates only deterministic simulation counters while staying fully
-   machine-readable. Scale rows pin their own packet count (200), so
-   --packets is ignored here.
+   events/sec) lives in a "machine" sub-object and the run's
+   parameters in "meta", neither of which `cesrm diff` compares, so
+   the committed smoke baseline gates only deterministic simulation
+   counters while staying fully machine-readable. Scale rows pin
+   their own packet count (200), so --packets is ignored here.
 
    --steady smoke|full runs the streaming-execution profile instead
    (lib/steady): a CESRM leg over a scale scenario with a finite
@@ -68,13 +63,9 @@ let sections_filter = ref None
 
 let n_packets = ref (Some 6000)
 
-let with_bechamel = ref true
-
 let csv_dir = ref None
 
 let json_file = ref None
-
-let baseline_file = ref None
 
 let jobs = ref 1
 
@@ -98,17 +89,11 @@ let parse_args () =
     | "--sections" :: s :: rest ->
         sections_filter := Some (String.split_on_char ',' s);
         go rest
-    | "--no-bechamel" :: rest ->
-        with_bechamel := false;
-        go rest
     | "--csv" :: dir :: rest ->
         csv_dir := Some dir;
         go rest
     | "--json" :: file :: rest ->
         json_file := Some file;
-        go rest
-    | "--baseline" :: file :: rest ->
-        baseline_file := Some file;
         go rest
     | "--jobs" :: n :: rest ->
         jobs := int_of_string n;
@@ -137,30 +122,19 @@ let parse_args () =
 let want name =
   match !sections_filter with None -> true | Some names -> List.mem name names
 
-let explicitly_wanted name =
-  match !sections_filter with None -> false | Some names -> List.mem name names
-
-(* Per-section wall times and Bechamel estimates, accumulated for the
-   --json report (newest-first; reversed on output). *)
-let section_times : (string * float) list ref = ref []
-
-let bechamel_estimates : (string * float) list ref = ref []
-
 let section name body =
   if want name then begin
     Printf.printf "================================================================\n";
     Printf.printf "== %s\n" name;
     Printf.printf "================================================================\n";
-    let t0 = Unix.gettimeofday () in
     body ();
-    section_times := (name, Unix.gettimeofday () -. t0) :: !section_times;
     print_newline ()
   end
 
-(* The timing report is self-describing: a meta object records the git
-   commit and the run parameters, so a stored --json file can later be
-   interpreted (and compared via --baseline / `cesrm diff`) without
-   knowing how it was produced. *)
+(* The scale and steady reports are self-describing: a meta object
+   records the git commit and the run parameters, so a stored --json
+   file can later be interpreted without knowing how it was
+   produced. *)
 let git_commit () =
   try
     let ic = Unix.open_process_in "git rev-parse --short HEAD 2>/dev/null" in
@@ -177,63 +151,19 @@ let meta_json () =
       ("packets", (match !n_packets with None -> Null | Some n -> int n));
       ( "sections_filter",
         match !sections_filter with None -> Null | Some l -> Str (String.concat "," l) );
-      ("bechamel", Bool !with_bechamel);
-      (* A string, not a number: job count affects wall time, never
-         results, and must not be flagged by --baseline diffs. *)
-      ("jobs", Str (string_of_int !jobs));
-      (* Same convention: shard count is a runtime knob (PDES results
-         are byte-identical to serial), so it must not be diffed. *)
-      ("shards", Str (string_of_int !shards));
+      ("jobs", int !jobs);
+      ("shards", int !shards);
       ("scale_profile", match !scale_profile with None -> Null | Some p -> Str p);
       ("steady_profile", match !steady_profile with None -> Null | Some p -> Str p);
       ("argv", Str (String.concat " " (List.tl (Array.to_list Sys.argv))));
     ]
 
-let json_doc ~total_wall_s =
-  let open Obs.Json in
-  let entry field (name, v) = Obj [ ("name", Str name); (field, Num v) ] in
-  let meta = meta_json () in
-  Obj
-    [
-      ("meta", meta);
-      ("packets", (match !n_packets with None -> Null | Some n -> int n));
-      ("total_wall_s", Num total_wall_s);
-      ("sections", Arr (List.rev_map (entry "wall_s") !section_times));
-      ("bechamel", Arr (List.rev_map (entry "ns_per_run") !bechamel_estimates));
-    ]
-
-let write_json ~file doc =
-  Obs.Json.save ~pretty:true doc ~file;
-  Printf.printf "(timings written to %s)\n" file
-
-(* Machine-dependent numbers (wall, allocation, events/sec, heap) live
-   under a "machine" key in the scale and steady reports: numeric for
-   downstream tooling, never compared by --baseline. The run's own
-   parameters live under "meta". *)
-let under key path = List.mem key (String.split_on_char '/' path)
-
-(* Diff this run against a stored --json file. Returns the number of
-   flagged metrics (exit status). The scale and steady reports outside
-   "machine" and "meta" are deterministic simulation counters, so
-   [exact] flags any change in them. The default report's section
-   timings are wall clock, whose noise is real, so they get loose
-   thresholds: 25% relative and 50 ms absolute, enough to catch an
-   injected slowdown but not scheduler jitter. *)
-let diff_against_baseline ?(exact = false) ~file doc =
-  match Obs.Json.parse_file file with
-  | Error msg ->
-      Printf.eprintf "baseline %s: %s\n" file msg;
-      1
-  | Ok base ->
-      let thresholds, ignore =
-        if exact then
-          ({ Obs.Diff.rel = 0.; abs = 0. }, fun p -> under "machine" p || under "meta" p)
-        else ({ Obs.Diff.rel = 0.25; abs = 0.050 }, under "machine")
-      in
-      let entries = Obs.Diff.diff ~thresholds ~ignore ~base ~current:doc () in
-      Printf.printf "---- vs baseline %s ----\n" file;
-      print_string (Obs.Diff.render entries);
-      List.length (Obs.Diff.flagged entries)
+let write_json doc =
+  Option.iter
+    (fun file ->
+      Obs.Json.save ~pretty:true doc ~file;
+      Printf.printf "(timings written to %s)\n" file)
+    !json_file
 
 (* ------------------------------------------------------------------ *)
 
@@ -349,93 +279,6 @@ let ablation_sections =
 
 let ablations () = List.iter (fun (name, body) -> section name body) ablation_sections
 
-(* --- Bechamel micro-benchmarks ------------------------------------- *)
-
-let bechamel () =
-  let open Bechamel in
-  let open Toolkit in
-  let row = Mtrace.Meta.nth 4 (* the smallest trace *) in
-  let small_gen = lazy (Mtrace.Generator.synthesize ~n_packets:800 row) in
-  let small_trace = lazy (Lazy.force small_gen).Mtrace.Generator.trace in
-  let small_att = lazy (Harness.Runner.attribution_of_trace (Lazy.force small_trace)) in
-  let make name f = Test.make ~name (Staged.stage f) in
-  let tests =
-    Test.make_grouped ~name:"cesrm" ~fmt:"%s/%s"
-      [
-        make "table1:synthesize-trace" (fun () ->
-            ignore (Mtrace.Generator.synthesize ~n_packets:400 row));
-        make "sec4.2:yajnik+attribution" (fun () ->
-            ignore (Harness.Runner.attribution_of_trace (Lazy.force small_trace)));
-        make "fig1-4:srm-run" (fun () ->
-            ignore
-              (Harness.Runner.run_model Harness.Runner.Srm_protocol (Lazy.force small_trace)
-                 (Harness.Runner.Attributed (Lazy.force small_att))));
-        make "fig1-4:cesrm-run" (fun () ->
-            ignore
-              (Harness.Runner.run_model (Harness.Runner.Cesrm_protocol Cesrm.Host.default_config)
-                 (Lazy.force small_trace) (Harness.Runner.Attributed (Lazy.force small_att))));
-        make "fig5:overhead-accounting" (fun () ->
-            let c = Net.Cost.create () in
-            for _ = 1 to 1000 do
-              Net.Cost.record_crossing c Net.Cost.Reply Net.Cost.Multicast
-            done;
-            ignore (Net.Cost.retransmission_overhead c));
-        make "substrate:gilbert-50k" (fun () ->
-            let model = Mtrace.Gilbert.of_marginal ~loss_rate:0.05 ~mean_burst:2.5 in
-            ignore (Mtrace.Gilbert.run model (Sim.Rng.create 7L) 50_000));
-        make "substrate:cache-churn" (fun () ->
-            let cache = Cesrm.Cache.create ~capacity:16 () in
-            for i = 1 to 1_000 do
-              ignore
-                (Cesrm.Cache.note_reply cache
-                   {
-                     Cesrm.Cache.seq = i;
-                     requestor = i mod 7;
-                     d_qs = float_of_int (i mod 5) /. 10.;
-                     replier = i mod 11;
-                     d_rq = float_of_int (i mod 3) /. 10.;
-                     turning_point = None;
-                   })
-            done;
-            ignore (Cesrm.Cache.choose ~live:(fun _ -> true) cache));
-      ]
-  in
-  let cfg = Benchmark.cfg ~limit:200 ~quota:(Time.second 0.5) ~kde:None () in
-  let raw = Benchmark.all cfg Instance.[ monotonic_clock ] tests in
-  let ols = Analyze.ols ~r_square:false ~bootstrap:0 ~predictors:[| Measure.run |] in
-  let results = Analyze.all ols Instance.monotonic_clock raw in
-  let estimates =
-    Hashtbl.fold
-      (fun name result acc ->
-        let ns =
-          match Analyze.OLS.estimates result with Some [ e ] -> e | _ -> Float.nan
-        in
-        (name, ns) :: acc)
-      results []
-    |> List.sort compare
-  in
-  bechamel_estimates := List.rev_append estimates !bechamel_estimates;
-  let rows =
-    List.map (fun (name, ns) -> [ name; Printf.sprintf "%10.3f ms/run" (ns /. 1e6) ]) estimates
-  in
-  print_string (Stats.Table.render ~header:[ "benchmark"; "time" ] ~rows)
-
-(* One SRM+CESRM pair on the smallest trace: a fast end-to-end pass
-   over the simulator hot path, used by the `dune runtest` smoke rule.
-   Opt-in only (never part of a default full run). *)
-let smoke () =
-  section "smoke" (fun () ->
-      let pair = Harness.Figures.run_pair ?n_packets:!n_packets (Mtrace.Meta.nth 4) in
-      Printf.printf
-        "trace %s: srm detected=%d unrecovered=%d, cesrm detected=%d unrecovered=%d audit=%d\n"
-        pair.Harness.Figures.row.Mtrace.Meta.name pair.srm.detected pair.srm.unrecovered
-        pair.cesrm.detected pair.cesrm.unrecovered
-        (pair.srm.audit_violations + pair.cesrm.audit_violations);
-      if pair.srm.unrecovered <> 0 || pair.cesrm.unrecovered <> 0 then
-        failwith "smoke: unrecovered losses";
-      if pair.srm.audit_violations <> 0 || pair.cesrm.audit_violations <> 0 then
-        failwith "smoke: audit violations")
-
 (* --- Scale profiles (--scale smoke|full) --------------------------- *)
 
 (* The smoke grid is every tree family at the smallest standard size —
@@ -479,12 +322,6 @@ let scale_family_name row =
   | Some (Mtrace.Scale.Phase_shift _) -> "phase-shift"
   | None -> "trace"
 
-(* One protocol leg on one scale row, reduced to the JSON the report
-   keeps. Simulation counters are deterministic (fixed seed, pure
-   OCaml), so they are numbers the --baseline diff compares exactly;
-   wall, allocation and events/sec depend on the machine, so they go
-   in the leg's "machine" sub-object — numeric, but excluded from the
-   diff (see [diff_against_baseline]). *)
 (* One timed leg. [Gc.allocated_bytes] only sees this process, so
    [alloc_mb] is meaningful for serial runs; sharded legs take their
    allocation figure from the serial reference run instead. Events
@@ -518,6 +355,11 @@ let leg_fingerprint (r : Harness.Runner.result) =
     Stats.Recovery.count r.recoveries,
     Stats.Recovery.latency_summary r.recoveries )
 
+(* One protocol leg on one scale row, reduced to the JSON the report
+   keeps. Simulation counters are deterministic (fixed seed, pure
+   OCaml), so the CI gate's `cesrm diff --rel 0 --abs 0` compares them
+   exactly; wall, allocation and events/sec depend on the machine, so
+   they go in the leg's "machine" sub-object, which the diff skips. *)
 let scale_leg name ?domains protocol row =
   (* The serial run is both the reference timing and (with --shards 1)
      the run itself; with --shards k > 1 a second, sharded run is
@@ -541,8 +383,8 @@ let scale_leg name ?domains protocol row =
   (* Recovery-latency percentiles from the registry's online sketch
      (fed identically in records-on and records-off runs), and the
      last-receiver makespan — the figure hierarchical local recovery
-     exists to improve. Both are deterministic, so the --baseline diff
-     gates on them. *)
+     exists to improve. Both are deterministic, so the CI diff gates on
+     them. *)
   let lat_hist = Obs.Registry.hist registry "recovery/latency_s" in
   let makespan = Stats.Recovery.makespan_summary r.Harness.Runner.recoveries in
   Printf.printf
@@ -655,11 +497,7 @@ let scale_main profile =
   let scenarios = run_scale profile in
   let total = Unix.gettimeofday () -. t0 in
   Printf.printf "total wall time: %.1f s\n" total;
-  let doc = scale_json_doc ~scenarios ~total_wall_s:total in
-  Option.iter (fun file -> write_json ~file doc) !json_file;
-  match !baseline_file with
-  | None -> ()
-  | Some file -> if diff_against_baseline ~exact:true ~file doc > 0 then exit 1
+  write_json (scale_json_doc ~scenarios ~total_wall_s:total)
 
 (* --- Steady profiles (--steady smoke|full) -------------------------- *)
 
@@ -836,22 +674,16 @@ let steady_main profile =
   let total = Unix.gettimeofday () -. t0 in
   Printf.printf "total wall time: %.1f s\n" total;
   let open Obs.Json in
-  let doc =
-    Obj
-      [
-        ("meta", meta_json ());
-        ("machine", Obj [ ("total_wall_s", Num total) ]);
-        ("steady", Arr legs);
-      ]
-  in
-  Option.iter (fun file -> write_json ~file doc) !json_file;
-  match !baseline_file with
-  | None -> ()
-  | Some file -> if diff_against_baseline ~exact:true ~file doc > 0 then exit 1
+  write_json
+    (Obj
+       [
+         ("meta", meta_json ());
+         ("machine", Obj [ ("total_wall_s", Num total) ]);
+         ("steady", Arr legs);
+       ])
 
 (* Every name --sections accepts, in run order. *)
-let section_names =
-  ("smoke" :: List.map fst reproduction_sections) @ List.map fst ablation_sections @ [ "bechamel" ]
+let section_names = List.map fst reproduction_sections @ List.map fst ablation_sections
 
 let () =
   parse_args ();
@@ -868,15 +700,7 @@ let () =
   | Some profile, _ -> scale_main profile
   | None, Some profile -> steady_main profile
   | None, None ->
-      let t0 = Unix.gettimeofday () in
-      if explicitly_wanted "smoke" then smoke ();
+      if !json_file <> None then
+        failwith "--json writes the --scale and --steady reports; the reproduction has none";
       reproduction ();
-      ablations ();
-      if !with_bechamel then section "bechamel" bechamel;
-      let total = Unix.gettimeofday () -. t0 in
-      Printf.printf "total wall time: %.1f s\n" total;
-      let doc = lazy (json_doc ~total_wall_s:total) in
-      Option.iter (fun file -> write_json ~file (Lazy.force doc)) !json_file;
-      (match !baseline_file with
-      | None -> ()
-      | Some file -> if diff_against_baseline ~file (Lazy.force doc) > 0 then exit 1)
+      ablations ()

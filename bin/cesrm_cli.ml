@@ -502,8 +502,9 @@ let diff_cmd =
   Cmd.v
     (Cmd.info "diff"
        ~doc:
-         "Compare two metric/bench JSON files (from `cesrm run --metrics` or `bench --json`) \
-          and flag deltas beyond thresholds. Exits 1 if any metric is flagged.")
+         "Compare two metric/bench JSON files (from `cesrm run --metrics`, `cesrm sweep -o` or \
+          `bench --json`) and flag deltas beyond thresholds; numbers under a `machine` or \
+          `meta` key are never compared. Exits 1 if any metric is flagged.")
     Term.(ret (const run $ base_arg $ current_arg $ rel_arg $ abs_arg $ all_arg))
 
 (* -- sweep ------------------------------------------------------------- *)
@@ -552,19 +553,6 @@ let sweep_cmd =
   let print_spec_arg =
     Arg.(value & flag & info [ "print-spec" ] ~doc:"Print the expanded spec JSON and exit (pipe \
                                                    to a file to edit and reuse with --spec).")
-  in
-  let baseline_arg =
-    let doc = "Diff the artifact against a stored sweep artifact with the `diff` machinery; \
-               exit 1 on flagged deltas." in
-    Arg.(value & opt (some file) None & info [ "baseline" ] ~doc ~docv:"FILE")
-  in
-  let rel_arg =
-    let doc = "Baseline-diff relative threshold, percent." in
-    Arg.(value & opt float 10. & info [ "rel" ] ~doc ~docv:"PCT")
-  in
-  let abs_arg =
-    let doc = "Baseline-diff absolute threshold." in
-    Arg.(value & opt float 1e-9 & info [ "abs" ] ~doc ~docv:"V")
   in
   let faults_axis_arg =
     let doc =
@@ -637,7 +625,7 @@ let sweep_cmd =
       ~rows
   in
   let run verbose spec_file name traces protocols seeds base_seed packets levers faults jobs out
-      print_spec baseline rel abs =
+      print_spec =
     setup_logs verbose;
     ret
       (let* spec =
@@ -681,18 +669,7 @@ let sweep_cmd =
                  Obs.Json.save ~pretty:true artifact ~file;
                  Printf.printf "(artifact to %s)\n" file)
                out;
-             match baseline with
-             | None -> Ok ()
-             | Some file ->
-                 let* base =
-                   Result.map_error (Printf.sprintf "%s: %s" file) (Obs.Json.parse_file file)
-                 in
-                 let thresholds = { Obs.Diff.rel = rel /. 100.; abs } in
-                 let entries = Obs.Diff.diff ~thresholds ~base ~current:artifact () in
-                 Printf.printf "---- vs baseline %s ----\n" file;
-                 print_string (Obs.Diff.render entries);
-                 if Obs.Diff.flagged entries <> [] then exit 1;
-                 Ok ())
+             Ok ())
        end)
   in
   Cmd.v
@@ -704,7 +681,7 @@ let sweep_cmd =
       ret
         (const run $ verbose_flag $ spec_file $ name_arg $ traces_arg $ protocols_arg $ seeds_arg
         $ base_seed_arg $ packets $ levers_term $ faults_axis_arg $ jobs_arg $ out_arg
-        $ print_spec_arg $ baseline_arg $ rel_arg $ abs_arg))
+        $ print_spec_arg))
 
 (* -- main -------------------------------------------------------------- *)
 

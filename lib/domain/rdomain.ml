@@ -195,12 +195,3 @@ let request_target t ~node ~level =
       if r <> node then r else pick (i + 1)
   in
   pick (clamp t ~dom level)
-
-let pp ppf t =
-  let nd = n_domains t in
-  let smin = Array.fold_left min max_int t.sizes
-  and smax = Array.fold_left max 0 t.sizes
-  and height = Array.fold_left max 0 t.levels in
-  Format.fprintf ppf
-    "%d domain(s), <= %d member(s) each (observed %d..%d), chain height %d" nd t.max_members
-    smin smax height

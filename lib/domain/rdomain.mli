@@ -107,6 +107,3 @@ val request_target : t -> node:int -> level:int -> int
     skipping itself up the chain (falling back to the source). The
     request timer's distance term uses this peer instead of the
     source, so local rounds fire on local round-trip times. *)
-
-val pp : Format.formatter -> t -> unit
-(** One-line summary: domain count, size bounds, chain height. *)

@@ -1,24 +1,3 @@
-type t = { spec : Spec.t; slots : Obs.Json.t option array }
-
-let create spec = { spec; slots = Array.make (Array.length (Spec.cells spec)) None }
-
-let add t ~index json =
-  if index < 0 || index >= Array.length t.slots then
-    invalid_arg (Printf.sprintf "Agg.add: shard index %d out of range" index);
-  t.slots.(index) <- Some json
-
-let add_string t ~index s =
-  match Obs.Json.parse s with
-  | Ok json ->
-      add t ~index json;
-      Ok ()
-  | Error msg -> Error msg
-
-let missing t =
-  Array.to_list t.slots
-  |> List.mapi (fun i slot -> (i, slot))
-  |> List.filter_map (fun (i, slot) -> match slot with None -> Some i | Some _ -> None)
-
 let int_field name cell =
   match Obs.Json.member name cell with
   | Some (Obs.Json.Num x) -> int_of_float x
@@ -69,14 +48,8 @@ let merged_hists cells =
          (name, Obs.Hist.to_json merged))
        Shard.hist_names)
 
-let finalize ?(meta = []) t =
-  (match missing t with
-  | [] -> ()
-  | missing ->
-      failwith
-        (Printf.sprintf "Agg.finalize: missing shard(s) %s"
-           (String.concat ", " (List.map string_of_int missing))));
-  let cells = Array.to_list (Array.map Option.get t.slots) in
+let finalize ?(meta = []) spec cells =
+  let cells = Array.to_list cells in
   let strip_hists = function
     | Obs.Json.Obj fields -> Obs.Json.Obj (List.filter (fun (k, _) -> k <> "hists") fields)
     | other -> other
@@ -106,7 +79,7 @@ let finalize ?(meta = []) t =
       ( "meta",
         Obs.Json.Obj
           ((("schema", Obs.Json.Str "cesrm-sweep/1") :: meta)
-          @ [ ("spec", Spec.to_json t.spec) ]) );
+          @ [ ("spec", Spec.to_json spec) ]) );
       ("cells", Obs.Json.Arr (List.map strip_hists cells));
       ("totals", totals);
       ("hists", merged_hists cells);

@@ -1,32 +1,17 @@
-(** Streaming aggregation of shard results into one sweep artifact.
+(** Aggregation of shard results into one sweep artifact.
 
-    Shard results are accepted in any arrival order ({!add}); the
-    final merge ({!finalize}) always folds them in shard-index order,
-    so the artifact is a pure function of the result set — the parallel
-    pool and the serial loop produce byte-identical bytes. Histograms
-    are merged through {!Obs.Hist.of_json}/{!Obs.Hist.merge} (lossless
-    by construction), scalar counts are summed, and the per-cell rows —
+    {!finalize} folds the shard results in shard-index order, so the
+    artifact is a pure function of the result set — the parallel pool
+    and the serial loop produce byte-identical bytes. Histograms are
+    merged through {!Obs.Hist.of_json}/{!Obs.Hist.merge} (lossless by
+    construction), scalar counts are summed, and the per-cell rows —
     each carrying a ["name"] key — are concatenated, which is the form
     {!Obs.Diff} aligns across artifacts. *)
 
-type t
-
-val create : Spec.t -> t
-
-val add : t -> index:int -> Obs.Json.t -> unit
-(** Record shard [index]'s result. Re-adding an index overwrites it.
-    @raise Invalid_argument on an out-of-range index. *)
-
-val add_string : t -> index:int -> string -> (unit, string) result
-(** {!add} after parsing the transport string. *)
-
-val missing : t -> int list
-(** Shard indices not yet added, ascending. *)
-
-val finalize : ?meta:(string * Obs.Json.t) list -> t -> Obs.Json.t
-(** The artifact: a [meta] object (schema tag, the spec, caller
+val finalize : ?meta:(string * Obs.Json.t) list -> Spec.t -> Obs.Json.t array -> Obs.Json.t
+(** The artifact of [spec] from its shard results, one per cell in
+    index order: a [meta] object (schema tag, the spec, caller
     extras), the concatenated per-cell rows (transport histograms
     stripped), summed totals and the merged latency histograms.
     Callers must keep [meta] free of run-dependent values (wall time,
-    job count) or forfeit serial/parallel byte-identity.
-    @raise Failure if any shard is {!missing}. *)
+    job count) or forfeit serial/parallel byte-identity. *)

@@ -1,17 +1,14 @@
 let run ?jobs ?shards ?on_result ?meta spec =
   let cells = Spec.cells spec in
-  let agg = Agg.create spec in
   let results =
     Pool.map ?jobs ?on_result
       (fun i -> Shard.run_string ?shards spec cells.(i))
       (Array.length cells)
+    |> Array.mapi (fun index s ->
+           match Obs.Json.parse s with
+           | Ok json -> json
+           | Error msg -> failwith (Printf.sprintf "Sweep.run: shard %d: %s" index msg))
   in
-  Array.iteri
-    (fun index s ->
-      match Agg.add_string agg ~index s with
-      | Ok () -> ()
-      | Error msg -> failwith (Printf.sprintf "Sweep.run: shard %d: %s" index msg))
-    results;
   (* Auto-detected parallelism is the one machine-dependent run input;
      record what [--jobs 0] resolved to, but only then — explicit job
      counts keep the artifact a pure function of the spec, which the
@@ -30,4 +27,4 @@ let run ?jobs ?shards ?on_result ?meta spec =
           ]
     | _ -> Option.value ~default:[] meta
   in
-  Agg.finalize ~meta agg
+  Agg.finalize ~meta spec results

@@ -12,8 +12,6 @@ let category_index = function
 
 let cast_index = function Unicast -> 0 | Multicast -> 1 | Subcast -> 2
 
-let all_categories = [ Data; Request; Reply; Exp_request; Exp_reply; Session ]
-
 let n_categories = 6
 
 let n_casts = 3
@@ -49,22 +47,6 @@ let retransmission_overhead t = total_crossings t Reply + total_crossings t Exp_
 let control_overhead t ~multicast =
   if multicast then crossings t Request Multicast + crossings t Exp_request Multicast
   else crossings t Request Unicast + crossings t Exp_request Unicast
-
-let category_name = function
-  | Data -> "data"
-  | Request -> "request"
-  | Reply -> "reply"
-  | Exp_request -> "exp-request"
-  | Exp_reply -> "exp-reply"
-  | Session -> "session"
-
-let pp ppf t =
-  List.iter
-    (fun cat ->
-      Format.fprintf ppf "%-12s sends u/m/s %d/%d/%d crossings u/m/s %d/%d/%d@."
-        (category_name cat) (sends t cat Unicast) (sends t cat Multicast) (sends t cat Subcast)
-        (crossings t cat Unicast) (crossings t cat Multicast) (crossings t cat Subcast))
-    all_categories
 
 let merge a b =
   {

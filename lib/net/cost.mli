@@ -39,10 +39,6 @@ val control_overhead : t -> multicast:bool -> int
     [multicast:false] the unicast ones. Session traffic is excluded —
     it is identical under both protocols (see DESIGN.md §4). *)
 
-val all_categories : category list
-
-val pp : Format.formatter -> t -> unit
-
 val merge : t -> t -> t
 (** Element-wise sum of two cost tables — combining per-shard tallies
     into the run total. *)

@@ -14,7 +14,7 @@ type entry = {
 let join prefix k = if prefix = "" then k else prefix ^ "/" ^ k
 
 (* Arrays whose elements all carry a string "name" field are keyed by
-   name (the shape of the bench report's sections/bechamel lists), so
+   name (the shape of the scale report's scenarios and legs), so
    entries pair up across runs even if their order changed. *)
 let array_keys items =
   let named =
@@ -31,7 +31,10 @@ let flatten json =
   let acc = ref [] in
   let rec go prefix = function
     | Json.Num x -> acc := (prefix, x) :: !acc
-    | Json.Obj fields -> List.iter (fun (k, v) -> go (join prefix k) v) fields
+    | Json.Obj fields ->
+        List.iter
+          (fun (k, v) -> if k <> "machine" && k <> "meta" then go (join prefix k) v)
+          fields
     | Json.Arr items ->
         List.iter2 (fun k item -> go (join prefix k) item) (array_keys items) items
     | Json.Null | Json.Bool _ | Json.Str _ -> ()
@@ -39,9 +42,8 @@ let flatten json =
   go "" json;
   List.rev !acc
 
-let diff ?(thresholds = default_thresholds) ?(ignore = fun _ -> false) ~base ~current () =
-  let drop kvs = List.filter (fun (k, _) -> not (ignore k)) kvs in
-  let b = drop (flatten base) and c = drop (flatten current) in
+let diff ?(thresholds = default_thresholds) ~base ~current () =
+  let b = flatten base and c = flatten current in
   let keys = ref [] in
   let tbl_b = Hashtbl.create 64 and tbl_c = Hashtbl.create 64 in
   let load tbl kvs =

@@ -1,9 +1,13 @@
 (** Run-to-run regression diffing over metric / bench JSON files.
 
     Both documents are flattened to ["a/b/c"]-style paths at their
-    numeric leaves (arrays of named objects — e.g. the bench report's
-    [sections] — are keyed by their ["name"] field, other array
-    elements by index) and compared pairwise. A pair is {e flagged}
+    numeric leaves (arrays of named objects — e.g. the scale report's
+    legs — are keyed by their ["name"] field, other array elements by
+    index) and compared pairwise. Nothing under an object member named
+    ["machine"] or ["meta"] is compared: those hold the machine-dependent
+    numbers (wall time, allocation, events/sec) and the run's own
+    parameters, which stay in the document without ever gating a
+    diff. A pair is {e flagged}
     when its absolute delta exceeds [abs] {b and} its delta relative
     to the baseline exceeds [rel]; paths present on only one side are
     always flagged. The comparison is direction-agnostic — the report
@@ -25,20 +29,11 @@ type entry = {
 }
 
 val flatten : Json.t -> (string * float) list
-(** The numeric leaves, in document order. *)
+(** The compared numeric leaves (none under ["machine"] or ["meta"]),
+    in document order. *)
 
-val diff :
-  ?thresholds:thresholds ->
-  ?ignore:(string -> bool) ->
-  base:Json.t ->
-  current:Json.t ->
-  unit ->
-  entry list
-(** All compared paths in name order, flagged or not. Paths for which
-    [ignore] returns true (default: none) are excluded from the
-    comparison entirely — the side channel for machine-dependent
-    numbers (wall time, allocation, events/sec) that should stay
-    machine-readable in the document without ever gating a diff. *)
+val diff : ?thresholds:thresholds -> base:Json.t -> current:Json.t -> unit -> entry list
+(** All compared paths in name order, flagged or not. *)
 
 val flagged : entry list -> entry list
 

@@ -141,13 +141,6 @@ let iter_buckets t f =
       end)
     t.counts
 
-let clear t =
-  Array.fill t.counts 0 (Array.length t.counts) 0;
-  t.n <- 0;
-  t.nans <- 0;
-  t.sum <- 0.;
-  t.minv <- infinity;
-  t.maxv <- neg_infinity
 
 (* The JSON form carries both derived summary fields (for humans and
    Diff) and the exact state — sparse (index, count) bucket pairs plus
@@ -220,7 +213,3 @@ let of_json json =
     | None -> Ok t
     | Some _ -> Error "Hist.of_json: buckets is not an array"
   end
-
-let pp ppf t =
-  Format.fprintf ppf "n=%d mean=%.4g p50=%.4g p90=%.4g p99=%.4g p999=%.4g max=%.4g" t.n
-    (mean t) (p50 t) (p90 t) (p99 t) (p999 t) t.maxv

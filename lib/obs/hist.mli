@@ -75,7 +75,3 @@ val to_json : t -> Json.t
 val of_json : Json.t -> (t, string) result
 (** Inverse of {!to_json}; [Error] describes the first malformed
     field. *)
-
-val clear : t -> unit
-
-val pp : Format.formatter -> t -> unit

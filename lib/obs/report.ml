@@ -30,13 +30,4 @@ let to_json ?(meta = []) registry =
     ((if meta = [] then [] else [ ("meta", Json.Obj meta) ])
     @ [ ("metrics", Json.Obj (List.rev !metrics)) ])
 
-let to_string ?meta registry = Json.to_string ~pretty:true (to_json ?meta registry)
-
 let save ?meta registry ~file = Json.save ~pretty:true (to_json ?meta registry) ~file
-
-let pp ppf registry =
-  Registry.iter registry (fun name value ->
-      match value with
-      | Registry.Counter n -> Format.fprintf ppf "%-40s %d@." name n
-      | Registry.Gauge x -> Format.fprintf ppf "%-40s %.6g@." name x
-      | Registry.Histogram h -> Format.fprintf ppf "%-40s %a@." name Hist.pp h)

@@ -9,10 +9,4 @@
 
 val to_json : ?meta:(string * Json.t) list -> Registry.t -> Json.t
 
-val to_string : ?meta:(string * Json.t) list -> Registry.t -> string
-(** Pretty-printed. *)
-
 val save : ?meta:(string * Json.t) list -> Registry.t -> file:string -> unit
-
-val pp : Format.formatter -> Registry.t -> unit
-(** A compact name/value text table, for terminal output. *)

@@ -1,10 +1,7 @@
 type kind =
   | Loss_detected
-  | Request_scheduled
   | Request_sent
-  | Reply_scheduled
   | Reply_sent
-  | Exp_request_scheduled
   | Exp_request_sent
   | Exp_reply_sent
   | Recovered_expedited
@@ -14,39 +11,30 @@ type kind =
 
 let kind_index = function
   | Loss_detected -> 0
-  | Request_scheduled -> 1
-  | Request_sent -> 2
-  | Reply_scheduled -> 3
-  | Reply_sent -> 4
-  | Exp_request_scheduled -> 5
-  | Exp_request_sent -> 6
-  | Exp_reply_sent -> 7
-  | Recovered_expedited -> 8
-  | Recovered_fallback -> 9
-  | Data_sent -> 10
-  | Session_sent -> 11
+  | Request_sent -> 1
+  | Reply_sent -> 2
+  | Exp_request_sent -> 3
+  | Exp_reply_sent -> 4
+  | Recovered_expedited -> 5
+  | Recovered_fallback -> 6
+  | Data_sent -> 7
+  | Session_sent -> 8
 
 let kind_of_index = function
   | 0 -> Loss_detected
-  | 1 -> Request_scheduled
-  | 2 -> Request_sent
-  | 3 -> Reply_scheduled
-  | 4 -> Reply_sent
-  | 5 -> Exp_request_scheduled
-  | 6 -> Exp_request_sent
-  | 7 -> Exp_reply_sent
-  | 8 -> Recovered_expedited
-  | 9 -> Recovered_fallback
-  | 10 -> Data_sent
+  | 1 -> Request_sent
+  | 2 -> Reply_sent
+  | 3 -> Exp_request_sent
+  | 4 -> Exp_reply_sent
+  | 5 -> Recovered_expedited
+  | 6 -> Recovered_fallback
+  | 7 -> Data_sent
   | _ -> Session_sent
 
 let kind_name = function
   | Loss_detected -> "loss-detected"
-  | Request_scheduled -> "request-scheduled"
   | Request_sent -> "request-sent"
-  | Reply_scheduled -> "reply-scheduled"
   | Reply_sent -> "reply-sent"
-  | Exp_request_scheduled -> "exp-request-scheduled"
   | Exp_request_sent -> "exp-request-sent"
   | Exp_reply_sent -> "exp-reply-sent"
   | Recovered_expedited -> "recovered-expedited"
@@ -60,7 +48,6 @@ let kind_name = function
 type t = {
   capacity : int;
   times : float array;
-  durs : float array;
   nodes : int array;
   streams : int array;
   keys : int array;
@@ -76,7 +63,6 @@ let create ?(capacity = 65536) () =
   {
     capacity;
     times = Array.make capacity 0.;
-    durs = Array.make capacity 0.;
     nodes = Array.make capacity 0;
     streams = Array.make capacity 0;
     keys = Array.make capacity 0;
@@ -87,15 +73,12 @@ let create ?(capacity = 65536) () =
     on = true;
   }
 
-let enabled t = t.on
-
 let set_enabled t flag = t.on <- flag
 
-let record t ~at ~node ~stream ~key ?(dur = 0.) kind =
+let record t ~at ~node ~stream ~key kind =
   if t.on then begin
     let i = t.head in
     t.times.(i) <- at;
-    t.durs.(i) <- dur;
     t.nodes.(i) <- node;
     t.streams.(i) <- stream;
     t.keys.(i) <- key;
@@ -116,7 +99,6 @@ let iter t f =
   for j = 0 to t.len - 1 do
     let i = (start + j) mod t.capacity in
     f ~at:t.times.(i) ~node:t.nodes.(i) ~stream:t.streams.(i) ~key:t.keys.(i)
-      ~dur:t.durs.(i)
       (kind_of_index t.kinds.(i))
   done
 
@@ -149,7 +131,7 @@ let to_chrome_json t =
   (* Open detections, keyed (node, key) -> detection time, for span
      reconstruction; a Recovered_* closes the span. *)
   let detects : (int * int, float) Hashtbl.t = Hashtbl.create 256 in
-  iter t (fun ~at ~node ~stream ~key ~dur kind ->
+  iter t (fun ~at ~node ~stream ~key kind ->
       (match kind with
       | Loss_detected -> Hashtbl.replace detects (node, key) at
       | Recovered_expedited | Recovered_fallback -> (
@@ -162,8 +144,7 @@ let to_chrome_json t =
               push (event ~name ~ph:"X" ~at:t0 ~node ~stream ~key ~dur:(at -. t0) ())
           | None -> ())
       | _ -> ());
-      let dur = if dur > 0. then Some dur else None in
-      push (event ~name:(kind_name kind) ~ph:(if dur = None then "i" else "X") ~at ~node ~stream ~key ?dur ()));
+      push (event ~name:(kind_name kind) ~ph:"i" ~at ~node ~stream ~key ()));
   Json.Obj
     [
       ("traceEvents", Json.Arr (List.rev !events));

@@ -1,7 +1,7 @@
 (** Structured event tracing for protocol runs.
 
     A trace is a preallocated ring buffer of unboxed event records —
-    sim time, node, stream, packed loss key, event kind, duration —
+    sim time, node, stream, packed loss key, event kind —
     recorded from the simulator's existing observation seams (the SRM
     host hooks and the network packet tap), so recording never perturbs
     protocol behaviour and a run without a trace attached pays nothing.
@@ -19,11 +19,8 @@
 
 type kind =
   | Loss_detected
-  | Request_scheduled
   | Request_sent
-  | Reply_scheduled
   | Reply_sent
-  | Exp_request_scheduled
   | Exp_request_sent
   | Exp_reply_sent
   | Recovered_expedited
@@ -39,16 +36,13 @@ val create : ?capacity:int -> unit -> t
 (** Ring capacity in events (default 65536, min 16). All storage is
     allocated here; recording allocates nothing. *)
 
-val enabled : t -> bool
-
 val set_enabled : t -> bool -> unit
 (** A disabled trace ignores {!record} calls (a single branch). Traces
     start enabled. *)
 
-val record : t -> at:float -> node:int -> stream:int -> key:int -> ?dur:float -> kind -> unit
+val record : t -> at:float -> node:int -> stream:int -> key:int -> kind -> unit
 (** Append one event; [at] is sim time in seconds, [key] the packed
-    (src, seq) loss key, [dur] an optional span length in seconds
-    (default 0 = instant). *)
+    (src, seq) loss key. *)
 
 val recorded : t -> int
 (** Events accepted since creation (including since-overwritten ones). *)
@@ -59,7 +53,7 @@ val dropped : t -> int
 val length : t -> int
 (** Events currently held. *)
 
-val iter : t -> (at:float -> node:int -> stream:int -> key:int -> dur:float -> kind -> unit) -> unit
+val iter : t -> (at:float -> node:int -> stream:int -> key:int -> kind -> unit) -> unit
 (** Oldest to newest. *)
 
 val clear : t -> unit

@@ -65,8 +65,6 @@ let int t n =
   let x = Int64.shift_right_logical (bits64 t) 1 in
   Int64.to_int (Int64.rem x (Int64.of_int n))
 
-let bool t = Int64.logand (bits64 t) 1L = 1L
-
 let bernoulli t p = unit_float t < p
 
 let exponential t mean =

@@ -57,9 +57,6 @@ val uniform : t -> float -> float -> float
 val int : t -> int -> int
 (** [int t n] is uniform in [\[0, n)]. [n] must be positive. *)
 
-val bool : t -> bool
-(** Fair coin. *)
-
 val bernoulli : t -> float -> bool
 (** [bernoulli t p] is [true] with probability [p]. *)
 

@@ -24,10 +24,6 @@ let d1 t = t.reply.lo
 
 let d2 t = t.reply.width
 
-let ave_dup_requests t = t.request.ave_dup
-
-let ave_dup_replies t = t.reply.ave_dup
-
 let clamp lo hi x = Float.max lo (Float.min hi x)
 
 (* The adjustment schedule of Floyd et al. §VI: on sustained duplicates

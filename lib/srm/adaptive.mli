@@ -28,10 +28,6 @@ val d1 : t -> float
 
 val d2 : t -> float
 
-val ave_dup_requests : t -> float
-
-val ave_dup_replies : t -> float
-
 val note_request_cycle : t -> dups:int -> delay_in_d:float -> unit
 (** One finished recovery exchange in which this host had a request
     scheduled: [dups] duplicate requests were overheard and the

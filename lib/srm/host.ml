@@ -22,12 +22,6 @@ type request_state = {
   times : request_times;
 }
 
-(* Test-only protocol mutations: each one breaks a different invariant
-   the fault oracle asserts, proving the checker can actually fail. *)
-type mutation =
-  | Suppress_replies (* schedule replies normally but never transmit *)
-  | Double_deliver (* fire on_packet_obtained twice per packet *)
-
 type hooks = {
   mutable on_loss_detected : src:int -> seq:int -> unit;
   mutable on_reply_observed : Net.Packet.payload -> unit;
@@ -131,7 +125,6 @@ type t = {
   counters : Stats.Counters.t;
   recoveries : Stats.Recovery.t;
   hooks : hooks;
-  mutable mutations : mutation list;
 }
 
 let key t ~src ~seq = Key.make ~stride:t.stride ~src ~seq
@@ -158,10 +151,6 @@ let[@inline] arm t ~after callback k =
 let self t = t.self
 
 let hooks t = t.hooks
-
-let inject_mutation t m = if not (List.mem m t.mutations) then t.mutations <- m :: t.mutations
-
-let mutated t m = List.mem m t.mutations
 
 (* Every delivery looks its stream up two to four times; [find] with
    [Not_found] allocates nothing on a hit, where [find_opt] allocates a
@@ -629,8 +618,7 @@ let obtain t ~src seq ~expedited ~repaired =
         if debug_on () then
           Log.debug (fun m -> m "t=%.4f host %d RECOVERED src %d seq %d" (now t) t.self src seq);
         record_recovery t ~src seq st ~expedited ~repaired);
-    t.hooks.on_packet_obtained ~src ~seq ~expedited;
-    if mutated t Double_deliver then t.hooks.on_packet_obtained ~src ~seq ~expedited
+    t.hooks.on_packet_obtained ~src ~seq ~expedited
   end
 
 let note_sent ?(src = 0) t ~seq =
@@ -700,10 +688,9 @@ let emit_reply ?transmit ~delay_norm t ~src ~seq ~requestor ~d_qs ~expedited ~tu
           { src; seq; requestor; d_qs; replier = t.self; d_rq; expedited; turning_point };
     }
   in
-  (if not (mutated t Suppress_replies) then
-     match transmit with
-     | Some send -> send packet
-     | None -> Net.Network.multicast t.network ~from:t.self packet);
+  (match transmit with
+  | Some send -> send packet
+  | None -> Net.Network.multicast t.network ~from:t.self packet);
   (match t.adaptive with
   | Some a ->
       let r = Reply_table.add t.replies (key t ~src ~seq) in
@@ -953,7 +940,6 @@ let create ?domain ~network ~self ~params ~n_packets ~period ~counters ~recoveri
           on_peer_left = ignore;
           on_retired = ignore;
         };
-      mutations = [];
     }
   in
   t.request_timer <- fire_request t;

@@ -18,16 +18,6 @@
 
 type t
 
-type mutation =
-  | Suppress_replies
-      (** schedule and count replies normally but never put them on the
-          wire — every recovery the host would have served stalls *)
-  | Double_deliver
-      (** fire [on_packet_obtained] twice per obtained packet *)
-(** Test-only protocol mutations ({!inject_mutation}). Each breaks a
-    different invariant the fault oracle asserts, so injecting one must
-    make the oracle report violations — the oracle's self-test. *)
-
 type hooks = {
   mutable on_loss_detected : src:int -> seq:int -> unit;
       (** fired once per loss, right after the SRM request is first
@@ -212,6 +202,3 @@ val join : t -> baselines:(int * int) list -> unit
 val forget_peer : t -> int -> unit
 (** A peer left the group: drop this member's session soft state naming
     it (distance estimate, heard entry) so a later rejoin starts fresh. *)
-
-val inject_mutation : t -> mutation -> unit
-(** Test-only: switch a {!mutation} on for the rest of the run. *)

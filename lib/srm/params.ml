@@ -40,8 +40,3 @@ let validate t =
   else if (match t.rearm_backoff with Some w -> w <= 0. | None -> false) then
     Error "rearm_backoff must be positive when set"
   else Ok t
-
-let pp ppf t =
-  Format.fprintf ppf "C1=%g C2=%g C3=%g D1=%g D2=%g D3=%g session=%gs%s" t.c1 t.c2 t.c3 t.d1
-    t.d2 t.d3 t.session_period
-    (if t.adaptive then " (adaptive)" else "")

@@ -74,5 +74,3 @@ val domain_dr_bias : float
 val validate : t -> (t, string) result
 (** Reject negative weights, a non-positive session period and a
     non-positive [rearm_backoff]. *)
-
-val pp : Format.formatter -> t -> unit

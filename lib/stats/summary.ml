@@ -41,8 +41,6 @@ let mean t = if t.n = 0 then 0. else t.mean
 
 let variance t = if t.n < 2 then 0. else t.m2 /. float_of_int (t.n - 1)
 
-let stddev t = sqrt (variance t)
-
 let min t = t.minv
 
 let max t = t.maxv
@@ -97,7 +95,3 @@ let merge a b =
   absorb a;
   absorb b;
   t
-
-let pp ppf t =
-  Format.fprintf ppf "n=%d mean=%.4f sd=%.4f min=%.4f max=%.4f" t.n (mean t) (stddev t)
-    t.minv t.maxv

@@ -19,8 +19,6 @@ val mean : t -> float
 val variance : t -> float
 (** Unbiased sample variance; 0 with fewer than two observations. *)
 
-val stddev : t -> float
-
 val min : t -> float
 (** +inf when empty. *)
 
@@ -40,5 +38,3 @@ val percentile : t -> float -> float
 
 val merge : t -> t -> t
 (** Combine two summaries (samples concatenated if both retained). *)
-
-val pp : Format.formatter -> t -> unit

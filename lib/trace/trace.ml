@@ -63,8 +63,6 @@ let loss_bits t ~rcvr =
   require_bits t "Trace.loss_bits";
   t.loss.(rcvr)
 
-let losses_of_receiver t ~rcvr = Bitset.count t.loss.(rcvr)
-
 let total_losses t = Array.fold_left (fun acc b -> acc + Bitset.count b) 0 t.loss
 
 let loss_pattern t ~seq =

@@ -47,8 +47,6 @@ val lost_node : t -> node:int -> seq:int -> bool
 val loss_bits : t -> rcvr:int -> Bitset.t
 (** The receiver's raw loss bitset (do not mutate). *)
 
-val losses_of_receiver : t -> rcvr:int -> int
-
 val total_losses : t -> int
 
 val loss_pattern : t -> seq:int -> int list

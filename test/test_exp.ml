@@ -359,18 +359,6 @@ let test_sweep_spec_domains () =
         (Option.map int_of_float (Option.bind (Obs.Json.member "detected" shard) Obs.Json.to_float)))
     (Exp.Spec.cells spec)
 
-let test_agg_missing () =
-  let agg = Exp.Agg.create small_spec in
-  check (Alcotest.list Alcotest.int) "all missing" [ 0; 1; 2; 3 ] (Exp.Agg.missing agg);
-  (match Exp.Agg.finalize agg with
-  | _ -> Alcotest.fail "finalize with missing shards should fail"
-  | exception Failure _ -> ());
-  Alcotest.check_raises "out of range" (Invalid_argument "Agg.add: shard index 9 out of range")
-    (fun () -> Exp.Agg.add agg ~index:9 Obs.Json.Null);
-  match Exp.Agg.add_string agg ~index:0 "{not json" with
-  | Error _ -> ()
-  | Ok () -> Alcotest.fail "accepted malformed shard JSON"
-
 let () =
   Alcotest.run "exp"
     [
@@ -397,7 +385,6 @@ let () =
           Alcotest.test_case "serial = parallel (bytes)" `Slow test_sweep_identity;
           Alcotest.test_case "faulted serial = parallel (bytes)" `Slow
             test_sweep_identity_faulted;
-          Alcotest.test_case "agg missing shards" `Quick test_agg_missing;
           Alcotest.test_case "domains ride in the spec" `Quick test_sweep_spec_domains;
         ] );
     ]

@@ -126,8 +126,14 @@ let test_unknown_fault_name () =
 
 (* --- Mutation self-tests: the oracle must reject a broken protocol ---- *)
 
+(* Broken protocols, built from outside the host: each breaks a
+   different invariant the oracle asserts. *)
+type mutation =
+  | Suppress_replies (* every reply is dropped on the wire *)
+  | Double_deliver (* the oracle hears every obtained packet twice *)
+
 (* Deploy plain SRM on the sample tree, dropping data packet [seq] on
-   link [l] for each (seq, l) in [drops], with [mutation] injected into
+   link [l] for each (seq, l) in [drops], with [mutation] applied to
    every member, and return the finalized oracle. *)
 let run_mutated ?mutation ?(drops = [ (5, 3) ]) () =
   let engine = Sim.Engine.create ~seed:7L () in
@@ -135,13 +141,21 @@ let run_mutated ?mutation ?(drops = [ (5, 3) ]) () =
   Net.Network.set_drop network (fun ~link ~down (p : Net.Packet.t) ->
       match p.payload with
       | Net.Packet.Data { seq } -> down && List.mem (seq, link) drops
+      | Net.Packet.Reply _ -> mutation = Some Suppress_replies
       | _ -> false);
   let oracle = Fault.Oracle.create ~network in
   let proto = Srm.Proto.deploy ~network ~params:Srm.Params.default ~n_packets:10 ~period:0.05 () in
   List.iter
     (fun (_, h) ->
       Fault.Oracle.attach_host oracle h;
-      Option.iter (Srm.Host.inject_mutation h) mutation)
+      if mutation = Some Double_deliver then begin
+        let hooks = Srm.Host.hooks h in
+        let obtained = hooks.Srm.Host.on_packet_obtained in
+        hooks.Srm.Host.on_packet_obtained <-
+          (fun ~src ~seq ~expedited ->
+            obtained ~src ~seq ~expedited;
+            obtained ~src ~seq ~expedited)
+      end)
     (Srm.Proto.members proto);
   Srm.Proto.start proto ~warmup:5.0 ~tail:15.0;
   Sim.Engine.run ~until:120.0 engine;
@@ -159,20 +173,20 @@ let test_oracle_baseline_clean () =
 let test_oracle_rejects_suppressed_replies () =
   (* No member ever puts a reply on the wire, so the dropped packet is
      never repaired: the liveness invariant must fire for the loser. *)
-  let oracle = run_mutated ~mutation:Srm.Host.Suppress_replies () in
+  let oracle = run_mutated ~mutation:Suppress_replies () in
   check Alcotest.bool "not clean" false (Fault.Oracle.clean oracle);
   check Alcotest.bool "liveness violated" true (has_invariant oracle "liveness");
   check Alcotest.bool "the loser is charged" true
     (List.exists (fun v -> v.Fault.Oracle.node = 3) (Fault.Oracle.violations oracle))
 
 let test_oracle_rejects_double_delivery () =
-  let oracle = run_mutated ~mutation:Srm.Host.Double_deliver () in
+  let oracle = run_mutated ~mutation:Double_deliver () in
   check Alcotest.bool "not clean" false (Fault.Oracle.clean oracle);
   check Alcotest.bool "duplicate delivery caught" true
     (has_invariant oracle "duplicate-delivery")
 
 let test_oracle_json_and_pp () =
-  let oracle = run_mutated ~mutation:Srm.Host.Suppress_replies () in
+  let oracle = run_mutated ~mutation:Suppress_replies () in
   (match Fault.Oracle.to_json oracle with
   | Obs.Json.Obj fields -> (
       (match List.assoc_opt "count" fields with

@@ -276,6 +276,41 @@ let test_diff_array_by_name () =
   Alcotest.(check (list string)) "wall_s regression flagged" [ "sections/smoke/wall_s" ]
     (List.map (fun e -> e.Obs.Diff.path) flagged)
 
+let test_diff_skips_machine_and_meta () =
+  let doc ~wall ~packets ~detected =
+    Obs.Json.(
+      Obj
+        [
+          ("meta", Obj [ ("packets", Num packets) ]);
+          ("machine", Obj [ ("total_wall_s", Num wall) ]);
+          ( "legs",
+            Arr
+              [
+                Obj
+                  [
+                    ("name", Str "srm");
+                    ("detected", Num detected);
+                    ("machine", Obj [ ("wall_s", Num wall) ]);
+                  ];
+              ] );
+        ])
+  in
+  let thresholds = { Obs.Diff.rel = 0.; abs = 0. } in
+  let base = doc ~wall:1. ~packets:200. ~detected:7. in
+  let entries =
+    Obs.Diff.diff ~thresholds ~base ~current:(doc ~wall:9. ~packets:300. ~detected:7.) ()
+  in
+  Alcotest.(check (list string)) "only the counter is compared" [ "legs/srm/detected" ]
+    (List.map (fun e -> e.Obs.Diff.path) entries);
+  Alcotest.(check (list string)) "nothing flagged" []
+    (List.map (fun e -> e.Obs.Diff.path) (Obs.Diff.flagged entries));
+  let flagged =
+    Obs.Diff.flagged
+      (Obs.Diff.diff ~thresholds ~base ~current:(doc ~wall:1. ~packets:200. ~detected:8.) ())
+  in
+  Alcotest.(check (list string)) "a counter change is flagged" [ "legs/srm/detected" ]
+    (List.map (fun e -> e.Obs.Diff.path) flagged)
+
 let prop_diff_threshold =
   (* flagged iff |delta| > abs AND |delta| / max(|base|, abs) > rel *)
   QCheck.Test.make ~name:"diff threshold logic" ~count:500
@@ -305,7 +340,7 @@ let test_trace_ring () =
   check Alcotest.int "length capped" 16 (Obs.Trace.length t);
   check Alcotest.int "dropped" 5 (Obs.Trace.dropped t);
   let first = ref None in
-  Obs.Trace.iter t (fun ~at ~node:_ ~stream:_ ~key:_ ~dur:_ _ ->
+  Obs.Trace.iter t (fun ~at ~node:_ ~stream:_ ~key:_ _ ->
       if !first = None then first := Some at);
   check (Alcotest.option (Alcotest.float 1e-9)) "oldest survivor" (Some 6.) !first;
   Obs.Trace.set_enabled t false;
@@ -399,6 +434,8 @@ let () =
         [
           Alcotest.test_case "flags" `Quick test_diff_flags;
           Alcotest.test_case "arrays by name" `Quick test_diff_array_by_name;
+          Alcotest.test_case "machine and meta are never compared" `Quick
+            test_diff_skips_machine_and_meta;
           qcheck prop_diff_threshold;
         ] );
       ( "trace",
