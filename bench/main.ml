@@ -17,9 +17,11 @@
                                                reproduction; see below)
      dune exec bench/main.exe -- --scale full --shards 4  (additionally run
                                                each scale leg sharded over 4
-                                               conservative PDES workers and
-                                               report events/sec and speedup
-                                               vs the serial reference)
+                                               conservative PDES workers,
+                                               failing on any divergence from
+                                               the serial reference; the
+                                               --json report's machine objects
+                                               carry events/sec and speedup)
      dune exec bench/main.exe -- --scale cache (the retention-policy gate:
                                                both adversarial cache-thrash
                                                scenarios at 256 receivers,
@@ -40,22 +42,23 @@
 
    --scale replaces the reproduction entirely: it runs SRM+CESRM legs
    over synthetic Mtrace.Scale scenarios (256–10 000 receivers) and
-   emits one self-describing JSON document per run. The "smoke"
-   profile (all three tree families at 256 receivers) is the CI
-   regression gate; the "full" profile (families at 256/1024 plus
-   bounded-fanout at 4096 and 10 000) is the scaling measurement.
-   Either way every machine-dependent number (wall, allocation,
-   events/sec) lives in a "machine" sub-object and the run's
-   parameters in "meta", neither of which `cesrm diff` compares, so
-   the committed smoke baseline gates only deterministic simulation
-   counters while staying fully machine-readable. Scale rows pin
-   their own packet count (200), so --packets is ignored here.
+   prints each scenario's record and then each leg's as one line of
+   JSON. The "smoke" profile (all three tree families at 256
+   receivers) is a regression pin (bench/scale.t); the "full" profile
+   (families at 256/1024 plus bounded-fanout at 4096 and 10 000) is
+   the scaling measurement. Every machine-dependent number (wall,
+   allocation, events/sec, speedup) lives only in the --json report,
+   in a "machine" sub-object that stdout leaves out and `cesrm diff`
+   never compares, so stdout is a pure function of the code. Scale
+   rows pin their own packet count (200), so --packets is ignored
+   here.
 
    --steady smoke|full runs the streaming-execution profile instead
    (lib/steady): a CESRM leg over a scale scenario with a finite
    state-retirement window, asserting a hard peak-heap ceiling and
-   bounded heap growth, plus (smoke) a byte-identity check against an
-   infinite-window run of the same streaming trace. "smoke" is
+   bounded live-heap growth, plus (smoke) a byte-identity check against
+   an infinite-window run of the same streaming trace. Its stdout
+   carries the same one-line records. "smoke" is
    SCALE-bf-512 at 50k packets; "full" is SCALE-bf-1000 at 10^6
    packets — the million-packet constant-memory measurement. *)
 
@@ -130,6 +133,21 @@ let section name body =
     body ();
     print_newline ()
   end
+
+(* A scenario's or leg's record as one line of stdout, without its
+   machine figures: what is left is a pure function of the code. *)
+let print_record fields =
+  print_endline
+    (Obs.Json.to_string (Obs.Json.Obj (List.filter (fun (k, _) -> k <> "machine") fields)));
+  flush stdout
+
+(* Print a leg's record, then fail the run if the leg left a loss
+   unrecovered or broke an audit rule. *)
+let emit_leg ~profile (r : Harness.Runner.result) name fields =
+  print_record fields;
+  if r.unrecovered <> 0 then failwith (profile ^ ": unrecovered losses in " ^ name);
+  if r.audit_violations <> 0 then failwith (profile ^ ": audit violations in " ^ name);
+  Obs.Json.Obj fields
 
 (* The scale and steady reports are self-describing: a meta object
    records the git commit and the run parameters, so a stored --json
@@ -293,12 +311,12 @@ let scale_scenarios = function
   (* The hierarchical-recovery gate: the 1024-deep chain is where
      domains-vs-flat separates hardest (the last-receiver makespan is
      pipeline-deep without local recovery), and the profile forces the
-     srm-dom/cesrm-dom legs on so the baseline pins both sides. *)
+     srm-dom/cesrm-dom legs on so the pin covers both sides. *)
   | "domains" -> [ "SCALE-dc-1024" ]
   (* The retention-policy gate: both adversarial cache-thrash families
      at a cheap size. The profile replaces the plain cesrm leg with one
      leg per retention scheme (the paper's 1-entry cache first as the
-     floor), so the baseline pins the retention x scenario expedited
+     floor), so the pin covers the retention x scenario expedited
      grid. *)
   | "cache" -> [ "SCALE-rh-256"; "SCALE-ps-256" ]
   | _ ->
@@ -356,10 +374,10 @@ let leg_fingerprint (r : Harness.Runner.result) =
     Stats.Recovery.latency_summary r.recoveries )
 
 (* One protocol leg on one scale row, reduced to the JSON the report
-   keeps. Simulation counters are deterministic (fixed seed, pure
-   OCaml), so the CI gate's `cesrm diff --rel 0 --abs 0` compares them
-   exactly; wall, allocation and events/sec depend on the machine, so
-   they go in the leg's "machine" sub-object, which the diff skips. *)
+   keeps and printed without its machine figures. Simulation counters
+   are deterministic (fixed seed, pure OCaml), so bench/scale.t pins
+   them exactly; wall, allocation and events/sec depend on the
+   machine, so they go in the leg's "machine" sub-object. *)
 let scale_leg name ?domains protocol row =
   (* The serial run is both the reference timing and (with --shards 1)
      the run itself; with --shards k > 1 a second, sharded run is
@@ -383,24 +401,10 @@ let scale_leg name ?domains protocol row =
   (* Recovery-latency percentiles from the registry's online sketch
      (fed identically in records-on and records-off runs), and the
      last-receiver makespan — the figure hierarchical local recovery
-     exists to improve. Both are deterministic, so the CI diff gates on
+     exists to improve. Both are deterministic, so the pins compare
      them. *)
   let lat_hist = Obs.Registry.hist registry "recovery/latency_s" in
   let makespan = Stats.Recovery.makespan_summary r.Harness.Runner.recoveries in
-  Printf.printf
-    "%-16s %-10s wall %7.2f s  alloc %8.0f MB  detected %6d  unrecovered %d  mc-req %4d \
-     uc-req %4d  repl %5d  exp-repl %4d  mkspan %6.3f/%6.3f s%s\n\
-     %!"
-    row.Mtrace.Meta.name name wall alloc_mb r.detected r.unrecovered
-    (total Stats.Counters.Rqst) (total Stats.Counters.Exp_rqst) (total Stats.Counters.Repl)
-    (total Stats.Counters.Exp_repl)
-    (Stats.Summary.mean makespan) (Stats.Summary.max makespan)
-    (match sharded with
-    | Some _ -> Printf.sprintf "  speedup x%.2f (%d shards)" (serial_wall /. wall) !shards
-    | None -> "");
-  if r.Harness.Runner.unrecovered <> 0 then failwith ("scale: unrecovered losses in " ^ name);
-  if r.Harness.Runner.audit_violations <> 0 then
-    failwith ("scale: audit violations in " ^ name);
   let open Obs.Json in
   let machine =
     [
@@ -414,7 +418,7 @@ let scale_leg name ?domains protocol row =
     | Some (wall', _) ->
         [ ("serial_wall_s", Num serial_wall); ("speedup_vs_serial", Num (serial_wall /. wall')) ]
   in
-  Obj
+  emit_leg ~profile:"scale" r name
     ([
        ("name", Str name);
        ("detected", int r.detected);
@@ -445,6 +449,16 @@ let run_scale profile =
   List.map
     (fun scenario ->
       let row = Mtrace.Scale.find scenario in
+      let header =
+        [
+          ("name", Str scenario);
+          ("family", Str (scale_family_name row));
+          ("n_receivers", int row.Mtrace.Meta.n_receivers);
+          ("n_packets", int row.Mtrace.Meta.n_packets);
+          ("n_losses", int row.Mtrace.Meta.n_losses);
+        ]
+      in
+      print_record header;
       let srm = scale_leg "srm" Harness.Runner.Srm_protocol row in
       let cesrm_legs =
         if profile <> "cache" then
@@ -464,22 +478,15 @@ let run_scale profile =
       let dom_legs =
         if not !with_domains then []
         else
-          [
-            scale_leg "srm-dom" ~domains:Rdomain.Auto Harness.Runner.Srm_protocol row;
-            scale_leg "cesrm-dom" ~domains:Rdomain.Auto
-              (Harness.Runner.Cesrm_protocol Cesrm.Host.default_config) row;
-          ]
+          List.map
+            (fun (name, protocol) -> scale_leg name ~domains:Rdomain.Auto protocol row)
+            [
+              ("srm-dom", Harness.Runner.Srm_protocol);
+              ("cesrm-dom", Harness.Runner.Cesrm_protocol Cesrm.Host.default_config);
+            ]
       in
       let legs = (srm :: cesrm_legs) @ dom_legs in
-      Obj
-        [
-          ("name", Str scenario);
-          ("family", Str (scale_family_name row));
-          ("n_receivers", int row.Mtrace.Meta.n_receivers);
-          ("n_packets", int row.Mtrace.Meta.n_packets);
-          ("n_losses", int row.Mtrace.Meta.n_losses);
-          ("legs", Arr legs);
-        ])
+      Obj (header @ [ ("legs", Arr legs) ]))
     (scale_scenarios profile)
 
 let scale_json_doc ~scenarios ~total_wall_s =
@@ -496,7 +503,6 @@ let scale_main profile =
   Printf.printf "== scale (%s) ==\n%!" profile;
   let scenarios = run_scale profile in
   let total = Unix.gettimeofday () -. t0 in
-  Printf.printf "total wall time: %.1f s\n" total;
   write_json (scale_json_doc ~scenarios ~total_wall_s:total)
 
 (* --- Steady profiles (--steady smoke|full) -------------------------- *)
@@ -551,34 +557,11 @@ let steady_leg ~label ~row ~n_packets ~window =
   in
   let c = Option.get r.Harness.Runner.retirement in
   let peak_heap_mb = float_of_int (Steady.Controller.peak_heap_words c) *. 8. /. 1e6 in
-  let heap_growth = Steady.Controller.heap_growth c in
   let live_growth = Steady.Controller.decile_growth live in
   let total k = Stats.Counters.total r.Harness.Runner.counters k in
-  Printf.printf
-    "%-16s %-8s wall %7.2f s  events/s %8.0f  bytes/event %6.0f  peak heap %6.1f MB  live growth \
-     %s  floor %d/%d in %d epochs  detected %d  unrecovered %d\n\
-     %!"
-    row.Mtrace.Meta.name label wall
-    (float_of_int events /. wall)
-    (alloc_bytes /. Float.max 1. (float_of_int events))
-    peak_heap_mb
-    (match live_growth with Some g -> Printf.sprintf "x%.3f" g | None -> "-")
-    (Steady.Controller.floor c) n_packets (Steady.Controller.ticks c) r.detected r.unrecovered;
-  let print_mb what samples =
-    if Array.length samples > 0 then begin
-      Printf.printf "  %s (MB):" what;
-      Array.iter (fun w -> Printf.printf " %.0f" (float_of_int w *. 8. /. 1e6)) samples;
-      print_newline ()
-    end
-  in
-  print_mb "heap/epoch" (Steady.Controller.heap_samples c);
-  print_mb "live/steady epoch" live;
-  if r.Harness.Runner.unrecovered <> 0 then failwith ("steady: unrecovered losses in " ^ label);
-  if r.Harness.Runner.audit_violations <> 0 then
-    failwith ("steady: audit violations in " ^ label);
   let open Obs.Json in
   let json =
-    Obj
+    emit_leg ~profile:"steady" r label
       [
         ("name", Str label);
         ("window", int window);
@@ -600,8 +583,6 @@ let steady_leg ~label ~row ~n_packets ~window =
               ("bytes_per_event", Num (alloc_bytes /. Float.max 1. (float_of_int events)));
               ("alloc_mb", Num (alloc_bytes /. 1e6));
               ("peak_heap_mb", Num peak_heap_mb);
-              ( "heap_growth",
-                match heap_growth with Some g -> Num g | None -> Null );
               ( "live_growth",
                 match live_growth with Some g -> Num g | None -> Null );
             ] );
@@ -616,6 +597,10 @@ let steady_main profile =
     List.concat_map
       (fun (scenario, n_packets, window) ->
         let row = Mtrace.Scale.find scenario in
+        let header =
+          Obs.Json.[ ("name", Str scenario); ("n_receivers", int row.Mtrace.Meta.n_receivers) ]
+        in
+        print_record header;
         let r, peak_mb, growth, json =
           steady_leg ~label:"windowed" ~row ~n_packets ~window
         in
@@ -660,19 +645,10 @@ let steady_main profile =
             [ json' ]
           end
         in
-        let open Obs.Json in
-        [
-          Obj
-            [
-              ("name", Str scenario);
-              ("n_receivers", int row.Mtrace.Meta.n_receivers);
-              ("legs", Arr (json :: reference));
-            ];
-        ])
+        [ Obs.Json.Obj (header @ [ ("legs", Obs.Json.Arr (json :: reference)) ]) ])
       (steady_scenarios profile)
   in
   let total = Unix.gettimeofday () -. t0 in
-  Printf.printf "total wall time: %.1f s\n" total;
   let open Obs.Json in
   write_json
     (Obj

@@ -375,12 +375,8 @@ let steady_arg =
 let print_steady (res : Harness.Runner.result) =
   Option.iter
     (fun c ->
-      Printf.printf "steady: retirement floor %d after %d epochs, peak heap %.1f MB%s\n"
-        (Steady.Controller.floor c) (Steady.Controller.ticks c)
-        (float_of_int (Steady.Controller.peak_heap_words c) *. 8. /. 1e6)
-        (match Steady.Controller.heap_growth c with
-        | Some g -> Printf.sprintf ", heap growth x%.2f (last/first decile)" g
-        | None -> ""))
+      Printf.printf "steady: retirement floor %d after %d epochs\n" (Steady.Controller.floor c)
+        (Steady.Controller.ticks c))
     res.retirement
 
 let run_cmd =
@@ -639,16 +635,18 @@ let sweep_cmd =
            (min resolved n)
            (if shards > 1 then Printf.sprintf " x %d sim shard(s)" shards else "")
            (if resolved > 1 && not Exp.Pool.available then " (fork unavailable: serial)" else "");
-         let t0 = Unix.gettimeofday () in
+         (* The shard counter redraws in place only on a terminal;
+            piped, stdout carries just the final count. *)
+         let live = Unix.isatty Unix.stdout in
          match
            Exp.Sweep.run ?jobs ~shards
              ~on_result:(fun ~index:_ ~done_ ~total ->
-               Printf.printf "\r  %d/%d shards%!" done_ total)
+               if live then Printf.printf "\r  %d/%d shards%!" done_ total)
              spec
          with
          | exception Failure msg -> Error msg
          | artifact -> (
-             Printf.printf "\r  %d/%d shards, %.1f s\n" n n (Unix.gettimeofday () -. t0);
+             Printf.printf "%s  %d/%d shards\n" (if live then "\r" else "") n n;
              print_string (summary_table artifact);
              let totals = Obs.Json.member "totals" artifact in
              Option.iter

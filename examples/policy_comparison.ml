@@ -7,14 +7,9 @@
    them, with the paper's 1-entry cache as the floor, across a few
    traces.
 
-   Run with:  dune exec examples/policy_comparison.exe
-   (CESRM_EXAMPLE_PACKETS shortens the traces — the runtest smoke
-   rule uses it to keep the examples fast.) *)
+   Run with:  dune exec examples/policy_comparison.exe *)
 
-let n_packets =
-  match Sys.getenv_opt "CESRM_EXAMPLE_PACKETS" with
-  | Some s -> int_of_string s
-  | None -> 4000
+let n_packets = 4000
 
 let avg_norm (res : Harness.Runner.result) =
   let s = Stats.Summary.create () in

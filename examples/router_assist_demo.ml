@@ -3,13 +3,9 @@
    subtree below the turning-point router instead of the whole group.
    This example measures that exposure reduction.
 
-   Run with:  dune exec examples/router_assist_demo.exe
-   (CESRM_EXAMPLE_PACKETS shortens the trace for the runtest smoke.) *)
+   Run with:  dune exec examples/router_assist_demo.exe *)
 
-let n_packets =
-  match Sys.getenv_opt "CESRM_EXAMPLE_PACKETS" with
-  | Some s -> int_of_string s
-  | None -> 4000
+let n_packets = 4000
 
 let run ~router_assist trace loss =
   let config = { Cesrm.Host.default_config with router_assist } in

@@ -6,13 +6,9 @@
    time — where CESRM's latency advantage turns directly into playback
    quality.
 
-   Run with:  dune exec examples/streaming_playout.exe [TRACE]
-   (CESRM_EXAMPLE_PACKETS shortens the trace for the runtest smoke.) *)
+   Run with:  dune exec examples/streaming_playout.exe [TRACE] *)
 
-let n_packets =
-  match Sys.getenv_opt "CESRM_EXAMPLE_PACKETS" with
-  | Some s -> int_of_string s
-  | None -> 5000
+let n_packets = 5000
 
 let deadline_grid = [ 0.1; 0.2; 0.3; 0.5; 0.8; 1.2; 2.0 ]
 

@@ -12,7 +12,7 @@ let run ?jobs ?shards ?on_result ?meta spec =
   (* Auto-detected parallelism is the one machine-dependent run input;
      record what [--jobs 0] resolved to, but only then — explicit job
      counts keep the artifact a pure function of the spec, which the
-     byte-identity tests and CI compare on. *)
+     byte-identity tests and cram laws compare on. *)
   let meta =
     match jobs with
     | Some 0 ->

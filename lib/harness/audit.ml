@@ -1,7 +1,6 @@
 type violation = { at : float; rule : string; detail : string }
 
 type t = {
-  network : Net.Network.t;
   clock : Sim.Engine.clock; (* the engine's; [now] reads it unboxed *)
   expect_in_order : bool;
   max_exp_per_loss : int;
@@ -132,7 +131,6 @@ let finalize_checks t =
    so its runs are audited with the strict default of 1. *)
 let create ?(expect_in_order = true) ?(max_exp_per_loss = 1) network =
   {
-    network;
     clock = Sim.Engine.clock (Net.Network.engine network);
     expect_in_order;
     max_exp_per_loss;

@@ -1,5 +1,4 @@
 type phase = {
-  recoveries : int;
   mean_latency : float;
   p99_latency : float;
   max_latency : float;
@@ -13,7 +12,7 @@ type outcome = {
   unrecovered_alive : int;
 }
 
-let empty_phase = { recoveries = 0; mean_latency = 0.; p99_latency = 0.; max_latency = 0. }
+let empty_phase = { mean_latency = 0.; p99_latency = 0.; max_latency = 0. }
 
 let phase_of records =
   match records with
@@ -22,7 +21,6 @@ let phase_of records =
       let s = Stats.Summary.create () in
       List.iter (fun r -> Stats.Summary.add s (Stats.Recovery.latency r)) records;
       {
-        recoveries = Stats.Summary.count s;
         mean_latency = Stats.Summary.mean s;
         p99_latency = Stats.Summary.percentile s 0.99;
         max_latency = Stats.Summary.max s;

@@ -168,7 +168,6 @@ let run ~(partition : Net.Partition.t) ~delay ?registry ?fault_plan ~(setup : Ru
      newest first. *)
   let pending = ref [] in
   let recv_round () =
-    let t0 = Unix.gettimeofday () in
     Array.iteri
       (fun i (chan, _) ->
         match (Ipc.Chan.recv chan : from_worker) with
@@ -177,8 +176,7 @@ let run ~(partition : Net.Partition.t) ~delay ?registry ?fault_plan ~(setup : Ru
             clocks.(i) <- wd_clock;
             List.iter (fun e -> pending := (i, e) :: !pending) wd_emits
         | Done _ -> assert false)
-      workers;
-    stats.Pst.barrier_wait_s <- stats.Pst.barrier_wait_s +. (Unix.gettimeofday () -. t0)
+      workers
   in
   (* Each emit goes to every shard but its origin (the origin already
      executed the cast). Sorting fixes the replay schedule order, so a

@@ -342,7 +342,7 @@ let build ?shard ?tracer ?registry ?fault_plan ?steady ?on_retire ?domain ~setup
   let controller =
     match steady with
     | Some { Steady.Config.window = Some w; _ } ->
-        Some (Steady.Controller.create ~window:w ~n_packets)
+        Some (Steady.Controller.create ~window:w)
     | _ -> None
   in
   (* Retirement hooks run newest first: the caller's, registered

@@ -67,7 +67,7 @@ type result = Run_types.result = {
   retirement : Steady.Controller.t option;
       (** the windowed-retirement controller — present iff the run
           executed with a finite steady window (floor reached, tick
-          count, heap samples) *)
+          count, peak heap) *)
 }
 
 type loss_model = Run_types.loss_model =
@@ -169,7 +169,7 @@ val run_model :
     to not passing [steady] at all (the determinism goldens pin this).
     Finite windows and records-off runs stay serial; infinite-window
     steady composes with [shards]. A finite-window run's controller is
-    returned in [result.retirement] (floor, tick count, heap samples).
+    returned in [result.retirement] (floor, tick count, peak heap).
     [on_retire] is registered on that controller: at each epoch whose
     floor advanced it runs after everything else retired (the bench
     samples live words there). Without a finite window it never runs.

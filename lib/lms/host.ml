@@ -7,9 +7,9 @@ type t = {
   n_packets : int;
   rng : Sim.Rng.t;
   route : from:int -> (int * int) option;
-  streams : (int, Srm.Window.t) Hashtbl.t; (* per stream source *)
-  detect_info : (int * int, float) Hashtbl.t;
-  retries : (int * int, retry_state) Hashtbl.t;
+  window : Srm.Window.t; (* node 0's stream, the only one LMS runs *)
+  detect_info : (int, float) Hashtbl.t; (* by seq *)
+  retries : (int, retry_state) Hashtbl.t; (* by seq *)
   mutable n_detected : int;
   counters : Stats.Counters.t;
   recoveries : Stats.Recovery.t;
@@ -23,25 +23,11 @@ let now t = t.clock.now
 
 let self t = t.self
 
-(* [find] with [Not_found]: a hit allocates nothing, where [find_opt]
-   allocates a [Some]. *)
-let stream t src =
-  match Hashtbl.find t.streams src with
-  | s -> s
-  | exception Not_found ->
-      let s = Srm.Window.create ~n_packets:t.n_packets in
-      Hashtbl.replace t.streams src s;
-      s
-
-let has_packet ?(src = 0) t ~seq =
-  seq >= 1 && seq <= t.n_packets && Srm.Window.mem (stream t src) ~seq
+let has_packet t ~seq = seq >= 1 && seq <= t.n_packets && Srm.Window.mem t.window ~seq
 
 let detected_losses t = t.n_detected
 
-let max_seqs t =
-  Hashtbl.fold
-    (fun src w acc -> if Srm.Window.max_seq w > 0 then (src, Srm.Window.max_seq w) :: acc else acc)
-    t.streams []
+let max_seq t = Srm.Window.max_seq t.window
 
 let create ~network ~self ~n_packets ~route ~counters ~recoveries =
   {
@@ -51,7 +37,7 @@ let create ~network ~self ~n_packets ~route ~counters ~recoveries =
     n_packets;
     rng = Sim.Rng.split (Sim.Engine.rng (Net.Network.engine network));
     route;
-    streams = Hashtbl.create 4;
+    window = Srm.Window.create ~n_packets;
     detect_info = Hashtbl.create 64;
     retries = Hashtbl.create 64;
     n_detected = 0;
@@ -61,7 +47,7 @@ let create ~network ~self ~n_packets ~route ~counters ~recoveries =
 
 (* --- requests -------------------------------------------------------- *)
 
-let send_request t ~src seq =
+let send_request t seq =
   match t.route ~from:t.self with
   | None -> ()
   | Some (turning_point, replier) ->
@@ -72,7 +58,7 @@ let send_request t ~src seq =
           payload =
             Net.Packet.Exp_request
               {
-                src;
+                src = 0;
                 seq;
                 requestor = t.self;
                 d_qs = 0.;
@@ -86,60 +72,60 @@ let send_request t ~src seq =
         Net.Network.unicast t.network ~from:t.self ~dst:0 packet
       else Net.Network.unicast t.network ~from:t.self ~dst:replier packet
 
-let rec arm_retry t ~src seq st =
+let rec arm_retry t seq st =
   (* LMS has no suppression to wait for: retry on a timeout scaled by
      the round trip to the source, doubling each attempt. *)
-  let d = Net.Network.dist t.network src t.self in
+  let d = Net.Network.dist t.network 0 t.self in
   let timeout = Float.max (4. *. d) 0.2 *. Float.of_int (1 lsl min st.attempt 16) in
   st.timer <-
     Sim.Engine.schedule (engine t) ~after:timeout (fun () ->
-        if not (has_packet ~src t ~seq) then begin
+        if not (has_packet t ~seq) then begin
           st.attempt <- st.attempt + 1;
-          send_request t ~src seq;
-          arm_retry t ~src seq st
+          send_request t seq;
+          arm_retry t seq st
         end)
 
-let detect_loss t ~src seq =
-  if not (has_packet ~src t ~seq || Hashtbl.mem t.retries (src, seq)) then begin
-    if not (Hashtbl.mem t.detect_info (src, seq)) then begin
-      Hashtbl.replace t.detect_info (src, seq) (now t);
+let detect_loss t seq =
+  if not (has_packet t ~seq || Hashtbl.mem t.retries seq) then begin
+    if not (Hashtbl.mem t.detect_info seq) then begin
+      Hashtbl.replace t.detect_info seq (now t);
       t.n_detected <- t.n_detected + 1
     end;
     let st = { attempt = 0; timer = Sim.Engine.no_timer } in
-    Hashtbl.replace t.retries (src, seq) st;
+    Hashtbl.replace t.retries seq st;
     (* small jitter so co-detecting receivers do not fire in lockstep *)
     ignore
       (Sim.Engine.schedule (engine t) ~after:(Sim.Rng.float t.rng 0.005) (fun () ->
-           if not (has_packet ~src t ~seq) then begin
-             send_request t ~src seq;
-             arm_retry t ~src seq st
+           if not (has_packet t ~seq) then begin
+             send_request t seq;
+             arm_retry t seq st
            end))
   end
 
-let seq_exists t ~src m =
-  let w = stream t src in
+let seq_exists t m =
+  let w = t.window in
   if m > Srm.Window.max_seq w then begin
     let first = Srm.Window.max_seq w + 1 in
     Srm.Window.note_max_seq w (min m t.n_packets);
     for seq = first to Srm.Window.max_seq w do
-      if not (has_packet ~src t ~seq) then detect_loss t ~src seq
+      if not (has_packet t ~seq) then detect_loss t seq
     done
   end
 
-let obtain t ~src seq ~repaired =
-  if not (has_packet ~src t ~seq) then begin
-    Srm.Window.add (stream t src) ~seq;
-    (match Hashtbl.find_opt t.retries (src, seq) with
+let obtain t seq ~repaired =
+  if not (has_packet t ~seq) then begin
+    Srm.Window.add t.window ~seq;
+    (match Hashtbl.find_opt t.retries seq with
     | Some st ->
         Sim.Engine.cancel (engine t) st.timer;
-        Hashtbl.remove t.retries (src, seq)
+        Hashtbl.remove t.retries seq
     | None -> ());
-    match Hashtbl.find_opt t.detect_info (src, seq) with
+    match Hashtbl.find_opt t.detect_info seq with
     | Some detected_at ->
         Stats.Recovery.add t.recoveries
           {
             Stats.Recovery.node = t.self;
-            src;
+            src = 0;
             seq;
             detected_at;
             recovered_at = now t;
@@ -150,29 +136,24 @@ let obtain t ~src seq ~repaired =
     | None -> ()
   end
 
-let note_sent ?(src = 0) t ~seq =
+let note_sent t ~seq =
   if seq >= 1 && seq <= t.n_packets then begin
-    let w = stream t src in
-    Srm.Window.add w ~seq;
-    Srm.Window.note_max_seq w seq
+    Srm.Window.add t.window ~seq;
+    Srm.Window.note_max_seq t.window seq
   end
 
-let delivered_prefix ?(src = 0) t = Srm.Window.prefix (stream t src)
-
-let retired_floor ?(src = 0) t = Srm.Window.base (stream t src)
+let delivered_prefix t = Srm.Window.prefix t.window
 
 (* Steady-state retirement (see [Srm.Host.retire_below]): everything
    at or below the clamped horizon is delivered, so its retry entry is
    gone already ([obtain] removes it) and only the detection-time table
    needs sweeping alongside the window shift. *)
 let retire_below t ~upto =
-  Hashtbl.iter (fun _src w -> Srm.Window.retire_below w ~upto) t.streams;
-  let retired (src, seq) =
-    match Hashtbl.find_opt t.streams src with
-    | Some w -> seq <= Srm.Window.base w
-    | None -> false
+  Srm.Window.retire_below t.window ~upto;
+  let base = Srm.Window.base t.window in
+  let dead =
+    Hashtbl.fold (fun seq _ acc -> if seq <= base then seq :: acc else acc) t.detect_info []
   in
-  let dead = Hashtbl.fold (fun k _ acc -> if retired k then k :: acc else acc) t.detect_info [] in
   List.iter (Hashtbl.remove t.detect_info) dead
 
 let publish_metrics t registry =
@@ -185,8 +166,8 @@ let publish_metrics t registry =
 
 (* --- replier side ----------------------------------------------------- *)
 
-let answer t ~src ~seq ~requestor ~turning_point ~ttl =
-  if has_packet ~src t ~seq then begin
+let answer t ~seq ~requestor ~turning_point ~ttl =
+  if has_packet t ~seq then begin
     Stats.Counters.bump t.counters ~node:t.self Stats.Counters.Exp_repl;
     let reply =
       {
@@ -194,7 +175,7 @@ let answer t ~src ~seq ~requestor ~turning_point ~ttl =
         payload =
           Net.Packet.Reply
             {
-              src;
+              src = 0;
               seq;
               requestor;
               d_qs = 0.;
@@ -223,7 +204,7 @@ let answer t ~src ~seq ~requestor ~turning_point ~ttl =
             payload =
               Net.Packet.Exp_request
                 {
-                  src;
+                  src = 0;
                   seq;
                   requestor;
                   d_qs = float_of_int (ttl - 1);
@@ -236,29 +217,27 @@ let answer t ~src ~seq ~requestor ~turning_point ~ttl =
 let on_packet t (p : Net.Packet.t) =
   match p.payload with
   | Net.Packet.Data { seq } ->
-      let src = p.sender in
-      seq_exists t ~src (seq - 1);
-      obtain t ~src seq ~repaired:false;
-      Srm.Window.note_max_seq (stream t src) seq
-  | Net.Packet.Exp_request { src; seq; requestor; d_qs; replier = _; turning_point } ->
+      seq_exists t (seq - 1);
+      obtain t seq ~repaired:false;
+      Srm.Window.note_max_seq t.window seq
+  | Net.Packet.Exp_request { src = _; seq; requestor; d_qs; replier = _; turning_point } ->
       let ttl =
         (* the TTL rides the (otherwise unused) d_qs annotation *)
         if d_qs > 0. then int_of_float d_qs else max_forward_ttl
       in
       let turning_point = Option.value turning_point ~default:t.self in
-      if requestor <> t.self then answer t ~src ~seq ~requestor ~turning_point ~ttl
-  | Net.Packet.Reply { src; seq; _ } ->
-      seq_exists t ~src seq;
-      obtain t ~src seq ~repaired:true
+      if requestor <> t.self then answer t ~seq ~requestor ~turning_point ~ttl
+  | Net.Packet.Reply { seq; _ } ->
+      seq_exists t seq;
+      obtain t seq ~repaired:true
   | Net.Packet.Session { max_seqs; _ } ->
       (* source heartbeat: announced packets may still be in flight;
          wait out one source-path delay before declaring losses *)
       List.iter
-        (fun (src, m) ->
-          if m > Srm.Window.max_seq (stream t src) then begin
-            let grace = Net.Network.dist t.network src t.self +. 0.05 in
-            ignore
-              (Sim.Engine.schedule (engine t) ~after:grace (fun () -> seq_exists t ~src m))
+        (fun (_src, m) ->
+          if m > max_seq t then begin
+            let grace = Net.Network.dist t.network 0 t.self +. 0.05 in
+            ignore (Sim.Engine.schedule (engine t) ~after:grace (fun () -> seq_exists t m))
           end)
         max_seqs
   | Net.Packet.Request _ -> ()

@@ -28,24 +28,23 @@ val create :
 
 val on_packet : t -> Net.Packet.t -> unit
 
-val note_sent : ?src:int -> t -> seq:int -> unit
+val note_sent : t -> seq:int -> unit
 
-val has_packet : ?src:int -> t -> seq:int -> bool
+val has_packet : t -> seq:int -> bool
 
 val detected_losses : t -> int
 
-val max_seqs : t -> (int * int) list
+val max_seq : t -> int
+(** The highest sequence number known to exist (0 before any). *)
 
-val delivered_prefix : ?src:int -> t -> int
-(** Contiguous delivered prefix of [src]'s stream (its
+val delivered_prefix : t -> int
+(** Contiguous delivered prefix of the stream (its
     [Srm.Window.prefix]). *)
-
-val retired_floor : ?src:int -> t -> int
 
 val retire_below : t -> upto:int -> unit
 (** Steady-state retirement, as in [Srm.Host.retire_below]: drop
-    per-packet state at or below [upto], clamped to each stream's own
-    delivered prefix. Retired packets still answer [has_packet]. *)
+    per-packet state at or below [upto], clamped to the delivered
+    prefix. Retired packets still answer [has_packet]. *)
 
 val self : t -> int
 

@@ -78,7 +78,7 @@ let start ?(streaming = false) t ~warmup ~tail =
               {
                 origin = 0;
                 sent_at = clock.now;
-                max_seqs = Host.max_seqs source;
+                max_seqs = (match Host.max_seq source with 0 -> [] | m -> [ (0, m) ]);
                 echoes = [];
               };
         };

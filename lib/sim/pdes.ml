@@ -3,16 +3,14 @@ module Stats = struct
     mutable windows : int;
     mutable null_windows : int;
     mutable cross_packets : int;
-    mutable barrier_wait_s : float;
   }
 
-  let create () = { windows = 0; null_windows = 0; cross_packets = 0; barrier_wait_s = 0. }
+  let create () = { windows = 0; null_windows = 0; cross_packets = 0 }
 
   let publish ?max_shard_events t ~shards ~lookahead registry =
     Obs.Registry.incr ~by:t.windows registry "pdes/windows";
     Obs.Registry.incr ~by:t.null_windows registry "pdes/null_messages";
     Obs.Registry.incr ~by:t.cross_packets registry "pdes/cross_shard_packets";
-    Obs.Registry.set_gauge registry "pdes/barrier_wait_s" t.barrier_wait_s;
     Obs.Registry.set_gauge registry "pdes/shards" (float_of_int shards);
     Obs.Registry.set_gauge registry "pdes/lookahead_s" lookahead;
     Option.iter

@@ -24,7 +24,6 @@ module Stats : sig
     mutable windows : int;  (** barrier rounds granted *)
     mutable null_windows : int;  (** rounds exchanging no packets *)
     mutable cross_packets : int;  (** cross-shard packet volume *)
-    mutable barrier_wait_s : float;  (** coordinator wall time blocked *)
   }
 
   val create : unit -> t
@@ -33,8 +32,8 @@ module Stats : sig
     ?max_shard_events:int -> t -> shards:int -> lookahead:float -> Obs.Registry.t -> unit
   (** Record the counters (plus the shard count and lookahead) as
       ["pdes/windows"], ["pdes/null_messages"],
-      ["pdes/cross_shard_packets"], ["pdes/barrier_wait_s"],
-      ["pdes/shards"] and ["pdes/lookahead_s"]. [max_shard_events]
+      ["pdes/cross_shard_packets"], ["pdes/shards"] and
+      ["pdes/lookahead_s"]. [max_shard_events]
       (the busiest worker's executed-event count, under
       ["pdes/max_shard_events"]) is the load-balance figure: the
       multi-core speedup ceiling is serial events over it. *)

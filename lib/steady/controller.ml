@@ -13,31 +13,16 @@ type member = {
 
 type t = {
   window : int;
-  n_packets : int;
   mutable members : member list;
   mutable extra : (upto:int -> unit) list;
   mutable floor : int;
   mutable ticks : int;
-  mutable heap_samples : int list; (* newest first; major heap words per tick *)
   mutable peak_heap : int;
-  mutable steady_start_tick : int;
-  (* 1-based tick at which the retirement pipeline filled (floor has
-     advanced a full window); 0 = not yet *)
 }
 
-let create ~window ~n_packets =
+let create ~window =
   if window < 1 then invalid_arg "Steady.Controller.create: window must be >= 1";
-  {
-    window;
-    n_packets;
-    members = [];
-    extra = [];
-    floor = 0;
-    ticks = 0;
-    heap_samples = [];
-    peak_heap = 0;
-    steady_start_tick = 0;
-  }
+  { window; members = []; extra = []; floor = 0; ticks = 0; peak_heap = 0 }
 
 let add_member t m = t.members <- m :: t.members
 
@@ -68,14 +53,10 @@ let tick t =
     List.iter (fun m -> m.retire ~upto:f) t.members;
     List.iter (fun g -> g ~upto:f) t.extra
   end;
-  if t.steady_start_tick = 0 && t.floor >= t.window then t.steady_start_tick <- t.ticks;
-  let stat = Gc.quick_stat () in
-  t.heap_samples <- stat.Gc.heap_words :: t.heap_samples;
-  if stat.Gc.top_heap_words > t.peak_heap then t.peak_heap <- stat.Gc.top_heap_words
+  let top = (Gc.quick_stat ()).Gc.top_heap_words in
+  if top > t.peak_heap then t.peak_heap <- top
 
 let peak_heap_words t = t.peak_heap
-
-let heap_samples t = Array.of_list (List.rev t.heap_samples)
 
 (* Mean of the last decile of [samples] over the first decile's: ~1
    for a quantity that has plateaued, growing with the run if it
@@ -96,23 +77,9 @@ let decile_growth samples =
     if first <= 0. then None else Some (last /. first)
   end
 
-(* The heap's decile growth over the steady-state ticks. "Steady
-   state" starts once the floor has advanced a full window: before
-   that the run is still filling the retirement pipeline (the
-   un-retired span grows from zero to window-plus-lag), so the heap
-   legitimately climbs and the ratio would only measure the fill
-   against the warmup, not a leak. *)
-let heap_growth t =
-  if t.steady_start_tick = 0 then None
-  else begin
-    let samples = heap_samples t in
-    let off = t.steady_start_tick - 1 in
-    decile_growth (Array.sub samples off (Array.length samples - off))
-  end
-
 (* Only the deterministic numbers go to the registry (it feeds the
-   byte-stable diff gates); heap samples are machine-dependent and
-   stay behind the accessors for the bench's machine side channel. *)
+   byte-stable diff gates); the peak heap is machine-dependent and
+   stays behind its accessor. *)
 let publish_metrics t registry =
   Obs.Registry.incr ~by:t.ticks registry "steady/ticks";
   Obs.Registry.set_gauge registry "steady/floor" (float_of_int t.floor);

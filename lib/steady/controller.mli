@@ -14,8 +14,8 @@
     closures, so SRM, CESRM and LMS hosts (or anything else with
     per-packet soft state) register the same way.
 
-    It also samples the major heap's size ([Gc.quick_stat]) at each
-    tick. That size follows the GC's pacing as well as live state, so
+    It also records the peak major heap ([Gc.quick_stat]) at each
+    tick. Heap size follows the GC's pacing as well as live state, so
     the bench's leak gate reads live words instead ({!decile_growth}
     over forced-collection samples taken from an [on_retire] hook). *)
 
@@ -29,7 +29,7 @@ type member = {
       (** drop per-packet state for seqs at or below the floor *)
 }
 
-val create : window:int -> n_packets:int -> t
+val create : window:int -> t
 (** @raise Invalid_argument if [window < 1]. *)
 
 val add_member : t -> member -> unit
@@ -40,7 +40,7 @@ val on_retire : t -> (upto:int -> unit) -> unit
     retired, newest first. *)
 
 val tick : t -> unit
-(** One epoch: advance the floor, retire if it moved, sample the heap.
+(** One epoch: advance the floor, retire if it moved, note the peak heap.
     Runs no protocol actions and draws no randomness — scheduling it
     shifts engine sequence numbers uniformly but changes no behaviour. *)
 
@@ -52,24 +52,13 @@ val ticks : t -> int
 val peak_heap_words : t -> int
 (** Max [top_heap_words] observed at ticks (machine-dependent). *)
 
-val heap_samples : t -> int array
-(** Major heap words ([heap_words]) at each tick, in tick order
-    (machine-dependent). *)
-
 val decile_growth : int array -> float option
 (** Mean of the last decile of the samples divided by the first
     decile's — ~1 for a quantity that has plateaued, growing with
     stream length for one that leaks. [None] under 10 samples or when
     the first decile's mean is not positive. *)
 
-val heap_growth : t -> float option
-(** {!decile_growth} of the heap samples of the steady-state ticks,
-    where steady state starts once the floor has advanced a full
-    window (before that the retirement pipeline is still filling and
-    the heap legitimately climbs). [None] before the pipeline fills or
-    under 10 steady ticks. *)
-
 val publish_metrics : t -> Obs.Registry.t -> unit
 (** Publish the deterministic numbers ([steady/ticks], [steady/floor],
-    [steady/window]) — heap samples stay behind the accessors so the
+    [steady/window]) — the peak heap stays behind its accessor so the
     registry remains byte-stable across machines. *)
