@@ -46,9 +46,7 @@ type worker_out = {
   wr_exp_replies : int;
   wr_detected : int;
   wr_forgiven : int;  (* pending losses forgiven by departures of owned members *)
-  wr_audit : int;  (* primary shard only; 0 elsewhere *)
-  wr_violations : Fault.Oracle.violation list;  (* chronological *)
-  wr_pending : (int * int * int * float) list;  (* unrepaired losses *)
+  wr_checker : Audit.part;  (* the stream's violations on the primary shard only *)
   wr_clock : float;  (* last executed event time *)
   wr_delivered : int;
   wr_events : int;
@@ -74,8 +72,8 @@ let emit_order (a : Net.Network.emit) (b : Net.Network.emit) =
    run's model built in shard mode ([Run_types.build ~shard]) — same
    construction order, same RNG splits — with [Sim.Engine.run] replaced
    by the barrier-window loop. Only the primary shard, owner of the
-   source, has the complete tap stream, so it alone feeds the detached
-   auditor and oracle. *)
+   source, has the complete tap stream, so it alone feeds its detached
+   checker the stream; every worker's checker hooks its own members. *)
 let worker_body ~chan ~me ~partition ~setup ~fault_plan ~steady ~protocol ~trace ~loss_model =
   let m =
     Run_types.build ~shard:{ Run_types.partition; me } ?fault_plan ?steady ~setup protocol trace
@@ -91,7 +89,7 @@ let worker_body ~chan ~me ~partition ~setup ~fault_plan ~steady ~protocol ~trace
       tagged_records := (r, Net.Network.delivery_rank network) :: !tagged_records);
   (* The primary accumulates the global tap stream — remote emits plus
      its own origin and replicated casts — and feeds it, sorted, to the
-     auditor and the oracle once complete. Both are pure stream folds
+     checker once complete. Its packet rules are a pure stream fold
      over (at, from, packet), so deferred feeding is equivalent to the
      serial run's live tap. *)
   let obs = ref [] in
@@ -117,10 +115,7 @@ let worker_body ~chan ~me ~partition ~setup ~fault_plan ~steady ~protocol ~trace
           note (Net.Network.take_observations network);
           List.iter
             (fun (e : Net.Network.emit) ->
-              Audit.observe m.audit ~at:e.e_at ~from:e.e_from e.e_packet;
-              Option.iter
-                (fun o -> Fault.Oracle.observe o ~at:e.e_at ~from:e.e_from e.e_packet)
-                m.oracle)
+              Audit.observe m.audit ~at:e.e_at ~from:e.e_from e.e_packet)
             (List.stable_sort emit_order !obs)
         end;
         let exp_requests, exp_replies = m.expedited () in
@@ -134,9 +129,7 @@ let worker_body ~chan ~me ~partition ~setup ~fault_plan ~steady ~protocol ~trace
                wr_exp_replies = exp_replies;
                wr_detected = m.detected ();
                wr_forgiven = m.forgiven ();
-               wr_audit = List.length (Audit.violations m.audit);
-               wr_violations = Option.fold ~none:[] ~some:Fault.Oracle.violations m.oracle;
-               wr_pending = Option.fold ~none:[] ~some:Fault.Oracle.pending_losses m.oracle;
+               wr_checker = Audit.part m.audit;
                wr_clock = Sim.Engine.now engine;
                wr_delivered = Net.Network.packets_delivered network;
                wr_events = Sim.Engine.events_fired engine;
@@ -251,23 +244,12 @@ let run ~(partition : Net.Partition.t) ~delay ?registry ?fault_plan ~(setup : Ru
   |> List.iter (fun (r, _) -> Stats.Recovery.add recoveries r);
   (* The global liveness check runs here, where all shards' pending
      losses are in hand, at the global last-event clock — exactly the
-     engine time the serial [Oracle.finalize] sees. *)
+     engine time a serial run's checker finishes at. *)
   let final_clock = Array.fold_left Float.max 0. clocks in
   let final_clock = Array.fold_left (fun a (o : worker_out) -> Float.max a o.wr_clock) final_clock outs in
-  let oracle =
-    match fault_plan with
-    | None -> None
-    | Some _ ->
-        let streamed =
-          List.concat_map (fun o -> o.wr_violations) outl
-          |> List.stable_sort (fun (a : Fault.Oracle.violation) b -> Float.compare a.at b.at)
-        in
-        let still_missing = List.concat_map (fun o -> o.wr_pending) outl in
-        Some
-          (Fault.Oracle.assemble
-             ~violations:(streamed @ Fault.Oracle.liveness_violations ~at:final_clock still_missing))
-  in
-  Option.iter (Run_types.charge_oracle counters) oracle;
+  let checker = Audit.merge ~at:final_clock (List.map (fun o -> o.wr_checker) outl) in
+  let oracle = Option.map (fun _ -> checker) fault_plan in
+  Run_types.charge_oracle counters checker;
   let rtts = Run_types.source_rtts ~tree ~delay in
   Option.iter
     (fun reg ->
@@ -307,8 +289,8 @@ let run ~(partition : Net.Partition.t) ~delay ?registry ?fault_plan ~(setup : Ru
     unrecovered = detected - recovered - forgiven;
     detected;
     forgiven;
-    audit_violations = sum (fun o -> o.wr_audit);
-    oracle_violations = Option.fold ~none:0 ~some:Fault.Oracle.n_violations oracle;
+    audit_violations = Audit.n_safety checker;
+    oracle_violations = Audit.n_fault checker;
     oracle;
     retirement = None;
   }

@@ -8,7 +8,7 @@
     lookahead equal to the minimum cut-link delay ({!Sim.Pdes}),
     exchanging cross-shard origin casts as replayable emit records (the
     shard mode of {!Net.Network}). The coordinator merges the
-    per-worker counters, recoveries, cost matrices and oracle state
+    per-worker counters, recoveries, cost matrices and checker verdicts
     back into the exact artifact the serial {!Runner} produces — a
     sharded run is byte-identical to the serial run of the same
     (trace, protocol, setup, fault plan).

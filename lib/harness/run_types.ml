@@ -1,7 +1,7 @@
 (* What the serial runner and the sharded parallel runner share: the
    protocol/setup/result types, the pure helpers, and [build], the one
    function that wires a run's model — engine, network, drop
-   predicate, auditor, tracer and oracle taps, steady controller,
+   predicate, invariant checker, tracer tap, steady controller,
    churn hooks and the protocol deployment. [Runner]'s serial arm is
    build, run, finish; every [Parallel] worker is build in shard mode,
    then the barrier loop. This module sits below both in the
@@ -58,9 +58,9 @@ type result = {
   forgiven : int;
       (* losses dropped by membership departures: detected but pending
          when the member left, so liveness does not charge them *)
-  audit_violations : int;  (* protocol-invariant violations; 0 expected *)
-  oracle_violations : int;  (* fault-oracle violations; 0 without a fault plan *)
-  oracle : Fault.Oracle.t option;  (* present iff a fault plan was run *)
+  audit_violations : int;  (* safety-rule violations; 0 expected *)
+  oracle_violations : int;  (* fault-rule violations; 0 without a fault plan *)
+  oracle : Audit.t option;  (* the run's checker, present iff a fault plan was run *)
   retirement : Steady.Controller.t option;  (* present iff a finite window ran *)
 }
 
@@ -148,15 +148,17 @@ let receiver_rtt ~tree rtts node =
 let rtt_to_source ~tree rtts =
   Array.to_list (Array.map (fun node -> (node, rtts.(node))) (Net.Tree.receivers tree))
 
-let charge_oracle counters oracle =
+let charge_oracle counters checker =
   List.iter
-    (fun v -> Stats.Counters.bump counters ~node:v.Fault.Oracle.node Stats.Counters.Oracle)
-    (Fault.Oracle.violations oracle)
+    (fun v ->
+      if Audit.is_fault v then
+        Stats.Counters.bump counters ~node:v.Audit.node Stats.Counters.Oracle)
+    (Audit.violations checker)
 
 let publish_recoveries reg ~tree ~rtts ~oracle recoveries =
   Obs.Registry.incr ~by:(Stats.Recovery.count recoveries) reg "recovery/recovered";
   Option.iter
-    (fun o -> Obs.Registry.incr ~by:(Fault.Oracle.n_violations o) reg "fault/oracle_violations")
+    (fun o -> Obs.Registry.incr ~by:(Audit.n_fault o) reg "fault/oracle_violations")
     oracle;
   Instrument.attach_recovery_hists reg ~rtt_of:(receiver_rtt ~tree rtts) recoveries
 
@@ -185,7 +187,6 @@ type model = {
   network : Net.Network.t;
   horizon : float;
   audit : Audit.t;
-  oracle : Fault.Oracle.t option;
   controller : Steady.Controller.t option;
   counters : Stats.Counters.t;
   recoveries : Stats.Recovery.t;
@@ -199,7 +200,7 @@ type model = {
 type deployment = {
   hosts : (int * Srm.Host.t) list;
       (* each member's SRM layer, source first — what the tracer, the
-         oracle and joins hook into; empty under LMS *)
+         checker's fault rules and joins hook into; empty under LMS *)
   d_counters : Stats.Counters.t;
   d_recoveries : Stats.Recovery.t;
   retirees : unit -> Steady.Controller.member list;
@@ -224,7 +225,7 @@ let srm_family ~setup ~streaming g ~expedited ~publish =
   let members = Srm.Proto.srm_members g in
   {
     (* After deploy: CESRM hosts have installed their own hooks, which
-       the tracer and the oracle chain onto rather than replace. *)
+       the tracer and the checker chain onto rather than replace. *)
     hosts = members;
     d_counters = Srm.Proto.counters g;
     d_recoveries = Srm.Proto.recoveries g;
@@ -273,8 +274,7 @@ let deploy ?owned ?domain ~network ~setup ~n_packets ~period ~streaming = functi
         ~publish:Cesrm.Host.publish_metrics
   | Lms_protocol ->
       (* LMS hosts carry no SRM soft state: crashes and departures only
-         toggle the network layer, and the oracle checks network-level
-         invariants only. *)
+         toggle the network layer. *)
       let p = Lms.Proto.deploy ~network ~n_packets ~period () in
       let members = Lms.Proto.members p in
       {
@@ -301,8 +301,8 @@ let deploy ?owned ?domain ~network ~setup ~n_packets ~period ~streaming = functi
 (* The construction order below fixes the engine's random splits and
    event sequence numbers, hence every golden. Shard mode changes only
    what a worker must: the network's shard mode, live hosts for owned
-   members only, and a detached auditor and oracle, fed the merged tap
-   stream at finish. *)
+   members only, and a detached checker, which the primary worker
+   feeds the merged tap stream at finish. *)
 let build ?shard ?tracer ?registry ?fault_plan ?steady ?on_retire ?domain ~setup protocol trace
     loss_model =
   let tree = Mtrace.Trace.tree trace in
@@ -328,16 +328,25 @@ let build ?shard ?tracer ?registry ?fault_plan ?steady ?on_retire ?domain ~setup
   Net.Network.set_drop network
     (make_drop ~loss_model ~lossy_recovery:setup.lossy_recovery
        ~lossy_sessions:setup.lossy_sessions ~rates ~rng:drop_rng);
-  (* Every run is audited against the global protocol invariants; LMS
-     retries legitimately repeat expedited requests, so its bound is
-     loose. *)
+  (* One checker per run: the safety rules on every send, and under a
+     fault plan the fault rules too, its membership timeline seeded
+     with the plan's initial absentees (late joiners are outside the
+     group from time 0) and appended to as each join/leave timer
+     fires. LMS retries legitimately repeat expedited requests, so its
+     bound is loose. *)
   let audit =
     (if serial then Audit.attach else Audit.create)
       ~expect_in_order:(setup.data_jitter <= 0.)
       ~max_exp_per_loss:(match protocol with Lms_protocol -> 64 | _ -> 1)
-      network
+      ~faulted:(Option.is_some fault_plan) network
   in
-  (* A finite window gets a retirement controller; the auditor's
+  Option.iter
+    (fun plan ->
+      List.iter
+        (fun node -> Audit.note_membership audit ~node ~at:0. ~member:false)
+        (Fault.Plan.initial_absentees plan))
+    fault_plan;
+  (* A finite window gets a retirement controller; the checker's
      per-packet tables retire with the hosts'. *)
   let controller =
     match steady with
@@ -353,28 +362,6 @@ let build ?shard ?tracer ?registry ?fault_plan ?steady ?on_retire ?domain ~setup
     controller;
   let stride = n_packets + 1 in
   Option.iter (fun tr -> Instrument.attach_network ~trace:tr ~stride network) tracer;
-  (* The oracle's packet-stream checks consult a membership timeline,
-     seeded with the plan's initial absentees (late joiners are
-     outside the group from time 0) and appended to as each join/leave
-     timer fires. *)
-  let oracle =
-    Option.map
-      (fun plan ->
-        let create = if serial then Fault.Oracle.create else Fault.Oracle.create_detached in
-        let o = create ~network in
-        List.iter
-          (fun node -> Fault.Oracle.note_membership o ~node ~at:0. ~member:false)
-          (Fault.Plan.initial_absentees plan);
-        o)
-      fault_plan
-  in
-  (* Its per-packet counts retire with the auditor's. *)
-  Option.iter
-    (fun c ->
-      Option.iter
-        (fun o -> Steady.Controller.on_retire c (fun ~upto -> Fault.Oracle.retire_below o ~upto))
-        oracle)
-    controller;
   let owned = Option.map (fun _ -> Net.Network.owns network) shard in
   let d =
     deploy ?owned ?domain ~network ~setup ~n_packets ~period ~streaming:(Option.is_some steady)
@@ -383,7 +370,7 @@ let build ?shard ?tracer ?registry ?fault_plan ?steady ?on_retire ?domain ~setup
   List.iter
     (fun (_, h) ->
       Option.iter (fun tr -> Instrument.attach_srm_host ~trace:tr ~stride h) tracer;
-      Option.iter (fun o -> Fault.Oracle.attach_host o h) oracle)
+      if Option.is_some fault_plan then Audit.attach_host audit h)
     d.hosts;
   (* Records-off mode must feed the latency histograms online — once
      the run ends the records are gone — and flush finalized per-loss
@@ -406,7 +393,7 @@ let build ?shard ?tracer ?registry ?fault_plan ?steady ?on_retire ?domain ~setup
         registry
   | _ -> ());
   Option.iter (fun c -> List.iter (Steady.Controller.add_member c) (d.retirees ())) controller;
-  (* Churn. Every shard compiles the full plan, so every oracle carries
+  (* Churn. Every shard compiles the full plan, so every checker carries
      the identical membership timeline, while host-level effects act
      on owned hosts only. A joiner's detection-window baseline is how
      many packets the source has put on the wire by now, computed from
@@ -425,9 +412,7 @@ let build ?shard ?tracer ?registry ?fault_plan ?steady ?on_retire ?domain ~setup
     if sent = 0 then [] else [ (0, sent) ]
   in
   let note_membership ~node ~member =
-    Option.iter
-      (fun o -> Fault.Oracle.note_membership o ~node ~at:(Sim.Engine.now engine) ~member)
-      oracle
+    Audit.note_membership audit ~node ~at:(Sim.Engine.now engine) ~member
   in
   Option.iter
     (fun plan ->
@@ -439,7 +424,7 @@ let build ?shard ?tracer ?registry ?fault_plan ?steady ?on_retire ?domain ~setup
             (List.assoc_opt node d.hosts))
         ~on_leave:(fun ~node ->
           note_membership ~node ~member:false;
-          Option.iter (fun o -> Fault.Oracle.forget_node o ~node) oracle;
+          Audit.forget_node audit ~node;
           forgiven := !forgiven + d.leave ~node)
         plan)
     fault_plan;
@@ -460,7 +445,6 @@ let build ?shard ?tracer ?registry ?fault_plan ?steady ?on_retire ?domain ~setup
     network;
     horizon;
     audit;
-    oracle;
     controller;
     counters = d.d_counters;
     recoveries = d.d_recoveries;

@@ -44,7 +44,7 @@ type result = {
   forgiven : int;
   audit_violations : int;
   oracle_violations : int;
-  oracle : Fault.Oracle.t option;
+  oracle : Audit.t option;
   retirement : Steady.Controller.t option;
 }
 
@@ -81,21 +81,22 @@ val rtt_to_source : tree:Net.Tree.t -> float array -> (int * float) list
 (** [result.rtt_to_source] from {!source_rtts}: every receiver, in
     [Net.Tree.receivers] order. *)
 
-val charge_oracle : Stats.Counters.t -> Fault.Oracle.t -> unit
-(** Bump the [Oracle] counter of the member each oracle violation
-    names. *)
+val charge_oracle : Stats.Counters.t -> Audit.t -> unit
+(** Bump the [Oracle] counter of the member each fault-class violation
+    of the run's checker names. *)
 
 val publish_recoveries :
   Obs.Registry.t ->
   tree:Net.Tree.t ->
   rtts:float array ->
-  oracle:Fault.Oracle.t option ->
+  oracle:Audit.t option ->
   Stats.Recovery.t ->
   unit
 (** The end-of-run recovery metrics both runners publish:
-    ["recovery/recovered"], ["fault/oracle_violations"] (with an
-    oracle) and the ["recovery/"] latency histograms, RTT-normalized
-    by each receiver's entry of [rtts]. *)
+    ["recovery/recovered"], ["fault/oracle_violations"] (the checker's
+    fault-class count, under a fault plan) and the ["recovery/"]
+    latency histograms, RTT-normalized by each receiver's entry of
+    [rtts]. *)
 
 val link_delays : setup:setup -> tree:Net.Tree.t -> Sim.Rng.t -> float array
 (** Per-link propagation delays, indexed by link (child node) id: the
@@ -111,16 +112,17 @@ val link_delays : setup:setup -> tree:Net.Tree.t -> Sim.Rng.t -> float array
 type shard = { partition : Net.Partition.t; me : int }
 (** Shard mode: the model is worker [me] of [partition]. The worker
     owning the source is the primary: its network records the tap
-    stream the run's auditor and oracle judge. *)
+    stream the run's checker judges. *)
 
 type model = {
   engine : Sim.Engine.t;
   network : Net.Network.t;
   horizon : float;  (** run the engine until here ({!horizon}) *)
   audit : Audit.t;
-      (** attached to the network's tap; detached in shard mode, where
-          the primary worker feeds it the merged tap stream *)
-  oracle : Fault.Oracle.t option;  (** present iff a fault plan is run; detached in shard mode *)
+      (** the run's one checker, its fault rules on iff a fault plan
+          is run; attached to the network's tap, or detached in shard
+          mode, where the primary worker feeds it the merged tap
+          stream *)
   controller : Steady.Controller.t option;  (** present iff a finite steady window is run *)
   counters : Stats.Counters.t;
   recoveries : Stats.Recovery.t;
@@ -147,24 +149,25 @@ val build :
     order that fixes the engine's random splits and event sequence
     numbers (hence every golden):
     + the engine of [setup.seed] and the {!link_delays} draw;
-    + the network, the drop predicate ({!make_drop}) and the auditor;
-    + the [tracer] and oracle taps (composing after the auditor's, in
-      that order), the oracle seeded with the plan's initial
-      absentees;
+    + the network, the drop predicate ({!make_drop}) and the checker,
+      under a plan with its fault rules on and the plan's initial
+      absentees noted;
+    + with a finite window, the retirement controller, with
+      [on_retire], which runs after every other retirement, and the
+      checker's retirement registered;
+    + the [tracer] tap (composing after the checker's);
     + the protocol deployment ([domain] on every SRM/CESRM host), its
-      members' tracer and oracle hooks;
-    + with [steady], streaming sends; with a finite window, the
-      retirement controller over every member (and the auditor, and
-      [on_retire], which runs after every other retirement), and with
-      records off, the online ["recovery/"] histograms into
-      [registry];
+      members' tracer hooks and, under a plan, the checker's;
+    + with [steady], streaming sends; with records off, the online
+      ["recovery/"] histograms into [registry]; the retirement
+      controller's members;
     + the fault plan's events and its churn join/leave/restart hooks;
     + the protocol's start, then the steady epoch tick.
 
     [setup] and [protocol] must already carry the adjustments
     {!Runner.run_model} makes for fault plans and domains. With
     [shard] — the builder's only branch — the network runs in shard
-    mode, only owned members get live hosts, and the auditor and
-    oracle are detached; the configuration must be shardable (no
+    mode, only owned members get live hosts, and the checker is
+    detached; the configuration must be shardable (no
     tracer, domain, finite window or records-off mode, which
     {!Runner.run_model} keeps serial). *)

@@ -41,9 +41,9 @@ type result = Run_types.result = {
   unrecovered : int;
   detected : int;
   forgiven : int;
-  audit_violations : int;  (* protocol-invariant violations; 0 expected *)
-  oracle_violations : int;  (* fault-oracle violations; 0 without a fault plan *)
-  oracle : Fault.Oracle.t option;  (* present iff a fault plan was run *)
+  audit_violations : int;  (* safety-rule violations; 0 expected *)
+  oracle_violations : int;  (* fault-rule violations; 0 without a fault plan *)
+  oracle : Audit.t option;  (* the run's checker, present iff a fault plan was run *)
   retirement : Steady.Controller.t option;  (* present iff a finite window ran *)
 }
 
@@ -73,15 +73,12 @@ let shardable ~tracer ~fault_plan ~setup ~steady ~domains protocol =
   | Cesrm_protocol _, _, _ -> Some "CESRM expedited recovery"
   | _ -> None
 
-(* The serial run's end: the oracle's liveness verdict, the registry
-   and the result. *)
-let finish ?registry ~setup ~protocol trace (m : Run_types.model) =
+(* The serial run's end: the checker's verdict, the registry and the
+   result. *)
+let finish ?registry ~faulted ~setup ~protocol trace (m : Run_types.model) =
   let tree = Mtrace.Trace.tree trace in
-  Option.iter
-    (fun o ->
-      Fault.Oracle.finalize o;
-      Run_types.charge_oracle m.counters o)
-    m.oracle;
+  let oracle = if faulted then Some m.audit else None in
+  Run_types.charge_oracle m.counters m.audit;
   let rtts = Run_types.source_rtts ~tree ~delay:(Net.Network.link_delay m.network) in
   Option.iter
     (fun reg ->
@@ -91,7 +88,7 @@ let finish ?registry ~setup ~protocol trace (m : Run_types.model) =
       Option.iter (fun c -> Steady.Controller.publish_metrics c reg) m.controller;
       (* the histograms are a no-op in records-off mode (the records
          are gone; the online observer already fed them) *)
-      Run_types.publish_recoveries reg ~tree ~rtts ~oracle:m.oracle m.recoveries)
+      Run_types.publish_recoveries reg ~tree ~rtts ~oracle m.recoveries)
     registry;
   let detected = m.detected () and forgiven = m.forgiven () in
   let exp_requests, exp_replies = m.expedited () in
@@ -108,14 +105,14 @@ let finish ?registry ~setup ~protocol trace (m : Run_types.model) =
     unrecovered = detected - Stats.Recovery.count m.recoveries - forgiven;
     detected;
     forgiven;
-    audit_violations = List.length (Audit.violations m.audit);
-    oracle_violations = Option.fold ~none:0 ~some:Fault.Oracle.n_violations m.oracle;
-    oracle = m.oracle;
+    audit_violations = Audit.n_safety m.audit;
+    oracle_violations = Audit.n_fault m.audit;
+    oracle;
     retirement = m.controller;
   }
 
 (* The lever combinations no run accepts (see the interface): each
-   falls outside both the stated identity laws and a clean oracle. *)
+   falls outside both the stated identity laws and a clean verdict. *)
 let rejected ~faulted ~domains protocol =
   match protocol with
   | Lms_protocol when Option.is_some domains -> Some "LMS with recovery domains"
@@ -125,23 +122,15 @@ let rejected ~faulted ~domains protocol =
 let run_model ?(setup = default_setup) ?tracer ?registry ?fault_plan ?(shards = 1) ?steady
     ?on_retire ?domains protocol trace loss_model =
   Option.iter invalid_arg (rejected ~faulted:(Option.is_some fault_plan) ~domains protocol);
-  (* A fault plan switches on the robustness extensions unless the
-     caller pinned them: session-driven request re-arm (bounds
-     post-heal recovery latency by the session period instead of the
-     2^k back-off) and CESRM's replier retry back-off. Unfaulted runs
-     keep the paper-faithful defaults bit-for-bit. *)
+  (* A fault plan switches on the robustness extensions: session-driven
+     request re-arm (bounds post-heal recovery latency by the session
+     period instead of the 2^k back-off), and CESRM's replier retry
+     back-off unless the caller pinned it. Unfaulted runs keep the
+     paper-faithful defaults bit-for-bit. *)
   let setup =
     match fault_plan with
-    | Some _ when setup.params.Srm.Params.rearm_backoff = None ->
-        {
-          setup with
-          params =
-            {
-              setup.params with
-              Srm.Params.rearm_backoff = Some setup.params.Srm.Params.session_period;
-            };
-        }
-    | _ -> setup
+    | Some _ -> { setup with params = { setup.params with Srm.Params.rearm_backoff = true } }
+    | None -> setup
   in
   let protocol =
     match (protocol, fault_plan) with
@@ -160,7 +149,7 @@ let run_model ?(setup = default_setup) ?tracer ?registry ?fault_plan ?(shards = 
         trace loss_model
     in
     Sim.Engine.run ~until:m.horizon m.engine;
-    finish ?registry ~setup ~protocol trace m
+    finish ?registry ~faulted:(Option.is_some fault_plan) ~setup ~protocol trace m
   in
   if shards <= 1 || Option.is_some (shardable ~tracer ~fault_plan ~setup ~steady ~domains protocol)
   then serial ()
@@ -181,11 +170,11 @@ let run_model ?(setup = default_setup) ?tracer ?registry ?fault_plan ?(shards = 
    session machinery is quadratic in aggregate (n messages of n
    deliveries per period, n^2 echo state) and the default-distance
    timers collapse into reply implosion. Scale runs therefore model
-   the converged steady state the paper's Section 4.3 assumes: true
-   tree distances ([oracle_distances]) and session ticks from the
-   source only ([session_sources_only] — its max-seq advertisements
-   are what tail-loss detection needs, and with no receiver sending
-   there is no echo table to grow). Deep chains additionally shrink
+   the converged steady state the paper's Section 4.3 assumes
+   ([oracle_distances]): true tree distances, and session ticks from
+   the source only (its max-seq advertisements are what tail-loss
+   detection needs, and with no receiver sending there is no echo
+   table to grow). Deep chains additionally shrink
    the per-link delay so the source-to-leaf path stays within the
    recovery timers' reach. *)
 let scale_setup ?domains ~family ~n_members setup =
@@ -211,7 +200,6 @@ let scale_setup ?domains ~family ~n_members setup =
     {
       setup.params with
       Srm.Params.oracle_distances = true;
-      session_sources_only = true;
       c2 = Float.max setup.params.Srm.Params.c2 spread;
       d2 = Float.max setup.params.Srm.Params.d2 spread;
     }

@@ -58,12 +58,14 @@ type result = Run_types.result = {
           plans only): the member was not present for their full
           recovery windows, so liveness accounting excludes them *)
   audit_violations : int;
-      (** protocol-invariant violations found by {!Audit} (0 expected) *)
+      (** violations of the run's {!Audit} checker's safety rules
+          (0 expected) *)
   oracle_violations : int;
-      (** {!Fault.Oracle} violations (0 without a fault plan, and 0
-          expected with one — a non-clean oracle means the protocol
-          failed to degrade gracefully) *)
-  oracle : Fault.Oracle.t option;  (** present iff a fault plan was run *)
+      (** violations of its fault rules (0 without a fault plan, and 0
+          expected with one — a fault-rule violation means the
+          protocol failed to degrade gracefully) *)
+  oracle : Audit.t option;
+      (** the run's checker, present iff a fault plan was run *)
   retirement : Steady.Controller.t option;
       (** the windowed-retirement controller — present iff the run
           executed with a finite steady window (floor reached, tick
@@ -109,19 +111,21 @@ val run_model :
     host are published into it, plus ["recovery/"] latency histograms
     (RTT-normalized, split expedited vs fallback).
 
-    With [fault_plan], the plan is compiled onto the network and engine
-    before the run, a {!Fault.Oracle} checks the graceful-degradation
-    invariants (violations land in the result, the registry under
-    ["fault/"], and {!Stats.Counters} kind [Oracle]), and host restarts
-    drop soft state ({!Srm.Host.restart_recovery}, which resets a CESRM
-    host's caches through its hook).
-    Unless the caller pinned them, a fault plan also switches on the
-    robustness extensions: [Srm.Params.rearm_backoff] (set to the
-    session period) and CESRM's [replier_failure_limit] (set to 8) —
+    Every run is checked by one {!Audit} checker. With [fault_plan],
+    the plan is compiled onto the network and engine before the run,
+    the checker's fault rules check graceful degradation (violations
+    land in the result, the registry under ["fault/"], and
+    {!Stats.Counters} kind [Oracle]), and host restarts drop soft
+    state ({!Srm.Host.restart_recovery}, which resets a CESRM host's
+    caches through its hook). A fault plan also switches on the
+    robustness extensions: [Srm.Params.rearm_backoff], and, unless the
+    caller pinned it, CESRM's [replier_failure_limit] (set to 8) —
     without them SRM's 2^k back-off and CESRM's static pair caches make
     post-heal recovery pathologically slow, which is exactly what the
-    oracle would report. Faulted runs remain deterministic: same trace,
-    seed and plan ⇒ identical results.
+    fault rules would report. The checker's request bound follows the
+    re-arm: 41 requests per loss without it, 200 with it. Faulted runs
+    remain deterministic: same trace, seed and plan ⇒ identical
+    results.
 
     A plan with membership events (join/leave/rejoin — see
     {!Fault.Plan} and its churn schedules) additionally drives the
@@ -140,7 +144,7 @@ val run_model :
     starts with empty soft state and its per-stream detection windows
     baselined at the packets already sent ({!Srm.Host.join}) — a late
     joiner is never charged for packets sent before it joined. The
-    oracle is fed the membership timeline and checks the churn-aware
+    checker is fed the membership timeline and checks the churn-aware
     invariants (no delivery to departed hosts, no expedited retries
     pinned on a departed replier, membership-aware liveness). LMS
     runs reject every fault plan (see {!rejected}); LMS's crash
@@ -151,8 +155,8 @@ val run_model :
     ({!Net.Partition}), each simulated by a forked worker, synchronised
     conservatively with lookahead equal to the minimum cut-link delay
     ({!Sim.Pdes}, {!Parallel}). The merged result — counters,
-    recoveries, cost, audit and oracle state — is byte-identical to the
-    serial run's; with [registry], synchronisation counters additionally
+    recoveries, cost and the checker's verdict — is byte-identical to
+    the serial run's; with [registry], synchronisation counters additionally
     appear under ["pdes/"] (per-host ["srm/"] metrics stay in the
     workers and are not republished). Runs a sharded execution cannot
     reproduce exactly execute on the serial engine instead, for the
@@ -163,7 +167,7 @@ val run_model :
     (byte-identical to the eager loop), a finite [window] installs a
     {!Steady.Controller} driven by an engine epoch tick that retires
     per-packet state past the stability horizon (hosts, CESRM caches,
-    the auditor), and [retain_records = false] switches the recovery
+    the checker), and [retain_records = false] switches the recovery
     collector to online summaries with the ["recovery/"] histograms
     fed record-by-record. [Steady.Config.infinite] is byte-identical
     to not passing [steady] at all (the determinism goldens pin this).
@@ -190,7 +194,7 @@ val rejected : faulted:bool -> domains:Rdomain.spec option -> protocol -> string
 (** Why no run accepts this configuration, or [None] — the
     combinations that neither obey an identity law nor run clean:
     - ["LMS with recovery domains"]: LMS routes nothing through them;
-    - ["LMS under a fault plan"]: the oracle flags LMS's by-design
+    - ["LMS under a fault plan"]: the fault rules flag LMS's by-design
       retries to stale repliers. *)
 
 val shardable :
@@ -257,10 +261,10 @@ val run_leg :
 
     Rows naming a {!Mtrace.Scale} scenario get harness tuning for
     group size: hosts read true tree distances instead of warming them
-    up over session echoes ([Srm.Params.oracle_distances]), only the
-    source runs the periodic session tick
-    ([Srm.Params.session_sources_only]), so no member echoes a peer,
-    the probabilistic-suppression windows C2 and D2 widen to at least
+    up over session echoes, and only the source runs the periodic
+    session tick, so no member echoes a peer
+    ([Srm.Params.oracle_distances]), the probabilistic-suppression
+    windows C2 and D2 widen to at least
     [3 · log2] of the group size, and deep-chain trees use a 1 ms link
     delay so the worst-case path stays within the recovery timers'
     reach.

@@ -243,7 +243,7 @@ val enable_shard : t -> partition:Partition.t -> me:int -> observe:bool -> unit
 (** Switch this network into shard mode as shard [me] of [partition].
     Must be called before any handlers are installed or packets sent.
     [observe] marks the primary shard: it additionally records the tap
-    stream ({!take_observations}) for the run's auditor and oracle. *)
+    stream ({!take_observations}) for the run's invariant checker. *)
 
 val owns : t -> int -> bool
 (** Whether node [v] belongs to this shard ([true] in serial mode). *)

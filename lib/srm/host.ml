@@ -348,12 +348,14 @@ let fire_request t k =
 
 (* Session-driven re-arm (Params.rearm_backoff): session evidence says
    packets up to [upto] of [src]'s stream exist, yet some of our pending
-   requests for them have their next round more than [window] seconds
-   out — exponential back-off pushed them there during an outage.
+   requests for them have their next round more than one session
+   period out — exponential back-off pushed them there during an
+   outage.
    Restart those from round 0, and revive exhausted requests (all
    max_rounds fired, timer gone). A handle that fired without being
    replaced has its time in the past, so it never counts as stale. *)
-let rearm_stale t ~src ~upto ~window =
+let rearm_stale t ~src ~upto =
+  let window = t.params.Params.session_period in
   Hashtbl.iter
     (fun k (st : request_state) ->
       if Key.src ~stride:t.stride k = src && Key.seq ~stride:t.stride k <= upto then begin
@@ -827,11 +829,11 @@ let on_packet t (p : Net.Packet.t) =
   | Net.Packet.Exp_request _ -> ()
 
 let start t ~session_until =
-  (* Scale extension: with [session_sources_only], receivers skip the
+  (* Scale extension: with [oracle_distances], receivers skip the
      periodic tick — only the source's max-seq advertisements flow
      (what tail-loss detection needs), not the n^2 all-member
      exchange. *)
-  if not (t.params.Params.session_sources_only && t.self <> 0) then
+  if not (t.params.Params.oracle_distances && t.self <> 0) then
     Session.start t.session ~until:session_until
 
 (* Accumulating publish: every member adds its share into the same
@@ -957,9 +959,7 @@ let create ?domain ~network ~self ~params ~n_packets ~period ~counters ~recoveri
      declaring a gap a loss. *)
   on_max_seq_cell :=
     (fun ~src m ->
-      (match params.Params.rearm_backoff with
-      | Some window -> rearm_stale t ~src ~upto:m ~window
-      | None -> ());
+      if params.Params.rearm_backoff then rearm_stale t ~src ~upto:m;
       if m > Window.max_seq (stream t src).win then begin
         let grace = dist_to_source ~src t +. 0.05 in
         (* Domain mode: {!seq_exists} itself defers detection until the

@@ -7,9 +7,8 @@ type t = {
   d3 : float;
   session_period : float;
   adaptive : bool;
-  rearm_backoff : float option;
+  rearm_backoff : bool;
   oracle_distances : bool;
-  session_sources_only : bool;
 }
 
 let default =
@@ -22,9 +21,8 @@ let default =
     d3 = 1.5;
     session_period = 1.;
     adaptive = false;
-    rearm_backoff = None;
+    rearm_backoff = false;
     oracle_distances = false;
-    session_sources_only = false;
   }
 
 let max_rounds = 40
@@ -37,6 +35,4 @@ let validate t =
   if t.c1 < 0. || t.c2 < 0. || t.c3 < 0. || t.d1 < 0. || t.d2 < 0. || t.d3 < 0. then
     Error "scheduling weights must be non-negative"
   else if t.session_period <= 0. then Error "session period must be positive"
-  else if (match t.rearm_backoff with Some w -> w <= 0. | None -> false) then
-    Error "rearm_backoff must be positive when set"
   else Ok t

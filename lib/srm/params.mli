@@ -7,7 +7,7 @@
     abstinence period of [D3 · d_hh'].
 
     The record holds what callers set: the paper's six weights and
-    session period (Section 4.3), and four extensions, all off by
+    session period (Section 4.3), and three extensions, all off by
     default. Values no caller varies are the constants below. *)
 
 type t = {
@@ -21,40 +21,36 @@ type t = {
   adaptive : bool;
       (** adjust C1/C2 and D1/D2 dynamically per host ({!Adaptive});
           the values above are then the starting point *)
-  rearm_backoff : float option;
+  rearm_backoff : bool;
       (** robustness extension for fault scenarios (not in the paper,
-          default [None] = off): on session evidence that a loss still
-          persists, a pending request timer more than this many seconds
-          away — exponential back-off pushed it out during an outage —
-          is cancelled and rescheduled from round 0, and an exhausted
-          request (all {!max_rounds} fired) is re-armed. Keeps recovery
-          latency bounded by the session period after a partition
-          heals, instead of by [2^k] back-off. *)
+          default [false] = off): on session evidence that a loss still
+          persists, a pending request timer more than one
+          [session_period] away — exponential back-off pushed it out
+          during an outage — is cancelled and rescheduled from round 0,
+          and an exhausted request (all {!max_rounds} fired) is
+          re-armed. Keeps recovery latency bounded by the session
+          period after a partition heals, instead of by [2^k]
+          back-off. *)
   oracle_distances : bool;
-      (** scale extension (default [false] = off): hosts read peer
-          distances straight from the network's delay-weighted tree
-          instead of estimating them from session echoes — the
-          converged steady state the paper's Section 4.3 runs assume
-          ("distances are known before data flows"), reached without
-          simulating the quadratic session warm-up. Measured estimates,
-          when they exist, still take precedence. A host with a
-          recovery-domain map always reads them (see [Host.create]). *)
-  session_sources_only : bool;
-      (** scale extension (default [false] = off): only the data
-          source runs the periodic session tick (its [max_seqs]
-          advertisements are what tail-loss detection needs); receivers
-          stay silent, so no member ever echoes a peer. Fixed-period
-          all-member sessions are n messages of n deliveries each per
-          period — unaffordable at 10^4 members. Only sensible together
-          with [oracle_distances], since silent receivers are never
-          echoed. *)
+      (** scale extension (default [false] = off): the converged
+          steady state the paper's Section 4.3 runs assume ("distances
+          are known before data flows"), reached without simulating the
+          quadratic session warm-up. Hosts read peer distances straight
+          from the network's delay-weighted tree instead of estimating
+          them from session echoes (measured estimates, when they
+          exist, still take precedence), so receivers need not be
+          echoed: only the data source runs the periodic session tick
+          (its [max_seqs] advertisements are what tail-loss detection
+          needs). Fixed-period all-member sessions are n messages of n
+          deliveries each per period — unaffordable at 10^4 members. A
+          host with a recovery-domain map reads true distances whatever
+          this says (see [Host.create]), and keeps its session tick. *)
 }
 
 val default : t
 (** The paper's Section 4.3 settings: C1 = C2 = 2, C3 = 1.5,
     D1 = D2 = 1, D3 = 1.5, session period 1 s; every extension off
-    ([rearm_backoff = None]: paper-faithful, no session-driven
-    re-arming). *)
+    (paper-faithful: no session-driven re-arming). *)
 
 val max_rounds : int
 (** Safety cap on a loss's request rounds: 40. *)
@@ -72,5 +68,4 @@ val domain_dr_bias : float
     [bias · d_hh'] before anyone else answers. 2. *)
 
 val validate : t -> (t, string) result
-(** Reject negative weights, a non-positive session period and a
-    non-positive [rearm_backoff]. *)
+(** Reject negative weights and a non-positive session period. *)

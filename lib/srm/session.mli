@@ -15,7 +15,7 @@
     The echo table is the classic one: every heard peer, in every
     message. Its size is quadratic across a group whose members all
     send sessions; scale runs avoid that by letting only the source
-    send ({!Params.t.session_sources_only}), so there is no peer to
+    send ({!Params.t.oracle_distances}), so there is no peer to
     echo. *)
 
 type t

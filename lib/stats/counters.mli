@@ -7,7 +7,7 @@ type kind =
   | Repl  (** multicast reply (SRM or CESRM fallback) *)
   | Exp_repl  (** multicast expedited reply *)
   | Sess  (** session message *)
-  | Oracle  (** fault-oracle invariant violations charged to the node *)
+  | Oracle  (** fault-rule violations of the run's checker charged to the node *)
 
 type t
 

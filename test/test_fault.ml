@@ -1,7 +1,7 @@
 (* The fault-injection subsystem: plan DSL round-trips and validation,
-   canned plans leaving the protocol-invariant oracle clean for both
-   protocols, mutation self-tests proving the oracle rejects a broken
-   protocol, retry back-off / cache expiry for presumed-dead repliers,
+   canned plans leaving the invariant checker's fault rules clean for
+   both protocols, mutation self-tests proving the fault rules reject a
+   broken protocol, retry back-off / cache expiry for presumed-dead repliers,
    and a model-based battery: random bounded fault plans must preserve
    liveness, and a failing plan must minimize to its one bad event. *)
 
@@ -124,17 +124,27 @@ let test_unknown_fault_name () =
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "unknown canned fault name should raise"
 
-(* --- Mutation self-tests: the oracle must reject a broken protocol ---- *)
+(* --- Mutation self-tests: the fault rules must reject a broken protocol *)
+
+(* The fault-class violations of a checker: the verdict the tests below
+   judge (packets injected past the tap break safety rules too). *)
+let fault_violations checker =
+  List.filter Harness.Audit.is_fault (Harness.Audit.violations checker)
+
+let clean checker = fault_violations checker = []
+
+let has_invariant checker rule =
+  List.exists (fun v -> v.Harness.Audit.rule = rule) (Harness.Audit.violations checker)
 
 (* Broken protocols, built from outside the host: each breaks a
-   different invariant the oracle asserts. *)
+   different fault rule. *)
 type mutation =
   | Suppress_replies (* every reply is dropped on the wire *)
-  | Double_deliver (* the oracle hears every obtained packet twice *)
+  | Double_deliver (* the checker hears every obtained packet twice *)
 
 (* Deploy plain SRM on the sample tree, dropping data packet [seq] on
    link [l] for each (seq, l) in [drops], with [mutation] applied to
-   every member, and return the finalized oracle. *)
+   every member, and return the checker, its fault rules on. *)
 let run_mutated ?mutation ?(drops = [ (5, 3) ]) () =
   let engine = Sim.Engine.create ~seed:7L () in
   let network = Net.Network.create ~engine ~tree:(sample_tree ()) ~link_delay:0.02 () in
@@ -143,11 +153,11 @@ let run_mutated ?mutation ?(drops = [ (5, 3) ]) () =
       | Net.Packet.Data { seq } -> down && List.mem (seq, link) drops
       | Net.Packet.Reply _ -> mutation = Some Suppress_replies
       | _ -> false);
-  let oracle = Fault.Oracle.create ~network in
+  let oracle = Harness.Audit.attach ~faulted:true network in
   let proto = Srm.Proto.deploy ~network ~params:Srm.Params.default ~n_packets:10 ~period:0.05 () in
   List.iter
     (fun (_, h) ->
-      Fault.Oracle.attach_host oracle h;
+      Harness.Audit.attach_host oracle h;
       if mutation = Some Double_deliver then begin
         let hooks = Srm.Host.hooks h in
         let obtained = hooks.Srm.Host.on_packet_obtained in
@@ -159,47 +169,43 @@ let run_mutated ?mutation ?(drops = [ (5, 3) ]) () =
     (Srm.Proto.members proto);
   Srm.Proto.start proto ~warmup:5.0 ~tail:15.0;
   Sim.Engine.run ~until:120.0 engine;
-  Fault.Oracle.finalize oracle;
   oracle
-
-let has_invariant oracle inv =
-  List.exists (fun v -> v.Fault.Oracle.invariant = inv) (Fault.Oracle.violations oracle)
 
 let test_oracle_baseline_clean () =
   let oracle = run_mutated () in
-  check Alcotest.bool "unmutated run is clean" true (Fault.Oracle.clean oracle);
-  check Alcotest.int "no violations" 0 (Fault.Oracle.n_violations oracle)
+  check Alcotest.bool "unmutated run is clean" true (clean oracle);
+  check Alcotest.int "no violations" 0 (List.length (Harness.Audit.violations oracle))
 
 let test_oracle_rejects_suppressed_replies () =
   (* No member ever puts a reply on the wire, so the dropped packet is
      never repaired: the liveness invariant must fire for the loser. *)
   let oracle = run_mutated ~mutation:Suppress_replies () in
-  check Alcotest.bool "not clean" false (Fault.Oracle.clean oracle);
+  check Alcotest.bool "not clean" false (clean oracle);
   check Alcotest.bool "liveness violated" true (has_invariant oracle "liveness");
   check Alcotest.bool "the loser is charged" true
-    (List.exists (fun v -> v.Fault.Oracle.node = 3) (Fault.Oracle.violations oracle))
+    (List.exists (fun v -> v.Harness.Audit.node = 3) (fault_violations oracle))
 
 let test_oracle_rejects_double_delivery () =
   let oracle = run_mutated ~mutation:Double_deliver () in
-  check Alcotest.bool "not clean" false (Fault.Oracle.clean oracle);
+  check Alcotest.bool "not clean" false (clean oracle);
   check Alcotest.bool "duplicate delivery caught" true
     (has_invariant oracle "duplicate-delivery")
 
 let test_oracle_json_and_pp () =
   let oracle = run_mutated ~mutation:Suppress_replies () in
-  (match Fault.Oracle.to_json oracle with
+  (match Harness.Audit.to_json oracle with
   | Obs.Json.Obj fields -> (
       (match List.assoc_opt "count" fields with
       | Some (Obs.Json.Num n) ->
-          check Alcotest.int "count field" (Fault.Oracle.n_violations oracle) (int_of_float n)
+          check Alcotest.int "count field" (Harness.Audit.n_fault oracle) (int_of_float n)
       | _ -> Alcotest.fail "no count field");
       match List.assoc_opt "violations" fields with
       | Some (Obs.Json.Arr vs) ->
-          check Alcotest.int "one row per violation" (Fault.Oracle.n_violations oracle)
+          check Alcotest.int "one row per violation" (Harness.Audit.n_fault oracle)
             (List.length vs)
       | _ -> Alcotest.fail "no violations array")
   | _ -> Alcotest.fail "oracle json is not an object");
-  let rendered = Format.asprintf "%a" Fault.Oracle.pp oracle in
+  let rendered = Format.asprintf "%a" Harness.Audit.pp oracle in
   check Alcotest.bool "pp names the invariant" true
     (let sub = "liveness" in
      let n = String.length sub and m = String.length rendered in
@@ -207,14 +213,14 @@ let test_oracle_json_and_pp () =
      go 0)
 
 (* The expedited-retry bound targets a *silent* replier: driving raw
-   packets past the oracle's tap, an unanswered hammer must trip it,
+   packets past the checker's tap, an unanswered hammer must trip it,
    while any reply heard from the replier must reset the streak (a
    live replier may legitimately draw many expedited requests it
    cannot answer — post-heal it can lack the very packets asked for). *)
 let drive_oracle sends =
   let engine = Sim.Engine.create ~seed:1L () in
   let network = Net.Network.create ~engine ~tree:(sample_tree ()) ~link_delay:0.02 () in
-  let oracle = Fault.Oracle.create ~network in
+  let oracle = Harness.Audit.attach ~faulted:true network in
   List.iteri
     (fun i payload ->
       ignore
@@ -222,7 +228,6 @@ let drive_oracle sends =
              Net.Network.unicast network ~from:3 ~dst:5 { Net.Packet.sender = 3; payload })))
     sends;
   Sim.Engine.run engine;
-  Fault.Oracle.finalize oracle;
   oracle
 
 let exp_req seq =
@@ -251,8 +256,50 @@ let test_oracle_retry_reset_on_reply () =
   let oracle =
     drive_oracle (List.init 12 exp_req @ [ plain_reply 100 ] @ List.init 12 (fun i -> exp_req (12 + i)))
   in
-  check Alcotest.bool "any reply from the replier resets the streak" true
-    (Fault.Oracle.clean oracle)
+  check Alcotest.bool "any reply from the replier resets the streak" true (clean oracle)
+
+(* Requests and replies injected on a 3-star for packet 1, after its
+   original send, 10 ms apart: the rules the checker flags. *)
+let injected_rules ~faulted sends =
+  let engine = Sim.Engine.create () in
+  let network = Net.Network.create ~engine ~tree:(Net.Tree.star 3) () in
+  let checker = Harness.Audit.attach ~faulted network in
+  List.iteri
+    (fun i (from, payload) ->
+      ignore
+        (Sim.Engine.schedule engine ~after:(0.01 *. float_of_int i) (fun () ->
+             Net.Network.multicast network ~from { Net.Packet.sender = from; payload })))
+    ((0, Net.Packet.Data { seq = 1 }) :: sends);
+  Sim.Engine.run engine;
+  List.map (fun v -> v.Harness.Audit.rule) (Harness.Audit.violations checker)
+
+let request = (1, Net.Packet.Request { src = 0; seq = 1; requestor = 1; d_qs = 0.1; round = 0 })
+
+(* Fault runs re-arm their requests, so the per-loss request bound is
+   request-suppression's 200, in place of the 41 rounds hosts that do
+   not re-arm stop at; a reply storm past 16 is reply-suppression. *)
+let test_oracle_request_and_reply_bounds () =
+  let rules n = injected_rules ~faulted:true (List.init n (fun _ -> request)) in
+  check Alcotest.(list string) "200 requests for one loss pass" [] (rules 200);
+  check Alcotest.(list string) "the 201st is flagged" [ "request-suppression" ] (rules 201);
+  check Alcotest.(list string) "once per loss" [ "request-suppression" ] (rules 210);
+  let reply =
+    ( 2,
+      Net.Packet.Reply
+        {
+          src = 0;
+          seq = 1;
+          requestor = 1;
+          d_qs = 0.1;
+          replier = 2;
+          d_rq = 0.1;
+          expedited = false;
+          turning_point = None;
+        } )
+  in
+  let replies n = injected_rules ~faulted:true (request :: List.init n (fun _ -> reply)) in
+  check Alcotest.(list string) "16 replies for one loss pass" [] (replies 16);
+  check Alcotest.(list string) "the 17th is flagged" [ "reply-suppression" ] (replies 17)
 
 (* --- Retry back-off: presumed-dead repliers and cache expiry ---------- *)
 
@@ -333,9 +380,9 @@ let run_plan ?(protocol = `Srm) plan =
   let engine = Sim.Engine.create ~seed:5L () in
   let network = Net.Network.create ~engine ~tree ~link_delay:0.02 () in
   let params =
-    { Srm.Params.default with rearm_backoff = Some Srm.Params.default.Srm.Params.session_period }
+    { Srm.Params.default with rearm_backoff = true }
   in
-  let oracle = Fault.Oracle.create ~network in
+  let oracle = Harness.Audit.attach ~faulted:true network in
   (match protocol with
   | `Srm ->
       let proto = Srm.Proto.deploy ~network ~params ~n_packets:30 ~period:0.05 () in
@@ -343,7 +390,7 @@ let run_plan ?(protocol = `Srm) plan =
         Option.iter Srm.Host.restart_recovery (List.assoc_opt node (Srm.Proto.members proto))
       in
       Fault.Plan.compile ~network ~on_restart plan;
-      List.iter (fun (_, h) -> Fault.Oracle.attach_host oracle h) (Srm.Proto.members proto);
+      List.iter (fun (_, h) -> Harness.Audit.attach_host oracle h) (Srm.Proto.members proto);
       Srm.Proto.start proto ~warmup:5.0 ~tail:15.0
   | `Cesrm ->
       let config = { Cesrm.Host.default_config with replier_failure_limit = Some 4 } in
@@ -357,12 +404,11 @@ let run_plan ?(protocol = `Srm) plan =
       in
       Fault.Plan.compile ~network ~on_restart plan;
       List.iter
-        (fun (_, h) -> Fault.Oracle.attach_host oracle (Cesrm.Host.srm h))
+        (fun (_, h) -> Harness.Audit.attach_host oracle (Cesrm.Host.srm h))
         (Cesrm.Proto.members proto);
       Cesrm.Proto.start proto ~warmup:5.0 ~tail:15.0);
   Sim.Engine.run ~until:120.0 engine;
-  Fault.Oracle.finalize oracle;
-  Fault.Oracle.clean oracle
+  clean oracle
 
 (* Bounded events on the sample tree: every window lies inside
    [5.0, 8.6), well before the session ends (~21.5 s), and every crash
@@ -881,19 +927,18 @@ let prop_churn_plans_clean_cesrm =
 let run_departed_delivery ~resurrect () =
   let engine = Sim.Engine.create ~seed:7L () in
   let network = Net.Network.create ~engine ~tree:(sample_tree ()) ~link_delay:0.02 () in
-  let oracle = Fault.Oracle.create ~network in
+  let oracle = Harness.Audit.attach ~faulted:true network in
   let proto = Srm.Proto.deploy ~network ~params:Srm.Params.default ~n_packets:10 ~period:0.05 () in
-  List.iter (fun (_, h) -> Fault.Oracle.attach_host oracle h) (Srm.Proto.members proto);
+  List.iter (fun (_, h) -> Harness.Audit.attach_host oracle h) (Srm.Proto.members proto);
   ignore
     (Sim.Engine.schedule_at engine ~at:5.2 (fun () ->
          Net.Network.set_member network 4 false;
-         Fault.Oracle.note_membership oracle ~node:4 ~at:5.2 ~member:false));
+         Harness.Audit.note_membership oracle ~node:4 ~at:5.2 ~member:false));
   if resurrect then
     ignore
       (Sim.Engine.schedule_at engine ~at:5.3 (fun () -> Net.Network.set_enabled network 4 true));
   Srm.Proto.start proto ~warmup:5.0 ~tail:15.0;
   Sim.Engine.run ~until:120.0 engine;
-  Fault.Oracle.finalize oracle;
   oracle
 
 let test_oracle_rejects_deliver_to_departed () =
@@ -901,7 +946,7 @@ let test_oracle_rejects_deliver_to_departed () =
   check Alcotest.bool "resurrected deliveries caught" true
     (has_invariant oracle "deliver-to-departed");
   let honest = run_departed_delivery ~resurrect:false () in
-  check Alcotest.bool "an honest departure is clean" true (Fault.Oracle.clean honest)
+  check Alcotest.bool "an honest departure is clean" true (clean honest)
 
 (* Mutation self-test: expedited requests pinned on a replier that left
    the group. Up to [max_departed_retry] = 2 in-flight unicasts may
@@ -910,10 +955,10 @@ let test_oracle_rejects_deliver_to_departed () =
 let drive_oracle_departed n =
   let engine = Sim.Engine.create ~seed:1L () in
   let network = Net.Network.create ~engine ~tree:(sample_tree ()) ~link_delay:0.02 () in
-  let oracle = Fault.Oracle.create ~network in
+  let oracle = Harness.Audit.attach ~faulted:true network in
   ignore
     (Sim.Engine.schedule_at engine ~at:0.05 (fun () ->
-         Fault.Oracle.note_membership oracle ~node:5 ~at:0.05 ~member:false));
+         Harness.Audit.note_membership oracle ~node:5 ~at:0.05 ~member:false));
   List.iteri
     (fun i payload ->
       ignore
@@ -921,7 +966,6 @@ let drive_oracle_departed n =
              Net.Network.unicast network ~from:3 ~dst:5 { Net.Packet.sender = 3; payload })))
     (List.init n exp_req);
   Sim.Engine.run engine;
-  Fault.Oracle.finalize oracle;
   oracle
 
 let test_oracle_rejects_departed_replier_retries () =
@@ -930,7 +974,7 @@ let test_oracle_rejects_departed_replier_retries () =
     (has_invariant oracle "expedited-retry-departed");
   let tolerated = drive_oracle_departed 2 in
   check Alcotest.bool "in-flight timers straddling the leave are tolerated" true
-    (Fault.Oracle.clean tolerated)
+    (clean tolerated)
 
 (* Regression: a plan that empties the receiver set mid-stream must
    complete to the horizon with a clean verdict — every pending loss
@@ -1252,6 +1296,8 @@ let () =
             test_oracle_retry_bound_silent_replier;
           Alcotest.test_case "retry bound resets on any reply" `Quick
             test_oracle_retry_reset_on_reply;
+          Alcotest.test_case "re-armed request and reply bounds" `Quick
+            test_oracle_request_and_reply_bounds;
         ] );
       ( "backoff",
         [

@@ -268,6 +268,51 @@ let test_audit_flags_bogus_reply () =
   check Alcotest.bool "bogus reply flagged" true
     (List.mem "reply-has-cause" rules && List.mem "replier-plausible" rules)
 
+(* Packets injected on a 3-star after packet 1's original send, 10 ms
+   apart: the rules the checker flags. *)
+let injected_rules ?max_exp_per_loss sends =
+  let engine = Sim.Engine.create () in
+  let network = Net.Network.create ~engine ~tree:(Net.Tree.star 3) () in
+  let audit = Harness.Audit.attach ?max_exp_per_loss network in
+  List.iteri
+    (fun i (from, payload) ->
+      ignore
+        (Sim.Engine.schedule engine ~after:(0.01 *. float_of_int i) (fun () ->
+             Net.Network.multicast network ~from { Net.Packet.sender = from; payload })))
+    ((0, Net.Packet.Data { seq = 1 }) :: sends);
+  Sim.Engine.run engine;
+  List.map (fun v -> v.Harness.Audit.rule) (Harness.Audit.violations audit)
+
+let request seq = (1, Net.Packet.Request { src = 0; seq; requestor = 1; d_qs = 0.1; round = 0 })
+
+let exp_request seq =
+  ( 1,
+    Net.Packet.Exp_request
+      { src = 0; seq; requestor = 1; d_qs = 0.1; replier = 2; turning_point = None } )
+
+(* Hosts that do not re-arm send at most SRM's round cap plus the first
+   request for one loss: 41. Each request past it is flagged. *)
+let test_audit_request_rounds_bound () =
+  let rules n = injected_rules (List.init n (fun _ -> request 1)) in
+  check Alcotest.(list string) "41 requests for one loss pass" [] (rules 41);
+  check Alcotest.(list string) "the 42nd is flagged" [ "request-rounds-bounded" ] (rules 42);
+  check Alcotest.(list string) "and every one after it"
+    [ "request-rounds-bounded"; "request-rounds-bounded" ]
+    (rules 43)
+
+let test_audit_flags_requests_without_subject () =
+  check Alcotest.(list string) "a request names an unsent packet"
+    [ "request-subject-exists"; "request-subject-exists" ]
+    (injected_rules [ request 2; exp_request 3 ])
+
+let test_audit_expedited_singleton () =
+  check Alcotest.(list string) "one expedited request per loss" []
+    (injected_rules [ exp_request 1 ]);
+  check Alcotest.(list string) "a second is flagged at the end" [ "expedited-singleton" ]
+    (injected_rules [ exp_request 1; exp_request 1 ]);
+  check Alcotest.(list string) "unless the bound is raised" []
+    (injected_rules ~max_exp_per_loss:2 [ exp_request 1; exp_request 1 ])
+
 let test_audit_jitter_needs_out_of_order () =
   let gen = Mtrace.Generator.synthesize ~n_packets:600 (Mtrace.Meta.nth 4) in
   let att = Harness.Runner.attribution_of_trace gen.trace in
@@ -396,6 +441,10 @@ let () =
           Alcotest.test_case "lms clean" `Quick test_audit_lms_clean;
           Alcotest.test_case "flags bogus reply" `Quick test_audit_flags_bogus_reply;
           Alcotest.test_case "jitter visible" `Quick test_audit_jitter_needs_out_of_order;
+          Alcotest.test_case "request rounds bounded" `Quick test_audit_request_rounds_bound;
+          Alcotest.test_case "request subject exists" `Quick
+            test_audit_flags_requests_without_subject;
+          Alcotest.test_case "expedited singleton" `Quick test_audit_expedited_singleton;
         ] );
       ( "fuzz",
         [

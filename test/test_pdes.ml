@@ -113,7 +113,7 @@ let fingerprint (r : Harness.Runner.result) =
       r.detected,
       r.audit_violations,
       r.oracle_violations,
-      Option.map Fault.Oracle.violations r.oracle )
+      Option.map Harness.Audit.violations r.oracle )
     []
 
 (* On mismatch, name the first component that differs. *)
@@ -130,7 +130,7 @@ let first_difference (a : Harness.Runner.result) (b : Harness.Runner.result) =
   then "expedited counts"
   else if not (eq (fun r -> r.Harness.Runner.audit_violations)) then "audit verdict"
   else if
-    not (eq (fun r -> (r.Harness.Runner.oracle_violations, Option.map Fault.Oracle.violations r.Harness.Runner.oracle)))
+    not (eq (fun r -> (r.Harness.Runner.oracle_violations, Option.map Harness.Audit.violations r.Harness.Runner.oracle)))
   then "oracle verdict"
   else "nothing (fingerprints agree at this size)"
 

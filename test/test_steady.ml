@@ -339,9 +339,9 @@ let test_records_off_makespan_p99 () =
         (Float.abs (retiring -. never) <= never /. 16.))
     [ Harness.Runner.Srm_protocol; Harness.Runner.Cesrm_protocol Cesrm.Host.default_config ]
 
-(* --- the fault oracle retires too -------------------------------- *)
+(* --- the checker's fault rules retire too ------------------------- *)
 
-(* A faulted windowed run: the oracle keeps per-packet counts only
+(* A faulted windowed run: the checker keeps per-packet counts only
    above the retirement floor, and judges the run exactly as the
    never-retiring run does. *)
 let test_oracle_retires () =
@@ -359,12 +359,12 @@ let test_oracle_retires () =
       Alcotest.(check int)
         (name ^ ": nothing held at or below the floor")
         0
-        (Fault.Oracle.entries_at_or_below (oracle finite) ~upto:floor);
+        (Harness.Audit.entries_at_or_below (oracle finite) ~upto:floor);
       Alcotest.(check bool)
         (name ^ ": the never-retiring oracle holds them")
         true
-        (Fault.Oracle.entries_at_or_below (oracle never) ~upto:floor > 0);
-      let verdict r = Format.asprintf "%a" Fault.Oracle.pp (oracle r) in
+        (Harness.Audit.entries_at_or_below (oracle never) ~upto:floor > 0);
+      let verdict r = Format.asprintf "%a" Harness.Audit.pp (oracle r) in
       Alcotest.(check string) (name ^ ": same verdict") (verdict never) (verdict finite))
     [ Harness.Runner.Srm_protocol; Harness.Runner.Cesrm_protocol Cesrm.Host.default_config ]
 
