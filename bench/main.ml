@@ -54,10 +54,11 @@
    here.
 
    --steady smoke|full runs the streaming-execution profile instead
-   (lib/steady): a CESRM leg over a scale scenario with a finite
+   (lib/steady): a CESRM leg over a scale scenario with a
    state-retirement window, asserting a hard peak-heap ceiling and
    bounded live-heap growth, plus (smoke) a byte-identity check against
-   an infinite-window run of the same streaming trace. Its stdout
+   a run of the same streaming trace whose window never retires (the
+   "infinite" leg). Its stdout
    carries the same one-line records. "smoke" is
    SCALE-bf-512 at 50k packets; "full" is SCALE-bf-1000 at 10^6
    packets — the million-packet constant-memory measurement. *)
@@ -65,8 +66,6 @@
 let sections_filter = ref None
 
 let n_packets = ref (Some 6000)
-
-let csv_dir = ref None
 
 let json_file = ref None
 
@@ -91,9 +90,6 @@ let parse_args () =
         go rest
     | "--sections" :: s :: rest ->
         sections_filter := Some (String.split_on_char ',' s);
-        go rest
-    | "--csv" :: dir :: rest ->
-        csv_dir := Some dir;
         go rest
     | "--json" :: file :: rest ->
         json_file := Some file;
@@ -222,7 +218,7 @@ let all_pairs =
        Mtrace.Meta.all)
 
 (* The reproduction's sections in run order; [reproduction] runs the
-   wanted ones, then writes the CSVs. *)
+   wanted ones. *)
 let reproduction_sections =
   let over_all f () = print_string (f (Lazy.force all_pairs)) in
   let per_featured f () = List.iter (fun p -> print_string (f p)) (Lazy.force featured_pairs) in
@@ -239,13 +235,7 @@ let reproduction_sections =
     ("analysis", over_all Harness.Analysis.report);
   ]
 
-let reproduction () =
-  List.iter (fun (name, body) -> section name body) reproduction_sections;
-  match !csv_dir with
-  | None -> ()
-  | Some dir ->
-      Harness.Figures.write_csvs ~dir (Lazy.force all_pairs);
-      Printf.printf "(CSV figures written to %s/)\n\n" dir
+let reproduction () = List.iter (fun (name, body) -> section name body) reproduction_sections
 
 let ablation_packets () = match !n_packets with Some n -> min n 4000 | None -> 4000
 
@@ -399,10 +389,10 @@ let scale_leg name ?domains protocol row =
   let total k = Stats.Counters.total r.Harness.Runner.counters k in
   let latency = Stats.Recovery.latency_summary r.Harness.Runner.recoveries in
   (* Recovery-latency percentiles from the registry's online sketch
-     (fed identically in records-on and records-off runs), and the
-     last-receiver makespan — the figure hierarchical local recovery
-     exists to improve. Both are deterministic, so the pins compare
-     them. *)
+     (fed as recoveries land, whether or not the run keeps its
+     records), and the last-receiver makespan — the figure
+     hierarchical local recovery exists to improve. Both are
+     deterministic, so the pins compare them. *)
   let lat_hist = Obs.Registry.hist registry "recovery/latency_s" in
   let makespan = Stats.Recovery.makespan_summary r.Harness.Runner.recoveries in
   let open Obs.Json in
@@ -532,9 +522,9 @@ let steady_scenarios = function
   | "smoke" -> [ ("SCALE-bf-512", 50_000, 8_192) ]
   | _ -> [ ("SCALE-bf-1000", 1_000_000, 8_192) ]
 
-(* One CESRM steady leg: streaming trace, finite retirement window,
-   online metrics. Returns the result (for identity checks) plus the
-   leg's JSON. *)
+(* One CESRM steady leg: streaming trace, retirement window, online
+   metrics. Returns the result (for identity checks) plus the leg's
+   JSON. *)
 let steady_leg ~label ~row ~n_packets ~window =
   let registry = Obs.Registry.create () in
   let t0 = Unix.gettimeofday () in
@@ -629,7 +619,7 @@ let steady_main profile =
             growth;
         (* Identity gate: a window of n_packets never retires anything
            (the stability floor stays at 0), so its run is the
-           infinite-window reference over the same streaming trace.
+           never-retiring reference over the same streaming trace.
            Retirement must be invisible to the protocol. *)
         let reference =
           if not smoke then []

@@ -3,14 +3,6 @@
 
 open Cmdliner
 
-let setup_logs verbose =
-  Logs.set_reporter (Logs.format_reporter ());
-  Logs.set_level (if verbose then Some Logs.Debug else Some Logs.Warning)
-
-let verbose_flag =
-  let doc = "Enable protocol-level debug logging." in
-  Arg.(value & flag & info [ "v"; "verbose" ] ~doc)
-
 (* -- shared arguments ------------------------------------------------ *)
 
 let trace_name =
@@ -222,9 +214,9 @@ let shards_arg =
   let doc =
     "Shard the simulation across $(docv) forked PDES workers with conservative \
      synchronization; results are byte-identical to a serial run. Runs that cannot be \
-     sharded (event tracing, recovery domains, lossy recovery/sessions, LMS, a finite or \
-     records-off steady window, link-jitter faults, CESRM) run on the serial engine, and \
-     $(b,run) and $(b,compare) print why."
+     sharded (event tracing, recovery domains, lossy recovery/sessions, LMS, a steady \
+     window, link-jitter faults, CESRM) run on the serial engine, and $(b,run) and \
+     $(b,compare) print why."
   in
   Arg.(value & opt int 1 & info [ "shards" ] ~doc ~docv:"K")
 
@@ -246,8 +238,7 @@ let levers_term =
    otherwise print 10 000 table lines (and pay an O(n) lookup each). *)
 let max_receiver_rows = 32
 
-let print_result (res : Harness.Runner.result) =
-  let name = Harness.Runner.protocol_name res.protocol in
+let print_receivers (res : Harness.Runner.result) =
   let shown, hidden =
     let all = res.rtt_to_source in
     let n = List.length all in
@@ -267,10 +258,18 @@ let print_result (res : Harness.Runner.result) =
         ])
       shown
   in
-  Printf.printf "%s on %s\n" name (Mtrace.Trace.summary res.trace);
   print_string
     (Stats.Table.render ~header:[ "receiver"; "rtt(ms)"; "recoveries"; "avg rec (RTT)" ] ~rows);
-  if hidden > 0 then Printf.printf "... (%d more receivers not shown)\n" hidden;
+  if hidden > 0 then Printf.printf "... (%d more receivers not shown)\n" hidden
+
+(* A steady run drops its per-loss records, so it has no per-receiver
+   table to print. *)
+let print_result (res : Harness.Runner.result) =
+  Printf.printf "%s on %s\n" (Harness.Runner.protocol_name res.protocol)
+    (Mtrace.Trace.summary res.trace);
+  if Option.is_none res.retirement then print_receivers res
+  else
+    print_endline "per-receiver recoveries: not kept (a steady run keeps online summaries only)";
   Printf.printf "detected %d, unrecovered %d\n" res.detected res.unrecovered;
   (let mk = Stats.Recovery.makespan_summary res.recoveries in
    if Stats.Summary.count mk > 0 then
@@ -285,8 +284,7 @@ let print_result (res : Harness.Runner.result) =
     (Stats.Counters.total res.counters Stats.Counters.Exp_repl)
     (Stats.Counters.total res.counters Stats.Counters.Sess);
   if res.exp_requests > 0 then
-    Printf.printf "expedited success: %.1f%%\n"
-      (100. *. float_of_int res.exp_replies /. float_of_int res.exp_requests);
+    Printf.printf "expedited success: %.1f%%\n" (Harness.Runner.expedited_success_pct res);
   Printf.printf "overhead: retransmissions %d crossings, control mc %d uc %d\n"
     (Net.Cost.retransmission_overhead res.cost)
     (Net.Cost.control_overhead res.cost ~multicast:true)
@@ -368,7 +366,7 @@ let steady_arg =
      (default 8192 when the flag is given bare): scale scenarios stream their trace from \
      lazy per-link loss chains — a million-packet run starts instantly — sources arm data \
      sends lazily, per-packet protocol state past the stability horizon is retired each \
-     epoch, and metrics use constant-memory online summaries."
+     epoch, and metrics use constant-memory online summaries (no per-receiver table)."
   in
   Arg.(value & opt ~vopt:(Some 8192) (some int) None & info [ "steady" ] ~doc ~docv:"WINDOW")
 
@@ -380,9 +378,7 @@ let print_steady (res : Harness.Runner.result) =
     res.retirement
 
 let run_cmd =
-  let run verbose source packets seed protocol cesrm levers faults trace_out metrics_out
-      steady_window =
-    setup_logs verbose;
+  let run source packets seed protocol cesrm levers faults trace_out metrics_out steady_window =
     ret
       (let* steady =
          match steady_window with
@@ -437,12 +433,11 @@ let run_cmd =
     (Cmd.info "run" ~doc:"Re-enact a trace under SRM or CESRM and report recovery statistics.")
     Term.(
       ret
-        (const run $ verbose_flag $ source_term $ packets $ seed $ protocol_arg $ cesrm_term
-        $ levers_term $ faults_arg $ trace_out_arg $ metrics_arg $ steady_arg))
+        (const run $ source_term $ packets $ seed $ protocol_arg $ cesrm_term $ levers_term
+        $ faults_arg $ trace_out_arg $ metrics_arg $ steady_arg))
 
 let compare_cmd =
-  let run verbose source packets seed cesrm levers faults =
-    setup_logs verbose;
+  let run source packets seed cesrm levers faults =
     let inputs = run_inputs source packets seed and note = serial_note () in
     ret
       (let* srm, _ = run_one ~note levers ~faults Harness.Runner.Srm_protocol inputs in
@@ -461,8 +456,7 @@ let compare_cmd =
           both reports.")
     Term.(
       ret
-        (const run $ verbose_flag $ source_term $ packets $ seed $ cesrm_term $ levers_term
-        $ faults_arg))
+        (const run $ source_term $ packets $ seed $ cesrm_term $ levers_term $ faults_arg))
 
 (* -- diff -------------------------------------------------------------- *)
 
@@ -620,9 +614,8 @@ let sweep_cmd =
       ~header:[ "cell"; "detected"; "unrecov"; "exp ok"; "audit"; "oracle" ]
       ~rows
   in
-  let run verbose spec_file name traces protocols seeds base_seed packets levers faults jobs out
+  let run spec_file name traces protocols seeds base_seed packets levers faults jobs out
       print_spec =
-    setup_logs verbose;
     ret
       (let* spec =
          build_spec ~spec_file ~name ~traces ~protocols ~seeds ~base_seed ~packets ~levers ~faults
@@ -677,9 +670,8 @@ let sweep_cmd =
           the shards into one artifact (byte-identical to a serial run of the same spec).")
     Term.(
       ret
-        (const run $ verbose_flag $ spec_file $ name_arg $ traces_arg $ protocols_arg $ seeds_arg
-        $ base_seed_arg $ packets $ levers_term $ faults_axis_arg $ jobs_arg $ out_arg
-        $ print_spec_arg))
+        (const run $ spec_file $ name_arg $ traces_arg $ protocols_arg $ seeds_arg $ base_seed_arg
+        $ packets $ levers_term $ faults_axis_arg $ jobs_arg $ out_arg $ print_spec_arg))
 
 (* -- main -------------------------------------------------------------- *)
 

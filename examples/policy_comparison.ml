@@ -11,15 +11,6 @@
 
 let n_packets = 4000
 
-let avg_norm (res : Harness.Runner.result) =
-  let s = Stats.Summary.create () in
-  List.iter
-    (fun (node, _) ->
-      let n = Harness.Runner.normalized_recovery res ~node ~filter:(fun _ -> true) in
-      if Stats.Summary.count n > 0 then Stats.Summary.add s (Stats.Summary.mean n))
-    res.rtt_to_source;
-  Stats.Summary.mean s
-
 let () =
   let traces = [ "RFV960419"; "WRN951113"; "WRN951211"; "WRN951218" ] in
   let rows =
@@ -36,15 +27,12 @@ let () =
               }
             in
             let res = Harness.Runner.run_model (Harness.Runner.Cesrm_protocol config) trace loss in
-            let success =
-              100. *. float_of_int res.exp_replies /. float_of_int (max 1 res.exp_requests)
-            in
             [
               name;
               retention;
-              Printf.sprintf "%.2f" (avg_norm res);
+              Printf.sprintf "%.2f" (Harness.Runner.avg_normalized_recovery res);
               Printf.sprintf "%d" res.exp_requests;
-              Printf.sprintf "%.0f%%" success;
+              Printf.sprintf "%.0f%%" (Harness.Runner.expedited_success_pct res);
             ])
           [ "recent:1"; "recent"; "lru"; "hotspot"; "hotspot=inf" ])
       traces

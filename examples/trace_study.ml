@@ -45,15 +45,7 @@ let () =
   let cesrm =
     Harness.Runner.run_model (Harness.Runner.Cesrm_protocol Cesrm.Host.default_config) trace loss
   in
-  let avg res =
-    let s = Stats.Summary.create () in
-    List.iter
-      (fun (node, _) ->
-        let n = Harness.Runner.normalized_recovery res ~node ~filter:(fun _ -> true) in
-        if Stats.Summary.count n > 0 then Stats.Summary.add s (Stats.Summary.mean n))
-      res.Harness.Runner.rtt_to_source;
-    Stats.Summary.mean s
-  in
+  let avg = Harness.Runner.avg_normalized_recovery in
   Format.printf "@.SRM   : avg normalized recovery %.2f RTT, %d retransmission crossings@."
     (avg srm)
     (Net.Cost.retransmission_overhead srm.cost);
@@ -62,4 +54,4 @@ let () =
     (Net.Cost.retransmission_overhead cesrm.cost);
   Format.printf "CESRM recovers %.0f%% faster; expedited success %.0f%%@."
     (100. *. (1. -. (avg cesrm /. avg srm)))
-    (100. *. float_of_int cesrm.exp_replies /. float_of_int (max 1 cesrm.exp_requests))
+    (Harness.Runner.expedited_success_pct cesrm)

@@ -1,17 +1,8 @@
-type config = {
-  retention : Retention.t;
-  reorder_delay : float;
-  router_assist : bool;
-  replier_failure_limit : int option;
-}
+type config = { retention : Retention.t; reorder_delay : float; router_assist : bool }
 
-let default_config =
-  {
-    retention = Retention.default;
-    reorder_delay = 0.;
-    router_assist = false;
-    replier_failure_limit = None;
-  }
+let default_config = { retention = Retention.default; reorder_delay = 0.; router_assist = false }
+
+let max_replier_failures = 8
 
 type t = {
   srm : Srm.Host.t;
@@ -20,6 +11,7 @@ type t = {
   self : int;
   domain : Rdomain.t option;
   config : config;
+  fault_tolerant : bool; (* Srm.Params.fault_tolerant: presume silent repliers dead *)
   stride : int; (* Srm.Key packing stride: n_packets + 1 *)
   caches : (int, Cache.t) Hashtbl.t; (* per stream source (Section 3.1) *)
   counters : Stats.Counters.t;
@@ -74,21 +66,20 @@ let revive_replier t ~replier =
 
 let replier_dead t ~replier = Hashtbl.mem t.dead_repliers replier
 
-(* Retry back-off (the missing piece the fault oracle flushed out):
-   after [replier_failure_limit] consecutive expedited recoveries that a
+(* Retry back-off (the missing piece the fault rules flushed out):
+   after [max_replier_failures] consecutive expedited recoveries that a
    replier failed to serve — the packet arrived the SRM way instead —
    presume the replier dead, purge it from every cache, and exclude it
    from the pair choice until one of its replies is heard again. *)
 let note_replier_failure t ~replier =
-  match t.config.replier_failure_limit with
-  | None -> ()
-  | Some limit ->
-      let n = 1 + Option.value ~default:0 (Hashtbl.find_opt t.consec_failures replier) in
-      Hashtbl.replace t.consec_failures replier n;
-      if n >= limit && not (replier_dead t ~replier) then begin
-        Hashtbl.replace t.dead_repliers replier ();
-        Hashtbl.iter (fun _ c -> Cache.expire_replier c ~replier) t.caches
-      end
+  if t.fault_tolerant then begin
+    let n = 1 + Option.value ~default:0 (Hashtbl.find_opt t.consec_failures replier) in
+    Hashtbl.replace t.consec_failures replier n;
+    if n >= max_replier_failures && not (replier_dead t ~replier) then begin
+      Hashtbl.replace t.dead_repliers replier ();
+      Hashtbl.iter (fun _ c -> Cache.expire_replier c ~replier) t.caches
+    end
+  end
 
 (* Membership departure of [replier], as seen from this host: every
    cached pair naming it is a ghost — an expedited request would
@@ -117,11 +108,10 @@ let outstanding_to t ~replier =
   Hashtbl.fold (fun _ r acc -> if r = replier then acc + 1 else acc) t.pending_exp 0
 
 let attempt_budget_ok t ~replier =
-  match t.config.replier_failure_limit with
-  | None -> true
-  | Some limit ->
-      let failed = Option.value ~default:0 (Hashtbl.find_opt t.consec_failures replier) in
-      failed + outstanding_to t ~replier < limit
+  (not t.fault_tolerant)
+  ||
+  let failed = Option.value ~default:0 (Hashtbl.find_opt t.consec_failures replier) in
+  failed + outstanding_to t ~replier < max_replier_failures
 
 let note_expedited_outcome t ~src seq ~expedited =
   match Hashtbl.find_opt t.pending_exp (key t ~src ~seq) with
@@ -304,6 +294,7 @@ let create ?domain ~network ~self ~params ~config ~n_packets ~period ~counters ~
       self;
       domain;
       config;
+      fault_tolerant = params.Srm.Params.fault_tolerant;
       stride = n_packets + 1;
       caches = Hashtbl.create 4;
       counters;

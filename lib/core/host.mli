@@ -37,19 +37,23 @@ type config = {
           [capacity], when unset, is 16 entries per stream) *)
   reorder_delay : float;
   router_assist : bool;
-  replier_failure_limit : int option;
-      (** retry back-off (robustness extension, off by default): after
-          this many {e consecutive} expedited recoveries a replier
-          failed to serve, presume it dead — purge it from every cache
-          and exclude it from the pair choice until one of its replies
-          is heard again. [None] = never presume death (paper-faithful:
-          the paper's evaluation has no failing repliers). *)
 }
 
 val default_config : config
 (** Default (paper) retention (16 entries, most recent pair), zero
     reorder delay (the paper's simulation setting — no reordering
-    occurs), no router assist, no replier failure limit. *)
+    occurs), no router assist. *)
+
+val max_replier_failures : int
+(** Retry back-off, part of the robustness extensions a host runs
+    with under [Srm.Params.fault_tolerant] (off by default, and
+    paper-faithful off: the paper's evaluation has no failing
+    repliers): after this many (8) {e consecutive} expedited recoveries
+    a replier failed to serve, the host presumes it dead — purges it
+    from every cache and excludes it from the pair choice until one of
+    its replies is heard again. In-flight attempts count against the
+    same budget, so an outage that resolves no attempt cannot make the
+    host hammer the replier. *)
 
 type t
 
@@ -95,12 +99,13 @@ val replier_dead : t -> replier:int -> bool
 (** Whether retry back-off currently presumes [replier] dead. *)
 
 val note_replier_failure : t -> replier:int -> unit
-(** Charge one consecutive expedited failure to [replier]. With
-    [replier_failure_limit = Some k], the k-th consecutive failure
-    presumes the replier dead: it is purged from every cache and
-    excluded from the pair choice until revived. No-op without a
-    limit. (Called internally when an expedited recovery resolves the
-    SRM way; exposed for driving the accounting directly in tests.) *)
+(** Charge one consecutive expedited failure to [replier]. Under
+    [Srm.Params.fault_tolerant], the {!max_replier_failures}-th
+    consecutive failure presumes the replier dead: it is purged from
+    every cache and excluded from the pair choice until revived.
+    No-op otherwise. (Called internally when an expedited recovery
+    resolves the SRM way; exposed for driving the accounting directly
+    in tests.) *)
 
 val revive_replier : t -> replier:int -> unit
 (** Fresh evidence [replier] is alive (any reply heard from it):

@@ -1,24 +1,10 @@
-let mean_or_zero s = if Stats.Summary.count s = 0 then 0. else Stats.Summary.mean s
-
-let avg_norm (res : Runner.result) =
-  let sum = Stats.Summary.create () in
-  List.iter
-    (fun (node, _) ->
-      let s = Runner.normalized_recovery res ~node ~filter:(fun _ -> true) in
-      if Stats.Summary.count s > 0 then Stats.Summary.add sum (Stats.Summary.mean s))
-    res.rtt_to_source;
-  mean_or_zero sum
-
-let success_pct (res : Runner.result) =
-  if res.exp_requests = 0 then 0.
-  else 100. *. float_of_int res.exp_replies /. float_of_int res.exp_requests
-
 let run_config ?setup ~config trace loss =
   Runner.run_model ?setup (Runner.Cesrm_protocol config) trace loss
 
 (* CESRM's cut in average normalized recovery against SRM's, in percent. *)
 let reduction srm cesrm =
-  if avg_norm srm > 0. then 100. *. (1. -. (avg_norm cesrm /. avg_norm srm)) else 0.
+  let s = Runner.avg_normalized_recovery srm and c = Runner.avg_normalized_recovery cesrm in
+  if s > 0. then 100. *. (1. -. (c /. s)) else 0.
 
 let retentions ?(n_packets = 4000) rows =
   let rows_out =
@@ -32,8 +18,8 @@ let retentions ?(n_packets = 4000) rows =
             [
               row.Mtrace.Meta.name;
               name;
-              Printf.sprintf "%.2f" (avg_norm res);
-              Printf.sprintf "%.0f%%" (success_pct res);
+              Printf.sprintf "%.2f" (Runner.avg_normalized_recovery res);
+              Printf.sprintf "%.0f%%" (Runner.expedited_success_pct res);
               string_of_int res.exp_requests;
               string_of_int res.unrecovered;
             ])
@@ -55,8 +41,8 @@ let cache_sizes ?(n_packets = 4000) ?(sizes = [ 1; 2; 4; 8; 16; 32 ]) row =
         let res = run_config ~config:{ Cesrm.Host.default_config with retention } trace loss in
         [
           string_of_int k;
-          Printf.sprintf "%.2f" (avg_norm res);
-          Printf.sprintf "%.0f%%" (success_pct res);
+          Printf.sprintf "%.2f" (Runner.avg_normalized_recovery res);
+          Printf.sprintf "%.0f%%" (Runner.expedited_success_pct res);
           string_of_int res.exp_requests;
         ])
       sizes
@@ -79,9 +65,9 @@ let reorder_delays ?(n_packets = 4000) ?(delays = [ 0.; 0.01; 0.04; 0.1 ]) row =
         in
         [
           Printf.sprintf "%.0f ms" (1000. *. reorder_delay);
-          Printf.sprintf "%.2f" (avg_norm res);
-          Printf.sprintf "%.3f s" (mean_or_zero exp);
-          Printf.sprintf "%.0f%%" (success_pct res);
+          Printf.sprintf "%.2f" (Runner.avg_normalized_recovery res);
+          Printf.sprintf "%.3f s" (Stats.Summary.mean exp);
+          Printf.sprintf "%.0f%%" (Runner.expedited_success_pct res);
         ])
       delays
   in
@@ -103,8 +89,8 @@ let link_delays ?(n_packets = 4000) ?(delays = [ 0.010; 0.020; 0.030 ]) row =
         let cesrm = run_config ~setup ~config:Cesrm.Host.default_config trace loss in
         [
           Printf.sprintf "%.0f ms" (1000. *. link_delay);
-          Printf.sprintf "%.2f" (avg_norm srm);
-          Printf.sprintf "%.2f" (avg_norm cesrm);
+          Printf.sprintf "%.2f" (Runner.avg_normalized_recovery srm);
+          Printf.sprintf "%.2f" (Runner.avg_normalized_recovery cesrm);
           Printf.sprintf "%.0f%%" (reduction srm cesrm);
         ])
       delays
@@ -152,8 +138,8 @@ let toggle ?(n_packets = 4000) setting rows =
             [
               row.Mtrace.Meta.name;
               (if value then on else off);
-              Printf.sprintf "%.2f" (avg_norm srm);
-              Printf.sprintf "%.2f" (avg_norm cesrm);
+              Printf.sprintf "%.2f" (Runner.avg_normalized_recovery srm);
+              Printf.sprintf "%.2f" (Runner.avg_normalized_recovery cesrm);
               Printf.sprintf "%.0f%%" (reduction srm cesrm);
               string_of_int (srm.unrecovered + cesrm.unrecovered);
             ])
@@ -190,9 +176,9 @@ let router_assist ?(n_packets = 4000) rows =
           row.Mtrace.Meta.name;
           Printf.sprintf "%.1f" (crossings_per_reply plain);
           Printf.sprintf "%.1f" (crossings_per_reply assisted);
-          Printf.sprintf "%.2f" (avg_norm plain);
-          Printf.sprintf "%.2f" (avg_norm assisted);
-          Printf.sprintf "%.0f%%" (success_pct assisted);
+          Printf.sprintf "%.2f" (Runner.avg_normalized_recovery plain);
+          Printf.sprintf "%.2f" (Runner.avg_normalized_recovery assisted);
+          Printf.sprintf "%.0f%%" (Runner.expedited_success_pct assisted);
         ])
       rows
   in
@@ -231,7 +217,7 @@ let reordering ?(n_packets = 4000) row =
                   Printf.sprintf "%.0f ms" (1000. *. reorder_delay);
                   string_of_int res.exp_requests;
                   string_of_int (List.length (Mtrace.Trace.lossy_packets trace));
-                  Printf.sprintf "%.2f" (avg_norm res);
+                  Printf.sprintf "%.2f" (Runner.avg_normalized_recovery res);
                   string_of_int res.unrecovered;
                 ]
             end)
@@ -264,7 +250,7 @@ let adaptive_timers ?(n_packets = 4000) rows =
             [
               row.Mtrace.Meta.name;
               (if adaptive then "adaptive" else "fixed");
-              Printf.sprintf "%.2f" (avg_norm res);
+              Printf.sprintf "%.2f" (Runner.avg_normalized_recovery res);
               string_of_int (Stats.Counters.total res.counters Stats.Counters.Rqst);
               string_of_int replies;
               Printf.sprintf "%.2f" (float_of_int replies /. float_of_int (max 1 lossy));
@@ -307,8 +293,8 @@ let scaling ?(n_packets = 3000) ?(sizes = [ 8; 12; 16; 24; 32 ]) () =
         [
           string_of_int n_receivers;
           string_of_int depth;
-          Printf.sprintf "%.2f" (avg_norm srm);
-          Printf.sprintf "%.2f" (avg_norm cesrm);
+          Printf.sprintf "%.2f" (Runner.avg_normalized_recovery srm);
+          Printf.sprintf "%.2f" (Runner.avg_normalized_recovery cesrm);
           Printf.sprintf "%.0f" (per_event (Net.Cost.retransmission_overhead srm.cost));
           Printf.sprintf "%.0f" (per_event (Net.Cost.retransmission_overhead cesrm.cost));
           Printf.sprintf "%.0f%%"

@@ -5,21 +5,12 @@ let eq2_bound ~reorder_delay ~rtt = reorder_delay +. rtt
 
 let predicted_gap_rtt p = (eq1_bound p /. 2.) -. 1.
 
-let normalized res ~filter =
-  let sum = Stats.Summary.create () in
-  List.iter
-    (fun (node, _) ->
-      let s = Runner.normalized_recovery res ~node ~filter in
-      if Stats.Summary.count s > 0 then Stats.Summary.add sum (Stats.Summary.mean s))
-    res.Runner.rtt_to_source;
-  sum
-
 let measured_first_round res =
-  normalized res ~filter:(fun r -> (not r.Stats.Recovery.expedited) && r.rounds <= 1)
+  Runner.avg_normalized_recovery res ~filter:(fun r ->
+      (not r.Stats.Recovery.expedited) && r.rounds <= 1)
 
-let measured_expedited res = normalized res ~filter:(fun r -> r.Stats.Recovery.expedited)
-
-let mean_or_zero s = if Stats.Summary.count s = 0 then 0. else Stats.Summary.mean s
+let measured_expedited res =
+  Runner.avg_normalized_recovery res ~filter:(fun r -> r.Stats.Recovery.expedited)
 
 let report pairs =
   let params =
@@ -30,9 +21,9 @@ let report pairs =
   let rows =
     List.map
       (fun (p : Figures.pair) ->
-        let srm_first = mean_or_zero (measured_first_round p.srm) in
-        let cesrm_first = mean_or_zero (measured_first_round p.cesrm) in
-        let exp = mean_or_zero (measured_expedited p.cesrm) in
+        let srm_first = measured_first_round p.srm in
+        let cesrm_first = measured_first_round p.cesrm in
+        let exp = measured_expedited p.cesrm in
         [
           p.row.Mtrace.Meta.name;
           Printf.sprintf "%.2f" srm_first;

@@ -18,10 +18,12 @@ val predicted_gap_rtt : Srm.Params.t -> float
 (** [(eq1 / 2) − 1] — predicted expedited advantage in RTTs, assuming
     a negligible reorder delay. *)
 
-val measured_first_round : Runner.result -> Stats.Summary.t
-(** Normalized recovery times of first-round non-expedited recoveries. *)
+val measured_first_round : Runner.result -> float
+(** Average normalized recovery time ({!Runner.avg_normalized_recovery})
+    of first-round non-expedited recoveries. *)
 
-val measured_expedited : Runner.result -> Stats.Summary.t
+val measured_expedited : Runner.result -> float
+(** The same over expedited recoveries. *)
 
 val report : Figures.pair list -> string
 (** Bounds vs. measurement, per trace: the paper's claims are that SRM

@@ -53,8 +53,14 @@ type faults = {
   latched : (string * int * int, unit) Hashtbl.t;
 }
 
+(* The send time of the packet being observed. A record whose only
+   field is a float is stored flat, so the tap's store allocates
+   nothing; a float argument would be boxed on every send. *)
+type stamp = { mutable time : float }
+
 type t = {
   now : unit -> float; (* the engine clock; a merged verdict's end time *)
+  sent : stamp; (* the send time [check_send] judges *)
   expect_in_order : bool;
   max_exp_per_loss : int;
   faults : faults option;
@@ -137,16 +143,18 @@ let heard_from f ~replier =
   reset f.exp_streak;
   reset f.ghost_streak
 
-(* The observation core takes the send time explicitly: a serial run's
-   tap passes the engine clock, while a sharded run feeds the merged
-   cross-shard tap stream after the fact, in timestamp order. Seqs at
-   or below a source's retired floor are past their stability horizon:
-   their bookkeeping has been dropped, so the per-packet rules no
-   longer apply (late requests for them are legitimate — replies still
-   serve retired packets). Their history was checked before
-   retirement. The fault rules are reached by plain matches, not
-   closures, so with them off a send allocates nothing more. *)
-let observe t ~at ~from (p : Net.Packet.t) =
+(* The observation core reads the send time from [t.sent]: a serial
+   run's tap stores the engine clock there, while a sharded run feeds
+   the merged cross-shard tap stream after the fact, in timestamp
+   order, through [observe]. Seqs at or below a source's retired floor
+   are past their stability horizon: their bookkeeping has been
+   dropped, so the per-packet rules no longer apply (late requests for
+   them are legitimate — replies still serve retired packets). Their
+   history was checked before retirement. The fault rules are reached
+   by plain matches, not closures, so with them off a send that adds
+   no table entry allocates nothing. *)
+let check_send t ~from (p : Net.Packet.t) =
+  let at = t.sent.time in
   t.seen <- t.seen + 1;
   match p.payload with
   | Net.Packet.Data { seq } ->
@@ -211,6 +219,10 @@ let observe t ~at ~from (p : Net.Packet.t) =
         | None -> ()
       end
   | Net.Packet.Request _ | Net.Packet.Session _ -> ()
+
+let observe t ~at ~from p =
+  t.sent.time <- at;
+  check_send t ~from p
 
 let attach_host t host =
   let f = faults_of t in
@@ -339,6 +351,7 @@ let finish t ~with_liveness =
 let make ~now ?(expect_in_order = true) ?(max_exp_per_loss = 1) ?network () =
   {
     now;
+    sent = { time = 0. };
     expect_in_order;
     max_exp_per_loss;
     faults =
@@ -380,7 +393,9 @@ let create ?expect_in_order ?max_exp_per_loss ?(faulted = false) network =
 let attach ?expect_in_order ?max_exp_per_loss ?faulted network =
   let t = create ?expect_in_order ?max_exp_per_loss ?faulted network in
   let clock = Sim.Engine.clock (Net.Network.engine network) in
-  Net.Network.add_tap network (fun ~from p -> observe t ~at:clock.now ~from p);
+  Net.Network.add_tap network (fun ~from p ->
+      t.sent.time <- clock.now;
+      check_send t ~from p);
   t
 
 let violations t =

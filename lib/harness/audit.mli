@@ -28,7 +28,7 @@
 
     {b Fault rules}, switched on by [~faulted:true] (the runner sets it
     exactly when it runs a fault plan, which also makes hosts re-arm
-    their requests, {!Srm.Params.t.rearm_backoff}). They define
+    their requests, {!Srm.Params.t.fault_tolerant}). They define
     {e graceful degradation} under faults, and need the per-member
     hooks {!attach_host} installs:
 
@@ -80,8 +80,10 @@ val create :
     timestamp order. Options as in {!attach}. *)
 
 val observe : t -> at:float -> from:int -> Net.Packet.t -> unit
-(** Check one packet send observed at time [at]. {!attach} wires this
-    to the network tap with [at] = the engine clock. *)
+(** Check one packet send observed at time [at]. {!attach}'s tap does
+    the same at the engine clock, which it stores in a flat float cell
+    rather than passing it boxed: a checked send that adds no table
+    entry (a session message, say) allocates nothing. *)
 
 val attach :
   ?expect_in_order:bool -> ?max_exp_per_loss:int -> ?faulted:bool -> Net.Network.t -> t

@@ -65,12 +65,12 @@ let attribution_accuracy pairs =
 
 type receiver_series = { node : int; srm_value : float; cesrm_value : float }
 
-let mean_or_zero s = if Stats.Summary.count s = 0 then 0. else Stats.Summary.mean s
-
 let figure1_data pair =
   List.map
     (fun (node, _) ->
-      let f res = mean_or_zero (Runner.normalized_recovery res ~node ~filter:(fun _ -> true)) in
+      let f res =
+        Stats.Summary.mean (Runner.normalized_recovery res ~node ~filter:(fun _ -> true))
+      in
       { node; srm_value = f pair.srm; cesrm_value = f pair.cesrm })
     pair.srm.rtt_to_source
 
@@ -188,14 +188,7 @@ let figure4 pair =
 (* -- Figure 5 ------------------------------------------------------- *)
 
 let figure5a_data pairs =
-  List.map
-    (fun p ->
-      let pct =
-        if p.cesrm.exp_requests = 0 then 0.
-        else 100. *. float_of_int p.cesrm.exp_replies /. float_of_int p.cesrm.exp_requests
-      in
-      (p.row.Mtrace.Meta.name, pct))
-    pairs
+  List.map (fun p -> (p.row.Mtrace.Meta.name, Runner.expedited_success_pct p.cesrm)) pairs
 
 let figure5a pairs =
   let data = figure5a_data pairs in
@@ -251,30 +244,19 @@ let figure5b pairs =
 
 (* -- headline summary ----------------------------------------------- *)
 
-let avg_norm_recovery (res : Runner.result) =
-  let sum = Stats.Summary.create () in
-  List.iter
-    (fun (node, _) ->
-      let s = Runner.normalized_recovery res ~node ~filter:(fun _ -> true) in
-      if Stats.Summary.count s > 0 then Stats.Summary.add sum (Stats.Summary.mean s))
-    res.rtt_to_source;
-  mean_or_zero sum
-
 let summary pairs =
   let rows =
     List.map
       (fun p ->
-        let s = avg_norm_recovery p.srm and c = avg_norm_recovery p.cesrm in
+        let s = Runner.avg_normalized_recovery p.srm
+        and c = Runner.avg_normalized_recovery p.cesrm in
         let reduction = if s > 0. then 100. *. (1. -. (c /. s)) else 0. in
         let retx =
           pct
             (Net.Cost.retransmission_overhead p.cesrm.cost)
             (Net.Cost.retransmission_overhead p.srm.cost)
         in
-        let succ =
-          if p.cesrm.exp_requests = 0 then 0.
-          else 100. *. float_of_int p.cesrm.exp_replies /. float_of_int p.cesrm.exp_requests
-        in
+        let succ = Runner.expedited_success_pct p.cesrm in
         [
           p.row.Mtrace.Meta.name;
           Printf.sprintf "%.2f" s;
@@ -301,118 +283,3 @@ let summary pairs =
           "unrec CESRM";
         ]
       ~rows
-
-(* -- CSV export ------------------------------------------------------ *)
-
-let csv_escape s =
-  if String.exists (fun c -> c = ',' || c = '"' || c = '\n') s then
-    "\"" ^ String.concat "\"\"" (String.split_on_char '"' s) ^ "\""
-  else s
-
-let write_csv path ~header ~rows =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () ->
-      output_string oc (String.concat "," (List.map csv_escape header) ^ "\n");
-      List.iter
-        (fun row -> output_string oc (String.concat "," (List.map csv_escape row) ^ "\n"))
-        rows)
-
-let write_csvs ~dir pairs =
-  if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
-  let in_dir name = Filename.concat dir name in
-  (* figure 1: one file across all traces *)
-  write_csv (in_dir "figure1.csv")
-    ~header:[ "trace"; "receiver"; "srm_rtt"; "cesrm_rtt" ]
-    ~rows:
-      (List.concat_map
-         (fun p ->
-           List.map
-             (fun d ->
-               [
-                 p.row.Mtrace.Meta.name;
-                 string_of_int d.node;
-                 Printf.sprintf "%.4f" d.srm_value;
-                 Printf.sprintf "%.4f" d.cesrm_value;
-               ])
-             (figure1_data p))
-         pairs);
-  write_csv (in_dir "figure2.csv")
-    ~header:[ "trace"; "receiver"; "gap_rtt" ]
-    ~rows:
-      (List.concat_map
-         (fun p ->
-           List.map
-             (fun (node, gap) ->
-               [ p.row.Mtrace.Meta.name; string_of_int node; Printf.sprintf "%.4f" gap ])
-             (figure2_data p))
-         pairs);
-  write_csv (in_dir "figure3.csv")
-    ~header:[ "trace"; "member"; "srm_rqst_mc"; "cesrm_rqst_mc"; "cesrm_erqst_uc" ]
-    ~rows:
-      (List.concat_map
-         (fun p ->
-           List.map
-             (fun d ->
-               [
-                 p.row.Mtrace.Meta.name;
-                 string_of_int d.rq_node;
-                 string_of_int d.srm_rqst;
-                 string_of_int d.cesrm_rqst;
-                 string_of_int d.cesrm_exp_rqst;
-               ])
-             (figure3_data p))
-         pairs);
-  write_csv (in_dir "figure4.csv")
-    ~header:[ "trace"; "member"; "srm_repl"; "cesrm_repl"; "cesrm_erepl" ]
-    ~rows:
-      (List.concat_map
-         (fun p ->
-           List.map
-             (fun d ->
-               [
-                 p.row.Mtrace.Meta.name;
-                 string_of_int d.rp_node;
-                 string_of_int d.srm_repl;
-                 string_of_int d.cesrm_repl;
-                 string_of_int d.cesrm_exp_repl;
-               ])
-             (figure4_data p))
-         pairs);
-  write_csv (in_dir "figure5a.csv")
-    ~header:[ "trace"; "expedited_success_pct" ]
-    ~rows:(List.map (fun (name, pct) -> [ name; Printf.sprintf "%.2f" pct ]) (figure5a_data pairs));
-  write_csv (in_dir "figure5b.csv")
-    ~header:[ "trace"; "retrans_pct"; "control_mc_pct"; "control_uc_pct" ]
-    ~rows:
-      (List.map
-         (fun o ->
-           [
-             o.trace_name;
-             Printf.sprintf "%.2f" o.retrans_pct;
-             Printf.sprintf "%.2f" o.control_mc_pct;
-             Printf.sprintf "%.2f" o.control_uc_pct;
-           ])
-         (figure5b_data pairs));
-  write_csv (in_dir "summary.csv")
-    ~header:
-      [ "trace"; "srm_rtt"; "cesrm_rtt"; "reduction_pct"; "retx_vs_srm_pct"; "exp_success_pct" ]
-    ~rows:
-      (List.map
-         (fun p ->
-           let s = avg_norm_recovery p.srm and c = avg_norm_recovery p.cesrm in
-           [
-             p.row.Mtrace.Meta.name;
-             Printf.sprintf "%.4f" s;
-             Printf.sprintf "%.4f" c;
-             Printf.sprintf "%.2f" (if s > 0. then 100. *. (1. -. (c /. s)) else 0.);
-             Printf.sprintf "%.2f"
-               (pct
-                  (Net.Cost.retransmission_overhead p.cesrm.cost)
-                  (Net.Cost.retransmission_overhead p.srm.cost));
-             Printf.sprintf "%.2f"
-               (if p.cesrm.exp_requests = 0 then 0.
-                else 100. *. float_of_int p.cesrm.exp_replies /. float_of_int p.cesrm.exp_requests);
-           ])
-         pairs)

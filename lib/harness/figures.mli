@@ -92,7 +92,3 @@ val figure5b : pair list -> string
 val summary : pair list -> string
 (** Headline comparison: average recovery-time reduction, retransmission
     ratio, expedited success — the numbers the abstract quotes. *)
-
-val write_csvs : dir:string -> pair list -> unit
-(** Write figure1..figure5 and the summary as CSV files into [dir]
-    (created if missing) — for external plotting. *)

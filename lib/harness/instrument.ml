@@ -62,10 +62,10 @@ let record_recovery_hist registry ~rtt_of (r : Stats.Recovery.record) =
 let attach_recovery_hists registry ~rtt_of recoveries =
   List.iter (record_recovery_hist registry ~rtt_of) (Stats.Recovery.records recoveries)
 
-(* Records-off (steady) runs can't fold the hists at end of run — the
-   record list is gone — so the observer feeds them one record at a
-   time as recoveries land. Same adds in the same (insertion) order as
-   the offline fold, and the hists themselves are log-bucketed arrays,
-   so observability memory stays constant in stream length. *)
+(* Steady runs can't fold the hists at end of run — the record list is
+   gone — so the observer feeds them one record at a time as
+   recoveries land. Same adds in the same (insertion) order as the
+   offline fold, and the hists themselves are log-bucketed arrays, so
+   observability memory stays constant in stream length. *)
 let attach_recovery_hists_online registry ~rtt_of recoveries =
   Stats.Recovery.set_observer recoveries (record_recovery_hist registry ~rtt_of)

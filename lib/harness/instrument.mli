@@ -25,19 +25,23 @@ val attach_srm_host : trace:Obs.Trace.t -> stride:int -> Srm.Host.t -> unit
     losses (which close it, expedited or fallback). Call after the
     protocol has installed its own hooks. *)
 
-val attach_recovery_hists :
-  Obs.Registry.t -> rtt_of:(int -> float option) -> Stats.Recovery.t -> unit
-(** Publish every recovery latency into the registry's log-bucketed
-    histograms: ["recovery/latency_s"] (seconds, all recoveries) plus
-    the ["recovery/latency_rtt"], ["recovery/latency_rtt_expedited"]
-    and ["recovery/latency_rtt_fallback"] RTT-normalized splits
-    (records whose node has no RTT — e.g. the source — are skipped in
-    the normalized histograms). *)
-
 val attach_recovery_hists_online :
   Obs.Registry.t -> rtt_of:(int -> float option) -> Stats.Recovery.t -> unit
-(** The streaming-mode equivalent of {!attach_recovery_hists}: install
-    a {!Stats.Recovery.set_observer} that feeds the same histograms
-    record by record as recoveries land, for runs that drop the record
-    list ({!Stats.Recovery.drop_records}). Attach {e before} the run;
-    produces bit-identical histograms (same adds, same order). *)
+(** Install a {!Stats.Recovery.set_observer} that feeds every
+    subsequent recovery latency into the registry's log-bucketed
+    histograms as it lands: ["recovery/latency_s"] (seconds, all
+    recoveries) plus the ["recovery/latency_rtt"],
+    ["recovery/latency_rtt_expedited"] and
+    ["recovery/latency_rtt_fallback"] RTT-normalized splits (records
+    whose node has no RTT — e.g. the source — are skipped in the
+    normalized histograms). Attach {e before} the run; it works whether
+    or not the collector keeps its records
+    ({!Stats.Recovery.drop_records}). Every runner run with a registry
+    is fed this way. *)
+
+val attach_recovery_hists :
+  Obs.Registry.t -> rtt_of:(int -> float option) -> Stats.Recovery.t -> unit
+(** The same histograms folded after the run from the collector's
+    kept records, in insertion order — bit-identical to the online
+    feed (same adds, same order). For callers that wire a run by hand
+    from public calls. *)

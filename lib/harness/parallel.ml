@@ -74,10 +74,9 @@ let emit_order (a : Net.Network.emit) (b : Net.Network.emit) =
    by the barrier-window loop. Only the primary shard, owner of the
    source, has the complete tap stream, so it alone feeds its detached
    checker the stream; every worker's checker hooks its own members. *)
-let worker_body ~chan ~me ~partition ~setup ~fault_plan ~steady ~protocol ~trace ~loss_model =
+let worker_body ~chan ~me ~partition ~setup ~fault_plan ~protocol ~trace ~loss_model =
   let m =
-    Run_types.build ~shard:{ Run_types.partition; me } ?fault_plan ?steady ~setup protocol trace
-      loss_model
+    Run_types.build ~shard:{ Run_types.partition; me } ?fault_plan ~setup protocol trace loss_model
   in
   let observe = me = partition.Net.Partition.owner.(0) in
   let network = m.network and engine = m.engine in
@@ -138,7 +137,7 @@ let worker_body ~chan ~me ~partition ~setup ~fault_plan ~steady ~protocol ~trace
   loop ()
 
 let run ~(partition : Net.Partition.t) ~delay ?registry ?fault_plan ~(setup : Run_types.setup)
-    ?steady protocol trace loss_model =
+    protocol trace loss_model =
   (match protocol with
   | Run_types.Lms_protocol -> invalid_arg "Parallel.run: LMS subcasts are not shardable"
   | _ -> ());
@@ -151,8 +150,7 @@ let run ~(partition : Net.Partition.t) ~delay ?registry ?fault_plan ~(setup : Ru
   let workers =
     Array.init k (fun me ->
         Ipc.Chan.fork ~child:(fun chan ->
-            worker_body ~chan ~me ~partition ~setup ~fault_plan ~steady ~protocol ~trace
-              ~loss_model))
+            worker_body ~chan ~me ~partition ~setup ~fault_plan ~protocol ~trace ~loss_model))
   in
   let stats = Pst.create () in
   let nexts = Array.make k infinity in
@@ -233,8 +231,11 @@ let run ~(partition : Net.Partition.t) ~delay ?registry ?fault_plan ~(setup : Ru
   (* Re-add the merged recovery records in the serial insertion order —
      chronological by repair time, same-time records by their walk
      rank (the serial engine's FIFO schedule order) — so downstream
-     latency summaries fold the same floats in the same order. *)
+     latency summaries and the histogram feed fold the same floats in
+     the same order. *)
+  let rtts = Run_types.source_rtts ~tree ~delay in
   let recoveries = Stats.Recovery.create () in
+  Option.iter (fun reg -> Run_types.feed_recovery_hists reg ~tree ~rtts recoveries) registry;
   List.concat_map (fun o -> o.wr_records) outl
   |> List.stable_sort
        (fun ((a : Stats.Recovery.record), (ra : walk_rank)) ((b : Stats.Recovery.record), rb) ->
@@ -250,7 +251,6 @@ let run ~(partition : Net.Partition.t) ~delay ?registry ?fault_plan ~(setup : Ru
   let checker = Audit.merge ~at:final_clock (List.map (fun o -> o.wr_checker) outl) in
   let oracle = Option.map (fun _ -> checker) fault_plan in
   Run_types.charge_oracle counters checker;
-  let rtts = Run_types.source_rtts ~tree ~delay in
   Option.iter
     (fun reg ->
       Obs.Registry.incr ~by:(sum (fun o -> o.wr_events)) reg "sim/events_fired";
@@ -267,7 +267,7 @@ let run ~(partition : Net.Partition.t) ~delay ?registry ?fault_plan ~(setup : Ru
         "net/data_crossings";
       Obs.Registry.incr ~by:(Net.Cost.total_crossings cost Net.Cost.Session) reg
         "net/session_crossings";
-      Run_types.publish_recoveries reg ~tree ~rtts ~oracle recoveries;
+      Run_types.publish_recoveries reg ~oracle recoveries;
       let max_shard_events =
         List.fold_left (fun m (o : worker_out) -> max m o.wr_events) 0 outl
       in

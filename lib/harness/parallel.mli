@@ -18,9 +18,9 @@
     line of wiring. This module is the mechanism; policy lives in
     {!Runner}, whose {!Runner.shardable} names the conditions that keep
     a run on the serial engine — event tracing, recovery domains,
-    lossy recovery/sessions, LMS, a finite or records-off steady
-    window, link-jitter fault events, CESRM — so callers just pass
-    [?shards] to {!Runner.run_model}. *)
+    lossy recovery/sessions, LMS, a steady window, link-jitter fault
+    events, CESRM — so callers just pass [?shards] to
+    {!Runner.run_model}. *)
 
 val run :
   partition:Net.Partition.t ->
@@ -28,7 +28,6 @@ val run :
   ?registry:Obs.Registry.t ->
   ?fault_plan:Fault.Plan.t ->
   setup:Run_types.setup ->
-  ?steady:Steady.Config.t ->
   Run_types.protocol ->
   Mtrace.Trace.t ->
   Run_types.loss_model ->
@@ -38,17 +37,14 @@ val run :
     2 — {!Runner} degenerates 1 to the serial path) and returns the
     merged result. [delay] must reproduce the per-link delays the
     workers draw ([Runner] replicates the heterogeneous-delay RNG
-    sequence); [setup] and [protocol] must already carry the fault-plan
-    robustness adjustments [Runner.run_model] applies. [steady] arms
-    the sources' data sends as lazy chains on every worker —
-    byte-identical either way, so it composes freely with sharding; it
-    must have an infinite window and keep its records
-    ({!Runner.shardable}).
+    sequence); [setup] must already carry the fault-plan robustness
+    adjustment [Runner.run_model] applies.
 
     With [registry], the merged end-of-run metrics are published as in
     the serial runner — engine/network totals, ["recovery/"] histograms
-    and ["fault/"] counts — plus the synchronisation counters under
-    ["pdes/"] ({!Sim.Pdes.Stats.publish}). Per-host ["srm/"] metrics
-    are not republished: they live in the workers.
+    (fed as the merged records are re-added) and ["fault/"] counts —
+    plus the synchronisation counters under ["pdes/"]
+    ({!Sim.Pdes.Stats.publish}). Per-host ["srm/"] metrics are not
+    republished: they live in the workers.
 
     @raise Invalid_argument on an LMS protocol. *)

@@ -61,7 +61,7 @@ type result = {
   audit_violations : int;  (* safety-rule violations; 0 expected *)
   oracle_violations : int;  (* fault-rule violations; 0 without a fault plan *)
   oracle : Audit.t option;  (* the run's checker, present iff a fault plan was run *)
-  retirement : Steady.Controller.t option;  (* present iff a finite window ran *)
+  retirement : Steady.Controller.t option;  (* present iff a steady window ran *)
 }
 
 type loss_model =
@@ -155,12 +155,18 @@ let charge_oracle counters checker =
         Stats.Counters.bump counters ~node:v.Audit.node Stats.Counters.Oracle)
     (Audit.violations checker)
 
-let publish_recoveries reg ~tree ~rtts ~oracle recoveries =
+(* The histograms are fed as recoveries land, not folded at the end:
+   a steady run drops its records, so an end-of-run fold would find
+   none. The adds are the fold's, in the same (insertion) order, so the
+   histograms are bit-identical either way. *)
+let feed_recovery_hists reg ~tree ~rtts recoveries =
+  Instrument.attach_recovery_hists_online reg ~rtt_of:(receiver_rtt ~tree rtts) recoveries
+
+let publish_recoveries reg ~oracle recoveries =
   Obs.Registry.incr ~by:(Stats.Recovery.count recoveries) reg "recovery/recovered";
   Option.iter
     (fun o -> Obs.Registry.incr ~by:(Audit.n_fault o) reg "fault/oracle_violations")
-    oracle;
-  Instrument.attach_recovery_hists reg ~rtt_of:(receiver_rtt ~tree rtts) recoveries
+    oracle
 
 (* The paper's uniform delay on every link, or per-link delays
    log-uniform in [link_delay/3, 3·link_delay]: the real MBone had
@@ -346,13 +352,10 @@ let build ?shard ?tracer ?registry ?fault_plan ?steady ?on_retire ?domain ~setup
         (fun node -> Audit.note_membership audit ~node ~at:0. ~member:false)
         (Fault.Plan.initial_absentees plan))
     fault_plan;
-  (* A finite window gets a retirement controller; the checker's
+  (* A steady window gets a retirement controller; the checker's
      per-packet tables retire with the hosts'. *)
   let controller =
-    match steady with
-    | Some { Steady.Config.window = Some w; _ } ->
-        Some (Steady.Controller.create ~window:w)
-    | _ -> None
+    Option.map (fun cfg -> Steady.Controller.create ~window:cfg.Steady.Config.window) steady
   in
   (* Retirement hooks run newest first: the caller's, registered
      first, sees every other table already retired. *)
@@ -372,27 +375,22 @@ let build ?shard ?tracer ?registry ?fault_plan ?steady ?on_retire ?domain ~setup
       Option.iter (fun tr -> Instrument.attach_srm_host ~trace:tr ~stride h) tracer;
       if Option.is_some fault_plan then Audit.attach_host audit h)
     d.hosts;
-  (* Records-off mode must feed the latency histograms online — once
-     the run ends the records are gone — and flush finalized per-loss
-     spans (the makespan figure) as the stability horizon advances.
-     The adds land in the same insertion order the end-of-run fold
-     would use, so the histograms are bit-identical. *)
-  (match steady with
-  | Some { Steady.Config.retain_records = false; _ } ->
+  (* A steady run keeps online summaries only, and flushes finalized
+     per-loss spans (the makespan figure) as the stability horizon
+     advances. *)
+  Option.iter
+    (fun c ->
       Stats.Recovery.drop_records d.d_recoveries;
-      Option.iter
-        (fun c ->
-          Steady.Controller.on_retire c (fun ~upto ->
-              Stats.Recovery.retire_spans d.d_recoveries ~upto))
-        controller;
-      Option.iter
-        (fun reg ->
-          let rtts = source_rtts ~tree ~delay:(Net.Network.link_delay network) in
-          Instrument.attach_recovery_hists_online reg ~rtt_of:(receiver_rtt ~tree rtts)
-            d.d_recoveries)
-        registry
-  | _ -> ());
-  Option.iter (fun c -> List.iter (Steady.Controller.add_member c) (d.retirees ())) controller;
+      Steady.Controller.on_retire c (fun ~upto ->
+          Stats.Recovery.retire_spans d.d_recoveries ~upto);
+      List.iter (Steady.Controller.add_member c) (d.retirees ()))
+    controller;
+  Option.iter
+    (fun reg ->
+      feed_recovery_hists reg ~tree
+        ~rtts:(source_rtts ~tree ~delay:(Net.Network.link_delay network))
+        d.d_recoveries)
+    registry;
   (* Churn. Every shard compiles the full plan, so every checker carries
      the identical membership timeline, while host-level effects act
      on owned hosts only. A joiner's detection-window baseline is how
@@ -435,10 +433,8 @@ let build ?shard ?tracer ?registry ?fault_plan ?steady ?on_retire ?domain ~setup
   let horizon = horizon ~setup ~n_packets ~period in
   (match (controller, steady) with
   | Some c, Some cfg ->
-      Option.iter
-        (fun every ->
-          Sim.Engine.every_epoch engine ~every ~until:horizon (fun () -> Steady.Controller.tick c))
-        (Steady.Config.epoch_period cfg ~period)
+      Sim.Engine.every_epoch engine ~every:(Steady.Config.epoch_period cfg ~period) ~until:horizon
+        (fun () -> Steady.Controller.tick c)
   | _ -> ());
   {
     engine;

@@ -85,18 +85,19 @@ val charge_oracle : Stats.Counters.t -> Audit.t -> unit
 (** Bump the [Oracle] counter of the member each fault-class violation
     of the run's checker names. *)
 
-val publish_recoveries :
-  Obs.Registry.t ->
-  tree:Net.Tree.t ->
-  rtts:float array ->
-  oracle:Audit.t option ->
-  Stats.Recovery.t ->
-  unit
+val feed_recovery_hists :
+  Obs.Registry.t -> tree:Net.Tree.t -> rtts:float array -> Stats.Recovery.t -> unit
+(** Feed the ["recovery/"] latency histograms record by record as the
+    collector gains recoveries, RTT-normalized by each receiver's entry
+    of [rtts] ({!Instrument.attach_recovery_hists_online}). {!build}
+    installs it in every run given a registry; the coordinator of a
+    sharded run installs it on the merged collector before re-adding
+    the workers' records. *)
+
+val publish_recoveries : Obs.Registry.t -> oracle:Audit.t option -> Stats.Recovery.t -> unit
 (** The end-of-run recovery metrics both runners publish:
-    ["recovery/recovered"], ["fault/oracle_violations"] (the checker's
-    fault-class count, under a fault plan) and the ["recovery/"]
-    latency histograms, RTT-normalized by each receiver's entry of
-    [rtts]. *)
+    ["recovery/recovered"] and ["fault/oracle_violations"] (the
+    checker's fault-class count, under a fault plan). *)
 
 val link_delays : setup:setup -> tree:Net.Tree.t -> Sim.Rng.t -> float array
 (** Per-link propagation delays, indexed by link (child node) id: the
@@ -123,7 +124,7 @@ type model = {
           is run; attached to the network's tap, or detached in shard
           mode, where the primary worker feeds it the merged tap
           stream *)
-  controller : Steady.Controller.t option;  (** present iff a finite steady window is run *)
+  controller : Steady.Controller.t option;  (** present iff a steady window is run *)
   counters : Stats.Counters.t;
   recoveries : Stats.Recovery.t;
   detected : unit -> int;  (** losses detected across (owned) members so far *)
@@ -152,22 +153,23 @@ val build :
     + the network, the drop predicate ({!make_drop}) and the checker,
       under a plan with its fault rules on and the plan's initial
       absentees noted;
-    + with a finite window, the retirement controller, with
-      [on_retire], which runs after every other retirement, and the
-      checker's retirement registered;
+    + with [steady], the retirement controller, with [on_retire],
+      which runs after every other retirement, and the checker's
+      retirement registered;
     + the [tracer] tap (composing after the checker's);
-    + the protocol deployment ([domain] on every SRM/CESRM host), its
-      members' tracer hooks and, under a plan, the checker's;
-    + with [steady], streaming sends; with records off, the online
-      ["recovery/"] histograms into [registry]; the retirement
-      controller's members;
+    + the protocol deployment ([domain] on every SRM/CESRM host, and
+      with [steady] streaming sends), its members' tracer hooks and,
+      under a plan, the checker's;
+    + with [steady], records off, the spans' retirement and the
+      controller's members; with [registry], the online ["recovery/"]
+      histograms ({!feed_recovery_hists});
     + the fault plan's events and its churn join/leave/restart hooks;
     + the protocol's start, then the steady epoch tick.
 
-    [setup] and [protocol] must already carry the adjustments
-    {!Runner.run_model} makes for fault plans and domains. With
-    [shard] — the builder's only branch — the network runs in shard
-    mode, only owned members get live hosts, and the checker is
-    detached; the configuration must be shardable (no
-    tracer, domain, finite window or records-off mode, which
-    {!Runner.run_model} keeps serial). *)
+    [setup] must already carry the adjustment {!Runner.run_model}
+    makes for fault plans. With [shard] — the builder's only branch —
+    the network runs in shard mode, only owned members get live hosts,
+    and the checker is detached; the configuration must be shardable
+    (no tracer, domain or steady window, which {!Runner.run_model}
+    keeps serial), and the coordinator, not the worker, takes the
+    registry. *)

@@ -44,7 +44,7 @@ type result = Run_types.result = {
   audit_violations : int;  (* safety-rule violations; 0 expected *)
   oracle_violations : int;  (* fault-rule violations; 0 without a fault plan *)
   oracle : Audit.t option;  (* the run's checker, present iff a fault plan was run *)
-  retirement : Steady.Controller.t option;  (* present iff a finite window ran *)
+  retirement : Steady.Controller.t option;  (* present iff a steady window ran *)
 }
 
 let attribution_of_trace trace =
@@ -67,8 +67,7 @@ let shardable ~tracer ~fault_plan ~setup ~steady ~domains protocol =
   | _ when Option.is_some domains -> Some "recovery domains"
   | _ when setup.lossy_recovery || setup.lossy_sessions -> Some "lossy recovery/sessions"
   | Lms_protocol, _, _ -> Some "LMS"
-  | _, Some { Steady.Config.window = Some _; _ }, _ -> Some "finite steady window"
-  | _, Some { Steady.Config.retain_records = false; _ }, _ -> Some "records-off steady mode"
+  | _, Some _, _ -> Some "steady window"
   | _, _, Some plan when List.exists link_jitter plan.Fault.Plan.events -> Some "link-jitter faults"
   | Cesrm_protocol _, _, _ -> Some "CESRM expedited recovery"
   | _ -> None
@@ -79,17 +78,15 @@ let finish ?registry ~faulted ~setup ~protocol trace (m : Run_types.model) =
   let tree = Mtrace.Trace.tree trace in
   let oracle = if faulted then Some m.audit else None in
   Run_types.charge_oracle m.counters m.audit;
-  let rtts = Run_types.source_rtts ~tree ~delay:(Net.Network.link_delay m.network) in
   Option.iter
     (fun reg ->
       Sim.Engine.publish_metrics m.engine reg;
       Net.Network.publish_metrics m.network reg;
       m.publish reg;
       Option.iter (fun c -> Steady.Controller.publish_metrics c reg) m.controller;
-      (* the histograms are a no-op in records-off mode (the records
-         are gone; the online observer already fed them) *)
-      Run_types.publish_recoveries reg ~tree ~rtts ~oracle m.recoveries)
+      Run_types.publish_recoveries reg ~oracle m.recoveries)
     registry;
+  let rtts = Run_types.source_rtts ~tree ~delay:(Net.Network.link_delay m.network) in
   let detected = m.detected () and forgiven = m.forgiven () in
   let exp_requests, exp_replies = m.expedited () in
   {
@@ -122,21 +119,15 @@ let rejected ~faulted ~domains protocol =
 let run_model ?(setup = default_setup) ?tracer ?registry ?fault_plan ?(shards = 1) ?steady
     ?on_retire ?domains protocol trace loss_model =
   Option.iter invalid_arg (rejected ~faulted:(Option.is_some fault_plan) ~domains protocol);
-  (* A fault plan switches on the robustness extensions: session-driven
-     request re-arm (bounds post-heal recovery latency by the session
-     period instead of the 2^k back-off), and CESRM's replier retry
-     back-off unless the caller pinned it. Unfaulted runs keep the
-     paper-faithful defaults bit-for-bit. *)
+  (* A fault plan switches on the robustness extensions
+     ([Srm.Params.fault_tolerant]): session-driven request re-arm,
+     which bounds post-heal recovery latency by the session period
+     instead of the 2^k back-off, and CESRM's presumed replier death.
+     Unfaulted runs keep the paper-faithful defaults bit-for-bit. *)
   let setup =
     match fault_plan with
-    | Some _ -> { setup with params = { setup.params with Srm.Params.rearm_backoff = true } }
+    | Some _ -> { setup with params = { setup.params with Srm.Params.fault_tolerant = true } }
     | None -> setup
-  in
-  let protocol =
-    match (protocol, fault_plan) with
-    | Cesrm_protocol config, Some _ when config.Cesrm.Host.replier_failure_limit = None ->
-        Cesrm_protocol { config with Cesrm.Host.replier_failure_limit = Some 8 }
-    | _ -> protocol
   in
   let tree = Mtrace.Trace.tree trace in
   (* Recovery domains: built once (pure topology, no randomness) and
@@ -161,8 +152,7 @@ let run_model ?(setup = default_setup) ?tracer ?registry ?fault_plan ?(shards = 
     (* only a tree without receivers partitions into a single shard *)
     if partition.Net.Partition.n_shards < 2 then serial ()
     else
-      Parallel.run ~partition ~delay ?registry ?fault_plan ~setup ?steady protocol trace
-        loss_model
+      Parallel.run ~partition ~delay ?registry ?fault_plan ~setup protocol trace loss_model
   end
 
 (* Harness tuning for the synthetic scale scenarios. Classic SRM
@@ -220,13 +210,13 @@ let tune_for_trace ?domains trace setup =
    materializes the event list: the trace comes from the streaming
    generator (lazy per-link loss chains, O(links) setup), so a
    million-packet run starts instantly. Legacy table rows need the full
-   bits for attribution and keep the eager path regardless; scale rows
-   inject the generator's own Gilbert link states directly (attribution
-   is quadratic-ish in receivers, and pointless with the generator's
-   chains in hand). *)
+   bits for attribution and keep the eager path regardless, as do the
+   eager-only adversarial families; scale rows inject the generator's
+   own Gilbert link states directly (attribution is quadratic-ish in
+   receivers, and pointless with the generator's chains in hand). *)
 let inputs ?seed ?n_packets ?steady row =
   match (Mtrace.Scale.family_of_name row.Mtrace.Meta.name, steady) with
-  | Some f, Some c when Steady.Config.streaming c && Mtrace.Scale.supports_streaming f ->
+  | Some f, Some _ when Mtrace.Scale.supports_streaming f ->
       let g = Mtrace.Generator.synthesize_streaming ?seed ?n_packets row in
       (g.Mtrace.Generator.s_trace, Streamed g.Mtrace.Generator.s_loss)
   | family, _ ->
@@ -264,3 +254,18 @@ let normalized_recovery result ~node ~filter =
   Stats.Recovery.latency_summary result.recoveries
     ~normalize:(fun _ -> rtt)
     ~filter:(fun r -> r.Stats.Recovery.node = node && filter r)
+
+(* [Stats.Summary.mean] is 0 on an empty summary, which is the "no
+   receiver recovered anything" answer the figures print. *)
+let avg_normalized_recovery ?(filter = fun _ -> true) result =
+  let means = Stats.Summary.create () in
+  List.iter
+    (fun (node, _) ->
+      let s = normalized_recovery result ~node ~filter in
+      if Stats.Summary.count s > 0 then Stats.Summary.add means (Stats.Summary.mean s))
+    result.rtt_to_source;
+  Stats.Summary.mean means
+
+let expedited_success_pct result =
+  if result.exp_requests = 0 then 0.
+  else 100. *. float_of_int result.exp_replies /. float_of_int result.exp_requests

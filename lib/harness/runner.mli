@@ -68,8 +68,9 @@ type result = Run_types.result = {
       (** the run's checker, present iff a fault plan was run *)
   retirement : Steady.Controller.t option;
       (** the windowed-retirement controller — present iff the run
-          executed with a finite steady window (floor reached, tick
-          count, peak heap) *)
+          executed with a steady window (floor reached, tick count,
+          peak heap); exactly the runs whose {!recoveries} keep no
+          per-loss records *)
 }
 
 type loss_model = Run_types.loss_model =
@@ -109,7 +110,8 @@ val run_model :
     observational, the run's outcome is bit-identical. With [registry],
     end-of-run metrics from the engine, the network and every member
     host are published into it, plus ["recovery/"] latency histograms
-    (RTT-normalized, split expedited vs fallback).
+    (RTT-normalized, split expedited vs fallback), fed online as each
+    recovery lands.
 
     Every run is checked by one {!Audit} checker. With [fault_plan],
     the plan is compiled onto the network and engine before the run,
@@ -118,8 +120,9 @@ val run_model :
     {!Stats.Counters} kind [Oracle]), and host restarts drop soft
     state ({!Srm.Host.restart_recovery}, which resets a CESRM host's
     caches through its hook). A fault plan also switches on the
-    robustness extensions: [Srm.Params.rearm_backoff], and, unless the
-    caller pinned it, CESRM's [replier_failure_limit] (set to 8) —
+    robustness extensions, [Srm.Params.fault_tolerant]: SRM hosts
+    re-arm their requests on session evidence, and CESRM hosts presume
+    a replier dead after 8 consecutive failed expedited recoveries —
     without them SRM's 2^k back-off and CESRM's static pair caches make
     post-heal recovery pathologically slow, which is exactly what the
     fault rules would report. The checker's request bound follows the
@@ -164,19 +167,16 @@ val run_model :
 
     With [steady], the run executes in streaming mode
     ({!Steady.Config}): sources arm their data sends as lazy chains
-    (byte-identical to the eager loop), a finite [window] installs a
-    {!Steady.Controller} driven by an engine epoch tick that retires
-    per-packet state past the stability horizon (hosts, CESRM caches,
-    the checker), and [retain_records = false] switches the recovery
-    collector to online summaries with the ["recovery/"] histograms
-    fed record-by-record. [Steady.Config.infinite] is byte-identical
-    to not passing [steady] at all (the determinism goldens pin this).
-    Finite windows and records-off runs stay serial; infinite-window
-    steady composes with [shards]. A finite-window run's controller is
-    returned in [result.retirement] (floor, tick count, peak heap).
-    [on_retire] is registered on that controller: at each epoch whose
+    (byte-identical to the eager loop), a {!Steady.Controller} driven
+    by an engine epoch tick retires per-packet state past the
+    stability horizon (hosts, CESRM caches, the checker), and the
+    recovery collector keeps online summaries only. A window that
+    never retires runs the same protocol events as no [steady] at all
+    (the determinism goldens pin this). Steady runs stay serial. The
+    controller is returned in [result.retirement] (floor, tick count,
+    peak heap). [on_retire] is registered on it: at each epoch whose
     floor advanced it runs after everything else retired (the bench
-    samples live words there). Without a finite window it never runs.
+    samples live words there). Without [steady] it never runs.
 
     With [domains], the tree is partitioned into hierarchical local
     recovery domains ({!Rdomain}) shared by every host: requests and
@@ -213,9 +213,8 @@ val shardable :
     - lossy recovery or sessions (drop-RNG draws per walked branch,
       which shard-pruned walks would desynchronise);
     - LMS (subcasts route by global replier state);
-    - a finite steady window (the global delivered-prefix minimum) or
-      records-off steady mode (it conflicts with the workers'
-      record tagging);
+    - a steady window (retirement reads the global delivered-prefix
+      minimum);
     - link-jitter fault events (per-crossing RNG draws);
     - CESRM (deterministic-time expedited casts reach a host at the
       same instant, and a shard replaying a remote one at its barrier
@@ -229,10 +228,9 @@ val inputs :
   Mtrace.Trace.t * loss_model
 (** A row's trace, synthesized with [seed] (default: derived from the
     name) and truncated to [n_packets], and its loss model: [Streamed]
-    when [steady] streams ({!Steady.Config.streaming}) and the scale
-    family supports it — O(links) setup whatever the packet count —
-    else [Ground_truth] on scale rows and [Attributed] on Table 1
-    rows. *)
+    with [steady] when the scale family supports it — O(links) setup
+    whatever the packet count — else [Ground_truth] on scale rows and
+    [Attributed] on Table 1 rows. *)
 
 val fault_plan : setup:setup -> Mtrace.Trace.t -> string -> (Fault.Plan.t, string) Stdlib.result
 (** A {!Fault.Plan.canned} plan (perturbation or churn) instantiated
@@ -285,6 +283,21 @@ val attribution_of_trace : Mtrace.Trace.t -> Inference.Attribution.t
 (** The paper's Section 4.2 pipeline: Yajnik link-rate estimation, then
     maximum-likelihood attribution of each loss. *)
 
+(** {1 Derived figures}
+
+    Each needs the per-loss records, so a steady run (whose
+    [retirement] is present) reads as having no recoveries. *)
+
 val normalized_recovery : result -> node:int -> filter:(Stats.Recovery.record -> bool) -> Stats.Summary.t
 (** Recovery latencies of one receiver divided by that receiver's RTT
     to the source, over records passing [filter]. *)
+
+val avg_normalized_recovery : ?filter:(Stats.Recovery.record -> bool) -> result -> float
+(** Average normalized recovery, the paper's headline figure: the mean
+    over receivers of each receiver's mean {!normalized_recovery}
+    (default filter: every record), skipping receivers with no record;
+    0 when none has one. *)
+
+val expedited_success_pct : result -> float
+(** Expedited replies as a percentage of expedited requests; 0 when
+    the run sent none. *)

@@ -1,12 +1,3 @@
-let log = Logs.Src.create "srm.host" ~doc:"SRM host events"
-
-module Log = (val Logs.src_log log : Logs.LOG)
-
-(* [Log.debug]'s message closure is allocated at the call site even
-   when the level filters the message out, so the request and reply
-   paths build it only when debug logging is on. *)
-let debug_on () = match Logs.Src.level log with Some Logs.Debug -> true | _ -> false
-
 (* A flat float record: its stores allocate nothing, where a float
    field of the mixed [request_state] would box on every write. *)
 type request_times = {
@@ -311,10 +302,6 @@ let fire_request t k =
   let src = Key.src ~stride:t.stride k and seq = Key.seq ~stride:t.stride k in
   if not (has_packet ~src t ~seq) then begin
     let d = dist_to_source ~src t in
-    if debug_on () then
-      Log.debug (fun m ->
-          m "t=%.4f host %d RQST src %d seq %d round %d d_hs=%.4f" (now t) t.self src seq
-            st.backoff d);
     Stats.Counters.bump t.counters ~node:t.self Stats.Counters.Rqst;
     if Float.is_nan st.times.first_sent then st.times.first_sent <- now t;
     let packet =
@@ -346,7 +333,7 @@ let fire_request t k =
     else st.timer <- Sim.Engine.no_timer
   end
 
-(* Session-driven re-arm (Params.rearm_backoff): session evidence says
+(* Session-driven re-arm (Params.fault_tolerant): session evidence says
    packets up to [upto] of [src]'s stream exist, yet some of our pending
    requests for them have their next round more than one session
    period out — exponential back-off pushed them there during an
@@ -468,8 +455,6 @@ let detect_loss ?(initial_backoff = 0) t ~src seq =
     if Bytes.length stream.lost = 0 then stream.lost <- Bytes.make ((t.n_packets lsr 3) + 1) '\000';
     let i = seq lsr 3 in
     Bytes.set stream.lost i (Char.chr (Char.code (Bytes.get stream.lost i) lor (1 lsl (seq land 7))));
-    if debug_on () then
-      Log.debug (fun m -> m "t=%.4f host %d DETECT src %d seq %d" (now t) t.self src seq);
     t.n_detected <- t.n_detected + 1;
     let st =
       {
@@ -617,8 +602,6 @@ let obtain t ~src seq ~expedited ~repaired =
             Adaptive.note_request_cycle a ~dups:st.dup_requests
               ~delay_in_d:((st.times.first_sent -. st.times.detected_at) /. d)
         | _ -> ());
-        if debug_on () then
-          Log.debug (fun m -> m "t=%.4f host %d RECOVERED src %d seq %d" (now t) t.self src seq);
         record_recovery t ~src seq st ~expedited ~repaired);
     t.hooks.on_packet_obtained ~src ~seq ~expedited
   end
@@ -640,8 +623,8 @@ let retired_floor ?(src = 0) t = Window.base (stream t src).win
    makes the operation safe to call with anything). Only {e inert}
    state is dropped — a reply timer still pending is left to fire and
    remove itself, and an abstinence horizon still in the future is
-   kept — so a finite-window run fires exactly the events an
-   infinite-window run would. Request state needs no sweep: a request
+   kept — so a retiring run fires exactly the events a never-retiring
+   run would. Request state needs no sweep: a request
    exists only while the packet is missing, and everything at or below
    the delivered prefix has arrived. *)
 let retire_below t ~upto =
@@ -675,11 +658,6 @@ let open_reply_abstinence t ~src seq ~requestor =
 
 let emit_reply ?transmit ~delay_norm t ~src ~seq ~requestor ~d_qs ~expedited ~turning_point =
   let d_rq = dist_to t requestor in
-  if debug_on () then
-    Log.debug (fun m ->
-        m "t=%.4f host %d %s src %d seq %d (req=%d d_rq=%.4f)" (now t) t.self
-          (if expedited then "EREPL" else "REPL")
-          src seq requestor d_rq);
   Stats.Counters.bump t.counters ~node:t.self
     (if expedited then Stats.Counters.Exp_repl else Stats.Counters.Repl);
   let packet =
@@ -722,10 +700,6 @@ let schedule_reply t ~src ~seq ~requestor ~d_qs ~round =
   in
   let lo = w1 *. d and w = d2 t *. d in
   let delay = uniform_draw t.rng lo (lo +. w) in
-  if debug_on () then
-    Log.debug (fun m ->
-        m "t=%.4f host %d schedule REPL seq %d for +%.4f (d_rq=%.4f req=%d)" (now t) t.self
-          seq delay d requestor);
   let k = key t ~src ~seq in
   let timer = arm t ~after:delay t.reply_timer k in
   let l = t.replies in
@@ -959,7 +933,7 @@ let create ?domain ~network ~self ~params ~n_packets ~period ~counters ~recoveri
      declaring a gap a loss. *)
   on_max_seq_cell :=
     (fun ~src m ->
-      if params.Params.rearm_backoff then rearm_stale t ~src ~upto:m;
+      if params.Params.fault_tolerant then rearm_stale t ~src ~upto:m;
       if m > Window.max_seq (stream t src).win then begin
         let grace = dist_to_source ~src t +. 0.05 in
         (* Domain mode: {!seq_exists} itself defers detection until the

@@ -172,8 +172,8 @@ val retire_below : t -> upto:int -> unit
     every reply-table row that holds nothing (such as a passed
     abstinence horizon). Only inert state is dropped — pending reply
     timers fire as they would have, and {!suffered_loss} keeps its
-    answer — so a finite-window run remains byte-identical to an
-    infinite-window one. Driven by [Steady.Controller]; never called in
+    answer — so a retiring run remains byte-identical to a
+    never-retiring one. Driven by [Steady.Controller]; never called in
     classic runs. *)
 
 val restart_recovery : t -> unit

@@ -7,7 +7,7 @@ type t = {
   d3 : float;
   session_period : float;
   adaptive : bool;
-  rearm_backoff : bool;
+  fault_tolerant : bool;
   oracle_distances : bool;
 }
 
@@ -21,7 +21,7 @@ let default =
     d3 = 1.5;
     session_period = 1.;
     adaptive = false;
-    rearm_backoff = false;
+    fault_tolerant = false;
     oracle_distances = false;
   }
 

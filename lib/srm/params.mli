@@ -21,16 +21,19 @@ type t = {
   adaptive : bool;
       (** adjust C1/C2 and D1/D2 dynamically per host ({!Adaptive});
           the values above are then the starting point *)
-  rearm_backoff : bool;
-      (** robustness extension for fault scenarios (not in the paper,
-          default [false] = off): on session evidence that a loss still
+  fault_tolerant : bool;
+      (** robustness extensions for fault scenarios (not in the paper,
+          default [false] = off; the runner turns them on exactly when
+          it runs a fault plan). On session evidence that a loss still
           persists, a pending request timer more than one
           [session_period] away — exponential back-off pushed it out
           during an outage — is cancelled and rescheduled from round 0,
           and an exhausted request (all {!max_rounds} fired) is
           re-armed. Keeps recovery latency bounded by the session
           period after a partition heals, instead of by [2^k]
-          back-off. *)
+          back-off. A CESRM host also presumes a replier dead after
+          consecutive failed expedited recoveries
+          ([Cesrm.Host.max_replier_failures]). *)
   oracle_distances : bool;
       (** scale extension (default [false] = off): the converged
           steady state the paper's Section 4.3 runs assume ("distances

@@ -16,9 +16,10 @@ type t = {
   mutable n : int;
   mutable observer : (record -> unit) option;
   mutable keep_records : bool;
-  (* Online latency summary, maintained on every [add]: in steady
-     (records-off) mode it is all that remains of the latency stream —
-     exact moments plus a sketch for percentiles, O(1) memory. *)
+  (* Online latency summary, maintained on every [add]: in a steady
+     run, which drops the records, it is all that remains of the
+     latency stream — exact moments plus a sketch for percentiles, O(1)
+     memory. *)
   online : Summary.t;
   (* Per-loss recovery spans, for the makespan figure: packed
      (src, seq) -> (earliest detection, latest recovery) over every
@@ -46,8 +47,6 @@ let create () =
 let drop_records t =
   t.keep_records <- false;
   t.records <- []
-
-let retains_records t = t.keep_records
 
 let add t r =
   if t.keep_records then t.records <- r :: t.records;

@@ -35,14 +35,13 @@ val drop_records : t -> unit
     percentiles); {!records} returns [[]] and a filtered or normalized
     {!latency_summary} is empty. *)
 
-val retains_records : t -> bool
-
 val add : t -> record -> unit
 
 val set_observer : t -> (record -> unit) -> unit
-(** Invoke [f] on every subsequent {!add}, after insertion — a PDES
-    shard worker uses this to tag each record with the delivery rank
-    of the walk that produced it ({!Net.Network.delivery_rank}). *)
+(** Invoke [f] on every subsequent {!add}, after insertion — a run
+    with a metrics registry feeds its latency histograms this way, and
+    a PDES shard worker tags each record with the delivery rank of
+    the walk that produced it ({!Net.Network.delivery_rank}). *)
 
 val count : t -> int
 

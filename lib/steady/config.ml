@@ -1,20 +1,12 @@
-type t = {
-  window : int option;
-  epoch_every : float option;
-  retain_records : bool;
-}
+type t = { window : int; epoch_every : float option }
 
-let infinite = { window = None; epoch_every = None; retain_records = true }
-
-let windowed ?epoch_every ?(retain_records = false) window =
+let windowed ?epoch_every window =
   if window < 1 then invalid_arg "Steady.Config.windowed: window must be >= 1";
   (match epoch_every with
   | Some e when not (e > 0.) ->
       invalid_arg "Steady.Config.windowed: epoch_every must be positive"
   | _ -> ());
-  { window = Some window; epoch_every; retain_records }
-
-let streaming t = not t.retain_records || t.window <> None
+  { window; epoch_every }
 
 (* One retirement pass costs a sweep of every member's soft-state
    tables, so ticking every packet period would be quadratic-ish in
@@ -25,8 +17,6 @@ let streaming t = not t.retain_records || t.window <> None
    pathologically often, and above so the floor keeps moving on slow
    streams. *)
 let epoch_period t ~period =
-  match (t.epoch_every, t.window) with
-  | Some e, _ -> Some e
-  | None, None -> None
-  | None, Some w ->
-      Some (Float.max (50. *. period) (Float.min (float_of_int w *. period) 60.))
+  match t.epoch_every with
+  | Some e -> e
+  | None -> Float.max (50. *. period) (Float.min (float_of_int t.window *. period) 60.)

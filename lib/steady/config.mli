@@ -1,48 +1,33 @@
 (** Configuration of steady (streaming) execution.
 
-    Steady mode bounds a run's memory in the stream length by three
-    independent levers, all optional:
+    Steady mode bounds a run's memory in the stream length, and the
+    retirement window is its one setting: once every member has
+    delivered packets [1..p] and the session exchange has stabilised
+    them, state for seqs at or below [p - window] is dropped
+    protocol-wide at the next epoch tick. A steady run also drops its
+    per-recovery records in favour of online summaries
+    ({!Stats.Recovery.drop_records}), arms its data sends lazily, and
+    streams a scale row's trace where the family allows it
+    ({!Mtrace.Trace.create_streaming} with a [Streamed] loss model).
 
-    - a retirement {e window}: once every member has delivered packets
-      [1..p] and the session exchange has stabilised them, state for
-      seqs at or below [p - window] is dropped protocol-wide at the
-      next epoch tick;
-    - lazy trace generation (callers pick it by running a
-      {!Mtrace.Trace.create_streaming} trace with a [Streamed] loss
-      model);
-    - dropping per-recovery records in favour of online summaries
-      ([retain_records = false] → {!Stats.Recovery.drop_records}).
-
-    [infinite] switches all three off, which must be — and is, see the
-    determinism test battery — byte-identical to the classic eager
-    engine. *)
+    A window that never retires (one at least the packet count) runs
+    the same protocol events as no steady mode at all; the determinism
+    tests pin this. *)
 
 type t = {
-  window : int option;
-      (** [Some w]: retire state more than [w] packets below the
-          all-members delivered prefix. [None]: never retire. *)
+  window : int;
+      (** retire state more than [window] packets below the
+          all-members delivered prefix *)
   epoch_every : float option;
       (** Simulated seconds between retirement epochs; [None] derives
           one from the window and packet period. *)
-  retain_records : bool;
-      (** Keep the per-recovery record list (exact percentiles,
-          O(losses) memory). [false] keeps online summaries only. *)
 }
 
-val infinite : t
-(** No retirement, no epochs, full records. *)
-
-val windowed : ?epoch_every:float -> ?retain_records:bool -> int -> t
-(** [windowed w] retires with window [w]; [retain_records] defaults to
-    [false] — a finite window is for constant-memory runs.
+val windowed : ?epoch_every:float -> int -> t
+(** [windowed w] retires with window [w].
     @raise Invalid_argument on a non-positive window or period. *)
 
-val streaming : t -> bool
-(** Whether any steady lever is on (i.e. the run is not plain eager
-    execution with extra steps). *)
-
-val epoch_period : t -> period:float -> float option
+val epoch_period : t -> period:float -> float
 (** The tick period to drive retirement with: the explicit
     [epoch_every] if given, else one window's worth of packet periods
-    clamped to [50 periods, 60 s]. [None] iff no window and no
-    explicit period (nothing to tick for). *)
+    clamped to [50 periods, 60 s]. *)

@@ -350,24 +350,39 @@ let test_policy_exclude () =
         (chosen (fun _ -> false)))
     [ "recent"; "lru"; "hotspot"; "hotspot=inf" ]
 
+(* Under the fault-tolerance extension a host presumes a replier dead
+   at its 8th consecutive failure; without it, never. *)
 let test_replier_failure_limit () =
-  let engine = Sim.Engine.create ~seed:1L () in
-  let network = Net.Network.create ~engine ~tree:(sample_tree ()) ~link_delay:0.02 () in
-  let config = { Cesrm.Host.default_config with replier_failure_limit = Some 2 } in
-  let proto =
-    Cesrm.Proto.deploy ~config ~network ~params:Srm.Params.default ~n_packets:5 ~period:0.05 ()
+  let host ~fault_tolerant =
+    let engine = Sim.Engine.create ~seed:1L () in
+    let network = Net.Network.create ~engine ~tree:(sample_tree ()) ~link_delay:0.02 () in
+    let params = { Srm.Params.default with fault_tolerant } in
+    let proto = Cesrm.Proto.deploy ~network ~params ~n_packets:5 ~period:0.05 () in
+    let h = Cesrm.Proto.host proto 3 in
+    ignore (Cesrm.Cache.note_reply (Cesrm.Host.cache h) (cache_entry ~seq:1 ~replier:5));
+    h
   in
-  let h = Cesrm.Proto.host proto 3 in
-  ignore (Cesrm.Cache.note_reply (Cesrm.Host.cache h) (cache_entry ~seq:1 ~replier:5));
+  let fail h n =
+    for _ = 1 to n do
+      Cesrm.Host.note_replier_failure h ~replier:5
+    done
+  in
+  check Alcotest.int "the limit" 8 Cesrm.Host.max_replier_failures;
+  let h = host ~fault_tolerant:true in
   check Alcotest.bool "alive before any failure" false (Cesrm.Host.replier_dead h ~replier:5);
-  Cesrm.Host.note_replier_failure h ~replier:5;
-  check Alcotest.bool "one failure is under the limit" false
+  fail h 7;
+  check Alcotest.bool "seven failures are under the limit" false
     (Cesrm.Host.replier_dead h ~replier:5);
-  Cesrm.Host.note_replier_failure h ~replier:5;
+  fail h 1;
   check Alcotest.bool "limit reached: presumed dead" true (Cesrm.Host.replier_dead h ~replier:5);
   check Alcotest.int "its cache entries expired" 0 (Cesrm.Cache.size (Cesrm.Host.cache h));
   Cesrm.Host.revive_replier h ~replier:5;
-  check Alcotest.bool "a heard reply revives it" false (Cesrm.Host.replier_dead h ~replier:5)
+  check Alcotest.bool "a heard reply revives it" false (Cesrm.Host.replier_dead h ~replier:5);
+  let paper = host ~fault_tolerant:false in
+  fail paper 20;
+  check Alcotest.bool "without the extension: never presumed dead" false
+    (Cesrm.Host.replier_dead paper ~replier:5);
+  check Alcotest.int "and its pair stays cached" 1 (Cesrm.Cache.size (Cesrm.Host.cache paper))
 
 (* --- Model-based battery: random bounded plans preserve liveness ------ *)
 
@@ -379,9 +394,7 @@ let run_plan ?(protocol = `Srm) plan =
   let tree = sample_tree () in
   let engine = Sim.Engine.create ~seed:5L () in
   let network = Net.Network.create ~engine ~tree ~link_delay:0.02 () in
-  let params =
-    { Srm.Params.default with rearm_backoff = true }
-  in
+  let params = { Srm.Params.default with fault_tolerant = true } in
   let oracle = Harness.Audit.attach ~faulted:true network in
   (match protocol with
   | `Srm ->
@@ -393,10 +406,7 @@ let run_plan ?(protocol = `Srm) plan =
       List.iter (fun (_, h) -> Harness.Audit.attach_host oracle h) (Srm.Proto.members proto);
       Srm.Proto.start proto ~warmup:5.0 ~tail:15.0
   | `Cesrm ->
-      let config = { Cesrm.Host.default_config with replier_failure_limit = Some 4 } in
-      let proto =
-        Cesrm.Proto.deploy ~config ~network ~params ~n_packets:30 ~period:0.05 ()
-      in
+      let proto = Cesrm.Proto.deploy ~network ~params ~n_packets:30 ~period:0.05 () in
       let on_restart ~node =
         Option.iter
           (fun h -> Srm.Host.restart_recovery (Cesrm.Host.srm h))
@@ -1039,7 +1049,7 @@ let test_retire_late_replies () =
     let retention = Option.get (Cesrm.Retention.of_name scheme) in
     let r =
       Harness.Runner.run_leg ~n_packets ?fault ?domains ~seed
-        ~steady:(Steady.Config.windowed ~retain_records:true window)
+        ~steady:(Steady.Config.windowed window)
         (Harness.Runner.Cesrm_protocol { Cesrm.Host.default_config with retention })
         (Mtrace.Scale.find row)
     in
@@ -1102,19 +1112,19 @@ let test_stale_reply_departed () =
 (* --- Composition battery ---------------------------------------------- *)
 
 (* Every lever against every other: protocol (SRM, CESRM under each
-   retention scheme, LMS) × fault plan × steady mode × recovery
+   retention scheme, LMS) × fault plan × steady window × recovery
    domains × shards × row × packets × seed. A rejected draw must carry
    the reason the rules below predict. Every other draw must run clean
-   and obey the identity laws: an infinite window ≡ no steady mode, a
-   16-packet window ≡ one that never retires, 2 shards ≡ 1 whenever
-   [shardable] allows sharding. *)
-
-type steady_draw = No_steady | Infinite | Windowed of { records : bool }
+   and obey the identity laws: a 16-packet window ≡ one that never
+   retires, 2 shards ≡ 1 whenever [shardable] allows sharding. (A
+   window that never retires ≡ no steady mode is pinned through
+   [run_model] on one trace by the determinism goldens: a steady leg
+   streams a scale row's trace, which a plain leg does not.) *)
 
 type draw = {
   protocol : string;  (** ["srm"], ["lms"], or a CESRM retention name *)
   fault : string option;
-  steady : steady_draw;
+  steady : bool;  (** a 16-packet window *)
   domains : bool;
   shards : int;
   row : string;
@@ -1126,10 +1136,7 @@ let print_draw d =
   Printf.sprintf "%s on %s, %d packets, seed %Ld, faults %s, steady %s, domains %b, shards %d"
     d.protocol d.row d.n_packets d.seed
     (Option.value d.fault ~default:"none")
-    (match d.steady with
-    | No_steady -> "none"
-    | Infinite -> "infinite"
-    | Windowed { records } -> Printf.sprintf "windowed 16 (records %b)" records)
+    (if d.steady then "windowed 16" else "none")
     d.domains d.shards
 
 let composition_gen =
@@ -1140,9 +1147,7 @@ let composition_gen =
     let* fault =
       oneofl (None :: List.map Option.some (Fault.Plan.canned_names @ Fault.Plan.churn_names))
     in
-    let* steady =
-      oneofl [ No_steady; Infinite; Windowed { records = true }; Windowed { records = false } ]
-    in
+    let* steady = bool in
     let* domains = bool in
     let* shards = oneofl [ 1; 2 ] in
     let* row = oneofl [ "SCALE-bf-48"; "SCALE-dc-48"; "SCALE-ss-96" ] in
@@ -1176,10 +1181,10 @@ let exact_face (r : Harness.Runner.result) =
     (Net.Cost.control_overhead r.cost ~multicast:false)
     (Stats.Summary.mean lat) (Stats.Summary.count lat)
 
-(* Count, max, mean, p50 and p99 of the makespan. A records-off run
-   flushes retired spans into a sketch, so against a run that never
-   retires its mean agrees to rounding and its percentiles to the
-   sketch's 1/16 bucket bound. *)
+(* Count, max, mean, p50 and p99 of the makespan. A steady run flushes
+   retired spans into a sketch, so against a run that never retires
+   its mean agrees to rounding and its percentiles to the sketch's
+   1/16 bucket bound. *)
 let makespan_face (r : Harness.Runner.result) =
   let mk = Stats.Recovery.makespan_summary r.recoveries in
   ( Stats.Summary.count mk,
@@ -1214,12 +1219,9 @@ let composition_case d =
   let domains = if d.domains then Some Rdomain.Auto else None in
   let row = Mtrace.Scale.find d.row in
   let steady, reference =
-    match d.steady with
-    | No_steady -> (None, None)
-    | Infinite -> (Some Steady.Config.infinite, None)
-    | Windowed { records } ->
-        ( Some (Steady.Config.windowed ~retain_records:records 16),
-          Some (Steady.Config.windowed ~retain_records:records d.n_packets) )
+    if d.steady then
+      (Some (Steady.Config.windowed 16), Some (Steady.Config.windowed d.n_packets))
+    else (None, None)
   in
   let run ?steady shards =
     Harness.Runner.run_leg ~n_packets:d.n_packets ?fault:d.fault ~shards ?steady ?domains
@@ -1259,10 +1261,10 @@ let composition_case d =
         in
         Harness.Runner.shardable ~tracer:None ~fault_plan ~setup ~steady ~domains protocol = None
       in
-      if d.steady <> No_steady || shards_law then begin
+      if d.steady || shards_law then begin
         let expected = run ?steady:reference 1 in
-        let sketched = d.steady = Windowed { records = false } in
-        if exact_face r <> exact_face expected || not (same_makespan ~sketched r expected) then
+        if exact_face r <> exact_face expected || not (same_makespan ~sketched:d.steady r expected)
+        then
           QCheck.Test.fail_reportf "%s: diverges from its reference run@.%s@.vs@.%s"
             (print_draw d) (exact_face r) (exact_face expected)
       end;

@@ -296,16 +296,13 @@ let test_infeasible_fallback () =
     (fun (expected, got) -> check Alcotest.(option string) "serial reason" expected got)
     [
       (None, reason srm);
-      (None, reason ~steady:Steady.Config.infinite srm);
       (Some "CESRM expedited recovery", reason cesrm);
-      (Some "CESRM expedited recovery", reason ~steady:Steady.Config.infinite cesrm);
       (Some "event tracing", reason ~tracer:(Obs.Trace.create ()) cesrm);
       (Some "recovery domains", reason ~domains:Rdomain.Auto cesrm);
       (Some "lossy recovery/sessions", reason ~setup Harness.Runner.Srm_protocol);
       (Some "LMS", reason Harness.Runner.Lms_protocol);
-      (Some "finite steady window", reason ~steady:(Steady.Config.windowed 32) cesrm);
-      ( Some "records-off steady mode",
-        reason ~steady:{ Steady.Config.infinite with retain_records = false } cesrm );
+      (Some "steady window", reason ~steady:(Steady.Config.windowed 32) srm);
+      (Some "steady window", reason ~steady:(Steady.Config.windowed 32) cesrm);
     ]
 
 let () =

@@ -87,20 +87,26 @@ let test_loss_budget_frozen () =
 
 (* --- Pinned 1024-receiver goldens ------------------------------------ *)
 
+(* The recovery latencies summed in insertion order: folded over the
+   records, or, once a steady run has dropped them, the online
+   summary's total — the same additions in the same order. *)
+let lat_sum (r : Harness.Runner.result) =
+  match r.retirement with
+  | None ->
+      List.fold_left
+        (fun acc rec_ -> acc +. Stats.Recovery.latency rec_)
+        0.
+        (Stats.Recovery.records r.recoveries)
+  | Some _ -> Stats.Summary.total (Stats.Recovery.latency_summary r.recoveries)
+
 let fingerprint (r : Harness.Runner.result) =
   let total k = Stats.Counters.total r.counters k in
-  let lat_sum =
-    List.fold_left
-      (fun acc rec_ -> acc +. Stats.Recovery.latency rec_)
-      0.
-      (Stats.Recovery.records r.recoveries)
-  in
   Printf.sprintf
     "rqst=%d exp_rqst=%d repl=%d exp_repl=%d sess=%d detected=%d unrecovered=%d \
      recoveries=%d lat_sum=%.17g"
     (total Stats.Counters.Rqst) (total Stats.Counters.Exp_rqst) (total Stats.Counters.Repl)
     (total Stats.Counters.Exp_repl) (total Stats.Counters.Sess) r.detected r.unrecovered
-    (Stats.Recovery.count r.recoveries) lat_sum
+    (Stats.Recovery.count r.recoveries) (lat_sum r)
 
 let scale_row = Mtrace.Scale.find "SCALE-bf-1024"
 
@@ -150,15 +156,21 @@ let test_domains_compose_shards () =
   check Alcotest.string "domains + shards falls back to the serial result" serial sharded
 
 let test_domains_compose_steady () =
-  (* [Steady.Config.infinite] keeps the eager trace and is documented
-     byte-identical to no steady config at all; that must hold with
-     domains on. *)
-  let plain = domain_fingerprint (run_dc ~domains:Rdomain.Auto Harness.Runner.Srm_protocol) in
-  let infinite =
-    domain_fingerprint
-      (run_dc ~steady:Steady.Config.infinite ~domains:Rdomain.Auto Harness.Runner.Srm_protocol)
+  (* A window that never retires runs what no steady mode runs, with
+     domains on. It is checked through [run_model] on the one eager
+     trace: a steady [run_leg] would stream the row's trace, and the
+     deep chain's streamed calibration differs from the eager one. *)
+  let trace, loss_model = Harness.Runner.inputs ~seed:42L ~n_packets:40 dc_row in
+  let setup =
+    Harness.Runner.tune_for_trace ~domains:Rdomain.Auto trace Harness.Runner.default_setup
   in
-  check Alcotest.string "domains + infinite steady invisible" plain infinite;
+  let run ?steady () =
+    domain_fingerprint
+      (Harness.Runner.run_model ~setup:{ setup with seed = 42L } ?steady ~domains:Rdomain.Auto
+         Harness.Runner.Srm_protocol trace loss_model)
+  in
+  check Alcotest.string "domains + never-retiring steady window invisible" (run ())
+    (run ~steady:(Steady.Config.windowed 40) ());
   (* A finite retirement window runs over the streaming trace, so the
      invisibility reference is the never-retiring window on the same
      stream (as in the steady battery) — here with domains on, and on
@@ -293,18 +305,18 @@ let test_default_policy_invisible () =
   List.iter (fun (name, plain, explicit) -> check Alcotest.string name plain explicit) pairs
 
 let test_adversarial_compose () =
-  (* Shards and the infinite steady window must not feel the
-     adversarial trace path: both compose to the serial eager result
-     (adversarial families are eager-only, so a finite window is the
-     one thing that may not engage here). *)
+  (* Shards and a steady window that never retires must not feel the
+     adversarial trace path: both compose to the serial eager result.
+     Adversarial families are eager-only, so a steady leg runs the very
+     trace a plain leg does. *)
   let protocol = cesrm_at "hotspot" in
   let serial = fingerprint (run_adv "SCALE-ps-1024" protocol) in
   let sharded = fingerprint (run_adv ~shards:2 "SCALE-ps-1024" protocol) in
   check Alcotest.string "ps-1024 serial = 2 shards" serial sharded;
   let steady =
-    fingerprint (run_adv ~steady:Steady.Config.infinite "SCALE-ps-1024" protocol)
+    fingerprint (run_adv ~steady:(Steady.Config.windowed 200) "SCALE-ps-1024" protocol)
   in
-  check Alcotest.string "ps-1024 serial = infinite steady" serial steady
+  check Alcotest.string "ps-1024 serial = never-retiring steady" serial steady
 
 let test_adversarial_not_streamable () =
   Alcotest.check_raises "rh refuses the streaming generator"

@@ -752,53 +752,6 @@ let test_host_in_order_data_no_alloc () =
   if per_call > 0. then
     Alcotest.failf "on_packet allocated %.1f B per in-order data packet" per_call
 
-(* Run [f] with every log source at [level] and a reporter that keeps
-   the formatted messages; both are restored afterwards. *)
-let capture_logs level f =
-  let lines = ref [] in
-  let report _src _level ~over k msgf =
-    msgf (fun ?header:_ ?tags:_ fmt ->
-        Format.kasprintf
-          (fun line ->
-            lines := line :: !lines;
-            over ();
-            k ())
-          fmt)
-  in
-  let reporter = Logs.reporter () and saved = Logs.level () in
-  Logs.set_reporter { Logs.report };
-  Logs.set_level level;
-  Fun.protect
-    ~finally:(fun () ->
-      Logs.set_reporter reporter;
-      Logs.set_level saved)
-    f;
-  List.rev !lines
-
-(* The host builds its debug messages only when debug logging is on
-   (what [cesrm run -v] sets): one dropped data packet must still log
-   its whole recovery at [Debug], and nothing at [Warning]. *)
-let test_host_debug_logging () =
-  let recover () = ignore (run_srm ~drops:[ (3, 3) ] ~n_packets:10 ()) in
-  let lines = capture_logs (Some Logs.Debug) recover in
-  let contains sub line =
-    let n = String.length sub in
-    let rec at i = i + n <= String.length line && (String.sub line i n = sub || at (i + 1)) in
-    at 0
-  in
-  List.iter
-    (fun (what, sub) ->
-      if not (List.exists (contains sub) lines) then
-        Alcotest.failf "no %s line among %d debug lines" what (List.length lines))
-    [
-      ("detection", " DETECT src 0 seq 3");
-      ("request", " RQST src 0 seq 3 ");
-      ("reply scheduling", " schedule REPL seq 3 ");
-      ("reply", " REPL src 0 seq 3 ");
-      ("recovery", " RECOVERED src 0 seq 3");
-    ];
-  check Alcotest.(list string) "nothing at Warning" [] (capture_logs (Some Logs.Warning) recover)
-
 let () =
   Alcotest.run "srm"
     [
@@ -827,7 +780,6 @@ let () =
           Alcotest.test_case "hooks fire" `Quick test_host_hooks_fire;
           Alcotest.test_case "in-order data allocates at most one float" `Quick
             test_host_in_order_data_alloc;
-          Alcotest.test_case "debug logging still works" `Quick test_host_debug_logging;
           Alcotest.test_case "a request answered by a suppressing reply allocates nothing" `Quick
             test_host_suppressed_reply_alloc;
           Alcotest.test_case "a repeated reply allocates nothing" `Quick

@@ -6,9 +6,9 @@
    - the lazy per-link loss chains against the eager Gilbert matrix
      (bit-equality, monotone-query contract);
    - the Config / Controller math;
-   - a qcheck differential battery: a finite retirement window must be
-     invisible — same fingerprint as an infinite-window run of the
-     same streaming trace, zero unrecovered losses, clean audit and
+   - a qcheck differential battery: a retirement window must be
+     invisible — same fingerprint as a never-retiring run of the same
+     streaming trace, zero unrecovered losses, clean audit and
      oracle — across random windows, epoch cadences, protocols and
      fault plans. *)
 
@@ -171,24 +171,19 @@ let test_config () =
   Alcotest.check_raises "window >= 1"
     (Invalid_argument "Steady.Config.windowed: window must be >= 1") (fun () ->
       ignore (Steady.Config.windowed 0));
-  Alcotest.(check bool) "infinite is not streaming-trace" false
-    (Steady.Config.streaming Steady.Config.infinite);
-  Alcotest.(check bool) "windowed streams" true
-    (Steady.Config.streaming (Steady.Config.windowed 64));
-  Alcotest.(check bool) "records-off streams" true
-    (Steady.Config.streaming (Steady.Config.windowed ~retain_records:false 64));
-  (* Epoch period: explicit wins; none for infinite; derived for a
-     window, clamped to [50 periods, 60 s]. *)
+  Alcotest.check_raises "epoch_every > 0"
+    (Invalid_argument "Steady.Config.windowed: epoch_every must be positive") (fun () ->
+      ignore (Steady.Config.windowed ~epoch_every:0. 64));
+  (* Epoch period: explicit wins; else derived from the window,
+     clamped to [50 periods, 60 s]. *)
   let p = 0.01 in
-  Alcotest.(check (option (float 1e-9))) "infinite: no tick" None
-    (Steady.Config.epoch_period Steady.Config.infinite ~period:p);
-  Alcotest.(check (option (float 1e-9))) "explicit wins" (Some 2.5)
+  Alcotest.(check (float 1e-9)) "explicit wins" 2.5
     (Steady.Config.epoch_period (Steady.Config.windowed ~epoch_every:2.5 100) ~period:p);
-  Alcotest.(check (option (float 1e-9))) "small window clamps up to 50 periods" (Some (50. *. p))
+  Alcotest.(check (float 1e-9)) "small window clamps up to 50 periods" (50. *. p)
     (Steady.Config.epoch_period (Steady.Config.windowed 10) ~period:p);
-  Alcotest.(check (option (float 1e-9))) "mid window: window periods" (Some (100. *. p))
+  Alcotest.(check (float 1e-9)) "mid window: window periods" (100. *. p)
     (Steady.Config.epoch_period (Steady.Config.windowed 100) ~period:p);
-  Alcotest.(check (option (float 1e-9))) "huge window clamps to 60 s" (Some 60.)
+  Alcotest.(check (float 1e-9)) "huge window clamps to 60 s" 60.
     (Steady.Config.epoch_period (Steady.Config.windowed 1_000_000) ~period:p)
 
 let test_controller () =
@@ -233,8 +228,8 @@ let test_controller () =
 
 (* --- differential battery ------------------------------------------ *)
 
-(* Fingerprint that is well-defined with or without retained records
-   (count and the online mean survive [drop_records]). *)
+(* Fingerprint from what a steady run keeps: counters, the count and
+   the online mean (records are dropped). *)
 let fingerprint (r : Harness.Runner.result) =
   let total k = Stats.Counters.total r.counters k in
   let summary = Stats.Recovery.latency_summary r.recoveries in
@@ -250,15 +245,15 @@ let fingerprint (r : Harness.Runner.result) =
 
 let row_bf32 = Mtrace.Scale.find "SCALE-bf-32"
 
-let steady_leg ~seed ~window ~epoch_every ~retain_records ~fault protocol =
-  let steady = Steady.Config.windowed ?epoch_every ~retain_records window in
+let steady_leg ~seed ~window ~epoch_every ~fault protocol =
+  let steady = Steady.Config.windowed ?epoch_every window in
   Harness.Runner.run_leg ~n_packets:400 ?fault ~seed ~steady protocol row_bf32
 
-(* One random cell: finite window vs the never-retiring reference
+(* One random cell: a window vs the never-retiring reference
    (window = n_packets) over the same streaming trace. Retirement must
    be invisible: identical fingerprint, nothing unrecovered, auditor
    and oracle clean. *)
-let battery_case (seed, window, epoch_choice, retain_records, proto_choice, fault_choice) =
+let battery_case (seed, window, epoch_choice, proto_choice, fault_choice) =
   let protocol =
     if proto_choice then Harness.Runner.Srm_protocol
     else Harness.Runner.Cesrm_protocol Cesrm.Host.default_config
@@ -272,10 +267,8 @@ let battery_case (seed, window, epoch_choice, retain_records, proto_choice, faul
   in
   let epoch_every = match epoch_choice with 0 -> None | n -> Some (0.25 *. float_of_int n) in
   let seed = Int64.of_int seed in
-  let finite = steady_leg ~seed ~window ~epoch_every ~retain_records ~fault protocol in
-  let infinite =
-    steady_leg ~seed ~window:400 ~epoch_every:None ~retain_records ~fault protocol
-  in
+  let finite = steady_leg ~seed ~window ~epoch_every ~fault protocol in
+  let infinite = steady_leg ~seed ~window:400 ~epoch_every:None ~fault protocol in
   let ok_identity = fingerprint finite = fingerprint infinite in
   let ok_clean =
     finite.Harness.Runner.unrecovered = 0
@@ -292,8 +285,7 @@ let battery_case (seed, window, epoch_choice, retain_records, proto_choice, faul
 
 let battery =
   let gen =
-    QCheck.Gen.(
-      tup6 (int_range 1 1000) (int_range 1 400) (int_range 0 8) bool bool (int_range 0 3))
+    QCheck.Gen.(tup5 (int_range 1 1000) (int_range 1 400) (int_range 0 8) bool (int_range 0 3))
   in
   QCheck.Test.make ~count:12 ~name:"finite window invisible vs infinite"
     (QCheck.make gen) battery_case
@@ -305,14 +297,14 @@ let battery =
    where retirement never fires. *)
 let test_retirement_happens () =
   let r =
-    steady_leg ~seed:42L ~window:32 ~epoch_every:None ~retain_records:false ~fault:None
+    steady_leg ~seed:42L ~window:32 ~epoch_every:None ~fault:None
       (Harness.Runner.Cesrm_protocol Cesrm.Host.default_config)
   in
   let c = Option.get r.Harness.Runner.retirement in
   Alcotest.(check bool) "floor advanced" true (Steady.Controller.floor c > 0);
   Alcotest.(check bool) "ticked" true (Steady.Controller.ticks c > 0);
   Alcotest.(check int) "nothing unrecovered" 0 r.unrecovered;
-  Alcotest.(check bool) "records dropped" false (Stats.Recovery.retains_records r.recoveries);
+  Alcotest.(check bool) "records dropped" true (Stats.Recovery.records r.recoveries = []);
   Alcotest.(check bool) "recovery count survives records-off" true
     (Stats.Recovery.count r.recoveries > 0)
 
@@ -326,7 +318,7 @@ let test_records_off_makespan_p99 () =
   List.iter
     (fun protocol ->
       let p99 window =
-        let steady = Steady.Config.windowed ~retain_records:false window in
+        let steady = Steady.Config.windowed window in
         let r = Harness.Runner.run_leg ~n_packets:200 ~seed:7L ~steady protocol row in
         Stats.Summary.percentile (Stats.Recovery.makespan_summary r.recoveries) 0.99
       in
@@ -348,8 +340,7 @@ let test_oracle_retires () =
   List.iter
     (fun protocol ->
       let leg window =
-        steady_leg ~seed:42L ~window ~epoch_every:None ~retain_records:false
-          ~fault:(Some "link-flap") protocol
+        steady_leg ~seed:42L ~window ~epoch_every:None ~fault:(Some "link-flap") protocol
       in
       let finite = leg 32 and never = leg 400 in
       let oracle (r : Harness.Runner.result) = Option.get r.oracle in
