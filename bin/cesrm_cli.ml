@@ -151,46 +151,25 @@ let infer_cmd =
 
 (* -- run / compare ----------------------------------------------------- *)
 
-let protocol_arg =
-  let doc = "Protocol to run: srm, cesrm or lms." in
-  Arg.(
-    value
-    & opt (enum [ ("srm", `Srm); ("cesrm", `Cesrm); ("lms", `Lms) ]) `Cesrm
-    & info [ "p"; "protocol" ] ~doc)
-
-let retention_conv =
-  Arg.conv
-    ( (fun s ->
-        match Cesrm.Retention.of_name s with
-        | Some r -> Ok r
-        | None ->
-            Error
-              (`Msg
-                 (Printf.sprintf "unknown cache policy %s (expected %s)" s
-                    Cesrm.Retention.names_doc))),
-      fun ppf r -> Format.pp_print_string ppf (Cesrm.Retention.name r) )
-
-let cache_policy_arg =
+(* run and compare name a protocol as a sweep's protocols axis does. *)
+let protocol_arg ~doc =
+  let grammar =
+    Arg.conv
+      ( (fun s -> Result.map_error (fun m -> `Msg m) (Exp.Spec.protocol_of_name s)),
+        fun ppf p -> Format.pp_print_string ppf (Exp.Spec.protocol_name p) )
+  in
+  let default = Exp.Spec.Cesrm { retention = Cesrm.Retention.default; router_assist = false } in
   let doc =
-    "CESRM replier-cache retention scheme, which also ranks the expedited pair choice: \
-     recent (default, the paper's keep-most-recent/evict-least-recent, most recent pair \
-     chosen), lru (true least-recently-used), or hotspot[=half_life_s] (exponential-decay \
-     (requestor,replier) score, default half-life 1 s; hotspot=inf never decays and chooses \
-     the most frequent pair). Append :K to cap the cache at K entries, e.g. recent:1 for the \
-     paper's 1-entry baseline."
+    doc
+    ^ ": srm, lms, or cesrm[@RETENTION][+ra]. RETENTION is the CESRM replier-cache \
+       retention scheme, which also ranks the expedited pair choice: recent (default, the \
+       paper's keep-most-recent/evict-least-recent, most recent pair chosen), lru (true \
+       least-recently-used), or hotspot[=half_life_s] (exponential-decay (requestor,replier) \
+       score, default half-life 1 s; hotspot=inf never decays and chooses the most frequent \
+       pair); append :K to cap the cache at K entries, e.g. cesrm@recent:1 for the paper's \
+       1-entry baseline. +ra enables turning-point subcast (Section 3.3)."
   in
-  Arg.(value & opt (some retention_conv) None & info [ "cache-policy" ] ~doc ~docv:"SCHEME")
-
-let router_assist_arg =
-  Arg.(value & flag & info [ "router-assist" ] ~doc:"Enable turning-point subcast (Section 3.3).")
-
-(* The CESRM protocol run and compare deploy. *)
-let cesrm_term =
-  let cesrm cache_policy router_assist =
-    let retention = Option.value cache_policy ~default:Cesrm.Retention.default in
-    Harness.Runner.Cesrm_protocol { Cesrm.Host.default_config with retention; router_assist }
-  in
-  Term.(const cesrm $ cache_policy_arg $ router_assist_arg)
+  Arg.(value & opt grammar default & info [ "p"; "protocol" ] ~doc ~docv:"PROTOCOL")
 
 let lossy_arg =
   Arg.(value & flag & info [ "lossy-recovery" ] ~doc:"Drop recovery packets per link rates.")
@@ -378,19 +357,14 @@ let print_steady (res : Harness.Runner.result) =
     res.retirement
 
 let run_cmd =
-  let run source packets seed protocol cesrm levers faults trace_out metrics_out steady_window =
+  let run source packets seed protocol levers faults trace_out metrics_out steady_window =
     ret
       (let* steady =
          match steady_window with
          | Some w when w < 1 -> Error "--steady: window must be >= 1"
          | w -> Ok (Option.map Steady.Config.windowed w)
        in
-       let proto =
-         match protocol with
-         | `Srm -> Harness.Runner.Srm_protocol
-         | `Lms -> Harness.Runner.Lms_protocol
-         | `Cesrm -> cesrm
-       in
+       let proto = Exp.Spec.runner_protocol protocol in
        let ((trace, _) as inputs) = run_inputs ?steady source packets seed in
        let tracer = Option.map (fun _ -> Obs.Trace.create ()) trace_out in
        let registry = Option.map (fun _ -> Obs.Registry.create ()) metrics_out in
@@ -430,33 +404,36 @@ let run_cmd =
        Ok ())
   in
   Cmd.v
-    (Cmd.info "run" ~doc:"Re-enact a trace under SRM or CESRM and report recovery statistics.")
+    (Cmd.info "run" ~doc:"Re-enact a trace under one protocol and report recovery statistics.")
     Term.(
       ret
-        (const run $ source_term $ packets $ seed $ protocol_arg $ cesrm_term $ levers_term
-        $ faults_arg $ trace_out_arg $ metrics_arg $ steady_arg))
+        (const run $ source_term $ packets $ seed
+        $ protocol_arg ~doc:"Protocol to run"
+        $ levers_term $ faults_arg $ trace_out_arg $ metrics_arg $ steady_arg))
 
 let compare_cmd =
-  let run source packets seed cesrm levers faults =
+  let run source packets seed protocol levers faults =
     let inputs = run_inputs source packets seed and note = serial_note () in
     ret
       (let* srm, _ = run_one ~note levers ~faults Harness.Runner.Srm_protocol inputs in
-       let* cesrm, _ = run_one ~note levers ~faults cesrm inputs in
+       let* other, _ = run_one ~note levers ~faults (Exp.Spec.runner_protocol protocol) inputs in
        print_result srm;
        print_newline ();
-       print_result cesrm;
+       print_result other;
        print_oracle srm;
-       print_oracle cesrm;
+       print_oracle other;
        Ok ())
   in
   Cmd.v
     (Cmd.info "compare"
        ~doc:
-         "Run both protocols on the same trace (optionally under the same fault plan) and print \
-          both reports.")
+         "Run SRM and a second protocol on the same trace (optionally under the same fault \
+          plan) and print both reports.")
     Term.(
       ret
-        (const run $ source_term $ packets $ seed $ cesrm_term $ levers_term $ faults_arg))
+        (const run $ source_term $ packets $ seed
+        $ protocol_arg ~doc:"Protocol to run against SRM"
+        $ levers_term $ faults_arg))
 
 (* -- diff -------------------------------------------------------------- *)
 

@@ -53,5 +53,5 @@ let () =
     (avg cesrm)
     (Net.Cost.retransmission_overhead cesrm.cost);
   Format.printf "CESRM recovers %.0f%% faster; expedited success %.0f%%@."
-    (100. *. (1. -. (avg cesrm /. avg srm)))
+    (Harness.Runner.recovery_reduction srm cesrm)
     (Harness.Runner.expedited_success_pct cesrm)

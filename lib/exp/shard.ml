@@ -1,9 +1,10 @@
 let hist_names =
   [ "latency_s"; "latency_rtt"; "latency_rtt_expedited"; "latency_rtt_fallback" ]
 
+type t = { row : Obs.Json.t; hists : (string * Obs.Hist.t) list }
+
 let run ?shards (spec : Spec.t) (cell : Spec.cell) =
   let open Obs.Json in
-  let row = Mtrace.Scale.find cell.Spec.trace in
   let setup =
     {
       Harness.Runner.default_setup with
@@ -17,7 +18,7 @@ let run ?shards (spec : Spec.t) (cell : Spec.cell) =
     Harness.Runner.run_leg ~setup ~registry ?n_packets:spec.Spec.n_packets ?fault ?shards
       ?domains:spec.Spec.domains ~seed:cell.Spec.seed
       (Spec.runner_protocol cell.Spec.protocol)
-      row
+      (Mtrace.Scale.find cell.Spec.trace)
   in
   let counters =
     Obj
@@ -59,47 +60,43 @@ let run ?shards (spec : Spec.t) (cell : Spec.cell) =
          res.rtt_to_source)
   in
   let hists =
-    Obj
-      (List.map
-         (fun name ->
-           (name, Obs.Hist.to_json (Obs.Registry.hist registry ("recovery/" ^ name))))
-         hist_names)
+    List.map (fun name -> (name, Obs.Registry.hist registry ("recovery/" ^ name))) hist_names
   in
-  Obj
-    [
-      ("name", Str (Spec.cell_label cell));
-      ("index", int cell.Spec.index);
-      ("trace", Str cell.Spec.trace);
-      ("protocol", Str (Spec.protocol_name cell.Spec.protocol));
-      ("seed_index", int cell.Spec.seed_index);
-      ("seed", Str (Int64.to_string cell.Spec.seed));
-      ("fault", (match cell.Spec.fault with None -> Null | Some f -> Str f));
-      ("detected", int res.detected);
-      ("recovered", int (Stats.Recovery.count res.recoveries));
-      ("unrecovered", int res.unrecovered);
-      ("audit_violations", int res.audit_violations);
-      ("oracle_violations", int res.oracle_violations);
-      ( "oracle",
-        match res.oracle with
-        | Some o when res.oracle_violations > 0 -> Harness.Audit.to_json o
-        | _ -> Null );
-      ("exp_requests", int res.exp_requests);
-      ("exp_replies", int res.exp_replies);
-      ( "makespan",
-        let mk = Stats.Recovery.makespan_summary res.recoveries in
-        if Stats.Summary.count mk = 0 then Null
-        else
-          Obj
-            [
-              ("losses", int (Stats.Summary.count mk));
-              ("mean", Num (Stats.Summary.mean mk));
-              ("p99", Num (Stats.Summary.percentile mk 0.99));
-              ("max", Num (Stats.Summary.max mk));
-            ] );
-      ("counters", counters);
-      ("cost", cost);
-      ("receivers", receivers);
-      ("hists", hists);
-    ]
-
-let run_string ?shards spec cell = Obs.Json.to_string (run ?shards spec cell)
+  let row =
+    Obj
+      [
+        ("name", Str (Spec.cell_label cell));
+        ("index", int cell.Spec.index);
+        ("trace", Str cell.Spec.trace);
+        ("protocol", Str (Spec.protocol_name cell.Spec.protocol));
+        ("seed_index", int cell.Spec.seed_index);
+        ("seed", Str (Int64.to_string cell.Spec.seed));
+        ("fault", (match cell.Spec.fault with None -> Null | Some f -> Str f));
+        ("detected", int res.detected);
+        ("recovered", int (Stats.Recovery.count res.recoveries));
+        ("unrecovered", int res.unrecovered);
+        ("audit_violations", int res.audit_violations);
+        ("oracle_violations", int res.oracle_violations);
+        ( "oracle",
+          match res.oracle with
+          | Some o when res.oracle_violations > 0 -> Harness.Audit.to_json o
+          | _ -> Null );
+        ("exp_requests", int res.exp_requests);
+        ("exp_replies", int res.exp_replies);
+        ( "makespan",
+          let mk = Stats.Recovery.makespan_summary res.recoveries in
+          if Stats.Summary.count mk = 0 then Null
+          else
+            Obj
+              [
+                ("losses", int (Stats.Summary.count mk));
+                ("mean", Num (Stats.Summary.mean mk));
+                ("p99", Num (Stats.Summary.percentile mk 0.99));
+                ("max", Num (Stats.Summary.max mk));
+              ] );
+        ("counters", counters);
+        ("cost", cost);
+        ("receivers", receivers);
+      ]
+  in
+  { row; hists }

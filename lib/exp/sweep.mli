@@ -2,11 +2,14 @@
     aggregate.
 
     [run spec] is the composition the `cesrm sweep` subcommand and the
-    tests share: {!Spec.cells} → {!Pool.map} over {!Shard.run_string} →
-    {!Agg}. The returned artifact is byte-identical for any [jobs]
-    value (including the serial fallback), because shards are pure
-    functions of their index and {!Agg.finalize} merges in index
-    order. *)
+    tests share: {!Spec.cells} → {!Pool.map} over {!Shard.run} → one
+    fold in shard-index order. Each shard returns its cell row and its
+    histograms as values; the fold concatenates the rows (each
+    carrying a ["name"] key, the form {!Obs.Diff} aligns across
+    artifacts), sums their counts and merges the histograms
+    ({!Obs.Hist.merge}, exact), and the artifact is rendered once. It
+    is byte-identical for any [jobs] value (including the serial
+    fallback), because shards are pure functions of their index. *)
 
 val run :
   ?jobs:int ->
@@ -15,7 +18,10 @@ val run :
   ?meta:(string * Obs.Json.t) list ->
   Spec.t ->
   Obs.Json.t
-(** @raise Failure when a shard fails (see {!Pool.map}). [meta]
+(** The artifact of the spec: a [meta] object (schema tag, caller
+    extras, the spec), the per-cell rows, summed totals and the merged
+    latency histograms.
+    @raise Failure when a shard fails (see {!Pool.map}). [meta]
     extends the artifact's meta object and must stay run-independent
     to preserve byte-identity. [shards] runs each
     cell's simulation sharded over that many PDES workers

@@ -3,7 +3,6 @@ type event =
   | Link_jitter of { link : int; from_ : float; until : float; max_jitter : float }
   | Link_dup of { link : int; from_ : float; until : float }
   | Crash of { node : int; at : float; restart_at : float option }
-  | Partition of { root : int; from_ : float; until : float }
   | Join of { node : int; at : float }
   | Leave of { node : int; at : float }
   | Rejoin of { node : int; at : float }
@@ -60,10 +59,6 @@ let validate_event ~tree = function
         | Some r when r <= at -> Error "crash: restart_at must be after at"
         | _ -> Ok ()
       end
-  | Partition { root; from_; until } ->
-      let ( let* ) = Result.bind in
-      let* () = check_link ~tree ~what:"partition" root in
-      check_window ~what:"partition" ~from_ ~until
   | Join _ | Leave _ | Rejoin _ ->
       (* handled (with the cross-event rejoin check) in [validate] *)
       Ok ()
@@ -126,11 +121,6 @@ let compile ~network ?(on_restart = fun ~node:_ -> ()) ?(on_join = fun ~node:_ -
       | Link_jitter { link; from_; until; max_jitter } ->
           Net.Network.add_link_jitter network ~link ~from_ ~until ~max_jitter
       | Link_dup { link; from_; until } -> Net.Network.add_link_dup network ~link ~from_ ~until
-      | Partition { root; from_; until } ->
-          (* A subtree partition is an outage of the link above its
-             root: nothing crosses in either direction, so the subtree
-             recovers among itself (SRM local recovery) until heal. *)
-          Net.Network.add_link_down network ~link:root ~from_ ~until
       | Crash { node; at; restart_at } ->
           ignore
             (Sim.Engine.schedule_at engine ~at (fun () ->
@@ -180,9 +170,6 @@ let event_to_json event =
           ("at", Num at);
           ("restart_at", (match restart_at with None -> Null | Some r -> Num r));
         ]
-  | Partition { root; from_; until } ->
-      Obj
-        [ ("kind", Str "partition"); ("root", int root); ("from", Num from_); ("until", Num until) ]
   | Join { node; at } -> Obj [ ("kind", Str "join"); ("node", int node); ("at", Num at) ]
   | Leave { node; at } -> Obj [ ("kind", Str "leave"); ("node", int node); ("at", Num at) ]
   | Rejoin { node; at } -> Obj [ ("kind", Str "rejoin"); ("node", int node); ("at", Num at) ]
@@ -231,11 +218,6 @@ let event_of_json json =
         | Some _ -> Error "event restart_at: expected a number or null"
       in
       Ok (Crash { node; at; restart_at })
-  | Some (Str "partition") ->
-      let* root = int_field "root" in
-      let* from_ = num "from" in
-      let* until = num "until" in
-      Ok (Partition { root; from_; until })
   | Some (Str "join") ->
       let* node = int_field "node" in
       let* at = num "at" in
@@ -400,9 +382,11 @@ let canned ~tree ~warmup ~duration name =
   let at f = w +. (f *. d) in
   match name with
   | "partition-heal" ->
+      (* An outage of the link above the heaviest branch cuts its whole
+         subtree off in both directions, so the subtree recovers among
+         itself (SRM local recovery) until the link heals. *)
       Some
-        (make ~name
-           [ Partition { root = heaviest_branch tree; from_ = at 0.25; until = at 0.5 } ])
+        (make ~name [ Link_down { link = heaviest_branch tree; from_ = at 0.25; until = at 0.5 } ])
   | "link-flap" ->
       let link = deepest_receiver tree in
       Some

@@ -3,7 +3,7 @@
     A plan is a named list of timed fault events against a run's
     topology: link outages, per-link delay jitter (which reorders) and
     duplication windows, host crash/restart with soft-state loss, and
-    partition/heal of whole subtrees. Times are absolute sim seconds —
+    membership churn. Times are absolute sim seconds —
     the same plan on the same seed replays identically, so faulted runs
     stay pure functions of (trace, seed, plan).
 
@@ -17,7 +17,9 @@
 type event =
   | Link_down of { link : int; from_ : float; until : float }
       (** every crossing of [link] (either direction) inside
-          [\[from_, until)] is dropped *)
+          [\[from_, until)] is dropped: the subtree below [link] is
+          partitioned from the rest of the tree for the window, then
+          heals *)
   | Link_jitter of { link : int; from_ : float; until : float; max_jitter : float }
       (** crossings arrive up to [max_jitter] seconds late (uniform);
           enough jitter reorders packets on the link *)
@@ -29,9 +31,6 @@ type event =
           transmits nothing, and loses all soft state (caches, session
           estimates, scheduled timers) — and, when [restart_at] is
           given, comes back up then *)
-  | Partition of { root : int; from_ : float; until : float }
-      (** the whole subtree under (and including) [root] is cut off
-          from the rest of the tree for the window, then heals *)
   | Join of { node : int; at : float }
       (** [node] is {e outside the group from time 0} (a late joiner:
           it neither receives casts nor runs timers) and joins at

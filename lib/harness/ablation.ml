@@ -1,11 +1,6 @@
 let run_config ?setup ~config trace loss =
   Runner.run_model ?setup (Runner.Cesrm_protocol config) trace loss
 
-(* CESRM's cut in average normalized recovery against SRM's, in percent. *)
-let reduction srm cesrm =
-  let s = Runner.avg_normalized_recovery srm and c = Runner.avg_normalized_recovery cesrm in
-  if s > 0. then 100. *. (1. -. (c /. s)) else 0.
-
 let retentions ?(n_packets = 4000) rows =
   let rows_out =
     List.concat_map
@@ -91,7 +86,7 @@ let link_delays ?(n_packets = 4000) ?(delays = [ 0.010; 0.020; 0.030 ]) row =
           Printf.sprintf "%.0f ms" (1000. *. link_delay);
           Printf.sprintf "%.2f" (Runner.avg_normalized_recovery srm);
           Printf.sprintf "%.2f" (Runner.avg_normalized_recovery cesrm);
-          Printf.sprintf "%.0f%%" (reduction srm cesrm);
+          Printf.sprintf "%.0f%%" (Runner.recovery_reduction srm cesrm);
         ])
       delays
   in
@@ -140,7 +135,7 @@ let toggle ?(n_packets = 4000) setting rows =
               (if value then on else off);
               Printf.sprintf "%.2f" (Runner.avg_normalized_recovery srm);
               Printf.sprintf "%.2f" (Runner.avg_normalized_recovery cesrm);
-              Printf.sprintf "%.0f%%" (reduction srm cesrm);
+              Printf.sprintf "%.0f%%" (Runner.recovery_reduction srm cesrm);
               string_of_int (srm.unrecovered + cesrm.unrecovered);
             ])
           [ false; true ])

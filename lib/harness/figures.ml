@@ -6,13 +6,15 @@ type pair = {
   cesrm : Runner.result;
 }
 
-let run_pair ?setup ?(config = Cesrm.Host.default_config) ?n_packets ?seed row =
-  let generated = Mtrace.Generator.synthesize ?seed ?n_packets row in
-  let trace = generated.Mtrace.Generator.trace in
-  let attribution = Runner.attribution_of_trace trace in
-  let loss = Runner.Attributed attribution in
-  let srm = Runner.run_model ?setup Runner.Srm_protocol trace loss in
-  let cesrm = Runner.run_model ?setup (Runner.Cesrm_protocol config) trace loss in
+let run_pair ?n_packets row =
+  let trace, loss = Runner.inputs ?n_packets row in
+  let attribution =
+    match loss with
+    | Runner.Attributed a -> a
+    | _ -> invalid_arg ("Figures.run_pair: not a Table 1 row: " ^ row.Mtrace.Meta.name)
+  in
+  let srm = Runner.run_model Runner.Srm_protocol trace loss in
+  let cesrm = Runner.run_model (Runner.Cesrm_protocol Cesrm.Host.default_config) trace loss in
   { row; trace; attribution; srm; cesrm }
 
 (* -- Table 1 -------------------------------------------------------- *)
@@ -250,7 +252,6 @@ let summary pairs =
       (fun p ->
         let s = Runner.avg_normalized_recovery p.srm
         and c = Runner.avg_normalized_recovery p.cesrm in
-        let reduction = if s > 0. then 100. *. (1. -. (c /. s)) else 0. in
         let retx =
           pct
             (Net.Cost.retransmission_overhead p.cesrm.cost)
@@ -261,7 +262,7 @@ let summary pairs =
           p.row.Mtrace.Meta.name;
           Printf.sprintf "%.2f" s;
           Printf.sprintf "%.2f" c;
-          Printf.sprintf "%.0f%%" reduction;
+          Printf.sprintf "%.0f%%" (Runner.recovery_reduction p.srm p.cesrm);
           Printf.sprintf "%.0f%%" retx;
           Printf.sprintf "%.0f%%" succ;
           string_of_int p.srm.unrecovered;

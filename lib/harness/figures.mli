@@ -13,15 +13,11 @@ type pair = {
   cesrm : Runner.result;
 }
 
-val run_pair :
-  ?setup:Runner.setup ->
-  ?config:Cesrm.Host.config ->
-  ?n_packets:int ->
-  ?seed:int64 ->
-  Mtrace.Meta.row ->
-  pair
-(** Synthesize the trace for a Table 1 row (optionally truncated to
-    [n_packets]), attribute losses, and run SRM and CESRM on it. *)
+val run_pair : ?n_packets:int -> Mtrace.Meta.row -> pair
+(** A Table 1 row's {!Runner.inputs} (the trace, optionally truncated
+    to [n_packets], and its attributed losses), run under SRM and under
+    default CESRM with {!Runner.default_setup}.
+    @raise Invalid_argument on a row that is not in Table 1. *)
 
 (* -- Table 1 -------------------------------------------------------- *)
 

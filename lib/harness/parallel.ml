@@ -21,7 +21,9 @@
    anywhere by [G] (also covering just-collected emits, whose earliest
    remote effect is [e_at +. L]), grant the window [.., G +. L), and
    redistribute the emits. At the end it merges the per-worker pieces
-   back into the exact [Run_types.result] the serial runner produces. *)
+   and hands them to the serial runner's accounting
+   ([Run_types.finish]), so the result is the exact one the serial
+   runner produces. *)
 
 module Pst = Sim.Pdes.Stats
 
@@ -49,6 +51,7 @@ type worker_out = {
   wr_checker : Audit.part;  (* the stream's violations on the primary shard only *)
   wr_clock : float;  (* last executed event time *)
   wr_delivered : int;
+  wr_churn : (int * int) option;  (* the network's membership counts *)
   wr_events : int;
 }
 
@@ -131,6 +134,7 @@ let worker_body ~chan ~me ~partition ~setup ~fault_plan ~protocol ~trace ~loss_m
                wr_checker = Audit.part m.audit;
                wr_clock = Sim.Engine.now engine;
                wr_delivered = Net.Network.packets_delivered network;
+               wr_churn = Net.Network.churn_counts network;
                wr_events = Sim.Engine.events_fired engine;
              })
   in
@@ -249,48 +253,22 @@ let run ~(partition : Net.Partition.t) ~delay ?registry ?fault_plan ~(setup : Ru
   let final_clock = Array.fold_left Float.max 0. clocks in
   let final_clock = Array.fold_left (fun a (o : worker_out) -> Float.max a o.wr_clock) final_clock outs in
   let checker = Audit.merge ~at:final_clock (List.map (fun o -> o.wr_checker) outl) in
-  let oracle = Option.map (fun _ -> checker) fault_plan in
-  Run_types.charge_oracle counters checker;
   Option.iter
     (fun reg ->
       Obs.Registry.incr ~by:(sum (fun o -> o.wr_events)) reg "sim/events_fired";
-      (* the network metrics [Net.Network.publish_metrics] derives are
-         pure functions of the merged cost and delivery count *)
-      Obs.Registry.incr ~by:(sum (fun o -> o.wr_delivered)) reg "net/packets_delivered";
-      Obs.Registry.incr ~by:(Net.Cost.retransmission_overhead cost) reg
-        "net/retransmission_crossings";
-      Obs.Registry.incr ~by:(Net.Cost.control_overhead cost ~multicast:true) reg
-        "net/control_crossings_mc";
-      Obs.Registry.incr ~by:(Net.Cost.control_overhead cost ~multicast:false) reg
-        "net/control_crossings_uc";
-      Obs.Registry.incr ~by:(Net.Cost.total_crossings cost Net.Cost.Data) reg
-        "net/data_crossings";
-      Obs.Registry.incr ~by:(Net.Cost.total_crossings cost Net.Cost.Session) reg
-        "net/session_crossings";
-      Run_types.publish_recoveries reg ~oracle recoveries;
+      (* Every worker compiles the whole plan, so any worker's
+         membership counts are the run's. *)
+      Net.Network.publish_totals reg cost
+        ~delivered:(sum (fun o -> o.wr_delivered))
+        ~churn:outs.(0).wr_churn;
       let max_shard_events =
         List.fold_left (fun m (o : worker_out) -> max m o.wr_events) 0 outl
       in
       Pst.publish ~max_shard_events stats ~shards:k ~lookahead reg)
     registry;
-  let detected = sum (fun o -> o.wr_detected) in
-  let forgiven = sum (fun o -> o.wr_forgiven) in
-  let recovered = Stats.Recovery.count recoveries in
-  {
-    Run_types.trace;
-    protocol;
-    setup;
-    counters;
-    recoveries;
-    cost;
-    rtt_to_source = Run_types.rtt_to_source ~tree rtts;
-    exp_requests = sum (fun o -> o.wr_exp_requests);
-    exp_replies = sum (fun o -> o.wr_exp_replies);
-    unrecovered = detected - recovered - forgiven;
-    detected;
-    forgiven;
-    audit_violations = Audit.n_safety checker;
-    oracle_violations = Audit.n_fault checker;
-    oracle;
-    retirement = None;
-  }
+  Run_types.finish ?registry ~faulted:(Option.is_some fault_plan) ~setup ~rtts ~counters
+    ~recoveries ~cost
+    ~expedited:(sum (fun o -> o.wr_exp_requests), sum (fun o -> o.wr_exp_replies))
+    ~detected:(sum (fun o -> o.wr_detected))
+    ~forgiven:(sum (fun o -> o.wr_forgiven))
+    ~retirement:None checker protocol trace

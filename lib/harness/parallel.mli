@@ -40,8 +40,12 @@ val run :
     sequence); [setup] must already carry the fault-plan robustness
     adjustment [Runner.run_model] applies.
 
-    With [registry], the merged end-of-run metrics are published as in
-    the serial runner — engine/network totals, ["recovery/"] histograms
+    The merged pieces go through the serial run's own accounting
+    ({!Run_types.finish}). With [registry], the merged end-of-run
+    metrics are published as in the serial runner — the engine's event
+    count, the ["net/"] totals ({!Net.Network.publish_totals} of the
+    merged cost table and delivery count, and any worker's membership
+    counts: each compiles the whole plan), ["recovery/"] histograms
     (fed as the merged records are re-added) and ["fault/"] counts —
     plus the synchronisation counters under ["pdes/"]
     ({!Sim.Pdes.Stats.publish}). Per-host ["srm/"] metrics are not

@@ -1,13 +1,15 @@
 (* What the serial runner and the sharded parallel runner share: the
-   protocol/setup/result types, the pure helpers, and [build], the one
+   protocol/setup/result types, the pure helpers, [build], the one
    function that wires a run's model — engine, network, drop
    predicate, invariant checker, tracer tap, steady controller,
-   churn hooks and the protocol deployment. [Runner]'s serial arm is
-   build, run, finish; every [Parallel] worker is build in shard mode,
-   then the barrier loop. This module sits below both in the
-   dependency order; [Runner] re-exports the types with equations, so
-   everything outside the harness keeps saying
-   [Harness.Runner.setup]. *)
+   churn hooks and the protocol deployment — and [finish], the one
+   accounting of a finished run. [Runner]'s serial arm is build, run,
+   finish; every [Parallel] worker is build in shard mode, then the
+   barrier loop, and the coordinator finishes the merged pieces;
+   [Churn] builds and runs with one crash timer added. This module
+   sits below all three in the dependency order; [Runner] re-exports
+   the types with equations, so everything outside the harness keeps
+   saying [Harness.Runner.setup]. *)
 
 type protocol = Srm_protocol | Cesrm_protocol of Cesrm.Host.config | Lms_protocol
 
@@ -145,16 +147,6 @@ let source_rtts ~tree ~delay =
 let receiver_rtt ~tree rtts node =
   if node <> 0 && Net.Tree.is_leaf tree node then Some rtts.(node) else None
 
-let rtt_to_source ~tree rtts =
-  Array.to_list (Array.map (fun node -> (node, rtts.(node))) (Net.Tree.receivers tree))
-
-let charge_oracle counters checker =
-  List.iter
-    (fun v ->
-      if Audit.is_fault v then
-        Stats.Counters.bump counters ~node:v.Audit.node Stats.Counters.Oracle)
-    (Audit.violations checker)
-
 (* The histograms are fed as recoveries land, not folded at the end:
    a steady run drops its records, so an end-of-run fold would find
    none. The adds are the fold's, in the same (insertion) order, so the
@@ -162,11 +154,44 @@ let charge_oracle counters checker =
 let feed_recovery_hists reg ~tree ~rtts recoveries =
   Instrument.attach_recovery_hists_online reg ~rtt_of:(receiver_rtt ~tree rtts) recoveries
 
-let publish_recoveries reg ~oracle recoveries =
-  Obs.Registry.incr ~by:(Stats.Recovery.count recoveries) reg "recovery/recovered";
+(* A run's end, serial or merged from shards: each fault-class
+   violation is charged to the member it names, and liveness counts
+   what was neither recovered nor forgiven. *)
+let finish ?registry ~faulted ~setup ~rtts ~counters ~recoveries ~cost
+    ~expedited:(exp_requests, exp_replies) ~detected ~forgiven ~retirement checker protocol
+    trace =
+  List.iter
+    (fun v ->
+      if Audit.is_fault v then
+        Stats.Counters.bump counters ~node:v.Audit.node Stats.Counters.Oracle)
+    (Audit.violations checker);
+  let oracle = if faulted then Some checker else None in
+  let receivers = Net.Tree.receivers (Mtrace.Trace.tree trace) in
   Option.iter
-    (fun o -> Obs.Registry.incr ~by:(Audit.n_fault o) reg "fault/oracle_violations")
-    oracle
+    (fun reg ->
+      Obs.Registry.incr ~by:(Stats.Recovery.count recoveries) reg "recovery/recovered";
+      Option.iter
+        (fun o -> Obs.Registry.incr ~by:(Audit.n_fault o) reg "fault/oracle_violations")
+        oracle)
+    registry;
+  {
+    trace;
+    protocol;
+    setup;
+    counters;
+    recoveries;
+    cost;
+    rtt_to_source = Array.to_list (Array.map (fun node -> (node, rtts.(node))) receivers);
+    exp_requests;
+    exp_replies;
+    unrecovered = detected - Stats.Recovery.count recoveries - forgiven;
+    detected;
+    forgiven;
+    audit_violations = Audit.n_safety checker;
+    oracle_violations = Audit.n_fault checker;
+    oracle;
+    retirement;
+  }
 
 (* The paper's uniform delay on every link, or per-link delays
    log-uniform in [link_delay/3, 3·link_delay]: the real MBone had
@@ -197,6 +222,7 @@ type model = {
   counters : Stats.Counters.t;
   recoveries : Stats.Recovery.t;
   detected : unit -> int;
+  member_detected : int -> int;
   expedited : unit -> int * int;
   forgiven : unit -> int;
   publish : Obs.Registry.t -> unit;
@@ -216,6 +242,7 @@ type deployment = {
   restart : node:int -> unit;
   start : unit -> unit;
   d_detected : unit -> int;
+  d_member_detected : int -> int;  (* one member's own detections; 0 for a non-member *)
   d_expedited : unit -> int * int;
   d_publish : Obs.Registry.t -> unit;
 }
@@ -260,6 +287,9 @@ let srm_family ~setup ~streaming g ~expedited ~publish =
           ~tail:setup.tail);
     d_detected =
       (fun () -> List.fold_left (fun acc (_, h) -> acc + Srm.Host.detected_losses h) 0 members);
+    d_member_detected =
+      (fun node ->
+        Option.fold ~none:0 ~some:Srm.Host.detected_losses (List.assoc_opt node members));
     d_expedited = expedited;
     d_publish = (fun reg -> List.iter (fun (_, h) -> publish h reg) (Srm.Proto.members g));
   }
@@ -300,6 +330,9 @@ let deploy ?owned ?domain ~network ~setup ~n_packets ~period ~streaming = functi
         start =
           (fun () -> Lms.Proto.start ~streaming p ~warmup:setup.warmup ~tail:setup.tail);
         d_detected = (fun () -> Lms.Proto.detected p);
+        d_member_detected =
+          (fun node ->
+            Option.fold ~none:0 ~some:Lms.Host.detected_losses (List.assoc_opt node members));
         d_expedited = (fun () -> (0, 0));
         d_publish = (fun reg -> List.iter (fun (_, h) -> Lms.Host.publish_metrics h reg) members);
       }
@@ -445,6 +478,7 @@ let build ?shard ?tracer ?registry ?fault_plan ?steady ?on_retire ?domain ~setup
     counters = d.d_counters;
     recoveries = d.d_recoveries;
     detected = d.d_detected;
+    member_detected = d.d_member_detected;
     expedited = d.d_expedited;
     forgiven = (fun () -> !forgiven);
     publish = d.d_publish;

@@ -1,6 +1,7 @@
-(** Definitions shared by the serial {!Runner} and the sharded
-    {!Parallel} runner, and {!build}: the one function that wires a
-    run's model.
+(** Definitions shared by the serial {!Runner}, the sharded
+    {!Parallel} runner and {!Churn}: {!build}, the one function that
+    wires a run's model, and {!finish}, the one accounting of a
+    finished run.
 
     {!Runner} re-exports the types with equations, so this module is an
     implementation seam, not an API: callers keep using
@@ -77,14 +78,6 @@ val source_rtts : tree:Net.Tree.t -> delay:(int -> float) -> float array
 (** Per-node round-trip time to the source, bit-identical to summing
     [delay] down the tree path (the order [Net.Network.rtt] adds in). *)
 
-val rtt_to_source : tree:Net.Tree.t -> float array -> (int * float) list
-(** [result.rtt_to_source] from {!source_rtts}: every receiver, in
-    [Net.Tree.receivers] order. *)
-
-val charge_oracle : Stats.Counters.t -> Audit.t -> unit
-(** Bump the [Oracle] counter of the member each fault-class violation
-    of the run's checker names. *)
-
 val feed_recovery_hists :
   Obs.Registry.t -> tree:Net.Tree.t -> rtts:float array -> Stats.Recovery.t -> unit
 (** Feed the ["recovery/"] latency histograms record by record as the
@@ -94,10 +87,31 @@ val feed_recovery_hists :
     sharded run installs it on the merged collector before re-adding
     the workers' records. *)
 
-val publish_recoveries : Obs.Registry.t -> oracle:Audit.t option -> Stats.Recovery.t -> unit
-(** The end-of-run recovery metrics both runners publish:
-    ["recovery/recovered"] and ["fault/oracle_violations"] (the
-    checker's fault-class count, under a fault plan). *)
+val finish :
+  ?registry:Obs.Registry.t ->
+  faulted:bool ->
+  setup:setup ->
+  rtts:float array ->
+  counters:Stats.Counters.t ->
+  recoveries:Stats.Recovery.t ->
+  cost:Net.Cost.t ->
+  expedited:int * int ->
+  detected:int ->
+  forgiven:int ->
+  retirement:Steady.Controller.t option ->
+  Audit.t ->
+  protocol ->
+  Mtrace.Trace.t ->
+  result
+(** The one accounting of a finished run, serial ({!Runner}) or merged
+    from shards ({!Parallel}), given its checker: bump the [Oracle]
+    counter of the member each fault-class violation names; with
+    [registry], publish ["recovery/recovered"] and, when [faulted],
+    ["fault/oracle_violations"]; and build the result —
+    [unrecovered = detected - recovered - forgiven], the checker's
+    safety/fault split, [oracle] present iff [faulted], and
+    [rtt_to_source], every receiver in [Net.Tree.receivers] order with
+    its entry of [rtts] ({!source_rtts}). *)
 
 val link_delays : setup:setup -> tree:Net.Tree.t -> Sim.Rng.t -> float array
 (** Per-link propagation delays, indexed by link (child node) id: the
@@ -128,6 +142,9 @@ type model = {
   counters : Stats.Counters.t;
   recoveries : Stats.Recovery.t;
   detected : unit -> int;  (** losses detected across (owned) members so far *)
+  member_detected : int -> int;
+      (** losses one (owned) member detected so far; 0 for a node with
+          no host *)
   expedited : unit -> int * int;  (** CESRM's expedited requests and replies so far *)
   forgiven : unit -> int;  (** pending losses forgiven by departures so far *)
   publish : Obs.Registry.t -> unit;  (** per-host metrics of every (owned) member *)

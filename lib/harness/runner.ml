@@ -1,10 +1,11 @@
 (* Run policy: the run's inputs, the rejected lever combinations, the
    fault-plan and domain adjustments, the shardability verdict, and the
-   serial run's end. The types, the drop predicate and the model
-   builder are shared with the sharded parallel runner (see
-   [Run_types]): a serial run is [Run_types.build], [Sim.Engine.run],
-   [finish]; a sharded one hands the same inputs to [Parallel]. The
-   equations keep [Harness.Runner.setup] et al. the public names. *)
+   serial run. The types, the drop predicate, the model builder and
+   the end-of-run accounting are shared with the sharded parallel
+   runner (see [Run_types]): a serial run is [Run_types.build],
+   [Sim.Engine.run], [Run_types.finish]; a sharded one hands the same
+   inputs to [Parallel]. The equations keep [Harness.Runner.setup] et
+   al. the public names. *)
 
 type protocol = Run_types.protocol =
   | Srm_protocol
@@ -72,42 +73,6 @@ let shardable ~tracer ~fault_plan ~setup ~steady ~domains protocol =
   | Cesrm_protocol _, _, _ -> Some "CESRM expedited recovery"
   | _ -> None
 
-(* The serial run's end: the checker's verdict, the registry and the
-   result. *)
-let finish ?registry ~faulted ~setup ~protocol trace (m : Run_types.model) =
-  let tree = Mtrace.Trace.tree trace in
-  let oracle = if faulted then Some m.audit else None in
-  Run_types.charge_oracle m.counters m.audit;
-  Option.iter
-    (fun reg ->
-      Sim.Engine.publish_metrics m.engine reg;
-      Net.Network.publish_metrics m.network reg;
-      m.publish reg;
-      Option.iter (fun c -> Steady.Controller.publish_metrics c reg) m.controller;
-      Run_types.publish_recoveries reg ~oracle m.recoveries)
-    registry;
-  let rtts = Run_types.source_rtts ~tree ~delay:(Net.Network.link_delay m.network) in
-  let detected = m.detected () and forgiven = m.forgiven () in
-  let exp_requests, exp_replies = m.expedited () in
-  {
-    trace;
-    protocol;
-    setup;
-    counters = m.counters;
-    recoveries = m.recoveries;
-    cost = Net.Network.cost m.network;
-    rtt_to_source = Run_types.rtt_to_source ~tree rtts;
-    exp_requests;
-    exp_replies;
-    unrecovered = detected - Stats.Recovery.count m.recoveries - forgiven;
-    detected;
-    forgiven;
-    audit_violations = Audit.n_safety m.audit;
-    oracle_violations = Audit.n_fault m.audit;
-    oracle;
-    retirement = m.controller;
-  }
-
 (* The lever combinations no run accepts (see the interface): each
    falls outside both the stated identity laws and a clean verdict. *)
 let rejected ~faulted ~domains protocol =
@@ -134,13 +99,26 @@ let run_model ?(setup = default_setup) ?tracer ?registry ?fault_plan ?(shards = 
      shared by every host, which derives true distances and its
      in-flight allowance from it (see [Srm.Host.create]). *)
   let domain = Option.map (fun spec -> Rdomain.of_tree ~tree spec) domains in
+  (* The serial run: build, run, publish the model's own metrics, then
+     the accounting a sharded run shares. *)
   let serial () =
     let m =
       Run_types.build ?tracer ?registry ?fault_plan ?steady ?on_retire ?domain ~setup protocol
         trace loss_model
     in
     Sim.Engine.run ~until:m.horizon m.engine;
-    finish ?registry ~faulted:(Option.is_some fault_plan) ~setup ~protocol trace m
+    Option.iter
+      (fun reg ->
+        Sim.Engine.publish_metrics m.engine reg;
+        Net.Network.publish_metrics m.network reg;
+        m.publish reg;
+        Option.iter (fun c -> Steady.Controller.publish_metrics c reg) m.controller)
+      registry;
+    Run_types.finish ?registry ~faulted:(Option.is_some fault_plan) ~setup
+      ~rtts:(Run_types.source_rtts ~tree ~delay:(Net.Network.link_delay m.network))
+      ~counters:m.counters ~recoveries:m.recoveries ~cost:(Net.Network.cost m.network)
+      ~expedited:(m.expedited ()) ~detected:(m.detected ()) ~forgiven:(m.forgiven ())
+      ~retirement:m.controller m.audit protocol trace
   in
   if shards <= 1 || Option.is_some (shardable ~tracer ~fault_plan ~setup ~steady ~domains protocol)
   then serial ()
@@ -265,6 +243,10 @@ let avg_normalized_recovery ?(filter = fun _ -> true) result =
       if Stats.Summary.count s > 0 then Stats.Summary.add means (Stats.Summary.mean s))
     result.rtt_to_source;
   Stats.Summary.mean means
+
+let recovery_reduction srm cesrm =
+  let s = avg_normalized_recovery srm and c = avg_normalized_recovery cesrm in
+  if s > 0. then 100. *. (1. -. (c /. s)) else 0.
 
 let expedited_success_pct result =
   if result.exp_requests = 0 then 0.

@@ -298,6 +298,11 @@ val avg_normalized_recovery : ?filter:(Stats.Recovery.record -> bool) -> result 
     (default filter: every record), skipping receivers with no record;
     0 when none has one. *)
 
+val recovery_reduction : result -> result -> float
+(** [recovery_reduction srm cesrm]: CESRM's cut in
+    {!avg_normalized_recovery} against SRM's, in percent,
+    [100 (1 - c/s)]; 0 when SRM's is 0. *)
+
 val expedited_success_pct : result -> float
 (** Expedited replies as a percentage of expedited requests; 0 when
     the run sent none. *)

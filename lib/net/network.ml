@@ -307,25 +307,29 @@ let add_tap t f =
 
 let tap t ~from packet = match t.tap with None -> () | Some f -> f ~from packet
 
-let publish_metrics t registry =
-  Obs.Registry.incr ~by:t.delivered registry "net/packets_delivered";
-  Obs.Registry.incr ~by:(Cost.retransmission_overhead t.cost) registry
+(* Churn counters only exist when a membership layer was installed,
+   so churn-free registries keep their exact historical key set. *)
+let publish_totals registry cost ~delivered ~churn =
+  Obs.Registry.incr ~by:delivered registry "net/packets_delivered";
+  Obs.Registry.incr ~by:(Cost.retransmission_overhead cost) registry
     "net/retransmission_crossings";
-  Obs.Registry.incr ~by:(Cost.control_overhead t.cost ~multicast:true) registry
+  Obs.Registry.incr ~by:(Cost.control_overhead cost ~multicast:true) registry
     "net/control_crossings_mc";
-  Obs.Registry.incr ~by:(Cost.control_overhead t.cost ~multicast:false) registry
+  Obs.Registry.incr ~by:(Cost.control_overhead cost ~multicast:false) registry
     "net/control_crossings_uc";
-  Obs.Registry.incr ~by:(Cost.total_crossings t.cost Cost.Data) registry
-    "net/data_crossings";
-  Obs.Registry.incr ~by:(Cost.total_crossings t.cost Cost.Session) registry
+  Obs.Registry.incr ~by:(Cost.total_crossings cost Cost.Data) registry "net/data_crossings";
+  Obs.Registry.incr ~by:(Cost.total_crossings cost Cost.Session) registry
     "net/session_crossings";
-  (* Churn counters only exist when a membership layer was installed,
-     so churn-free registries keep their exact historical key set. *)
-  match t.membership with
-  | None -> ()
-  | Some m ->
-      Obs.Registry.incr ~by:m.m_joins registry "net/member_joins";
-      Obs.Registry.incr ~by:m.m_leaves registry "net/member_leaves"
+  Option.iter
+    (fun (joins, leaves) ->
+      Obs.Registry.incr ~by:joins registry "net/member_joins";
+      Obs.Registry.incr ~by:leaves registry "net/member_leaves")
+    churn
+
+let churn_counts t = Option.map (fun m -> (m.m_joins, m.m_leaves)) t.membership
+
+let publish_metrics t registry =
+  publish_totals registry t.cost ~delivered:t.delivered ~churn:(churn_counts t)
 
 let on_receive t v f = t.handlers.(v) <- Some f
 
@@ -346,8 +350,6 @@ let set_enabled t v flag =
 let is_enabled t v = t.enabled.(v)
 
 (* -- membership layer (dynamic join/leave/rejoin) -------------------- *)
-
-let churned t = t.membership <> None
 
 let get_membership t =
   match t.membership with
@@ -382,10 +384,6 @@ let set_member ?(count = true) t v flag =
     if count then if flag then m.m_joins <- m.m_joins + 1 else m.m_leaves <- m.m_leaves + 1
   end;
   set_enabled t v flag
-
-let member_joins t = match t.membership with None -> 0 | Some m -> m.m_joins
-
-let member_leaves t = match t.membership with None -> 0 | Some m -> m.m_leaves
 
 (* -- perturbation layer (fault injection) --------------------------- *)
 
@@ -780,17 +778,6 @@ let unicast t ~from ~dst packet =
 let flood_down t ~cat ~node packet =
   deliver t ~node ~cell:node;
   scan_below t ~cat ~cast:Cost.Subcast ~tx:(tx_of t packet) ~fifo:(is_fifo packet) node packet
-
-let subcast t ~at:root packet =
-  tap t ~from:root packet;
-  let cat = Cost.category_of packet in
-  Cost.record_send t.cost cat Cost.Subcast;
-  let saved = t.cur_pslot in
-  let s = acquire_pslot t packet in
-  t.arrive.(root) <- t.clock.now;
-  flood_down t ~cat ~node:root packet;
-  release_pslot t s;
-  t.cur_pslot <- saved
 
 let relayed_subcast t ~from ~via packet =
   if not t.enabled.(from) then ()

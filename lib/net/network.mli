@@ -8,8 +8,10 @@
 
     Three delivery primitives are provided: [multicast] (flood over the
     whole tree away from the sending member — plain IP multicast),
-    [unicast] (along the tree path), and [subcast] (flood only downward
-    from a given router — the router-assist capability of Section 3.3).
+    [unicast] (along the tree path), and [relayed_subcast] (unicast up
+    to a router, then flood only downward from it — the router-assist
+    capability of Section 3.3; a sender that is its own turning point
+    floods its subtree directly).
 
     Loss injection is a pluggable predicate consulted once per directed
     link traversal; dropping a packet on a link prunes the flood below
@@ -96,11 +98,6 @@ val multicast : t -> from:int -> Packet.t -> unit
 
 val unicast : t -> from:int -> dst:int -> Packet.t -> unit
 
-val subcast : t -> at:int -> Packet.t -> unit
-(** Flood only the subtree rooted at router [at], delivering to every
-    registered node strictly below it (and [at] itself if registered).
-    Models the LMS-style subcast of Section 3.3. *)
-
 val relayed_subcast : t -> from:int -> via:int -> Packet.t -> unit
 (** Router-assisted reply delivery (Section 3.3): unicast the packet
     from [from] to the turning-point router [via], which then subcasts
@@ -129,8 +126,17 @@ val add_tap : t -> (from:int -> Packet.t -> unit) -> unit
     fault oracle observe the same run. *)
 
 val publish_metrics : t -> Obs.Registry.t -> unit
-(** Snapshot delivery and link-crossing totals into the registry under
-    the ["net/"] prefix (pull-based; see {!Obs.Registry}). *)
+(** Snapshot this network's totals into the registry under the
+    ["net/"] prefix (pull-based; see {!Obs.Registry}): {!publish_totals}
+    of its {!cost}, {!packets_delivered} and {!churn_counts}. *)
+
+val publish_totals :
+  Obs.Registry.t -> Cost.t -> delivered:int -> churn:(int * int) option -> unit
+(** The ["net/"] totals: the delivery count, the link-crossing totals
+    the cost table derives, and, given [churn = Some (joins, leaves)],
+    the membership counts (absent from churn-free registries). The
+    coordinator of a sharded run calls it on the merged cost table and
+    delivery count. *)
 
 val set_enabled : t -> int -> bool -> unit
 (** Crash or revive a member: a disabled node receives no deliveries
@@ -154,14 +160,10 @@ val set_enabled : t -> int -> bool -> unit
     recovery resumes on restart). Only leaf members can change
     membership; routers always forward. *)
 
-val churned : t -> bool
-(** Whether a membership layer was installed (any churn occurred or a
-    plan excluded a late joiner at start). *)
-
 val set_member : ?count:bool -> t -> int -> bool -> unit
 (** Add or remove node [v] from the group. Implies
-    [set_enabled t v flag]. Each effective transition bumps the
-    {!member_joins} / {!member_leaves} counters unless [~count:false]
+    [set_enabled t v flag]. Each effective transition bumps the join or
+    leave count of {!churn_counts} unless [~count:false]
     (used for a late joiner's initial exclusion, which is a starting
     condition rather than a churn event). *)
 
@@ -169,9 +171,10 @@ val is_member : t -> int -> bool
 (** [true] for every node until {!set_member} is first used. A crashed
     member ([set_enabled _ _ false]) is still a member. *)
 
-val member_joins : t -> int
-
-val member_leaves : t -> int
+val churn_counts : t -> (int * int) option
+(** [Some (joins, leaves)], the effective transitions {!set_member}
+    counted, once a membership layer is installed (any churn occurred or
+    a plan excluded a late joiner at start); [None] before. *)
 
 (** {2 Perturbation layer (fault injection)}
 

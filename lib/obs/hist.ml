@@ -141,12 +141,8 @@ let iter_buckets t f =
       end)
     t.counts
 
-
-(* The JSON form carries both derived summary fields (for humans and
-   Diff) and the exact state — sparse (index, count) bucket pairs plus
-   min/max/sum/nan — so [of_json] reconstructs a histogram that merges
-   and quantiles identically to the original. Finite floats round-trip
-   exactly through Json's shortest-round-trip printer; the empty
+(* The JSON form carries the derived summary fields (for humans and
+   Diff) and the sparse (index, count) bucket pairs; the empty
    histogram's infinite min/max are encoded as null. *)
 let to_json t =
   let finite_or_null v = if Float.is_finite v then Json.Num v else Json.Null in
@@ -171,45 +167,3 @@ let to_json t =
       ("p999", finite_or_null (p999 t));
       ("buckets", Json.Arr buckets);
     ]
-
-let of_json json =
-  let ( let* ) r f = Result.bind r f in
-  let num field ~default =
-    match Json.member field json with
-    | Some (Json.Num x) -> Ok x
-    | Some Json.Null | None -> Ok default
-    | Some _ -> Error (Printf.sprintf "Hist.of_json: %s is not a number" field)
-  in
-  let* sub = num "sub_buckets" ~default:16. in
-  let* n = num "count" ~default:0. in
-  let* nans = num "nan_count" ~default:0. in
-  let* sum = num "sum" ~default:0. in
-  let* minv = num "min" ~default:infinity in
-  let* maxv = num "max" ~default:neg_infinity in
-  let t = create ~sub_buckets:(int_of_float sub) () in
-  if t.sub <> int_of_float sub then
-    Error (Printf.sprintf "Hist.of_json: invalid sub_buckets %g" sub)
-  else begin
-    t.n <- int_of_float n;
-    t.nans <- int_of_float nans;
-    t.sum <- sum;
-    t.minv <- minv;
-    t.maxv <- maxv;
-    match Json.member "buckets" json with
-    | Some (Json.Arr items) ->
-        let rec fill = function
-          | [] -> Ok t
-          | Json.Arr [ Json.Num idx; Json.Num c ] :: rest ->
-              let idx = int_of_float idx in
-              if idx < 0 || idx >= Array.length t.counts then
-                Error (Printf.sprintf "Hist.of_json: bucket index %d out of range" idx)
-              else begin
-                t.counts.(idx) <- int_of_float c;
-                fill rest
-              end
-          | _ -> Error "Hist.of_json: malformed bucket entry"
-        in
-        fill items
-    | None -> Ok t
-    | Some _ -> Error "Hist.of_json: buckets is not an array"
-  end

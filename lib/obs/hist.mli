@@ -66,12 +66,7 @@ val iter_buckets : t -> (lo:float -> hi:float -> count:int -> unit) -> unit
     reported as [lo = hi = 0]. *)
 
 val to_json : t -> Json.t
-(** Self-describing JSON: derived summary fields (count, mean, min,
-    max, standard quantiles) for humans and {!Diff}, plus the exact
-    sparse bucket counts so {!of_json} reconstructs a histogram that
-    merges and quantiles identically — the transport format for
-    cross-process histogram aggregation. *)
-
-val of_json : Json.t -> (t, string) result
-(** Inverse of {!to_json}; [Error] describes the first malformed
-    field. *)
+(** Self-describing JSON for reports and {!Diff}: derived summary
+    fields (count, mean, min, max, standard quantiles) plus the sparse
+    bucket counts. An output format only: histograms cross process
+    boundaries as values (see [Exp.Pool]). *)

@@ -42,8 +42,8 @@ let create () =
   }
 
 (* Steady-state mode: stop retaining per-loss records (and drop any
-   already held) — [count] and the default [latency_summary] keep
-   working from the online accumulators. *)
+   already held) — [count] and the default [latency_summary] read the
+   online accumulators anyway. *)
 let drop_records t =
   t.keep_records <- false;
   t.records <- []
@@ -76,9 +76,12 @@ let records t = List.rev t.records
 
 let for_node t node = List.filter (fun r -> r.node = node) (records t)
 
+(* The default form is the online summary, kept or not: its additions
+   are the insertion-order fold's, so steady and eager runs of the same
+   recoveries report the same mean and total, bit for bit. *)
 let latency_summary ?normalize ?filter t =
-  match (normalize, filter, t.keep_records) with
-  | None, None, false -> t.online
+  match (normalize, filter) with
+  | None, None -> t.online
   | _ ->
       let normalize = Option.value normalize ~default:(fun _ -> 1.) in
       let filter = Option.value filter ~default:(fun _ -> true) in

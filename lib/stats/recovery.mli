@@ -52,10 +52,11 @@ val for_node : t -> int -> record list
 
 val latency_summary : ?normalize:(record -> float) -> ?filter:(record -> bool) -> t -> Summary.t
 (** Summary of [latency r /. normalize r] over records passing
-    [filter]. Default: no filter, normalizer 1. After
-    {!drop_records}, the default form returns the online summary
-    (sketched percentiles); passing [normalize] or [filter] then
-    yields an empty summary, since the records are gone. *)
+    [filter]. Without [normalize] or [filter] it is the online summary
+    of every latency, added in insertion order (exact moments, sketched
+    percentiles), whether or not the records are kept. Passing either
+    folds the kept records, so after {!drop_records} it yields an empty
+    summary. *)
 
 val retire_spans : t -> upto:int -> unit
 (** Steady-state mode: sequence numbers at or below the stability

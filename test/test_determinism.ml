@@ -9,18 +9,6 @@
    %.17g string, so even a one-ULP float divergence (e.g. a changed
    accumulation order) fails the test. *)
 
-(* The recovery latencies summed in insertion order: folded over the
-   records, or, once a steady run has dropped them, the online
-   summary's total — the same additions in the same order. *)
-let lat_sum (r : Harness.Runner.result) =
-  match r.retirement with
-  | None ->
-      List.fold_left
-        (fun acc rec_ -> acc +. Stats.Recovery.latency rec_)
-        0.
-        (Stats.Recovery.records r.recoveries)
-  | Some _ -> Stats.Summary.total (Stats.Recovery.latency_summary r.recoveries)
-
 let fingerprint (r : Harness.Runner.result) =
   let total k = Stats.Counters.total r.counters k in
   Printf.sprintf
@@ -28,7 +16,8 @@ let fingerprint (r : Harness.Runner.result) =
      recoveries=%d exp_requests=%d exp_replies=%d lat_sum=%.17g"
     (total Stats.Counters.Rqst) (total Stats.Counters.Exp_rqst) (total Stats.Counters.Repl)
     (total Stats.Counters.Exp_repl) (total Stats.Counters.Sess) r.detected r.unrecovered
-    (Stats.Recovery.count r.recoveries) r.exp_requests r.exp_replies (lat_sum r)
+    (Stats.Recovery.count r.recoveries) r.exp_requests r.exp_replies
+    (Stats.Summary.total (Stats.Recovery.latency_summary r.recoveries))
 
 (* One mid-size trace (15 receivers), n_packets = 400, default seed. *)
 let case = lazy (

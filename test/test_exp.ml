@@ -353,10 +353,10 @@ let test_sweep_spec_domains () =
           (Exp.Spec.runner_protocol cell.protocol)
           (Mtrace.Scale.find cell.trace)
       in
-      let shard = Exp.Shard.run spec cell in
+      let row = (Exp.Shard.run spec cell).row in
       check (Alcotest.option Alcotest.int) (Exp.Spec.cell_label cell ^ " detected")
         (Some res.detected)
-        (Option.map int_of_float (Option.bind (Obs.Json.member "detected" shard) Obs.Json.to_float)))
+        (Option.map int_of_float (Option.bind (Obs.Json.member "detected" row) Obs.Json.to_float)))
     (Exp.Spec.cells spec)
 
 let () =

@@ -23,7 +23,7 @@ let kitchen_sink =
       Fault.Plan.Link_jitter { link = 1; from_ = 5.0; until = 7.0; max_jitter = 0.03 };
       Fault.Plan.Link_dup { link = 5; from_ = 5.2; until = 5.4 };
       Fault.Plan.Crash { node = 4; at = 5.6; restart_at = Some 6.2 };
-      Fault.Plan.Partition { root = 2; from_ = 6.0; until = 6.5 };
+      Fault.Plan.Link_down { link = 2; from_ = 6.0; until = 6.5 };
     ]
 
 let plan_string p = Obs.Json.to_string (Fault.Plan.to_json p)
@@ -34,7 +34,7 @@ let test_plan_json_roundtrip () =
   | Ok plan' ->
       check Alcotest.string "json round-trip" (plan_string kitchen_sink) (plan_string plan');
       check Alcotest.string "name survives" "kitchen-sink" plan'.Fault.Plan.name;
-      check Alcotest.int "all five event kinds" 5 (Fault.Plan.n_events plan');
+      check Alcotest.int "all five events" 5 (Fault.Plan.n_events plan');
       (* a crash without restart round-trips its null *)
       let down = Fault.Plan.make [ Fault.Plan.Crash { node = 3; at = 1.0; restart_at = None } ] in
       match Fault.Plan.of_json (Fault.Plan.to_json down) with
@@ -69,9 +69,7 @@ let test_plan_validation () =
   expect_invalid "crash of a router" [ Fault.Plan.Crash { node = 1; at = 1.; restart_at = None } ];
   expect_invalid "crash of the source" [ Fault.Plan.Crash { node = 0; at = 1.; restart_at = None } ];
   expect_invalid "restart before crash"
-    [ Fault.Plan.Crash { node = 3; at = 2.; restart_at = Some 1. } ];
-  expect_invalid "partition at the root"
-    [ Fault.Plan.Partition { root = 0; from_ = 1.; until = 2. } ]
+    [ Fault.Plan.Crash { node = 3; at = 2.; restart_at = Some 1. } ]
 
 let test_plan_compile_rejects_invalid () =
   let tree = sample_tree () in
@@ -432,7 +430,6 @@ let gen_event =
     let from_ = 5.0 +. (0.1 *. float_of_int a) in
     let until = from_ +. (0.1 *. float_of_int len) in
     match kind with
-    | 0 -> return (Fault.Plan.Link_down { link; from_; until })
     | 1 -> return (Fault.Plan.Link_jitter { link; from_; until; max_jitter = 0.03 })
     | 2 -> return (Fault.Plan.Link_dup { link; from_; until })
     | 3 ->
@@ -441,7 +438,7 @@ let gen_event =
         let node = [| 3; 4; 5 |].(link mod 3) in
         let restart_at = if len > 2 then Some until else None in
         return (Fault.Plan.Crash { node; at = from_; restart_at })
-    | _ -> return (Fault.Plan.Partition { root = link; from_; until }))
+    | _ -> return (Fault.Plan.Link_down { link; from_; until }))
 
 let print_events events = Obs.Json.to_string (Fault.Plan.to_json (Fault.Plan.make events))
 
@@ -487,14 +484,13 @@ let gen_event_scale =
     let from_ = 5.0 +. (0.1 *. float_of_int a) in
     let until = from_ +. (0.1 *. float_of_int len) in
     match kind with
-    | 0 -> return (Fault.Plan.Link_down { link; from_; until })
     | 1 -> return (Fault.Plan.Link_jitter { link; from_; until; max_jitter = 0.03 })
     | 2 -> return (Fault.Plan.Link_dup { link; from_; until })
     | 3 ->
         let node = receivers.(link mod Array.length receivers) in
         let restart_at = if len > 2 then Some until else None in
         return (Fault.Plan.Crash { node; at = from_; restart_at })
-    | _ -> return (Fault.Plan.Partition { root = link; from_; until }))
+    | _ -> return (Fault.Plan.Link_down { link; from_; until }))
 
 let arbitrary_scale_plan =
   QCheck.make ~print:print_events
@@ -678,7 +674,7 @@ let gen_domain_fault_plan =
     return
       [
         Fault.Plan.Crash { node = repliers.(ri); at = crash_at; restart_at = Some crash_until };
-        Fault.Plan.Partition { root = proot; from_ = part_from; until = part_until };
+        Fault.Plan.Link_down { link = proot; from_ = part_from; until = part_until };
       ])
 
 let arbitrary_domain_plan = QCheck.make ~print:print_events gen_domain_fault_plan

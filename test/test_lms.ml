@@ -154,15 +154,23 @@ let test_lms_replier_crash_stalls_until_refresh () =
   check Alcotest.bool "post-crash recovery stalls" true (Stats.Recovery.latency after > 0.3);
   check Alcotest.int "nothing is lost forever" 2 (List.length recs)
 
-let test_churn_report_shape () =
-  let s = Harness.Churn.report ~n_packets:1500 (Mtrace.Meta.nth 4) in
-  let contains sub =
-    let n = String.length s and m = String.length sub in
-    let rec scan i = i + m <= n && (String.sub s i m = sub || scan (i + 1)) in
-    scan 0
+(* The claim the bench's churn table exists for (paper Sections 3.3
+   and 5): once the busiest replier crashes, LMS's recovery stalls
+   until its router state is refreshed, while CESRM falls back on SRM
+   and re-learns a live pair — and no surviving receiver is left with
+   a loss it never recovered. *)
+let test_churn_lms_stalls_cesrm_recovers () =
+  let _, outcomes = Harness.Churn.outcomes ~n_packets:200 (Mtrace.Meta.nth 7) in
+  let worst_after label =
+    (List.find (fun (o : Harness.Churn.outcome) -> o.label = label) outcomes).after.max_latency
   in
-  check Alcotest.bool "mentions all protocols" true
-    (contains "SRM" && contains "CESRM" && contains "LMS")
+  check Alcotest.bool "LMS's worst post-crash recovery is at least 5x CESRM's" true
+    (worst_after "LMS" >= 5. *. worst_after "CESRM");
+  List.iter
+    (fun (o : Harness.Churn.outcome) ->
+      check Alcotest.int (o.label ^ ": surviving receivers recover every loss") 0
+        o.unrecovered_alive)
+    outcomes
 
 let () =
   Alcotest.run "lms"
@@ -186,6 +194,7 @@ let () =
         [
           Alcotest.test_case "replier crash stalls" `Quick
             test_lms_replier_crash_stalls_until_refresh;
-          Alcotest.test_case "report shape" `Quick test_churn_report_shape;
+          Alcotest.test_case "crash: LMS stalls, CESRM recovers" `Quick
+            test_churn_lms_stalls_cesrm_recovers;
         ] );
     ]

@@ -309,7 +309,7 @@ let test_network_subcast () =
     [ 0; 3; 4; 5 ];
   ignore
     (Sim.Engine.schedule engine ~after:0.0 (fun () ->
-         Net.Network.subcast network ~at:1 session_packet));
+         Net.Network.relayed_subcast network ~from:1 ~via:1 session_packet));
   Sim.Engine.run engine;
   check Alcotest.(list int) "subtree of 1 only" [ 3; 4 ] (List.sort compare !got)
 
@@ -479,10 +479,10 @@ let test_perturb_dup () =
 
 let test_membership_defaults () =
   let _, network = make_network () in
-  check Alcotest.bool "no membership layer until first use" false (Net.Network.churned network);
-  check Alcotest.bool "every node is a member by default" true (Net.Network.is_member network 3);
-  check Alcotest.int "no joins" 0 (Net.Network.member_joins network);
-  check Alcotest.int "no leaves" 0 (Net.Network.member_leaves network)
+  check
+    Alcotest.(option (pair int int))
+    "no membership layer until first use" None (Net.Network.churn_counts network);
+  check Alcotest.bool "every node is a member by default" true (Net.Network.is_member network 3)
 
 let test_membership_gates_delivery () =
   let engine, network = make_network () in
@@ -507,24 +507,25 @@ let test_membership_gates_delivery () =
     Alcotest.(list int)
     "non-member misses the first cast, sends nothing, hears the post-rejoin cast"
     [ 3; 4; 4; 5; 5 ] (List.sort compare !got);
-  check Alcotest.bool "layer installed" true (Net.Network.churned network);
-  check Alcotest.int "one leave" 1 (Net.Network.member_leaves network);
-  check Alcotest.int "one join" 1 (Net.Network.member_joins network)
+  check
+    Alcotest.(option (pair int int))
+    "layer installed: one join, one leave" (Some (1, 1)) (Net.Network.churn_counts network)
 
 let test_membership_counts_effective_transitions () =
   let _, network = make_network () in
   Net.Network.set_member network 3 false;
   Net.Network.set_member network 3 false;
-  check Alcotest.int "redundant leave uncounted" 1 (Net.Network.member_leaves network);
+  let counts () = Option.get (Net.Network.churn_counts network) in
+  check Alcotest.int "redundant leave uncounted" 1 (snd (counts ()));
   Net.Network.set_member network 3 true;
   Net.Network.set_member network 3 true;
-  check Alcotest.int "redundant join uncounted" 1 (Net.Network.member_joins network);
+  check Alcotest.int "redundant join uncounted" 1 (fst (counts ()));
   (* a late joiner's initial exclusion is a starting condition, not a
      churn event: the membership flips but the counters stay put *)
   Net.Network.set_member ~count:false network 4 false;
   check Alcotest.bool "uncounted exclusion flips membership" false
     (Net.Network.is_member network 4);
-  check Alcotest.int "but no leave is charged" 1 (Net.Network.member_leaves network)
+  check Alcotest.int "but no leave is charged" 1 (snd (counts ()))
 
 let test_membership_crash_is_not_departure () =
   let _, network = make_network () in
@@ -572,14 +573,12 @@ let arbitrary_walk_case =
 
 type cast =
   | Multicast of int
-  | Subcast of int
   | Relayed of int * int (* from, via *)
   | Scoped of int * int (* from, root *)
   | Unicast of int * int
 
 let show_cast = function
   | Multicast o -> Printf.sprintf "multicast from %d" o
-  | Subcast r -> Printf.sprintf "subcast at %d" r
   | Relayed (f, v) -> Printf.sprintf "relayed subcast %d via %d" f v
   | Scoped (f, r) -> Printf.sprintf "scoped cast %d to %d" f r
   | Unicast (s, d) -> Printf.sprintf "unicast %d to %d" s d
@@ -619,9 +618,6 @@ let reference tree ~delay ~tx ~dropped ~scope cast at =
   let leg src dst = path at (Net.Tree.path tree src dst) in
   (match cast with
   | Multicast o -> walk_from o (Net.Tree.neighbors tree o) at
-  | Subcast r ->
-      deliver r at;
-      walk_from r (Net.Tree.children tree r) at
   | Relayed (from, via) ->
       Option.iter
         (fun at ->
@@ -691,7 +687,6 @@ let cast_checker c =
     let at = Sim.Engine.now engine in
     (match cast with
     | Multicast o -> Net.Network.multicast network ~from:o packet
-    | Subcast r -> Net.Network.subcast network ~at:r packet
     | Relayed (from, via) -> Net.Network.relayed_subcast network ~from ~via packet
     | Scoped (from, root) -> Net.Network.scoped_cast network ~from ~root ~scope packet
     | Unicast (src, dst) -> Net.Network.unicast network ~from:src ~dst packet);
@@ -774,7 +769,7 @@ let prop_routes_down_order =
       for root = 0 to n - 1 do
         if Net.Routes.subtree_size routes root <> List.length (Net.Tree.subtree_nodes tree root)
         then Alcotest.failf "subtree_size of %d" root;
-        check (Subcast root);
+        (* from = root: a plain subcast of root's subtree *)
         for from = 0 to n - 1 do
           check (Relayed (from, root));
           check (Scoped (from, root))

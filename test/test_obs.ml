@@ -124,38 +124,6 @@ let prop_hist_merge_assoc =
            (fun q -> Obs.Hist.quantile l q = Obs.Hist.quantile r q)
            [ 0.; 0.25; 0.5; 0.9; 0.99; 1. ])
 
-let prop_hist_json_roundtrip =
-  QCheck.Test.make ~name:"hist json round-trip is exact" ~count:200 pos_values (fun xs ->
-      let h = mk_hist xs in
-      match Obs.Hist.of_json (Obs.Hist.to_json h) with
-      | Error _ -> false
-      | Ok h' -> hist_json h' = hist_json h)
-
-let prop_hist_json_merge =
-  QCheck.Test.make ~name:"hist merge through json transport" ~count:200
-    QCheck.(pair pos_values pos_values)
-    (fun (xs, ys) ->
-      let a = mk_hist xs and b = mk_hist ys in
-      let via_json =
-        match (Obs.Hist.of_json (Obs.Hist.to_json a), Obs.Hist.of_json (Obs.Hist.to_json b)) with
-        | Ok a', Ok b' -> hist_json (Obs.Hist.merge a' b')
-        | _ -> "parse failure"
-      in
-      via_json = hist_json (Obs.Hist.merge a b))
-
-let test_hist_json_empty_and_errors () =
-  (match Obs.Hist.of_json (Obs.Hist.to_json (Obs.Hist.create ())) with
-  | Ok h ->
-      check Alcotest.int "empty count" 0 (Obs.Hist.count h);
-      Alcotest.(check bool) "empty min is +inf" true (Obs.Hist.min h = infinity)
-  | Error msg -> Alcotest.fail msg);
-  (match Obs.Hist.of_json (Obs.Json.Obj [ ("sub_buckets", Obs.Json.Str "x") ]) with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "accepted a malformed sub_buckets");
-  match Obs.Hist.of_json (Obs.Json.Obj [ ("buckets", Obs.Json.Arr [ Obs.Json.Num 1. ]) ]) with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "accepted a malformed bucket entry"
-
 let test_hist_merge_mismatch () =
   let a = Obs.Hist.create ~sub_buckets:8 () and b = Obs.Hist.create ~sub_buckets:32 () in
   Alcotest.check_raises "sub_buckets mismatch"
@@ -419,9 +387,6 @@ let () =
           qcheck prop_hist_merge_commutes;
           qcheck prop_hist_merge_identity;
           qcheck prop_hist_merge_assoc;
-          qcheck prop_hist_json_roundtrip;
-          qcheck prop_hist_json_merge;
-          Alcotest.test_case "json empty and errors" `Quick test_hist_json_empty_and_errors;
         ] );
       ( "json",
         [

@@ -87,18 +87,6 @@ let test_loss_budget_frozen () =
 
 (* --- Pinned 1024-receiver goldens ------------------------------------ *)
 
-(* The recovery latencies summed in insertion order: folded over the
-   records, or, once a steady run has dropped them, the online
-   summary's total — the same additions in the same order. *)
-let lat_sum (r : Harness.Runner.result) =
-  match r.retirement with
-  | None ->
-      List.fold_left
-        (fun acc rec_ -> acc +. Stats.Recovery.latency rec_)
-        0.
-        (Stats.Recovery.records r.recoveries)
-  | Some _ -> Stats.Summary.total (Stats.Recovery.latency_summary r.recoveries)
-
 let fingerprint (r : Harness.Runner.result) =
   let total k = Stats.Counters.total r.counters k in
   Printf.sprintf
@@ -106,7 +94,8 @@ let fingerprint (r : Harness.Runner.result) =
      recoveries=%d lat_sum=%.17g"
     (total Stats.Counters.Rqst) (total Stats.Counters.Exp_rqst) (total Stats.Counters.Repl)
     (total Stats.Counters.Exp_repl) (total Stats.Counters.Sess) r.detected r.unrecovered
-    (Stats.Recovery.count r.recoveries) (lat_sum r)
+    (Stats.Recovery.count r.recoveries)
+    (Stats.Summary.total (Stats.Recovery.latency_summary r.recoveries))
 
 let scale_row = Mtrace.Scale.find "SCALE-bf-1024"
 
