@@ -155,10 +155,10 @@ let infer_cmd =
 let protocol_arg ~doc =
   let grammar =
     Arg.conv
-      ( (fun s -> Result.map_error (fun m -> `Msg m) (Exp.Spec.protocol_of_name s)),
-        fun ppf p -> Format.pp_print_string ppf (Exp.Spec.protocol_name p) )
+      ( (fun s -> Result.map_error (fun m -> `Msg m) (Harness.Runner.protocol_of_name s)),
+        fun ppf p -> Format.pp_print_string ppf (Harness.Runner.protocol_key p) )
   in
-  let default = Exp.Spec.Cesrm { retention = Cesrm.Retention.default; router_assist = false } in
+  let default = Harness.Runner.Cesrm_protocol Cesrm.Host.default_config in
   let doc =
     doc
     ^ ": srm, lms, or cesrm[@RETENTION][+ra]. RETENTION is the CESRM replier-cache \
@@ -364,12 +364,11 @@ let run_cmd =
          | Some w when w < 1 -> Error "--steady: window must be >= 1"
          | w -> Ok (Option.map Steady.Config.windowed w)
        in
-       let proto = Exp.Spec.runner_protocol protocol in
        let ((trace, _) as inputs) = run_inputs ?steady source packets seed in
        let tracer = Option.map (fun _ -> Obs.Trace.create ()) trace_out in
        let registry = Option.map (fun _ -> Obs.Registry.create ()) metrics_out in
        let* res, fault_plan =
-         run_one ?tracer ?registry ?steady ~note:(serial_note ()) levers ~faults proto inputs
+         run_one ?tracer ?registry ?steady ~note:(serial_note ()) levers ~faults protocol inputs
        in
        print_result res;
        print_steady res;
@@ -391,7 +390,7 @@ let run_cmd =
          (fun file ->
            let meta =
              [
-               ("protocol", Obs.Json.Str (Harness.Runner.protocol_name proto));
+               ("protocol", Obs.Json.Str (Harness.Runner.protocol_name protocol));
                ("trace", Obs.Json.Str (Mtrace.Trace.summary trace));
                ("link_delay_ms", Obs.Json.Num levers.link_delay_ms);
                ("lossy_recovery", Obs.Json.Bool levers.lossy);
@@ -416,7 +415,7 @@ let compare_cmd =
     let inputs = run_inputs source packets seed and note = serial_note () in
     ret
       (let* srm, _ = run_one ~note levers ~faults Harness.Runner.Srm_protocol inputs in
-       let* other, _ = run_one ~note levers ~faults (Exp.Spec.runner_protocol protocol) inputs in
+       let* other, _ = run_one ~note levers ~faults protocol inputs in
        print_result srm;
        print_newline ();
        print_result other;
@@ -547,7 +546,7 @@ let sweep_cmd =
           let rec parse_protocols = function
             | [] -> Ok []
             | p :: rest ->
-                let* spec = Exp.Spec.protocol_of_name p in
+                let* spec = Harness.Runner.protocol_of_name p in
                 Result.map (fun tl -> spec :: tl) (parse_protocols rest)
           in
           let* protocols = parse_protocols (String.split_on_char ',' protocols) in

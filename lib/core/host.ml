@@ -216,7 +216,7 @@ let handle_expedited_request t ~src ~seq ~requestor ~d_qs ~turning_point =
   let transmit =
     match (t.config.router_assist, turning_point) with
     | true, Some via when via <> t.self ->
-        Some (fun packet -> Net.Network.relayed_subcast t.network ~from:t.self ~via packet)
+        Some (fun packet -> Net.Network.subcast t.network ~from:t.self ~root:via packet)
     | _ -> (
         match t.domain with
         | None -> None
@@ -230,9 +230,8 @@ let handle_expedited_request t ~src ~seq ~requestor ~d_qs ~turning_point =
             let dom = Rdomain.dom_of dmap requestor in
             Some
               (fun packet ->
-                Net.Network.scoped_cast t.network ~from:t.self
+                Net.Network.subcast t.network ~from:t.self
                   ~root:(Rdomain.scope_root dmap ~dom ~level:0)
-                  ~scope:(fun _ -> true)
                   packet))
   in
   let sent =

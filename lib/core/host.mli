@@ -23,7 +23,8 @@
     recovery fails, the loss is still repaired the SRM way.
 
     The SRM host's lifecycle drives the CESRM state too: a restart or
-    departure of {!srm} empties the caches ({!reset_caches}), a
+    departure of {!srm} empties the caches and drops the expedited
+    bookkeeping (CESRM state is soft state), a
     [Srm.Host.forget_peer] invalidates the pairs naming the departed
     peer ({!invalidate_replier}), and [Srm.Host.retire_below] sweeps
     the expedited bookkeeping of retired packets. Callers drive the
@@ -124,13 +125,6 @@ val cache_invalidations : t -> int
 (** Cached pairs this member dropped because their replier left the
     group (accumulated into the ["cesrm/cache_invalidations"] metric,
     which is only published when non-zero). *)
-
-val reset_caches : t -> unit
-(** Model this host crashing: every cache is emptied and all expedited
-    bookkeeping (outstanding recoveries, replier scores, presumed
-    deaths) is dropped — CESRM state is soft state. Installed as the
-    SRM host's [on_state_reset] hook, so [Srm.Host.restart_recovery]
-    and [Srm.Host.depart] run it first. *)
 
 val publish_metrics : t -> Obs.Registry.t -> unit
 (** Accumulate this member's SRM metrics plus the expedited-recovery

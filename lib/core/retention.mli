@@ -41,9 +41,6 @@ val default : t
 (** [Recent] with no capacity override — byte-identical to the
     pre-retention cache. *)
 
-val default_half_life : float
-(** Half-life used by the bare ["hotspot"] name: 1 s of virtual time. *)
-
 val is_default : t -> bool
 
 val name : t -> string

@@ -12,7 +12,6 @@
    the "skip assigned branches" pruning in [close_at] is exact. *)
 
 type t = {
-  tree : Net.Tree.t;
   max_members : int;
   dom_of : int array; (* node -> domain id *)
   roots : int array; (* domain -> root node *)
@@ -141,14 +140,12 @@ let build ~tree ~members ~max_members =
   Array.iteri (fun d r -> if r = -1 then repliers.(d) <- roots.(d)) repliers;
   let replier_flags = Array.make n false in
   Array.iter (fun r -> if r >= 0 && r < n then replier_flags.(r) <- true) repliers;
-  { tree; max_members; dom_of; roots; parents; repliers; levels; sizes; chains; replier_flags }
+  { max_members; dom_of; roots; parents; repliers; levels; sizes; chains; replier_flags }
 
 let of_tree ~tree spec =
   let members = Array.append [| 0 |] (Net.Tree.receivers tree) in
   build ~tree ~members
     ~max_members:(spec_members ~n_members:(Array.length members) spec)
-
-let tree t = t.tree
 
 let max_members t = t.max_members
 

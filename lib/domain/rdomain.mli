@@ -22,7 +22,7 @@
     domain. The {e chain} of a domain — itself, its parent, up to the
     root domain — gives the escalation ladder, and the union of a
     chain prefix is ancestry-closed inside the prefix's topmost root:
-    exactly the property {!Net.Network.scoped_cast} needs for O(1)
+    exactly the property a scoped {!Net.Network.subcast} needs for O(1)
     branch pruning.
 
     The module is pure topology: building a map draws no randomness
@@ -53,8 +53,6 @@ val build : tree:Net.Tree.t -> members:int array -> max_members:int -> t
 val of_tree : tree:Net.Tree.t -> spec -> t
 (** {!build} with the standard member set (the source, node 0, plus
     every leaf receiver). *)
-
-val tree : t -> Net.Tree.t
 
 val max_members : t -> int
 
@@ -98,7 +96,7 @@ val scope_root : t -> dom:int -> level:int -> int
 val in_scope : t -> dom:int -> level:int -> int -> bool
 (** Whether a node lies in the escalation scope — the union of the
     chain domains [0 .. level] from [dom]. Ancestry-closed inside
-    {!scope_root}'s subtree, so {!Net.Network.scoped_cast} may prune
+    {!scope_root}'s subtree, so {!Net.Network.subcast} may prune
     rejected branches whole. O(1). *)
 
 val request_target : t -> node:int -> level:int -> int

@@ -19,13 +19,10 @@
 val available : bool
 (** Whether processes can fork here (false on Windows). *)
 
-val default_jobs : unit -> int
-(** [Domain.recommended_domain_count ()]: the OCaml runtime's
-    recommended number of simultaneously running domains, at least 1. *)
-
 val resolve_jobs : int option -> int
 (** Worker-count policy shared by every [?jobs]-taking entry point:
-    [None] and [Some 0] auto-detect via {!default_jobs} ([--jobs 0] is
+    [None] and [Some 0] auto-detect
+    [Domain.recommended_domain_count ()], at least 1 ([--jobs 0] is
     the CLI spelling); anything else is clamped to at least 1. *)
 
 val map :
@@ -35,11 +32,10 @@ val map :
   int ->
   'a array
 (** [map ?jobs ?on_result f n] forks [min jobs n] workers. [jobs]
-    defaults to {!default_jobs}, and [0] means the same auto-detection
-    (see {!resolve_jobs}). [on_result] fires in the parent as each
-    shard completes (arrival order). Results may hold closures (see
-    {!Ipc.Chan.send}). SIGPIPE is ignored while workers run and
-    restored afterwards.
+    defaults to, and [0] means, the auto-detection of {!resolve_jobs}.
+    [on_result] fires in the parent as each shard completes (arrival
+    order). Results may hold closures (see {!Ipc.Chan.send}). SIGPIPE is
+    ignored while workers run and restored afterwards.
     @raise Failure ["Pool: shard i failed: ..."] when [f i] raises or
     the worker running shard [i] dies.
     @raise Invalid_argument on negative [n]. *)

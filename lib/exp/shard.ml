@@ -17,7 +17,7 @@ let run ?shards (spec : Spec.t) (cell : Spec.cell) =
   let res =
     Harness.Runner.run_leg ~setup ~registry ?n_packets:spec.Spec.n_packets ?fault ?shards
       ?domains:spec.Spec.domains ~seed:cell.Spec.seed
-      (Spec.runner_protocol cell.Spec.protocol)
+      cell.Spec.protocol
       (Mtrace.Scale.find cell.Spec.trace)
   in
   let counters =
@@ -68,7 +68,7 @@ let run ?shards (spec : Spec.t) (cell : Spec.cell) =
         ("name", Str (Spec.cell_label cell));
         ("index", int cell.Spec.index);
         ("trace", Str cell.Spec.trace);
-        ("protocol", Str (Spec.protocol_name cell.Spec.protocol));
+        ("protocol", Str (Harness.Runner.protocol_key cell.Spec.protocol));
         ("seed_index", int cell.Spec.seed_index);
         ("seed", Str (Int64.to_string cell.Spec.seed));
         ("fault", (match cell.Spec.fault with None -> Null | Some f -> Str f));

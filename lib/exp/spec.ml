@@ -1,56 +1,7 @@
-type protocol_spec =
-  | Srm
-  | Cesrm of { retention : Cesrm.Retention.t; router_assist : bool }
-  | Lms
-
-let protocol_name = function
-  | Srm -> "srm"
-  | Lms -> "lms"
-  | Cesrm { retention; router_assist } ->
-      (* The retention segment is omitted when default, so the default
-         CESRM cell is plain "cesrm". *)
-      Printf.sprintf "cesrm%s%s"
-        (if Cesrm.Retention.is_default retention then ""
-         else "@" ^ Cesrm.Retention.name retention)
-        (if router_assist then "+ra" else "")
-
-let grammar = "srm, cesrm[@RETENTION][+ra] or lms"
-
-let protocol_of_name s =
-  let rest, router_assist =
-    if String.ends_with ~suffix:"+ra" s then (String.sub s 0 (String.length s - 3), true)
-    else (s, false)
-  in
-  match s with
-  | "srm" -> Ok Srm
-  | "lms" -> Ok Lms
-  | _ when rest = "cesrm" -> Ok (Cesrm { retention = Cesrm.Retention.default; router_assist })
-  | _ when String.starts_with ~prefix:"cesrm@" rest -> (
-      let r = String.sub rest 6 (String.length rest - 6) in
-      match Cesrm.Retention.of_name r with
-      | Some retention -> Ok (Cesrm { retention; router_assist })
-      | None ->
-          Error
-            (Printf.sprintf "unknown CESRM cache retention %S (expected %s)" r
-               Cesrm.Retention.names_doc))
-  | _ when String.starts_with ~prefix:"cesrm:" s ->
-      Error
-        (Printf.sprintf
-           "%S: the cesrm:POLICY segment was removed; the retention scheme alone ranks the \
-            replier choice (expected %s)"
-           s grammar)
-  | _ -> Error (Printf.sprintf "unknown protocol %S (expected %s)" s grammar)
-
-let runner_protocol = function
-  | Srm -> Harness.Runner.Srm_protocol
-  | Lms -> Harness.Runner.Lms_protocol
-  | Cesrm { retention; router_assist } ->
-      Harness.Runner.Cesrm_protocol { Cesrm.Host.default_config with retention; router_assist }
-
 type t = {
   name : string;
   traces : string list;
-  protocols : protocol_spec list;
+  protocols : Harness.Runner.protocol list;
   base_seed : int64;
   n_seeds : int;
   n_packets : int option;
@@ -64,15 +15,7 @@ let default =
   {
     name = "featured";
     traces = List.map (fun r -> r.Mtrace.Meta.name) Mtrace.Meta.featured;
-    protocols =
-      [
-        Srm;
-        Cesrm
-          {
-            retention = Cesrm.Retention.default;
-            router_assist = Cesrm.Host.default_config.Cesrm.Host.router_assist;
-          };
-      ];
+    protocols = [ Harness.Runner.Srm_protocol; Harness.Runner.Cesrm_protocol Cesrm.Host.default_config ];
     base_seed = 42L;
     n_seeds = 1;
     n_packets = None;
@@ -105,8 +48,8 @@ let validate t =
   else begin
     (* Every cell's lever combination, checked before any cell runs. *)
     let rejected p fault =
-      Harness.Runner.rejected ~faulted:(fault <> "none") ~domains:t.domains (runner_protocol p)
-      |> Option.map (Printf.sprintf "%s/%s: %s" (protocol_name p) fault)
+      Harness.Runner.rejected ~faulted:(fault <> "none") ~domains:t.domains p
+      |> Option.map (Printf.sprintf "%s/%s: %s" (Harness.Runner.protocol_key p) fault)
     in
     let faults = if t.faults = [] then [ "none" ] else t.faults in
     match List.filter (fun f -> not (List.mem f fault_names)) t.faults with
@@ -124,7 +67,7 @@ let validate t =
 type cell = {
   index : int;
   trace : string;
-  protocol : protocol_spec;
+  protocol : Harness.Runner.protocol;
   seed_index : int;
   seed : int64;
   fault : string option;
@@ -160,7 +103,7 @@ let cells t =
       })
 
 let cell_label c =
-  Printf.sprintf "%s/%s/s%d%s" c.trace (protocol_name c.protocol) c.seed_index
+  Printf.sprintf "%s/%s/s%d%s" c.trace (Harness.Runner.protocol_key c.protocol) c.seed_index
     (match c.fault with None -> "" | Some f -> "/" ^ f)
 
 let to_json t =
@@ -169,7 +112,7 @@ let to_json t =
     ([
       ("name", Str t.name);
       ("traces", Arr (List.map (fun n -> Str n) t.traces));
-      ("protocols", Arr (List.map (fun p -> Str (protocol_name p)) t.protocols));
+      ("protocols", Arr (List.map (fun p -> Str (Harness.Runner.protocol_key p)) t.protocols));
       ("base_seed", Str (Int64.to_string t.base_seed));
       ("n_seeds", int t.n_seeds);
       ("n_packets", (match t.n_packets with None -> Null | Some n -> int n));
@@ -210,7 +153,7 @@ let of_json json =
     List.fold_right
       (fun n acc ->
         let* acc = acc in
-        let* p = protocol_of_name n in
+        let* p = Harness.Runner.protocol_of_name n in
         Ok (p :: acc))
       protocol_names (Ok [])
   in

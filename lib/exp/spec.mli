@@ -12,32 +12,12 @@
     Specs serialize to/from {!Obs.Json}, so a sweep is reproducible
     from its artifact alone. *)
 
-type protocol_spec =
-  | Srm
-  | Cesrm of { retention : Cesrm.Retention.t; router_assist : bool }
-  | Lms
-
-val protocol_name : protocol_spec -> string
-(** ["srm"], ["lms"], or ["cesrm[@retention]"] with a ["+ra"] suffix
-    when router assist is on (e.g. ["cesrm+ra"], ["cesrm@lru:4"],
-    ["cesrm@hotspot=inf+ra"]). The retention segment is omitted when it
-    is {!Cesrm.Retention.default}, so the default CESRM cell is plain
-    ["cesrm"]. *)
-
-val protocol_of_name : string -> (protocol_spec, string) result
-(** Inverse of {!protocol_name}: [srm], [lms] or
-    [cesrm[@RETENTION][+ra]]; bare ["cesrm"] means the default
-    retention without router assist. A [cesrm:POLICY] name is rejected
-    with a message saying the policy segment was removed. *)
-
-val runner_protocol : protocol_spec -> Harness.Runner.protocol
-
 type t = {
   name : string;  (** free-form label, recorded in the artifact *)
   traces : string list;
       (** Table 1 trace names, plus [SCALE-<family>-<n>] synthetic
           scale scenarios ({!Mtrace.Scale}) *)
-  protocols : protocol_spec list;
+  protocols : Harness.Runner.protocol list;
   base_seed : int64;
   n_seeds : int;  (** seeds axis: seed indices 0 .. n_seeds-1 *)
   n_packets : int option;  (** per-trace truncation; [None] = full row *)
@@ -59,10 +39,6 @@ val default : t
     counts, 20 ms links, lossless recovery, base seed 42, no faults
     axis, flat recovery. *)
 
-val fault_names : string list
-(** The admissible faults-axis entries: ["none"] plus
-    {!Fault.Plan.canned_names}. *)
-
 val validate : t -> (t, string) result
 (** Reject unknown trace names, empty axes, non-positive parameters,
     unknown fault-plan names, and any protocol × faults-axis entry
@@ -72,7 +48,7 @@ val validate : t -> (t, string) result
 type cell = {
   index : int;  (** position in {!cells} — the shard id *)
   trace : string;
-  protocol : protocol_spec;
+  protocol : Harness.Runner.protocol;
   seed_index : int;
   seed : int64;  (** derived; shared by all protocols of a cell group *)
   fault : string option;

@@ -152,8 +152,6 @@ val packets_seen : t -> int
 val check : t -> unit
 (** @raise Failure listing the violations, if any. For tests. *)
 
-val pp_violation : Format.formatter -> violation -> unit
-
 val pp : Format.formatter -> t -> unit
 (** The fault rules' verdict, as [run --faults] prints it:
     [oracle: clean], or the count and one line per fault-class

@@ -13,10 +13,50 @@
 
 type protocol = Srm_protocol | Cesrm_protocol of Cesrm.Host.config | Lms_protocol
 
-let protocol_name = function
-  | Srm_protocol -> "SRM"
-  | Cesrm_protocol config -> if config.Cesrm.Host.router_assist then "CESRM+RA" else "CESRM"
-  | Lms_protocol -> "LMS"
+let protocol_key = function
+  | Srm_protocol -> "srm"
+  | Lms_protocol -> "lms"
+  | Cesrm_protocol { Cesrm.Host.retention; router_assist; reorder_delay = _ } ->
+      (* The retention segment is omitted when default, so the default
+         CESRM is plain "cesrm". The reorder delay stays unnamed: only
+         the REORDER-DELAY ablations set it, and they label their own
+         rows. *)
+      Printf.sprintf "cesrm%s%s"
+        (if Cesrm.Retention.is_default retention then ""
+         else "@" ^ Cesrm.Retention.name retention)
+        (if router_assist then "+ra" else "")
+
+let protocol_name p = String.uppercase_ascii (protocol_key p)
+
+let grammar = "srm, cesrm[@RETENTION][+ra] or lms"
+
+let protocol_of_name s =
+  let rest, router_assist =
+    if String.ends_with ~suffix:"+ra" s then (String.sub s 0 (String.length s - 3), true)
+    else (s, false)
+  in
+  let cesrm retention =
+    Ok (Cesrm_protocol { Cesrm.Host.default_config with retention; router_assist })
+  in
+  match s with
+  | "srm" -> Ok Srm_protocol
+  | "lms" -> Ok Lms_protocol
+  | _ when rest = "cesrm" -> cesrm Cesrm.Retention.default
+  | _ when String.starts_with ~prefix:"cesrm@" rest -> (
+      let r = String.sub rest 6 (String.length rest - 6) in
+      match Cesrm.Retention.of_name r with
+      | Some retention -> cesrm retention
+      | None ->
+          Error
+            (Printf.sprintf "unknown CESRM cache retention %S (expected %s)" r
+               Cesrm.Retention.names_doc))
+  | _ when String.starts_with ~prefix:"cesrm:" s ->
+      Error
+        (Printf.sprintf
+           "%S: the cesrm:POLICY segment was removed; the retention scheme alone ranks the \
+            replier choice (expected %s)"
+           s grammar)
+  | _ -> Error (Printf.sprintf "unknown protocol %S (expected %s)" s grammar)
 
 type setup = {
   link_delay : float;

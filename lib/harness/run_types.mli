@@ -13,7 +13,11 @@
 
 type protocol = Srm_protocol | Cesrm_protocol of Cesrm.Host.config | Lms_protocol
 
+val protocol_key : protocol -> string
+
 val protocol_name : protocol -> string
+
+val protocol_of_name : string -> (protocol, string) result
 
 type setup = {
   link_delay : float;

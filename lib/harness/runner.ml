@@ -12,7 +12,11 @@ type protocol = Run_types.protocol =
   | Cesrm_protocol of Cesrm.Host.config
   | Lms_protocol
 
+let protocol_key = Run_types.protocol_key
+
 let protocol_name = Run_types.protocol_name
+
+let protocol_of_name = Run_types.protocol_of_name
 
 type setup = Run_types.setup = {
   link_delay : float;

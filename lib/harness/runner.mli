@@ -15,7 +15,23 @@ type protocol = Run_types.protocol =
           note its data jitter and adaptive-timer options are
           inapplicable *)
 
+val protocol_key : protocol -> string
+(** ["srm"], ["lms"], or ["cesrm[@retention]"] with a ["+ra"] suffix
+    when router assist is on (e.g. ["cesrm+ra"], ["cesrm@lru:4"],
+    ["cesrm@hotspot=inf+ra"]): the CLI's and a sweep spec's spelling,
+    and the protocol segment of a sweep cell's label. The retention
+    segment is omitted when it is {!Cesrm.Retention.default}, so the
+    default CESRM is plain ["cesrm"]. The reorder delay is not named. *)
+
 val protocol_name : protocol -> string
+(** {!protocol_key} upper-cased, for headers and labels: ["SRM"],
+    ["CESRM"], ["CESRM+RA"], ["LMS"], ["CESRM@LRU"]. *)
+
+val protocol_of_name : string -> (protocol, string) result
+(** Inverse of {!protocol_key}: [srm], [lms] or
+    [cesrm[@RETENTION][+ra]]; bare ["cesrm"] means
+    {!Cesrm.Host.default_config}. A [cesrm:POLICY] name is rejected
+    with a message saying the policy segment was removed. *)
 
 type setup = Run_types.setup = {
   link_delay : float;  (** seconds; paper uses 10/20/30 ms, default 20 ms *)
@@ -139,7 +155,7 @@ val run_model :
     [result.forgiven], not [unrecovered]) and every remaining member
     forgets the session state naming it ({!Srm.Host.forget_peer}).
     The harness drives the SRM hosts alone: a CESRM host's hooks empty
-    the departing member's caches ({!Cesrm.Host.reset_caches}) and
+    the departing member's caches and
     make every remaining one invalidate its cached expedited pairs
     naming the departed replier ({!Cesrm.Host.invalidate_replier}),
     so recovery falls back to SRM instead of unicasting a ghost. On a

@@ -188,7 +188,7 @@ let answer t ~seq ~requestor ~turning_point ~ttl =
     in
     match turning_point with
     | tp when tp = t.self || ttl < 0 -> Net.Network.multicast t.network ~from:t.self reply
-    | tp -> Net.Network.relayed_subcast t.network ~from:t.self ~via:tp reply
+    | tp -> Net.Network.subcast t.network ~from:t.self ~root:tp reply
   end
   else if ttl > 0 then begin
     (* We share the loss: escape the lossy subtree by re-forwarding

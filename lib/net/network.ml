@@ -24,13 +24,12 @@ type membership = {
 
 (* -- shard mode (conservative PDES) --------------------------------- *)
 
-type emit_cast = Ecast_multicast | Ecast_unicast of int | Ecast_relayed of int
-
 type emit = {
   e_at : float;
   e_from : int;
   e_idx : int;
-  e_cast : emit_cast;
+  e_cast : Cost.cast;
+  e_to : int;
   e_packet : Packet.t;
   e_disabled : int list;
 }
@@ -119,6 +118,9 @@ type t = {
 
 let no_drop ~link:_ ~down:_ _ = false
 
+(* The cast key of a slot no shard-mode walk pinned. *)
+let no_key = (0., -1, -1)
+
 let rec bits_for n b = if 1 lsl b >= n then b else bits_for n (b + 1)
 
 let release_pslot t s =
@@ -191,7 +193,7 @@ let create_heterogeneous ~engine ~tree ~delays ?(bandwidth_bps = 1.5e6) () =
       cur_pslot = 0;
       fire = (fun _ -> ());
       node_bits = bits_for n 0;
-      pwalk = Array.make pcap (0., -1, -1);
+      pwalk = Array.make pcap no_key;
       cur_deliver_at = 0.;
       cur_deliver_from = -1;
       cur_deliver_idx = -1;
@@ -214,7 +216,7 @@ let grow_pslots t =
   for i = 0 to cap - old - 1 do
     pfree.(i) <- old + i
   done;
-  let pwalk = Array.make cap (0., -1, -1) in
+  let pwalk = Array.make cap no_key in
   Array.blit t.pwalk 0 pwalk 0 old;
   t.pslots <- pslots;
   t.prefs <- prefs;
@@ -241,8 +243,6 @@ let create ~engine ~tree ?(link_delay = 0.020) ?bandwidth_bps () =
 let engine t = t.engine
 
 let tree t = t.tree
-
-let routes t = t.routes
 
 let cost t = t.cost
 
@@ -471,12 +471,13 @@ let deliver t ~node ~cell =
    mode (empty owner array) counts everything. *)
 let[@inline] counts_crossing t to_ = Array.length t.sh_owner = 0 || t.sh_owner.(to_) = t.sh_me
 
-(* Move [packet] across the link [link] from [from] to [to_], leaving
-   [from] at time [at]. Returns the arrival time, or NaN if the loss
-   predicate dropped it (a float sentinel rather than an option keeps
-   the per-crossing path allocation-free). [cat], [tx] and [fifo] are
-   per-packet constants hoisted out by the caller: the packet's cost
-   category, its serialization time, and whether it reserves links.
+(* Move [packet] across the link [link] into [to_], leaving at time
+   [at]. Returns the arrival time, or NaN if the loss predicate or an
+   outage window dropped it (a float sentinel rather than an option
+   keeps the per-crossing path allocation-free). [cat], [tx] and
+   [fifo] are per-packet constants hoisted out by the caller: the
+   packet's cost category, its serialization time, and whether it
+   reserves links.
 
    Size-0 control packets serialize instantly: they neither wait on
    nor extend link reservations. Payload packets pay one serialization
@@ -486,54 +487,45 @@ let[@inline] counts_crossing t to_ = Array.length t.sh_owner = 0 || t.sh_owner.(
    at send time — letting them reserve both breaks causality and,
    under reply implosion, builds unbounded queues the paper's
    lossless-recovery model does not have (NS2 would drop, not queue,
-   that excess). *)
-let[@inline] traverse t ~cat ~cast ~link ~down ~from:_ ~to_ ~at ~tx ~fifo packet =
+   that excess).
+
+   Outage windows are matched against the time the packet starts
+   crossing this link, so a link that fails after the flood was
+   computed still swallows the crossings falling inside the outage. *)
+let[@inline] traverse t ~cat ~cast ~link ~down ~to_ ~at ~tx ~fifo packet =
   if t.drop ~link ~down packet then Float.nan
   else
-    let busy = if down then t.busy_down else t.busy_up in
     match t.perturb with
-    | None ->
+    | Some p when window_at p.downs.(link) at <> None -> Float.nan
+    | perturb -> (
         if counts_crossing t to_ then Cost.record_crossing t.cost cat cast;
-        if tx = 0. then at +. t.delays.(link)
-        else if fifo then begin
-          let start = Float.max at busy.(link) in
-          busy.(link) <- start +. tx;
-          start +. tx +. t.delays.(link)
-        end
-        else at +. tx +. t.delays.(link)
-    | Some p ->
-        (* Perturbed path. Outage windows are matched against the time
-           the packet starts crossing this link, so a link that fails
-           after the flood was computed still swallows the crossings
-           falling inside the outage. *)
-        if window_at p.downs.(link) at <> None then Float.nan
-        else begin
-          if counts_crossing t to_ then Cost.record_crossing t.cost cat cast;
-          let arrival =
-            if tx = 0. then at +. t.delays.(link)
-            else if fifo then begin
-              let start = Float.max at busy.(link) in
-              busy.(link) <- start +. tx;
-              start +. tx +. t.delays.(link)
-            end
-            else at +. tx +. t.delays.(link)
-          in
-          let arrival =
-            match window_at p.jitters.(link) at with
-            | Some w when w.w_mag > 0. -> arrival +. Sim.Rng.float p.prng w.w_mag
-            | _ -> arrival
-          in
-          (* Duplication: a second copy of the packet arrives at the
-             link's child-side endpoint one extra propagation delay
-             later (a last-hop duplicate; it is not re-forwarded). *)
-          (match window_at p.dups.(link) at with
-          | Some _ ->
+        let arrival =
+          if tx = 0. then at +. t.delays.(link)
+          else if fifo then begin
+            let busy = if down then t.busy_down else t.busy_up in
+            let start = Float.max at busy.(link) in
+            busy.(link) <- start +. tx;
+            start +. tx +. t.delays.(link)
+          end
+          else at +. tx +. t.delays.(link)
+        in
+        match perturb with
+        | None -> arrival
+        | Some p ->
+            let arrival =
+              match window_at p.jitters.(link) at with
+              | Some w when w.w_mag > 0. -> arrival +. Sim.Rng.float p.prng w.w_mag
+              | _ -> arrival
+            in
+            (* Duplication: a second copy of the packet arrives at the
+               link's child-side endpoint one extra propagation delay
+               later (a last-hop duplicate; it is not re-forwarded). *)
+            if window_at p.dups.(link) at <> None then begin
               let spare = Tree.n_nodes t.tree in
               t.arrive.(spare) <- arrival +. t.delays.(link);
               deliver t ~node:to_ ~cell:spare
-          | None -> ());
-          arrival
-        end
+            end;
+            arrival)
 
 let tx_of t packet = float_of_int (Packet.size_bits packet) /. t.bandwidth_bps
 
@@ -541,9 +533,11 @@ let is_fifo packet = match packet.Packet.payload with Packet.Data _ -> true | _ 
 
 (* Cross the down links into root-preorder entries [lo, hi) — whole
    subtrees, each in the order a recursive child walk visits it — and
-   deliver at every node entered; a dropped crossing skips the entry's
-   subtree. [arrive] carries per-hop arrival times, so the float
-   accumulation is hop by hop, exactly as a recursive walk's.
+   deliver at every node entered but the sender [skip]; a dropped
+   crossing skips the entry's subtree, and so does a node [scope]
+   rejects (scopes are ancestry-closed, see {!subcast}). [arrive]
+   carries per-hop arrival times, so the float accumulation is hop by
+   hop, exactly as a recursive walk's.
 
    Shard mode prunes non-FIFO walks to the branches that matter here:
    a crossing into a subtree holding none of this shard's nodes is
@@ -554,35 +548,37 @@ let is_fifo packet = match packet.Packet.payload with Packet.Data _ -> true | _ 
    FIFO walks — the source's replicated data floods — are never pruned:
    their link reservations ([busy]) must advance identically on every
    shard. *)
-let scan t ~cat ~cast ~tx ~fifo lo hi packet =
+let scan t ~cat ~cast ~tx ~fifo ~scope ~skip lo hi packet =
   let r = t.routes in
   let nodes = r.Routes.nodes and prevs = r.Routes.prevs and skips = r.Routes.skips in
   let below = if fifo then [||] else t.sh_below in
   let i = ref lo in
   while !i < hi do
     let node = nodes.(!i) in
-    if Array.length below > 0 && below.(node) = 0 then i := !i + skips.(!i)
+    if
+      (Array.length below > 0 && below.(node) = 0)
+      || match scope with None -> false | Some keep -> not (keep node)
+    then i := !i + skips.(!i)
     else begin
       let prev = prevs.(!i) in
       let at' =
-        traverse t ~cat ~cast ~link:node ~down:true ~from:prev ~to_:node ~at:t.arrive.(prev)
-          ~tx ~fifo packet
+        traverse t ~cat ~cast ~link:node ~down:true ~to_:node ~at:t.arrive.(prev) ~tx ~fifo packet
       in
       if Float.is_nan at' then i := !i + skips.(!i)
       else begin
         t.arrive.(node) <- at';
-        deliver t ~node ~cell:node;
+        if node <> skip then deliver t ~node ~cell:node;
         incr i
       end
     end
   done
 
 (* Everything strictly below [v]: its children's subtrees. *)
-let scan_below t ~cat ~cast ~tx ~fifo v packet =
+let scan_below t ~cat ~cast ~tx ~fifo ~scope ~skip v packet =
   let r = t.routes in
   let p = r.Routes.pos.(v) in
   let stop = p + r.Routes.skips.(p) in
-  if p + 1 < stop then scan t ~cat ~cast ~tx ~fifo (p + 1) stop packet
+  if p + 1 < stop then scan t ~cat ~cast ~tx ~fifo ~scope ~skip (p + 1) stop packet
 
 (* The whole-tree flood away from [origin], in the order of a recursive
    neighbour walk (parent first, then children in [Tree.children]
@@ -594,8 +590,8 @@ let scan_below t ~cat ~cast ~tx ~fifo v packet =
    thus loses exactly the levels above it, as in the recursive walk.
    In shard mode an up-crossing is kept while an owned node lies
    outside the subtree it leaves. *)
-let flood t ~cat ~cast ~tx ~fifo ~origin packet =
-  let r = t.routes and chain = t.chain in
+let flood t ~cat ~tx ~fifo ~origin packet =
+  let r = t.routes and chain = t.chain and cast = Cost.Multicast in
   let parent = r.Routes.parent and pos = r.Routes.pos and skips = r.Routes.skips in
   let below = if fifo then [||] else t.sh_below in
   chain.(0) <- origin;
@@ -606,8 +602,7 @@ let flood t ~cat ~cast ~tx ~fifo ~origin packet =
     if Array.length below > 0 && t.sh_total - below.(x) <= 0 then climbing := false
     else begin
       let at' =
-        traverse t ~cat ~cast ~link:x ~down:false ~from:x ~to_:p ~at:t.arrive.(x) ~tx ~fifo
-          packet
+        traverse t ~cat ~cast ~link:x ~down:false ~to_:p ~at:t.arrive.(x) ~tx ~fifo packet
       in
       if Float.is_nan at' then climbing := false
       else begin
@@ -622,106 +617,16 @@ let flood t ~cat ~cast ~tx ~fifo ~origin packet =
   for j = !m downto 1 do
     let pa = pos.(chain.(j)) and pc = pos.(chain.(j - 1)) in
     let stop_a = pa + skips.(pa) and stop_c = pc + skips.(pc) in
-    if pa + 1 < pc then scan t ~cat ~cast ~tx ~fifo (pa + 1) pc packet;
-    if stop_c < stop_a then scan t ~cat ~cast ~tx ~fifo stop_c stop_a packet
+    if pa + 1 < pc then scan t ~cat ~cast ~tx ~fifo ~scope:None ~skip:origin (pa + 1) pc packet;
+    if stop_c < stop_a then scan t ~cat ~cast ~tx ~fifo ~scope:None ~skip:origin stop_c stop_a packet
   done;
-  scan_below t ~cat ~cast ~tx ~fifo origin packet
-
-(* Record an origin cast for the shard exchange: buffered until the
-   next conservative sync window, then replayed by every other shard.
-   The primary shard also keeps a copy as its tap-stream record. Hosts
-   never originate FIFO (data) traffic — that is the source's
-   replicated stream ({!multicast_replicated}) — and an emit of one
-   would desynchronise link reservations across shards, so it is
-   rejected loudly. *)
-let note_origin t sh ~from ~cast packet =
-  if is_fifo packet then
-    invalid_arg "Network: fifo (data) casts in shard mode must use multicast_replicated";
-  let e =
-    {
-      e_at = t.clock.now;
-      e_from = from;
-      e_idx = sh.sh_next_idx;
-      e_cast = cast;
-      e_packet = packet;
-      e_disabled = sh.sh_disabled;
-    }
-  in
-  sh.sh_next_idx <- sh.sh_next_idx + 1;
-  sh.sh_emits <- e :: sh.sh_emits;
-  if sh.sh_observe then sh.sh_obs <- e :: sh.sh_obs;
-  e
-
-let multicast t ~from packet =
-  if not t.enabled.(from) then ()
-  else begin
-    tap t ~from packet;
-    let cat = Cost.category_of packet in
-    Cost.record_send t.cost cat Cost.Multicast;
-    let saved = t.cur_pslot in
-    let s = acquire_pslot t packet in
-    (match t.shard with
-    | Some sh ->
-        let e = note_origin t sh ~from ~cast:Ecast_multicast packet in
-        t.pwalk.(s) <- (e.e_at, e.e_from, e.e_idx)
-    | None -> ());
-    t.arrive.(from) <- t.clock.now;
-    flood t ~cat ~cast:Cost.Multicast ~tx:(tx_of t packet) ~fifo:(is_fifo packet) ~origin:from
-      packet;
-    release_pslot t s;
-    t.cur_pslot <- saved
-  end
-
-(* The source's data stream under shard mode: statically replicated —
-   every shard walks the full (unpruned) flood locally, keeping link
-   reservations and per-node arrivals identical everywhere with no
-   exchange at all. Only the sender's owner tallies the send and (when
-   primary) records the tap stream, so merged artifacts stay serial-
-   identical. Serial mode: exactly {!multicast}. *)
-let multicast_replicated t ~from packet =
-  if not t.enabled.(from) then ()
-  else begin
-    tap t ~from packet;
-    let cat = Cost.category_of packet in
-    (match t.shard with
-    | None -> Cost.record_send t.cost cat Cost.Multicast
-    | Some sh ->
-        if t.sh_owner.(from) = t.sh_me then Cost.record_send t.cost cat Cost.Multicast;
-        if sh.sh_observe then begin
-          let e =
-            {
-              e_at = t.clock.now;
-              e_from = from;
-              e_idx = sh.sh_next_idx;
-              e_cast = Ecast_multicast;
-              e_packet = packet;
-              e_disabled = [];
-            }
-          in
-          sh.sh_next_idx <- sh.sh_next_idx + 1;
-          sh.sh_obs <- e :: sh.sh_obs
-        end);
-    let saved = t.cur_pslot in
-    let s = acquire_pslot t packet in
-    (match t.shard with
-    | Some sh ->
-        let i = sh.sh_rep_idx in
-        sh.sh_rep_idx <- i + 1;
-        t.pwalk.(s) <- (t.clock.now, from, -2 - i)
-    | None -> ());
-    t.arrive.(from) <- t.clock.now;
-    flood t ~cat ~cast:Cost.Multicast ~tx:(tx_of t packet) ~fifo:(is_fifo packet) ~origin:from
-      packet;
-    release_pslot t s;
-    t.cur_pslot <- saved
-  end
+  scan_below t ~cat ~cast ~tx ~fifo ~scope:None ~skip:origin origin packet
 
 (* Walk the unicast path [from] -> [dst] through their LCA, charged as
    unicast crossings: up the source side, then down the destination
    side, the hop order of [Tree.path]. The walk leaves [from] at
    [arrive.(from)]; on arrival it writes the time into [arrive.(dst)]
-   and returns [true], and it returns [false] if a hop dropped. Callers
-   deliver only on arrival. *)
+   and returns [true], and it returns [false] if a hop dropped. *)
 let walk_path t ~cat ~from ~dst ~tx ~fifo packet =
   let k = climb_to_lca t ~src:from ~dst in
   let chain = t.chain and parent = t.routes.Routes.parent in
@@ -729,17 +634,13 @@ let walk_path t ~cat ~from ~dst ~tx ~fifo packet =
   let at = ref t.arrive.(from) and x = ref from in
   while !x <> lca && not (Float.is_nan !at) do
     let p = parent.(!x) in
-    at :=
-      traverse t ~cat ~cast:Cost.Unicast ~link:!x ~down:false ~from:!x ~to_:p ~at:!at ~tx ~fifo
-        packet;
+    at := traverse t ~cat ~cast:Cost.Unicast ~link:!x ~down:false ~to_:p ~at:!at ~tx ~fifo packet;
     x := p
   done;
   let j = ref (k - 1) in
   while !j >= 0 && not (Float.is_nan !at) do
     let c = chain.(!j) in
-    at :=
-      traverse t ~cat ~cast:Cost.Unicast ~link:c ~down:true ~from:chain.(!j + 1) ~to_:c ~at:!at
-        ~tx ~fifo packet;
+    at := traverse t ~cat ~cast:Cost.Unicast ~link:c ~down:true ~to_:c ~at:!at ~tx ~fifo packet;
     decr j
   done;
   if Float.is_nan !at then false
@@ -748,113 +649,97 @@ let walk_path t ~cat ~from ~dst ~tx ~fifo packet =
     true
   end
 
-let unicast t ~from ~dst packet =
-  if not t.enabled.(from) then ()
+(* The one walk of every cast, an origin's or a shard's replay of it:
+   pin [packet] in a slot keyed by the cast's [key] (shard mode), leave
+   [from] at the time the caller wrote into [arrive.(from)] (a float
+   argument would be boxed), walk the [cast] kind toward [target] — the
+   unicast destination, or the subcast root — and unpin. No cast
+   delivers to its sender. *)
+let walk t ~cast ~from ~target ~scope ~key packet =
+  let saved = t.cur_pslot in
+  let s = acquire_pslot t packet in
+  (match t.shard with Some _ -> t.pwalk.(s) <- key | None -> ());
+  let cat = Cost.category_of packet and tx = tx_of t packet and fifo = is_fifo packet in
+  (match cast with
+  | Cost.Multicast -> flood t ~cat ~tx ~fifo ~origin:from packet
+  | Cost.Unicast ->
+      if from <> target && walk_path t ~cat ~from ~dst:target ~tx ~fifo packet then
+        deliver t ~node:target ~cell:target
+  | Cost.Subcast ->
+      if from = target || walk_path t ~cat ~from ~dst:target ~tx ~fifo packet then begin
+        if from <> target && match scope with None -> true | Some keep -> keep target then
+          deliver t ~node:target ~cell:target;
+        scan_below t ~cat ~cast ~tx ~fifo ~scope ~skip:from target packet
+      end);
+  release_pslot t s;
+  t.cur_pslot <- saved
+
+(* Buffer an origin cast's emit; the primary shard also keeps it as
+   its tap-stream record. *)
+let record_emit t sh ~cast ~from ~target ~disabled packet =
+  let e =
+    {
+      e_at = t.clock.now;
+      e_from = from;
+      e_idx = sh.sh_next_idx;
+      e_cast = cast;
+      e_to = target;
+      e_packet = packet;
+      e_disabled = disabled;
+    }
+  in
+  sh.sh_next_idx <- sh.sh_next_idx + 1;
+  if sh.sh_observe then sh.sh_obs <- e :: sh.sh_obs;
+  e
+
+(* Shard mode's origin bookkeeping; returns the cast key. A data packet
+   is replicated: every shard's source issues it at the same time and
+   walks it whole, so FIFO link reservations stay identical everywhere
+   with no exchange; only the sender's owner tallies the send, only the
+   primary records it, and its key takes the every-shard counter
+   [sh_rep_idx]. Any other cast is buffered as an emit until the next
+   conservative sync window, then replayed by every other shard
+   ({!apply_emit}). *)
+let note_origin t sh ~cast ~from ~target packet =
+  let cat = Cost.category_of packet in
+  if is_fifo packet then begin
+    if t.sh_owner.(from) = t.sh_me then Cost.record_send t.cost cat cast;
+    if sh.sh_observe then ignore (record_emit t sh ~cast ~from ~target ~disabled:[] packet);
+    let i = sh.sh_rep_idx in
+    sh.sh_rep_idx <- i + 1;
+    (t.clock.now, from, -2 - i)
+  end
   else begin
+    Cost.record_send t.cost cat cast;
+    let e = record_emit t sh ~cast ~from ~target ~disabled:sh.sh_disabled packet in
+    sh.sh_emits <- e :: sh.sh_emits;
+    (e.e_at, from, e.e_idx)
+  end
+
+(* Every cast's prologue: the enabled check, the tap, the send tally
+   (or, in shard mode, the origin note), then the walk from now. *)
+let send t ~cast ~from ~target ?scope packet =
+  if t.enabled.(from) then begin
     tap t ~from packet;
-    let cat = Cost.category_of packet in
-    Cost.record_send t.cost cat Cost.Unicast;
-    let origin =
+    let key =
       match t.shard with
-      | Some sh -> Some (note_origin t sh ~from ~cast:(Ecast_unicast dst) packet)
-      | None -> None
+      | None ->
+          Cost.record_send t.cost (Cost.category_of packet) cast;
+          no_key
+      | Some sh -> note_origin t sh ~cast ~from ~target packet
     in
-    if from <> dst then begin
-      let saved = t.cur_pslot in
-      let s = acquire_pslot t packet in
-      (match origin with
-      | Some e -> t.pwalk.(s) <- (e.e_at, e.e_from, e.e_idx)
-      | None -> ());
-      t.arrive.(from) <- t.clock.now;
-      if walk_path t ~cat ~from ~dst ~tx:(tx_of t packet) ~fifo:(is_fifo packet) packet then
-        deliver t ~node:dst ~cell:dst;
-      release_pslot t s;
-      t.cur_pslot <- saved
-    end
-  end
-
-(* Deliver at [node], then flood its subtree; the caller has written
-   [node]'s arrival time into [arrive.(node)]. *)
-let flood_down t ~cat ~node packet =
-  deliver t ~node ~cell:node;
-  scan_below t ~cat ~cast:Cost.Subcast ~tx:(tx_of t packet) ~fifo:(is_fifo packet) node packet
-
-let relayed_subcast t ~from ~via packet =
-  if not t.enabled.(from) then ()
-  else begin
-    tap t ~from packet;
-    let cat = Cost.category_of packet in
-    Cost.record_send t.cost cat Cost.Subcast;
-    let origin =
-      match t.shard with
-      | Some sh -> Some (note_origin t sh ~from ~cast:(Ecast_relayed via) packet)
-      | None -> None
-    in
-    let saved = t.cur_pslot in
-    let s = acquire_pslot t packet in
-    (match origin with
-    | Some e -> t.pwalk.(s) <- (e.e_at, e.e_from, e.e_idx)
-    | None -> ());
     t.arrive.(from) <- t.clock.now;
-    let tx = tx_of t packet and fifo = is_fifo packet in
-    if from = via || walk_path t ~cat ~from ~dst:via ~tx ~fifo packet then
-      flood_down t ~cat ~node:via packet;
-    release_pslot t s;
-    t.cur_pslot <- saved
+    walk t ~cast ~from ~target ~scope ~key packet
   end
 
-(* Flood the subtree below [root] — its root-preorder range — keeping
-   only the branches [scope] accepts. Scope predicates come from
-   {!Rdomain}-style recovery-domain chains, which are closed under tree
-   ancestry inside the flooded subtree: an out-of-scope node has no
-   in-scope descendant, so the whole subtree is skipped in O(1) exactly
-   like a dropped crossing. The sender [skip] never hears its own cast
-   (matching multicast). *)
-let run_scoped t ~cat ~tx ~fifo ~scope ~skip ~root packet =
-  let r = t.routes in
-  let nodes = r.Routes.nodes and prevs = r.Routes.prevs and skips = r.Routes.skips in
-  let p = r.Routes.pos.(root) in
-  let stop = p + skips.(p) in
-  let i = ref (p + 1) in
-  while !i < stop do
-    let node = nodes.(!i) in
-    if not (scope node) then i := !i + skips.(!i)
-    else begin
-      let prev = prevs.(!i) in
-      let at' =
-        traverse t ~cat ~cast:Cost.Subcast ~link:node ~down:true ~from:prev ~to_:node
-          ~at:t.arrive.(prev) ~tx ~fifo packet
-      in
-      if Float.is_nan at' then i := !i + skips.(!i)
-      else begin
-        t.arrive.(node) <- at';
-        if node <> skip then deliver t ~node ~cell:node;
-        incr i
-      end
-    end
-  done
+let multicast t ~from packet = send t ~cast:Cost.Multicast ~from ~target:from packet
 
-let scoped_cast t ~from ~root ~scope packet =
-  (match t.shard with
-  | Some _ -> invalid_arg "Network.scoped_cast: not available in shard mode"
-  | None -> ());
-  if not t.enabled.(from) then ()
-  else begin
-    tap t ~from packet;
-    let cat = Cost.category_of packet in
-    Cost.record_send t.cost cat Cost.Subcast;
-    let tx = tx_of t packet and fifo = is_fifo packet in
-    let saved = t.cur_pslot in
-    let s = acquire_pslot t packet in
-    t.arrive.(from) <- t.clock.now;
-    (if from = root then run_scoped t ~cat ~tx ~fifo ~scope ~skip:from ~root packet
-     else if walk_path t ~cat ~from ~dst:root ~tx ~fifo packet then begin
-       if scope root then deliver t ~node:root ~cell:root;
-       run_scoped t ~cat ~tx ~fifo ~scope ~skip:from ~root packet
-     end);
-    release_pslot t s;
-    t.cur_pslot <- saved
-  end
+let unicast t ~from ~dst packet = send t ~cast:Cost.Unicast ~from ~target:dst packet
+
+let subcast t ~from ~root ?scope packet =
+  if Option.is_some scope && Option.is_some t.shard then
+    invalid_arg "Network.subcast: a scoped subcast is not available in shard mode";
+  send t ~cast:Cost.Subcast ~from ~target:root ?scope packet
 
 (* -- shard-mode control surface ------------------------------------- *)
 
@@ -942,7 +827,7 @@ let delivery_rank t =
             t.cur_deliver_idx,
             walk_rank t ~origin:t.cur_deliver_from t.cur_deliver_node )
 
-(* Replay a remote shard's origin cast: the same walk the origin ran,
+(* Replay a remote shard's origin cast: the walk the origin ran,
    started from the emit's recorded send time, with the origin-side
    bookkeeping (tap, send tally, emit capture) suppressed — crossings
    into nodes this shard owns are tallied and deliveries scheduled
@@ -955,27 +840,8 @@ let apply_emit t e =
   | Some sh ->
       sh.sh_replaying <- true;
       sh.sh_replay_disabled <- e.e_disabled;
-      let packet = e.e_packet in
-      let cat = Cost.category_of packet in
-      let tx = tx_of t packet and fifo = is_fifo packet in
-      let saved = t.cur_pslot in
-      let s = acquire_pslot t packet in
-      t.pwalk.(s) <- (e.e_at, e.e_from, e.e_idx);
-      (match e.e_cast with
-      | Ecast_multicast ->
-          t.arrive.(e.e_from) <- e.e_at;
-          flood t ~cat ~cast:Cost.Multicast ~tx ~fifo ~origin:e.e_from packet
-      | Ecast_unicast dst ->
-          if e.e_from <> dst then begin
-            t.arrive.(e.e_from) <- e.e_at;
-            if walk_path t ~cat ~from:e.e_from ~dst ~tx ~fifo packet then
-              deliver t ~node:dst ~cell:dst
-          end
-      | Ecast_relayed via ->
-          t.arrive.(e.e_from) <- e.e_at;
-          if e.e_from = via || walk_path t ~cat ~from:e.e_from ~dst:via ~tx ~fifo packet then
-            flood_down t ~cat ~node:via packet);
-      release_pslot t s;
-      t.cur_pslot <- saved;
+      t.arrive.(e.e_from) <- e.e_at;
+      walk t ~cast:e.e_cast ~from:e.e_from ~target:e.e_to ~scope:None
+        ~key:(e.e_at, e.e_from, e.e_idx) e.e_packet;
       sh.sh_replaying <- false;
       sh.sh_replay_disabled <- []

@@ -6,12 +6,13 @@
     [size / bandwidth] per hop; control packets are size 0. Links are
     FIFO: a directed link is reserved while a packet serializes onto it.
 
-    Three delivery primitives are provided: [multicast] (flood over the
-    whole tree away from the sending member — plain IP multicast),
-    [unicast] (along the tree path), and [relayed_subcast] (unicast up
-    to a router, then flood only downward from it — the router-assist
-    capability of Section 3.3; a sender that is its own turning point
-    floods its subtree directly).
+    Three casts share one prologue (enabled check, tap, send tally)
+    and one walk: [multicast] floods the whole tree away from the
+    sender (plain IP multicast), [unicast] follows the tree path, and
+    [subcast] unicasts up to a root router, then floods only downward
+    from it, optionally within a scope — the router-assist capability
+    of Section 3.3, LMS's turning-point replies and the recovery
+    domains' local floods. No cast delivers to its sender.
 
     Loss injection is a pluggable predicate consulted once per directed
     link traversal; dropping a packet on a link prunes the flood below
@@ -68,9 +69,6 @@ val engine : t -> Sim.Engine.t
 
 val tree : t -> Tree.t
 
-val routes : t -> Routes.t
-(** The static preorder arrays every walk reads; see {!Routes}. *)
-
 val cost : t -> Cost.t
 
 val link_delay : t -> int -> float
@@ -93,30 +91,23 @@ val on_receive : t -> int -> (Packet.t -> unit) -> unit
     packets; interior routers just forward. *)
 
 val multicast : t -> from:int -> Packet.t -> unit
-(** Flood to the whole group. The sender does not hear its own
-    multicast. *)
+(** Flood to the whole group. *)
 
 val unicast : t -> from:int -> dst:int -> Packet.t -> unit
 
-val relayed_subcast : t -> from:int -> via:int -> Packet.t -> unit
-(** Router-assisted reply delivery (Section 3.3): unicast the packet
-    from [from] to the turning-point router [via], which then subcasts
-    it down its subtree. The uphill leg is charged as unicast
-    crossings, the downhill flood as subcast crossings. *)
-
-val scoped_cast : t -> from:int -> root:int -> scope:(int -> bool) -> Packet.t -> unit
-(** Recovery-domain-scoped delivery: unicast the packet from [from] up
-    to the domain root [root] (charged as unicast crossings, exactly
-    like {!relayed_subcast}'s uphill leg), then flood downward from
-    [root] visiting only the branches [scope] accepts (charged as
-    subcast crossings). The scope predicate must be {e ancestry-closed}
-    inside [root]'s subtree — an out-of-scope node may not have
-    in-scope descendants — which lets rejected branches be pruned
-    whole; recovery-domain chains (see [lib/domain]) satisfy this by
-    construction. The sender never hears its own cast. Not available in
-    shard mode ({!enable_shard}); domain-scoped runs use the serial
-    engine.
-    @raise Invalid_argument in shard mode. *)
+val subcast : t -> from:int -> root:int -> ?scope:(int -> bool) -> Packet.t -> unit
+(** Unicast the packet from [from] to the router [root], then flood
+    [root]'s subtree: the uphill leg is charged as unicast crossings,
+    the downhill flood as subcast crossings. A sender inside the
+    subtree does not hear its own packet; a sender that is [root]
+    floods its subtree directly. [scope] keeps only the branches it
+    accepts (the root included); it must be {e ancestry-closed} inside
+    [root]'s subtree — an out-of-scope node may not have in-scope
+    descendants — which lets rejected branches be pruned whole, and
+    recovery-domain chains (see [lib/domain]) satisfy this by
+    construction. A scoped subcast is not available in shard mode
+    ({!enable_shard}); domain-scoped runs use the serial engine.
+    @raise Invalid_argument for a scoped subcast in shard mode. *)
 
 val add_tap : t -> (from:int -> Packet.t -> unit) -> unit
 (** Install a passive observer invoked once per packet {e sent} (any
@@ -217,12 +208,14 @@ val packets_delivered : t -> int
     A sharded run replicates the {e network} on every worker — full
     tree, link state, perturbation windows — but partitions the
     {e hosts}: each shard installs delivery handlers only for the
-    members it owns ({!Partition}). The source's paced data stream is
-    statically replicated ({!multicast_replicated}): every shard walks
-    it locally in time order, so FIFO link reservations stay identical
-    everywhere with no exchange. Every other origin cast is buffered as
-    an {!emit} and replayed by all other shards ({!apply_emit}) at the
-    next conservative sync window; replays tally the crossings into
+    members it owns ({!Partition}). A cast of a data packet — the
+    source's paced stream — is statically replicated: every shard's
+    source issues it at the same simulation time and walks it locally,
+    so FIFO link reservations stay identical everywhere with no
+    exchange, and only the sender's owner tallies the send. Every other
+    origin cast is buffered as an {!emit} and replayed by all other
+    shards ({!apply_emit}) at the next conservative sync window, through
+    the same walk the origin took; replays tally the crossings into
     nodes the replaying shard owns, so summing per-shard {!Cost}
     tables ({!Cost.merge}) reproduces the serial totals exactly.
 
@@ -231,13 +224,12 @@ val packets_delivered : t -> int
     pure loss predicate guarantees every shard sees identical drop
     decisions on the branches it does walk. *)
 
-type emit_cast = Ecast_multicast | Ecast_unicast of int | Ecast_relayed of int
-
 type emit = {
   e_at : float;  (** origin send time *)
   e_from : int;
   e_idx : int;  (** per-shard monotone counter; orders same-time ties *)
-  e_cast : emit_cast;
+  e_cast : Cost.cast;
+  e_to : int;  (** the unicast destination or subcast root; [e_from] for a multicast *)
   e_packet : Packet.t;
   e_disabled : int list;  (** members disabled at origin send time *)
 }
@@ -251,12 +243,6 @@ val enable_shard : t -> partition:Partition.t -> me:int -> observe:bool -> unit
 val owns : t -> int -> bool
 (** Whether node [v] belongs to this shard ([true] in serial mode). *)
 
-val multicast_replicated : t -> from:int -> Packet.t -> unit
-(** The source's data-stream cast: identical to {!multicast} in serial
-    mode; in shard mode the flood is walked fully on {e every} shard
-    (callers on all shards must issue it at the same simulation time)
-    instead of being exchanged. *)
-
 val take_emits : t -> emit list
 (** Drain the buffered origin casts since the last call, in execution
     order. The sync layer distributes these to the other shards. *)
@@ -266,9 +252,10 @@ val take_observations : t -> emit list
     and replicated casts) since the last call, in execution order. *)
 
 val apply_emit : t -> emit -> unit
-(** Replay a remote shard's origin cast. Safe only once the engine has
-    advanced past [e_at] (conservative synchronisation guarantees all
-    resulting arrivals are at or beyond the current barrier). *)
+(** Replay a remote shard's origin cast through the walk every cast
+    takes. Safe only once the engine has advanced past [e_at]
+    (conservative synchronisation guarantees all resulting arrivals are
+    at or beyond the current barrier). *)
 
 val delivery_rank : t -> (float * int * int * int) option
 (** Shard mode, during a delivery handler: [(at, from, idx, pos)] — the

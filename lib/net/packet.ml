@@ -40,14 +40,6 @@ let seq t =
   | Exp_request { seq; _ } -> Some seq
   | Session _ -> None
 
-let src t =
-  match t.payload with
-  | Data _ -> Some t.sender
-  | Request { src; _ } -> Some src
-  | Reply { src; _ } -> Some src
-  | Exp_request { src; _ } -> Some src
-  | Session _ -> None
-
 let describe t =
   match t.payload with
   | Data { seq } -> Printf.sprintf "DATA(%d) from %d" seq t.sender

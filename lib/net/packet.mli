@@ -54,18 +54,12 @@ type payload =
 
 type t = { sender : int; payload : payload }
 
-val data_bits : int
-(** Size of a payload-carrying packet: 1 KB (Section 4.3). *)
-
 val size_bits : t -> int
 (** Payload carriers (Data / Reply) are 1 KB; control packets are 0 KB,
     as in the paper's simulation setup. *)
 
 val seq : t -> int option
 (** The data sequence number a recovery PDU concerns, if any. *)
-
-val src : t -> int option
-(** The stream a data or recovery PDU concerns ([sender] for [Data]). *)
 
 val describe : t -> string
 (** Short human-readable form, for logs and debugging. *)

@@ -16,9 +16,6 @@
 
 type thresholds = { rel : float; abs : float }
 
-val default_thresholds : thresholds
-(** [rel = 0.10] (10%), [abs = 1e-9]. *)
-
 type entry = {
   path : string;
   base : float option;  (** [None]: the path is new in [current] *)

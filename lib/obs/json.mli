@@ -17,9 +17,6 @@ type t =
 val int : int -> t
 (** [Num] of an integer. *)
 
-val to_buffer : Buffer.t -> t -> unit
-(** Compact (single-line) rendering. *)
-
 val to_string : ?pretty:bool -> t -> string
 (** [pretty] (default false) indents objects and arrays. *)
 

@@ -28,8 +28,6 @@ type kind =
   | Data_sent
   | Session_sent
 
-val kind_name : kind -> string
-
 type t
 
 val create : ?capacity:int -> unit -> t

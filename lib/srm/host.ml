@@ -238,7 +238,7 @@ let request_dist t ~src ~round =
    below the cut, and the one reply that finally escalates past it
    must heal them all, the way a flat SRM reply's global flood does.
    A down-flood from the scope root reaches exactly its subtree, so
-   the scope predicate is unrestricted. *)
+   the subcast takes no scope. *)
 let domain_transmit t ~requestor ~round =
   match t.domain with
   | None -> None
@@ -251,9 +251,8 @@ let domain_transmit t ~requestor ~round =
       in
       Some
         (fun packet ->
-          Net.Network.scoped_cast t.network ~from:t.self
+          Net.Network.subcast t.network ~from:t.self
             ~root:(Rdomain.scope_root ctx.dmap ~dom ~level)
-            ~scope:(fun _ -> true)
             packet)
 
 (* --- request scheduling ------------------------------------------- *)
@@ -295,6 +294,25 @@ let arm_request t ~src seq (st : request_state) =
   st.timer <-
     arm t ~after:(uniform_draw t.rng (f *. lo) (f *. (lo +. w))) t.request_timer (key t ~src ~seq)
 
+(* Push a pending request to its next round: k increments, the
+   interval doubles, and a fresh back-off abstinence period opens
+   (Section 2.1). Cancelling a timer that already fired is a no-op, so
+   the request timer's own callback calls this too. *)
+let next_round t ~src seq (st : request_state) =
+  Sim.Engine.cancel t.engine st.timer;
+  st.backoff <- st.backoff + 1;
+  st.times.abstain_until <-
+    now t
+    +. (backoff_factor t st.backoff *. t.params.Params.c3 *. request_dist t ~src ~round:st.backoff);
+  arm_request t ~src seq st
+
+(* Restart a pending request from round 0, with no abstinence period. *)
+let restart_round t ~src seq (st : request_state) =
+  Sim.Engine.cancel t.engine st.timer;
+  st.backoff <- 0;
+  st.times.abstain_until <- neg_infinity;
+  arm_request t ~src seq st
+
 (* The request timer's callback. A request leaves [requests] only with
    its timer cancelled, so the key always finds it. *)
 let fire_request t k =
@@ -316,20 +334,11 @@ let fire_request t k =
         let level = level_of ctx ~round:st.backoff in
         if level = 0 then t.n_local_requests <- t.n_local_requests + 1
         else t.n_escalations <- t.n_escalations + 1;
-        Net.Network.scoped_cast t.network ~from:t.self
+        Net.Network.subcast t.network ~from:t.self
           ~root:(Rdomain.scope_root ctx.dmap ~dom:ctx.my_dom ~level)
           ~scope:(Rdomain.in_scope ctx.dmap ~dom:ctx.my_dom ~level)
           packet);
-    (* Schedule the next round: k increments, the interval doubles, and
-       a fresh back-off abstinence period opens (Section 2.1). *)
-    if st.backoff < Params.max_rounds then begin
-      st.backoff <- st.backoff + 1;
-      st.times.abstain_until <-
-        now t
-        +. (backoff_factor t st.backoff *. t.params.Params.c3
-           *. request_dist t ~src ~round:st.backoff);
-      arm_request t ~src seq st
-    end
+    if st.backoff < Params.max_rounds then next_round t ~src seq st
     else st.timer <- Sim.Engine.no_timer
   end
 
@@ -351,12 +360,7 @@ let rearm_stale t ~src ~upto =
             Sim.Engine.fire_time t.engine st.timer -. now t > window
           else st.timer = Sim.Engine.no_timer
         in
-        if stale then begin
-          Sim.Engine.cancel t.engine st.timer;
-          st.backoff <- 0;
-          st.times.abstain_until <- neg_infinity;
-          arm_request t ~src (Key.seq ~stride:t.stride k) st
-        end
+        if stale then restart_round t ~src (Key.seq ~stride:t.stride k) st
       end)
     t.requests
 
@@ -376,10 +380,7 @@ let restart_recovery t =
       not (inert t.clock l r));
   Hashtbl.iter
     (fun k (st : request_state) ->
-      Sim.Engine.cancel t.engine st.timer;
-      st.backoff <- 0;
-      st.times.abstain_until <- neg_infinity;
-      arm_request t ~src:(Key.src ~stride:t.stride k) (Key.seq ~stride:t.stride k) st)
+      restart_round t ~src:(Key.src ~stride:t.stride k) (Key.seq ~stride:t.stride k) st)
     t.requests
 
 (* Membership departure. Unlike a crash — which suspends soft state and
@@ -436,15 +437,8 @@ let forget_peer t peer =
 (* A request for [seq] was overheard while ours is pending: push ours to
    the next round unless inside the back-off abstinence period. *)
 let back_off_request t ~src seq (st : request_state) =
-  if now t >= st.times.abstain_until && st.backoff < Params.max_rounds then begin
-    Sim.Engine.cancel t.engine st.timer;
-    st.backoff <- st.backoff + 1;
-    st.times.abstain_until <-
-      now t
-      +. (backoff_factor t st.backoff *. t.params.Params.c3
-         *. request_dist t ~src ~round:st.backoff);
-    arm_request t ~src seq st
-  end
+  if now t >= st.times.abstain_until && st.backoff < Params.max_rounds then
+    next_round t ~src seq st
 
 let detect_loss ?(initial_backoff = 0) t ~src seq =
   if t.in_group && not (has_packet ~src t ~seq || Hashtbl.mem t.requests (key t ~src ~seq))

@@ -58,10 +58,11 @@ val create :
     the owner dispatches via {!on_packet} (this lets CESRM intercept
     its own PDUs first).
 
-    [domain] switches on hierarchical local recovery: requests and
-    replies travel over {!Net.Network.scoped_cast} restricted to the
-    requestor's recovery-domain chain at the request round's
-    escalation level (see {!Params.domain_local_rounds}), request
+    [domain] switches on hierarchical local recovery: requests travel
+    over a {!Net.Network.subcast} scoped to the requestor's
+    recovery-domain chain at the request round's escalation level (see
+    {!Params.domain_local_rounds}), replies over one flooding that
+    level's scope root's whole subtree, request
     timers scale by the distance to the level's designated replier
     instead of the source, and non-designated repliers wait an extra
     {!Params.domain_dr_bias} suppression weight. Such a host derives
@@ -142,9 +143,6 @@ val dist_to_source : ?src:int -> t -> float
 val dist_to : t -> int -> float
 
 val max_seq_seen : ?src:int -> t -> int
-
-val max_seqs : t -> (int * int) list
-(** Per stream source, the highest sequence number seen. *)
 
 val request_round : ?src:int -> t -> seq:int -> int option
 (** Current back-off exponent of a pending request, for tests. *)

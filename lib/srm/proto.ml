@@ -76,7 +76,7 @@ let add_stream ?(send_jitter = 0.) ?(streaming = false) t ~src ~n_packets ~perio
       start_at +. (float_of_int (seq - 1) *. period) +. jitter)
     ~fire:(fun seq ->
       (match origin with Some h -> Host.note_sent ?src:src_opt h ~seq | None -> ());
-      Net.Network.multicast_replicated t.network ~from:src
+      Net.Network.multicast t.network ~from:src
         { Net.Packet.sender = src; payload = Net.Packet.Data { seq } })
 
 let start ?send_jitter ?streaming t ~warmup ~tail =

@@ -147,11 +147,7 @@ let plan ?seed ?n_packets (row : Meta.row) =
         Topology_gen.star_of_stars ~rng ~n_receivers:row.n_receivers ~clusters
     | Some Scale.Deep_chain -> Topology_gen.deep_chain ~rng ~n_receivers:row.n_receivers
     | Some (Scale.Rotating_hot _ | Scale.Phase_shift _) ->
-        (* Adversarial cache-thrash families live on bounded-fanout
-           trees; their loss schedules are built by
-           [synthesize_adversarial], not the weight draws below. *)
-        Topology_gen.bounded_fanout ~rng ~n_receivers:row.n_receivers
-          ~fanout:Scale.default_fanout
+        invalid_arg "Generator.plan: adversarial rows are synthesized by synthesize_adversarial"
   in
   let n = Net.Tree.n_nodes tree in
   (* Relative loss weights: every link lossy a little, a few "hot"
@@ -222,8 +218,8 @@ let plan ?seed ?n_packets (row : Meta.row) =
    their point is a loss locality that MOVES, so the schedule is built
    directly — windowed Bernoulli loss on explicitly chosen links — and
    only the per-link drop rates are calibrated against the row's loss
-   budget (analytically, then corrected against the realized count
-   like the eager Gilbert path). *)
+   budget (analytically, then by a bisection against the realized
+   count). *)
 
 (* Deepest-first ancestor test: does [link]'s path to the root pass
    through [anc]? Links are named by their child node. *)
@@ -337,8 +333,7 @@ let synthesize_adversarial ?seed ?n_packets family (row : Meta.row) =
     Topology_gen.bounded_fanout ~rng ~n_receivers:row.n_receivers ~fanout:Scale.default_fanout
   in
   let sched = adversarial_schedule family tree ~n_packets in
-  (* Analytic base rate: expected losses = base x sched_weight_packets;
-     then correct against the realized count, like the Gilbert path. *)
+  (* Analytic base rate: expected losses = base x sched_weight_packets. *)
   let base = target /. Float.max 1e-9 sched.sched_weight_packets in
   (* Correct the analytic base rate against the realized count. Every
      probe replays a COPY of the rng (the per-link splits are the

@@ -12,9 +12,6 @@ type t
 
 type state = Good | Bad
 
-val create : p_good_to_bad:float -> p_bad_to_good:float -> t
-(** Direct construction. Probabilities must lie in [\[0, 1\]]. *)
-
 val of_marginal : loss_rate:float -> mean_burst:float -> t
 (** Parameterize by the stationary loss probability and the mean loss
     burst length (>= 1). [loss_rate] must be in [\[0, 1)]. *)

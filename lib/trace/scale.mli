@@ -66,14 +66,3 @@ val catalog : Meta.row list
 val default_fanout : int
 (** Fanout of the [bf] family's random trees — also the tree the
     adversarial [rh]/[ps] families are built on (4). *)
-
-val default_adversarial_window : int
-(** Migration window of the [rh]/[ps] families, packets (25). *)
-
-val default_rotation_pool : int
-(** Pool size of the [rh] rotation (4). *)
-
-val default_n_packets : int
-
-val loss_fraction : float
-(** Target average per-receiver loss fraction of the calibration. *)

@@ -9,9 +9,6 @@
 
 type t
 
-val default_lookback : int
-(** 1024 — how many recent decisions each link retains. *)
-
 val create :
   ?lookback:int ->
   tree:Net.Tree.t ->

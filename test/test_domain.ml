@@ -4,7 +4,7 @@
    structurally: regions are connected rooted subtrees, member bounds
    hold, escalation chains terminate at the root domain, and the scope
    predicate is ancestry-closed inside the scope root's subtree — the
-   property [Net.Network.scoped_cast] relies on for O(1) pruning. *)
+   property a scoped [Net.Network.subcast] relies on for O(1) pruning. *)
 
 let check = Alcotest.check
 

@@ -13,10 +13,7 @@ let small_spec =
     Exp.Spec.name = "test";
     traces = [ (Mtrace.Meta.nth 4).Mtrace.Meta.name ];
     protocols =
-      [
-        Exp.Spec.Srm;
-        Exp.Spec.Cesrm { retention = Cesrm.Retention.default; router_assist = false };
-      ];
+      [ Harness.Runner.Srm_protocol; Harness.Runner.Cesrm_protocol Cesrm.Host.default_config ];
     base_seed = 7L;
     n_seeds = 2;
     n_packets = Some 250;
@@ -44,9 +41,13 @@ let test_spec_roundtrip () =
       small_spec with
       protocols =
         [
-          Exp.Spec.Lms;
-          Exp.Spec.Cesrm
-            { retention = Option.get (Cesrm.Retention.of_name "hotspot=inf"); router_assist = true };
+          Harness.Runner.Lms_protocol;
+          Harness.Runner.Cesrm_protocol
+            {
+              Cesrm.Host.default_config with
+              retention = Option.get (Cesrm.Retention.of_name "hotspot=inf");
+              router_assist = true;
+            };
         ];
       base_seed = Int64.min_int;
       n_packets = None;
@@ -99,11 +100,11 @@ let test_protocol_names () =
      the default retention is omitted, so the default cell is plain
      "cesrm". *)
   let parses name ~retention ~router_assist =
-    match Exp.Spec.protocol_of_name name with
-    | Ok (Exp.Spec.Cesrm c as p) ->
+    match Harness.Runner.protocol_of_name name with
+    | Ok (Harness.Runner.Cesrm_protocol c as p) ->
         check Alcotest.string (name ^ " retention") retention (Cesrm.Retention.name c.retention);
         check Alcotest.bool (name ^ " router assist") router_assist c.router_assist;
-        check Alcotest.string (name ^ " round-trip") name (Exp.Spec.protocol_name p)
+        check Alcotest.string (name ^ " round-trip") name (Harness.Runner.protocol_key p)
     | Ok _ -> Alcotest.failf "%s must parse as CESRM" name
     | Error msg -> Alcotest.failf "%s must parse: %s" name msg
   in
@@ -116,16 +117,16 @@ let test_protocol_names () =
   parses "cesrm@hotspot=0.5:8" ~retention:"hotspot=0.5:8" ~router_assist:false;
   List.iter
     (fun p ->
-      match Exp.Spec.protocol_of_name (Exp.Spec.protocol_name p) with
+      match Harness.Runner.protocol_of_name (Harness.Runner.protocol_key p) with
       | Ok p' ->
-          check Alcotest.string "protocol name round-trip" (Exp.Spec.protocol_name p)
-            (Exp.Spec.protocol_name p')
+          check Alcotest.string "protocol name round-trip" (Harness.Runner.protocol_key p)
+            (Harness.Runner.protocol_key p')
       | Error msg -> Alcotest.fail msg)
-    [ Exp.Spec.Srm; Exp.Spec.Lms ];
+    [ Harness.Runner.Srm_protocol; Harness.Runner.Lms_protocol ];
   check Alcotest.string "default cell label" "cesrm"
-    (Exp.Spec.protocol_name (List.nth Exp.Spec.default.Exp.Spec.protocols 1));
+    (Harness.Runner.protocol_key (List.nth Exp.Spec.default.Exp.Spec.protocols 1));
   let rejected name =
-    match Exp.Spec.protocol_of_name name with
+    match Harness.Runner.protocol_of_name name with
     | Error msg -> msg
     | Ok _ -> Alcotest.failf "%s must be rejected" name
   in
@@ -317,12 +318,12 @@ let test_spec_rejections () =
   check (Alcotest.option Alcotest.string) "lms with domains"
     (Some "rejected: lms/none: LMS with recovery domains")
     (reason
-       { small_spec with protocols = [ Exp.Spec.Srm; Exp.Spec.Lms ]; domains = Some Rdomain.Auto });
+       { small_spec with protocols = [ Harness.Runner.Srm_protocol; Harness.Runner.Lms_protocol ]; domains = Some Rdomain.Auto });
   check (Alcotest.option Alcotest.string) "lms under a plan"
     (Some "rejected: lms/link-flap: LMS under a fault plan")
-    (reason { small_spec with protocols = [ Exp.Spec.Lms ]; faults = [ "none"; "link-flap" ] });
+    (reason { small_spec with protocols = [ Harness.Runner.Lms_protocol ]; faults = [ "none"; "link-flap" ] });
   check (Alcotest.option Alcotest.string) "lms unfaulted and flat" None
-    (reason { small_spec with protocols = [ Exp.Spec.Srm; Exp.Spec.Lms ]; faults = [ "none" ] });
+    (reason { small_spec with protocols = [ Harness.Runner.Srm_protocol; Harness.Runner.Lms_protocol ]; faults = [ "none" ] });
   check (Alcotest.option Alcotest.string) "srm and cesrm with domains under a plan" None
     (reason { small_spec with domains = Some Rdomain.Auto; faults = [ "churn-flash" ] })
 
@@ -350,7 +351,7 @@ let test_sweep_spec_domains () =
     (fun (cell : Exp.Spec.cell) ->
       let res =
         Harness.Runner.run_leg ~n_packets:30 ~domains:Rdomain.Auto ~seed:cell.seed
-          (Exp.Spec.runner_protocol cell.protocol)
+          cell.protocol
           (Mtrace.Scale.find cell.trace)
       in
       let row = (Exp.Shard.run spec cell).row in

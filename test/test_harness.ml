@@ -6,13 +6,30 @@ let check = Alcotest.check
 let small_pair =
   lazy (Harness.Figures.run_pair ~n_packets:1200 (Mtrace.Meta.nth 4))
 
-let test_runner_protocol_names () =
+let test_protocol_names () =
   check Alcotest.string "srm" "SRM" (Harness.Runner.protocol_name Harness.Runner.Srm_protocol);
   check Alcotest.string "cesrm" "CESRM"
     (Harness.Runner.protocol_name (Harness.Runner.Cesrm_protocol Cesrm.Host.default_config));
   check Alcotest.string "cesrm+ra" "CESRM+RA"
     (Harness.Runner.protocol_name
-       (Harness.Runner.Cesrm_protocol { Cesrm.Host.default_config with router_assist = true }))
+       (Harness.Runner.Cesrm_protocol { Cesrm.Host.default_config with router_assist = true }));
+  (* A non-default retention is named, so runs of two retention
+     schemes can be told apart; the reorder delay is not. *)
+  check Alcotest.string "cesrm@lru" "CESRM@LRU"
+    (Harness.Runner.protocol_name
+       (Harness.Runner.Cesrm_protocol
+          { Cesrm.Host.default_config with retention = Option.get (Cesrm.Retention.of_name "lru") }));
+  check Alcotest.string "cesrm@hotspot=inf:4+ra" "CESRM@HOTSPOT=INF:4+RA"
+    (Harness.Runner.protocol_name
+       (Harness.Runner.Cesrm_protocol
+          {
+            Cesrm.Host.default_config with
+            retention = Option.get (Cesrm.Retention.of_name "hotspot=inf:4");
+            router_assist = true;
+          }));
+  check Alcotest.string "reorder delay unnamed" "CESRM"
+    (Harness.Runner.protocol_name
+       (Harness.Runner.Cesrm_protocol { Cesrm.Host.default_config with reorder_delay = 0.05 }))
 
 let test_pair_completeness () =
   let p = Lazy.force small_pair in
@@ -455,7 +472,7 @@ let () =
     [
       ( "runner",
         [
-          Alcotest.test_case "protocol names" `Quick test_runner_protocol_names;
+          Alcotest.test_case "protocol names" `Quick test_protocol_names;
           Alcotest.test_case "completeness" `Quick test_pair_completeness;
           Alcotest.test_case "lossy recovery completes" `Quick test_lossy_recovery_still_completes;
           Alcotest.test_case "data jitter / reordering" `Quick test_data_jitter_reordering;

@@ -309,11 +309,11 @@ let test_network_subcast () =
     [ 0; 3; 4; 5 ];
   ignore
     (Sim.Engine.schedule engine ~after:0.0 (fun () ->
-         Net.Network.relayed_subcast network ~from:1 ~via:1 session_packet));
+         Net.Network.subcast network ~from:1 ~root:1 session_packet));
   Sim.Engine.run engine;
   check Alcotest.(list int) "subtree of 1 only" [ 3; 4 ] (List.sort compare !got)
 
-let test_network_relayed_subcast () =
+let test_network_subcast_from_outside () =
   let engine, network = make_network () in
   let got = ref [] in
   List.iter
@@ -321,7 +321,7 @@ let test_network_relayed_subcast () =
     [ 0; 3; 4; 5 ];
   ignore
     (Sim.Engine.schedule engine ~after:0.0 (fun () ->
-         Net.Network.relayed_subcast network ~from:5 ~via:1 session_packet));
+         Net.Network.subcast network ~from:5 ~root:1 session_packet));
   Sim.Engine.run engine;
   check Alcotest.(list int) "delivered under the turning point" [ 3; 4 ]
     (List.sort compare !got);
@@ -330,6 +330,21 @@ let test_network_relayed_subcast () =
     (Net.Cost.crossings cost Net.Cost.Session Net.Cost.Unicast);
   check Alcotest.int "downhill subcast crossings" 2
     (Net.Cost.crossings cost Net.Cost.Session Net.Cost.Subcast)
+
+(* Domain runs are serial: a scoped subcast has no emit to replay, so
+   shard mode refuses it, while an unscoped one is sent. *)
+let test_network_scoped_subcast_in_shard_mode () =
+  let engine, network = make_network () in
+  let tree = Net.Network.tree network in
+  let partition = Net.Partition.make ~tree ~delay:(fun _ -> 0.020) ~shards:2 in
+  Net.Network.enable_shard network ~partition ~me:0 ~observe:false;
+  Alcotest.check_raises "scoped"
+    (Invalid_argument "Network.subcast: a scoped subcast is not available in shard mode")
+    (fun () -> Net.Network.subcast network ~from:5 ~root:1 ~scope:(fun _ -> true) session_packet);
+  Net.Network.subcast network ~from:5 ~root:1 session_packet;
+  Sim.Engine.run engine;
+  check Alcotest.int "the unscoped subcast is buffered for replay" 1
+    (List.length (Net.Network.take_emits network))
 
 let test_network_multicast_crossings () =
   let engine, network = make_network () in
@@ -573,21 +588,19 @@ let arbitrary_walk_case =
 
 type cast =
   | Multicast of int
-  | Relayed of int * int (* from, via *)
-  | Scoped of int * int (* from, root *)
+  | Subcast of int * int * bool (* from, root, scoped *)
   | Unicast of int * int
 
 let show_cast = function
   | Multicast o -> Printf.sprintf "multicast from %d" o
-  | Relayed (f, v) -> Printf.sprintf "relayed subcast %d via %d" f v
-  | Scoped (f, r) -> Printf.sprintf "scoped cast %d to %d" f r
+  | Subcast (f, r, scoped) -> Printf.sprintf "%ssubcast %d to %d" (if scoped then "scoped " else "") f r
   | Unicast (s, d) -> Printf.sprintf "unicast %d to %d" s d
 
 (* The reference every cast must replay, built on [Tree] lists alone:
    a recursive neighbour walk (parent first, then children in
-   [Tree.children] order), with unicast legs along [Tree.path]. Returns
-   the crossings attempted, as the loss predicate sees them, and the
-   deliveries in walk order. *)
+   [Tree.children] order), with unicast legs along [Tree.path]. No cast
+   delivers to its sender. Returns the crossings attempted, as the
+   loss predicate sees them, and the deliveries in walk order. *)
 let reference tree ~delay ~tx ~dropped ~scope cast at =
   let crossings = ref [] and deliveries = ref [] in
   let cross ~from ~to_ at =
@@ -618,17 +631,12 @@ let reference tree ~delay ~tx ~dropped ~scope cast at =
   let leg src dst = path at (Net.Tree.path tree src dst) in
   (match cast with
   | Multicast o -> walk_from o (Net.Tree.neighbors tree o) at
-  | Relayed (from, via) ->
+  | Subcast (from, root, scoped) ->
+      let keep = if scoped then scope else fun _ -> true in
       Option.iter
         (fun at ->
-          deliver via at;
-          walk_from via (Net.Tree.children tree via) at)
-        (leg from via)
-  | Scoped (from, root) ->
-      Option.iter
-        (fun at ->
-          if from <> root && scope root then deliver root at;
-          walk_from ~keep:scope ~quiet:from root (Net.Tree.children tree root) at)
+          if from <> root && keep root then deliver root at;
+          walk_from ~keep ~quiet:from root (Net.Tree.children tree root) at)
         (leg from root)
   | Unicast (src, dst) -> if src <> dst then Option.iter (deliver dst) (leg src dst));
   (List.rev !crossings, List.rev !deliveries)
@@ -687,8 +695,8 @@ let cast_checker c =
     let at = Sim.Engine.now engine in
     (match cast with
     | Multicast o -> Net.Network.multicast network ~from:o packet
-    | Relayed (from, via) -> Net.Network.relayed_subcast network ~from ~via packet
-    | Scoped (from, root) -> Net.Network.scoped_cast network ~from ~root ~scope packet
+    | Subcast (from, root, true) -> Net.Network.subcast network ~from ~root ~scope packet
+    | Subcast (from, root, false) -> Net.Network.subcast network ~from ~root packet
     | Unicast (src, dst) -> Net.Network.unicast network ~from:src ~dst packet);
     Sim.Engine.run engine;
     let crossings, deliveries =
@@ -749,12 +757,76 @@ let check_shard_multicasts c =
       got
   done
 
+(* Shard 0 of a two-way partition sends each cast, and shard 1
+   replays its emit ([take_emits] -> [apply_emit]): each shard's owned
+   deliveries, with their arrival times, must be the reference's, drops
+   included, and the two shards' merged crossing tallies a serial
+   network's. The three networks share one engine, so the replay runs
+   at the send time. *)
+let replay_checker c =
+  let tree, delays, engine, serial = walk_network c in
+  let partition = Net.Partition.make ~tree ~delay:(fun l -> delays.(l)) ~shards:2 in
+  let drop ~link ~down _ = List.mem (link, down) c.drops in
+  Net.Network.set_drop serial drop;
+  let got = Array.make 2 [] in
+  let shards =
+    Array.init 2 (fun me ->
+        let network =
+          Net.Network.create_heterogeneous ~engine ~tree ~delays ~bandwidth_bps:1.5e6 ()
+        in
+        Net.Network.enable_shard network ~partition ~me ~observe:false;
+        Net.Network.set_drop network drop;
+        for v = 0 to Net.Tree.n_nodes tree - 1 do
+          if Net.Network.owns network v then
+            Net.Network.on_receive network v (fun _ ->
+                got.(me) <- (v, Sim.Engine.now engine) :: got.(me))
+        done;
+        network)
+  in
+  let packet = walk_packet c in
+  let send network = function
+    | Multicast o -> Net.Network.multicast network ~from:o packet
+    | Unicast (src, dst) -> Net.Network.unicast network ~from:src ~dst packet
+    | Subcast (from, root, _) -> Net.Network.subcast network ~from ~root packet
+  in
+  fun cast ->
+    Array.fill got 0 2 [];
+    let at = Sim.Engine.now engine in
+    send shards.(0) cast;
+    send serial cast;
+    List.iter (Net.Network.apply_emit shards.(1)) (Net.Network.take_emits shards.(0));
+    Sim.Engine.run engine;
+    let _, deliveries =
+      reference tree
+        ~delay:(fun l -> delays.(l))
+        ~tx:(walk_tx c)
+        ~dropped:(fun x -> List.mem x c.drops)
+        ~scope:(fun _ -> true) cast at
+    in
+    Array.iteri
+      (fun me network ->
+        let got = List.rev_map (fun (v, at) -> Printf.sprintf "%d@%.17g" v at) got.(me) in
+        let owned = List.filter (fun (v, _) -> Net.Network.owns network v) deliveries in
+        if got <> fired_order owned then
+          Alcotest.failf "%s: shard %d replay deliveries differ" (show_cast cast) me)
+      shards;
+    let merged = Net.Cost.merge (Net.Network.cost shards.(0)) (Net.Network.cost shards.(1)) in
+    let cat = Net.Cost.category_of packet in
+    List.iter
+      (fun mode ->
+        if
+          Net.Cost.crossings merged cat mode
+          <> Net.Cost.crossings (Net.Network.cost serial) cat mode
+        then Alcotest.failf "%s: replay crossings differ" (show_cast cast))
+      [ Net.Cost.Multicast; Net.Cost.Unicast; Net.Cost.Subcast ]
+
 let prop_routes_flood_order =
   QCheck.Test.make ~name:"routes: flood orders replay the neighbor walk" ~count:60
     arbitrary_walk_case (fun c ->
-      let check = cast_checker c in
+      let check = cast_checker c and replay = replay_checker c in
       for origin = 0 to Array.length c.parents - 1 do
-        check (Multicast origin)
+        check (Multicast origin);
+        replay (Multicast origin)
       done;
       check_shard_multicasts c;
       true)
@@ -764,15 +836,16 @@ let prop_routes_down_order =
     arbitrary_walk_case (fun c ->
       let tree = Net.Tree.of_parents c.parents in
       let routes = Net.Routes.create tree in
-      let check = cast_checker c in
+      let check = cast_checker c and replay = replay_checker c in
       let n = Net.Tree.n_nodes tree in
       for root = 0 to n - 1 do
         if Net.Routes.subtree_size routes root <> List.length (Net.Tree.subtree_nodes tree root)
         then Alcotest.failf "subtree_size of %d" root;
         (* from = root: a plain subcast of root's subtree *)
         for from = 0 to n - 1 do
-          check (Relayed (from, root));
-          check (Scoped (from, root))
+          check (Subcast (from, root, false));
+          check (Subcast (from, root, true));
+          replay (Subcast (from, root, false))
         done
       done;
       true)
@@ -781,7 +854,7 @@ let prop_routes_path =
   QCheck.Test.make ~name:"routes: paths agree with Tree.path/on_path_links" ~count:60
     arbitrary_walk_case (fun c ->
       let tree, delays, _, network = walk_network c in
-      let check = cast_checker c in
+      let check = cast_checker c and replay = replay_checker c in
       let n = Net.Tree.n_nodes tree in
       let delay l = delays.(l) in
       for src = 0 to n - 1 do
@@ -794,6 +867,7 @@ let prop_routes_path =
           if List.map fst crossings <> Net.Tree.on_path_links tree src dst then
             Alcotest.failf "reference links %d->%d" src dst;
           check (Unicast (src, dst));
+          replay (Unicast (src, dst));
           let d = Net.Network.dist network src dst and d' = Net.Tree.dist tree ~delay src dst in
           if Int64.bits_of_float d <> Int64.bits_of_float d' then
             Alcotest.failf "dist %d->%d: %.17g, Tree.dist %.17g" src dst d d'
@@ -883,6 +957,40 @@ let test_alloc_dist () =
   if far > near then
     Alcotest.failf "dist over 999 links allocated %.0f B, over one link %.0f B" far near
 
+(* A unicast walks its path in place: across 999 links it allocates
+   exactly what it does across one. *)
+let test_alloc_unicast () =
+  let tree = Net.Tree.line 1000 in
+  let engine, network = make_network ~tree () in
+  List.iter (fun v -> Net.Network.on_receive network v ignore) [ 1; 999 ];
+  let across dst () =
+    Net.Network.unicast network ~from:0 ~dst session_packet;
+    Sim.Engine.run engine
+  in
+  across 999 ();
+  across 1 ();
+  let far = allocated (across 999) and near = allocated (across 1) in
+  check (Alcotest.float 0.) "bytes across 999 links = across one" near far
+
+(* A subcast climbs to its root and floods the root's preorder range:
+   from a leaf to 512 receivers it allocates exactly what it does to
+   8. *)
+let test_alloc_subcast () =
+  let cast depth =
+    let tree = Net.Tree.balanced ~fanout:8 ~depth in
+    let engine, network = make_network ~tree () in
+    let receivers = Net.Tree.receivers tree in
+    Array.iter (fun v -> Net.Network.on_receive network v ignore) receivers;
+    fun () ->
+      Net.Network.subcast network ~from:receivers.(0) ~root:0 session_packet;
+      Sim.Engine.run engine
+  in
+  let wide = cast 3 and narrow = cast 1 in
+  wide ();
+  narrow ();
+  let many = allocated wide and few = allocated narrow in
+  check (Alcotest.float 0.) "bytes for 512 receivers = for 8" few many
+
 (* Deliveries take their times from the walk's arrival array, and the
    engine clock is a flat float record: one multicast to 512 receivers,
    drained, allocates exactly what one to 8 receivers does. *)
@@ -937,7 +1045,9 @@ let () =
           Alcotest.test_case "drop direction" `Quick test_network_drop_direction;
           Alcotest.test_case "unicast" `Quick test_network_unicast;
           Alcotest.test_case "subcast" `Quick test_network_subcast;
-          Alcotest.test_case "relayed subcast" `Quick test_network_relayed_subcast;
+          Alcotest.test_case "relayed subcast" `Quick test_network_subcast_from_outside;
+          Alcotest.test_case "scoped subcast refused in shard mode" `Quick
+            test_network_scoped_subcast_in_shard_mode;
           Alcotest.test_case "multicast crossings" `Quick test_network_multicast_crossings;
           Alcotest.test_case "dist/rtt" `Quick test_network_dist_rtt;
           Alcotest.test_case "heterogeneous delays" `Quick test_network_heterogeneous;
@@ -975,5 +1085,7 @@ let () =
           Alcotest.test_case "dist allocates nothing per hop" `Quick test_alloc_dist;
           Alcotest.test_case "deliveries allocate nothing per receiver" `Quick
             test_alloc_deliveries;
+          Alcotest.test_case "unicast allocates nothing per hop" `Quick test_alloc_unicast;
+          Alcotest.test_case "subcast allocates nothing per receiver" `Quick test_alloc_subcast;
         ] );
     ]

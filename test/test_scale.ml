@@ -355,10 +355,7 @@ let scale_spec =
     Exp.Spec.name = "scale";
     traces = [ "SCALE-bf-1024" ];
     protocols =
-      [
-        Exp.Spec.Srm;
-        Exp.Spec.Cesrm { retention = Cesrm.Retention.default; router_assist = false };
-      ];
+      [ Harness.Runner.Srm_protocol; Harness.Runner.Cesrm_protocol Cesrm.Host.default_config ];
     base_seed = 7L;
     n_seeds = 1;
     n_packets = Some 40;
