@@ -16,10 +16,7 @@ let () =
   let plain = run ~router_assist:false trace loss in
   let assisted = run ~router_assist:true trace loss in
   let describe label (res : Harness.Runner.result) =
-    let erepl_sends =
-      Net.Cost.sends res.cost Net.Cost.Exp_reply Net.Cost.Multicast
-      + Net.Cost.sends res.cost Net.Cost.Exp_reply Net.Cost.Subcast
-    in
+    let erepl_sends = Stats.Counters.total res.counters Stats.Counters.Exp_repl in
     let crossings = Net.Cost.total_crossings res.cost Net.Cost.Exp_reply in
     Format.printf
       "%-12s expedited replies %4d, link crossings %5d (%.1f per reply), unrecovered %d@."

@@ -14,7 +14,6 @@ type t = {
   fault_tolerant : bool; (* Srm.Params.fault_tolerant: presume silent repliers dead *)
   stride : int; (* Srm.Key packing stride: n_packets + 1 *)
   caches : (int, Cache.t) Hashtbl.t; (* per stream source (Section 3.1) *)
-  counters : Stats.Counters.t;
   exp_timers : (Srm.Key.t, Sim.Engine.timer) Hashtbl.t;
   pending_exp : (Srm.Key.t, int) Hashtbl.t; (* packed (src, seq) -> replier we expedited to *)
   replier_stats : (int, int * int) Hashtbl.t; (* replier -> successes, attempts *)
@@ -24,8 +23,6 @@ type t = {
      (domain mode) in our recovery domain. *)
   live : int -> bool;
   in_domain : (int -> bool) option;
-  mutable exp_requests_sent : int;
-  mutable exp_replies_sent : int;
   mutable n_cache_invalidations : int; (* cached pairs dropped because their replier left *)
   mutable cache_local_hits : int; (* expedited pairs whose replier shares our domain *)
   mutable cache_remote_hits : int;
@@ -47,10 +44,6 @@ let cache ?(src = 0) t =
       c
 
 let self t = t.self
-
-let expedited_requests_sent t = t.exp_requests_sent
-
-let expedited_replies_sent t = t.exp_replies_sent
 
 let engine t = Net.Network.engine t.network
 
@@ -147,9 +140,7 @@ let send_expedited_request t ~src seq (pair : Cache.entry) =
     && (not (replier_dead t ~replier:pair.replier))
     && attempt_budget_ok t ~replier:pair.replier
   then begin
-    t.exp_requests_sent <- t.exp_requests_sent + 1;
     Hashtbl.replace t.pending_exp (key t ~src ~seq) pair.replier;
-    Stats.Counters.bump t.counters ~node:t.self Stats.Counters.Exp_rqst;
     Net.Network.unicast t.network ~from:t.self ~dst:pair.replier
       {
         Net.Packet.sender = t.self;
@@ -234,12 +225,10 @@ let handle_expedited_request t ~src ~seq ~requestor ~d_qs ~turning_point =
                   ~root:(Rdomain.scope_root dmap ~dom ~level:0)
                   packet))
   in
-  let sent =
-    Srm.Host.send_reply_now ~src t.srm ~seq ~requestor ~d_qs ~expedited:true
-      ?turning_point:(if t.config.router_assist then turning_point else None)
-      ?transmit ()
-  in
-  if sent then t.exp_replies_sent <- t.exp_replies_sent + 1
+  ignore
+    (Srm.Host.send_reply_now ~src t.srm ~seq ~requestor ~d_qs ~expedited:true
+       ?turning_point:(if t.config.router_assist then turning_point else None)
+       ?transmit ())
 
 (* Steady-state retirement, run once the SRM core has moved its floors
    (the [on_retired] hook): sweep the expedited tables. Both are
@@ -280,10 +269,8 @@ let on_packet t (p : Net.Packet.t) =
       if replier = t.self then handle_expedited_request t ~src ~seq ~requestor ~d_qs ~turning_point
   | _ -> Srm.Host.on_packet t.srm p
 
-let create ?domain ~network ~self ~params ~config ~n_packets ~period ~counters ~recoveries () =
-  let srm =
-    Srm.Host.create ?domain ~network ~self ~params ~n_packets ~period ~counters ~recoveries ()
-  in
+let create ?domain ~network ~self ~params ~config ~n_packets ~period ~recoveries () =
+  let srm = Srm.Host.create ?domain ~network ~self ~params ~n_packets ~period ~recoveries () in
   let dead_repliers = Hashtbl.create 8 in
   let t =
     {
@@ -296,7 +283,6 @@ let create ?domain ~network ~self ~params ~config ~n_packets ~period ~counters ~
       fault_tolerant = params.Srm.Params.fault_tolerant;
       stride = n_packets + 1;
       caches = Hashtbl.create 4;
-      counters;
       exp_timers = Hashtbl.create 16;
       pending_exp = Hashtbl.create 16;
       replier_stats = Hashtbl.create 8;
@@ -307,8 +293,6 @@ let create ?domain ~network ~self ~params ~config ~n_packets ~period ~counters ~
         Option.map
           (fun dmap replier -> Rdomain.dom_of dmap replier = Rdomain.dom_of dmap self)
           domain;
-      exp_requests_sent = 0;
-      exp_replies_sent = 0;
       n_cache_invalidations = 0;
       cache_local_hits = 0;
       cache_remote_hits = 0;
@@ -328,8 +312,9 @@ let create ?domain ~network ~self ~params ~config ~n_packets ~period ~counters ~
 
 let publish_metrics t registry =
   Srm.Host.publish_metrics t.srm registry;
-  Obs.Registry.incr ~by:t.exp_requests_sent registry "cesrm/exp_requests_sent";
-  Obs.Registry.incr ~by:t.exp_replies_sent registry "cesrm/exp_replies_sent";
+  let sent kind = Stats.Counters.get (Net.Network.counters t.network) ~node:t.self kind in
+  Obs.Registry.incr ~by:(sent Stats.Counters.Exp_rqst) registry "cesrm/exp_requests_sent";
+  Obs.Registry.incr ~by:(sent Stats.Counters.Exp_repl) registry "cesrm/exp_replies_sent";
   Obs.Registry.incr ~by:(Hashtbl.length t.pending_exp) registry
     "cesrm/exp_outstanding_at_end";
   (match t.domain with

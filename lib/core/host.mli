@@ -66,7 +66,6 @@ val create :
   config:config ->
   n_packets:int ->
   period:float ->
-  counters:Stats.Counters.t ->
   recoveries:Stats.Recovery.t ->
   unit ->
   t
@@ -91,10 +90,6 @@ val self : t -> int
 val on_packet : t -> Net.Packet.t -> unit
 (** Full CESRM dispatch: handles expedited PDUs, delegates the rest to
     the SRM host. *)
-
-val expedited_requests_sent : t -> int
-
-val expedited_replies_sent : t -> int
 
 val replier_dead : t -> replier:int -> bool
 (** Whether retry back-off currently presumes [replier] dead. *)
@@ -128,7 +123,9 @@ val cache_invalidations : t -> int
 
 val publish_metrics : t -> Obs.Registry.t -> unit
 (** Accumulate this member's SRM metrics plus the expedited-recovery
-    state (["cesrm/"] prefix: requests/replies sent, cache occupancy,
+    state (["cesrm/"] prefix: the expedited requests and replies this
+    member put on the wire, read from its row of
+    [Net.Network.counters], then cache occupancy,
     observed per-replier success rates, and the retention accounting —
     ["cesrm/cache_evictions/<scheme>"] and ["…_hits/<scheme>"]) into
     the registry. *)

@@ -2,9 +2,8 @@ type t = Host.t Srm.Proto.group
 
 let deploy ?(config = Host.default_config) ?owned ?domain ~network ~params ~n_packets ~period () =
   Srm.Proto.deploy_with ?owned ~network ~n_packets ~period ~on_packet:Host.on_packet ~srm:Host.srm
-    ~create:(fun ~self ~counters ~recoveries ->
-      Host.create ?domain ~network ~self ~params ~config ~n_packets ~period ~counters ~recoveries
-        ())
+    ~create:(fun ~self ~recoveries ->
+      Host.create ?domain ~network ~self ~params ~config ~n_packets ~period ~recoveries ())
     ()
 
 let start = Srm.Proto.start
@@ -21,8 +20,6 @@ let recoveries = Srm.Proto.recoveries
 
 let network = Srm.Proto.network
 
-let expedited_requests t =
-  List.fold_left (fun acc (_, h) -> acc + Host.expedited_requests_sent h) 0 (members t)
+let expedited_requests t = Stats.Counters.total (counters t) Stats.Counters.Exp_rqst
 
-let expedited_replies t =
-  List.fold_left (fun acc (_, h) -> acc + Host.expedited_replies_sent h) 0 (members t)
+let expedited_replies t = Stats.Counters.total (counters t) Stats.Counters.Exp_repl

@@ -39,12 +39,14 @@ val host : t -> int -> Host.t
 val members : t -> (int * Host.t) list
 
 val counters : t -> Stats.Counters.t
+(** The network's send tally ([Net.Network.counters]). *)
 
 val recoveries : t -> Stats.Recovery.t
 
 val network : t -> Net.Network.t
 
 val expedited_requests : t -> int
-(** Total over members. *)
+(** The tally's [Exp_rqst] total: expedited requests on the wire. *)
 
 val expedited_replies : t -> int
+(** The tally's [Exp_repl] total. *)

@@ -158,10 +158,7 @@ let router_assist ?(n_packets = 4000) rows =
             trace loss
         in
         let crossings_per_reply (res : Runner.result) =
-          let replies =
-            Net.Cost.sends res.cost Net.Cost.Exp_reply Net.Cost.Multicast
-            + Net.Cost.sends res.cost Net.Cost.Exp_reply Net.Cost.Subcast
-          in
+          let replies = Stats.Counters.total res.counters Stats.Counters.Exp_repl in
           if replies = 0 then 0.
           else
             float_of_int (Net.Cost.total_crossings res.cost Net.Cost.Exp_reply)

@@ -124,7 +124,7 @@ let worker_body ~chan ~me ~partition ~setup ~fault_plan ~protocol ~trace ~loss_m
         Ipc.Chan.send chan
           (Done
              {
-               wr_counters = m.counters;
+               wr_counters = Net.Network.counters network;
                wr_records = List.rev !tagged_records;
                wr_cost = Net.Network.cost network;
                wr_exp_requests = exp_requests;
@@ -266,7 +266,7 @@ let run ~(partition : Net.Partition.t) ~delay ?registry ?fault_plan ~(setup : Ru
       in
       Pst.publish ~max_shard_events stats ~shards:k ~lookahead reg)
     registry;
-  Run_types.finish ?registry ~faulted:(Option.is_some fault_plan) ~setup ~rtts ~counters
+  Run_types.finish ?registry ~faulted:(Option.is_some fault_plan) ~setup ~rtts ~tally:counters
     ~recoveries ~cost
     ~expedited:(sum (fun o -> o.wr_exp_requests), sum (fun o -> o.wr_exp_replies))
     ~detected:(sum (fun o -> o.wr_detected))

@@ -194,17 +194,11 @@ let receiver_rtt ~tree rtts node =
 let feed_recovery_hists reg ~tree ~rtts recoveries =
   Instrument.attach_recovery_hists_online reg ~rtt_of:(receiver_rtt ~tree rtts) recoveries
 
-(* A run's end, serial or merged from shards: each fault-class
-   violation is charged to the member it names, and liveness counts
-   what was neither recovered nor forgiven. *)
-let finish ?registry ~faulted ~setup ~rtts ~counters ~recoveries ~cost
+(* A run's end, serial or merged from shards: liveness counts what was
+   neither recovered nor forgiven. *)
+let finish ?registry ~faulted ~setup ~rtts ~tally ~recoveries ~cost
     ~expedited:(exp_requests, exp_replies) ~detected ~forgiven ~retirement checker protocol
     trace =
-  List.iter
-    (fun v ->
-      if Audit.is_fault v then
-        Stats.Counters.bump counters ~node:v.Audit.node Stats.Counters.Oracle)
-    (Audit.violations checker);
   let oracle = if faulted then Some checker else None in
   let receivers = Net.Tree.receivers (Mtrace.Trace.tree trace) in
   Option.iter
@@ -218,7 +212,7 @@ let finish ?registry ~faulted ~setup ~rtts ~counters ~recoveries ~cost
     trace;
     protocol;
     setup;
-    counters;
+    counters = tally;
     recoveries;
     cost;
     rtt_to_source = Array.to_list (Array.map (fun node -> (node, rtts.(node))) receivers);
@@ -259,7 +253,6 @@ type model = {
   horizon : float;
   audit : Audit.t;
   controller : Steady.Controller.t option;
-  counters : Stats.Counters.t;
   recoveries : Stats.Recovery.t;
   detected : unit -> int;
   member_detected : int -> int;
@@ -273,7 +266,6 @@ type deployment = {
   hosts : (int * Srm.Host.t) list;
       (* each member's SRM layer, source first — what the tracer, the
          checker's fault rules and joins hook into; empty under LMS *)
-  d_counters : Stats.Counters.t;
   d_recoveries : Stats.Recovery.t;
   retirees : unit -> Steady.Controller.member list;
   leave : node:int -> int;
@@ -300,7 +292,6 @@ let srm_family ~setup ~streaming g ~expedited ~publish =
     (* After deploy: CESRM hosts have installed their own hooks, which
        the tracer and the checker chain onto rather than replace. *)
     hosts = members;
-    d_counters = Srm.Proto.counters g;
     d_recoveries = Srm.Proto.recoveries g;
     retirees =
       (fun () ->
@@ -355,7 +346,6 @@ let deploy ?owned ?domain ~network ~setup ~n_packets ~period ~streaming = functi
       let members = Lms.Proto.members p in
       {
         hosts = [];
-        d_counters = Lms.Proto.counters p;
         d_recoveries = Lms.Proto.recoveries p;
         retirees =
           (fun () ->
@@ -515,7 +505,6 @@ let build ?shard ?tracer ?registry ?fault_plan ?steady ?on_retire ?domain ~setup
     horizon;
     audit;
     controller;
-    counters = d.d_counters;
     recoveries = d.d_recoveries;
     detected = d.d_detected;
     member_detected = d.d_member_detected;

@@ -96,7 +96,7 @@ val finish :
   faulted:bool ->
   setup:setup ->
   rtts:float array ->
-  counters:Stats.Counters.t ->
+  tally:Stats.Counters.t ->
   recoveries:Stats.Recovery.t ->
   cost:Net.Cost.t ->
   expedited:int * int ->
@@ -108,9 +108,9 @@ val finish :
   Mtrace.Trace.t ->
   result
 (** The one accounting of a finished run, serial ({!Runner}) or merged
-    from shards ({!Parallel}), given its checker: bump the [Oracle]
-    counter of the member each fault-class violation names; with
-    [registry], publish ["recovery/recovered"] and, when [faulted],
+    from shards ({!Parallel}), given its send [tally] (the network's,
+    or the shards' merged) and its checker: with [registry], publish
+    ["recovery/recovered"] and, when [faulted],
     ["fault/oracle_violations"]; and build the result —
     [unrecovered = detected - recovered - forgiven], the checker's
     safety/fault split, [oracle] present iff [faulted], and
@@ -143,7 +143,6 @@ type model = {
           mode, where the primary worker feeds it the merged tap
           stream *)
   controller : Steady.Controller.t option;  (** present iff a steady window is run *)
-  counters : Stats.Counters.t;
   recoveries : Stats.Recovery.t;
   detected : unit -> int;  (** losses detected across (owned) members so far *)
   member_detected : int -> int;

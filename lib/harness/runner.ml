@@ -120,7 +120,8 @@ let run_model ?(setup = default_setup) ?tracer ?registry ?fault_plan ?(shards = 
       registry;
     Run_types.finish ?registry ~faulted:(Option.is_some fault_plan) ~setup
       ~rtts:(Run_types.source_rtts ~tree ~delay:(Net.Network.link_delay m.network))
-      ~counters:m.counters ~recoveries:m.recoveries ~cost:(Net.Network.cost m.network)
+      ~tally:(Net.Network.counters m.network) ~recoveries:m.recoveries
+      ~cost:(Net.Network.cost m.network)
       ~expedited:(m.expedited ()) ~detected:(m.detected ()) ~forgiven:(m.forgiven ())
       ~retirement:m.controller m.audit protocol trace
   in

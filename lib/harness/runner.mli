@@ -132,16 +132,15 @@ val run_model :
     Every run is checked by one {!Audit} checker. With [fault_plan],
     the plan is compiled onto the network and engine before the run,
     the checker's fault rules check graceful degradation (violations
-    land in the result, the registry under ["fault/"], and
-    {!Stats.Counters} kind [Oracle]), and host restarts drop soft
-    state ({!Srm.Host.restart_recovery}, which resets a CESRM host's
-    caches through its hook). A fault plan also switches on the
-    robustness extensions, [Srm.Params.fault_tolerant]: SRM hosts
-    re-arm their requests on session evidence, and CESRM hosts presume
-    a replier dead after 8 consecutive failed expedited recoveries —
-    without them SRM's 2^k back-off and CESRM's static pair caches make
-    post-heal recovery pathologically slow, which is exactly what the
-    fault rules would report. The checker's request bound follows the
+    land in the result and the registry under ["fault/"]), and host
+    restarts drop soft state ({!Srm.Host.restart_recovery}, which
+    resets a CESRM host's caches through its hook). A fault plan also
+    switches on the robustness extensions, [Srm.Params.fault_tolerant]:
+    SRM hosts re-arm their requests on session evidence, and CESRM
+    hosts presume a replier dead after 8 consecutive failed expedited
+    recoveries — without them SRM's 2^k back-off and CESRM's static
+    pair caches make post-heal recovery pathologically slow, which is
+    exactly what the fault rules would report. The checker's request bound follows the
     re-arm: 41 requests per loss without it, 200 with it. Faulted runs
     remain deterministic: same trace, seed and plan ⇒ identical
     results.

@@ -11,7 +11,6 @@ type t = {
   detect_info : (int, float) Hashtbl.t; (* by seq *)
   retries : (int, retry_state) Hashtbl.t; (* by seq *)
   mutable n_detected : int;
-  counters : Stats.Counters.t;
   recoveries : Stats.Recovery.t;
 }
 
@@ -29,7 +28,7 @@ let detected_losses t = t.n_detected
 
 let max_seq t = Srm.Window.max_seq t.window
 
-let create ~network ~self ~n_packets ~route ~counters ~recoveries =
+let create ~network ~self ~n_packets ~route ~recoveries =
   {
     network;
     clock = Sim.Engine.clock (Net.Network.engine network);
@@ -41,7 +40,6 @@ let create ~network ~self ~n_packets ~route ~counters ~recoveries =
     detect_info = Hashtbl.create 64;
     retries = Hashtbl.create 64;
     n_detected = 0;
-    counters;
     recoveries;
   }
 
@@ -51,7 +49,6 @@ let send_request t seq =
   match t.route ~from:t.self with
   | None -> ()
   | Some (turning_point, replier) ->
-      Stats.Counters.bump t.counters ~node:t.self Stats.Counters.Exp_rqst;
       let packet =
         {
           Net.Packet.sender = t.self;
@@ -168,7 +165,6 @@ let publish_metrics t registry =
 
 let answer t ~seq ~requestor ~turning_point ~ttl =
   if has_packet t ~seq then begin
-    Stats.Counters.bump t.counters ~node:t.self Stats.Counters.Exp_repl;
     let reply =
       {
         Net.Packet.sender = t.self;
@@ -196,7 +192,6 @@ let answer t ~seq ~requestor ~turning_point ~ttl =
     match t.route ~from:t.self with
     | None -> ()
     | Some (turning_point, replier) ->
-        Stats.Counters.bump t.counters ~node:t.self Stats.Counters.Exp_rqst;
         Net.Network.unicast t.network ~from:t.self
           ~dst:(if replier = 0 then 0 else replier)
           {

@@ -11,7 +11,11 @@
 
     A replier that shares the loss re-forwards the request from its own
     position (bounded by a TTL), which is how LMS escapes a lossy
-    subtree. *)
+    subtree.
+
+    A member keeps no send counts: the network tallies what it puts on
+    the wire ([Net.Network.counters]) — a request or re-forward as
+    [Exp_rqst], a repair, which leaves as a plain reply, as [Repl]. *)
 
 type t
 
@@ -20,7 +24,6 @@ val create :
   self:int ->
   n_packets:int ->
   route:(from:int -> (int * int) option) ->
-  counters:Stats.Counters.t ->
   recoveries:Stats.Recovery.t ->
   t
 (** [route] reads the proto's live replier table, so refreshes take

@@ -5,18 +5,16 @@ type t = {
   hosts : (int * Host.t) list;
   repliers : int array;
   refresh_period : float;
-  counters : Stats.Counters.t;
   recoveries : Stats.Recovery.t;
 }
 
 let deploy ~network ~n_packets ~period ?(refresh_period = 10.) () =
   let tree = Net.Network.tree network in
-  let counters = Stats.Counters.create ~n_nodes:(Net.Tree.n_nodes tree) in
   let recoveries = Stats.Recovery.create () in
   let repliers = Routing.designate tree ~alive:(fun r -> Net.Network.is_enabled network r) in
   let route ~from = Routing.route tree ~repliers ~from in
   let member node =
-    let host = Host.create ~network ~self:node ~n_packets ~route ~counters ~recoveries in
+    let host = Host.create ~network ~self:node ~n_packets ~route ~recoveries in
     Net.Network.on_receive network node (Host.on_packet host);
     (node, host)
   in
@@ -28,7 +26,6 @@ let deploy ~network ~n_packets ~period ?(refresh_period = 10.) () =
     hosts = List.map member nodes;
     repliers;
     refresh_period;
-    counters;
     recoveries;
   }
 
@@ -36,7 +33,7 @@ let host t node = List.assoc node t.hosts
 
 let members t = t.hosts
 
-let counters t = t.counters
+let counters t = Net.Network.counters t.network
 
 let recoveries t = t.recoveries
 
@@ -69,7 +66,6 @@ let start ?(streaming = false) t ~warmup ~tail =
   (* Source heartbeat for tail-loss detection. *)
   let rec heartbeat () =
     if clock.now <= horizon then begin
-      Stats.Counters.bump t.counters ~node:0 Stats.Counters.Sess;
       Net.Network.multicast t.network ~from:0
         {
           Net.Packet.sender = 0;

@@ -29,6 +29,9 @@ val host : t -> int -> Host.t
 val members : t -> (int * Host.t) list
 
 val counters : t -> Stats.Counters.t
+(** The network's send tally ([Net.Network.counters]): a request
+    counts as [Exp_rqst], a repair as [Repl] (it leaves as a plain
+    reply), and the source heartbeat as [Sess]. *)
 
 val recoveries : t -> Stats.Recovery.t
 

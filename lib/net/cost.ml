@@ -16,10 +16,10 @@ let n_categories = 6
 
 let n_casts = 3
 
-type t = { sends : int array; crossings : int array }
+(* Link crossings, one cell per (category, cast). *)
+type t = int array
 
-let create () =
-  { sends = Array.make (n_categories * n_casts) 0; crossings = Array.make (n_categories * n_casts) 0 }
+let create () = Array.make (n_categories * n_casts) 0
 
 let slot cat cast = (category_index cat * n_casts) + cast_index cast
 
@@ -31,13 +31,9 @@ let category_of (p : Packet.t) =
   | Packet.Exp_request _ -> Exp_request
   | Packet.Session _ -> Session
 
-let record_send t cat cast = t.sends.(slot cat cast) <- t.sends.(slot cat cast) + 1
+let record_crossing t cat cast = t.(slot cat cast) <- t.(slot cat cast) + 1
 
-let record_crossing t cat cast = t.crossings.(slot cat cast) <- t.crossings.(slot cat cast) + 1
-
-let sends t cat cast = t.sends.(slot cat cast)
-
-let crossings t cat cast = t.crossings.(slot cat cast)
+let crossings t cat cast = t.(slot cat cast)
 
 let total_crossings t cat =
   crossings t cat Unicast + crossings t cat Multicast + crossings t cat Subcast
@@ -48,8 +44,4 @@ let control_overhead t ~multicast =
   if multicast then crossings t Request Multicast + crossings t Exp_request Multicast
   else crossings t Request Unicast + crossings t Exp_request Unicast
 
-let merge a b =
-  {
-    sends = Array.map2 ( + ) a.sends b.sends;
-    crossings = Array.map2 ( + ) a.crossings b.crossings;
-  }
+let merge a b = Array.map2 ( + ) a b

@@ -4,7 +4,8 @@
     packet crosses one link of the multicast tree, and splits the total
     into retransmission overhead vs. control overhead, distinguishing
     unicast from multicast control. This module tallies link crossings
-    and send events per packet category and cast mode. *)
+    per packet category and cast mode; sends are counted per member
+    ([Stats.Counters], through {!Network.counters}). *)
 
 type category = Data | Request | Reply | Exp_request | Exp_reply | Session
 
@@ -16,13 +17,8 @@ val create : unit -> t
 
 val category_of : Packet.t -> category
 
-val record_send : t -> category -> cast -> unit
-(** One packet handed to the network. *)
-
 val record_crossing : t -> category -> cast -> unit
 (** One link traversal. *)
-
-val sends : t -> category -> cast -> int
 
 val crossings : t -> category -> cast -> int
 

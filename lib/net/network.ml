@@ -76,6 +76,7 @@ type t = {
   busy_down : float array; (* parent -> child, indexed by link id *)
   busy_up : float array; (* child -> parent *)
   cost : Cost.t;
+  counters : Stats.Counters.t; (* the send tally: what each member put on the wire *)
   mutable delivered : int;
   mutable tap : (from:int -> Packet.t -> unit) option;
   mutable perturb : perturb option; (* None = the unfaulted fast path *)
@@ -177,6 +178,7 @@ let create_heterogeneous ~engine ~tree ~delays ?(bandwidth_bps = 1.5e6) () =
       busy_down = Array.make n 0.;
       busy_up = Array.make n 0.;
       cost = Cost.create ();
+      counters = Stats.Counters.create ~n_nodes:n;
       delivered = 0;
       tap = None;
       perturb = None;
@@ -245,6 +247,8 @@ let engine t = t.engine
 let tree t = t.tree
 
 let cost t = t.cost
+
+let counters t = t.counters
 
 let link_delay t l = t.delays.(l)
 
@@ -692,41 +696,48 @@ let record_emit t sh ~cast ~from ~target ~disabled packet =
   if sh.sh_observe then sh.sh_obs <- e :: sh.sh_obs;
   e
 
+(* The send tally: one bump of the sender's row per packet that passed
+   the enabled check; data packets are not counted. *)
+let count_send t ~from packet =
+  match Cost.category_of packet with
+  | Cost.Data -> ()
+  | Cost.Request -> Stats.Counters.bump t.counters ~node:from Stats.Counters.Rqst
+  | Cost.Exp_request -> Stats.Counters.bump t.counters ~node:from Stats.Counters.Exp_rqst
+  | Cost.Reply -> Stats.Counters.bump t.counters ~node:from Stats.Counters.Repl
+  | Cost.Exp_reply -> Stats.Counters.bump t.counters ~node:from Stats.Counters.Exp_repl
+  | Cost.Session -> Stats.Counters.bump t.counters ~node:from Stats.Counters.Sess
+
 (* Shard mode's origin bookkeeping; returns the cast key. A data packet
    is replicated: every shard's source issues it at the same time and
    walks it whole, so FIFO link reservations stay identical everywhere
-   with no exchange; only the sender's owner tallies the send, only the
-   primary records it, and its key takes the every-shard counter
-   [sh_rep_idx]. Any other cast is buffered as an emit until the next
-   conservative sync window, then replayed by every other shard
-   ({!apply_emit}). *)
+   with no exchange; only the primary records it, and its key takes the
+   every-shard counter [sh_rep_idx]. Any other cast is buffered as an
+   emit until the next conservative sync window, then replayed by every
+   other shard ({!apply_emit}). *)
 let note_origin t sh ~cast ~from ~target packet =
-  let cat = Cost.category_of packet in
   if is_fifo packet then begin
-    if t.sh_owner.(from) = t.sh_me then Cost.record_send t.cost cat cast;
     if sh.sh_observe then ignore (record_emit t sh ~cast ~from ~target ~disabled:[] packet);
     let i = sh.sh_rep_idx in
     sh.sh_rep_idx <- i + 1;
     (t.clock.now, from, -2 - i)
   end
   else begin
-    Cost.record_send t.cost cat cast;
     let e = record_emit t sh ~cast ~from ~target ~disabled:sh.sh_disabled packet in
     sh.sh_emits <- e :: sh.sh_emits;
     (e.e_at, from, e.e_idx)
   end
 
-(* Every cast's prologue: the enabled check, the tap, the send tally
-   (or, in shard mode, the origin note), then the walk from now. *)
+(* Every cast's prologue: the enabled check, the tap, the send tally,
+   in shard mode the origin note, then the walk from now. Only a cast's
+   origin passes here (a shard replays through [apply_emit]), and a
+   data cast, which every shard issues, is not tallied, so each send is
+   counted once across shards. *)
 let send t ~cast ~from ~target ?scope packet =
   if t.enabled.(from) then begin
     tap t ~from packet;
+    count_send t ~from packet;
     let key =
-      match t.shard with
-      | None ->
-          Cost.record_send t.cost (Cost.category_of packet) cast;
-          no_key
-      | Some sh -> note_origin t sh ~cast ~from ~target packet
+      match t.shard with None -> no_key | Some sh -> note_origin t sh ~cast ~from ~target packet
     in
     t.arrive.(from) <- t.clock.now;
     walk t ~cast ~from ~target ~scope ~key packet

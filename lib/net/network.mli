@@ -6,13 +6,13 @@
     [size / bandwidth] per hop; control packets are size 0. Links are
     FIFO: a directed link is reserved while a packet serializes onto it.
 
-    Three casts share one prologue (enabled check, tap, send tally)
-    and one walk: [multicast] floods the whole tree away from the
-    sender (plain IP multicast), [unicast] follows the tree path, and
-    [subcast] unicasts up to a root router, then floods only downward
-    from it, optionally within a scope — the router-assist capability
-    of Section 3.3, LMS's turning-point replies and the recovery
-    domains' local floods. No cast delivers to its sender.
+    Three casts share one prologue (enabled check, tap, the send tally
+    {!counters}) and one walk: [multicast] floods the whole tree away
+    from the sender (plain IP multicast), [unicast] follows the tree
+    path, and [subcast] unicasts up to a root router, then floods only
+    downward from it, optionally within a scope — the router-assist
+    capability of Section 3.3, LMS's turning-point replies and the
+    recovery domains' local floods. No cast delivers to its sender.
 
     Loss injection is a pluggable predicate consulted once per directed
     link traversal; dropping a packet on a link prunes the flood below
@@ -70,6 +70,12 @@ val engine : t -> Sim.Engine.t
 val tree : t -> Tree.t
 
 val cost : t -> Cost.t
+
+val counters : t -> Stats.Counters.t
+(** The send tally every protocol group reads. The prologue bumps the
+    sender's row after the enabled check, so a crashed or departed
+    member's send counts nothing; data packets are not counted, nor
+    is a shard's replay, so merged shard tallies equal the serial one. *)
 
 val link_delay : t -> int -> float
 
@@ -212,12 +218,13 @@ val packets_delivered : t -> int
     source's paced stream — is statically replicated: every shard's
     source issues it at the same simulation time and walks it locally,
     so FIFO link reservations stay identical everywhere with no
-    exchange, and only the sender's owner tallies the send. Every other
-    origin cast is buffered as an {!emit} and replayed by all other
+    exchange. Every other origin cast is tallied in its sender's row
+    ({!counters}) and buffered as an {!emit} and replayed by all other
     shards ({!apply_emit}) at the next conservative sync window, through
     the same walk the origin took; replays tally the crossings into
     nodes the replaying shard owns, so summing per-shard {!Cost}
-    tables ({!Cost.merge}) reproduces the serial totals exactly.
+    tables ({!Cost.merge}) and send tallies ([Stats.Counters.merge])
+    reproduces the serial totals exactly.
 
     Pruning: non-FIFO flood walks skip whole branches holding none of
     the shard's nodes — the source of the parallel speedup — while the

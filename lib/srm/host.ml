@@ -113,7 +113,6 @@ type t = {
      tracks. *)
   mutable in_group : bool;
   mutable reply_from : int; (* replier of the reply being handled; -1 outside one *)
-  counters : Stats.Counters.t;
   recoveries : Stats.Recovery.t;
   hooks : hooks;
 }
@@ -320,7 +319,6 @@ let fire_request t k =
   let src = Key.src ~stride:t.stride k and seq = Key.seq ~stride:t.stride k in
   if not (has_packet ~src t ~seq) then begin
     let d = dist_to_source ~src t in
-    Stats.Counters.bump t.counters ~node:t.self Stats.Counters.Rqst;
     if Float.is_nan st.times.first_sent then st.times.first_sent <- now t;
     let packet =
       {
@@ -652,8 +650,6 @@ let open_reply_abstinence t ~src seq ~requestor =
 
 let emit_reply ?transmit ~delay_norm t ~src ~seq ~requestor ~d_qs ~expedited ~turning_point =
   let d_rq = dist_to t requestor in
-  Stats.Counters.bump t.counters ~node:t.self
-    (if expedited then Stats.Counters.Exp_repl else Stats.Counters.Repl);
   let packet =
     {
       Net.Packet.sender = t.self;
@@ -825,7 +821,7 @@ let publish_metrics t registry =
       Obs.Registry.observe registry "srm/open_request_rounds" (float_of_int st.backoff))
     t.requests
 
-let create ?domain ~network ~self ~params ~n_packets ~period ~counters ~recoveries () =
+let create ?domain ~network ~self ~params ~n_packets ~period ~recoveries () =
   let rng = Sim.Rng.split (Sim.Engine.rng (Net.Network.engine network)) in
   let domain =
     Option.map
@@ -862,7 +858,6 @@ let create ?domain ~network ~self ~params ~n_packets ~period ~counters ~recoveri
       ~rng:(Sim.Rng.split rng)
       ~get_max_seqs:(fun () -> !get_max_seqs_cell ())
       ~on_max_seq:(fun ~src m -> !on_max_seq_cell ~src m)
-      ~on_send:(fun () -> Stats.Counters.bump counters ~node:self Stats.Counters.Sess)
       ()
   in
   let engine = Net.Network.engine network in
@@ -899,7 +894,6 @@ let create ?domain ~network ~self ~params ~n_packets ~period ~counters ~recoveri
       n_detected = 0;
       in_group = true;
       reply_from = -1;
-      counters;
       recoveries;
       hooks =
         {

@@ -48,7 +48,6 @@ val create :
   params:Params.t ->
   n_packets:int ->
   period:float ->
-  counters:Stats.Counters.t ->
   recoveries:Stats.Recovery.t ->
   unit ->
   t

@@ -4,7 +4,6 @@ type 'h group = {
   period : float;
   hosts : (int * 'h) list;
   srm : 'h -> Host.t;
-  counters : Stats.Counters.t;
   recoveries : Stats.Recovery.t;
 }
 
@@ -12,12 +11,11 @@ type t = Host.t group
 
 let deploy_with ?owned ~create ~on_packet ~srm ~network ~n_packets ~period () =
   let tree = Net.Network.tree network in
-  let counters = Stats.Counters.create ~n_nodes:(Net.Tree.n_nodes tree) in
   let recoveries = Stats.Recovery.create () in
   let owned = match owned with Some f -> f | None -> fun _ -> true in
   let member node =
     if owned node then begin
-      let host = create ~self:node ~counters ~recoveries in
+      let host = create ~self:node ~recoveries in
       Net.Network.on_receive network node (on_packet host);
       Some (node, host)
     end
@@ -31,12 +29,12 @@ let deploy_with ?owned ~create ~on_packet ~srm ~network ~n_packets ~period () =
     end
   in
   let nodes = 0 :: Array.to_list (Net.Tree.receivers tree) in
-  { network; n_packets; period; hosts = List.filter_map member nodes; srm; counters; recoveries }
+  { network; n_packets; period; hosts = List.filter_map member nodes; srm; recoveries }
 
 let deploy ?owned ?domain ~network ~params ~n_packets ~period () =
   deploy_with ?owned ~network ~n_packets ~period ~on_packet:Host.on_packet ~srm:Fun.id
-    ~create:(fun ~self ~counters ~recoveries ->
-      Host.create ?domain ~network ~self ~params ~n_packets ~period ~counters ~recoveries ())
+    ~create:(fun ~self ~recoveries ->
+      Host.create ?domain ~network ~self ~params ~n_packets ~period ~recoveries ())
     ()
 
 let host t node = List.assoc node t.hosts
@@ -45,7 +43,7 @@ let members t = t.hosts
 
 let srm_members t = List.map (fun (node, h) -> (node, t.srm h)) t.hosts
 
-let counters t = t.counters
+let counters t = Net.Network.counters t.network
 
 let recoveries t = t.recoveries
 

@@ -15,7 +15,7 @@ type t = Host.t group
 
 val deploy_with :
   ?owned:(int -> bool) ->
-  create:(self:int -> counters:Stats.Counters.t -> recoveries:Stats.Recovery.t -> 'h) ->
+  create:(self:int -> recoveries:Stats.Recovery.t -> 'h) ->
   on_packet:('h -> Net.Packet.t -> unit) ->
   srm:('h -> Host.t) ->
   network:Net.Network.t ->
@@ -24,8 +24,8 @@ val deploy_with :
   unit ->
   'h group
 (** Build one member per node with [create], in deploy order (source
-    first, then [Net.Tree.receivers]), sharing the group's counters
-    and recovery log, and register [on_packet] as its handler. [srm]
+    first, then [Net.Tree.receivers]), sharing the group's recovery
+    log, and register [on_packet] as its handler. [srm]
     is the member's SRM host, which {!start} and the streams drive.
 
     [owned] (default: everyone) restricts which members get a live
@@ -83,6 +83,7 @@ val srm_members : 'h group -> (int * Host.t) list
 (** {!members}' SRM hosts, in the same order. *)
 
 val counters : 'h group -> Stats.Counters.t
+(** The network's send tally ([Net.Network.counters]). *)
 
 val recoveries : 'h group -> Stats.Recovery.t
 

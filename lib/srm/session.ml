@@ -8,7 +8,6 @@ type t = {
   rng : Sim.Rng.t;
   get_max_seqs : unit -> (int * int) list;
   on_max_seq : src:int -> int -> unit;
-  on_send : unit -> unit;
   oracle : (int -> float) option;
       (* authoritative fallback distance (scale runs): consulted when
          no measured estimate exists, see [distance_or] *)
@@ -24,7 +23,7 @@ type t = {
   mutable heard_order : int list; (* most-recently-first-heard *)
 }
 
-let create ?oracle ~network ~self ~period ~rng ~get_max_seqs ~on_max_seq ~on_send () =
+let create ?oracle ~network ~self ~period ~rng ~get_max_seqs ~on_max_seq () =
   {
     network;
     clock = Sim.Engine.clock (Net.Network.engine network);
@@ -33,7 +32,6 @@ let create ?oracle ~network ~self ~period ~rng ~get_max_seqs ~on_max_seq ~on_sen
     rng;
     get_max_seqs;
     on_max_seq;
-    on_send;
     oracle;
     dists = Hashtbl.create 16;
     heard = Hashtbl.create 16;
@@ -54,7 +52,6 @@ let send t =
         :: acc
   in
   let echoes = List.fold_left echo [] t.heard_order in
-  t.on_send ();
   Net.Network.multicast t.network ~from:t.self
     {
       Net.Packet.sender = t.self;

@@ -28,12 +28,12 @@ val create :
   rng:Sim.Rng.t ->
   get_max_seqs:(unit -> (int * int) list) ->
   on_max_seq:(src:int -> int -> unit) ->
-  on_send:(unit -> unit) ->
   unit ->
   t
 (** [get_max_seqs] supplies the advertised per-stream sequence numbers;
-    [on_max_seq] is invoked for each stream a peer advertises;
-    [on_send] is invoked per session message sent (for counting).
+    [on_max_seq] is invoked for each stream a peer advertises. The
+    network counts the session messages sent
+    ([Net.Network.counters]).
 
     [oracle] supplies an authoritative distance for peers with no
     measured estimate yet (scale runs pass the network's true

@@ -1,4 +1,4 @@
-type kind = Rqst | Exp_rqst | Repl | Exp_repl | Sess | Oracle
+type kind = Rqst | Exp_rqst | Repl | Exp_repl | Sess
 
 let kind_index = function
   | Rqst -> 0
@@ -6,9 +6,8 @@ let kind_index = function
   | Repl -> 2
   | Exp_repl -> 3
   | Sess -> 4
-  | Oracle -> 5
 
-let all_kinds = [ Rqst; Exp_rqst; Repl; Exp_repl; Sess; Oracle ]
+let all_kinds = [ Rqst; Exp_rqst; Repl; Exp_repl; Sess ]
 
 let kind_name = function
   | Rqst -> "RQST"
@@ -16,7 +15,6 @@ let kind_name = function
   | Repl -> "REPL"
   | Exp_repl -> "EREPL"
   | Sess -> "SESS"
-  | Oracle -> "ORACLE"
 
 type t = int array array
 

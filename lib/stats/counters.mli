@@ -1,13 +1,14 @@
 (** Per-host packet-send counters for the per-receiver bar charts
-    (Figures 3 and 4 of the paper). *)
+    (Figures 3 and 4 of the paper): what each member put on the wire,
+    tallied by the network ([Net.Network.counters]) once per recovery
+    or session packet that passes its enabled check. *)
 
 type kind =
   | Rqst  (** SRM-style multicast repair request *)
-  | Exp_rqst  (** CESRM unicast expedited request *)
-  | Repl  (** multicast reply (SRM or CESRM fallback) *)
-  | Exp_repl  (** multicast expedited reply *)
-  | Sess  (** session message *)
-  | Oracle  (** fault-rule violations of the run's checker charged to the node *)
+  | Exp_rqst  (** unicast expedited request (CESRM, or an LMS request) *)
+  | Repl  (** reply not marked expedited (SRM, CESRM fallback, LMS) *)
+  | Exp_repl  (** CESRM expedited reply *)
+  | Sess  (** session message (LMS: the source heartbeat) *)
 
 type t
 

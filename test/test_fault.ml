@@ -109,9 +109,7 @@ let test_canned_clean_oracle () =
           let label = fault ^ "/" ^ Harness.Runner.protocol_name proto in
           check Alcotest.bool "oracle attached" true (res.oracle <> None);
           check Alcotest.int (label ^ " oracle clean") 0 res.oracle_violations;
-          check Alcotest.int (label ^ " everything recovered") 0 res.unrecovered;
-          check Alcotest.int (label ^ " oracle counter agrees") res.oracle_violations
-            (Stats.Counters.total res.counters Stats.Counters.Oracle))
+          check Alcotest.int (label ^ " everything recovered") 0 res.unrecovered)
         [ Harness.Runner.Srm_protocol; Harness.Runner.Cesrm_protocol Cesrm.Host.default_config ])
     Fault.Plan.canned_names
 
@@ -840,9 +838,7 @@ let test_canned_churn_clean_oracle () =
           check Alcotest.int (label ^ " oracle clean") 0 res.oracle_violations;
           check Alcotest.int (label ^ " full-window members whole") 0 res.unrecovered;
           check Alcotest.int (label ^ " forgiveness accounted") res.detected
-            (Stats.Recovery.count res.recoveries + res.forgiven);
-          check Alcotest.int (label ^ " oracle counter agrees") res.oracle_violations
-            (Stats.Counters.total res.counters Stats.Counters.Oracle))
+            (Stats.Recovery.count res.recoveries + res.forgiven))
         both_protocols)
     Fault.Plan.churn_names
 

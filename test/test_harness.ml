@@ -173,6 +173,64 @@ let test_deterministic_runs () =
   let mean res = Stats.Summary.mean (Stats.Recovery.latency_summary res.Harness.Runner.recoveries) in
   check (Alcotest.float 1e-12) "same mean latency" (mean a) (mean b)
 
+(* Law: each send is counted once, at the wire. A tap fires for exactly
+   the casts that pass the network's enabled check, so per member and
+   kind the run's tally must equal what the tap saw: a crashed or
+   absent member's timers count nothing, and an LMS repair, which
+   leaves as a plain reply, counts as one. CESRM's expedited totals are
+   the tally's. Every canned plan runs on a 7-receiver trace. *)
+let kind_of_category = function
+  | Net.Cost.Data -> None
+  | Net.Cost.Request -> Some Stats.Counters.Rqst
+  | Net.Cost.Exp_request -> Some Stats.Counters.Exp_rqst
+  | Net.Cost.Reply -> Some Stats.Counters.Repl
+  | Net.Cost.Exp_reply -> Some Stats.Counters.Exp_repl
+  | Net.Cost.Session -> Some Stats.Counters.Sess
+
+let test_sends_counted_at_the_wire () =
+  let setup = Harness.Runner.default_setup in
+  let trace, loss = Harness.Runner.inputs ~n_packets:600 (Mtrace.Meta.find "WRN951214") in
+  let n = Net.Tree.n_nodes (Mtrace.Trace.tree trace) in
+  let srm_family = [ Harness.Runner.Srm_protocol; Harness.Runner.Cesrm_protocol Cesrm.Host.default_config ] in
+  let runs =
+    (None, Harness.Runner.Lms_protocol)
+    :: List.concat_map
+         (fun fault -> List.map (fun p -> (fault, p)) srm_family)
+         (None :: List.map Option.some (Fault.Plan.canned_names @ Fault.Plan.churn_names))
+  in
+  List.iter
+    (fun (fault, protocol) ->
+      let label =
+        Harness.Runner.protocol_name protocol ^ "/" ^ Option.value fault ~default:"none"
+      in
+      let fault_plan =
+        Option.map (fun f -> Result.get_ok (Harness.Runner.fault_plan ~setup trace f)) fault
+      in
+      let m = Harness.Run_types.build ?fault_plan ~setup protocol trace loss in
+      let seen = Stats.Counters.create ~n_nodes:n in
+      Net.Network.add_tap m.network (fun ~from packet ->
+          Option.iter
+            (Stats.Counters.bump seen ~node:from)
+            (kind_of_category (Net.Cost.category_of packet)));
+      Sim.Engine.run ~until:m.horizon m.engine;
+      let tally = Net.Network.counters m.network in
+      for node = 0 to n - 1 do
+        List.iter
+          (fun kind ->
+            check Alcotest.int
+              (Printf.sprintf "%s node %d %s" label node (Stats.Counters.kind_name kind))
+              (Stats.Counters.get seen ~node kind) (Stats.Counters.get tally ~node kind))
+          Stats.Counters.all_kinds
+      done;
+      if protocol <> Harness.Runner.Lms_protocol then begin
+        let exp_requests, exp_replies = m.expedited () in
+        check Alcotest.int (label ^ " exp_requests")
+          (Stats.Counters.total tally Stats.Counters.Exp_rqst) exp_requests;
+        check Alcotest.int (label ^ " exp_replies")
+          (Stats.Counters.total tally Stats.Counters.Exp_repl) exp_replies
+      end)
+    runs
+
 let test_data_jitter_reordering () =
   (* With jitter beyond one period and no reorder delay, CESRM fires
      spurious expedited requests for in-flight packets; a reorder delay
@@ -479,6 +537,8 @@ let () =
           Alcotest.test_case "lossy sessions" `Quick test_lossy_sessions_unchanged;
           Alcotest.test_case "link-delay invariance" `Quick test_link_delay_invariance;
           Alcotest.test_case "deterministic" `Quick test_deterministic_runs;
+          Alcotest.test_case "each send counted once, at the wire" `Quick
+            test_sends_counted_at_the_wire;
         ] );
       ( "figures",
         [

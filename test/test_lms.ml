@@ -97,7 +97,10 @@ let test_lms_single_loss () =
     (Stats.Recovery.latency r < 0.15);
   check Alcotest.int "one unicast request" 1
     (Stats.Counters.total (Lms.Proto.counters proto) Stats.Counters.Exp_rqst);
+  (* The repair leaves as a plain reply, and is counted as one. *)
   check Alcotest.int "one subcast reply" 1
+    (Stats.Counters.total (Lms.Proto.counters proto) Stats.Counters.Repl);
+  check Alcotest.int "no expedited reply" 0
     (Stats.Counters.total (Lms.Proto.counters proto) Stats.Counters.Exp_repl)
 
 let test_lms_shared_loss_forwarding () =

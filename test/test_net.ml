@@ -176,13 +176,11 @@ let test_packet_describe () =
 
 let test_cost_accounting () =
   let c = Net.Cost.create () in
-  Net.Cost.record_send c Net.Cost.Request Net.Cost.Multicast;
   Net.Cost.record_crossing c Net.Cost.Request Net.Cost.Multicast;
   Net.Cost.record_crossing c Net.Cost.Request Net.Cost.Multicast;
   Net.Cost.record_crossing c Net.Cost.Exp_request Net.Cost.Unicast;
   Net.Cost.record_crossing c Net.Cost.Reply Net.Cost.Multicast;
   Net.Cost.record_crossing c Net.Cost.Exp_reply Net.Cost.Subcast;
-  check Alcotest.int "sends" 1 (Net.Cost.sends c Net.Cost.Request Net.Cost.Multicast);
   check Alcotest.int "crossings" 2 (Net.Cost.crossings c Net.Cost.Request Net.Cost.Multicast);
   check Alcotest.int "retx overhead counts replies" 2 (Net.Cost.retransmission_overhead c);
   check Alcotest.int "mc control" 2 (Net.Cost.control_overhead c ~multicast:true);

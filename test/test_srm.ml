@@ -127,11 +127,8 @@ let make_host ?(self = 3) ?(n_packets = 100) () =
   let tree = sample_tree () in
   let engine = Sim.Engine.create ~seed:5L () in
   let network = Net.Network.create ~engine ~tree ~link_delay:0.02 () in
-  let counters = Stats.Counters.create ~n_nodes:(Net.Tree.n_nodes tree) in
   let recoveries = Stats.Recovery.create () in
-  let host =
-    Srm.Host.create ~network ~self ~params ~n_packets ~period:0.05 ~counters ~recoveries ()
-  in
+  let host = Srm.Host.create ~network ~self ~params ~n_packets ~period:0.05 ~recoveries () in
   (engine, network, host)
 
 let test_host_gap_detection () =

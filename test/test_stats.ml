@@ -176,7 +176,7 @@ let test_counters () =
   check Alcotest.int "other zero" 0 (Stats.Counters.get c ~node:1 Stats.Counters.Rqst);
   check Alcotest.int "total" 2 (Stats.Counters.total c Stats.Counters.Rqst);
   check Alcotest.int "erepl total" 1 (Stats.Counters.total c Stats.Counters.Exp_repl);
-  check Alcotest.int "six kinds" 6 (List.length Stats.Counters.all_kinds)
+  check Alcotest.int "five kinds" 5 (List.length Stats.Counters.all_kinds)
 
 let test_counters_merge () =
   let a = Stats.Counters.create ~n_nodes:3 and b = Stats.Counters.create ~n_nodes:3 in
