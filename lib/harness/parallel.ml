@@ -44,8 +44,6 @@ type worker_out = {
   wr_counters : Stats.Counters.t;
   wr_records : (Stats.Recovery.record * walk_rank) list;  (* chronological *)
   wr_cost : Net.Cost.t;
-  wr_exp_requests : int;
-  wr_exp_replies : int;
   wr_detected : int;
   wr_forgiven : int;  (* pending losses forgiven by departures of owned members *)
   wr_checker : Audit.part;  (* the stream's violations on the primary shard only *)
@@ -120,15 +118,12 @@ let worker_body ~chan ~me ~partition ~setup ~fault_plan ~protocol ~trace ~loss_m
               Audit.observe m.audit ~at:e.e_at ~from:e.e_from e.e_packet)
             (List.stable_sort emit_order !obs)
         end;
-        let exp_requests, exp_replies = m.expedited () in
         Ipc.Chan.send chan
           (Done
              {
                wr_counters = Net.Network.counters network;
                wr_records = List.rev !tagged_records;
                wr_cost = Net.Network.cost network;
-               wr_exp_requests = exp_requests;
-               wr_exp_replies = exp_replies;
                wr_detected = m.detected ();
                wr_forgiven = m.forgiven ();
                wr_checker = Audit.part m.audit;
@@ -267,8 +262,6 @@ let run ~(partition : Net.Partition.t) ~delay ?registry ?fault_plan ~(setup : Ru
       Pst.publish ~max_shard_events stats ~shards:k ~lookahead reg)
     registry;
   Run_types.finish ?registry ~faulted:(Option.is_some fault_plan) ~setup ~rtts ~tally:counters
-    ~recoveries ~cost
-    ~expedited:(sum (fun o -> o.wr_exp_requests), sum (fun o -> o.wr_exp_replies))
-    ~detected:(sum (fun o -> o.wr_detected))
+    ~recoveries ~cost ~detected:(sum (fun o -> o.wr_detected))
     ~forgiven:(sum (fun o -> o.wr_forgiven))
     ~retirement:None checker protocol trace

@@ -17,9 +17,7 @@
     in shard mode ({!Run_types.build}), so the two paths share every
     line of wiring. This module is the mechanism; policy lives in
     {!Runner}, whose {!Runner.shardable} names the conditions that keep
-    a run on the serial engine — event tracing, recovery domains,
-    lossy recovery/sessions, LMS, a steady window, link-jitter fault
-    events, CESRM — so callers just pass [?shards] to
+    a run on the serial engine, so callers just pass [?shards] to
     {!Runner.run_model}. *)
 
 val run :

@@ -7,9 +7,9 @@
    finish; every [Parallel] worker is build in shard mode, then the
    barrier loop, and the coordinator finishes the merged pieces;
    [Churn] builds and runs with one crash timer added. This module
-   sits below all three in the dependency order; [Runner] re-exports
-   the types with equations, so everything outside the harness keeps
-   saying [Harness.Runner.setup]. *)
+   sits below all three in the dependency order; [Runner] includes
+   it, so everything outside the harness keeps saying
+   [Harness.Runner.setup]. *)
 
 type protocol = Srm_protocol | Cesrm_protocol of Cesrm.Host.config | Lms_protocol
 
@@ -98,12 +98,10 @@ type result = {
   unrecovered : int;
   detected : int;
   forgiven : int;
-      (* losses dropped by membership departures: detected but pending
-         when the member left, so liveness does not charge them *)
-  audit_violations : int;  (* safety-rule violations; 0 expected *)
-  oracle_violations : int;  (* fault-rule violations; 0 without a fault plan *)
-  oracle : Audit.t option;  (* the run's checker, present iff a fault plan was run *)
-  retirement : Steady.Controller.t option;  (* present iff a steady window ran *)
+  audit_violations : int;
+  oracle_violations : int;
+  oracle : Audit.t option;
+  retirement : Steady.Controller.t option;
 }
 
 type loss_model =
@@ -195,11 +193,15 @@ let feed_recovery_hists reg ~tree ~rtts recoveries =
   Instrument.attach_recovery_hists_online reg ~rtt_of:(receiver_rtt ~tree rtts) recoveries
 
 (* A run's end, serial or merged from shards: liveness counts what was
-   neither recovered nor forgiven. *)
-let finish ?registry ~faulted ~setup ~rtts ~tally ~recoveries ~cost
-    ~expedited:(exp_requests, exp_replies) ~detected ~forgiven ~retirement checker protocol
-    trace =
+   neither recovered nor forgiven, and the expedited pair is the
+   tally's (an LMS request travels as [Exp_request] hop by hop but is
+   no expedited recovery, so LMS reads 0). *)
+let finish ?registry ~faulted ~setup ~rtts ~tally ~recoveries ~cost ~detected ~forgiven
+    ~retirement checker protocol trace =
   let oracle = if faulted then Some checker else None in
+  let expedited kind =
+    match protocol with Lms_protocol -> 0 | _ -> Stats.Counters.total tally kind
+  in
   let receivers = Net.Tree.receivers (Mtrace.Trace.tree trace) in
   Option.iter
     (fun reg ->
@@ -216,8 +218,8 @@ let finish ?registry ~faulted ~setup ~rtts ~tally ~recoveries ~cost
     recoveries;
     cost;
     rtt_to_source = Array.to_list (Array.map (fun node -> (node, rtts.(node))) receivers);
-    exp_requests;
-    exp_replies;
+    exp_requests = expedited Stats.Counters.Exp_rqst;
+    exp_replies = expedited Stats.Counters.Exp_repl;
     unrecovered = detected - Stats.Recovery.count recoveries - forgiven;
     detected;
     forgiven;
@@ -256,7 +258,6 @@ type model = {
   recoveries : Stats.Recovery.t;
   detected : unit -> int;
   member_detected : int -> int;
-  expedited : unit -> int * int;
   forgiven : unit -> int;
   publish : Obs.Registry.t -> unit;
 }
@@ -275,7 +276,6 @@ type deployment = {
   start : unit -> unit;
   d_detected : unit -> int;
   d_member_detected : int -> int;  (* one member's own detections; 0 for a non-member *)
-  d_expedited : unit -> int * int;
   d_publish : Obs.Registry.t -> unit;
 }
 
@@ -286,7 +286,7 @@ let retiree node ~prefix ~retire =
    departing host drops all soft state (forgiving its pending losses)
    and every remaining member forgets the session state naming it;
    CESRM's caches follow through the SRM hooks its hosts installed. *)
-let srm_family ~setup ~streaming g ~expedited ~publish =
+let srm_family ~setup ~streaming g ~publish =
   let members = Srm.Proto.srm_members g in
   {
     (* After deploy: CESRM hosts have installed their own hooks, which
@@ -321,7 +321,6 @@ let srm_family ~setup ~streaming g ~expedited ~publish =
     d_member_detected =
       (fun node ->
         Option.fold ~none:0 ~some:Srm.Host.detected_losses (List.assoc_opt node members));
-    d_expedited = expedited;
     d_publish = (fun reg -> List.iter (fun (_, h) -> publish h reg) (Srm.Proto.members g));
   }
 
@@ -329,16 +328,13 @@ let deploy ?owned ?domain ~network ~setup ~n_packets ~period ~streaming = functi
   | Srm_protocol ->
       srm_family ~setup ~streaming
         (Srm.Proto.deploy ?owned ?domain ~network ~params:setup.params ~n_packets ~period ())
-        ~expedited:(fun () -> (0, 0))
         ~publish:Srm.Host.publish_metrics
   | Cesrm_protocol config ->
       let p =
         Cesrm.Proto.deploy ~config ?owned ?domain ~network ~params:setup.params ~n_packets ~period
           ()
       in
-      srm_family ~setup ~streaming p
-        ~expedited:(fun () -> (Cesrm.Proto.expedited_requests p, Cesrm.Proto.expedited_replies p))
-        ~publish:Cesrm.Host.publish_metrics
+      srm_family ~setup ~streaming p ~publish:Cesrm.Host.publish_metrics
   | Lms_protocol ->
       (* LMS hosts carry no SRM soft state: crashes and departures only
          toggle the network layer. *)
@@ -363,7 +359,6 @@ let deploy ?owned ?domain ~network ~setup ~n_packets ~period ~streaming = functi
         d_member_detected =
           (fun node ->
             Option.fold ~none:0 ~some:Lms.Host.detected_losses (List.assoc_opt node members));
-        d_expedited = (fun () -> (0, 0));
         d_publish = (fun reg -> List.iter (fun (_, h) -> Lms.Host.publish_metrics h reg) members);
       }
 
@@ -508,7 +503,6 @@ let build ?shard ?tracer ?registry ?fault_plan ?steady ?on_retire ?domain ~setup
     recoveries = d.d_recoveries;
     detected = d.d_detected;
     member_detected = d.d_member_detected;
-    expedited = d.d_expedited;
     forgiven = (fun () -> !forgiven);
     publish = d.d_publish;
   }

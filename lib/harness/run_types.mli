@@ -1,34 +1,56 @@
-(** Definitions shared by the serial {!Runner}, the sharded
-    {!Parallel} runner and {!Churn}: {!build}, the one function that
-    wires a run's model, and {!finish}, the one accounting of a
-    finished run.
+(** A run's declaration and wiring, shared by the serial {!Runner},
+    the sharded {!Parallel} runner and {!Churn}: the run's types,
+    {!build}, the one function that wires a run's model, and
+    {!finish}, the one accounting of a finished run. {!Runner}
+    includes this module and adds the run policy; it sits below both
+    runners because [Runner] delegates multi-shard runs to
+    [Parallel], whose workers build the same model [Runner] builds
+    serially. *)
 
-    {!Runner} re-exports the types with equations, so this module is an
-    implementation seam, not an API: callers keep using
-    [Harness.Runner.setup] and friends. It exists because [Runner]
-    delegates multi-shard runs to [Parallel], whose workers build the
-    same per-run model [Runner] builds serially — the types, the pure
-    helpers and the builder both run through have to sit below both in
-    the dependency order. *)
-
-type protocol = Srm_protocol | Cesrm_protocol of Cesrm.Host.config | Lms_protocol
+type protocol =
+  | Srm_protocol
+  | Cesrm_protocol of Cesrm.Host.config
+  | Lms_protocol
+      (** the router-assisted baseline of Section 3.3's comparison;
+          note its data jitter and adaptive-timer options are
+          inapplicable *)
 
 val protocol_key : protocol -> string
+(** ["srm"], ["lms"], or ["cesrm[@retention]"] with a ["+ra"] suffix
+    when router assist is on (e.g. ["cesrm+ra"], ["cesrm@lru:4"],
+    ["cesrm@hotspot=inf+ra"]): the CLI's and a sweep spec's spelling,
+    and the protocol segment of a sweep cell's label. The retention
+    segment is omitted when it is {!Cesrm.Retention.default}, so the
+    default CESRM is plain ["cesrm"]. The reorder delay is not named. *)
 
 val protocol_name : protocol -> string
+(** {!protocol_key} upper-cased, for headers and labels: ["SRM"],
+    ["CESRM"], ["CESRM+RA"], ["LMS"], ["CESRM@LRU"]. *)
 
 val protocol_of_name : string -> (protocol, string) result
+(** Inverse of {!protocol_key}: [srm], [lms] or
+    [cesrm[@RETENTION][+ra]]; bare ["cesrm"] means
+    {!Cesrm.Host.default_config}. A [cesrm:POLICY] name is rejected
+    with a message saying the policy segment was removed. *)
 
 type setup = {
-  link_delay : float;
-  bandwidth_bps : float;
+  link_delay : float;  (** seconds; paper uses 10/20/30 ms, default 20 ms *)
+  bandwidth_bps : float;  (** default 1.5 Mbps *)
   params : Srm.Params.t;
-  warmup : float;
-  tail : float;
-  lossy_recovery : bool;
+  warmup : float;  (** session warm-up before data starts; default 5 s *)
+  tail : float;  (** session time kept after the last packet; default 30 s *)
+  lossy_recovery : bool;  (** drop recovery packets per link rates *)
   lossy_sessions : bool;
+      (** drop session packets per link rates too (the paper assumes a
+          lossless session exchange; this probes that assumption) *)
   data_jitter : float;
+      (** max uniform per-packet send jitter, seconds; > period causes
+          reordering, the case REORDER-DELAY exists for, and is
+          rejected under a steady window *)
   heterogeneous_delays : bool;
+      (** draw per-link delays log-uniformly in
+          [link_delay/3, 3·link_delay] instead of the paper's uniform
+          setting — a robustness probe for the suppression timers *)
   seed : int64;
 }
 
@@ -41,24 +63,49 @@ type result = {
   counters : Stats.Counters.t;
   recoveries : Stats.Recovery.t;
   cost : Net.Cost.t;
-  rtt_to_source : (int * float) list;
+  rtt_to_source : (int * float) list;  (** per receiver node, true RTT *)
   exp_requests : int;
-  exp_replies : int;
+      (** the [counters]' [Exp_rqst] total; 0 under LMS, whose
+          hop-by-hop requests tally there but are no expedited recovery *)
+  exp_replies : int;  (** the [counters]' [Exp_repl] total; 0 under LMS *)
   unrecovered : int;
-  detected : int;
+      (** losses detected but never repaired nor forgiven (0 expected):
+          [detected - recovered - forgiven] *)
+  detected : int;  (** losses detected across receivers *)
   forgiven : int;
+      (** losses still pending when their member left the group (churn
+          plans only): the member was not present for their full
+          recovery windows, so liveness accounting excludes them *)
   audit_violations : int;
+      (** violations of the run's {!Audit} checker's safety rules
+          (0 expected) *)
   oracle_violations : int;
+      (** violations of its fault rules (0 without a fault plan, and 0
+          expected with one — a fault-rule violation means the
+          protocol failed to degrade gracefully) *)
   oracle : Audit.t option;
+      (** the run's checker, present iff a fault plan was run *)
   retirement : Steady.Controller.t option;
+      (** the windowed-retirement controller — present iff the run
+          executed with a steady window (floor reached, tick count,
+          peak heap); exactly the runs whose {!recoveries} keep no
+          per-loss records *)
 }
 
 type loss_model =
   | Attributed of Inference.Attribution.t
+      (** cut each data packet on the links maximum-likelihood
+          attribution blames (the paper's Section 4.2 pipeline) *)
   | Ground_truth of Mtrace.Bitset.t array
+      (** per-link Gilbert Bad-step bitsets straight from
+          {!Mtrace.Generator} ([link_bad], indexed by link id; bit
+          [seq - 1] drops packet [seq]) — skips inference entirely,
+          receivers observe exactly the trace's losses; what the
+          synthetic scale scenarios use *)
   | Streamed of Mtrace.Stream_loss.t
-      (** ground-truth drops from lazy per-link chains — the
-          constant-memory loss model streaming (steady) runs use *)
+      (** same ground-truth semantics, chains evaluated lazily — the
+          constant-memory loss model for streaming (steady) runs over
+          a {!Mtrace.Trace.create_streaming} trace *)
 
 val make_drop :
   loss_model:loss_model ->
@@ -99,7 +146,6 @@ val finish :
   tally:Stats.Counters.t ->
   recoveries:Stats.Recovery.t ->
   cost:Net.Cost.t ->
-  expedited:int * int ->
   detected:int ->
   forgiven:int ->
   retirement:Steady.Controller.t option ->
@@ -113,9 +159,10 @@ val finish :
     ["recovery/recovered"] and, when [faulted],
     ["fault/oracle_violations"]; and build the result —
     [unrecovered = detected - recovered - forgiven], the checker's
-    safety/fault split, [oracle] present iff [faulted], and
-    [rtt_to_source], every receiver in [Net.Tree.receivers] order with
-    its entry of [rtts] ({!source_rtts}). *)
+    safety/fault split, [oracle] present iff [faulted], the expedited
+    pair off the [tally] (see {!result}), and [rtt_to_source], every
+    receiver in [Net.Tree.receivers] order with its entry of [rtts]
+    ({!source_rtts}). *)
 
 val link_delays : setup:setup -> tree:Net.Tree.t -> Sim.Rng.t -> float array
 (** Per-link propagation delays, indexed by link (child node) id: the
@@ -148,7 +195,6 @@ type model = {
   member_detected : int -> int;
       (** losses one (owned) member detected so far; 0 for a node with
           no host *)
-  expedited : unit -> int * int;  (** CESRM's expedited requests and replies so far *)
   forgiven : unit -> int;  (** pending losses forgiven by departures so far *)
   publish : Obs.Registry.t -> unit;  (** per-host metrics of every (owned) member *)
 }

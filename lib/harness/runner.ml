@@ -1,64 +1,14 @@
-(* Run policy: the run's inputs, the rejected lever combinations, the
-   fault-plan and domain adjustments, the shardability verdict, and the
-   serial run. The types, the drop predicate, the model builder and
-   the end-of-run accounting are shared with the sharded parallel
-   runner (see [Run_types]): a serial run is [Run_types.build],
-   [Sim.Engine.run], [Run_types.finish]; a sharded one hands the same
-   inputs to [Parallel]. The equations keep [Harness.Runner.setup] et
-   al. the public names. *)
+(* Run policy on top of [Run_types] (the types, drop predicate, model
+   builder and end-of-run accounting both runners share): the run's
+   inputs, the rejected lever combinations, the fault-plan and domain
+   adjustments, the shardability verdict, and the serial run — build,
+   [Sim.Engine.run], finish; a sharded one hands the same inputs to
+   [Parallel]. *)
 
-type protocol = Run_types.protocol =
-  | Srm_protocol
-  | Cesrm_protocol of Cesrm.Host.config
-  | Lms_protocol
-
-let protocol_key = Run_types.protocol_key
-
-let protocol_name = Run_types.protocol_name
-
-let protocol_of_name = Run_types.protocol_of_name
-
-type setup = Run_types.setup = {
-  link_delay : float;
-  bandwidth_bps : float;
-  params : Srm.Params.t;
-  warmup : float;
-  tail : float;
-  lossy_recovery : bool;
-  lossy_sessions : bool;
-  data_jitter : float;
-  heterogeneous_delays : bool;
-  seed : int64;
-}
-
-let default_setup = Run_types.default_setup
-
-type result = Run_types.result = {
-  trace : Mtrace.Trace.t;
-  protocol : protocol;
-  setup : setup;
-  counters : Stats.Counters.t;
-  recoveries : Stats.Recovery.t;
-  cost : Net.Cost.t;
-  rtt_to_source : (int * float) list;
-  exp_requests : int;
-  exp_replies : int;
-  unrecovered : int;
-  detected : int;
-  forgiven : int;
-  audit_violations : int;  (* safety-rule violations; 0 expected *)
-  oracle_violations : int;  (* fault-rule violations; 0 without a fault plan *)
-  oracle : Audit.t option;  (* the run's checker, present iff a fault plan was run *)
-  retirement : Steady.Controller.t option;  (* present iff a steady window ran *)
-}
+include Run_types
 
 let attribution_of_trace trace =
   Inference.Attribution.infer ~rates:(Inference.Yajnik.estimate trace) trace
-
-type loss_model = Run_types.loss_model =
-  | Attributed of Inference.Attribution.t
-  | Ground_truth of Mtrace.Bitset.t array
-  | Streamed of Mtrace.Stream_loss.t
 
 (* Each condition needs a global view mid-run that a shard lacks (see
    the interface). Everything else — crashes, partitions, outage and
@@ -107,8 +57,8 @@ let run_model ?(setup = default_setup) ?tracer ?registry ?fault_plan ?(shards = 
      the accounting a sharded run shares. *)
   let serial () =
     let m =
-      Run_types.build ?tracer ?registry ?fault_plan ?steady ?on_retire ?domain ~setup protocol
-        trace loss_model
+      build ?tracer ?registry ?fault_plan ?steady ?on_retire ?domain ~setup protocol trace
+        loss_model
     in
     Sim.Engine.run ~until:m.horizon m.engine;
     Option.iter
@@ -118,18 +68,17 @@ let run_model ?(setup = default_setup) ?tracer ?registry ?fault_plan ?(shards = 
         m.publish reg;
         Option.iter (fun c -> Steady.Controller.publish_metrics c reg) m.controller)
       registry;
-    Run_types.finish ?registry ~faulted:(Option.is_some fault_plan) ~setup
-      ~rtts:(Run_types.source_rtts ~tree ~delay:(Net.Network.link_delay m.network))
+    finish ?registry ~faulted:(Option.is_some fault_plan) ~setup
+      ~rtts:(source_rtts ~tree ~delay:(Net.Network.link_delay m.network))
       ~tally:(Net.Network.counters m.network) ~recoveries:m.recoveries
-      ~cost:(Net.Network.cost m.network)
-      ~expedited:(m.expedited ()) ~detected:(m.detected ()) ~forgiven:(m.forgiven ())
+      ~cost:(Net.Network.cost m.network) ~detected:(m.detected ()) ~forgiven:(m.forgiven ())
       ~retirement:m.controller m.audit protocol trace
   in
   if shards <= 1 || Option.is_some (shardable ~tracer ~fault_plan ~setup ~steady ~domains protocol)
   then serial ()
   else begin
     (* Partition on the per-link delays the workers will draw. *)
-    let delays = Run_types.link_delays ~setup ~tree (Sim.Rng.create setup.seed) in
+    let delays = link_delays ~setup ~tree (Sim.Rng.create setup.seed) in
     let delay l = delays.(l) in
     let partition = Net.Partition.make ~tree ~delay ~shards in
     (* only a tree without receivers partitions into a single shard *)

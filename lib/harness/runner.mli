@@ -5,104 +5,17 @@
     {!Inference.Attribution} pipeline blames for each packet, sessions
     warm up before data flows, and one of the protocols recovers the
     losses. Recovery traffic is lossless by default; the lossy-recovery
-    variant drops recovery packets per estimated link rates. *)
+    variant drops recovery packets per estimated link rates.
 
-type protocol = Run_types.protocol =
-  | Srm_protocol
-  | Cesrm_protocol of Cesrm.Host.config
-  | Lms_protocol
-      (** the router-assisted baseline of Section 3.3's comparison;
-          note its data jitter and adaptive-timer options are
-          inapplicable *)
+    The run's types, builder and accounting come from {!Run_types},
+    included here but for the per-run [model] and [shard], whose labels
+    would shadow [result]'s; this module adds the run policy. *)
 
-val protocol_key : protocol -> string
-(** ["srm"], ["lms"], or ["cesrm[@retention]"] with a ["+ra"] suffix
-    when router assist is on (e.g. ["cesrm+ra"], ["cesrm@lru:4"],
-    ["cesrm@hotspot=inf+ra"]): the CLI's and a sweep spec's spelling,
-    and the protocol segment of a sweep cell's label. The retention
-    segment is omitted when it is {!Cesrm.Retention.default}, so the
-    default CESRM is plain ["cesrm"]. The reorder delay is not named. *)
-
-val protocol_name : protocol -> string
-(** {!protocol_key} upper-cased, for headers and labels: ["SRM"],
-    ["CESRM"], ["CESRM+RA"], ["LMS"], ["CESRM@LRU"]. *)
-
-val protocol_of_name : string -> (protocol, string) result
-(** Inverse of {!protocol_key}: [srm], [lms] or
-    [cesrm[@RETENTION][+ra]]; bare ["cesrm"] means
-    {!Cesrm.Host.default_config}. A [cesrm:POLICY] name is rejected
-    with a message saying the policy segment was removed. *)
-
-type setup = Run_types.setup = {
-  link_delay : float;  (** seconds; paper uses 10/20/30 ms, default 20 ms *)
-  bandwidth_bps : float;  (** default 1.5 Mbps *)
-  params : Srm.Params.t;
-  warmup : float;  (** session warm-up before data starts; default 5 s *)
-  tail : float;  (** session time kept after the last packet; default 30 s *)
-  lossy_recovery : bool;  (** drop recovery packets per link rates *)
-  lossy_sessions : bool;
-      (** drop session packets per link rates too (the paper assumes a
-          lossless session exchange; this probes that assumption) *)
-  data_jitter : float;
-      (** max uniform per-packet send jitter, seconds; > period causes
-          reordering, the case REORDER-DELAY exists for *)
-  heterogeneous_delays : bool;
-      (** draw per-link delays log-uniformly in
-          [link_delay/3, 3·link_delay] instead of the paper's uniform
-          setting — a robustness probe for the suppression timers *)
-  seed : int64;
-}
-
-val default_setup : setup
-
-type result = Run_types.result = {
-  trace : Mtrace.Trace.t;
-  protocol : protocol;
-  setup : setup;
-  counters : Stats.Counters.t;
-  recoveries : Stats.Recovery.t;
-  cost : Net.Cost.t;
-  rtt_to_source : (int * float) list;  (** per receiver node, true RTT *)
-  exp_requests : int;
-  exp_replies : int;
-  unrecovered : int;
-      (** losses detected but never repaired nor forgiven (0 expected):
-          [detected - recovered - forgiven] *)
-  detected : int;  (** losses detected across receivers *)
-  forgiven : int;
-      (** losses still pending when their member left the group (churn
-          plans only): the member was not present for their full
-          recovery windows, so liveness accounting excludes them *)
-  audit_violations : int;
-      (** violations of the run's {!Audit} checker's safety rules
-          (0 expected) *)
-  oracle_violations : int;
-      (** violations of its fault rules (0 without a fault plan, and 0
-          expected with one — a fault-rule violation means the
-          protocol failed to degrade gracefully) *)
-  oracle : Audit.t option;
-      (** the run's checker, present iff a fault plan was run *)
-  retirement : Steady.Controller.t option;
-      (** the windowed-retirement controller — present iff the run
-          executed with a steady window (floor reached, tick count,
-          peak heap); exactly the runs whose {!recoveries} keep no
-          per-loss records *)
-}
-
-type loss_model = Run_types.loss_model =
-  | Attributed of Inference.Attribution.t
-      (** cut each data packet on the links maximum-likelihood
-          attribution blames (the paper's Section 4.2 pipeline) *)
-  | Ground_truth of Mtrace.Bitset.t array
-      (** per-link Gilbert Bad-step bitsets straight from
-          {!Mtrace.Generator} ([link_bad], indexed by link id; bit
-          [seq - 1] drops packet [seq]) — skips inference entirely,
-          receivers observe exactly the trace's losses; what the
-          synthetic scale scenarios use *)
-  | Streamed of Mtrace.Stream_loss.t
-      (** same ground-truth semantics, chains evaluated lazily — the
-          constant-memory loss model for streaming (steady) runs over
-          a {!Mtrace.Trace.create_streaming} trace *)
+include module type of struct
+  include Run_types
+end
+with type model := Run_types.model
+ and type shard := Run_types.shard
 
 val run_model :
   ?setup:setup ->
@@ -129,44 +42,42 @@ val run_model :
     (RTT-normalized, split expedited vs fallback), fed online as each
     recovery lands.
 
-    Every run is checked by one {!Audit} checker. With [fault_plan],
-    the plan is compiled onto the network and engine before the run,
-    the checker's fault rules check graceful degradation (violations
-    land in the result and the registry under ["fault/"]), and host
-    restarts drop soft state ({!Srm.Host.restart_recovery}, which
-    resets a CESRM host's caches through its hook). A fault plan also
-    switches on the robustness extensions, [Srm.Params.fault_tolerant]:
-    SRM hosts re-arm their requests on session evidence, and CESRM
-    hosts presume a replier dead after 8 consecutive failed expedited
-    recoveries — without them SRM's 2^k back-off and CESRM's static
-    pair caches make post-heal recovery pathologically slow, which is
-    exactly what the fault rules would report. The checker's request bound follows the
+    Every run is checked by one {!Audit} checker. With [fault_plan], the
+    plan is compiled onto the network and engine before the run, the
+    checker's fault rules check graceful degradation (violations land in
+    the result and the registry under ["fault/"]), and host restarts
+    drop soft state ({!Srm.Host.restart_recovery}, which resets a CESRM
+    host's caches through its hook). A fault plan also switches on the
+    robustness extensions, [Srm.Params.fault_tolerant]: SRM hosts re-arm
+    their requests on session evidence, and CESRM hosts presume a
+    replier dead after 8 consecutive failed expedited recoveries —
+    without them SRM's 2^k back-off and CESRM's static pair caches make
+    post-heal recovery pathologically slow, which is exactly what the
+    fault rules would report. The checker's request bound follows the
     re-arm: 41 requests per loss without it, 200 with it. Faulted runs
-    remain deterministic: same trace, seed and plan ⇒ identical
-    results.
+    remain deterministic: same trace, seed and plan ⇒ identical results.
 
-    A plan with membership events (join/leave/rejoin — see
-    {!Fault.Plan} and its churn schedules) additionally drives the
-    network's membership layer: a node outside the group neither
-    receives subcasts nor gets its transmissions onto the wire. On a
-    leave, the departing SRM/CESRM host drops {e all} soft state
-    ({!Srm.Host.depart} — its pending losses are counted into
-    [result.forgiven], not [unrecovered]) and every remaining member
-    forgets the session state naming it ({!Srm.Host.forget_peer}).
-    The harness drives the SRM hosts alone: a CESRM host's hooks empty
-    the departing member's caches and
-    make every remaining one invalidate its cached expedited pairs
-    naming the departed replier ({!Cesrm.Host.invalidate_replier}),
-    so recovery falls back to SRM instead of unicasting a ghost. On a
-    join or rejoin, the member
+    A plan with membership events (join/leave/rejoin — see {!Fault.Plan}
+    and its churn schedules) additionally drives the network's
+    membership layer: a node outside the group neither receives subcasts
+    nor gets its transmissions onto the wire. On a leave, the departing
+    SRM/CESRM host drops {e all} soft state ({!Srm.Host.depart} — its
+    pending losses are counted into [result.forgiven], not
+    [unrecovered]) and every remaining member forgets the session state
+    naming it ({!Srm.Host.forget_peer}). The harness drives the SRM
+    hosts alone: a CESRM host's hooks empty the departing member's
+    caches and make every remaining one invalidate its cached expedited
+    pairs naming the departed replier
+    ({!Cesrm.Host.invalidate_replier}), so recovery falls back to SRM
+    instead of unicasting a ghost. On a join or rejoin, the member
     starts with empty soft state and its per-stream detection windows
     baselined at the packets already sent ({!Srm.Host.join}) — a late
     joiner is never charged for packets sent before it joined. The
     checker is fed the membership timeline and checks the churn-aware
     invariants (no delivery to departed hosts, no expedited retries
-    pinned on a departed replier, membership-aware liveness). LMS
-    runs reject every fault plan (see {!rejected}); LMS's crash
-    behaviour is measured by {!Churn} instead.
+    pinned on a departed replier, membership-aware liveness). LMS runs
+    reject every fault plan (see {!rejected}); LMS's crash behaviour is
+    measured by {!Churn} instead.
 
     With [shards] at least 2, the run executes in parallel: the tree is
     partitioned into that many shards of roughly equal member weight
@@ -174,24 +85,27 @@ val run_model :
     conservatively with lookahead equal to the minimum cut-link delay
     ({!Sim.Pdes}, {!Parallel}). The merged result — counters,
     recoveries, cost and the checker's verdict — is byte-identical to
-    the serial run's; with [registry], synchronisation counters additionally
-    appear under ["pdes/"] (per-host ["srm/"] metrics stay in the
-    workers and are not republished). Runs a sharded execution cannot
-    reproduce exactly execute on the serial engine instead, for the
-    reason {!shardable} names (front-ends print it).
+    the serial run's; with [registry], synchronisation counters
+    additionally appear under ["pdes/"] (per-host ["srm/"] metrics stay
+    in the workers and are not republished). Runs a sharded execution
+    cannot reproduce exactly execute on the serial engine instead, for
+    the reason {!shardable} names (front-ends print it).
 
     With [steady], the run executes in streaming mode
     ({!Steady.Config}): sources arm their data sends as lazy chains
-    (byte-identical to the eager loop), a {!Steady.Controller} driven
-    by an engine epoch tick retires per-packet state past the
-    stability horizon (hosts, CESRM caches, the checker), and the
-    recovery collector keeps online summaries only. A window that
-    never retires runs the same protocol events as no [steady] at all
-    (the determinism goldens pin this). Steady runs stay serial. The
-    controller is returned in [result.retirement] (floor, tick count,
-    peak heap). [on_retire] is registered on it: at each epoch whose
-    floor advanced it runs after everything else retired (the bench
-    samples live words there). Without [steady] it never runs.
+    (byte-identical to the eager loop; an SRM or CESRM run whose
+    [data_jitter] exceeds the send period, so that sends may reorder,
+    raises [Invalid_argument] — {!Srm.Proto.add_stream}), a
+    {!Steady.Controller} driven by an engine epoch tick retires
+    per-packet state past the stability horizon (hosts, CESRM caches,
+    the checker), and the recovery collector keeps online summaries
+    only. A window that never retires runs the same protocol events as
+    no [steady] at all (the determinism goldens pin this). Steady runs
+    stay serial. The controller is returned in [result.retirement]
+    (floor, tick count, peak heap). [on_retire] is registered on it:
+    at each epoch whose floor advanced it runs after everything else
+    retired (the bench samples live words there). Without [steady] it
+    never runs.
 
     With [domains], the tree is partitioned into hierarchical local
     recovery domains ({!Rdomain}) shared by every host: requests and

@@ -2,8 +2,10 @@
 
     Node ids refer to {!Tree} nodes. [sender] is the group member that
     transmitted this PDU (not the interior router currently forwarding
-    it). Sequence numbers identify original data packets from the
-    (single) source, numbered from 1 as in the paper. *)
+    it). A data stream is named by its source member ([src]); its
+    sequence numbers count that source's original data packets from 1,
+    as in the paper, and hosts and CESRM caches keep state per
+    source. *)
 
 type echo = {
   echo_member : int;  (** whose timestamp we are echoing *)

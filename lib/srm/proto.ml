@@ -49,23 +49,23 @@ let recoveries t = t.recoveries
 
 let network t = t.network
 
-(* A streamed producer is only byte-identical to the eager loop when
-   sends cannot reorder: each firing arms its successor, so jitter
-   beyond one period would need a past-time clamp that the eager
-   schedule does not apply. Such setups (REORDER-DELAY) fall back to
-   the eager loop. *)
-let can_stream ~send_jitter ~period = send_jitter <= period
-
 let add_stream ?(send_jitter = 0.) ?(streaming = false) t ~src ~n_packets ~period ~start_at =
+  (* A streamed producer is only byte-identical to the eager loop when
+     sends cannot reorder: each firing arms its successor, so jitter
+     beyond one period would need a past-time clamp that the eager
+     schedule does not apply. *)
+  if streaming && send_jitter > period then
+    invalid_arg
+      (Printf.sprintf
+         "Srm.Proto.add_stream: streamed sends need send jitter within one period (%g s > %g s)"
+         send_jitter period);
   let engine = Net.Network.engine t.network in
   let origin = Option.map t.srm (List.assoc_opt src t.hosts) in
   (* Passed as [?src]: a [~src] at the call would box a fresh option
      on every send. *)
   let src_opt = Some src in
   let jitter_rng = Sim.Rng.split (Sim.Engine.rng engine) in
-  Sim.Stream.schedule engine
-    ~streaming:(streaming && can_stream ~send_jitter ~period)
-    ~n:(min n_packets t.n_packets)
+  Sim.Stream.schedule engine ~streaming ~n:(min n_packets t.n_packets)
     ~at:(fun seq ->
       (* Optional per-packet jitter models upstream reordering: with
          jitter beyond one period, packets can overtake and receivers

@@ -70,8 +70,10 @@ val add_stream :
     clamped to the deployment's per-stream cap. [streaming] (default
     false) produces sends lazily — one pending timer instead of
     [n_packets] — via {!Sim.Stream}; byte-identical to the eager
-    schedule, and honoured only when [send_jitter <= period] (beyond
-    that, sends may reorder and the eager loop is used). *)
+    schedule.
+    @raise Invalid_argument with [streaming] when [send_jitter >
+    period]: such sends may reorder, which a lazy producer cannot
+    reproduce. *)
 
 val host : 'h group -> int -> 'h
 (** By node id. @raise Not_found for non-members. *)

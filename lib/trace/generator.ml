@@ -444,7 +444,7 @@ let streaming_correction_prefix = 2000
    systematically undershoots the realized count (every loss high in
    the chain shadows the draws below it), get the same realized-count
    correction the eager path has always had. *)
-let synthesize_streaming ?seed ?n_packets ?lookback (row : Meta.row) =
+let synthesize_streaming ?seed ?n_packets (row : Meta.row) =
   (match Scale.family_of_name row.name with
   | Some f when not (Scale.supports_streaming f) ->
       invalid_arg
@@ -547,6 +547,6 @@ let synthesize_streaming ?seed ?n_packets ?lookback (row : Meta.row) =
       end
     end
   in
-  let s_loss = Stream_loss.create ?lookback ~tree ~rates ~bursts ~rng ~n_packets () in
+  let s_loss = Stream_loss.create ~tree ~rates ~bursts ~rng ~n_packets () in
   let s_trace = Trace.create_streaming ~name:row.name ~tree ~period ~n_packets in
   { s_trace; s_loss; s_rates = rates; s_bursts = bursts }

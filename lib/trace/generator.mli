@@ -58,21 +58,21 @@ type streaming = {
   s_bursts : float array;
 }
 
-val synthesize_streaming : ?seed:int64 -> ?n_packets:int -> ?lookback:int -> Meta.row -> streaming
-(** Like {!synthesize} but O(links) + O(prefix) setup and
-    O(links · lookback) steady memory: same seed ⇒ same tree / weights
-    / bursts draws, loss bits produced lazily. The analytic
-    calibration is corrected against a sampled prefix: each probe
-    simulates the first [min n_packets 2000] packets on a {e copy} of
-    the rng (replaying exactly the per-link splits the stream will
-    consume), so the realized count is a fixed function of the rates,
-    and the correction bisects a global factor, then a factor on the
-    receiver edges, until the prefix's realized count is within 3% of
-    its share of the target. When the first probe is already within
-    tolerance — the [bf]/[ss] rows — the rates and bits are identical
-    to the uncorrected path; deep chains, whose analytic expectation
-    systematically undershoots, stream within tolerance instead of
-    ~25% under budget.
+val synthesize_streaming : ?seed:int64 -> ?n_packets:int -> Meta.row -> streaming
+(** Like {!synthesize} but O(links) + O(prefix) setup and O(links)
+    steady memory ({!Stream_loss}'s default lookback ring): same seed
+    ⇒ same tree / weights / bursts draws, loss bits produced lazily.
+    The analytic calibration is corrected against a sampled prefix:
+    each probe simulates the first [min n_packets 2000] packets on a
+    {e copy} of the rng (replaying exactly the per-link splits the
+    stream will consume), so the realized count is a fixed function
+    of the rates, and the correction bisects a global factor, then a
+    factor on the receiver edges, until the prefix's realized count
+    is within 3% of its share of the target. When the first probe is
+    already within tolerance — the [bf]/[ss] rows — the rates and bits
+    are identical to the uncorrected path; deep chains, whose analytic
+    expectation systematically undershoots, stream within tolerance
+    instead of ~25% under budget.
     @raise Invalid_argument for adversarial cache-thrash rows
     ([rh]/[ps] — see {!Scale.supports_streaming}): their windowed
     schedules have no streaming chain representation. *)

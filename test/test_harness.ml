@@ -177,8 +177,10 @@ let test_deterministic_runs () =
    the casts that pass the network's enabled check, so per member and
    kind the run's tally must equal what the tap saw: a crashed or
    absent member's timers count nothing, and an LMS repair, which
-   leaves as a plain reply, counts as one. CESRM's expedited totals are
-   the tally's. Every canned plan runs on a 7-receiver trace. *)
+   leaves as a plain reply, counts as one. A result's expedited pair is
+   the tally's (LMS's hop-by-hop requests are no expedited recovery, so
+   it reads 0), and a sharded SRM run reads the serial run's. Every
+   canned plan runs on a 7-receiver trace. *)
 let kind_of_category = function
   | Net.Cost.Data -> None
   | Net.Cost.Request -> Some Stats.Counters.Rqst
@@ -222,14 +224,28 @@ let test_sends_counted_at_the_wire () =
               (Stats.Counters.get seen ~node kind) (Stats.Counters.get tally ~node kind))
           Stats.Counters.all_kinds
       done;
-      if protocol <> Harness.Runner.Lms_protocol then begin
-        let exp_requests, exp_replies = m.expedited () in
-        check Alcotest.int (label ^ " exp_requests")
-          (Stats.Counters.total tally Stats.Counters.Exp_rqst) exp_requests;
-        check Alcotest.int (label ^ " exp_replies")
-          (Stats.Counters.total tally Stats.Counters.Exp_repl) exp_replies
-      end)
-    runs
+      let tree = Mtrace.Trace.tree trace in
+      let r =
+        Harness.Run_types.finish ~faulted:(Option.is_some fault_plan) ~setup
+          ~rtts:(Harness.Run_types.source_rtts ~tree ~delay:(Net.Network.link_delay m.network))
+          ~tally ~recoveries:m.recoveries ~cost:(Net.Network.cost m.network)
+          ~detected:(m.detected ()) ~forgiven:(m.forgiven ()) ~retirement:m.controller m.audit
+          protocol trace
+      in
+      let total = Stats.Counters.total tally in
+      let expected =
+        if protocol = Harness.Runner.Lms_protocol then begin
+          check Alcotest.bool (label ^ " tallies Exp_rqst") true (total Stats.Counters.Exp_rqst > 0);
+          (0, 0)
+        end
+        else (total Stats.Counters.Exp_rqst, total Stats.Counters.Exp_repl)
+      in
+      check Alcotest.(pair int int) (label ^ " expedited pair") expected
+        (r.exp_requests, r.exp_replies))
+    runs;
+  let pair (r : Harness.Runner.result) = (r.exp_requests, r.exp_replies) in
+  let srm ?shards () = Harness.Runner.run_model ?shards Harness.Runner.Srm_protocol trace loss in
+  check Alcotest.(pair int int) "2-shard SRM expedited pair" (pair (srm ())) (pair (srm ~shards:2 ()))
 
 let test_data_jitter_reordering () =
   (* With jitter beyond one period and no reorder delay, CESRM fires

@@ -249,6 +249,27 @@ let steady_leg ~seed ~window ~epoch_every ~fault protocol =
   let steady = Steady.Config.windowed ?epoch_every window in
   Harness.Runner.run_leg ~n_packets:400 ?fault ~seed ~steady protocol row_bf32
 
+(* Streamed sends cannot reorder, so a steady run whose send jitter
+   exceeds one period is rejected, not run on the eager producer; the
+   same setup without a window recovers everything. *)
+let test_jittered_steady_rejected () =
+  let trace, loss = Harness.Runner.inputs ~seed:42L ~n_packets:200 row_bf32 in
+  let period = Mtrace.Trace.period trace in
+  let jitter = 3. *. period in
+  let setup =
+    { (Harness.Runner.tune_for_trace trace Harness.Runner.default_setup) with data_jitter = jitter }
+  in
+  let run ?steady () =
+    Harness.Runner.run_model ~setup ?steady Harness.Runner.Srm_protocol trace loss
+  in
+  Alcotest.check_raises "steady run rejected"
+    (Invalid_argument
+       (Printf.sprintf
+          "Srm.Proto.add_stream: streamed sends need send jitter within one period (%g s > %g s)"
+          jitter period))
+    (fun () -> ignore (run ~steady:(Steady.Config.windowed 32) ()));
+  Alcotest.(check int) "eager run: nothing unrecovered" 0 (run ()).unrecovered
+
 (* One random cell: a window vs the never-retiring reference
    (window = n_packets) over the same streaming trace. Retirement must
    be invisible: identical fingerprint, nothing unrecovered, auditor
@@ -379,6 +400,7 @@ let () =
         [
           Alcotest.test_case "config" `Quick test_config;
           Alcotest.test_case "controller" `Quick test_controller;
+          Alcotest.test_case "jittered steady run rejected" `Quick test_jittered_steady_rejected;
         ] );
       ( "differential",
         [
